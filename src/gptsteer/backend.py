@@ -1,12 +1,12 @@
 """Kernel backend selection.
 
-The hot loops in kernels.py are written once as plain Python over numpy
-arrays.  When numba is importable and GPTSTEER_NO_NUMBA is unset they are
-compiled with @njit at import time; otherwise the same source runs
-uncompiled.  The uncompiled simplex is also reused by the exact-rational LP
-mode, which feeds it object arrays of fractions.Fraction (numba never sees
-those).  Keep kernel arithmetic free of float literals so that reuse stays
-exact.
+The scalar kernels in kernels.py (`simplex_phase`, `symmetry_search`) are
+written once as plain Python over numpy arrays.  When numba is importable
+and GPTSTEER_NO_NUMBA is unset they are compiled with @njit at import time;
+otherwise the same source runs uncompiled.  The uncompiled simplex is also
+reused by the exact-rational LP mode, which feeds it object arrays of
+fractions.Fraction (numba never sees those).  Keep kernel arithmetic free
+of float literals so that reuse stays exact.
 """
 
 import os

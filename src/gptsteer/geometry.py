@@ -1,8 +1,10 @@
 """Dual-description helpers: vertex and facet enumeration with canonical order.
 
-Thin wrappers around the brute-force kernels.  Output rows are sorted
-lexicographically after rounding so results do not depend on input ordering,
-which keeps downstream certificates byte-reproducible.
+Thin wrappers around the brute-force kernels, which test every d-subset of
+half-spaces (or (d-1)-subset of generators) in batched numpy chunks.  Inputs
+are normalized here so the tolerances are scale-free, and output rows are
+sorted lexicographically after rounding so results do not depend on input
+ordering, which keeps downstream certificates byte-reproducible.
 """
 
 import numpy as np

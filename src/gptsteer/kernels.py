@@ -1,11 +1,14 @@
 """Hot numeric loops: simplex pivoting and brute-force polyhedral searches.
 
-Each public name (`simplex_phase`, `enum_polytope_vertices`, `enum_cone_facets`,
-`symmetry_search`) is the numba-compiled version of the corresponding `*_py`
-function when the numba path is active (see backend.py), and the plain
-function otherwise.  The `*_py` versions stay importable either way: the
-exact-rational LP mode runs `simplex_phase_py` on object arrays of Fractions,
-and the benchmark script times both variants against each other.
+`simplex_phase` and `symmetry_search` are scalar loops, compiled by numba
+when the numba path is active (see backend.py) and plain functions
+otherwise; their `*_py` versions stay importable either way, and the
+exact-rational LP mode runs `simplex_phase_py` on object arrays of
+Fractions.  The enumerations `enum_polytope_vertices` and `enum_cone_facets`
+are batched numpy: they walk the candidate subsets in lexicographic chunks
+of CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
+tests and summation order of a one-subset-at-a-time elimination, so their
+output does not depend on the chunk size.
 
 Kernel conventions:
   * no exceptions, failures are encoded in return codes;
@@ -13,9 +16,15 @@ Kernel conventions:
   * deterministic tie-breaking everywhere (lowest index / Bland).
 """
 
+import itertools
+
 import numpy as np
 
 from .backend import compile_kernel
+
+# Subsets per batched elimination: large enough to amortize numpy dispatch,
+# small enough that the (CHUNK, m) feasibility sums stay within cache.
+CHUNK = 512
 
 # Tableau variable statuses.
 AT_LOWER = 0
@@ -196,228 +205,181 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
         vstat[piv] = BASIC
 
 
-def gauss_solve_py(M, rhs, tol):
-    """Solve M x = rhs in place (solution lands in rhs); 0 on tiny pivot."""
-    d = M.shape[0]
+def _eliminate(M, tol, rhs=None):
+    """Forward elimination with partial pivoting on a stack of square blocks.
+
+    M is (S, d, d) and is reduced in place to upper-triangular form; rhs,
+    when given, is (S, d) and follows the row operations.  The pivot is the
+    first maximum of |column| on or below the diagonal, a block is singular
+    once a pivot is <= tol, and a multiplier that is exactly 0 leaves its row
+    untouched, so every block sees the float operations of a scalar
+    elimination.  Returns (singular, det): det is the signed product of
+    pivots and is meaningful only where singular is False.
+    """
+    S, d = M.shape[:2]
+    rows = np.arange(S)
+    singular = np.zeros(S, dtype=bool)
+    det = np.ones(S)
     for k in range(d):
-        p = k
-        best = abs(M[k, k])
-        for i in range(k + 1, d):
-            v = abs(M[i, k])
-            if v > best:
-                best = v
-                p = i
-        if best <= tol:
-            return 0
-        if p != k:
-            for c in range(d):
-                tmp = M[k, c]
-                M[k, c] = M[p, c]
-                M[p, c] = tmp
-            tmp = rhs[k]
-            rhs[k] = rhs[p]
-            rhs[p] = tmp
-        piv = M[k, k]
-        for i in range(k + 1, d):
-            f = M[i, k] / piv
-            if f != 0.0:
-                for c in range(k, d):
-                    M[i, c] -= f * M[k, c]
-                rhs[i] -= f * rhs[k]
+        p = k + np.argmax(np.abs(M[:, k:, k]), axis=1)
+        singular |= np.abs(M[rows, p, k]) <= tol
+        swap = rows[p != k]
+        if swap.size:
+            pk = p[swap]
+            M[swap, k], M[swap, pk] = M[swap, pk], M[swap, k]
+            if rhs is not None:
+                rhs[swap, k], rhs[swap, pk] = rhs[swap, pk], rhs[swap, k]
+            det[swap] = -det[swap]
+        piv = M[:, k, k]
+        det = det * piv
+        if k + 1 == d:
+            break
+        f = M[:, k + 1:, k] / piv[:, None]
+        live = f != 0
+        M[:, k + 1:, k:] = np.where(
+            live[:, :, None],
+            M[:, k + 1:, k:] - f[:, :, None] * M[:, None, k, k:],
+            M[:, k + 1:, k:])
+        if rhs is not None:
+            rhs[:, k + 1:] = np.where(
+                live, rhs[:, k + 1:] - f * rhs[:, None, k], rhs[:, k + 1:])
+    return singular, det
+
+
+def _back_substitute(U, rhs):
+    """Solutions of the upper-triangular systems U x = rhs, row by row."""
+    d = U.shape[1]
+    x = np.empty_like(rhs)
     for k in range(d - 1, -1, -1):
-        s = rhs[k]
+        s = rhs[:, k]
         for j in range(k + 1, d):
-            s -= M[k, j] * rhs[j]
-        rhs[k] = s / M[k, k]
-    return 1
+            s = s - U[:, k, j] * x[:, j]
+        x[:, k] = s / U[:, k, k]
+    return x
 
 
-gauss_solve = compile_kernel(gauss_solve_py)
+def _far(P, Q, tol):
+    """(len P, len Q) mask: row pairs differing by more than tol somewhere."""
+    far = np.zeros((P.shape[0], Q.shape[0]), dtype=bool)
+    for c in range(P.shape[1]):
+        far |= np.abs(Q[None, :, c] - P[:, None, c]) > tol
+    return far
 
 
-def gauss_det_py(M):
-    """Determinant by elimination with partial pivoting; M is clobbered."""
-    d = M.shape[0]
-    det = 1.0
-    for k in range(d):
-        p = k
-        best = abs(M[k, k])
-        for i in range(k + 1, d):
-            v = abs(M[i, k])
-            if v > best:
-                best = v
-                p = i
-        if best == 0.0:
-            return 0.0
-        if p != k:
-            for c in range(d):
-                tmp = M[k, c]
-                M[k, c] = M[p, c]
-                M[p, c] = tmp
-            det = -det
-        piv = M[k, k]
-        det *= piv
-        for i in range(k + 1, d):
-            f = M[i, k] / piv
-            if f != 0.0:
-                for c in range(k, d):
-                    M[i, c] -= f * M[k, c]
-    return det
+def _append_distinct(out, count, cand, tol):
+    """Append the rows of cand that no earlier kept row matches within tol.
+
+    Greedy in row order, exactly as one-at-a-time insertion: a candidate is
+    dropped when it is within tol (entrywise) of a row already in out[:count]
+    or of an earlier candidate that was itself kept.  Stops at the capacity
+    of out.  Returns (new count, overflow flag).
+    """
+    cand = cand[_far(cand, out[:count], tol).all(axis=1)]
+    near = np.tril(~_far(cand, cand, tol), -1)   # near[j, i]: i < j, within tol
+    # Candidate j is kept iff no earlier near candidate is kept.  Each round
+    # settles at least the first unsettled candidate; clusters of
+    # duplicates around a kept row settle in one round.
+    keep = np.zeros(cand.shape[0], dtype=bool)
+    drop = np.zeros(cand.shape[0], dtype=bool)
+    while not (keep | drop).all():
+        open_ = ~(keep | drop)
+        drop |= open_ & (near & keep).any(axis=1)
+        keep |= open_ & ~(near & ~drop).any(axis=1)
+    new = cand[keep]
+    room = out.shape[0] - count
+    out[count:count + min(room, new.shape[0])] = new[:room]
+    return count + min(room, new.shape[0]), int(new.shape[0] > room)
 
 
-gauss_det = compile_kernel(gauss_det_py)
+def _subset_chunks(n, k):
+    """Lexicographic k-subsets of range(n) as (<= CHUNK, k) index arrays."""
+    subsets = itertools.combinations(range(n), k)
+    while True:
+        chunk = list(itertools.islice(subsets, CHUNK))
+        if not chunk:
+            return
+        flat = itertools.chain.from_iterable(chunk)
+        yield np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
 
 
-def enum_polytope_vertices_py(A, b, dedupe_tol, feas_tol, sing_tol, cap):
+def enum_polytope_vertices(A, b, dedupe_tol, feas_tol, sing_tol, cap):
     """Vertices of {x : A x <= b} by brute force over d-subsets of rows.
 
-    Rows of (A | b) should be normalized by the caller so the tolerances are
+    Each d-subset of rows is solved as an equality system (skipped when a
+    pivot is <= sing_tol), the solution kept when every row satisfies
+    -b_i + sum_c A_ic x_c <= feas_tol, and the first of any vertices within
+    dedupe_tol of each other wins, in lexicographic subset order.  Rows of
+    (A | b) should be normalized by the caller so the tolerances are
     meaningful.  Returns (vertices, overflow_flag); overflow means more than
     `cap` distinct vertices were found.
     """
     m, d = A.shape
     out = np.empty((cap, d))
     count = 0
-    overflow = 0
     if m < d:
         return out[:0].copy(), 0
-    idx = np.empty(d, np.int64)
-    for k in range(d):
-        idx[k] = k
-    M = np.empty((d, d))
-    rhs = np.empty(d)
-    while True:
-        for r in range(d):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for idx in _subset_chunks(m, d):
+            M = A[idx]
+            rhs = b[idx]
+            singular, _ = _eliminate(M, sing_tol, rhs)
+            ok = ~singular
+            x = _back_substitute(M[ok], rhs[ok])
+            s = np.broadcast_to(-b, (x.shape[0], m)).copy()
             for c in range(d):
-                M[r, c] = A[idx[r], c]
-            rhs[r] = b[idx[r]]
-        if gauss_solve(M, rhs, sing_tol) == 1:
-            feas = True
-            for i in range(m):
-                s = -b[i]
-                for c in range(d):
-                    s += A[i, c] * rhs[c]
-                if s > feas_tol:
-                    feas = False
-                    break
-            if feas:
-                dup = False
-                for t in range(count):
-                    close = True
-                    for c in range(d):
-                        if abs(out[t, c] - rhs[c]) > dedupe_tol:
-                            close = False
-                            break
-                    if close:
-                        dup = True
-                        break
-                if not dup:
-                    if count >= cap:
-                        overflow = 1
-                        break
-                    for c in range(d):
-                        out[count, c] = rhs[c]
-                    count += 1
-        j = d - 1
-        while j >= 0 and idx[j] == m - d + j:
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-        for k in range(j + 1, d):
-            idx[k] = idx[k - 1] + 1
-    return out[:count].copy(), overflow
+                s += A[None, :, c] * x[:, c, None]
+            x = x[~(s > feas_tol).any(axis=1)]
+            count, overflow = _append_distinct(out, count, x, dedupe_tol)
+            if overflow:
+                return out[:count].copy(), 1
+    return out[:count].copy(), 0
 
 
-enum_polytope_vertices = compile_kernel(enum_polytope_vertices_py)
-
-
-def enum_cone_facets_py(V, dedupe_tol, feas_tol, sing_tol, cap):
+def enum_cone_facets(V, dedupe_tol, feas_tol, sing_tol, cap):
     """Facet normals of cone(V rows) from (d-1)-subsets of generators.
 
     Each subset of d-1 generators spans a candidate hyperplane; its normal is
-    computed by cofactor expansion, oriented so every generator lies on the
-    nonnegative side, unit-normalized and de-duplicated.  Rows of V should be
-    normalized by the caller.  Returns (facets, overflow_flag).
+    computed by cofactor expansion (sign-alternating (d-1)-minors, each a
+    determinant by elimination), kept when its norm exceeds sing_tol, unit-
+    normalized, oriented so every generator lies on the nonnegative side
+    (within feas_tol) and de-duplicated as in enum_polytope_vertices.  Rows
+    of V should be normalized by the caller.  Returns (facets,
+    overflow_flag).
     """
     n, d = V.shape
     k = d - 1
     out = np.empty((cap, d))
     count = 0
-    overflow = 0
     if n < k or k < 1:
         return out[:0].copy(), 0
-    idx = np.empty(k, np.int64)
-    for i in range(k):
-        idx[i] = i
-    sub = np.empty((k, k))
-    normal = np.empty(d)
-    while True:
-        for c in range(d):
-            for r in range(k):
-                cc = 0
-                for col in range(d):
-                    if col == c:
-                        continue
-                    sub[r, cc] = V[idx[r], col]
-                    cc += 1
-            det = gauss_det(sub) if k > 0 else 1.0
-            if c % 2 == 0:
-                normal[c] = det
-            else:
-                normal[c] = -det
-        nrm = 0.0
-        for c in range(d):
-            nrm += normal[c] * normal[c]
-        nrm = np.sqrt(nrm)
-        if nrm > sing_tol:
+    minor_cols = np.array([[c for c in range(d) if c != drop]
+                           for drop in range(d)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for idx in _subset_chunks(n, k):
+            S = idx.shape[0]
+            # Block s * d + c is the minor of subset s without column c.
+            M = V[idx[:, None, :, None], minor_cols[None, :, None, :]]
+            singular, det = _eliminate(M.reshape(S * d, k, k), 0.0)
+            normal = np.where(singular, 0.0, det).reshape(S, d)
+            normal[:, 1::2] = -normal[:, 1::2]
+            nrm = np.zeros(S)
             for c in range(d):
-                normal[c] /= nrm
-            pos = True
-            neg = True
-            for i in range(n):
-                s = 0.0
-                for c in range(d):
-                    s += V[i, c] * normal[c]
-                if s < -feas_tol:
-                    pos = False
-                if s > feas_tol:
-                    neg = False
-                if not pos and not neg:
-                    break
-            if pos or neg:
-                if neg and not pos:
-                    for c in range(d):
-                        normal[c] = -normal[c]
-                dup = False
-                for t in range(count):
-                    close = True
-                    for c in range(d):
-                        if abs(out[t, c] - normal[c]) > dedupe_tol:
-                            close = False
-                            break
-                    if close:
-                        dup = True
-                        break
-                if not dup:
-                    if count >= cap:
-                        overflow = 1
-                        break
-                    for c in range(d):
-                        out[count, c] = normal[c]
-                    count += 1
-        j = k - 1
-        while j >= 0 and idx[j] == n - k + j:
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-        for i in range(j + 1, k):
-            idx[i] = idx[i - 1] + 1
-    return out[:count].copy(), overflow
-
-
-enum_cone_facets = compile_kernel(enum_cone_facets_py)
+                nrm = nrm + normal[:, c] * normal[:, c]
+            nrm = np.sqrt(nrm)
+            ok = nrm > sing_tol
+            normal = normal[ok] / nrm[ok, None]
+            s = np.zeros((normal.shape[0], n))
+            for c in range(d):
+                s += V[None, :, c] * normal[:, c, None]
+            pos = ~(s < -feas_tol).any(axis=1)
+            neg = ~(s > feas_tol).any(axis=1)
+            flip = neg & ~pos
+            normal[flip] = -normal[flip]
+            normal = normal[pos | neg]
+            count, overflow = _append_distinct(out, count, normal, dedupe_tol)
+            if overflow:
+                return out[:count].copy(), 1
+    return out[:count].copy(), 0
 
 
 def symmetry_search_py(V, Binv, fix, match_tol, cap):

@@ -14,6 +14,7 @@ from gptsteer.errors import (
     SystemMismatch,
 )
 from gptsteer.geometry import facets_of_cone, lex_sorted, vertices_of_polytope
+from gptsteer.tensors import sigma_interval_vertices
 
 RT2 = np.sqrt(2.0)
 
@@ -594,3 +595,80 @@ def test_facets_of_cone_wrapper():
     got = facets_of_cone(V)
     assert got.shape == (4, 3)
     assert (got @ V.T).min() >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# dual description against Qhull (scipy)
+
+
+def _distinct(rows, tol=1e-7):
+    kept = []
+    for r in rows:
+        if all(np.abs(r - k).max() > tol for k in kept):
+            kept.append(r)
+    return np.array(kept)
+
+
+def _assert_same_rows(got, want, tol=1e-7):
+    want = _distinct(want, tol)
+    assert got.shape == want.shape
+    gap = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    assert gap.min(axis=1).max() <= tol
+    assert gap.min(axis=0).max() <= tol
+
+
+def _qhull_vertices(A, b):
+    spatial = pytest.importorskip("scipy.spatial")
+    hs = spatial.HalfspaceIntersection(
+        np.concatenate([A, -b[:, None]], axis=1), np.zeros(A.shape[1]))
+    return hs.intersections
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_vertices_of_polytope_matches_qhull(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3):
+        # random cuts plus a box, so the polytope is bounded around 0
+        A = np.concatenate([rng.normal(size=(d + 6, d)), np.eye(d), -np.eye(d)])
+        b = np.concatenate([rng.uniform(0.5, 1.5, size=d + 6), np.full(2 * d, 2.0)])
+        _assert_same_rows(vertices_of_polytope(A, b), _qhull_vertices(A, b))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_facets_of_cone_matches_qhull(d):
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(200 + d)
+    for _ in range(3):
+        pts = rng.normal(size=(d + 4, d - 1))   # cross-section at x_0 = 1
+        V = np.concatenate([np.ones((d + 4, 1)), pts], axis=1)
+        eq = spatial.ConvexHull(pts).equations   # n.p + off <= 0 inside
+        want = -np.concatenate([eq[:, -1:], eq[:, :-1]], axis=1)
+        want /= np.linalg.norm(want, axis=1)[:, None]
+        _assert_same_rows(facets_of_cone(V), want)
+
+
+@pytest.mark.parametrize("factory", [systems.hypercube, systems.cross_polytope])
+def test_degenerate_sigma_intervals_match_qhull(factory):
+    # many singular subsets and many subsets per vertex
+    s = factory(3)
+    sigma = s.vector([1.0, 0.1, -0.2, 0.05])
+    F = s.cone_facets
+    A = np.concatenate([F, -F])
+    b = np.concatenate([F @ sigma.coords] * 2)
+    _assert_same_rows(sigma_interval_vertices(s, sigma), _qhull_vertices(A, b))
+
+
+def test_repeated_half_space_changes_nothing():
+    A = np.concatenate([np.eye(2), -np.eye(2)])
+    b = np.ones(4)
+    once = vertices_of_polytope(A, b)
+    twice = vertices_of_polytope(np.concatenate([A, A[:1]]), np.append(b, 1.0))
+    assert once.tobytes() == twice.tobytes()
+    _assert_same_rows(once, _qhull_vertices(A, b))
+
+
+def test_too_few_or_infeasible_half_spaces_give_no_vertices():
+    assert vertices_of_polytope(np.array([[1.0, 2.0]]), np.ones(1)).shape == (0, 2)
+    A = np.concatenate([np.eye(2), -np.eye(2)])
+    got = vertices_of_polytope(A, np.array([-1.0, 1, -1, 1]))   # x<=-1, x>=1
+    assert got.shape == (0, 2)

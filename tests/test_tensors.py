@@ -1,10 +1,20 @@
 """Cross norms: frozen square values, certificates, and the sandwich."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gptsteer import sampling, systems, tensors
-from gptsteer.errors import GuardExceeded, InvalidInput, NotInterior
+from gptsteer.cli import load_tensor
+from gptsteer.errors import (
+    GuardExceeded,
+    InvalidInput,
+    NotInterior,
+    NumericalFailure,
+)
+
+KNOWN_FAILURES = Path(__file__).resolve().parent.parent / "perfbench" / "known_failures"
 
 
 def square():
@@ -350,3 +360,13 @@ def test_min_cone_witness_on_known_entangled_element():
     res = tensors.min_cone_member(t)
     assert not res.member
     assert tensors.projective_norm(t) > 1.0 + 1e-7
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalFailure,
+                   reason="projective LP basis turns numerically singular")
+def test_projective_norm_of_rotated_octahedron_tensor():
+    # A randomly rotated cross_polytope(3).  Its sigma interval has 26
+    # vertices at least 5e-4 apart, so enumeration is not at fault; the
+    # simplex reports a numerically singular working basis.
+    t = load_tensor(KNOWN_FAILURES / "rotated_octahedron_projective.json")
+    assert tensors.projective_norm_dichotomic(t) > 0.0
