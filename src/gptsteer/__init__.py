@@ -4,10 +4,10 @@ Finite-dimensional ordered vector spaces with a chosen unit play the role
 of state spaces; assemblages, steering tensor norms, robustness, witness
 extraction, Choquet-order comparisons and bipartite unsteerability tests
 all reduce to finite linear programs whose certificates are verified
-before they are returned.  Vertex and facet enumeration is batched numpy;
-numba, when installed, compiles only the scalar `simplex_phase` and
-`symmetry_search` kernels (GPTSTEER_NO_NUMBA=1 keeps them uncompiled).
-GPTSTEER_GUARDS raises size guards.  perfbench/ is the benchmark.
+before they are returned.  Everything runs on numpy alone: vertex and facet
+enumeration is batched, the simplex and symmetry search are plain loops,
+and a polytopic system's facets also decide which of its points are
+extreme.  GPTSTEER_GUARDS raises size guards.  perfbench/ is the benchmark.
 """
 
 __version__ = "0.1.0"

@@ -1,30 +1,8 @@
-"""Kernel backend selection.
+"""Kernel backend flag.
 
-The scalar kernels in kernels.py (`simplex_phase`, `symmetry_search`) are
-written once as plain Python over numpy arrays.  When numba is importable
-and GPTSTEER_NO_NUMBA is unset they are compiled with @njit at import time;
-otherwise the same source runs uncompiled.  The uncompiled simplex is also
-reused by the exact-rational LP mode, which feeds it object arrays of
-fractions.Fraction (numba never sees those).  Keep kernel arithmetic free
-of float literals so that reuse stays exact.
+Every kernel in kernels.py is plain Python over numpy arrays; nothing is
+compiled.  USE_NUMBA stays as a constant so tools that stamp their runs
+with the backend in use keep reading it.
 """
 
-import os
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - mirror environments without numba
-    numba = None
-    HAVE_NUMBA = False
-
-_flag = os.environ.get("GPTSTEER_NO_NUMBA", "").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _flag not in ("1", "true", "yes")
-
-
-def compile_kernel(fn):
-    """Return the njit-compiled fn on the numba path, fn itself otherwise."""
-    if USE_NUMBA:
-        return numba.njit(cache=True)(fn)
-    return fn
+USE_NUMBA = False

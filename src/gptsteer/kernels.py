@@ -1,10 +1,8 @@
 """Hot numeric loops: simplex pivoting and brute-force polyhedral searches.
 
-`simplex_phase` and `symmetry_search` are scalar loops, compiled by numba
-when the numba path is active (see backend.py) and plain functions
-otherwise; their `*_py` versions stay importable either way, and the
-exact-rational LP mode runs `simplex_phase_py` on object arrays of
-Fractions.  The enumerations `enum_polytope_vertices` and `enum_cone_facets`
+`simplex_phase` and `symmetry_search` are scalar loops over numpy arrays;
+the exact-rational LP mode runs the same `simplex_phase` on object arrays
+of Fractions.  The enumerations `enum_polytope_vertices` and `enum_cone_facets`
 are batched numpy: they walk the candidate subsets in lexicographic chunks
 of CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
 tests and summation order of a one-subset-at-a-time elimination, so their
@@ -19,8 +17,6 @@ Kernel conventions:
 import itertools
 
 import numpy as np
-
-from .backend import compile_kernel
 
 # Subsets per batched elimination: large enough to amortize numpy dispatch,
 # small enough that the (CHUNK, m) feasibility sums stay within cache.
@@ -37,7 +33,7 @@ PHASE_UNBOUNDED = 2
 PHASE_ITER_LIMIT = 3
 
 
-def simplex_phase_py(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter):
+def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter):
     """Run one phase of the bounded-variable simplex to optimality.
 
     T is the (m + 2) x (N + 1) tableau: rows 0..m-1 hold B^-1 A in columns
@@ -162,9 +158,6 @@ def simplex_phase_py(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_it
         basis[leave_row] = enter
         vstat[enter] = BASIC
     return PHASE_ITER_LIMIT
-
-
-simplex_phase = compile_kernel(simplex_phase_py)
 
 
 def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
@@ -382,7 +375,7 @@ def enum_cone_facets(V, dedupe_tol, feas_tol, sing_tol, cap):
     return out[:count].copy(), 0
 
 
-def symmetry_search_py(V, Binv, fix, match_tol, cap):
+def symmetry_search(V, Binv, fix, match_tol, cap):
     """Linear maps permuting the rows of V and fixing `fix`.
 
     Binv is the inverse of the d x d matrix whose rows are the first d
@@ -491,6 +484,3 @@ def symmetry_search_py(V, Binv, fix, match_tol, cap):
                 count += 1
         # stay at this depth, try the next candidate for the last slot
     return mats[:count].copy(), perms[:count].copy(), count, overflow
-
-
-symmetry_search = compile_kernel(symmetry_search_py)

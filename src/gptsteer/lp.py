@@ -32,7 +32,6 @@ from .kernels import (
     PHASE_UNBOUNDED,
     drive_out_artificials,
     simplex_phase,
-    simplex_phase_py,
 )
 
 # Pivot admission threshold for the float tableau; independent of the
@@ -263,10 +262,9 @@ def _solve_impl(problem, exact, feas_tol, gap_tol):
 
     tol = 0 if exact else _PIVOT_TOL
     max_iter = 1000 + 30 * (m0 + N)
-    phase = simplex_phase_py if exact else simplex_phase
     cvec_arr = None if exact else np.asarray(cvec, dtype=np.float64)
 
-    code = _run_phase(phase, T, basis, vstat, upper, m0, N, m0 + 1, ncols,
+    code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols,
                       tol, max_iter, exact, M, b_all, cvec_arr)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase one")
@@ -290,7 +288,7 @@ def _solve_impl(problem, exact, feas_tol, gap_tol):
     for j in range(ncols, N):
         upper[j] = zero
 
-    code = _run_phase(phase, T, basis, vstat, upper, m0, N, m0, ncols,
+    code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols,
                       tol, max_iter, exact, M, b_all, cvec_arr)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase two")
@@ -357,7 +355,7 @@ def _has_entering(T, vstat, upper, cost_row, n_elig, tol):
     return bool(np.any((vs == AT_UPPER) & (row > tol)))
 
 
-def _run_phase(phase, T, basis, vstat, upper, m0, N, cost_row, ncols,
+def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
                tol, max_iter, exact, M, b_flip, cvec):
     """One simplex phase, refactorizing at optimum until it stays optimal.
 
@@ -367,8 +365,8 @@ def _run_phase(phase, T, basis, vstat, upper, m0, N, cost_row, ncols,
     """
     retried_unbounded = False
     for _ in range(6):
-        code = phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
-                     tol, max_iter)
+        code = simplex_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
+                             tol, max_iter)
         if exact:
             return code
         if code == PHASE_UNBOUNDED and not retried_unbounded:

@@ -6,7 +6,8 @@ carries the state space K.  Two kinds are supported:
 
   * polytopic: K given by its extreme points; the facet description of V+ is
     computed at construction (brute force, guarded), so both representations
-    are always available;
+    are always available, and the facets tight on each point decide whether
+    it is extreme (no LP);
   * centrally symmetric: K = {(1, x): ||x|| <= 1} for an l1/l2/linf ball norm,
     with analytic norms instead of enumerations (the qubit is the l2 ball in
     R^3 under the Bloch identification).
@@ -115,19 +116,11 @@ class GptSystem:
         if sv.size < d or sv[-1] <= 1e-9 * sv[0]:
             raise InvalidInput("vertices must span the full space (generating cone)")
 
-        for j in range(n):
-            if n == 1:
-                break
-            others = np.delete(V, j, axis=0)
-            prob = lp.LpProblem(
-                np.zeros(n - 1),
-                eq_rows=np.vstack([others.T, np.ones((1, n - 1))]),
-                eq_rhs=np.concatenate([V[j], [1.0]]),
-            )
-            if lp.feasibility(prob).status == "optimal":
-                raise InvalidInput(f"vertex {j} is not an extreme point of the hull")
-
         facets = facets_of_cone(V)
+        extreme = extreme_rows(V, facets)
+        if not extreme.all():
+            j = int(np.argmin(extreme))
+            raise InvalidInput(f"vertex {j} is not an extreme point of the hull")
         if facets.shape[0] < d:
             raise InvalidInput("cone is not full-dimensional")
 
@@ -190,6 +183,8 @@ class GptSystem:
             raise InvalidInput("operation requires a polytopic system")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GptSystem):
             return NotImplemented
         if self.kind != other.kind or self.dim != other.dim:
@@ -302,6 +297,27 @@ def pair(f, v):
 # -- factories ------------------------------------------------------------
 
 
+def extreme_rows(V, facets):
+    """Mask of the rows of V that span extreme rays of cone(V).
+
+    `facets` are the unit facet normals of that cone (`facets_of_cone(V)`).
+    A row spans an extreme ray iff the facets tight on it, judged on the
+    unit-normalized row as the facet search judges generators, have rank
+    d - 1; a row that repeats an earlier one within _TOL is not kept again.
+    """
+    n, d = V.shape
+    Vn = V / np.linalg.norm(V, axis=1)[:, None]
+    tight = np.abs(Vn @ facets.T) <= _TOL
+    keep = np.zeros(n, dtype=bool)
+    for j in range(n):
+        if j and np.any(np.max(np.abs(V[:j] - V[j]), axis=1) <= _TOL):
+            continue
+        F = facets[tight[j]]
+        rank = np.linalg.matrix_rank(F, tol=_TOL) if F.shape[0] else 0
+        keep[j] = rank == d - 1
+    return keep
+
+
 def polytopic(vertices, unit=None):
     """System from the extreme points of K (each row one vertex)."""
     V = np.asarray(vertices, dtype=np.float64)
@@ -311,30 +327,17 @@ def polytopic(vertices, unit=None):
 
 
 def polytopic_hull(points, unit=None):
-    """Like `polytopic`, but non-extreme points are pruned first."""
+    """Like `polytopic`, but non-extreme and repeated points are pruned first.
+
+    The facets of cone(points) decide which points to keep, so the input
+    count is held to the `vertices` guard: the facet search is combinatorial
+    in it.
+    """
     P = np.asarray(points, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] < 1:
         raise InvalidInput("points must form a nonempty matrix")
-    # Drop exact duplicates first so a doubled vertex survives the pruning.
-    uniq = []
-    for row in P:
-        if not any(np.max(np.abs(row - u)) <= 1e-12 for u in uniq):
-            uniq.append(row)
-    P = np.array(uniq)
-    keep = []
-    for j in range(P.shape[0]):
-        others = np.delete(P, j, axis=0)
-        if others.shape[0] == 0:
-            keep.append(j)
-            continue
-        prob = lp.LpProblem(
-            np.zeros(others.shape[0]),
-            eq_rows=np.vstack([others.T, np.ones((1, others.shape[0]))]),
-            eq_rhs=np.concatenate([P[j], [1.0]]),
-        )
-        if lp.feasibility(prob).status != "optimal":
-            keep.append(j)
-    return polytopic(P[keep], unit=unit)
+    guards.check("vertices", P.shape[0])
+    return polytopic(P[extreme_rows(P, facets_of_cone(P))], unit=unit)
 
 
 def simplex(k):

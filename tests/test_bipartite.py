@@ -9,6 +9,7 @@ from gptsteer.errors import (
     InvalidInput,
     MarginalNotInterior,
     NotInterior,
+    NumericalFailure,
     SystemMismatch,
 )
 
@@ -69,6 +70,32 @@ def vertex_weights(state, model):
             if np.allclose(point.coords, v):
                 w[j] += weight
     return w
+
+
+def assert_steering_bound(state, model, directions=32):
+    """Independent oracle: ||S(h)||_{V_A} <= sum_j mu_j |<h, rho_j>| along
+    random directions h, each left side a base-norm LP."""
+    a = state.system_a
+    rng = np.random.default_rng(0)
+    for _ in range(directions):
+        h = rng.standard_normal(state.system_b.dim)
+        lhs = systems.base_norm(a, a.vector(state.coeffs @ h))
+        rhs = float(model.weights @ np.abs(model.points @ h))
+        assert lhs <= rhs + 1e-7 * max(1.0, rhs)
+
+
+@pytest.fixture(autouse=True)
+def oracle_checked_models(monkeypatch):
+    """Every unsteerable model this module produces meets the oracle."""
+    real = bipartite.unsteerable_dichotomic
+
+    def checked(state):
+        verdict = real(state)
+        if verdict.unsteerable:
+            assert_steering_bound(state, verdict.model)
+        return verdict
+
+    monkeypatch.setattr(bipartite, "unsteerable_dichotomic", checked)
 
 
 class TestBipartiteState:
@@ -603,3 +630,70 @@ class TestRandomMeasurement:
         with pytest.raises(InvalidInput):
             sampling.random_measurement(
                 np.random.default_rng(0), square(), 1)
+
+
+class TestModelCertificate:
+    def captured(self, monkeypatch, state):
+        """Arguments unsteerable_dichotomic hands to _verify_model."""
+        seen = []
+        real = bipartite._verify_model
+
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bipartite, "_verify_model", spy)
+        assert bipartite.unsteerable_dichotomic(state).unsteerable
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_certificate_covers_every_nonunit_extreme(self, monkeypatch):
+        st = noise_mixed(diagonal_state(), 0.6)
+        state, model, weights, targets, t = self.captured(monkeypatch, st)
+        assert t.shape == (2, 4) and targets.shape == (2, 3)
+        assert np.allclose(t @ st.system_b.vertices, targets, atol=1e-9)
+        assert np.all(np.abs(t) <= weights + 1e-9)
+        assert np.allclose(weights, vertex_weights(st, model))
+
+    def test_coefficient_past_its_weight_is_rejected(self, monkeypatch):
+        st = noise_mixed(diagonal_state(), 0.6)
+        state, model, weights, targets, t = self.captured(monkeypatch, st)
+        j = int(np.argmax(weights))
+        bad = t.copy()
+        bad[0, j] = weights[j] + 10 * bipartite._CERT_TOL
+        # move the target along, so only the weight bound is violated
+        with pytest.raises(NumericalFailure, match="steering bound"):
+            bipartite._verify_model(
+                state, model, weights, bad @ st.system_b.vertices, bad)
+
+    def test_target_off_by_ten_tolerances_is_rejected(self, monkeypatch):
+        st = bipartite.product_state(
+            square().vector((1.0, 0.3, 0.0)),
+            square().vector((1.0, 0.2, -0.1)))
+        state, model, weights, targets, t = self.captured(monkeypatch, st)
+        off = targets.copy()
+        off[-1, 1] += 10 * bipartite._CERT_TOL
+        with pytest.raises(NumericalFailure, match="miss"):
+            bipartite._verify_model(state, model, weights, off, t)
+
+    def test_verification_solves_no_lp(self, monkeypatch):
+        calls = []
+        real_solve = lp.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        inside = []
+        real_verify = bipartite._verify_model
+
+        def verify(*args):
+            before = len(calls)
+            real_verify(*args)
+            inside.append(len(calls) - before)
+
+        st = noise_mixed(diagonal_state(), 0.6)
+        monkeypatch.setattr(lp, "solve", counting)
+        monkeypatch.setattr(bipartite, "_verify_model", verify)
+        assert bipartite.unsteerable_dichotomic(st).unsteerable
+        assert inside == [0]

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gptsteer import systems
+from gptsteer import lp, systems
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -672,3 +674,102 @@ def test_too_few_or_infeasible_half_spaces_give_no_vertices():
     A = np.concatenate([np.eye(2), -np.eye(2)])
     got = vertices_of_polytope(A, np.array([-1.0, 1, -1, 1]))   # x<=-1, x>=1
     assert got.shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# extremality from the facets against one LP per point
+
+
+def _lp_keep(P):
+    """Mask of the points a per-point LP keeps: first copies (within 1e-12)
+    that are not convex combinations of the other distinct points."""
+    first = [j for j in range(P.shape[0])
+             if not any(np.max(np.abs(P[j] - P[i])) <= 1e-12 for i in range(j))]
+    U = P[first]
+    keep = np.zeros(P.shape[0], dtype=bool)
+    for pos, j in enumerate(first):
+        others = np.delete(U, pos, axis=0)
+        if others.shape[0] == 0:
+            keep[j] = True
+            continue
+        prob = lp.LpProblem(
+            np.zeros(others.shape[0]),
+            eq_rows=np.vstack([others.T, np.ones((1, others.shape[0]))]),
+            eq_rhs=np.concatenate([U[pos], [1.0]]),
+        )
+        keep[j] = lp.feasibility(prob).status != "optimal"
+    return keep
+
+
+@st.composite
+def lifted_clouds(draw):
+    """Spanning lifted point clouds in R^d, d = 2..5, with repeated points,
+    midpoints and centroids (on edges, on facets or inside) mixed in."""
+    d = draw(st.integers(2, 5))
+    coord = st.integers(-4, 4).map(lambda k: k / 4.0)
+    n = draw(st.integers(d, 8))
+    base = np.array([[draw(coord) for _ in range(d - 1)] for _ in range(n)])
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(["repeat", "average"]),
+                              max_size=4)):
+        if kind == "repeat":
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+        else:
+            idx = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                max_size=d, unique=True))
+            rows.append(base[idx].mean(axis=0))
+    order = draw(st.permutations(range(len(rows))))
+    P = np.column_stack([np.ones(len(rows)), np.array(rows)[order]])
+    assume(np.linalg.matrix_rank(P) == d)
+    return P
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lifted_clouds())
+def test_facet_extremality_matches_the_per_point_lp(P):
+    keep = _lp_keep(P)
+    got = systems.extreme_rows(P, facets_of_cone(P))
+    assert np.array_equal(got, keep)
+    assert systems.polytopic_hull(P).vertices.tobytes() == P[keep].tobytes()
+    if keep.all():
+        assert systems.polytopic(P).vertices.tobytes() == P.tobytes()
+    else:
+        with pytest.raises(InvalidInput, match="not an extreme point"):
+            systems.polytopic(P)
+
+
+def test_hull_input_count_is_guarded(monkeypatch):
+    monkeypatch.setenv("GPTSTEER_GUARDS", "vertices=5")
+    pts = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1],
+                    [1, 0, 0], [1, 0.5, 0]])
+    with pytest.raises(GuardExceeded):
+        systems.polytopic_hull(pts)
+    assert systems.polytopic_hull(pts[:5]).n_vertices == 4
+
+
+def test_construction_solves_no_lp(monkeypatch):
+    calls = []
+    real = lp.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    sq = systems.hypercube(2)
+    systems.cross_polytope(3)
+    systems.ball_approximation(3, 3)
+    systems.polytopic_hull(np.array(
+        [[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1], [1, 0, 0],
+         [1, 1, 1], [1, 1, 0]]))
+    assert calls == []
+    # cone membership keeps its LP, which also supplies the coefficients
+    assert systems.cone_member(sq, sq.barycenter).member
+    assert len(calls) == 1
+
+
+def test_system_equals_itself_without_comparing_vertices(monkeypatch):
+    s = systems.hypercube(2)
+    monkeypatch.setattr(systems, "lex_sorted", None)
+    assert s == s
+    assert (s.vector([1.0, 0, 0]) + s.vector([0.0, 1, 0])).system is s
