@@ -3,10 +3,10 @@
 Finite-dimensional ordered vector spaces with a chosen unit play the role
 of state spaces; assemblages, steering tensor norms, robustness, witness
 extraction, Choquet-order comparisons and bipartite unsteerability tests
-all reduce to finite linear programs whose certificates are verified
-before they are returned.  Everything runs on numpy alone: vertex and facet
-enumeration is batched, the simplex and symmetry search are plain loops,
-and a polytopic system's facets also decide which of its points are
+all reduce to finite linear programs whose certificates are checked at
+the tolerances of tolerances.py before they are returned.  Everything runs
+on numpy alone: enumeration is batched, the simplex and symmetry search are
+plain loops, and a polytopic system's facets decide which of its points are
 extreme.  GPTSTEER_GUARDS raises size guards.  perfbench/ is the benchmark.
 """
 

@@ -33,8 +33,7 @@ from . import choquet, geometry, guards, lp, sampling, steering, systems, tensor
 from .errors import (
     InvalidInput, MarginalNotInterior, NotInterior, NumericalFailure,
     SystemMismatch)
-
-_CERT_TOL = 1e-7
+from .tolerances import CERTIFICATE, COINCIDENCE, LP_FEASIBILITY
 
 A_TO_B = "a_to_b"
 B_TO_A = "b_to_a"
@@ -60,7 +59,7 @@ class BipartiteState:
         b._require_polytopic()
         c = self.element.coeffs
         total = float(a.unit @ c @ b.unit)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > COINCIDENCE:
             raise InvalidInput(
                 "state is not normalized against the product unit")
         if not tensors.max_cone_member(self.element):
@@ -186,15 +185,14 @@ def interval_extreme_functionals(system):
     of the unit ball dual to the base norm of V, so the base norm of any
     v is the largest |<e, v>| over the returned functionals.
     """
-    kept = []
-    for f in systems.extreme_effects(system):
-        e = 2.0 * f.coords - system.unit
-        lead = int(np.argmax(np.abs(e) > 1e-9))
-        if abs(e[lead]) <= 1e-9:
-            continue
-        if e[lead] > 0.0:
-            kept.append(system.functional(e))
-    return tuple(kept)
+    E = np.array([2.0 * f.coords - system.unit
+                  for f in systems.extreme_effects(system)])
+    return tuple(system.functional(e) for e in E[systems.mirror_representatives(E)])
+
+
+def _nonunit_extremes(system):
+    return [e for e in interval_extreme_functionals(system)
+            if np.max(np.abs(e.coords - system.unit)) > COINCIDENCE]
 
 
 @dataclass(frozen=True)
@@ -225,12 +223,12 @@ def _verify_model(state, model, weights, targets, t):
     every direction h.
     """
     gap = np.max(np.abs(model.barycenter.coords - state.marginal_b.coords))
-    if gap > _CERT_TOL:
+    if gap > CERTIFICATE:
         raise NumericalFailure("model barycenter drifted from sigma_B")
     miss = np.abs(t @ state.system_b.vertices - targets)
-    if not np.all(miss <= _CERT_TOL):
+    if not np.all(miss <= CERTIFICATE):
         raise NumericalFailure("zonotope coefficients miss their targets")
-    if not np.all(np.abs(t) - weights <= _CERT_TOL):
+    if not np.all(np.abs(t) - weights <= CERTIFICATE):
         raise NumericalFailure("model fails the steering bound")
 
 
@@ -257,8 +255,7 @@ def unsteerable_dichotomic(state):
         raise MarginalNotInterior(f"sigma_B is not interior: {exc}")
     guards.check("vertices", a.n_vertices)
     guards.check("vertices", b.n_vertices)
-    es = [e for e in interval_extreme_functionals(a)
-          if np.max(np.abs(e.coords - a.unit)) > 1e-9]
+    es = _nonunit_extremes(a)
     guards.check("vertices", len(es))
 
     V = b.vertices
@@ -286,7 +283,7 @@ def unsteerable_dichotomic(state):
 
     if out.status == "optimal":
         w = np.asarray(out.x[:n], dtype=np.float64)
-        if float(w.min()) < -1e-9:
+        if float(w.min()) < -LP_FEASIBILITY:
             raise NumericalFailure("model weights went negative")
         w = np.clip(w, 0.0, None)
         atoms = tuple(
@@ -304,7 +301,7 @@ def unsteerable_dichotomic(state):
     if not np.isfinite(scale) or scale <= 1e-12:
         raise NumericalFailure("Farkas certificate carries no functional")
     live = [i for i in range(m)
-            if float(np.max(np.abs(blocks[i]))) > 1e-9 * scale]
+            if float(np.max(np.abs(blocks[i]))) > COINCIDENCE * scale]
     full = list(range(m))
     for chosen in [live] if live == full else [live, full]:
         if not chosen:
@@ -356,7 +353,7 @@ def unsteerable_sufficient(state, s_lower):
     rhs = np.concatenate([np.full(2 * Y.shape[0], 1.0 / s), np.ones(2)])
     for h in geometry.vertices_of_polytope(rows, rhs):
         image = a.vector(state.coeffs @ h)
-        if systems.base_norm(a, image) > 1.0 + _CERT_TOL:
+        if systems.base_norm(a, image) > 1.0 + CERTIFICATE:
             return False
     return True
 
@@ -387,11 +384,9 @@ def _axis_family(system, count):
 
 
 def _extreme_families(system, count):
-    nontrivial = [e for e in interval_extreme_functionals(system)
-                  if np.max(np.abs(e.coords - system.unit)) > 1e-9]
     meas = [systems.dichotomic_measurement(
         system, system.functional(0.5 * (system.unit + e.coords)))
-        for e in nontrivial]
+        for e in _nonunit_extremes(system)]
     return itertools.combinations(meas, count)
 
 

@@ -25,10 +25,7 @@ import numpy as np
 from . import guards, lp, systems, tensors
 from .errors import (InvalidInput, NotASymmetry, NotDichotomic,
                      NumericalFailure, SystemMismatch)
-
-_BARY_TOL = 1e-8
-_MERGE_TOL = 1e-9
-_CERT_TOL = 1e-7
+from .tolerances import CERTIFICATE, COINCIDENCE, LP_FEASIBILITY, RECONSTRUCTION
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +56,12 @@ class SimpleMeasure:
                 raise SystemMismatch("atoms live on different systems")
             if w < -1e-12:
                 raise InvalidInput(f"atom {j} has negative weight")
-            if abs(systems.pair(system.unit_functional, p) - 1.0) > 1e-9:
+            if abs(systems.pair(system.unit_functional, p) - 1.0) > COINCIDENCE:
                 raise InvalidInput(f"atom {j} point is not normalized")
             if not systems.cone_member(system, p).member:
                 raise InvalidInput(f"atom {j} point is outside V+")
             total += w
-        if abs(total - 1.0) > _BARY_TOL:
+        if abs(total - 1.0) > RECONSTRUCTION:
             raise InvalidInput("atom weights must sum to one")
         bary = np.zeros(system.dim)
         for w, p in atoms:
@@ -99,7 +96,7 @@ class BoundaryMeasure(SimpleMeasure):
         system._require_polytopic()
         for j, (_, p) in enumerate(self.atoms):
             gap = np.max(np.abs(system.vertices - p.coords), axis=1)
-            if float(np.min(gap)) > _MERGE_TOL:
+            if float(np.min(gap)) > COINCIDENCE:
                 raise InvalidInput(f"atom {j} point is not a vertex")
 
 
@@ -195,7 +192,7 @@ def choquet_below(nu, mu):
     ordered, so that case short-circuits to a refutation.
     """
     _same_system(nu, mu)
-    if _barycenter_gap(nu, mu) > _BARY_TOL:
+    if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         return _mismatch_verdict(nu, mu)
     k, n, d = len(nu.atoms), len(mu.atoms), nu.system.dim
     weighted_mu = mu.weights[:, None] * mu.points
@@ -209,13 +206,13 @@ def choquet_below(nu, mu):
     out = lp.feasibility(lp.LpProblem(np.zeros(k * n), eq_rows=A, eq_rhs=b))
     if out.status == "optimal":
         q = out.x.reshape(k, n)
-        if float(q.min()) < -1e-9:
+        if float(q.min()) < -LP_FEASIBILITY:
             raise NumericalFailure("response weights went negative")
         q = np.maximum(q, 0.0)
-        if float(np.max(np.abs(q.sum(axis=0) - 1.0))) > _CERT_TOL:
+        if float(np.max(np.abs(q.sum(axis=0) - 1.0))) > CERTIFICATE:
             raise NumericalFailure("response weights do not sum to one")
         recon = np.einsum("aj,jd->ad", q, weighted_mu)
-        if float(np.max(np.abs(recon - target))) > _CERT_TOL:
+        if float(np.max(np.abs(recon - target))) > CERTIFICATE:
             raise NumericalFailure("responses fail to reconstruct the atoms")
         return ChoquetVerdict(True, responses=q)
     y = out.dual_eq
@@ -255,7 +252,7 @@ def choquet_below_dual_check(nu, mu, trials=64, seed=0):
     _same_system(nu, mu)
     if trials < 1:
         raise InvalidInput("trials must be positive")
-    if _barycenter_gap(nu, mu) > _BARY_TOL:
+    if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         v = _mismatch_verdict(nu, mu)
         return DualCheckVerdict(False, v.functionals, v.violation)
     system = nu.system
@@ -279,7 +276,7 @@ def choquet_below_dual_check(nu, mu, trials=64, seed=0):
             h = draw()
             if h is None:
                 continue
-            if _abs_gap(nu, mu, h) > 1e-9:
+            if _abs_gap(nu, mu, h) > COINCIDENCE:
                 gs = _sign_tuple(nu, h)
                 gap = _dual_gap(nu, mu, gs)
                 if not gap > 0.0:
@@ -290,7 +287,7 @@ def choquet_below_dual_check(nu, mu, trials=64, seed=0):
             if any(g is None for g in gs):
                 continue
             gap = _dual_gap(nu, mu, gs)
-            if gap > 1e-9:
+            if gap > COINCIDENCE:
                 return DualCheckVerdict(False, tuple(gs), gap)
     return DualCheckVerdict(True)
 
@@ -302,7 +299,7 @@ def co_norm_max(system, sigma, h):
     normalizing them gives a measure whose |<h, .>| average equals the
     norm, and no measure with barycenter sigma averages higher.
     """
-    if abs(systems.pair(system.unit_functional, sigma) - 1.0) > 1e-9:
+    if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
         raise InvalidInput("sigma must be normalized")
     value, y = systems.sigma_base_norm(system, h, sigma)
     atoms = []
@@ -315,7 +312,7 @@ def co_norm_max(system, sigma, h):
         raise NumericalFailure("norm decomposition produced no mass")
     measure = SimpleMeasure(tuple(atoms))
     avg = sum(w * abs(systems.pair(h, p)) for w, p in measure.atoms)
-    if abs(avg - value) > _CERT_TOL * (1.0 + abs(value)):
+    if abs(avg - value) > CERTIFICATE * (1.0 + abs(value)):
         raise NumericalFailure("maximizing measure misses the norm value")
     return value, measure
 
@@ -331,12 +328,7 @@ def _interval_vertices(system, sigma):
     systems.assert_interior(system, sigma)
     guards.check("cmu_dim", system.dim)
     Y = tensors.sigma_interval_vertices(system, sigma)
-    keep = []
-    for y in Y:
-        lead = np.argmax(np.abs(y) > 1e-9)
-        if y[lead] > 0.0:
-            keep.append(y)
-    return np.array(keep)
+    return Y[systems.mirror_representatives(Y)]
 
 
 def _facet_minimum(Y, i, weights, P, lin):
@@ -379,7 +371,7 @@ def c_mu(system, sigma, mu):
     if mu.system != system:
         raise SystemMismatch("measure lives on another system")
     system._require_polytopic()
-    if float(np.max(np.abs(mu.barycenter.coords - sigma.coords))) > _BARY_TOL:
+    if float(np.max(np.abs(mu.barycenter.coords - sigma.coords))) > RECONSTRUCTION:
         raise InvalidInput("measure barycenter must equal sigma")
     Y = _interval_vertices(system, sigma)
     lin = np.zeros(system.dim)
@@ -387,7 +379,7 @@ def c_mu(system, sigma, mu):
     for i in range(Y.shape[0]):
         value, _ = _facet_minimum(Y, i, mu.weights, mu.points, lin)
         best = min(best, value)
-    if best < -1e-9 or best > 1.0 + 1e-9:
+    if best < -COINCIDENCE or best > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"variational constant {best} escaped [0, 1]")
     return min(max(best, 0.0), 1.0)
 
@@ -415,7 +407,7 @@ def dichotomic_below_exact(nu, mu):
     _same_system(nu, mu)
     if len(nu.atoms) > 2:
         raise NotDichotomic("exact order check needs at most two atoms")
-    if _barycenter_gap(nu, mu) > _BARY_TOL:
+    if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         raise InvalidInput("the two-atom characterization needs a common "
                            "barycenter")
     system = nu.system
@@ -431,7 +423,7 @@ def dichotomic_below_exact(nu, mu):
             value, hc = _facet_minimum(Y, i, mu.weights, mu.points, lin)
             if value < best:
                 best, best_h = value, hc
-    if best >= -1e-9:
+    if best >= -COINCIDENCE:
         return DichotomicBelowVerdict(True)
     h = system.functional(best_h)
     margin = _abs_gap(nu, mu, h)
@@ -542,7 +534,7 @@ def symmetrize(mu, group):
         for w, p in mu.atoms:
             img = T @ p.coords
             for i, q in enumerate(points):
-                if float(np.max(np.abs(q - img))) <= _MERGE_TOL:
+                if float(np.max(np.abs(q - img))) <= COINCIDENCE:
                     weights[i] += share * w
                     break
             else:

@@ -23,8 +23,10 @@ import numpy as np
 
 from . import __version__, bipartite, choquet, selftest, steering, systems, tensors
 from .errors import GuardExceeded, InvalidInput, NumericalFailure
+from .tolerances import CERTIFICATE, LP_FEASIBILITY, LP_GAP
 
-TOLERANCES = {"lp_feasibility": 1e-9, "lp_gap": 1e-7, "certificate": 1e-7}
+TOLERANCES = {"lp_feasibility": LP_FEASIBILITY, "lp_gap": LP_GAP,
+              "certificate": CERTIFICATE}
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Thin wrappers around the brute-force kernels, which test every d-subset of
 half-spaces (or (d-1)-subset of generators) in batched numpy chunks.  Inputs
-are normalized here so the tolerances are scale-free, and output rows are
-sorted lexicographically after rounding so results do not depend on input
-ordering, which keeps downstream certificates byte-reproducible.
+are normalized here so tolerances.COINCIDENCE is scale-free, and output
+rows are sorted lexicographically after rounding so results do not depend
+on input ordering, which keeps downstream certificates byte-reproducible.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from . import guards
 from .errors import GuardExceeded, InvalidInput
 from .kernels import enum_cone_facets, enum_polytope_vertices
+from .tolerances import COINCIDENCE
 
 # Hard ceiling on enumerated rows; reaching it means the instance is far
 # outside desk scale regardless of the dimension guards.
@@ -28,10 +29,10 @@ def lex_sorted(rows, decimals=9):
     return rows[order].copy()
 
 
-def vertices_of_polytope(A, b, dedupe_tol=1e-9, feas_tol=1e-9):
+def vertices_of_polytope(A, b):
     """All vertices of {x : A x <= b} by d-subset enumeration.
 
-    Rows are normalized internally so the tolerances are scale-free; the
+    Rows are normalized internally so the tolerance is scale-free; the
     dimension guard applies because the search is combinatorial in d.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -46,16 +47,16 @@ def vertices_of_polytope(A, b, dedupe_tol=1e-9, feas_tol=1e-9):
     keep = scale > 1e-12
     An = A[keep] / scale[keep, None]
     bn = b[keep] / scale[keep]
-    if np.any(b[~keep] < -feas_tol):
+    if np.any(b[~keep] < -COINCIDENCE):
         return np.zeros((0, d))
     verts, overflow = enum_polytope_vertices(
-        An, bn, dedupe_tol, feas_tol, 1e-9, _ROW_CAP)
+        An, bn, COINCIDENCE, COINCIDENCE, COINCIDENCE, _ROW_CAP)
     if overflow:
         raise GuardExceeded(f"vertex enumeration exceeded {_ROW_CAP} rows")
     return lex_sorted(verts + 0.0)  # + 0.0 canonicalizes negative zeros
 
 
-def facets_of_cone(V, dedupe_tol=1e-9, feas_tol=1e-9):
+def facets_of_cone(V):
     """Outer-oriented unit facet normals of cone(rows of V).
 
     Each normal F satisfies <F, v> >= 0 for every generator, with equality on
@@ -73,7 +74,8 @@ def facets_of_cone(V, dedupe_tol=1e-9, feas_tol=1e-9):
     if np.any(scale <= 1e-12):
         raise InvalidInput("zero generator in cone description")
     Vn = V / scale[:, None]
-    facets, overflow = enum_cone_facets(Vn, dedupe_tol, feas_tol, 1e-9, _ROW_CAP)
+    facets, overflow = enum_cone_facets(
+        Vn, COINCIDENCE, COINCIDENCE, COINCIDENCE, _ROW_CAP)
     if overflow:
         raise GuardExceeded(f"facet enumeration exceeded {_ROW_CAP} rows")
     return lex_sorted(facets + 0.0)

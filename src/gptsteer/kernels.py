@@ -18,6 +18,8 @@ import itertools
 
 import numpy as np
 
+from .tolerances import ARTIFICIAL_PIVOT
+
 # Subsets per batched elimination: large enough to amortize numpy dispatch,
 # small enough that the (CHUNK, m) feasibility sums stay within cache.
 CHUNK = 512
@@ -176,7 +178,7 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
             if vstat[j] == BASIC:
                 continue
             v = abs(T[r, j])
-            if piv == -1 and v > 1e-7:
+            if piv == -1 and v > ARTIFICIAL_PIVOT:
                 piv = j
                 break
             if v > best:

@@ -9,9 +9,9 @@ certificate whose separation margin is verified against the original data.
 A failed check raises NumericalFailure rather than returning a wrong answer.
 
 `mode="exact"` reruns the identical pivot source on object arrays of
-`fractions.Fraction` with zero tolerances.  It is slow and guarded (see
-guards.py) but removes floating-point doubt on small instances; the float
-inputs convert exactly, so both modes see the same problem.
+`fractions.Fraction` with zero tolerances in place of tolerances.py's.  It
+is slow and guarded (see guards.py) but removes floating-point doubt on
+small instances; float inputs convert exactly, so both modes see one problem.
 """
 
 import math
@@ -33,10 +33,7 @@ from .kernels import (
     drive_out_artificials,
     simplex_phase,
 )
-
-# Pivot admission threshold for the float tableau; independent of the
-# feasibility tolerance a caller asks for.
-_PIVOT_TOL = 1e-9
+from .tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 
 
 def _as_matrix(name, rows, rhs, n):
@@ -129,29 +126,20 @@ def _fractionize(a):
     return out
 
 
-def solve(problem, mode="float", feas_tol=1e-9, gap_tol=1e-7):
+def feasibility(problem):
+    """Solve a zero-objective problem; only status and certificates matter."""
+    if isinstance(problem, LpProblem) and np.any(problem.objective):
+        raise MalformedProblem("a feasibility problem has a zero objective")
+    return solve(problem)
+
+
+def solve(problem, mode="float"):
     """Solve an LpProblem and return a verified LpOutcome."""
     if not isinstance(problem, LpProblem):
         raise InvalidInput("problem must be an LpProblem")
     if mode not in ("float", "exact"):
         raise InvalidInput("mode must be 'float' or 'exact'")
-    if not (feas_tol >= 0 and gap_tol >= 0):
-        raise InvalidInput("tolerances must be nonnegative")
-    return _solve_impl(problem, mode == "exact", feas_tol, gap_tol)
-
-
-def feasibility(problem, mode="float", feas_tol=1e-9):
-    """Solve with the objective zeroed; only status and certificates matter."""
-    zeroed = LpProblem(
-        np.zeros(problem.n_vars),
-        problem.eq_rows, problem.eq_rhs,
-        problem.ub_rows, problem.ub_rhs,
-        problem.lower, problem.upper,
-    )
-    return solve(zeroed, mode=mode, feas_tol=feas_tol)
-
-
-def _solve_impl(problem, exact, feas_tol, gap_tol):
+    exact = mode == "exact"
     me = problem.eq_rows.shape[0]
     mu = problem.ub_rows.shape[0]
     m0 = me + mu
@@ -260,7 +248,7 @@ def _solve_impl(problem, exact, feas_tol, gap_tol):
         upper = np.concatenate([np.asarray(uppers, dtype=np.float64),
                                 np.full(m0, np.inf)])
 
-    tol = 0 if exact else _PIVOT_TOL
+    tol = 0 if exact else PIVOT
     max_iter = 1000 + 30 * (m0 + N)
     cvec_arr = None if exact else np.asarray(cvec, dtype=np.float64)
 
@@ -278,11 +266,11 @@ def _solve_impl(problem, exact, feas_tol, gap_tol):
     b_scale = 1.0
     for i in range(m0):
         b_scale = max(b_scale, abs(float(b_all[i])))
-    infeasible = nu > 0 if exact else nu > feas_tol * b_scale
+    infeasible = nu > 0 if exact else nu > LP_FEASIBILITY * b_scale
     if infeasible:
         return _infeasible_outcome(
             T, sgn, me, mu, m0, N, ncols,
-            A_eq, b_eq, A_ub, b_ub, l0, u0, exact, feas_tol)
+            A_eq, b_eq, A_ub, b_ub, l0, u0, exact)
 
     drive_out_artificials(T, basis, vstat, upper, m0, N, ncols, tol)
     for j in range(ncols, N):
@@ -297,7 +285,7 @@ def _solve_impl(problem, exact, feas_tol, gap_tol):
 
     return _optimal_outcome(
         T, basis, vstat, upper, sgn, kinds, me, mu, m0, N, ncols,
-        c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact, feas_tol, gap_tol)
+        c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact)
 
 
 def _refactorize(T, basis, vstat, upper, M, b_flip, cvec, m0, ncols, N):
@@ -384,7 +372,7 @@ def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
 
 
 def _infeasible_outcome(T, sgn, me, mu, m0, N, ncols,
-                        A_eq, b_eq, A_ub, b_ub, l0, u0, exact, feas_tol):
+                        A_eq, b_eq, A_ub, b_ub, l0, u0, exact):
     # Phase-one reduced cost of artificial i is 1 - y_i in the flipped rows.
     y = np.empty(m0, dtype=object if exact else np.float64)
     for i in range(m0):
@@ -396,7 +384,7 @@ def _infeasible_outcome(T, sgn, me, mu, m0, N, ncols,
         y[i] = y[i] / peak
     y_eq, y_ub = y[:me], y[me:]
 
-    ztol = 0 if exact else feas_tol
+    ztol = 0 if exact else LP_FEASIBILITY
     for i in range(mu):
         if y_ub[i] > ztol:
             raise NumericalFailure("Farkas multipliers on inequality rows must be nonpositive")
@@ -436,7 +424,7 @@ def _infeasible_outcome(T, sgn, me, mu, m0, N, ncols,
 
 
 def _optimal_outcome(T, basis, vstat, upper, sgn, kinds, me, mu, m0, N, ncols,
-                     c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact, feas_tol, gap_tol):
+                     c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact):
     zero = Fraction(0) if exact else 0.0
     z = np.full(N, zero, dtype=object if exact else np.float64)
     for j in range(ncols):
@@ -479,38 +467,37 @@ def _optimal_outcome(T, basis, vstat, upper, sgn, kinds, me, mu, m0, N, ncols,
                       A_eq, b_eq, A_ub, b_ub, l0, u0)
     else:
         x = _verify_float(x, value, y_eq, y_ub, rc,
-                          A_eq, b_eq, A_ub, b_ub, l0, u0, feas_tol, gap_tol)
+                          A_eq, b_eq, A_ub, b_ub, l0, u0)
         value = float(c0 @ x)
     return LpOutcome("optimal", x, value, y_eq, y_ub, rc)
 
 
-def _verify_float(x, value, y_eq, y_ub, rc,
-                  A_eq, b_eq, A_ub, b_ub, l0, u0, feas_tol, gap_tol):
+def _verify_float(x, value, y_eq, y_ub, rc, A_eq, b_eq, A_ub, b_ub, l0, u0):
     n0 = x.size
     for i in range(A_eq.shape[0]):
         ref = 1.0 + abs(b_eq[i]) + float(np.abs(A_eq[i]) @ np.abs(x))
-        if abs(float(A_eq[i] @ x) - b_eq[i]) > feas_tol * ref:
+        if abs(float(A_eq[i] @ x) - b_eq[i]) > LP_FEASIBILITY * ref:
             raise NumericalFailure("optimal point violates an equality row")
     for i in range(A_ub.shape[0]):
         ref = 1.0 + abs(b_ub[i]) + float(np.abs(A_ub[i]) @ np.abs(x))
-        if float(A_ub[i] @ x) - b_ub[i] > feas_tol * ref:
+        if float(A_ub[i] @ x) - b_ub[i] > LP_FEASIBILITY * ref:
             raise NumericalFailure("optimal point violates an inequality row")
     for j in range(n0):
-        if l0[j] != -np.inf and x[j] < l0[j] - feas_tol * (1.0 + abs(l0[j])):
+        if l0[j] != -np.inf and x[j] < l0[j] - LP_FEASIBILITY * (1.0 + abs(l0[j])):
             raise NumericalFailure("optimal point violates a lower bound")
-        if u0[j] != np.inf and x[j] > u0[j] + feas_tol * (1.0 + abs(u0[j])):
+        if u0[j] != np.inf and x[j] > u0[j] + LP_FEASIBILITY * (1.0 + abs(u0[j])):
             raise NumericalFailure("optimal point violates an upper bound")
     # Snap roundoff onto the box so downstream weights are clean.
     x = np.clip(x, l0, u0)
 
     for i in range(y_ub.size):
-        if y_ub[i] > feas_tol:
+        if y_ub[i] > LP_FEASIBILITY:
             raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
         if y_ub[i] > 0:
             y_ub[i] = 0.0
 
     c_scale = 1.0 + float(np.max(np.abs(rc))) if rc.size else 1.0
-    ztol = feas_tol * c_scale
+    ztol = LP_FEASIBILITY * c_scale
     dual_obj = float(y_eq @ b_eq) + float(y_ub @ b_ub)
     for j in range(n0):
         r = rc[j]
@@ -524,7 +511,7 @@ def _verify_float(x, value, y_eq, y_ub, rc,
             if u0[j] == np.inf:
                 raise NumericalFailure("reduced cost negative on a variable without upper bound")
             dual_obj += r * u0[j]
-    if abs(value - dual_obj) > gap_tol * (1.0 + abs(value)):
+    if abs(value - dual_obj) > LP_GAP * (1.0 + abs(value)):
         raise NumericalFailure("strong duality gap exceeds tolerance")
     return x
 

@@ -22,9 +22,10 @@ import numpy as np
 from . import guards, lp, sampling, systems, tensors
 from .errors import (GuardExceeded, InvalidInput, NotDichotomic,
                      NumericalFailure)
+from .tolerances import (BISECTION_WIDTH, CERTIFICATE, COINCIDENCE, RECONSTRUCTION,
+                         SPATIAL_RANK, STATE_NORMALIZATION, WITNESS_RESCALE)
 
-_SUM_TOL = 1e-8
-_DOMINANCE_TOL = 1e-7
+_DISK_VERTICES = 64   # of each polygon bracketing the l2 disk
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +45,7 @@ class Assemblage:
             raise InvalidInput("assemblage needs at least one setting")
         system = self.barycenter.system
         if abs(systems.pair(system.unit_functional, self.barycenter)
-               - 1.0) > 1e-9:
+               - 1.0) > COINCIDENCE:
             raise InvalidInput("barycenter is not normalized")
         for x, row in enumerate(rows):
             if len(row) < 1:
@@ -59,7 +60,7 @@ class Assemblage:
                 if not systems.cone_member(system, rho).member:
                     raise InvalidInput(f"entry ({a}|{x}) is outside V+")
                 total = total + rho.coords
-            if np.max(np.abs(total - self.barycenter.coords)) > _SUM_TOL:
+            if np.max(np.abs(total - self.barycenter.coords)) > RECONSTRUCTION:
                 raise InvalidInput(
                     f"setting {x} outcomes do not sum to the barycenter")
         object.__setattr__(self, "entries", rows)
@@ -157,7 +158,7 @@ class Witness:
             need = np.sum(
                 np.abs(np.stack([V @ w.coords for w in comps])), axis=0)
             have = V @ self.base.coords
-            if np.min(have - need) < -_DOMINANCE_TOL:
+            if np.min(have - need) < -CERTIFICATE:
                 raise InvalidInput(
                     "base does not dominate the signed combinations")
             return
@@ -165,8 +166,7 @@ class Witness:
         for eps in tensors.sign_vectors(len(comps)):
             combo = self.base.coords - sum(
                 e * w.coords for e, w in zip(eps, comps))
-            if not systems.in_dual_cone(
-                    system, system.functional(combo), tol=_DOMINANCE_TOL):
+            if not systems.in_dual_cone(system, system.functional(combo)):
                 raise InvalidInput(
                     "base does not dominate the signed combinations")
 
@@ -216,20 +216,20 @@ class LhsModel:
             raise InvalidInput("ensemble, states and responses must align")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise InvalidInput("ensemble weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > _SUM_TOL:
+        if abs(float(np.sum(w)) - 1.0) > RECONSTRUCTION:
             raise InvalidInput("ensemble weights must sum to 1")
         system = states[0].system
         unit = system.unit_functional
         for rho in states:
             if not isinstance(rho, systems.Vector) or rho.system != system:
                 raise InvalidInput("hidden states must share one system")
-            if abs(systems.pair(unit, rho) - 1.0) > 1e-6:
+            if abs(systems.pair(unit, rho) - 1.0) > STATE_NORMALIZATION:
                 raise InvalidInput("hidden states must be normalized")
         for row in responses:
             for r in row:
                 if np.any(r < -1e-12) or np.any(r > 1.0 + 1e-12):
                     raise InvalidInput("responses must lie in [0, 1]")
-                if abs(float(np.sum(r)) - 1.0) > 1e-9:
+                if abs(float(np.sum(r)) - 1.0) > COINCIDENCE:
                     raise InvalidInput("responses must sum to 1 per setting")
         w = w.copy()
         w.flags.writeable = False
@@ -257,8 +257,8 @@ class LhsModel:
                 worst = max(worst, float(np.max(np.abs(acc - rho.coords))))
         return worst
 
-    def reconstructs(self, asm, tol=_SUM_TOL):
-        return self.reconstruction_error(asm) <= tol
+    def reconstructs(self, asm):
+        return self.reconstruction_error(asm) <= RECONSTRUCTION
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ def _build_model(asm, omegas, phi):
         weights=np.asarray(weights) / total,
         states=tuple(states), responses=tuple(responses))
     err = model.reconstruction_error(asm)
-    if err > _SUM_TOL:
+    if err > RECONSTRUCTION:
         raise NumericalFailure(
             f"hidden-state model misses the assemblage by {err:.2e}")
     return model
@@ -359,7 +359,7 @@ def _steerable_verdict(asm, omegas, offsets, dual):
     worst = max(
         float(np.max(sum(P[x][omega[x]] for x in range(len(omegas[0])))))
         for omega in omegas)
-    if worst > _DOMINANCE_TOL:
+    if worst > CERTIFICATE:
         raise NumericalFailure(
             "steering certificate is positive on a deterministic strategy")
     violation = float(sum(
@@ -395,7 +395,7 @@ def _witness_from_farkas(asm, h):
     deficit = float(np.max(
         np.sum(np.abs(np.stack([V @ c for c in comps])), axis=0)
         - V @ base))
-    if deficit > 1e-6:
+    if deficit > WITNESS_RESCALE:
         raise NumericalFailure(
             f"witness dominance fails by {deficit:.2e} after scaling")
     if deficit > 0.0:
@@ -417,14 +417,14 @@ def optimal_witness(asm):
                    base=res.witness_base, normalized=True)
 
 
-def robustness(asm, disk_m=64):
+def robustness(asm):
     """Largest s for which s rho_{a|x} + (1-s) sigma/k_x stays classical.
 
     Two-outcome assemblages use the closed form 1/steering_norm (capped at
     1); centrally symmetric systems reduce to polytopic twins, with an
-    inner/outer polygon bracket of disk_m vertices for the l2 ball.  Other
-    shapes fall back to bisection with lhs_check at tolerance 1e-6, so the
-    returned s tests classical and s + 2e-6 tests steerable.
+    inner/outer polygon bracket of _DISK_VERTICES vertices for the l2 ball.
+    Other shapes bisect with lhs_check down to BISECTION_WIDTH, so the
+    returned s tests classical and s + 2 BISECTION_WIDTH tests steerable.
     """
     system = asm.system
     systems.assert_interior(system, asm.barycenter)
@@ -433,12 +433,12 @@ def robustness(asm, disk_m=64):
         if system.kind == systems.POLYTOPIC:
             value = tensors.steering_norm(t).value
         else:
-            value = _cs_steering_norm(t, disk_m)
+            value = _cs_steering_norm(t)
         return 1.0 if value <= 1.0 else 1.0 / value
     if lhs_check(asm).classical:
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > 1e-6:
+    while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if lhs_check(mixed_with_trivial(asm, mid)).classical:
             lo = mid
@@ -447,14 +447,14 @@ def robustness(asm, disk_m=64):
     return lo
 
 
-def _cs_steering_norm(t, disk_m):
+def _cs_steering_norm(t):
     """Steering norm on a ball system via an equivalent polytopic problem.
 
     l1 and linf balls have exact polytopic twins (cross polytope and
     hypercube).  The l2 ball needs the barycenter at the center; the
     problem then projects onto the span of the spatial components, which
     must fit in a plane, and the disk value is bracketed between regular
-    polygons inscribed and circumscribed with disk_m vertices.
+    polygons inscribed and circumscribed with _DISK_VERTICES vertices.
     """
     system = t.system
     n = system.dim - 1
@@ -463,14 +463,14 @@ def _cs_steering_norm(t, disk_m):
     elif system.ball_norm == "linf":
         twin = systems.hypercube(n)
     else:
-        return _disk_bracket(t, disk_m)
+        return _disk_bracket(t)
     t_twin = tensors.DichotomicTensor.unchecked(
         twin.vector(t.sigma.coords),
         tuple(twin.vector(y.coords) for y in t.components))
     return tensors.steering_norm(t_twin).value
 
 
-def _disk_bracket(t, disk_m):
+def _disk_bracket(t):
     system = t.system
     if not systems.is_center(system, t.sigma):
         raise InvalidInput(
@@ -478,7 +478,7 @@ def _disk_bracket(t, disk_m):
     S = np.array([y.coords[0] for y in t.components])
     Z = np.stack([y.coords[1:] for y in t.components])
     sv = np.linalg.svd(Z, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0]))) if sv.size else 0
+    rank = int(np.sum(sv > SPATIAL_RANK * max(1.0, sv[0]))) if sv.size else 0
     if rank > 2:
         raise GuardExceeded(
             "l2 steering reduction handles spatial rank <= 2, "
@@ -490,11 +490,11 @@ def _disk_bracket(t, disk_m):
     Q[:min(2, Vt.shape[0])] = Vt[:min(2, Vt.shape[0])]
     plane = np.column_stack([S, Z @ Q[0], Z @ Q[1]])
     values = []
-    for radius in (1.0, 1.0 / np.cos(np.pi / disk_m)):
-        ang = 2.0 * np.pi * np.arange(disk_m) / disk_m
+    for radius in (1.0, 1.0 / np.cos(np.pi / _DISK_VERTICES)):
+        ang = 2.0 * np.pi * np.arange(_DISK_VERTICES) / _DISK_VERTICES
         poly = systems.polytopic(
             np.column_stack(
-                [np.ones(disk_m), radius * np.cos(ang),
+                [np.ones(_DISK_VERTICES), radius * np.cos(ang),
                  radius * np.sin(ang)]),
             unit=np.array([1.0, 0.0, 0.0]))
         t_poly = tensors.DichotomicTensor.unchecked(
@@ -502,7 +502,7 @@ def _disk_bracket(t, disk_m):
             tuple(poly.vector(row) for row in plane))
         values.append(tensors.steering_norm(t_poly).value)
     inner, outer = values
-    if outer > inner + 1e-9:
+    if outer > inner + COINCIDENCE:
         raise NumericalFailure("disk bracket lost its ordering")
     if inner - outer > 1e-2 * max(1.0, inner):
         raise NumericalFailure(
@@ -548,7 +548,7 @@ def witness_verify(w, sigma):
         raise NumericalFailure(f"witness LP ended {out.status}")
     total = sum(
         systems.sigma_base_norm(system, f, sigma)[0] for f in w.components)
-    return WitnessVerdict(valid=True, strict=total > 1.0 + 1e-9,
+    return WitnessVerdict(valid=True, strict=total > 1.0 + COINCIDENCE,
                           base=system.functional(out.x))
 
 

@@ -31,12 +31,11 @@ from .errors import (
 )
 from .geometry import facets_of_cone, lex_sorted, vertices_of_polytope
 from .kernels import symmetry_search
+from .tolerances import CERTIFICATE, COINCIDENCE, RECONSTRUCTION
 
 POLYTOPIC = "polytopic"
 CENTRALLY_SYMMETRIC = "centrally_symmetric"
 BALL_NORMS = ("l1", "l2", "linf")
-
-_TOL = 1e-9
 
 
 def _ball_norm_value(x, name):
@@ -76,7 +75,7 @@ class GptSystem:
     vertices: Optional[np.ndarray] = None
     unit: Optional[np.ndarray] = None
     ball_norm: Optional[str] = None
-    cone_facets: Optional[np.ndarray] = None
+    cone_facets: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
         if self.kind == POLYTOPIC:
@@ -102,18 +101,18 @@ class GptSystem:
 
         if self.unit is None:
             u, res, _, _ = np.linalg.lstsq(V, np.ones(n), rcond=None)
-            if np.max(np.abs(V @ u - 1.0)) > 1e-8:
+            if np.max(np.abs(V @ u - 1.0)) > RECONSTRUCTION:
                 raise InvalidInput(
                     "vertices must admit a unit functional pairing to 1 with every vertex")
         else:
             u = np.asarray(self.unit, dtype=np.float64).reshape(-1)
             if u.shape[0] != d or not np.all(np.isfinite(u)):
                 raise InvalidInput("unit must be a finite vector of length dim")
-            if np.max(np.abs(V @ u - 1.0)) > 1e-8:
+            if np.max(np.abs(V @ u - 1.0)) > RECONSTRUCTION:
                 raise InvalidInput("unit must pair to 1 with every vertex")
 
         sv = np.linalg.svd(V, compute_uv=False)
-        if sv.size < d or sv[-1] <= 1e-9 * sv[0]:
+        if sv.size < d or sv[-1] <= COINCIDENCE * sv[0]:
             raise InvalidInput("vertices must span the full space (generating cone)")
 
         facets = facets_of_cone(V)
@@ -148,7 +147,6 @@ class GptSystem:
         e0.setflags(write=False)
         object.__setattr__(self, "unit", e0)
         object.__setattr__(self, "vertices", None)
-        object.__setattr__(self, "cone_facets", None)
 
     # -- convenience accessors -------------------------------------------
 
@@ -196,8 +194,8 @@ class GptSystem:
         # vertex order is a construction detail, not part of the system;
         # the unit may carry solver noise when inferred, so compare loosely
         return (np.allclose(lex_sorted(self.vertices),
-                            lex_sorted(other.vertices), atol=1e-9)
-                and np.allclose(self.unit, other.unit, atol=1e-9))
+                            lex_sorted(other.vertices), atol=COINCIDENCE)
+                and np.allclose(self.unit, other.unit, atol=COINCIDENCE))
 
     def __repr__(self):
         if self.kind == CENTRALLY_SYMMETRIC:
@@ -303,19 +301,25 @@ def extreme_rows(V, facets):
     `facets` are the unit facet normals of that cone (`facets_of_cone(V)`).
     A row spans an extreme ray iff the facets tight on it, judged on the
     unit-normalized row as the facet search judges generators, have rank
-    d - 1; a row that repeats an earlier one within _TOL is not kept again.
+    d - 1; a row repeating an earlier one within COINCIDENCE is not kept.
     """
     n, d = V.shape
     Vn = V / np.linalg.norm(V, axis=1)[:, None]
-    tight = np.abs(Vn @ facets.T) <= _TOL
+    tight = np.abs(Vn @ facets.T) <= COINCIDENCE
     keep = np.zeros(n, dtype=bool)
     for j in range(n):
-        if j and np.any(np.max(np.abs(V[:j] - V[j]), axis=1) <= _TOL):
+        if j and np.any(np.max(np.abs(V[:j] - V[j]), axis=1) <= COINCIDENCE):
             continue
         F = facets[tight[j]]
-        rank = np.linalg.matrix_rank(F, tol=_TOL) if F.shape[0] else 0
+        rank = np.linalg.matrix_rank(F, tol=COINCIDENCE) if F.shape[0] else 0
         keep[j] = rank == d - 1
     return keep
+
+
+def mirror_representatives(rows):
+    """Mask of one row per +-pair: its first entry beyond +-COINCIDENCE is > 0."""
+    lead = np.argmax(np.abs(rows) > COINCIDENCE, axis=1)
+    return rows[np.arange(rows.shape[0]), lead] > COINCIDENCE
 
 
 def polytopic(vertices, unit=None):
@@ -387,12 +391,12 @@ def ball(n, norm="l2"):
     return GptSystem(kind=CENTRALLY_SYMMETRIC, dim=n + 1, ball_norm=norm)
 
 
-def regular_polygon(m, offset=0.0):
+def regular_polygon(m):
     """Polytopic disk approximation: m unit-circle vertices in R^3."""
     if m < 3:
         raise InvalidInput("polygon needs at least 3 vertices")
     guards.check("vertices", m)
-    ang = offset + 2.0 * np.pi * np.arange(m) / m
+    ang = 2.0 * np.pi * np.arange(m) / m
     V = np.column_stack([np.ones(m), np.cos(ang), np.sin(ang)])
     return polytopic(V, unit=np.array([1.0, 0.0, 0.0]))
 
@@ -463,25 +467,25 @@ def _check_fun(system, f):
         raise SystemMismatch("functional tagged with a different system")
 
 
-def assert_interior(system, sigma, tol=_TOL):
+def assert_interior(system, sigma):
     """Raise NotInterior unless sigma lies strictly inside V+."""
     _check_vec(system, sigma)
     if system.kind == POLYTOPIC:
         vals = system.cone_facets @ sigma.coords
         scale = 1.0 + float(np.max(np.abs(vals)))
-        if float(np.min(vals)) <= tol * scale:
+        if float(np.min(vals)) <= COINCIDENCE * scale:
             raise NotInterior("sigma must pair strictly positively with every cone facet")
     else:
         s = float(sigma.coords[0])
         r = _ball_norm_value(sigma.coords[1:], system.ball_norm)
-        if r >= s - tol * (1.0 + abs(s)):
+        if r >= s - COINCIDENCE * (1.0 + abs(s)):
             raise NotInterior("sigma must lie strictly inside the ball cone")
 
 
-def is_center(system, sigma, tol=_TOL):
+def is_center(system, sigma):
     c = np.zeros(system.dim)
     c[0] = 1.0
-    return float(np.max(np.abs(sigma.coords - c))) <= tol
+    return float(np.max(np.abs(sigma.coords - c))) <= COINCIDENCE
 
 
 def _require_center(system, sigma):
@@ -497,7 +501,7 @@ class ConeMembership:
     separator: Optional[np.ndarray]
 
 
-def cone_member(system, v, tol=_TOL):
+def cone_member(system, v):
     """Decide v in V+ with a certificate either way.
 
     Membership comes with vertex coefficients (polytopic; None for balls),
@@ -508,7 +512,7 @@ def cone_member(system, v, tol=_TOL):
         t = float(v.coords[0])
         x = v.coords[1:]
         r = _ball_norm_value(x, system.ball_norm)
-        if r <= t + tol * (1.0 + abs(t)):
+        if r <= t + COINCIDENCE * (1.0 + abs(t)):
             return ConeMembership(True, None, None)
         phi = _dual_achiever(x, system.ball_norm)
         return ConeMembership(False, None, np.concatenate([[1.0], -phi]))
@@ -565,7 +569,7 @@ def order_unit_norm(system, f, unit=None):
                 f.coords[1:], _dual_ball_name(system.ball_norm))
         den = system.vertices @ unit.coords
         scale = 1.0 + float(np.max(np.abs(den)))
-        if float(np.min(den)) <= _TOL * scale:
+        if float(np.min(den)) <= COINCIDENCE * scale:
             raise NotInterior("unit must pair strictly positively with every vertex")
         num = np.abs(system.vertices @ f.coords)
         return float(np.max(num / den))
@@ -624,24 +628,25 @@ def extreme_effects(system):
     return [system.functional(p) for p in pts]
 
 
-def is_effect(system, f, tol=_TOL):
+def is_effect(system, f):
     _check_fun(system, f)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(f.coords[0])
         r = _ball_norm_value(f.coords[1:], _dual_ball_name(system.ball_norm))
-        return r <= t + tol and r <= (1.0 - t) + tol
+        return r <= t + COINCIDENCE and r <= (1.0 - t) + COINCIDENCE
     vals = system.vertices @ f.coords
-    return float(np.min(vals)) >= -tol and float(np.max(vals)) <= 1.0 + tol
+    return (float(np.min(vals)) >= -COINCIDENCE
+            and float(np.max(vals)) <= 1.0 + COINCIDENCE)
 
 
-def in_dual_cone(system, f, tol=_TOL):
-    """Whether f is nonnegative on every state, i.e. a member of the dual cone."""
+def in_dual_cone(system, f):
+    """Whether f is nonnegative on every state, up to CERTIFICATE."""
     _check_fun(system, f)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(f.coords[0])
         r = _ball_norm_value(f.coords[1:], _dual_ball_name(system.ball_norm))
-        return r <= t + tol
-    return float(np.min(system.vertices @ f.coords)) >= -tol
+        return r <= t + CERTIFICATE
+    return float(np.min(system.vertices @ f.coords)) >= -CERTIFICATE
 
 
 @dataclass(frozen=True, eq=False)
@@ -661,7 +666,7 @@ class Measurement:
             if not is_effect(system, f):
                 raise InvalidInput(f"effect {i} is outside the effect interval")
             total = total + f.coords
-        if np.max(np.abs(total - system.unit)) > 1e-9:
+        if np.max(np.abs(total - system.unit)) > COINCIDENCE:
             raise InvalidInput("effects must sum to the unit functional")
         object.__setattr__(self, "effects", effects)
 
@@ -680,7 +685,7 @@ def dichotomic_measurement(system, f):
     return Measurement((f, system.unit_functional - f))
 
 
-def is_symmetry(system, mat, tol=_TOL):
+def is_symmetry(system, mat):
     """True iff `mat` permutes the vertex set (acting on column vectors)."""
     system._require_polytopic()
     M = np.asarray(mat, dtype=np.float64)
@@ -691,7 +696,7 @@ def is_symmetry(system, mat, tol=_TOL):
     for img in images:
         hit = -1
         for j, w in enumerate(system.vertices):
-            if not taken[j] and np.max(np.abs(img - w)) <= tol:
+            if not taken[j] and np.max(np.abs(img - w)) <= COINCIDENCE:
                 hit = j
                 break
         if hit < 0:
@@ -717,7 +722,7 @@ def symmetries(system, fix=None):
     for i in range(n):
         cand = rows + [V[i]]
         s = np.linalg.svd(np.array(cand), compute_uv=False)
-        if s[-1] > 1e-9 * s[0]:
+        if s[-1] > COINCIDENCE * s[0]:
             rows.append(V[i])
             idx.append(i)
         if len(rows) == system.dim:
@@ -727,7 +732,7 @@ def symmetries(system, fix=None):
     Binv = np.linalg.inv(np.array(rows))
     mats, perms, count, overflow = symmetry_search(
         np.ascontiguousarray(V), np.ascontiguousarray(Binv),
-        np.ascontiguousarray(fix_coords), 1e-9, 1024)
+        np.ascontiguousarray(fix_coords), COINCIDENCE, 1024)
     if overflow:
         raise GuardExceeded("symmetry search found more than 1024 maps")
     return [mats[i].copy() for i in range(count)]

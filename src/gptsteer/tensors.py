@@ -20,8 +20,7 @@ import numpy as np
 from . import guards, lp, systems
 from .errors import InvalidInput, NumericalFailure
 from .geometry import vertices_of_polytope
-
-_WITNESS_TOL = 1e-7
+from .tolerances import CERTIFICATE, COINCIDENCE
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +76,7 @@ class DichotomicTensor:
             if not isinstance(y, systems.Vector) or y.system != system:
                 raise InvalidInput(
                     f"component {x} is not a vector on the sigma system")
-        if abs(systems.pair(system.unit_functional, self.sigma) - 1.0) > 1e-9:
+        if abs(systems.pair(system.unit_functional, self.sigma) - 1.0) > COINCIDENCE:
             raise InvalidInput("barycenter is not normalized")
         for x, y in enumerate(comps):
             for signed in (self.sigma + y, self.sigma - y):
@@ -196,7 +195,7 @@ def steering_norm(t):
         system.functional(out.dual_eq[x * d:(x + 1) * d]) for x in range(g))
     w0_raw = -(F.T @ out.dual_ub)
     shift = 1.0 - float(w0_raw @ t.sigma.coords)
-    if shift < -1e-7:
+    if shift < -CERTIFICATE:
         raise NumericalFailure("steering witness normalization failed")
     w0 = system.functional(w0_raw + max(shift, 0.0) * system.unit)
 
@@ -211,11 +210,11 @@ def _check_witness_certificate(t, value, w0, w):
     V = t.system.vertices
     Wv = np.array([f.coords for f in w]) @ V.T
     slack = (w0.coords @ V.T) - np.abs(Wv).sum(axis=0)
-    if slack.min() < -_WITNESS_TOL:
+    if slack.min() < -CERTIFICATE:
         raise NumericalFailure("steering witness violates the sign condition")
     attained = sum(
         float(f.coords @ y.coords) for f, y in zip(w, t.components))
-    if abs(attained - value) > _WITNESS_TOL * (1.0 + abs(value)):
+    if abs(attained - value) > CERTIFICATE * (1.0 + abs(value)):
         raise NumericalFailure("steering witness does not attain the norm")
 
 
@@ -284,13 +283,13 @@ def projective_norm_dichotomic(t):
     return float(out.value)
 
 
-def max_cone_member(t, tol=1e-9):
+def max_cone_member(t):
     """Whether t pairs nonnegatively with every product of effects."""
     EA = np.array(
         [f.coords for f in systems.extreme_effects(t.system_a)])
     EB = np.array(
         [f.coords for f in systems.extreme_effects(t.system_b)])
-    return bool(np.min(EA @ t.coeffs @ EB.T) >= -tol)
+    return bool(np.min(EA @ t.coeffs @ EB.T) >= -COINCIDENCE)
 
 
 @dataclass(frozen=True)
@@ -326,6 +325,6 @@ def min_cone_member(t):
     da, db = t.system_a.dim, t.system_b.dim
     W = -out.dual_eq.reshape(da, db)
     pairings = Va @ W @ Vb.T
-    if pairings.min() < -1e-7 or float(np.sum(W * t.coeffs)) > -1e-12:
+    if pairings.min() < -CERTIFICATE or float(np.sum(W * t.coeffs)) > -1e-12:
         raise NumericalFailure("separability witness failed verification")
     return MinConeResult(member=False, coefficients=None, witness=W)

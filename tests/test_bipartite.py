@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gptsteer import bipartite, lp, sampling, steering, systems, tensors
+from gptsteer import (bipartite, lp, sampling, steering, systems, tensors,
+                      tolerances)
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -660,7 +661,7 @@ class TestModelCertificate:
         state, model, weights, targets, t = self.captured(monkeypatch, st)
         j = int(np.argmax(weights))
         bad = t.copy()
-        bad[0, j] = weights[j] + 10 * bipartite._CERT_TOL
+        bad[0, j] = weights[j] + 10 * tolerances.CERTIFICATE
         # move the target along, so only the weight bound is violated
         with pytest.raises(NumericalFailure, match="steering bound"):
             bipartite._verify_model(
@@ -672,7 +673,7 @@ class TestModelCertificate:
             square().vector((1.0, 0.2, -0.1)))
         state, model, weights, targets, t = self.captured(monkeypatch, st)
         off = targets.copy()
-        off[-1, 1] += 10 * bipartite._CERT_TOL
+        off[-1, 1] += 10 * tolerances.CERTIFICATE
         with pytest.raises(NumericalFailure, match="miss"):
             bipartite._verify_model(state, model, weights, off, t)
 

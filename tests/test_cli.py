@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gptsteer
-from gptsteer import cli, selftest, steering
+from gptsteer import cli, selftest, steering, tolerances
 from gptsteer.errors import NumericalFailure
 
 SQUARE = {
@@ -100,6 +100,11 @@ def test_envelope_fields(files, capsys):
     assert out["verb"] == "norm"
     assert out["version"] == gptsteer.__version__
     assert out["seed"] is None
+    assert out["tolerances"] == {
+        "lp_feasibility": tolerances.LP_FEASIBILITY,
+        "lp_gap": tolerances.LP_GAP,
+        "certificate": tolerances.CERTIFICATE,
+    }
     assert out["tolerances"]["lp_feasibility"] == 1e-9
 
 

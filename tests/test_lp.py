@@ -199,11 +199,14 @@ def test_repeat_solves_are_bit_identical():
     assert a.reduced_costs.tobytes() == b.reduced_costs.tobytes()
 
 
-def test_feasibility_helper_ignores_objective():
-    p = LpProblem(np.array([100.0, -100.0]), eq_rows=[[1.0, 1.0]], eq_rhs=[1.0])
+def test_feasibility_rejects_a_nonzero_objective():
+    p = LpProblem(np.zeros(2), eq_rows=[[1.0, 1.0]], eq_rhs=[1.0])
     out = feasibility(p)
     assert out.status == "optimal"
     assert abs(out.x.sum() - 1.0) <= 1e-9
+    with pytest.raises(MalformedProblem, match="zero objective"):
+        feasibility(LpProblem(
+            np.array([100.0, -100.0]), eq_rows=[[1.0, 1.0]], eq_rhs=[1.0]))
 
 
 def test_malformed_problems_are_rejected():

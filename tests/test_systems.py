@@ -98,6 +98,21 @@ def test_square_cone_facets_frozen():
     assert np.allclose(got, want, atol=1e-9)
 
 
+def test_mirror_representatives_keep_one_row_of_each_pair():
+    # the sign of the first entry above 1e-9 in magnitude decides
+    Y = np.array([[0.0, 1.0], [0.0, -1.0], [1e-10, -1.0], [-1e-10, 1.0],
+                  [2.0, -1.0], [-2.0, 1.0], [0.0, 0.0]])
+    assert systems.mirror_representatives(Y).tolist() == [
+        True, False, False, True, True, False, False]
+
+
+def test_cone_facets_are_computed_not_passed():
+    with pytest.raises(TypeError, match="cone_facets"):
+        systems.GptSystem(kind=systems.POLYTOPIC, dim=3,
+                          vertices=square().vertices,
+                          cone_facets=square().cone_facets)
+
+
 def test_facets_and_vertices_are_mutual_descriptions():
     rng = np.random.default_rng(5)
     for _ in range(20):
