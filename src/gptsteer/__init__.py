@@ -5,8 +5,9 @@ of state spaces; assemblages, steering tensor norms, robustness, witness
 extraction, Choquet-order comparisons and bipartite unsteerability tests
 all reduce to finite linear programs whose certificates are checked at
 the tolerances of tolerances.py before they are returned.  Everything runs
-on numpy alone: enumeration is batched, the simplex and symmetry search are
-plain loops, and a polytopic system's facets decide which of its points are
+on numpy alone: enumeration is batched, the simplex prices and ratio-tests
+in loops and pivots by rank-1 row updates, the symmetry search works on
+numpy rows, and a polytopic system's facets decide which of its points are
 extreme.  GPTSTEER_GUARDS raises size guards.  perfbench/ is the benchmark.
 """
 

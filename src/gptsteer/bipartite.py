@@ -191,8 +191,11 @@ def interval_extreme_functionals(system):
 
 
 def _nonunit_extremes(system):
+    """The interval extremes other than +-unit (either may represent its pair)."""
+    u = system.unit
     return [e for e in interval_extreme_functionals(system)
-            if np.max(np.abs(e.coords - system.unit)) > COINCIDENCE]
+            if min(np.max(np.abs(e.coords - u)), np.max(np.abs(e.coords + u)))
+            > COINCIDENCE]
 
 
 @dataclass(frozen=True)

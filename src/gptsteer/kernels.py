@@ -1,8 +1,14 @@
 """Hot numeric loops: simplex pivoting and brute-force polyhedral searches.
 
-`simplex_phase` and `symmetry_search` are scalar loops over numpy arrays;
-the exact-rational LP mode runs the same `simplex_phase` on object arrays
-of Fractions.  The enumerations `enum_polytope_vertices` and `enum_cone_facets`
+The simplex keeps each decision in one place: `entering` is Bland's pricing
+rule (also asked by lp after a refactorization), one ratio pass computes
+each blocking row's step once, and `_pivot` is the single elimination, a
+rank-1 update of the rows with a nonzero multiplier, shared with
+`drive_out_artificials`.  Pricing and the ratio test stay early-exit loops:
+the LPs are mostly small, and numpy dispatch would cost more than it saves.
+The exact-rational LP mode runs the same `simplex_phase` on object arrays
+of Fractions.  `symmetry_search` walks `itertools.permutations` and works on
+numpy rows.  The enumerations `enum_polytope_vertices` and `enum_cone_facets`
 are batched numpy: they walk the candidate subsets in lexicographic chunks
 of CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
 tests and summation order of a one-subset-at-a-time elimination, so their
@@ -35,6 +41,38 @@ PHASE_UNBOUNDED = 2
 PHASE_ITER_LIMIT = 3
 
 
+def entering(T, vstat, upper, cost_row, n_elig, tol):
+    """Bland's pricing rule: the lowest-index improving variable.
+
+    Returns (j, direction): direction +1 raises a variable at its lower
+    bound whose reduced cost is below -tol (unless its upper bound is 0, a
+    fixed variable), -1 lowers one at its upper bound whose reduced cost is
+    above tol; (-1, 0) when the cost row is optimal.
+    """
+    for j in range(n_elig):
+        if vstat[j] == AT_LOWER:
+            if T[cost_row, j] < -tol and upper[j] > 0:
+                return j, 1
+        elif vstat[j] == AT_UPPER:
+            if T[cost_row, j] > tol:
+                return j, -1
+    return -1, 0
+
+
+def _pivot(T, r, j, N):
+    """Make column j the unit vector e_r in columns 0..N-1 of T.
+
+    Row r is divided by its pivot and subtracted, as one rank-1 update,
+    from every other row whose entry in column j is nonzero; rows with a
+    multiplier of exactly 0 are not touched, so their signed zeros stay.
+    """
+    T[r, :N] = T[r, :N] / T[r, j]
+    f = T[:, j].copy()
+    f[r] = 0
+    rows = np.flatnonzero(f != 0)
+    T[rows, :N] = T[rows, :N] - f[rows, None] * T[r, :N]
+
+
 def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter):
     """Run one phase of the bounded-variable simplex to optimality.
 
@@ -42,41 +80,26 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter)
     0..N-1 and the current basic values in column N; rows m and m+1 are the
     phase-2 and phase-1 reduced-cost rows (both kept current by every pivot).
     All variables have lower bound 0 and upper bound `upper[j]` (np.inf for
-    none).  Entering variable: lowest index with an improving reduced cost
-    (Bland); leaving variable: minimum ratio over rows whose entry clears a
-    pivot threshold well above the zero tolerance, then the largest pivot
-    among near-minimal ratios (ties by lowest variable index).  Stepping
-    onto a noise-level pivot poisons the working basis beyond what a
-    refactorization can repair, so such rows never block; a direction that
-    is a ray only because of sub-threshold entries is reported unbounded
-    and the driver retries it on a rebuilt tableau.  A variable whose upper
-    bound is 0 is fixed and never enters.
+    none).  Entering variable: `entering` (Bland).  Leaving variable: among
+    rows whose entry clears a pivot threshold well above the zero tolerance,
+    the largest pivot whose ratio is within a relative band of the minimum
+    ratio (ties by lowest variable index).  Stepping onto a noise-level
+    pivot poisons the working basis beyond what a refactorization can
+    repair, so such rows never block; a direction that is a ray only
+    because of sub-threshold entries is reported unbounded and the driver
+    retries it on a rebuilt tableau.  A variable whose upper bound is 0 is
+    fixed and never enters.
     """
     a_block = tol * 100
-    it = 0
-    while it < max_iter:
-        it += 1
-        enter = -1
-        dirn = 0
-        for j in range(n_elig):
-            if vstat[j] == AT_LOWER:
-                if T[cost_row, j] < -tol and upper[j] > 0:
-                    enter = j
-                    dirn = 1
-                    break
-            elif vstat[j] == AT_UPPER:
-                if T[cost_row, j] > tol:
-                    enter = j
-                    dirn = -1
-                    break
+    for _ in range(max_iter):
+        enter, dirn = entering(T, vstat, upper, cost_row, n_elig, tol)
         if enter == -1:
             return PHASE_OPTIMAL
 
-        # Ratio test, first pass: smallest step t >= 0 keeping every basic
-        # variable inside its bounds, against the entering variable's own
-        # bound flip.
-        t_best = np.inf
-        leave_row = -1
+        # Ratio test: for each blocking row, the step t >= 0 at which its
+        # basic variable reaches a bound (roundoff below 0 clamped to 0).
+        blocking = []
+        t_min = np.inf
         for i in range(m):
             a = dirn * T[i, enter]
             if a > a_block:
@@ -89,73 +112,41 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter)
             else:
                 continue
             if ratio < 0:
-                ratio = ratio * 0  # clamp roundoff, keeping the scalar type
-            if ratio < t_best:
-                t_best = ratio
-                leave_row = i
+                ratio = ratio * 0  # keeps the scalar type
+            blocking.append((i, ratio, abs(a)))
+            if ratio < t_min:
+                t_min = ratio
+        # Among the rows within a relative band of the minimum (zero in
+        # exact mode) the largest pivot leaves, ties by lowest basis index.
+        cutoff = t_min + tol * (1 + t_min)
+        leave_row = -1
+        t_best = np.inf
+        best_a = 0
+        for i, ratio, aa in blocking:
+            if ratio <= cutoff and (
+                    leave_row == -1 or aa > best_a
+                    or (aa == best_a and basis[i] < basis[leave_row])):
+                leave_row, t_best, best_a = i, ratio, aa
 
         t_flip = upper[enter]
         if leave_row == -1 and t_flip == np.inf:
             return PHASE_UNBOUNDED
 
-        if leave_row >= 0 and t_best < np.inf:
-            # Second pass: the largest pivot whose ratio is within a
-            # relative band of the minimum (the band is zero in exact mode).
-            cutoff = t_best + tol * (1 + t_best)
-            best_a = dirn * T[leave_row, enter]
-            for i in range(m):
-                a = dirn * T[i, enter]
-                if a > a_block:
-                    ratio = T[i, N] / a
-                elif a < -a_block:
-                    ub = upper[basis[i]]
-                    if ub == np.inf:
-                        continue
-                    ratio = (ub - T[i, N]) / (0 - a)
-                else:
-                    continue
-                if ratio < 0:
-                    ratio = ratio * 0
-                if ratio <= cutoff:
-                    aa = a if a > 0 else 0 - a
-                    bb = best_a if best_a > 0 else 0 - best_a
-                    if aa > bb or (aa == bb and basis[i] < basis[leave_row]):
-                        leave_row = i
-                        best_a = a
-            a = dirn * T[leave_row, enter]
-            if a > 0:
-                t_best = T[leave_row, N] / a
-            else:
-                t_best = (upper[basis[leave_row]] - T[leave_row, N]) / (0 - a)
-            if t_best < 0:
-                t_best = t_best * 0
-
         if t_flip < t_best:
             # Bound flip: the entering variable crosses to its other bound,
             # the basis is unchanged.
-            for i in range(m):
-                T[i, N] = T[i, N] - dirn * T[i, enter] * t_flip
+            T[:m, N] = T[:m, N] - dirn * T[:m, enter] * t_flip
             vstat[enter] = 1 - vstat[enter]
             continue
 
-        t = t_best
-        p = T[leave_row, enter]
-        a_r = dirn * p
-        leaving = basis[leave_row]
         if vstat[enter] == AT_LOWER:
-            x_enter = dirn * t
+            x_enter = dirn * t_best
         else:
-            x_enter = upper[enter] + dirn * t
-        vstat[leaving] = AT_LOWER if a_r > 0 else AT_UPPER
-        T[leave_row, :N] = T[leave_row, :N] / p
-        for i in range(m + 2):
-            if i == leave_row:
-                continue
-            f = T[i, enter]
-            if i < m:
-                T[i, N] = T[i, N] - dirn * f * t
-            if f != 0:
-                T[i, :N] = T[i, :N] - f * T[leave_row, :N]
+            x_enter = upper[enter] + dirn * t_best
+        leaving = basis[leave_row]
+        vstat[leaving] = AT_LOWER if dirn * T[leave_row, enter] > 0 else AT_UPPER
+        T[:m, N] = T[:m, N] - dirn * T[:m, enter] * t_best
+        _pivot(T, leave_row, enter, N)
         T[leave_row, N] = x_enter
         basis[leave_row] = enter
         vstat[enter] = BASIC
@@ -165,9 +156,9 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter)
 def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
     """Pivot zero-valued basic artificials onto structural columns.
 
-    Called between the phases (plain Python is fine: at most m degenerate
-    pivots).  Rows where every structural entry vanishes are redundant; their
-    artificial stays basic at 0 and is fixed by the caller via upper = 0.
+    Called between the phases (at most m degenerate pivots).  Rows where
+    every structural entry vanishes are redundant; their artificial stays
+    basic at 0 and is fixed by the caller via upper = 0.
     """
     for r in range(m):
         if basis[r] < n_nonart:
@@ -186,14 +177,7 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
                 piv = j
         if piv == -1:
             continue
-        p = T[r, piv]
-        T[r, :N] = T[r, :N] / p
-        for i in range(m + 2):
-            if i == r:
-                continue
-            f = T[i, piv]
-            if f != 0:
-                T[i, :N] = T[i, :N] - f * T[r, :N]
+        _pivot(T, r, piv, N)
         vstat[basis[r]] = AT_LOWER
         basis[r] = piv
         T[r, N] = 0 if vstat[piv] == AT_LOWER else upper[piv]
@@ -377,112 +361,57 @@ def enum_cone_facets(V, dedupe_tol, feas_tol, sing_tol, cap):
     return out[:count].copy(), 0
 
 
+def _greedy_matching(near):
+    """Row i takes the first column of `near[i]` no earlier row took.
+
+    Returns the chosen columns as a tuple, or None when some row finds none.
+    """
+    taken = np.zeros(near.shape[1], dtype=bool)
+    perm = []
+    for row in near:
+        hit = np.flatnonzero(row & ~taken)
+        if hit.size == 0:
+            return None
+        taken[hit[0]] = True
+        perm.append(int(hit[0]))
+    return tuple(perm)
+
+
 def symmetry_search(V, Binv, fix, match_tol, cap):
     """Linear maps permuting the rows of V and fixing `fix`.
 
     Binv is the inverse of the d x d matrix whose rows are the first d
     linearly independent vertices (chosen by the caller); a candidate map is
-    determined by the images of those rows, enumerated as ordered d-tuples of
-    distinct vertex indices (iterative backtracking, lexicographic order).
-    Returns (matrices, perms, count, overflow_flag); matrices act on column
-    vectors, perms[g, i] is the image vertex index of vertex i under map g.
+    determined by the images of those rows, enumerated as ordered d-tuples
+    of distinct vertex indices in lexicographic order.  Products are summed
+    one index q at a time, as a scalar loop would.  Vertex i's image is
+    matched to the first vertex within match_tol (entrywise) that no earlier
+    vertex matched, and a map inducing an already found vertex permutation
+    is dropped.  Returns (maps, overflow_flag): maps act on column vectors,
+    and overflow means more than `cap` maps were found.
     """
     n, d = V.shape
-    mats = np.empty((cap, d, d))
-    perms = np.empty((cap, n), np.int64)
-    count = 0
-    overflow = 0
-    pos = np.full(d, -1, np.int64)
-    used = np.zeros(n, np.uint8)
-    W = np.empty((d, d))
-    L = np.empty((d, d))
-    perm = np.empty(n, np.int64)
-    taken = np.zeros(n, np.uint8)
-    w = np.empty(d)
-    depth = 0
-    while depth >= 0:
-        nxt = pos[depth] + 1
-        if pos[depth] >= 0:
-            used[pos[depth]] = 0
-        found = -1
-        for cand in range(nxt, n):
-            if used[cand] == 0:
-                found = cand
-                break
-        if found == -1:
-            pos[depth] = -1
-            depth -= 1
+    maps = []
+    seen = set()
+    for pos in itertools.permutations(range(n), d):
+        W = np.zeros((d, d))            # Binv @ V[pos]
+        for q in range(d):
+            W += Binv[:, q, None] * V[pos[q]]
+        L = W.T
+        image = np.zeros(d)
+        for q in range(d):
+            image += L[:, q] * fix[q]
+        if (np.abs(image - fix) > match_tol).any():
             continue
-        pos[depth] = found
-        used[found] = 1
-        if depth < d - 1:
-            depth += 1
+        images = np.zeros((n, d))
+        for q in range(d):
+            images += V[:, q, None] * L[:, q]
+        far = np.abs(images[:, None, :] - V[None, :, :]) > match_tol
+        perm = _greedy_matching(~far.any(axis=2))
+        if perm is None or perm in seen:
             continue
-
-        # Full tuple: candidate map L = (Binv @ V[pos])^T.
-        for r in range(d):
-            for c in range(d):
-                s = 0.0
-                for q in range(d):
-                    s += Binv[r, q] * V[pos[q], c]
-                W[r, c] = s
-        for r in range(d):
-            for c in range(d):
-                L[r, c] = W[c, r]
-        ok = True
-        for c in range(d):
-            s = 0.0
-            for q in range(d):
-                s += L[c, q] * fix[q]
-            if abs(s - fix[c]) > match_tol:
-                ok = False
-                break
-        if ok:
-            for i in range(n):
-                taken[i] = 0
-            for i in range(n):
-                for r in range(d):
-                    s = 0.0
-                    for q in range(d):
-                        s += L[r, q] * V[i, q]
-                    w[r] = s
-                hit = -1
-                for j in range(n):
-                    if taken[j] == 1:
-                        continue
-                    close = True
-                    for r in range(d):
-                        if abs(w[r] - V[j, r]) > match_tol:
-                            close = False
-                            break
-                    if close:
-                        hit = j
-                        break
-                if hit == -1:
-                    ok = False
-                    break
-                taken[hit] = 1
-                perm[i] = hit
-        if ok:
-            dup = False
-            for g in range(count):
-                same = True
-                for i in range(n):
-                    if perms[g, i] != perm[i]:
-                        same = False
-                        break
-                if same:
-                    dup = True
-                    break
-            if not dup:
-                if count >= cap:
-                    overflow = 1
-                    break
-                for r in range(d):
-                    for c in range(d):
-                        mats[count, r, c] = L[r, c]
-                for i in range(n):
-                    perms[count, i] = perm[i]
-                count += 1
-        # stay at this depth, try the next candidate for the last slot
-    return mats[:count].copy(), perms[:count].copy(), count, overflow
+        if len(maps) >= cap:
+            return maps, 1
+        seen.add(perm)
+        maps.append(L.copy())
+    return maps, 0

@@ -24,13 +24,13 @@ import numpy as np
 from . import guards
 from .errors import InvalidInput, MalformedProblem, NumericalFailure
 from .kernels import (
-    AT_LOWER,
     AT_UPPER,
     BASIC,
     PHASE_ITER_LIMIT,
     PHASE_OPTIMAL,
     PHASE_UNBOUNDED,
     drive_out_artificials,
+    entering,
     simplex_phase,
 )
 from .tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
@@ -334,15 +334,6 @@ def _refactorize(T, basis, vstat, upper, M, b_flip, cvec, m0, ncols, N):
     T[m0 + 1, N] = -float(cb1 @ xB)
 
 
-def _has_entering(T, vstat, upper, cost_row, n_elig, tol):
-    """The kernel's pricing rule, applied to a freshly rebuilt cost row."""
-    row = T[cost_row, :n_elig]
-    vs = vstat[:n_elig]
-    if np.any((vs == AT_LOWER) & (row < -tol) & (upper[:n_elig] > 0)):
-        return True
-    return bool(np.any((vs == AT_UPPER) & (row > tol)))
-
-
 def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
                tol, max_iter, exact, M, b_flip, cvec):
     """One simplex phase, refactorizing at optimum until it stays optimal.
@@ -366,7 +357,7 @@ def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
         if code != PHASE_OPTIMAL:
             return code
         _refactorize(T, basis, vstat, upper, M, b_flip, cvec, m0, ncols, N)
-        if not _has_entering(T, vstat, upper, cost_row, ncols, tol):
+        if entering(T, vstat, upper, cost_row, ncols, tol)[0] == -1:
             return code
     raise NumericalFailure("simplex failed to stabilize after refactorizations")
 

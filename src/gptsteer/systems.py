@@ -137,6 +137,8 @@ class GptSystem:
             raise InvalidInput(f"ball_norm must be one of {BALL_NORMS}")
         if self.dim < 2:
             raise InvalidInput("centrally symmetric systems need dim >= 2")
+        if self.vertices is not None:
+            raise InvalidInput("centrally symmetric systems take no vertices")
         e0 = np.zeros(self.dim)
         e0[0] = 1.0
         if self.unit is not None:
@@ -146,7 +148,6 @@ class GptSystem:
                     "centrally symmetric unit must be the first coordinate functional")
         e0.setflags(write=False)
         object.__setattr__(self, "unit", e0)
-        object.__setattr__(self, "vertices", None)
 
     # -- convenience accessors -------------------------------------------
 
@@ -730,12 +731,10 @@ def symmetries(system, fix=None):
     if len(rows) < system.dim:
         raise InvalidInput("vertices must span the full space (generating cone)")
     Binv = np.linalg.inv(np.array(rows))
-    mats, perms, count, overflow = symmetry_search(
-        np.ascontiguousarray(V), np.ascontiguousarray(Binv),
-        np.ascontiguousarray(fix_coords), COINCIDENCE, 1024)
+    maps, overflow = symmetry_search(V, Binv, fix_coords, COINCIDENCE, 1024)
     if overflow:
         raise GuardExceeded("symmetry search found more than 1024 maps")
-    return [mats[i].copy() for i in range(count)]
+    return maps
 
 
 # -- JSON ------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""LP problems shared by the simplex reference tests and the HiGHS oracle.
+
+`random_lps` mixes every bound kind the solver transforms (nonnegative,
+boxed, upper-only, free, shifted), `tied_lps` repeats and rescales rows so
+the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
+is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
+in those verdicts, and `library_lps` records every problem the library
+solves for steering-norm, strategy, facet-subproblem and zonotope questions.
+"""
+
+import functools
+
+import numpy as np
+
+from gptsteer import (bipartite, choquet, lp, sampling, steering, systems,
+                      tensors)
+from gptsteer.lp import LpProblem
+
+INF = np.inf
+
+
+def _random_problem(rng, n, me, mu, integer):
+    if integer:
+        def draw(size):
+            return rng.integers(-2, 3, size).astype(float)
+    else:
+        draw = rng.standard_normal
+    kind = rng.integers(0, 5, n)   # 0 [0, inf) 1 [l, u] 2 (-inf, u] 3 free 4 [l, inf)
+    lo = np.round(rng.uniform(-2, 0, n)) if integer else rng.uniform(-2, 0, n)
+    hi = lo + (rng.integers(1, 3, n) if integer else rng.uniform(0.5, 2, n))
+    lower = np.select([kind == 0, kind == 1, kind == 4], [0.0, lo, lo], -INF)
+    upper = np.where((kind == 1) | (kind == 2), hi, INF)
+    x0 = np.clip(rng.integers(-1, 2, n).astype(float) if integer
+                 else rng.standard_normal(n), lower, upper)
+    A_eq, A_ub = draw((me, n)), draw((mu, n))
+    slack = rng.integers(0, 2, mu) if integer else rng.uniform(0, 1, mu)
+    return LpProblem(objective=draw(n), eq_rows=A_eq, eq_rhs=A_eq @ x0,
+                     ub_rows=A_ub, ub_rhs=A_ub @ x0 + slack,
+                     lower=lower, upper=upper)
+
+
+def random_lps(seed=0, count=120):
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(2, 9))
+        out.append(_random_problem(rng, n, int(rng.integers(0, 4)),
+                                   int(rng.integers(1, 7)), integer=k % 2 == 0))
+    return out
+
+
+def tied_lps(seed=1, count=40):
+    """Rows repeated, scaled by 2 and 3, and nudged by 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        a = rng.integers(0, 3, (int(rng.integers(1, 4)), n)).astype(float)
+        b = rng.integers(0, 3, a.shape[0]).astype(float)
+        rows = np.concatenate([a, 2 * a, a, 3 * a, a])
+        rhs = np.concatenate([b, 2 * b, b, 3 * b, b * (1 + 1e-12)])
+        upper = np.where(rng.random(n) < 0.3, 1.0, INF)
+        out.append(LpProblem(objective=-rng.integers(0, 3, n).astype(float),
+                             ub_rows=rows, ub_rhs=rhs, upper=upper))
+    return out
+
+
+def flip_lps(seed=2, count=20):
+    """Maximize over a box under one loose budget row."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 10))
+        w = rng.uniform(0.5, 1.5, n)
+        out.append(LpProblem(objective=-rng.uniform(0.1, 1, n),
+                             ub_rows=w[None, :], ub_rhs=[w.sum() - 0.7],
+                             lower=-rng.uniform(0, 1, n),
+                             upper=rng.uniform(0.5, 2, n)))
+    return out
+
+
+def infeasible_lps():
+    return [
+        LpProblem(objective=[1.0, 1.0], eq_rows=[[1.0, 1.0], [1.0, 1.0]],
+                  eq_rhs=[1.0, 2.0]),
+        LpProblem(objective=[0.0, 0.0, 0.0], ub_rows=[[-1.0, -1.0, -1.0]],
+                  ub_rhs=[-3.5], upper=[1.0, 1.0, 1.0]),
+        LpProblem(objective=[1.0, -1.0], eq_rows=[[1.0, -1.0]], eq_rhs=[3.0],
+                  ub_rows=[[1.0, 0.0], [0.0, -1.0]], ub_rhs=[1.0, 0.0]),
+        LpProblem(objective=[0.0, 1.0], eq_rows=[[1.0, 2.0]], eq_rhs=[-1.0],
+                  lower=[0.0, -INF], upper=[INF, -1.0],
+                  ub_rows=[[0.0, -1.0]], ub_rhs=[0.5]),
+    ]
+
+
+def unbounded_lps():
+    return [
+        LpProblem(objective=[-1.0, 0.0], ub_rows=[[1.0, -1.0]], ub_rhs=[1.0]),
+        LpProblem(objective=[1.0, 1.0], eq_rows=[[1.0, -1.0]], eq_rhs=[0.0],
+                  lower=[-INF, -INF]),
+        LpProblem(objective=[0.0, -1.0, 0.0], ub_rows=[[1.0, -1.0, 1.0]],
+                  ub_rhs=[2.0], lower=[0.0, 0.0, -INF], upper=[1.0, INF, 3.0]),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def library_lps():
+    """Every (problem, mode) the library solves for a few paper questions."""
+    seen = []
+    solve = lp.solve
+
+    def record(problem, mode="float"):
+        seen.append((problem, mode))
+        return solve(problem, mode)
+
+    lp.solve = record
+    try:
+        rng = np.random.default_rng(3)
+        for system in (systems.hypercube(2), systems.regular_polygon(5),
+                       systems.cross_polytope(3)):
+            for _ in range(2):
+                t = sampling.random_steerable_leaning_tensor(rng, system, g=2)
+                tensors.steering_norm(t)
+                steering.lhs_check(steering.from_dichotomic_tensor(t))
+                bipartite.unsteerable_dichotomic(
+                    bipartite.BipartiteState(tensors.embed_dichotomic(t)))
+            sigma = system.vector(system.vertices.mean(axis=0))
+            choquet.c_mu(system, sigma, choquet.vertex_measure(system))
+    finally:
+        lp.solve = solve
+    return tuple(seen)

@@ -303,6 +303,17 @@ class TestIntervalExtremes:
         got = sorted(tuple(e.coords) for e in es)
         assert got == [(1.0, -1.0), (1.0, 1.0)]
 
+    def test_nonunit_extremes_drop_minus_unit(self):
+        # With unit (-1, 0, 0) the mirror rule keeps -unit = (1, 0, 0) as
+        # the representative of the pair, which is still the unit's pair.
+        moved = systems.polytopic(square().vertices * [-1.0, 1.0, 1.0],
+                                  unit=[-1.0, 0.0, 0.0])
+        es = bipartite.interval_extreme_functionals(moved)
+        assert (1.0, 0.0, 0.0) in [tuple(e.coords) for e in es]
+        for sq in (square(), moved):
+            got = sorted(tuple(e.coords) for e in bipartite._nonunit_extremes(sq))
+            assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]
+
     def test_base_norm_is_the_extreme_envelope(self):
         sq = square()
         es = bipartite.interval_extreme_functionals(sq)

@@ -1,18 +1,26 @@
-"""Batched enumeration kernels against a one-subset-at-a-time reference.
+"""Kernels against scalar references, compared byte for byte.
 
 The reference functions below are the scalar algorithm the batched kernels
 must reproduce operation for operation: lexicographic subsets, first-maximum
 partial pivoting, the same singularity tests, sums taken one column at a time
-and greedy first-found de-duplication.  Results are compared byte for byte.
+and greedy first-found de-duplication.  Further down, the scalar simplex
+phase, artificial drive-out and symmetry search are the references for the
+shared-pivot simplex kernel and the numpy symmetry search.  Results are
+compared byte for byte.
 """
 
+import collections
 import itertools
 
+import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import geometry, kernels, systems
-from gptsteer.errors import GuardExceeded
+from gptsteer import geometry, kernels, lp, systems
+from gptsteer.errors import GuardExceeded, NumericalFailure
+from gptsteer.kernels import (AT_LOWER, AT_UPPER, BASIC, PHASE_ITER_LIMIT,
+                              PHASE_OPTIMAL, PHASE_UNBOUNDED)
+from gptsteer.tolerances import ARTIFICIAL_PIVOT
 
 TOLS = (1e-9, 1e-9, 1e-9)   # dedupe, feasibility, singularity
 
@@ -245,3 +253,430 @@ def test_row_cap_raises_guard_exceeded(monkeypatch):
         geometry.vertices_of_polytope(*_box(3))
     with pytest.raises(GuardExceeded):
         geometry.facets_of_cone(systems.hypercube(3).vertices)
+
+
+# ---------------------------------------------------------------------------
+# scalar simplex and symmetry search reference
+#
+# The simplex kernel shares one pivot, one pricing rule and one ratio pass;
+# the functions below are the scalar loops it replaced, kept to show that
+# every pivot path, and so every outcome byte, is unchanged.  EVENTS counts
+# the reference's bound flips and the ratio-band decisions (a larger pivot
+# or a lower basis index taking over) so the cases are seen to reach them.
+
+EVENTS = collections.Counter()
+
+
+def ref_simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter):
+    """Scalar bounded-variable simplex phase: Bland pricing, a first ratio
+    scan for the minimum, a second for the largest pivot in its band, and
+    per-row elimination."""
+    a_block = tol * 100
+    it = 0
+    while it < max_iter:
+        it += 1
+        enter = -1
+        dirn = 0
+        for j in range(n_elig):
+            if vstat[j] == AT_LOWER:
+                if T[cost_row, j] < -tol and upper[j] > 0:
+                    enter = j
+                    dirn = 1
+                    break
+            elif vstat[j] == AT_UPPER:
+                if T[cost_row, j] > tol:
+                    enter = j
+                    dirn = -1
+                    break
+        if enter == -1:
+            return PHASE_OPTIMAL
+
+        # Ratio test, first pass: smallest step t >= 0 keeping every basic
+        # variable inside its bounds, against the entering variable's own
+        # bound flip.
+        t_best = np.inf
+        leave_row = -1
+        for i in range(m):
+            a = dirn * T[i, enter]
+            if a > a_block:
+                ratio = T[i, N] / a
+            elif a < -a_block:
+                ub = upper[basis[i]]
+                if ub == np.inf:
+                    continue
+                ratio = (ub - T[i, N]) / (0 - a)
+            else:
+                continue
+            if ratio < 0:
+                ratio = ratio * 0  # clamp roundoff, keeping the scalar type
+            if ratio < t_best:
+                t_best = ratio
+                leave_row = i
+
+        t_flip = upper[enter]
+        if leave_row == -1 and t_flip == np.inf:
+            return PHASE_UNBOUNDED
+
+        if leave_row >= 0 and t_best < np.inf:
+            # Second pass: the largest pivot whose ratio is within a
+            # relative band of the minimum (the band is zero in exact mode).
+            cutoff = t_best + tol * (1 + t_best)
+            best_a = dirn * T[leave_row, enter]
+            for i in range(m):
+                a = dirn * T[i, enter]
+                if a > a_block:
+                    ratio = T[i, N] / a
+                elif a < -a_block:
+                    ub = upper[basis[i]]
+                    if ub == np.inf:
+                        continue
+                    ratio = (ub - T[i, N]) / (0 - a)
+                else:
+                    continue
+                if ratio < 0:
+                    ratio = ratio * 0
+                if ratio <= cutoff:
+                    aa = a if a > 0 else 0 - a
+                    bb = best_a if best_a > 0 else 0 - best_a
+                    if aa > bb or (aa == bb and basis[i] < basis[leave_row]):
+                        EVENTS["band" if aa > bb else "basis tie"] += 1
+                        leave_row = i
+                        best_a = a
+            a = dirn * T[leave_row, enter]
+            if a > 0:
+                t_best = T[leave_row, N] / a
+            else:
+                t_best = (upper[basis[leave_row]] - T[leave_row, N]) / (0 - a)
+            if t_best < 0:
+                t_best = t_best * 0
+
+        if t_flip < t_best:
+            # Bound flip: the entering variable crosses to its other bound,
+            # the basis is unchanged.
+            for i in range(m):
+                T[i, N] = T[i, N] - dirn * T[i, enter] * t_flip
+            vstat[enter] = 1 - vstat[enter]
+            EVENTS["flip"] += 1
+            continue
+
+        t = t_best
+        p = T[leave_row, enter]
+        a_r = dirn * p
+        leaving = basis[leave_row]
+        if vstat[enter] == AT_LOWER:
+            x_enter = dirn * t
+        else:
+            x_enter = upper[enter] + dirn * t
+        vstat[leaving] = AT_LOWER if a_r > 0 else AT_UPPER
+        T[leave_row, :N] = T[leave_row, :N] / p
+        for i in range(m + 2):
+            if i == leave_row:
+                continue
+            f = T[i, enter]
+            if i < m:
+                T[i, N] = T[i, N] - dirn * f * t
+            if f != 0:
+                T[i, :N] = T[i, :N] - f * T[leave_row, :N]
+        T[leave_row, N] = x_enter
+        basis[leave_row] = enter
+        vstat[enter] = BASIC
+    return PHASE_ITER_LIMIT
+
+
+def ref_drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
+    """Scalar artificial drive-out with per-row elimination."""
+    for r in range(m):
+        if basis[r] < n_nonart:
+            continue
+        piv = -1
+        best = tol
+        for j in range(n_nonart):
+            if vstat[j] == BASIC:
+                continue
+            v = abs(T[r, j])
+            if piv == -1 and v > ARTIFICIAL_PIVOT:
+                piv = j
+                break
+            if v > best:
+                best = v
+                piv = j
+        if piv == -1:
+            continue
+        p = T[r, piv]
+        T[r, :N] = T[r, :N] / p
+        for i in range(m + 2):
+            if i == r:
+                continue
+            f = T[i, piv]
+            if f != 0:
+                T[i, :N] = T[i, :N] - f * T[r, :N]
+        vstat[basis[r]] = AT_LOWER
+        basis[r] = piv
+        T[r, N] = 0 if vstat[piv] == AT_LOWER else upper[piv]
+        vstat[piv] = BASIC
+
+
+def ref_has_entering(T, vstat, upper, cost_row, n_elig, tol):
+    """Pricing test after a refactorization: is any variable improving?"""
+    row = T[cost_row, :n_elig]
+    vs = vstat[:n_elig]
+    if np.any((vs == AT_LOWER) & (row < -tol) & (upper[:n_elig] > 0)):
+        return True
+    return bool(np.any((vs == AT_UPPER) & (row > tol)))
+
+
+def ref_symmetry_search(V, Binv, fix, match_tol, cap):
+    """Scalar symmetry search: a backtracking stack over ordered d-tuples,
+    element-loop products and preallocated `cap`-sized outputs.  Returns
+    (matrices, perms, count, overflow_flag)."""
+    n, d = V.shape
+    mats = np.empty((cap, d, d))
+    perms = np.empty((cap, n), np.int64)
+    count = 0
+    overflow = 0
+    pos = np.full(d, -1, np.int64)
+    used = np.zeros(n, np.uint8)
+    W = np.empty((d, d))
+    L = np.empty((d, d))
+    perm = np.empty(n, np.int64)
+    taken = np.zeros(n, np.uint8)
+    w = np.empty(d)
+    depth = 0
+    while depth >= 0:
+        nxt = pos[depth] + 1
+        if pos[depth] >= 0:
+            used[pos[depth]] = 0
+        found = -1
+        for cand in range(nxt, n):
+            if used[cand] == 0:
+                found = cand
+                break
+        if found == -1:
+            pos[depth] = -1
+            depth -= 1
+            continue
+        pos[depth] = found
+        used[found] = 1
+        if depth < d - 1:
+            depth += 1
+            continue
+
+        # Full tuple: candidate map L = (Binv @ V[pos])^T.
+        for r in range(d):
+            for c in range(d):
+                s = 0.0
+                for q in range(d):
+                    s += Binv[r, q] * V[pos[q], c]
+                W[r, c] = s
+        for r in range(d):
+            for c in range(d):
+                L[r, c] = W[c, r]
+        ok = True
+        for c in range(d):
+            s = 0.0
+            for q in range(d):
+                s += L[c, q] * fix[q]
+            if abs(s - fix[c]) > match_tol:
+                ok = False
+                break
+        if ok:
+            for i in range(n):
+                taken[i] = 0
+            for i in range(n):
+                for r in range(d):
+                    s = 0.0
+                    for q in range(d):
+                        s += L[r, q] * V[i, q]
+                    w[r] = s
+                hit = -1
+                for j in range(n):
+                    if taken[j] == 1:
+                        continue
+                    close = True
+                    for r in range(d):
+                        if abs(w[r] - V[j, r]) > match_tol:
+                            close = False
+                            break
+                    if close:
+                        hit = j
+                        break
+                if hit == -1:
+                    ok = False
+                    break
+                taken[hit] = 1
+                perm[i] = hit
+        if ok:
+            dup = False
+            for g in range(count):
+                same = True
+                for i in range(n):
+                    if perms[g, i] != perm[i]:
+                        same = False
+                        break
+                if same:
+                    dup = True
+                    break
+            if not dup:
+                if count >= cap:
+                    overflow = 1
+                    break
+                for r in range(d):
+                    for c in range(d):
+                        mats[count, r, c] = L[r, c]
+                for i in range(n):
+                    perms[count, i] = perm[i]
+                count += 1
+        # stay at this depth, try the next candidate for the last slot
+    return mats[:count].copy(), perms[:count].copy(), count, overflow
+
+
+# ---------------------------------------------------------------------------
+# shared simplex kernel against the scalar reference
+
+FIELDS = ("x", "value", "dual_eq", "dual_ub", "reduced_costs", "farkas_margin")
+
+
+def _bytes(v):
+    if isinstance(v, np.ndarray):
+        if v.dtype == object:
+            return repr([(type(e).__name__, e) for e in v.tolist()])
+        return v.dtype.str, v.shape, v.tobytes()
+    return type(v).__name__, repr(v)
+
+
+def _outcome(problem, mode="float"):
+    try:
+        o = lp.solve(problem, mode)
+    except NumericalFailure as exc:
+        return "NumericalFailure", str(exc)
+    return (o.status,) + tuple(_bytes(getattr(o, k)) for k in FIELDS)
+
+
+@pytest.fixture
+def scalar_outcome(monkeypatch):
+    """`_outcome` with the scalar reference kernels and pricing test."""
+    def outcome(problem, mode="float"):
+        with monkeypatch.context() as m:
+            m.setattr(lp, "simplex_phase", ref_simplex_phase)
+            m.setattr(lp, "drive_out_artificials", ref_drive_out_artificials)
+            m.setattr(lp, "entering",
+                      lambda *a: (0 if ref_has_entering(*a) else -1, 0))
+            return _outcome(problem, mode)
+    return outcome
+
+
+def _same_outcomes(cases, scalar_outcome):
+    """Compare every (problem, mode); returns the count of each status."""
+    statuses = collections.Counter()
+    for problem, mode in cases:
+        want = scalar_outcome(problem, mode)
+        assert _outcome(problem, mode) == want
+        statuses[want[0]] += 1
+    return statuses
+
+
+def _float(problems):
+    return [(p, "float") for p in problems]
+
+
+def test_pivot_leaves_rows_with_a_zero_multiplier_untouched():
+    # 0.0 * -0.5 is -0.0, and -0.0 - -0.0 would turn row 1's -0.0 into 0.0
+    T = np.array([[2.0, -1.0, 4.0, 6.0],
+                  [0.0, -0.0, 3.0, 1.0],
+                  [-0.0, -0.0, -0.0, 2.0],
+                  [1.0, -1.0, 0.5, 0.0]])
+    before = T.copy()
+    kernels._pivot(T, 0, 0, 3)
+    assert T[1].tobytes() == before[1].tobytes()
+    assert T[2].tobytes() == before[2].tobytes()
+    assert T[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert T[3].tolist() == [0.0, -0.5, -1.5, 0.0]
+
+
+def test_random_lps_match_scalar_reference(scalar_outcome):
+    got = _same_outcomes(_float(lp_cases.random_lps()), scalar_outcome)
+    assert got["optimal"] >= 40 and got["unbounded"] >= 10
+
+
+def test_ties_and_bound_flips_match_scalar_reference(scalar_outcome):
+    EVENTS.clear()
+    cases = _float(lp_cases.tied_lps() + lp_cases.flip_lps())
+    assert _same_outcomes(cases, scalar_outcome)["optimal"] >= 50
+    assert EVENTS["band"] and EVENTS["basis tie"] and EVENTS["flip"] >= 50
+
+
+def test_infeasible_and_unbounded_match_scalar_reference(scalar_outcome):
+    assert _same_outcomes(_float(lp_cases.infeasible_lps()),
+                          scalar_outcome) == {"infeasible": 4}
+    assert _same_outcomes(_float(lp_cases.unbounded_lps()),
+                          scalar_outcome) == {"unbounded": 3}
+
+
+def test_exact_mode_matches_scalar_reference(scalar_outcome):
+    small = (lp_cases.random_lps(seed=4, count=30) + lp_cases.tied_lps()[:8]
+             + lp_cases.flip_lps()[:4] + lp_cases.infeasible_lps()
+             + lp_cases.unbounded_lps())
+    got = _same_outcomes([(p, "exact") for p in small], scalar_outcome)
+    assert set(got) == {"optimal", "infeasible", "unbounded"}
+
+
+def test_library_lps_match_scalar_reference(scalar_outcome):
+    cases = lp_cases.library_lps()
+    got = _same_outcomes(cases, scalar_outcome)
+    assert len(cases) >= 50 and got["optimal"] and got["infeasible"]
+
+
+# ---------------------------------------------------------------------------
+# numpy symmetry search against the scalar reference
+
+SYMMETRIC = {
+    "simplex2": (lambda: systems.simplex(2), 2),
+    "simplex3": (lambda: systems.simplex(3), 6),
+    "simplex4": (lambda: systems.simplex(4), 24),
+    "square": (lambda: systems.hypercube(2), 8),
+    "cube": (lambda: systems.hypercube(3), 48),
+    "octahedron": (lambda: systems.cross_polytope(3), 48),
+    "pentagon": (lambda: systems.regular_polygon(5), 10),
+    "hexagon": (lambda: systems.regular_polygon(6), 12),
+}
+
+
+def _ref_maps(V, Binv, fix, match_tol, cap):
+    mats, _, count, overflow = ref_symmetry_search(
+        np.ascontiguousarray(V), np.ascontiguousarray(Binv),
+        np.ascontiguousarray(fix), match_tol, cap)
+    return [mats[i].copy() for i in range(count)], overflow
+
+
+def _fix_points(system):
+    V = system.vertices
+    center = V.mean(axis=0)
+    return [None, system.vector(center), system.vector(V[0]),
+            system.vector(0.6 * V[0] + 0.4 * V[1])]
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetries_match_scalar_reference(name, monkeypatch):
+    build, order = SYMMETRIC[name]
+    system = build()
+    got = [systems.symmetries(system, fix) for fix in _fix_points(system)]
+    monkeypatch.setattr(systems, "symmetry_search", _ref_maps)
+    want = [systems.symmetries(system, fix) for fix in _fix_points(system)]
+    assert len(got[0]) == len(got[1]) == order
+    assert len(got[2]) < order and len(got[3]) < order
+    for maps, ref in zip(got, want):
+        assert [(m.shape, m.tobytes()) for m in maps] == [
+            (m.shape, m.tobytes()) for m in ref]
+
+
+def test_symmetry_search_overflow_matches_scalar_reference(monkeypatch):
+    calls = []
+    monkeypatch.setattr(systems, "symmetry_search",
+                        lambda *a: calls.append(a) or ([], 0))
+    systems.symmetries(systems.hypercube(3))
+    V, Binv, fix, tol, _ = calls[0]
+    for cap in (1, 5, 48, 49):
+        maps, overflow = kernels.symmetry_search(V, Binv, fix, tol, cap)
+        ref, ref_overflow = _ref_maps(V, Binv, fix, tol, cap)
+        assert overflow == ref_overflow == int(cap < 48)
+        assert [m.tobytes() for m in maps] == [m.tobytes() for m in ref]

@@ -1,13 +1,16 @@
 """Solver-level checks: frozen small programs, certificates, determinism,
-and agreement with an independent brute-force vertex enumeration."""
+and agreement with an independent brute-force vertex enumeration and with
+HiGHS (scipy.optimize.linprog, skipped when scipy is absent)."""
 
 import itertools
 
+import lp_cases
 import numpy as np
 import pytest
 
 from gptsteer.errors import GuardExceeded, InvalidInput, MalformedProblem
 from gptsteer.lp import LpProblem, LpOutcome, feasibility, solve
+from gptsteer.tolerances import LP_GAP
 
 
 def test_single_variable_floor():
@@ -265,3 +268,48 @@ def test_outcome_dataclass_shape():
     assert isinstance(out, LpOutcome)
     assert out.status == "optimal"
     assert out.farkas_margin is None
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: HiGHS through scipy
+
+
+def _highs(problem):
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def rows(A, b):
+        return (A, b) if A.shape[0] else (None, None)
+
+    A_ub, b_ub = rows(problem.ub_rows, problem.ub_rhs)
+    A_eq, b_eq = rows(problem.eq_rows, problem.eq_rhs)
+    bounds = [(None if lo == -np.inf else lo, None if hi == np.inf else hi)
+              for lo, hi in zip(problem.lower, problem.upper)]
+    return optimize.linprog(problem.objective, A_ub=A_ub, b_ub=b_ub,
+                            A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                            method="highs")
+
+
+HIGHS_STATUS = {"optimal": 0, "infeasible": 2, "unbounded": 3}
+
+
+def _agrees_with_highs(problems):
+    statuses = []
+    for problem in problems:
+        ours, ref = solve(problem), _highs(problem)
+        assert ref.status == HIGHS_STATUS[ours.status], ref.message
+        if ours.status == "optimal":
+            assert abs(ours.value - ref.fun) <= LP_GAP * (1 + abs(ours.value))
+        statuses.append(ours.status)
+    return set(statuses)
+
+
+def test_random_lps_agree_with_highs():
+    problems = (lp_cases.random_lps(seed=5) + lp_cases.tied_lps()
+                + lp_cases.flip_lps() + lp_cases.infeasible_lps()
+                + lp_cases.unbounded_lps())
+    assert _agrees_with_highs(problems) == {"optimal", "infeasible", "unbounded"}
+
+
+def test_library_lps_agree_with_highs():
+    problems = [p for p, mode in lp_cases.library_lps() if mode == "float"]
+    assert _agrees_with_highs(problems) == {"optimal", "infeasible"}

@@ -106,6 +106,12 @@ def test_mirror_representatives_keep_one_row_of_each_pair():
         True, False, False, True, True, False, False]
 
 
+def test_ball_systems_take_no_vertices():
+    with pytest.raises(InvalidInput, match="no vertices"):
+        systems.GptSystem(kind=systems.CENTRALLY_SYMMETRIC, dim=3,
+                          ball_norm="l2", vertices=square().vertices)
+
+
 def test_cone_facets_are_computed_not_passed():
     with pytest.raises(TypeError, match="cone_facets"):
         systems.GptSystem(kind=systems.POLYTOPIC, dim=3,
