@@ -6,7 +6,8 @@ averages at least as high against the second; for simple measures this is
 decided by an LP over response weights, and the Farkas dual of that LP is a
 tuple of affine functionals violating the dual-order inequality, so both
 answers come with a certificate.  A randomized dual tester and an exact
-facet-based decision for two-atom measures cross-check the LP.
+decision over the sigma-dual ball for two-atom measures cross-check the
+LP.
 
 The same machinery yields the variational constant attached to a measure:
 the minimum of the measure's average of |<h, .>| over the unit sphere of
@@ -17,7 +18,7 @@ vertex-supported measures recovers the universal degree.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -323,7 +324,7 @@ def _interval_vertices(system, sigma):
     The interval [-sigma, sigma] is centrally symmetric and the minimized
     objectives are even, so the facet scan may drop one of each +-y pair
     (the h -> -h reflection maps the mirrored facet problem onto the kept
-    one).
+    one); the ball rows |<h, y>| <= 1 are the same for y and -y.
     """
     systems.assert_interior(system, sigma)
     guards.check("cmu_dim", system.dim)
@@ -331,13 +332,12 @@ def _interval_vertices(system, sigma):
     return Y[systems.mirror_representatives(Y)]
 
 
-def _facet_minimum(Y, i, weights, P, lin):
-    """Minimize  lin . h + sum_j weights_j |<h, P_j>|  over the facet of the
-    sigma-dual ball that pairs with interval vertex Y[i] at one."""
+def _ball_epigraph(Y, weights, P, lin):
+    """LP minimizing  lin . h + sum_j weights_j |<h, P_j>|  over the
+    sigma-dual ball |<h, Y_k>| <= 1, with epigraph variables t_j bounding
+    the absolute values; variables are (h, t), h free and t nonnegative."""
     m, d = Y.shape
     n = P.shape[0]
-    eq = np.zeros((1, d + n))
-    eq[0, :d] = Y[i]
     ub = np.zeros((2 * n + 2 * m, d + n))
     ub[:n, :d] = P
     ub[:n, d:] = -np.eye(n)
@@ -347,13 +347,15 @@ def _facet_minimum(Y, i, weights, P, lin):
     ub[2 * n + m:, :d] = -Y
     rhs = np.concatenate([np.zeros(2 * n), np.ones(2 * m)])
     lower = np.concatenate([np.full(d, -np.inf), np.zeros(n)])
-    out = lp.solve(lp.LpProblem(
-        np.concatenate([lin, weights]),
-        eq_rows=eq, eq_rhs=np.ones(1),
-        ub_rows=ub, ub_rhs=rhs, lower=lower))
+    return lp.LpProblem(np.concatenate([lin, weights]),
+                        ub_rows=ub, ub_rhs=rhs, lower=lower)
+
+
+def _optimum(problem, what):
+    out = lp.solve(problem)
     if out.status != "optimal":
-        raise NumericalFailure(f"facet subproblem ended {out.status}")
-    return float(out.value), out.x[:d]
+        raise NumericalFailure(f"{what} ended {out.status}")
+    return float(out.value), out.x
 
 
 def c_mu(system, sigma, mu):
@@ -374,10 +376,14 @@ def c_mu(system, sigma, mu):
     if float(np.max(np.abs(mu.barycenter.coords - sigma.coords))) > RECONSTRUCTION:
         raise InvalidInput("measure barycenter must equal sigma")
     Y = _interval_vertices(system, sigma)
-    lin = np.zeros(system.dim)
+    d = system.dim
+    ball = _ball_epigraph(Y, mu.weights, mu.points, np.zeros(d))
     best = math.inf
     for i in range(Y.shape[0]):
-        value, _ = _facet_minimum(Y, i, mu.weights, mu.points, lin)
+        facet = np.zeros((1, ball.n_vars))
+        facet[0, :d] = Y[i]
+        value, _ = _optimum(replace(
+            ball, eq_rows=facet, eq_rhs=np.ones(1)), "facet subproblem")
         best = min(best, value)
     if best < -COINCIDENCE or best > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"variational constant {best} escaped [0, 1]")
@@ -399,10 +405,16 @@ def dichotomic_below_exact(nu, mu):
     """Exact Choquet-order decision for nu with at most two atoms.
 
     For two-atom nu the order is equivalent to the mu-average of |<h, .>|
-    dominating the nu-average for every h.  The difference is minimized
-    over the sigma-base-norm sphere facet by facet; nu's side, a maximum
-    over its sign patterns, turns each facet problem into at most four LPs.
-    A negative minimum yields the violating h.
+    dominating the nu-average for every h.  nu's side is the maximum over
+    sign patterns eps of eps . (nu_a <h, point_a>), so the difference is
+    minimized once per pattern, each an LP over the unit ball of the sigma
+    base norm.  Both sides are positively homogeneous in h, so the minimum
+    over the ball is min(0, the minimum over the sphere), and a negative
+    optimum sits on the sphere.  eps and -eps are exchanged by h -> -h,
+    which maps the ball onto itself, so fixing eps_1 = +1 leaves at most
+    two LPs.  A negative minimum yields the violating h, of sigma base
+    norm one; when two patterns reach it, the first in `itertools.product`
+    order keeps its h.
     """
     _same_system(nu, mu)
     if len(nu.atoms) > 2:
@@ -414,15 +426,15 @@ def dichotomic_below_exact(nu, mu):
     system._require_polytopic()
     Y = _interval_vertices(system, nu.barycenter)
     target = nu.weights[:, None] * nu.points
-    k = target.shape[0]
+    d, k = system.dim, target.shape[0]
     best = math.inf
     best_h = None
-    for i in range(Y.shape[0]):
-        for eps in itertools.product((1.0, -1.0), repeat=k):
-            lin = -(np.array(eps) @ target)
-            value, hc = _facet_minimum(Y, i, mu.weights, mu.points, lin)
-            if value < best:
-                best, best_h = value, hc
+    for tail in itertools.product((1.0, -1.0), repeat=k - 1):
+        lin = -(np.array((1.0,) + tail) @ target)
+        value, x = _optimum(_ball_epigraph(Y, mu.weights, mu.points, lin),
+                            "order LP")
+        if value < best:
+            best, best_h = value, x[:d]
     if best >= -COINCIDENCE:
         return DichotomicBelowVerdict(True)
     h = system.functional(best_h)

@@ -19,7 +19,9 @@ DEFAULTS = {
     "sign_vectors": 12,  # dichotomic settings g: LPs carry 2^g columns
     "lhs_atoms": 4096,   # product of outcome counts in the LHS feasibility LP
     "symmetry_vertices": 16,   # ordered-tuple search over vertex images
-    "cmu_dim": 5,        # facet enumeration of the sigma-dual ball
+    "cmu_dim": 5,        # sigma-interval enumeration behind the c_mu facet
+                         # scan, the two-atom order check and the sigma_B
+                         # degree test
     "exact_vars": 64,    # tableau columns allowed in exact-rational LP mode
 }
 

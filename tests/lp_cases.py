@@ -5,7 +5,8 @@ boxed, upper-only, free, shifted), `tied_lps` repeats and rescales rows so
 the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
 is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
-solves for steering-norm, strategy, facet-subproblem and zonotope questions.
+solves for steering-norm, strategy, facet-subproblem, two-atom order and
+zonotope questions.
 """
 
 import functools
@@ -126,6 +127,13 @@ def library_lps():
                     bipartite.BipartiteState(tensors.embed_dichotomic(t)))
             sigma = system.vector(system.vertices.mean(axis=0))
             choquet.c_mu(system, sigma, choquet.vertex_measure(system))
+        # two-atom order on the square: edge midpoints sit below the uniform
+        # vertex measure (LP optimum 0), opposite vertices do not
+        sq = systems.hypercube(2)
+        uniform = choquet.vertex_measure(sq)
+        for pair in (((1, 1, 0), (1, -1, 0)), ((1, 1, 1), (1, -1, -1))):
+            nu = choquet.SimpleMeasure(tuple((0.5, sq.vector(p)) for p in pair))
+            choquet.dichotomic_below_exact(nu, uniform)
     finally:
         lp.solve = solve
     return tuple(seen)

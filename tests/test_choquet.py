@@ -1,9 +1,11 @@
 """Simple measures, the Choquet order, and the variational constant."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from gptsteer import choquet, sampling, steering, systems, tensors
+from gptsteer import choquet, lp, sampling, steering, systems, tensors
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -12,6 +14,7 @@ from gptsteer.errors import (
     NotInterior,
     SystemMismatch,
 )
+from gptsteer.tolerances import CERTIFICATE, COINCIDENCE
 
 
 def square():
@@ -508,6 +511,131 @@ def test_exact_agrees_with_response_lp():
         assert choquet.dichotomic_below_exact(nu, mu).below == got
         verdicts[got] += 1
     assert verdicts[True] >= 40 and verdicts[False] >= 40
+
+
+def facet_scan_minimum(nu, mu):
+    """Reference for dichotomic_below_exact: the facet-by-facet scan it
+    replaced.  For each kept interval vertex y_i and each sign pattern eps
+    of nu's atoms, minimize  sum_j mu_j |<h, p_j>| - eps . (nu_a <h, q_a>)
+    over the facet <h, y_i> = 1 of the sigma-dual ball, four LPs per facet.
+    Returns the least value and the first h that reached it."""
+    system = nu.system
+    Y = tensors.sigma_interval_vertices(system, nu.barycenter)
+    Y = Y[systems.mirror_representatives(Y)]
+    m, d = Y.shape
+    P, n = mu.points, len(mu.atoms)
+    target = nu.weights[:, None] * nu.points
+    ub = np.zeros((2 * n + 2 * m, d + n))
+    ub[:n, :d], ub[:n, d:] = P, -np.eye(n)
+    ub[n:2 * n, :d], ub[n:2 * n, d:] = -P, -np.eye(n)
+    ub[2 * n:2 * n + m, :d], ub[2 * n + m:, :d] = Y, -Y
+    rhs = np.concatenate([np.zeros(2 * n), np.ones(2 * m)])
+    lower = np.concatenate([np.full(d, -np.inf), np.zeros(n)])
+    best, best_h = np.inf, None
+    for i in range(m):
+        eq = np.zeros((1, d + n))
+        eq[0, :d] = Y[i]
+        for eps in itertools.product((1.0, -1.0), repeat=len(nu.atoms)):
+            out = lp.solve(lp.LpProblem(
+                np.concatenate([-(np.array(eps) @ target), mu.weights]),
+                eq_rows=eq, eq_rhs=np.ones(1),
+                ub_rows=ub, ub_rhs=rhs, lower=lower))
+            assert out.status == "optimal"
+            if out.value < best:
+                best, best_h = out.value, out.x[:d]
+    return best, system.functional(best_h)
+
+
+def assert_matches_facet_scan(nu, mu):
+    """Same verdict and margin as the facet scan; a refutation carries a
+    unit functional of the sigma base norm.  Returns the verdict."""
+    v = choquet.dichotomic_below_exact(nu, mu)
+    best, h_ref = facet_scan_minimum(nu, mu)
+    assert v.below == (best >= -COINCIDENCE)
+    if not v.below:
+        assert v.margin == pytest.approx(-best, abs=1e-9)
+        assert v.margin == pytest.approx(abs_gap(nu, mu, h_ref), abs=1e-9)
+        assert abs_gap(nu, mu, v.functional) == pytest.approx(
+            v.margin, abs=1e-12)
+        norm, _ = systems.sigma_base_norm(nu.system, v.functional,
+                                          nu.barycenter)
+        assert abs(norm - 1.0) <= CERTIFICATE
+    return v.below
+
+
+SPACES = {
+    "hull3": lambda rng: sampling.random_polytopic_system(rng, dim=3,
+                                                          max_points=6),
+    "hull4": lambda rng: sampling.random_polytopic_system(rng, dim=4,
+                                                          max_points=7),
+    "square": lambda rng: systems.hypercube(2),
+    "cube": lambda rng: systems.hypercube(3),
+    "octahedron": lambda rng: systems.cross_polytope(3),
+    "hexagon": lambda rng: systems.regular_polygon(6),
+}
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_exact_matches_facet_scan(space):
+    rng = np.random.default_rng(sorted(SPACES).index(space))
+    verdicts = {True: 0, False: 0}
+    for i in range(8):
+        system = SPACES[space](rng)
+        sigma = sampling.random_interior_state(rng, system)
+        nu = two_atom_with_barycenter(rng, system, sigma)
+        if i % 3 == 0:
+            mu = sampling.random_dilation(rng, nu)
+        else:
+            mu = sampling.random_measure_with_barycenter(rng, system, sigma)
+        verdicts[assert_matches_facet_scan(nu, mu)] += 1
+    assert verdicts[True] >= 3 and verdicts[False] >= 1
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_exact_matches_facet_scan_on_edge_cases(space):
+    rng = np.random.default_rng(10 + sorted(SPACES).index(space))
+    system = SPACES[space](rng)
+    sigma = sampling.random_interior_state(rng, system)
+    mu = sampling.random_measure_with_barycenter(rng, system, sigma)
+    nu = two_atom_with_barycenter(rng, system, sigma)
+    assert assert_matches_facet_scan(choquet.point_mass(sigma), mu)
+    assert assert_matches_facet_scan(nu, nu)
+    assert assert_matches_facet_scan(nu, sampling.random_dilation(rng, nu))
+    # sigma a hair inside the boundary, next to a vertex
+    edge = system.vector(0.03 * system.barycenter.coords
+                         + 0.97 * system.vertices[0])
+    assert_matches_facet_scan(
+        two_atom_with_barycenter(rng, system, edge),
+        sampling.random_measure_with_barycenter(rng, system, edge))
+
+
+def test_exact_lp_count(monkeypatch):
+    square, cube = systems.hypercube(2), systems.hypercube(3)
+    # the intervals differ in vertex count; the LP count does not
+    assert (len(tensors.sigma_interval_vertices(square, square.barycenter))
+            != len(tensors.sigma_interval_vertices(cube, cube.barycenter)))
+    cases = []
+    for system in (square, cube):
+        sigma = system.barycenter
+        nu = two_atom_with_barycenter(np.random.default_rng(0), system, sigma)
+        cases.append((nu, choquet.point_mass(sigma),
+                      choquet.vertex_measure(system)))
+    solves = []
+    solve = lp.solve
+
+    def counting(problem, mode="float"):
+        solves.append(problem)
+        return solve(problem, mode)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    for nu, point, mu in cases:
+        assert len(nu.atoms) == 2
+        solves.clear()
+        choquet.dichotomic_below_exact(nu, mu)
+        assert len(solves) == 2
+        solves.clear()
+        assert choquet.dichotomic_below_exact(point, mu).below
+        assert len(solves) == 1
 
 
 def test_exact_validation():
