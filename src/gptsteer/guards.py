@@ -16,7 +16,8 @@ from .errors import GuardExceeded, InvalidInput
 DEFAULTS = {
     "dim": 6,            # effect / facet / vertex enumeration: d-subset search
     "vertices": 64,      # stored extreme points per system (dual description)
-    "sign_vectors": 12,  # dichotomic settings g: LPs carry 2^g columns
+    "sign_vectors": 12,  # dichotomic settings g: steering-norm LP and ball
+                         # witness check grow as 2^g, projective LP as 2^(g-1)
     "lhs_atoms": 4096,   # product of outcome counts in the LHS feasibility LP
     "symmetry_vertices": 16,   # ordered-tuple search over vertex images
     "cmu_dim": 5,        # sigma-interval enumeration behind the c_mu facet

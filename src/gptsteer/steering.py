@@ -533,7 +533,6 @@ def witness_verify(w, sigma):
     if sigma.system != system:
         raise InvalidInput("sigma lives on another system")
     systems.assert_interior(system, sigma)
-    guards.check("sign_vectors", w.g)
     V = system.vertices
     need = np.sum(
         np.abs(np.stack([V @ f.coords for f in w.components])), axis=0)

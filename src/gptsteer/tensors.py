@@ -4,7 +4,8 @@ Two element types live here.  TensorElement is a coefficient matrix over a
 pair of systems; it carries the injective/projective norm machinery and the
 min/max cone tests (separability).  DichotomicTensor is the (sigma, y_1..y_g)
 family behind dichotomic steering: a barycenter plus one signed component per
-measurement setting, constrained so that sigma +- y_x stays in the cone.
+setting in the sigma interval {y: sigma +- y in V+}, whose cached facets
+validate it and whose vertices span the projective sigma norm.
 
 The steering norm is the workhorse: a single LP over sign-vector-indexed cone
 elements whose optimum is the norm, whose primal solution is a hidden-state
@@ -61,7 +62,8 @@ class DichotomicTensor:
 
     Valid tensors satisfy sigma +- y_x in V+ for every x, which is exactly
     membership of the (sigma, y) family in the max cone against the hypercube
-    system; <unit, sigma> must be 1.
+    system; <unit, sigma> must be 1.  Polytopic systems test |F y_x| <= F sigma
+    on the unit facets F (sigma may lie on the boundary), balls their cone test.
     """
 
     sigma: systems.Vector
@@ -78,12 +80,18 @@ class DichotomicTensor:
                     f"component {x} is not a vector on the sigma system")
         if abs(systems.pair(system.unit_functional, self.sigma) - 1.0) > COINCIDENCE:
             raise InvalidInput("barycenter is not normalized")
-        for x, y in enumerate(comps):
-            for signed in (self.sigma + y, self.sigma - y):
-                if not systems.cone_member(system, signed).member:
-                    raise InvalidInput(
-                        f"component {x} leaves the cone: sigma +- y_x "
-                        "must stay in V+")
+        if system.kind == systems.POLYTOPIC:
+            F = system.cone_facets
+            Fs = F @ self.sigma.coords
+            slack = COINCIDENCE * (1.0 + float(np.max(np.abs(Fs))))
+            inside = [np.max(np.abs(F @ y.coords) - Fs) <= slack for y in comps]
+        else:
+            inside = [all(systems.cone_member(system, self.sigma + e * y).member
+                          for e in (1, -1)) for y in comps]
+        if not all(inside):
+            raise InvalidInput(
+                f"component {inside.index(False)} leaves the cone: "
+                "sigma +- y_x must stay in V+")
         object.__setattr__(self, "components", comps)
 
     @staticmethod
@@ -253,28 +261,20 @@ def sigma_interval_vertices(system, sigma):
 def projective_norm_dichotomic(t):
     """Projective cross norm of (y_1..y_g) in linf^g tensor (V, sigma norm).
 
-    Columns are eps tensor b over sign vectors eps and vertices b of the
-    sigma interval {y: sigma +- y in V+}; the value is the least total weight
-    representing the components.  Always an upper bound for the steering
-    norm: each weighted column c (eps tensor b) splits into cone elements
-    c/2 (sigma + b) on eps and c/2 (sigma - b) on -eps, with total mass
-    exactly c sigma.
+    Columns are eps tensor b over sign vectors eps with eps_1 = +1 and vertices
+    b of the sigma interval {y: sigma +- y in V+}: as B = -B and eps tensor b =
+    (-eps) tensor (-b), that set is closed under negation, so the least total
+    weight on its 2^(g-1) |B| columns is the norm.  Always an upper bound for
+    the steering norm: column c (eps tensor b) splits into cone elements
+    c/2 (sigma + b) on eps and c/2 (sigma - b) on -eps, of mass c sigma.
     """
     system = t.system
     system._require_polytopic()
     systems.assert_interior(system, t.sigma)
     guards.check("sign_vectors", t.g)
     B = sigma_interval_vertices(system, t.sigma)
-    g, d = t.g, system.dim
-    eps_list = sign_vectors(g)
-    cols = np.zeros((g * d, len(eps_list) * B.shape[0]))
-    k = 0
-    for eps in eps_list:
-        for b in B:
-            col = np.concatenate([e * b for e in eps])
-            cols[:, k] = col
-            k += 1
-    A_eq = np.concatenate([cols, -cols], axis=1)
+    eps = np.array(sign_vectors(t.g)[:2 ** (t.g - 1)], dtype=np.float64)
+    A_eq = np.einsum("sx,bp->xpsb", eps, B).reshape(t.g * system.dim, -1)
     b_eq = np.concatenate([y.coords for y in t.components])
     obj = np.ones(A_eq.shape[1])
     out = lp.solve(lp.LpProblem(objective=obj, eq_rows=A_eq, eq_rhs=b_eq))

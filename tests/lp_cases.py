@@ -5,8 +5,8 @@ boxed, upper-only, free, shifted), `tied_lps` repeats and rescales rows so
 the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
 is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
-solves for steering-norm, strategy, facet-subproblem, two-atom order and
-zonotope questions.
+solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
+two-atom order and zonotope questions.
 """
 
 import functools
@@ -122,6 +122,7 @@ def library_lps():
             for _ in range(2):
                 t = sampling.random_steerable_leaning_tensor(rng, system, g=2)
                 tensors.steering_norm(t)
+                tensors.projective_norm_dichotomic(t)
                 steering.lhs_check(steering.from_dichotomic_tensor(t))
                 bipartite.unsteerable_dichotomic(
                     bipartite.BipartiteState(tensors.embed_dichotomic(t)))

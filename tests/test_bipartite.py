@@ -688,24 +688,16 @@ class TestModelCertificate:
         with pytest.raises(NumericalFailure, match="miss"):
             bipartite._verify_model(state, model, weights, off, t)
 
-    def test_verification_solves_no_lp(self, monkeypatch):
-        calls = []
-        real_solve = lp.solve
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_solve(*args, **kwargs)
-
+    def test_verification_solves_no_lp(self, monkeypatch, lp_solves):
         inside = []
         real_verify = bipartite._verify_model
 
         def verify(*args):
-            before = len(calls)
+            before = len(lp_solves)
             real_verify(*args)
-            inside.append(len(calls) - before)
+            inside.append(len(lp_solves) - before)
 
         st = noise_mixed(diagonal_state(), 0.6)
-        monkeypatch.setattr(lp, "solve", counting)
         monkeypatch.setattr(bipartite, "_verify_model", verify)
         assert bipartite.unsteerable_dichotomic(st).unsteerable
         assert inside == [0]

@@ -609,7 +609,7 @@ def test_exact_matches_facet_scan_on_edge_cases(space):
         sampling.random_measure_with_barycenter(rng, system, edge))
 
 
-def test_exact_lp_count(monkeypatch):
+def test_exact_lp_count(lp_solves):
     square, cube = systems.hypercube(2), systems.hypercube(3)
     # the intervals differ in vertex count; the LP count does not
     assert (len(tensors.sigma_interval_vertices(square, square.barycenter))
@@ -620,22 +620,14 @@ def test_exact_lp_count(monkeypatch):
         nu = two_atom_with_barycenter(np.random.default_rng(0), system, sigma)
         cases.append((nu, choquet.point_mass(sigma),
                       choquet.vertex_measure(system)))
-    solves = []
-    solve = lp.solve
-
-    def counting(problem, mode="float"):
-        solves.append(problem)
-        return solve(problem, mode)
-
-    monkeypatch.setattr(lp, "solve", counting)
     for nu, point, mu in cases:
         assert len(nu.atoms) == 2
-        solves.clear()
+        lp_solves.clear()
         choquet.dichotomic_below_exact(nu, mu)
-        assert len(solves) == 2
-        solves.clear()
+        assert len(lp_solves) == 2
+        lp_solves.clear()
         assert choquet.dichotomic_below_exact(point, mu).below
-        assert len(solves) == 1
+        assert len(lp_solves) == 1
 
 
 def test_exact_validation():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptsteer import sampling, steering, systems, tensors
+from gptsteer import guards, sampling, steering, systems, tensors
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -319,6 +319,18 @@ def test_witness_verify_frozen_examples():
     assert v.valid and not v.strict
 
 
+def test_witness_verify_takes_more_components_than_the_sign_guard():
+    # the polytopic witness LP has one row per vertex whatever g is, so the
+    # sign_vectors guard does not apply: 6 + 7 split diagonal halves
+    s = square()
+    comps = ((s.functional([0, 0.5 / 6, 0.5 / 6]),) * 6
+             + (s.functional([0, 0.5 / 7, -0.5 / 7]),) * 7)
+    w = steering.Witness(components=comps)
+    assert w.g == 13 > guards.limit("sign_vectors")
+    v = steering.witness_verify(w, s.vector([1.0, 0, 0]))
+    assert v.valid and v.strict
+
+
 def test_witness_verify_infeasible_components():
     s = square()
     w = steering.Witness(
@@ -371,7 +383,7 @@ def test_strict_witness_detects_some_assemblage():
         assert w.detection_value(demo) > 1.0
 
 
-def test_witness_verify_errors(monkeypatch):
+def test_witness_verify_errors():
     s = square()
     w = steering.Witness(
         components=(s.functional([0, 0.1, 0]), s.functional([0, 0, 0.1])))
@@ -379,9 +391,6 @@ def test_witness_verify_errors(monkeypatch):
         steering.witness_verify(w, s.vector([1.0, 1.0, 1.0]))
     with pytest.raises(InvalidInput, match="another system"):
         steering.witness_verify(w, systems.simplex(3).vector([1, 0, 0]))
-    monkeypatch.setenv("GPTSTEER_GUARDS", "sign_vectors=1")
-    with pytest.raises(GuardExceeded):
-        steering.witness_verify(w, s.vector([1.0, 0, 0]))
 
 
 def test_optimal_witness_attains_the_norm():

@@ -768,25 +768,17 @@ def test_hull_input_count_is_guarded(monkeypatch):
     assert systems.polytopic_hull(pts[:5]).n_vertices == 4
 
 
-def test_construction_solves_no_lp(monkeypatch):
-    calls = []
-    real = lp.solve
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve", counting)
+def test_construction_solves_no_lp(lp_solves):
     sq = systems.hypercube(2)
     systems.cross_polytope(3)
     systems.ball_approximation(3, 3)
     systems.polytopic_hull(np.array(
         [[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1], [1, 0, 0],
          [1, 1, 1], [1, 1, 0]]))
-    assert calls == []
+    assert lp_solves == []
     # cone membership keeps its LP, which also supplies the coefficients
     assert systems.cone_member(sq, sq.barycenter).member
-    assert len(calls) == 1
+    assert len(lp_solves) == 1
 
 
 def test_system_equals_itself_without_comparing_vertices(monkeypatch):

@@ -1,11 +1,14 @@
-"""Cross norms: frozen square values, certificates, and the sandwich."""
+"""Cross norms: frozen square values, certificates, the sandwich, and the
+former two-LP tensor check and all-sign projective LP as references."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptsteer import sampling, systems, tensors
+from gptsteer import lp, sampling, systems, tensors
 from gptsteer.cli import load_tensor
 from gptsteer.errors import (
     GuardExceeded,
@@ -13,6 +16,7 @@ from gptsteer.errors import (
     NotInterior,
     NumericalFailure,
 )
+from gptsteer.tolerances import COINCIDENCE, LP_GAP
 
 KNOWN_FAILURES = Path(__file__).resolve().parent.parent / "perfbench" / "known_failures"
 
@@ -62,6 +66,95 @@ def test_boundary_component_is_accepted():
     # sigma +- y on the cone boundary is still a valid tensor
     t = center_tensor((0.0, 1, 1))
     assert t.g == 1
+
+
+def test_ball_component_outside_the_cone_is_rejected():
+    b = systems.ball(2, "l2")
+    with pytest.raises(InvalidInput, match="component 1 leaves the cone"):
+        tensors.DichotomicTensor(
+            sigma=b.vector([1.0, 0, 0]),
+            components=(b.vector([0.0, 0.6, 0.8]), b.vector([0.0, 0.8, 0.8])))
+
+
+def reference_valid(sigma, components):
+    """The former tensor check: two cone_member LPs per component."""
+    return all(systems.cone_member(sigma.system, sigma + e * y).member
+               for y in components for e in (1, -1))
+
+
+NAMED = {"square": lambda: systems.hypercube(2),
+         "cube": lambda: systems.hypercube(3),
+         "octahedron": lambda: systems.cross_polytope(3),
+         "pentagon": lambda: systems.regular_polygon(5)}
+# ||y||_sigma - 1 of the boundary component
+DELTAS = (-1e-6, -1e-9, 0.0, 1e-12, 1e-9, 1e-6)
+
+
+def changed_coordinates(rng, system):
+    """The system under a random linear map with condition number <= 4."""
+    d = system.dim
+    Q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = Q1 @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q2
+    return systems.polytopic(system.vertices @ M.T)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(["hull", *NAMED]),
+       on_face=st.booleans())
+def test_facet_check_matches_the_cone_member_reference(seed, shape, on_face):
+    rng = np.random.default_rng(seed)
+    if shape == "hull":
+        base = sampling.random_polytopic_system(
+            rng, dim=int(rng.integers(2, 6)))
+    else:
+        base = NAMED[shape]()
+    s = changed_coordinates(rng, base)
+    V, F = s.vertices, s.cone_facets
+    if on_face:
+        # sigma well inside a facet; components in the facet's span, so the
+        # facet itself stays tight for sigma +- y
+        face = V[np.abs(V @ F[int(rng.integers(len(F)))]) <= 1e-9]
+        w = 0.5 / len(face) + 0.5 * rng.dirichlet(np.ones(len(face)))
+        sigma = s.vector(face.T @ w)
+        span = face.T
+    else:
+        sigma = sampling.random_interior_state(rng, s)
+        span = np.eye(s.dim)
+    Fs = F @ sigma.coords
+    live = Fs > 1e-9 * (1.0 + Fs.max())
+    slack = COINCIDENCE * (1.0 + Fs.max())
+
+    def scaled(norm):
+        y = span @ rng.standard_normal(span.shape[1])
+        return s.vector(y * (norm / np.max(np.abs(F[live] @ y) / Fs[live])))
+
+    g = int(rng.integers(1, 4))
+    x = int(rng.integers(g))
+    for delta in DELTAS:
+        comps = [scaled(0.5) for _ in range(g)]
+        comps[x] = scaled(1.0 + delta)
+        excess = float(np.max(np.abs(F @ comps[x].coords) - Fs))
+        try:
+            tensors.DichotomicTensor(sigma=sigma, components=tuple(comps))
+            accepted = True
+        except InvalidInput as exc:
+            assert f"component {x} leaves the cone" in str(exc)
+            accepted = False
+        assert accepted == (excess <= slack)
+        assert accepted or delta > 1e-9
+        try:
+            expected = reference_valid(sigma, comps)
+        except NumericalFailure:
+            # the reference LP fails numerically on some draws with sigma on
+            # a face, and within 1e-9 of the boundary; the facet check cannot
+            assert on_face or abs(delta) == 1e-9
+            continue
+        if delta <= 1e-12 or excess > slack:
+            # an excess inside the slack is accepted by design; the
+            # reference's LP tolerance may reject it
+            assert expected == accepted
 
 
 def test_tensor_element_shape_check():
@@ -263,6 +356,54 @@ def test_steering_norm_rejects_ball_systems():
         components=(b.vector([0.0, 0.5, 0]),))
     with pytest.raises(InvalidInput):
         tensors.steering_norm(t)
+
+
+def test_polytopic_validation_solves_no_lp(lp_solves):
+    rng = np.random.default_rng(8)
+    for system in (square(), systems.hypercube(3), systems.cross_polytope(3),
+                   sampling.random_polytopic_system(rng, dim=4)):
+        t = sampling.random_dichotomic_tensor(rng, system, 3)
+        lp_solves.clear()
+        tensors.DichotomicTensor(sigma=t.sigma, components=t.components)
+        assert lp_solves == []
+        tensors.projective_norm_dichotomic(t)
+        assert len(lp_solves) == 1
+
+
+def projective_all_signs(t):
+    """The former projective LP: every sign vector, then [cols, -cols]."""
+    B = tensors.sigma_interval_vertices(t.system, t.sigma)
+    cols = np.array([np.concatenate([e * b for e in eps])
+                     for eps in tensors.sign_vectors(t.g) for b in B]).T
+    A_eq = np.concatenate([cols, -cols], axis=1)
+    out = lp.solve(lp.LpProblem(
+        objective=np.ones(A_eq.shape[1]), eq_rows=A_eq,
+        eq_rhs=np.concatenate([y.coords for y in t.components])))
+    assert out.status == "optimal"
+    return float(out.value)
+
+
+def test_projective_matches_the_all_sign_reference(lp_solves):
+    rng = np.random.default_rng(150)
+    shapes = list(NAMED.values())
+    for k in range(160):
+        if k % 2:
+            system = shapes[k // 4 % len(shapes)]()
+        else:
+            system = sampling.random_polytopic_system(
+                rng, dim=int(rng.integers(2, 5)))
+        g = int(rng.integers(1, 5))
+        if k % 4 < 2:
+            t = sampling.random_dichotomic_tensor(rng, system, g)
+        else:
+            t = sampling.random_steerable_leaning_tensor(rng, system, g)
+        lp_solves.clear()
+        value = tensors.projective_norm_dichotomic(t)
+        B = tensors.sigma_interval_vertices(system, t.sigma)
+        assert lp_solves[-1].eq_rows.shape == (
+            g * system.dim, 2 ** (g - 1) * len(B))
+        ref = projective_all_signs(t)
+        assert abs(value - ref) <= LP_GAP * (1.0 + abs(ref))
 
 
 def test_sign_vector_guard(monkeypatch):
