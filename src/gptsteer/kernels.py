@@ -4,13 +4,18 @@ The simplex keeps each decision in one place: `entering` is Bland's pricing
 rule (also asked by lp after a refactorization), one ratio pass computes
 each blocking row's step once, and `_pivot` is the single elimination, a
 rank-1 update of the rows with a nonzero multiplier, shared with
-`drive_out_artificials`.  Pricing and the ratio test stay early-exit loops:
-the LPs are mostly small, and numpy dispatch would cost more than it saves.
-The exact-rational LP mode runs the same `simplex_phase` on object arrays
-of Fractions.  `symmetry_search` walks `itertools.permutations` and works on
-numpy rows.  The enumerations `enum_polytope_vertices` and `enum_cone_facets`
-are batched numpy: they walk the candidate subsets in lexicographic chunks
-of CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
+`drive_out_artificials`.  Pricing and the ratio test stay early-exit loops,
+over Python lists read off the tableau with `tolist()`: the LPs are mostly
+small, numpy dispatch would cost more than it saves, and a list index is far
+cheaper than fetching one numpy scalar.  The list values are the same
+doubles (or Fractions), so every comparison, and with it every pivot, is
+that of the tableau's own entries.  A phase may pivot only the columns
+before a given width when its caller rebuilds the rest.  The exact-rational
+LP mode runs the same `simplex_phase` on object arrays of Fractions.
+`symmetry_search` walks `itertools.permutations` and works on numpy rows.
+The enumerations `enum_polytope_vertices` and `enum_cone_facets` are
+batched numpy: they walk the candidate subsets in lexicographic chunks of
+CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
 tests and summation order of a one-subset-at-a-time elimination, so their
 output does not depend on the chunk size.
 
@@ -47,14 +52,17 @@ def entering(T, vstat, upper, cost_row, n_elig, tol):
     Returns (j, direction): direction +1 raises a variable at its lower
     bound whose reduced cost is below -tol (unless its upper bound is 0, a
     fixed variable), -1 lowers one at its upper bound whose reduced cost is
-    above tol; (-1, 0) when the cost row is optimal.
+    above tol; (-1, 0) when the cost row is optimal.  The cost row is read
+    as a list; `vstat` and `upper` may be lists or arrays.
     """
-    for j in range(n_elig):
-        if vstat[j] == AT_LOWER:
-            if T[cost_row, j] < -tol and upper[j] > 0:
+    neg_tol = -tol
+    for j, d in enumerate(T[cost_row, :n_elig].tolist()):
+        s = vstat[j]
+        if s == AT_LOWER:
+            if d < neg_tol and upper[j] > 0:
                 return j, 1
-        elif vstat[j] == AT_UPPER:
-            if T[cost_row, j] > tol:
+        elif s == AT_UPPER:
+            if d > tol:
                 return j, -1
     return -1, 0
 
@@ -69,11 +77,12 @@ def _pivot(T, r, j, N):
     T[r, :N] = T[r, :N] / T[r, j]
     f = T[:, j].copy()
     f[r] = 0
-    rows = np.flatnonzero(f != 0)
+    rows = f.nonzero()[0]
     T[rows, :N] = T[rows, :N] - f[rows, None] * T[r, :N]
 
 
-def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter):
+def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                  max_iter, width):
     """Run one phase of the bounded-variable simplex to optimality.
 
     T is the (m + 2) x (N + 1) tableau: rows 0..m-1 hold B^-1 A in columns
@@ -89,26 +98,41 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter)
     because of sub-threshold entries is reported unbounded and the driver
     retries it on a rebuilt tableau.  A variable whose upper bound is 0 is
     fixed and never enters.
+
+    Pivots update columns [0, width), width N or n_elig.  Nothing here
+    reads a column at or past n_elig other than the basic values, so a
+    caller that rebuilds the tableau afterwards may pass width=n_elig and
+    leave the columns [n_elig, N) stale.  Pricing and the ratio test run
+    on list copies of the cost row, the entering column, the basic values,
+    vstat, upper and basis, which hold the arrays' own floats or
+    Fractions; vstat and basis are written to the lists and the arrays
+    together.
     """
     a_block = tol * 100
+    neg_block = -a_block
+    vs = vstat.tolist()
+    up = upper.tolist()
+    bl = basis.tolist()
     for _ in range(max_iter):
-        enter, dirn = entering(T, vstat, upper, cost_row, n_elig, tol)
+        enter, dirn = entering(T, vs, up, cost_row, n_elig, tol)
         if enter == -1:
             return PHASE_OPTIMAL
 
         # Ratio test: for each blocking row, the step t >= 0 at which its
         # basic variable reaches a bound (roundoff below 0 clamped to 0).
+        dcol = dirn * T[:m, enter]
+        col = dcol.tolist()
+        rhs = T[:m, N].tolist()
         blocking = []
         t_min = np.inf
-        for i in range(m):
-            a = dirn * T[i, enter]
+        for i, a in enumerate(col):
             if a > a_block:
-                ratio = T[i, N] / a
-            elif a < -a_block:
-                ub = upper[basis[i]]
+                ratio = rhs[i] / a
+            elif a < neg_block:
+                ub = up[bl[i]]
                 if ub == np.inf:
                     continue
-                ratio = (ub - T[i, N]) / (0 - a)
+                ratio = (ub - rhs[i]) / (0 - a)
             else:
                 continue
             if ratio < 0:
@@ -125,31 +149,32 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter)
         for i, ratio, aa in blocking:
             if ratio <= cutoff and (
                     leave_row == -1 or aa > best_a
-                    or (aa == best_a and basis[i] < basis[leave_row])):
+                    or (aa == best_a and bl[i] < bl[leave_row])):
                 leave_row, t_best, best_a = i, ratio, aa
 
-        t_flip = upper[enter]
+        t_flip = up[enter]
         if leave_row == -1 and t_flip == np.inf:
             return PHASE_UNBOUNDED
 
         if t_flip < t_best:
             # Bound flip: the entering variable crosses to its other bound,
             # the basis is unchanged.
-            T[:m, N] = T[:m, N] - dirn * T[:m, enter] * t_flip
-            vstat[enter] = 1 - vstat[enter]
+            T[:m, N] = T[:m, N] - dcol * t_flip
+            vs[enter] = vstat[enter] = 1 - vs[enter]
             continue
 
-        if vstat[enter] == AT_LOWER:
+        if vs[enter] == AT_LOWER:
             x_enter = dirn * t_best
         else:
-            x_enter = upper[enter] + dirn * t_best
-        leaving = basis[leave_row]
-        vstat[leaving] = AT_LOWER if dirn * T[leave_row, enter] > 0 else AT_UPPER
-        T[:m, N] = T[:m, N] - dirn * T[:m, enter] * t_best
-        _pivot(T, leave_row, enter, N)
+            x_enter = up[enter] + dirn * t_best
+        leaving = bl[leave_row]
+        vs[leaving] = vstat[leaving] = (
+            AT_LOWER if col[leave_row] > 0 else AT_UPPER)
+        T[:m, N] = T[:m, N] - dcol * t_best
+        _pivot(T, leave_row, enter, width)
         T[leave_row, N] = x_enter
-        basis[leave_row] = enter
-        vstat[enter] = BASIC
+        bl[leave_row] = basis[leave_row] = enter
+        vs[enter] = vstat[enter] = BASIC
     return PHASE_ITER_LIMIT
 
 

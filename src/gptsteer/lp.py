@@ -228,12 +228,11 @@ def solve(problem, mode="float"):
     for i in range(m0):
         T[i, ncols + i] = zero + 1
         T[i, N] = b_all[i]
-    for j in range(ncols):
-        T[m0, j] = cvec[j]
-        acc = zero
-        for i in range(m0):
-            acc = acc + T[i, j]
-        T[m0 + 1, j] = -acc
+    T[m0, :ncols] = cvec
+    acc = np.full(ncols, zero, dtype=dtype)
+    for i in range(m0):
+        acc = acc + T[i, :ncols]
+    T[m0 + 1, :ncols] = -acc
 
     basis = np.arange(ncols, ncols + m0, dtype=np.int64)
     vstat = np.zeros(N, dtype=np.int64)
@@ -250,10 +249,17 @@ def solve(problem, mode="float"):
 
     tol = 0 if exact else PIVOT
     max_iter = 1000 + 30 * (m0 + N)
-    cvec_arr = None if exact else np.asarray(cvec, dtype=np.float64)
+    if exact:
+        aug = cvec_arr = None
+    else:
+        # [M | I | b]: the constraint columns, the artificial (identity)
+        # columns and a spare column for the right-hand side, shared by every
+        # refactorization of this solve.
+        aug = np.concatenate([M, np.eye(m0), b_all[:, None]], axis=1)
+        cvec_arr = np.asarray(cvec, dtype=np.float64)
 
-    code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols,
-                      tol, max_iter, exact, M, b_all, cvec_arr)
+    code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols, N,
+                      tol, max_iter, exact, M, aug, b_all, cvec_arr)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase one")
     if code != PHASE_OPTIMAL:
@@ -276,8 +282,11 @@ def solve(problem, mode="float"):
     for j in range(ncols, N):
         upper[j] = zero
 
+    # Float phase two ends in a rebuild of the whole tableau, and its pivots
+    # read no artificial column, so they skip that block.
     code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols,
-                      tol, max_iter, exact, M, b_all, cvec_arr)
+                      N if exact else ncols,
+                      tol, max_iter, exact, M, aug, b_all, cvec_arr)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase two")
     if code == PHASE_UNBOUNDED:
@@ -288,29 +297,26 @@ def solve(problem, mode="float"):
         c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact)
 
 
-def _refactorize(T, basis, vstat, upper, M, b_flip, cvec, m0, ncols, N):
+def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
     """Rebuild the float tableau from the original data and current basis.
 
     Dense row updates accumulate roundoff over many pivots (badly so on
     nearly parallel constraint sets), and the certificates are read straight
     off the tableau, so before anything is extracted every row is recomputed
     against the original columns: basic values, both reduced-cost rows, and
-    the B^-1 image in the artificial slots.
+    the B^-1 image in the artificial slots.  `aug` is the solve's [M | I | b]
+    buffer: B is its basis columns, and its last column is overwritten with
+    b less the columns held at a finite nonzero upper bound.  Products with
+    the constraint columns use the contiguous M, as they always have.
     """
     if m0 == 0:
         return
-    B = np.zeros((m0, m0))
-    for i in range(m0):
-        j = int(basis[i])
-        if j < ncols:
-            B[:, i] = M[:, j]
-        else:
-            B[j - ncols, i] = 1.0
-    rhs = b_flip.copy()
-    for j in range(ncols):
-        if vstat[j] == AT_UPPER and 0 < upper[j] < np.inf:
-            rhs = rhs - M[:, j] * upper[j]
-    aug = np.concatenate([M, np.eye(m0), rhs[:, None]], axis=1)
+    B = aug[:, basis]
+    rhs = aug[:, N]
+    rhs[:] = b_flip
+    for j in np.flatnonzero(vstat[:ncols] == AT_UPPER).tolist():
+        if 0 < upper[j] < np.inf:
+            rhs -= M[:, j] * upper[j]
     try:
         sol = np.linalg.solve(B, aug)
     except np.linalg.LinAlgError:
@@ -334,29 +340,31 @@ def _refactorize(T, basis, vstat, upper, M, b_flip, cvec, m0, ncols, N):
     T[m0 + 1, N] = -float(cb1 @ xB)
 
 
-def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
-               tol, max_iter, exact, M, b_flip, cvec):
+def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
+               tol, max_iter, exact, M, aug, b_flip, cvec):
     """One simplex phase, refactorizing at optimum until it stays optimal.
 
     A phase that terminates on drifted rows may not be optimal for the true
     data; after the rebuild the pricing test is repeated and the phase rerun
     on the clean tableau.  Exact mode has no drift and runs the phase once.
+    `width` goes to simplex_phase.
     """
     retried_unbounded = False
     for _ in range(6):
         code = simplex_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
-                             tol, max_iter)
+                             tol, max_iter, width=width)
         if exact:
             return code
         if code == PHASE_UNBOUNDED and not retried_unbounded:
             # An unbounded ray seen on drifted rows may close after rebuild.
             retried_unbounded = True
-            _refactorize(T, basis, vstat, upper, M, b_flip, cvec,
+            _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
                          m0, ncols, N)
             continue
         if code != PHASE_OPTIMAL:
             return code
-        _refactorize(T, basis, vstat, upper, M, b_flip, cvec, m0, ncols, N)
+        _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
+                     m0, ncols, N)
         if entering(T, vstat, upper, cost_row, ncols, tol)[0] == -1:
             return code
     raise NumericalFailure("simplex failed to stabilize after refactorizations")

@@ -6,11 +6,14 @@ partial pivoting, the same singularity tests, sums taken one column at a time
 and greedy first-found de-duplication.  Further down, the scalar simplex
 phase, artificial drive-out and symmetry search are the references for the
 shared-pivot simplex kernel and the numpy symmetry search.  Results are
-compared byte for byte.
+compared byte for byte.  The list-based pricing rule is also compared on its
+own, and an artificial block filled with NaN shows that a float phase two
+reads none of the columns its pivots skip.
 """
 
 import collections
 import itertools
+from fractions import Fraction
 
 import lp_cases
 import numpy as np
@@ -267,10 +270,12 @@ def test_row_cap_raises_guard_exceeded(monkeypatch):
 EVENTS = collections.Counter()
 
 
-def ref_simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol, max_iter):
+def ref_simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                      max_iter, width=None):
     """Scalar bounded-variable simplex phase: Bland pricing, a first ratio
     scan for the minimum, a second for the largest pivot in its band, and
-    per-row elimination."""
+    per-row elimination.  `width` is ignored: full-width pivots give the
+    same outcome bytes, as the kernel's narrow ones must."""
     a_block = tol * 100
     it = 0
     while it < max_iter:
@@ -414,6 +419,18 @@ def ref_drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
         basis[r] = piv
         T[r, N] = 0 if vstat[piv] == AT_LOWER else upper[piv]
         vstat[piv] = BASIC
+
+
+def ref_entering(T, vstat, upper, cost_row, n_elig, tol):
+    """Bland pricing as a scalar loop over numpy array entries."""
+    for j in range(n_elig):
+        if vstat[j] == AT_LOWER:
+            if T[cost_row, j] < -tol and upper[j] > 0:
+                return j, 1
+        elif vstat[j] == AT_UPPER:
+            if T[cost_row, j] > tol:
+                return j, -1
+    return -1, 0
 
 
 def ref_has_entering(T, vstat, upper, cost_row, n_elig, tol):
@@ -624,6 +641,146 @@ def test_library_lps_match_scalar_reference(scalar_outcome):
     cases = lp_cases.library_lps()
     got = _same_outcomes(cases, scalar_outcome)
     assert len(cases) >= 50 and got["optimal"] and got["infeasible"]
+
+
+def _pricing_cases(rng, tol, count):
+    """(T, vstat, upper, cost_row, n_elig) with reduced costs at and just
+    beyond +-tol, signed zeros, fixed variables (upper 0) and every
+    status."""
+    near = np.nextafter(tol, np.inf)
+    values = np.array([-1.0, -2 * tol, -near, -tol, -0.0, 0.0, tol, near,
+                       2 * tol, 1.0])
+    bounds = np.array([0.0, 1.0, np.inf])
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        T = np.zeros((3, n + 2))
+        T[1, :n] = rng.choice(values, n)
+        vstat = rng.choice([AT_LOWER, AT_UPPER, BASIC], n + 2)
+        upper = rng.choice(bounds, n + 2)
+        yield T, vstat, upper, 1, int(rng.integers(0, n + 1))
+
+
+def _fraction_pricing_cases(rng, count):
+    values = [Fraction(-1, 3), Fraction(0), Fraction(1, 7), Fraction(-2)]
+    bounds = [Fraction(0), Fraction(5, 2), np.inf]
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        T = np.empty((2, n + 1), dtype=object)
+        T[...] = Fraction(0)
+        T[0, :n] = [values[k] for k in rng.integers(0, len(values), n)]
+        vstat = rng.choice([AT_LOWER, AT_UPPER, BASIC], n + 1)
+        upper = np.empty(n + 1, dtype=object)
+        upper[:] = [bounds[k] for k in rng.integers(0, len(bounds), n + 1)]
+        yield T, vstat, upper, 0, n
+
+
+def test_list_pricing_matches_scalar_reference():
+    rng = np.random.default_rng(13)
+    seen = collections.Counter()
+    cases = [(case, 1e-9) for case in _pricing_cases(rng, 1e-9, 400)]
+    cases += [(case, 0) for case in _fraction_pricing_cases(rng, 200)]
+    for (T, vstat, upper, row, n_elig), tol in cases:
+        want = ref_entering(T, vstat, upper, row, n_elig, tol)
+        # arrays, as lp passes them after a refactorization, and the list
+        # copies simplex_phase keeps
+        assert kernels.entering(T, vstat, upper, row, n_elig, tol) == want
+        assert kernels.entering(T, vstat.tolist(), upper.tolist(), row,
+                                n_elig, tol) == want
+        assert (want[0] != -1) == ref_has_entering(T, vstat, upper, row,
+                                                   n_elig, tol)
+        seen[want[1]] += 1
+        if want[0] != -1:
+            j = want[0]
+            seen["fixed skipped"] += any(
+                vstat[k] == AT_LOWER and upper[k] == 0 and T[row, k] < -tol
+                for k in range(j))
+            seen["at tol skipped"] += any(
+                abs(T[row, k]) == tol and vstat[k] != BASIC
+                for k in range(j))
+    assert seen[1] and seen[-1] and seen[0]
+    assert seen["fixed skipped"] and seen["at tol skipped"]
+
+
+@pytest.fixture
+def dead_block(monkeypatch):
+    """lp.simplex_phase that fills the artificial block T[:m, n_elig:N]
+    with NaN before every float phase-two run; returns the widths seen."""
+    phase = lp.simplex_phase
+    widths = collections.Counter()
+
+    def poisoned(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                 max_iter, width=None):
+        exact = T.dtype == object
+        if cost_row == m and not exact:
+            T[:m, n_elig:N] = np.nan
+        widths["exact" if exact else "float",
+               "two" if cost_row == m else "one",
+               "narrow" if width == n_elig else "full"] += 1
+        return phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                     max_iter, width=width)
+
+    monkeypatch.setattr(lp, "simplex_phase", poisoned)
+    return widths
+
+
+@pytest.mark.parametrize("family", ["random", "tied", "flip", "infeasible",
+                                    "unbounded", "library"])
+def test_phase_two_reads_no_artificial_column(family, dead_block):
+    cases = {"random": _float(lp_cases.random_lps()),
+             "tied": _float(lp_cases.tied_lps()),
+             "flip": _float(lp_cases.flip_lps()),
+             "infeasible": _float(lp_cases.infeasible_lps()),
+             "unbounded": _float(lp_cases.unbounded_lps()),
+             "library": lp_cases.library_lps()}[family]
+    poisoned = lp.simplex_phase
+    for problem, mode in cases:
+        lp.simplex_phase = kernels.simplex_phase
+        want = _outcome(problem, mode)
+        lp.simplex_phase = poisoned
+        assert _outcome(problem, mode) == want
+    if family != "infeasible":
+        assert dead_block["float", "two", "narrow"]
+    assert not dead_block["float", "two", "full"]
+    assert not dead_block["float", "one", "narrow"]
+
+
+def test_phase_two_pivots_leave_the_artificial_block(monkeypatch):
+    # A finite sentinel in the artificial block survives a float phase two
+    # that pivots, so its pivots skip those columns.
+    phase = lp.simplex_phase
+    kept = collections.Counter()
+
+    def sentinel(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                 max_iter, width=None):
+        if cost_row != m:
+            return phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                         max_iter, width=width)
+        T[:m, n_elig:N] = 0.5
+        before = basis.copy()
+        code = phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                     max_iter, width=width)
+        if np.any(basis != before):
+            kept[bool(np.all(T[:m, n_elig:N] == 0.5))] += 1
+        return code
+
+    monkeypatch.setattr(lp, "simplex_phase", sentinel)
+    for problem in lp_cases.random_lps() + lp_cases.flip_lps():
+        _outcome(problem)
+    assert kept[True] >= 10 and not kept[False]
+
+
+def test_exact_mode_pivots_full_width_and_verifies(dead_block):
+    small = (lp_cases.random_lps(seed=4, count=30) + lp_cases.tied_lps()[:8]
+             + lp_cases.infeasible_lps() + lp_cases.unbounded_lps())
+    statuses = collections.Counter()
+    for problem in small:
+        got = _outcome(problem, "exact")   # exact solves verify themselves
+        assert got[0] != "NumericalFailure"
+        statuses[got[0]] += 1
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    assert dead_block["exact", "two", "full"]
+    assert not any(key[0] == "exact" and key[2] == "narrow"
+                   for key in dead_block)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,160 @@
+"""Record a benchmark workload's LP problems; replay them on two trees.
+
+    python3 tools/lp_replay.py record --workload order --seed 0 --out order.lps
+    python3 tools/lp_replay.py compare order.lps TREE_A TREE_B
+
+`record` builds the workload's cases with perfbench's builders and asks
+every question of one cycle (perfbench's CYCLES, by default the whole
+sequence) against this checkout's src/.  It stores each `lp.solve` call of
+the set-up and the cycle: the problem data and the mode.  `compare` solves
+every stored problem once under each source tree, in a child process per
+tree that imports gptsteer from TREE/src, and counts the problems whose
+outcome bytes differ.  An outcome is the status, x, value, both dual
+vectors, the reduced costs and the Farkas margin, or the type and message
+of the exception raised.  It prints one JSON line and exits 1 when any
+outcome differs.  `outcomes FILE TREE` is the child's half: one status and
+digest per problem, as a JSON list.
+
+The file is a pickle of plain numpy arrays; load only files you recorded.
+"""
+
+import argparse
+import collections
+import hashlib
+import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.run import import_library  # noqa: E402
+
+FIELDS = ("objective", "eq_rows", "eq_rhs", "ub_rows", "ub_rhs",
+          "lower", "upper")
+OUTCOME = ("x", "value", "dual_eq", "dual_ub", "reduced_costs",
+           "farkas_margin")
+
+
+def record(workload, seed):
+    """[(fields, mode)] of every lp.solve call in the set-up and one cycle
+    of `workload`, and the number of questions that raised."""
+    import_library(ROOT)
+    from gptsteer import lp
+    from perfbench import workloads
+
+    seen = []
+    solve = lp.solve
+
+    def recording(problem, mode="float"):
+        if isinstance(problem, lp.LpProblem):
+            seen.append(({k: getattr(problem, k).copy() for k in FIELDS},
+                         mode))
+        return solve(problem, mode)
+
+    raised = 0
+    lp.solve = recording
+    try:
+        cases = workloads.BUILDERS[workload](seed)
+        cycle = workloads.CYCLES.get(workload) or len(cases)
+        for case in cases[:cycle]:
+            for _, ask in case.questions:
+                try:
+                    ask()
+                except Exception as exc:  # the replay covers failing solves
+                    raised += 1
+                    print(f"lp_replay: {case.kind} raised {exc!r}",
+                          file=sys.stderr)
+    finally:
+        lp.solve = solve
+    return seen, raised
+
+
+def _bytes(v):
+    import numpy as np
+
+    if isinstance(v, np.ndarray):
+        if v.dtype == object:
+            return repr([(type(e).__name__, e) for e in v.tolist()])
+        return v.dtype.str, v.shape, v.tobytes().hex()
+    return type(v).__name__, repr(v)
+
+
+def outcome(lp, fields, mode):
+    """The outcome of one solve as a printable tuple."""
+    try:
+        o = lp.solve(lp.LpProblem(**fields), mode)
+    except Exception as exc:  # an exception is an outcome to compare
+        return type(exc).__name__, str(exc)
+    return (o.status,) + tuple(_bytes(getattr(o, k)) for k in OUTCOME)
+
+
+def outcomes(path, tree):
+    """[(status, digest)] of every problem in `path`, solved by tree/src."""
+    import_library(Path(tree).resolve())
+    from gptsteer import lp
+
+    with open(path, "rb") as fh:
+        problems = pickle.load(fh)
+    out = []
+    for fields, mode in problems:
+        got = outcome(lp, fields, mode)
+        out.append((got[0], hashlib.sha256(repr(got).encode()).hexdigest()))
+    return out
+
+
+def _child(path, tree):
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "outcomes",
+         str(path), str(tree)],
+        check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def compare(path, tree_a, tree_b):
+    a, b = _child(path, tree_a), _child(path, tree_b)
+    if len(a) != len(b):
+        raise SystemExit("lp_replay: the trees replayed different counts")
+    differ = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    return {"problems": len(a), "mismatches": len(differ),
+            "first_mismatches": differ[:10],
+            "statuses": dict(collections.Counter(s for s, _ in a))}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="store one cycle's LP problems")
+    rec.add_argument("--workload", required=True,
+                     choices=("norms", "order", "steer"))
+    rec.add_argument("--seed", type=int, default=0)
+    rec.add_argument("--out", required=True)
+    cmp_ = sub.add_parser("compare", help="count outcome-byte mismatches")
+    cmp_.add_argument("file")
+    cmp_.add_argument("tree_a")
+    cmp_.add_argument("tree_b")
+    one = sub.add_parser("outcomes", help="outcome digests under one tree")
+    one.add_argument("file")
+    one.add_argument("tree")
+    args = parser.parse_args(argv)
+
+    if args.command == "record":
+        problems, raised = record(args.workload, args.seed)
+        with open(args.out, "wb") as fh:
+            pickle.dump(problems, fh)
+        print(json.dumps({"problems": len(problems),
+                          "questions_raised": raised}))
+    elif args.command == "outcomes":
+        print(json.dumps(outcomes(args.file, args.tree)))
+    else:
+        result = compare(args.file, args.tree_a, args.tree_b)
+        print(json.dumps(result))
+        return 1 if result["mismatches"] else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
