@@ -34,36 +34,33 @@ class Assemblage:
 
     entries[x][a] is the state steered to by outcome a of setting x; every
     entry lies in V+ and each setting's outcomes sum to the barycenter.
+
+    Direct construction, and so `mixed_with_trivial`,
+    `bipartite.conditional_assemblage` and the other builders, decides each
+    entry's membership in V+ with one `systems.cone_member` LP (closed form
+    on balls).  `from_dichotomic_tensor` inherits membership from the
+    tensor's facet check and builds through `Assemblage.unchecked`, which
+    solves no LP.
     """
 
     barycenter: systems.Vector
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        if len(rows) < 1:
-            raise InvalidInput("assemblage needs at least one setting")
-        system = self.barycenter.system
-        if abs(systems.pair(system.unit_functional, self.barycenter)
-               - 1.0) > COINCIDENCE:
-            raise InvalidInput("barycenter is not normalized")
-        for x, row in enumerate(rows):
-            if len(row) < 1:
-                raise InvalidInput(f"setting {x} has no outcomes")
-            total = np.zeros(system.dim)
-            for a, rho in enumerate(row):
-                if not isinstance(rho, systems.Vector) \
-                        or rho.system != system:
-                    raise InvalidInput(
-                        f"entry ({a}|{x}) is not a vector on the "
-                        "barycenter system")
-                if not systems.cone_member(system, rho).member:
-                    raise InvalidInput(f"entry ({a}|{x}) is outside V+")
-                total = total + rho.coords
-            if np.max(np.abs(total - self.barycenter.coords)) > RECONSTRUCTION:
-                raise InvalidInput(
-                    f"setting {x} outcomes do not sum to the barycenter")
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", _checked_rows(
+            self.barycenter, self.entries, cone_lp=True))
+
+    @staticmethod
+    def unchecked(barycenter, entries):
+        """Skip the cone-membership LP of each entry; for entries whose
+        membership the caller has already decided.  Shapes, systems, the
+        barycenter's normalization and each setting's sum are still
+        checked."""
+        asm = object.__new__(Assemblage)
+        object.__setattr__(asm, "barycenter", barycenter)
+        object.__setattr__(asm, "entries", _checked_rows(
+            barycenter, entries, cone_lp=False))
+        return asm
 
     @property
     def system(self):
@@ -76,6 +73,35 @@ class Assemblage:
     @property
     def g(self):
         return len(self.entries)
+
+
+def _checked_rows(barycenter, entries, cone_lp):
+    """The entries as a tuple of tuples, checked as `Assemblage` states;
+    each entry's cone membership only when cone_lp is set."""
+    rows = tuple(tuple(row) for row in entries)
+    if len(rows) < 1:
+        raise InvalidInput("assemblage needs at least one setting")
+    system = barycenter.system
+    if abs(systems.pair(system.unit_functional, barycenter)
+           - 1.0) > COINCIDENCE:
+        raise InvalidInput("barycenter is not normalized")
+    for x, row in enumerate(rows):
+        if len(row) < 1:
+            raise InvalidInput(f"setting {x} has no outcomes")
+        total = np.zeros(system.dim)
+        for a, rho in enumerate(row):
+            if not isinstance(rho, systems.Vector) \
+                    or rho.system != system:
+                raise InvalidInput(
+                    f"entry ({a}|{x}) is not a vector on the "
+                    "barycenter system")
+            if cone_lp and not systems.cone_member(system, rho).member:
+                raise InvalidInput(f"entry ({a}|{x}) is outside V+")
+            total = total + rho.coords
+        if np.max(np.abs(total - barycenter.coords)) > RECONSTRUCTION:
+            raise InvalidInput(
+                f"setting {x} outcomes do not sum to the barycenter")
+    return rows
 
 
 def trivial_assemblage(sigma, shape):
@@ -112,10 +138,18 @@ def to_dichotomic_tensor(asm):
 
 
 def from_dichotomic_tensor(t):
-    """Inverse of to_dichotomic_tensor: rho_{+-|x} = (sigma +- y_x) / 2."""
+    """Inverse of to_dichotomic_tensor: rho_{+-|x} = (sigma +- y_x) / 2.
+
+    Validation is inherited the other way: the entries lie in V+ exactly
+    when the tensor is valid, so `tensors.checked_components` decides them
+    (the facet test |F y_x| <= F sigma on polytopes, the closed-form test on
+    balls) and no `cone_member` LP runs.  The check runs again here, so a
+    tensor built with `DichotomicTensor.unchecked` is checked too.
+    """
+    comps = tensors.checked_components(t.sigma, t.components)
     entries = tuple(
-        ((t.sigma + y) * 0.5, (t.sigma - y) * 0.5) for y in t.components)
-    return Assemblage(barycenter=t.sigma, entries=entries)
+        ((t.sigma + y) * 0.5, (t.sigma - y) * 0.5) for y in comps)
+    return Assemblage.unchecked(t.sigma, entries)
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,43 +56,56 @@ def tensor_product(rho_a, rho_b):
         coeffs=np.outer(rho_a.coords, rho_b.coords))
 
 
+def checked_components(sigma, components):
+    """The components as a tuple, once sigma +- y_x in V+ is checked for each.
+
+    The one validity rule of dichotomic tensors, with no LP: polytopic
+    systems test |F y_x| <= F sigma on the unit facets F at COINCIDENCE
+    scaled by max |F sigma|, balls their closed-form cone test.  Raises
+    InvalidInput naming the first component that leaves the cone.
+    """
+    comps = tuple(components)
+    if len(comps) < 1:
+        raise InvalidInput("need at least one component")
+    system = sigma.system
+    for x, y in enumerate(comps):
+        if not isinstance(y, systems.Vector) or y.system != system:
+            raise InvalidInput(
+                f"component {x} is not a vector on the sigma system")
+    if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
+        raise InvalidInput("barycenter is not normalized")
+    if system.kind == systems.POLYTOPIC:
+        F = system.cone_facets
+        Fs = F @ sigma.coords
+        slack = COINCIDENCE * (1.0 + float(np.max(np.abs(Fs))))
+        inside = [np.max(np.abs(F @ y.coords) - Fs) <= slack for y in comps]
+    else:
+        inside = [all(systems.cone_member(system, sigma + e * y).member
+                      for e in (1, -1)) for y in comps]
+    if not all(inside):
+        raise InvalidInput(
+            f"component {inside.index(False)} leaves the cone: "
+            "sigma +- y_x must stay in V+")
+    return comps
+
+
 @dataclass(frozen=True, eq=False)
 class DichotomicTensor:
     """Barycenter sigma plus signed components y_1..y_g on one system.
 
     Valid tensors satisfy sigma +- y_x in V+ for every x, which is exactly
     membership of the (sigma, y) family in the max cone against the hypercube
-    system; <unit, sigma> must be 1.  Polytopic systems test |F y_x| <= F sigma
-    on the unit facets F (sigma may lie on the boundary), balls their cone test.
+    system; <unit, sigma> must be 1.  `checked_components` decides it without
+    an LP (sigma may lie on the boundary); `steering.from_dichotomic_tensor`
+    applies the same rule to the assemblage it builds.
     """
 
     sigma: systems.Vector
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) < 1:
-            raise InvalidInput("need at least one component")
-        system = self.sigma.system
-        for x, y in enumerate(comps):
-            if not isinstance(y, systems.Vector) or y.system != system:
-                raise InvalidInput(
-                    f"component {x} is not a vector on the sigma system")
-        if abs(systems.pair(system.unit_functional, self.sigma) - 1.0) > COINCIDENCE:
-            raise InvalidInput("barycenter is not normalized")
-        if system.kind == systems.POLYTOPIC:
-            F = system.cone_facets
-            Fs = F @ self.sigma.coords
-            slack = COINCIDENCE * (1.0 + float(np.max(np.abs(Fs))))
-            inside = [np.max(np.abs(F @ y.coords) - Fs) <= slack for y in comps]
-        else:
-            inside = [all(systems.cone_member(system, self.sigma + e * y).member
-                          for e in (1, -1)) for y in comps]
-        if not all(inside):
-            raise InvalidInput(
-                f"component {inside.index(False)} leaves the cone: "
-                "sigma +- y_x must stay in V+")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components",
+                           checked_components(self.sigma, self.components))
 
     @staticmethod
     def unchecked(sigma, components):

@@ -6,7 +6,8 @@ the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
 is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
 solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
-two-atom order and zonotope questions.
+two-atom order and zonotope questions, plus cone-membership LPs on the
+assemblage entries (feasible) and on a point outside V+ (infeasible).
 """
 
 import functools
@@ -123,10 +124,17 @@ def library_lps():
                 t = sampling.random_steerable_leaning_tensor(rng, system, g=2)
                 tensors.steering_norm(t)
                 tensors.projective_norm_dichotomic(t)
-                steering.lhs_check(steering.from_dichotomic_tensor(t))
+                asm = steering.from_dichotomic_tensor(t)
+                # the entries' membership LPs, which the assemblage inherits
+                # from the tensor and so no longer solves
+                for row in asm.entries:
+                    for rho in row:
+                        systems.cone_member(system, rho)
+                steering.lhs_check(asm)
                 bipartite.unsteerable_dichotomic(
                     bipartite.BipartiteState(tensors.embed_dichotomic(t)))
             sigma = system.vector(system.vertices.mean(axis=0))
+            systems.cone_member(system, -sigma)   # outside V+: infeasible
             choquet.c_mu(system, sigma, choquet.vertex_measure(system))
         # two-atom order on the square: edge midpoints sit below the uniform
         # vertex measure (LP optimum 0), opposite vertices do not

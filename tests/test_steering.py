@@ -13,6 +13,7 @@ from gptsteer.errors import (
     NotInterior,
 )
 from gptsteer.geometry import lex_sorted
+from gptsteer.tolerances import RECONSTRUCTION
 
 
 def square():
@@ -60,6 +61,61 @@ def test_round_trip_is_exact():
         assert np.allclose(back.sigma.coords, t.sigma.coords, atol=1e-14)
         for y0, y1 in zip(back.components, t.components):
             assert np.allclose(y0.coords, y1.coords, atol=1e-14)
+
+
+def test_from_dichotomic_tensor_inherits_membership(lp_solves):
+    # the tensor's own cone test decides the entries: no LP, the same
+    # (sigma +- y) * 0.5 arrays as before, and the round trip holds
+    rng = np.random.default_rng(12)
+    for system in (square(), systems.hypercube(3), systems.cross_polytope(3),
+                   sampling.random_polytopic_system(rng, dim=4),
+                   systems.ball(2, "l2"), systems.ball(3, "l1")):
+        if system.kind == systems.POLYTOPIC:
+            t = sampling.random_dichotomic_tensor(rng, system, 3)
+        else:
+            t = tensors.DichotomicTensor(
+                sigma=system.vector(np.eye(system.dim)[0]),
+                components=tuple(system.vector(np.concatenate(
+                    [[0.0], rng.uniform(-0.3, 0.3, system.dim - 1)]))
+                    for _ in range(3)))
+        lp_solves.clear()
+        asm = steering.from_dichotomic_tensor(t)
+        assert lp_solves == []
+        for (plus, minus), y in zip(asm.entries, t.components):
+            assert plus.coords.tobytes() == (
+                (t.sigma.coords + y.coords) * 0.5).tobytes()
+            assert minus.coords.tobytes() == (
+                (t.sigma.coords - y.coords) * 0.5).tobytes()
+        back = steering.to_dichotomic_tensor(asm)
+        assert np.max(np.abs(back.sigma.coords - t.sigma.coords)) \
+            <= RECONSTRUCTION
+        for y0, y1 in zip(back.components, t.components):
+            assert np.max(np.abs(y0.coords - y1.coords)) <= RECONSTRUCTION
+
+
+def test_from_dichotomic_tensor_checks_unchecked_tensors():
+    s = square()
+    t = tensors.DichotomicTensor.unchecked(
+        s.vector([1.0, 0, 0]), (s.vector([0.0, 0.5, 0]),
+                                 s.vector([0.0, 1.5, 0])))
+    with pytest.raises(InvalidInput, match="component 1 leaves the cone"):
+        steering.from_dichotomic_tensor(t)
+    b = systems.ball(2, "l2")
+    t = tensors.DichotomicTensor.unchecked(
+        b.vector([1.0, 0, 0]), (b.vector([0.0, 0.8, 0.8]),))
+    with pytest.raises(InvalidInput, match="component 0 leaves the cone"):
+        steering.from_dichotomic_tensor(t)
+
+
+def test_unchecked_assemblage_keeps_the_sum_check(lp_solves):
+    s = square()
+    sigma = s.vector([1.0, 0, 0])
+    asm = steering.Assemblage.unchecked(
+        sigma, ((s.vector([0.5, 0.2, 0]), s.vector([0.5, -0.2, 0])),))
+    assert asm.shape == (2,) and lp_solves == []
+    with pytest.raises(InvalidInput, match="sum to the barycenter"):
+        steering.Assemblage.unchecked(
+            sigma, ((s.vector([0.5, 0.2, 0]), s.vector([0.4, -0.2, 0])),))
 
 
 def test_trivial_assemblage_has_zero_components():

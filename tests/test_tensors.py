@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptsteer import lp, sampling, systems, tensors
+from gptsteer import lp, sampling, steering, systems, tensors
 from gptsteer.cli import load_tensor
 from gptsteer.errors import (
     GuardExceeded,
@@ -144,6 +144,12 @@ def test_facet_check_matches_the_cone_member_reference(seed, shape, on_face):
             accepted = False
         assert accepted == (excess <= slack)
         assert accepted or delta > 1e-9
+        # the assemblage of an accepted tensor is built, with no
+        # InvalidInput or NumericalFailure from a second boundary rule
+        if accepted:
+            asm = steering.from_dichotomic_tensor(
+                tensors.DichotomicTensor.unchecked(sigma, comps))
+            assert asm.shape == (2,) * g
         try:
             expected = reference_valid(sigma, comps)
         except NumericalFailure:
@@ -155,6 +161,10 @@ def test_facet_check_matches_the_cone_member_reference(seed, shape, on_face):
             # an excess inside the slack is accepted by design; the
             # reference's LP tolerance may reject it
             assert expected == accepted
+    comps[x] = scaled(1.0 + 1e-3)
+    with pytest.raises(InvalidInput, match=f"component {x} leaves the cone"):
+        steering.from_dichotomic_tensor(
+            tensors.DichotomicTensor.unchecked(sigma, comps))
 
 
 def test_tensor_element_shape_check():

@@ -2,11 +2,16 @@
 
     python3 tools/lp_replay.py record --workload order --seed 0 --out order.lps
     python3 tools/lp_replay.py compare order.lps TREE_A TREE_B
+    python3 tools/lp_replay.py callers order.lps
 
 `record` builds the workload's cases with perfbench's builders and asks
 every question of one cycle (perfbench's CYCLES, by default the whole
 sequence) against this checkout's src/.  It stores each `lp.solve` call of
-the set-up and the cycle: the problem data and the mode.  `compare` solves
+the set-up and the cycle: the problem data, the mode, the question it
+belongs to (None for the set-up) and the chain of gptsteer functions that
+asked for it, innermost first and without the lp module's own wrappers
+(`cone_member <- Assemblage.__post_init__ <- mixed_with_trivial <- ...`).
+`callers` prints the cycle's LP solves per question by chain.  `compare` solves
 every stored problem once under each source tree, in a child process per
 tree that imports gptsteer from TREE/src, and counts the problems whose
 outcome bytes differ.  An outcome is the status, x, value, both dual
@@ -15,7 +20,9 @@ of the exception raised.  It prints one JSON line and exits 1 when any
 outcome differs.  `outcomes FILE TREE` is the child's half: one status and
 digest per problem, as a JSON list.
 
-The file is a pickle of plain numpy arrays; load only files you recorded.
+The file is a pickle of plain numpy arrays and strings; load only files you
+recorded.  `compare` also reads recordings made before the callers were
+stored (a bare list of (fields, mode)).
 """
 
 import argparse
@@ -39,20 +46,40 @@ OUTCOME = ("x", "value", "dual_eq", "dual_ub", "reduced_costs",
            "farkas_margin")
 
 
+def caller_chain(frame):
+    """The gptsteer functions on the stack from `frame` outwards, innermost
+    first, joined by " <- "; lp's own frames and generated code (dataclass
+    __init__) are left out, and the chain ends at the first frame outside
+    gptsteer."""
+    names = []
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != "gptsteer" and not module.startswith("gptsteer."):
+            if names:
+                break
+        elif module != "gptsteer.lp" \
+                and not frame.f_code.co_filename.startswith("<"):
+            names.append(frame.f_code.co_qualname)
+        frame = frame.f_back
+    return " <- ".join(names)
+
+
 def record(workload, seed):
-    """[(fields, mode)] of every lp.solve call in the set-up and one cycle
-    of `workload`, and the number of questions that raised."""
+    """{"questions": n, "problems": [(fields, mode, chain, question)]} of
+    every lp.solve call in the set-up (question None) and one cycle of
+    `workload`, and the number of questions that raised."""
     import_library(ROOT)
     from gptsteer import lp
     from perfbench import workloads
 
     seen = []
     solve = lp.solve
+    question = None
 
     def recording(problem, mode="float"):
         if isinstance(problem, lp.LpProblem):
             seen.append(({k: getattr(problem, k).copy() for k in FIELDS},
-                         mode))
+                         mode, caller_chain(sys._getframe(1)), question))
         return solve(problem, mode)
 
     raised = 0
@@ -60,6 +87,7 @@ def record(workload, seed):
     try:
         cases = workloads.BUILDERS[workload](seed)
         cycle = workloads.CYCLES.get(workload) or len(cases)
+        question = 0
         for case in cases[:cycle]:
             for _, ask in case.questions:
                 try:
@@ -68,9 +96,21 @@ def record(workload, seed):
                     raised += 1
                     print(f"lp_replay: {case.kind} raised {exc!r}",
                           file=sys.stderr)
+                question += 1
     finally:
         lp.solve = solve
-    return seen, raised
+    return {"questions": question, "problems": seen}, raised
+
+
+def load(path):
+    """The recording in `path`, in the current format; a recording without
+    callers (a bare list of (fields, mode)) gets chain and question None."""
+    with open(path, "rb") as fh:
+        data = pickle.load(fh)
+    if isinstance(data, list):
+        data = {"questions": None,
+                "problems": [(f, m, None, None) for f, m in data]}
+    return data
 
 
 def _bytes(v):
@@ -97,10 +137,8 @@ def outcomes(path, tree):
     import_library(Path(tree).resolve())
     from gptsteer import lp
 
-    with open(path, "rb") as fh:
-        problems = pickle.load(fh)
     out = []
-    for fields, mode in problems:
+    for fields, mode, _, _ in load(path)["problems"]:
         got = outcome(lp, fields, mode)
         out.append((got[0], hashlib.sha256(repr(got).encode()).hexdigest()))
     return out
@@ -124,6 +162,25 @@ def compare(path, tree_a, tree_b):
             "statuses": dict(collections.Counter(s for s, _ in a))}
 
 
+def callers(path):
+    """Lines of LP solves per question by caller chain, most first, then
+    the cycle's total and the set-up's count."""
+    data = load(path)
+    if data["questions"] is None:
+        raise SystemExit(f"lp_replay: {path} was recorded without callers")
+    q = max(data["questions"], 1)
+    cycle = collections.Counter(
+        chain for _, _, chain, question in data["problems"]
+        if question is not None)
+    setup = sum(1 for p in data["problems"] if p[3] is None)
+    lines = [f"{n / q:8.2f}  {chain}" for chain, n in sorted(
+        cycle.items(), key=lambda item: (-item[1], item[0]))]
+    lines.append(f"{sum(cycle.values()) / q:8.2f}  total per question, "
+                 f"{data['questions']} questions")
+    lines.append(f"{setup:8d}  set-up solves")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,17 +193,22 @@ def main(argv=None):
     cmp_.add_argument("file")
     cmp_.add_argument("tree_a")
     cmp_.add_argument("tree_b")
+    who = sub.add_parser("callers", help="LP solves per question by caller")
+    who.add_argument("file")
     one = sub.add_parser("outcomes", help="outcome digests under one tree")
     one.add_argument("file")
     one.add_argument("tree")
     args = parser.parse_args(argv)
 
     if args.command == "record":
-        problems, raised = record(args.workload, args.seed)
+        data, raised = record(args.workload, args.seed)
         with open(args.out, "wb") as fh:
-            pickle.dump(problems, fh)
-        print(json.dumps({"problems": len(problems),
+            pickle.dump(data, fh)
+        print(json.dumps({"problems": len(data["problems"]),
+                          "questions": data["questions"],
                           "questions_raised": raised}))
+    elif args.command == "callers":
+        print("\n".join(callers(args.file)))
     elif args.command == "outcomes":
         print(json.dumps(outcomes(args.file, args.tree)))
     else:
