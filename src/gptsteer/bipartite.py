@@ -155,9 +155,11 @@ def steering_map(state, direction=B_TO_A):
 def conditional_assemblage(state, measurements):
     """Assemblage produced on party B by measuring the given settings on A.
 
-    Entry (a|x) pairs the effect f_{a|x} with the A side of the state;
-    outcomes of every setting sum to the B marginal, which the
-    assemblage constructor re-verifies together with cone membership.
+    Entry (a|x) pairs the effect f_{a|x} with the A side of the state.
+    `BipartiteState` already guarantees every such entry lies in V+; each
+    is re-checked with `systems.in_cone` (no LP), and
+    `Assemblage.unchecked` still verifies that the outcomes of every
+    setting sum to the B marginal.
     """
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
@@ -173,7 +175,11 @@ def conditional_assemblage(state, measurements):
     ct = state.coeffs.T
     entries = tuple(
         tuple(b.vector(ct @ f.coords) for f in m.effects) for m in meas)
-    return steering.Assemblage(barycenter=state.marginal_b, entries=entries)
+    for x, row in enumerate(entries):
+        for a, rho in enumerate(row):
+            if not systems.in_cone(b, rho):
+                raise InvalidInput(f"entry ({a}|{x}) is outside V+")
+    return steering.Assemblage.unchecked(state.marginal_b, entries)
 
 
 def interval_extreme_functionals(system):

@@ -34,7 +34,10 @@ class SimpleMeasure:
     """Convex combination of point masses: atoms are (weight, state) pairs.
 
     Weights are nonnegative and sum to one; every state lies in V+ with
-    unit pairing one.  The barycenter is computed once at construction.
+    unit pairing one.  Membership is decided with `systems.in_cone` on the
+    cached facets (closed form on balls), so construction solves no LP;
+    `BoundaryMeasure`, `vertex_measure`, `point_mass` and the samplers
+    inherit that.  The barycenter is computed once at construction.
     """
 
     atoms: tuple
@@ -59,7 +62,7 @@ class SimpleMeasure:
                 raise InvalidInput(f"atom {j} has negative weight")
             if abs(systems.pair(system.unit_functional, p) - 1.0) > COINCIDENCE:
                 raise InvalidInput(f"atom {j} point is not normalized")
-            if not systems.cone_member(system, p).member:
+            if not systems.in_cone(system, p):
                 raise InvalidInput(f"atom {j} point is outside V+")
             total += w
         if abs(total - 1.0) > RECONSTRUCTION:

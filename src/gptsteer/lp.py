@@ -278,15 +278,23 @@ def solve(problem, mode="float"):
             T, sgn, me, mu, m0, N, ncols,
             A_eq, b_eq, A_ub, b_ub, l0, u0, exact)
 
+    phase_one_basis = basis.copy()
     drive_out_artificials(T, basis, vstat, upper, m0, N, ncols, tol)
     for j in range(ncols, N):
         upper[j] = zero
 
-    # Float phase two ends in a rebuild of the whole tableau, and its pivots
-    # read no artificial column, so they skip that block.
-    code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols,
-                      N if exact else ncols,
-                      tol, max_iter, exact, M, aug, b_all, cvec_arr)
+    if not exact and np.array_equal(basis, phase_one_basis) \
+            and entering(T, vstat, upper, m0, ncols, tol)[0] == -1:
+        # Phase one ended in a rebuild, nothing has pivoted since and phase
+        # two has no column to enter: its closing rebuild would recompute
+        # the same tableau from the same basis, so it is skipped.
+        code = PHASE_OPTIMAL
+    else:
+        # Float phase two ends in a rebuild of the whole tableau, and its
+        # pivots read no artificial column, so they skip that block.
+        code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols,
+                          N if exact else ncols,
+                          tol, max_iter, exact, M, aug, b_all, cvec_arr)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase two")
     if code == PHASE_UNBOUNDED:

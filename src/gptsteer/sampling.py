@@ -125,7 +125,9 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
     A conic decomposition of sigma over the vertices is split across
     outcomes independently per setting; the vertices themselves are the
     hidden states.  Useful as the guaranteed-classical side of property
-    tests.
+    tests.  Every entry V^T (w * alloc) with w, alloc >= 0 is a conic
+    combination of vertices, so it lies in V+ by construction and the
+    assemblage is built with `Assemblage.unchecked` (no LP).
     """
     from . import steering
 
@@ -143,8 +145,8 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
         alloc = rng.dirichlet(np.ones(k), size=n)
         entries.append(tuple(
             system.vector(V.T @ (w * alloc[:, a])) for a in range(k)))
-    return steering.Assemblage(
-        barycenter=system.vector(V.T @ w), entries=tuple(entries))
+    return steering.Assemblage.unchecked(
+        system.vector(V.T @ w), tuple(entries))
 
 
 def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):
@@ -165,7 +167,7 @@ def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):
     t = 0.5
     for _ in range(40):
         rest = system.vector((sigma.coords - t * mix) / (1.0 - t))
-        if systems.cone_member(system, rest).member:
+        if systems.in_cone(system, rest):
             atoms = [(t * s, p) for s, p in zip(split, sats)]
             atoms.append((1.0 - t, rest))
             return choquet.SimpleMeasure(tuple(atoms))

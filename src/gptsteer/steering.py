@@ -35,12 +35,17 @@ class Assemblage:
     entries[x][a] is the state steered to by outcome a of setting x; every
     entry lies in V+ and each setting's outcomes sum to the barycenter.
 
-    Direct construction, and so `mixed_with_trivial`,
-    `bipartite.conditional_assemblage` and the other builders, decides each
-    entry's membership in V+ with one `systems.cone_member` LP (closed form
-    on balls).  `from_dichotomic_tensor` inherits membership from the
-    tensor's facet check and builds through `Assemblage.unchecked`, which
-    solves no LP.
+    How each builder decides that the entries lie in V+:
+    - the LP: direct construction (the CLI's assemblage input too), and so
+      `mixed_with_trivial`, `trivial_assemblage` and
+      `measurements_to_assemblage`, solve one `systems.cone_member` LP per
+      entry (closed form on balls);
+    - `systems.in_cone` on the cached facets, no LP:
+      `bipartite.conditional_assemblage`;
+    - by construction, no check: `from_dichotomic_tensor` (the tensor's
+      facet check) and `sampling.random_classical_assemblage` (conic
+      combinations of vertices).
+    The last two groups build through `Assemblage.unchecked`.
     """
 
     barycenter: systems.Vector
@@ -53,9 +58,9 @@ class Assemblage:
     @staticmethod
     def unchecked(barycenter, entries):
         """Skip the cone-membership LP of each entry; for entries whose
-        membership the caller has already decided.  Shapes, systems, the
-        barycenter's normalization and each setting's sum are still
-        checked."""
+        membership the caller has already decided (with `systems.in_cone`
+        or by construction).  Shapes, systems, the barycenter's
+        normalization and each setting's sum are still checked."""
         asm = object.__new__(Assemblage)
         object.__setattr__(asm, "barycenter", barycenter)
         object.__setattr__(asm, "entries", _checked_rows(

@@ -502,6 +502,24 @@ class ConeMembership:
     separator: Optional[np.ndarray]
 
 
+def in_cone(system, v):
+    """Decide v in V+ without an LP and without a certificate.
+
+    Polytopic systems test min(F v) >= -COINCIDENCE * (1 + max |F v|) on
+    the cached unit facets F; balls test the closed form ||x|| <= t within
+    COINCIDENCE * (1 + |t|).  For callers that read only the yes/no answer;
+    `cone_member` returns coefficients or a separator.
+    """
+    _check_vec(system, v)
+    if system.kind == CENTRALLY_SYMMETRIC:
+        t = float(v.coords[0])
+        r = _ball_norm_value(v.coords[1:], system.ball_norm)
+        return r <= t + COINCIDENCE * (1.0 + abs(t))
+    vals = system.cone_facets @ v.coords
+    scale = 1.0 + float(np.max(np.abs(vals)))
+    return float(np.min(vals)) >= -COINCIDENCE * scale
+
+
 def cone_member(system, v):
     """Decide v in V+ with a certificate either way.
 
@@ -510,12 +528,9 @@ def cone_member(system, v):
     """
     _check_vec(system, v)
     if system.kind == CENTRALLY_SYMMETRIC:
-        t = float(v.coords[0])
-        x = v.coords[1:]
-        r = _ball_norm_value(x, system.ball_norm)
-        if r <= t + COINCIDENCE * (1.0 + abs(t)):
+        if in_cone(system, v):
             return ConeMembership(True, None, None)
-        phi = _dual_achiever(x, system.ball_norm)
+        phi = _dual_achiever(v.coords[1:], system.ball_norm)
         return ConeMembership(False, None, np.concatenate([[1.0], -phi]))
     prob = lp.LpProblem(
         np.zeros(system.n_vertices),

@@ -80,8 +80,8 @@ def checked_components(sigma, components):
         slack = COINCIDENCE * (1.0 + float(np.max(np.abs(Fs))))
         inside = [np.max(np.abs(F @ y.coords) - Fs) <= slack for y in comps]
     else:
-        inside = [all(systems.cone_member(system, sigma + e * y).member
-                      for e in (1, -1)) for y in comps]
+        inside = [systems.in_cone(system, sigma + y)
+                  and systems.in_cone(system, sigma - y) for y in comps]
     if not all(inside):
         raise InvalidInput(
             f"component {inside.index(False)} leaves the cone: "

@@ -7,7 +7,8 @@ is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
 solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
 two-atom order and zonotope questions, plus cone-membership LPs on the
-assemblage entries (feasible) and on a point outside V+ (infeasible).
+assemblage entries and measure atoms (feasible) and on a point outside V+
+(infeasible).
 """
 
 import functools
@@ -115,6 +116,12 @@ def library_lps():
         seen.append((problem, mode))
         return solve(problem, mode)
 
+    def members(points):
+        # the membership LPs measures and conditional assemblages solved
+        # before they decided on the cached facets
+        for p in points:
+            systems.cone_member(p.system, p)
+
     lp.solve = record
     try:
         rng = np.random.default_rng(3)
@@ -131,17 +138,26 @@ def library_lps():
                     for rho in row:
                         systems.cone_member(system, rho)
                 steering.lhs_check(asm)
-                bipartite.unsteerable_dichotomic(
-                    bipartite.BipartiteState(tensors.embed_dichotomic(t)))
+                state = bipartite.BipartiteState(tensors.embed_dichotomic(t))
+                verdict = bipartite.unsteerable_dichotomic(state)
+                if verdict.unsteerable:
+                    members(p for _, p in verdict.model.atoms)
+                else:
+                    members(rho for row in bipartite.conditional_assemblage(
+                        state, verdict.measurements).entries for rho in row)
             sigma = system.vector(system.vertices.mean(axis=0))
             systems.cone_member(system, -sigma)   # outside V+: infeasible
-            choquet.c_mu(system, sigma, choquet.vertex_measure(system))
+            mu = choquet.vertex_measure(system)
+            members(p for _, p in mu.atoms)
+            choquet.c_mu(system, sigma, mu)
         # two-atom order on the square: edge midpoints sit below the uniform
         # vertex measure (LP optimum 0), opposite vertices do not
         sq = systems.hypercube(2)
         uniform = choquet.vertex_measure(sq)
+        members(p for _, p in uniform.atoms)
         for pair in (((1, 1, 0), (1, -1, 0)), ((1, 1, 1), (1, -1, -1))):
             nu = choquet.SimpleMeasure(tuple((0.5, sq.vector(p)) for p in pair))
+            members(p for _, p in nu.atoms)
             choquet.dichotomic_below_exact(nu, uniform)
     finally:
         lp.solve = solve

@@ -277,6 +277,18 @@ class TestConditionalAssemblage:
         assert asm.shape == (2,)
         assert np.allclose(asm.barycenter.coords, [1.0, 0.0, 0.0])
 
+    def test_solves_no_lp(self, lp_solves):
+        # BipartiteState guarantees the entries lie in V+; they are
+        # re-checked on the cached facets, not with an LP per entry
+        rng = np.random.default_rng(23)
+        for st in (diagonal_state(), noise_mixed(diagonal_state(), 0.3)):
+            fams = tuple(
+                sampling.random_measurement(rng, st.system_a, k)
+                for k in (2, 3, 2))
+            lp_solves.clear()
+            asm = bipartite.conditional_assemblage(st, fams)
+            assert lp_solves == [] and asm.shape == (2, 3, 2)
+
     def test_wrong_party_measurement_rejected(self):
         other = systems.simplex(2)
         m = systems.dichotomic_measurement(

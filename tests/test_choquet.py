@@ -110,6 +110,34 @@ def test_measure_rejects_bad_points():
         choquet.SimpleMeasure((1.0, sq.vector([1, 0, 0])))  # not pairs
 
 
+def test_measures_solve_no_lp(lp_solves):
+    # atoms are checked on the cached facets, so building a measure on a
+    # polytopic system solves no LP, whichever builder makes it
+    rng = np.random.default_rng(21)
+    for system in (square(), systems.hypercube(3), systems.cross_polytope(3),
+                   sampling.random_polytopic_system(rng, dim=4)):
+        sigma = sampling.random_interior_state(rng, system)
+        lp_solves.clear()
+        choquet.SimpleMeasure(((0.25, system.vector(system.vertices[0])),
+                               (0.75, sigma)))
+        choquet.vertex_measure(system)
+        choquet.point_mass(sigma)
+        mu = sampling.random_measure_with_barycenter(rng, system, sigma)
+        assert lp_solves == []
+        assert np.max(np.abs(mu.barycenter.coords - sigma.coords)) <= 1e-12
+
+
+def test_measure_rejects_atoms_just_outside_the_cone():
+    sq = square()
+    for p in ((1, 1 + 1e-6, 0), (1, 1 + 1e-6, 1 + 1e-6), (1, -0.5, -1 - 1e-6)):
+        with pytest.raises(InvalidInput, match="atom 1 point is outside V"):
+            measure(sq, (0.5, (1, 0, 0)), (0.5, p))
+    b = systems.ball(2, "l2")
+    with pytest.raises(InvalidInput, match="atom 0 point is outside V"):
+        choquet.point_mass(b.vector([1.0, 0.6, 0.8 + 1e-6]))
+    assert choquet.point_mass(b.vector([1.0, 0.6, 0.8])).system is b
+
+
 def test_boundary_measure_requires_vertices():
     sq = square()
     ok = choquet.BoundaryMeasure(

@@ -8,6 +8,7 @@ import lp_cases
 import numpy as np
 import pytest
 
+from gptsteer import lp
 from gptsteer.errors import GuardExceeded, InvalidInput, MalformedProblem
 from gptsteer.lp import LpProblem, LpOutcome, feasibility, solve
 from gptsteer.tolerances import LP_GAP
@@ -38,6 +39,29 @@ def test_simplex_face_optimum():
     assert out.status == "optimal"
     assert abs(out.value - (-1.0)) <= 1e-9
     assert abs(out.x.sum() - 1.0) <= 1e-9
+
+
+def test_phase_two_rebuilds_only_after_phase_one(monkeypatch):
+    rebuilds = []
+    refactorize = lp._refactorize
+
+    def counting(*args):
+        rebuilds.append(1)
+        return refactorize(*args)
+
+    monkeypatch.setattr(lp, "_refactorize", counting)
+    # a feasibility LP: phase two has nothing to price, so phase one's
+    # closing rebuild is the only one
+    V = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+    out = solve(LpProblem(np.zeros(4), eq_rows=V.T, eq_rhs=[1.0, 0.2, -0.4]))
+    assert out.status == "optimal" and len(rebuilds) == 1
+    assert np.max(np.abs(V.T @ out.x - [1.0, 0.2, -0.4])) <= 1e-12
+    # phase two pivots here, so it ends in a rebuild of its own
+    rebuilds.clear()
+    out = solve(LpProblem(np.array([-1.0, -2.0]), ub_rows=[[1.0, 1.0]],
+                          ub_rhs=[1.0]))
+    assert out.status == "optimal" and len(rebuilds) == 2
+    assert out.x.tolist() == [0.0, 1.0]
 
 
 def test_unbounded_detected():

@@ -46,15 +46,19 @@ def test_callers_counts_per_question_and_reads_old_recordings(tmp_path):
     new = tmp_path / "new.lps"
     with open(new, "wb") as fh:
         pickle.dump({"questions": 2, "problems": [
+            (fields, "float", "cone_member <- random_dilation", None),
             (fields, "float", "build", None),
             (fields, "float", "lhs_check", 0),
             (fields, "float", "cone_member <- robustness", 0),
-            (fields, "float", "cone_member <- robustness", 1)]}, fh)
+            (fields, "float", "cone_member <- robustness", 1),
+            (fields, "float", "build", None)]}, fh)
     assert tool.callers(new) == [
         "    1.00  cone_member <- robustness",
         "    0.50  lhs_check",
         "    1.50  total per question, 2 questions",
-        "       1  set-up solves"]
+        "       3  set-up solves",
+        "       2  build",
+        "       1  cone_member <- random_dilation"]
     old = tmp_path / "old.lps"
     with open(old, "wb") as fh:
         pickle.dump([(fields, "float")], fh)

@@ -118,6 +118,22 @@ def test_unchecked_assemblage_keeps_the_sum_check(lp_solves):
             sigma, ((s.vector([0.5, 0.2, 0]), s.vector([0.4, -0.2, 0])),))
 
 
+def test_classical_sampler_solves_no_lp_and_mixing_keeps_its_lp(lp_solves):
+    rng = np.random.default_rng(8)
+    for system in (square(), systems.cross_polytope(3),
+                   sampling.random_polytopic_system(rng, dim=4)):
+        lp_solves.clear()
+        asm = sampling.random_classical_assemblage(rng, system, (2, 3))
+        assert lp_solves == []
+        assert steering.lhs_check(asm).classical
+        # mixed_with_trivial still decides each entry with a cone_member
+        # LP: the robustness bisection's LP count is pinned by the
+        # benchmark, so this builder keeps the LP until that pin moves
+        lp_solves.clear()
+        steering.mixed_with_trivial(asm, 0.5)
+        assert len(lp_solves) == 5
+
+
 def test_trivial_assemblage_has_zero_components():
     s = square()
     asm = steering.trivial_assemblage(s.vector([1.0, 0.2, -0.1]), (2, 2, 2))

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_tensors import changed_coordinates
 
-from gptsteer import lp, systems
+from gptsteer import lp, sampling, systems
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
     NotInterior,
+    NumericalFailure,
     SystemMismatch,
 )
 from gptsteer.geometry import facets_of_cone, lex_sorted, vertices_of_polytope
 from gptsteer.tensors import sigma_interval_vertices
+from gptsteer.tolerances import COINCIDENCE
 
 RT2 = np.sqrt(2.0)
 
@@ -786,3 +789,76 @@ def test_system_equals_itself_without_comparing_vertices(monkeypatch):
     monkeypatch.setattr(systems, "lex_sorted", None)
     assert s == s
     assert (s.vector([1.0, 0, 0]) + s.vector([0.0, 1, 0])).system is s
+
+
+def test_in_cone_solves_no_lp(lp_solves):
+    sq = systems.hypercube(2)
+    assert systems.in_cone(sq, sq.vector([1.0, 1.0, 1.0]))       # vertex
+    assert systems.in_cone(sq, sq.vector([1.0, 0.3, -1.0]))      # edge
+    assert systems.in_cone(sq, sq.vector([0.0, 0.0, 0.0]))       # apex
+    assert not systems.in_cone(sq, sq.vector([1.0, 1.0 + 1e-6, 0.0]))
+    assert not systems.in_cone(sq, sq.vector([-1.0, 0.0, 0.0]))
+    points = ([1.0, 0.6, 0.0, 0.4], [1.0, 0.6, 0.6, 0.6],
+              [1.0, 1.0, 0.0, 0.0], [2.0, 0.0, -2.0 - 1e-6, 0.0])
+    for norm, expected in (("l1", [True, False, True, False]),
+                           ("l2", [True, False, True, False]),
+                           ("linf", [True, True, True, False])):
+        b = systems.ball(3, norm)
+        assert [systems.in_cone(b, b.vector(v)) for v in points] == expected
+    assert lp_solves == []
+    with pytest.raises(SystemMismatch):
+        systems.in_cone(sq, systems.simplex(3).vector([1.0, 0, 0]))
+
+
+def faces_by_dimension(V, F):
+    """{k: [vertex indices of each k-face]} for k = 0 .. dim - 2: the
+    facets' vertex sets closed under intersection."""
+    tight = np.abs(V @ F.T) <= 1e-9
+    facets = {frozenset(np.flatnonzero(tight[:, k]).tolist())
+              for k in range(F.shape[0])}
+    found, frontier = set(facets), set(facets)
+    while frontier:
+        frontier = {a & b for a in frontier for b in facets} - found - {
+            frozenset()}
+        found |= frontier
+    out = {}
+    for face in sorted(found, key=sorted):
+        rows = sorted(face)
+        out.setdefault(np.linalg.matrix_rank(V[rows]) - 1, []).append(rows)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(["cube", "octahedron", "hull"]))
+def test_in_cone_matches_cone_member_off_faces(seed, shape):
+    # a point inside a random face of each dimension, pushed off it by
+    # delta in a random direction; outside the COINCIDENCE band of the
+    # facet margin the facet rule and the LP agree wherever the LP ends
+    # with a verdict
+    rng = np.random.default_rng(seed)
+    base = {"cube": lambda: systems.hypercube(3),
+            "octahedron": lambda: systems.cross_polytope(3),
+            "hull": lambda: sampling.random_polytopic_system(
+                rng, dim=int(rng.integers(3, 6)))}[shape]()
+    s = changed_coordinates(rng, base)
+    V, F = s.vertices, s.cone_facets
+    faces = faces_by_dimension(V, F)
+    assert sorted(faces) == list(range(s.dim - 1))
+    for k, listed in faces.items():
+        face = listed[int(rng.integers(len(listed)))]
+        on_face = V[face].T @ rng.dirichlet(np.ones(len(face)))
+        for delta in (1e-12, 1e-9, 1e-6):
+            u = rng.standard_normal(s.dim)
+            v = s.vector(on_face + delta * u / np.linalg.norm(u))
+            vals = F @ v.coords
+            margin = float(np.min(vals))
+            band = COINCIDENCE * (1.0 + float(np.max(np.abs(vals))))
+            fast = systems.in_cone(s, v)
+            assert fast == (margin >= -band)
+            try:
+                reference = systems.cone_member(s, v).member
+            except NumericalFailure:
+                continue
+            if abs(margin) > band:
+                assert fast == reference, (k, delta, margin)

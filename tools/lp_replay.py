@@ -11,14 +11,15 @@ the set-up and the cycle: the problem data, the mode, the question it
 belongs to (None for the set-up) and the chain of gptsteer functions that
 asked for it, innermost first and without the lp module's own wrappers
 (`cone_member <- Assemblage.__post_init__ <- mixed_with_trivial <- ...`).
-`callers` prints the cycle's LP solves per question by chain.  `compare` solves
-every stored problem once under each source tree, in a child process per
-tree that imports gptsteer from TREE/src, and counts the problems whose
-outcome bytes differ.  An outcome is the status, x, value, both dual
-vectors, the reduced costs and the Farkas margin, or the type and message
-of the exception raised.  It prints one JSON line and exits 1 when any
-outcome differs.  `outcomes FILE TREE` is the child's half: one status and
-digest per problem, as a JSON list.
+`callers` prints the cycle's LP solves per question by chain, then the
+set-up's solves by chain.  `compare` solves every stored problem once
+under each source tree, in a child process per tree that imports gptsteer
+from TREE/src, and counts the problems whose outcome bytes differ.  An
+outcome is the status, x, value, both dual vectors, the reduced costs and
+the Farkas margin, or the type and message of the exception raised.  It
+prints one JSON line and exits 1 when any outcome differs.  `outcomes FILE
+TREE` is the child's half: one status and digest per problem, as a JSON
+list.
 
 The file is a pickle of plain numpy arrays and strings; load only files you
 recorded.  `compare` also reads recordings made before the callers were
@@ -162,9 +163,13 @@ def compare(path, tree_a, tree_b):
             "statuses": dict(collections.Counter(s for s, _ in a))}
 
 
+def _by_count(counter):
+    return sorted(counter.items(), key=lambda item: (-item[1], item[0]))
+
+
 def callers(path):
     """Lines of LP solves per question by caller chain, most first, then
-    the cycle's total and the set-up's count."""
+    the cycle's total, the set-up's count and its solves by chain."""
     data = load(path)
     if data["questions"] is None:
         raise SystemExit(f"lp_replay: {path} was recorded without callers")
@@ -172,12 +177,14 @@ def callers(path):
     cycle = collections.Counter(
         chain for _, _, chain, question in data["problems"]
         if question is not None)
-    setup = sum(1 for p in data["problems"] if p[3] is None)
-    lines = [f"{n / q:8.2f}  {chain}" for chain, n in sorted(
-        cycle.items(), key=lambda item: (-item[1], item[0]))]
+    setup = collections.Counter(
+        chain for _, _, chain, question in data["problems"]
+        if question is None)
+    lines = [f"{n / q:8.2f}  {chain}" for chain, n in _by_count(cycle)]
     lines.append(f"{sum(cycle.values()) / q:8.2f}  total per question, "
                  f"{data['questions']} questions")
-    lines.append(f"{setup:8d}  set-up solves")
+    lines.append(f"{sum(setup.values()):8d}  set-up solves")
+    lines += [f"{n:8d}  {chain}" for chain, n in _by_count(setup)]
     return lines
 
 
