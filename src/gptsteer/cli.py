@@ -53,7 +53,7 @@ def _expect(obj, keys, what):
 
 
 def _vector(system, raw, what):
-    arr = np.asarray(raw, dtype=np.float64)
+    arr = systems.payload_floats(raw, what)
     if arr.ndim != 1 or arr.shape[0] != system.dim:
         raise InvalidInput(f"{what} must be a vector of length {system.dim}")
     return system.vector(arr)
@@ -80,6 +80,9 @@ def load_assemblage(path):
     rows = obj["entries"]
     if not isinstance(rows, list) or not rows:
         raise InvalidInput("assemblage payload needs a nonempty entry list")
+    for x, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InvalidInput(f"entry row {x} must be a list of vectors")
     entries = tuple(
         tuple(_vector(system, rho, f"entry ({a}|{x})")
               for a, rho in enumerate(row))
@@ -98,7 +101,11 @@ def load_measure(path):
     atoms = []
     for j, atom in enumerate(raw):
         _expect(atom, ("weight", "point"), f"atom {j}")
-        atoms.append((float(atom["weight"]),
+        try:
+            weight = float(atom["weight"])
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"atom {j} weight must be a number") from exc
+        atoms.append((weight,
                       _vector(system, atom["point"], f"atom {j} point")))
     return choquet.SimpleMeasure(tuple(atoms))
 
@@ -108,7 +115,7 @@ def load_bipartite(path):
                   "bipartite state")
     sys_a = systems.system_from_payload(obj["system_a"])
     sys_b = systems.system_from_payload(obj["system_b"])
-    coeffs = np.asarray(obj["coeffs"], dtype=np.float64)
+    coeffs = systems.payload_floats(obj["coeffs"], "coeffs")
     if coeffs.ndim != 2 or coeffs.shape != (sys_a.dim, sys_b.dim):
         raise InvalidInput(
             f"coeffs must be a {sys_a.dim} x {sys_b.dim} matrix")

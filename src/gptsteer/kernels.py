@@ -10,8 +10,10 @@ small, numpy dispatch would cost more than it saves, and a list index is far
 cheaper than fetching one numpy scalar.  The list values are the same
 doubles (or Fractions), so every comparison, and with it every pivot, is
 that of the tableau's own entries.  A phase may pivot only the columns
-before a given width when its caller rebuilds the rest.  The exact-rational
-LP mode runs the same `simplex_phase` on object arrays of Fractions.
+before a given width when its caller rebuilds the rest: lp's float phases,
+one and two, pivot only the structural columns, since each ends in a
+rebuild, and its exact-rational mode runs the same `simplex_phase` on
+object arrays of Fractions over every column.
 `symmetry_search` walks `itertools.permutations` and works on numpy rows.
 The enumerations `enum_polytope_vertices` and `enum_cone_facets` are
 batched numpy: they walk the candidate subsets in lexicographic chunks of

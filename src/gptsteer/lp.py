@@ -8,13 +8,17 @@ conditions and strong duality, an infeasible verdict must carry a Farkas
 certificate whose separation margin is verified against the original data.
 A failed check raises NumericalFailure rather than returning a wrong answer.
 
-`mode="exact"` reruns the identical pivot source on object arrays of
-`fractions.Fraction` with zero tolerances in place of tolerances.py's.  It
-is slow and guarded (see guards.py) but removes floating-point doubt on
-small instances; float inputs convert exactly, so both modes see one problem.
+`mode="exact"` is a choice of number type, made once at the top of `solve`:
+the same set-up, pivots, extraction and checks run on object arrays of
+`fractions.Fraction` at zero tolerance in place of tolerances.py's.  Only
+the float mode rebuilds its tableau, so only it may leave the artificial
+columns stale during a phase.  Exact mode is slow and guarded (see
+guards.py) but removes floating-point doubt on small instances; float inputs
+convert exactly, so both modes see one problem.
 """
 
-import math
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -117,13 +121,21 @@ class LpOutcome:
 
 def _fractionize(a):
     """Exact object-array copy of a float array; infinities stay floats."""
-    out = np.empty(a.shape, dtype=object)
-    src = a.reshape(-1)
-    dst = out.reshape(-1)
-    for i in range(src.size):
-        v = float(src[i])
-        dst[i] = v if math.isinf(v) else Fraction(v)
+    out = a.astype(object)
+    finite = np.isfinite(a)
+    out[finite] = [Fraction(v) for v in a[finite].tolist()]
     return out
+
+
+def _negate(a, where):
+    """a with its entries under the mask `where` negated in place."""
+    return np.negative(a, out=a, where=where)
+
+
+def _fold(start, terms):
+    """start + terms[0] + terms[1] + ..., added left to right as a loop adds
+    them (a sum may pair the terms and round differently)."""
+    return functools.reduce(operator.add, terms.tolist(), start)
 
 
 def feasibility(problem):
@@ -139,170 +151,123 @@ def solve(problem, mode="float"):
         raise InvalidInput("problem must be an LpProblem")
     if mode not in ("float", "exact"):
         raise InvalidInput("mode must be 'float' or 'exact'")
-    exact = mode == "exact"
     me = problem.eq_rows.shape[0]
     mu = problem.ub_rows.shape[0]
     m0 = me + mu
     n0 = problem.n_vars
-
-    if exact:
-        c0 = _fractionize(problem.objective)
-        A_eq = _fractionize(problem.eq_rows)
-        b_eq = _fractionize(problem.eq_rhs)
-        A_ub = _fractionize(problem.ub_rows)
-        b_ub = _fractionize(problem.ub_rhs)
-        l0 = _fractionize(problem.lower)
-        u0 = _fractionize(problem.upper)
-        zero = Fraction(0)
-    else:
-        c0 = problem.objective
-        A_eq, b_eq = problem.eq_rows, problem.eq_rhs
-        A_ub, b_ub = problem.ub_rows, problem.ub_rhs
-        l0, u0 = problem.lower, problem.upper
-        zero = 0.0
-
-    if m0 > 0:
-        A_all = np.concatenate([A_eq, A_ub], axis=0)
-        b_all = np.concatenate([b_eq, b_ub]).copy()
-    else:
-        A_all = np.zeros((0, n0), dtype=object if exact else np.float64)
-        b_all = np.zeros(0, dtype=object if exact else np.float64)
-        if exact:
-            A_all[...] = zero
-
-    # Column transforms onto z >= 0 with optional finite upper bound.
-    cols = []
-    cvec = []
-    uppers = []
-    kinds = []
-    for j in range(n0):
-        lj, uj = l0[j], u0[j]
-        a = A_all[:, j]
-        if lj != -np.inf:
-            if lj != 0:
-                b_all = b_all - a * lj
-            cols.append(a.copy())
-            cvec.append(c0[j])
-            uppers.append(np.inf if uj == np.inf else uj - lj)
-            kinds.append(("shift", lj))
-        elif uj != np.inf:
-            b_all = b_all - a * uj
-            cols.append(-a)
-            cvec.append(-c0[j])
-            uppers.append(np.inf)
-            kinds.append(("flip", uj))
-        else:
-            cols.append(a.copy())
-            cvec.append(c0[j])
-            uppers.append(np.inf)
-            cols.append(-a)
-            cvec.append(-c0[j])
-            uppers.append(np.inf)
-            kinds.append(("split",))
-    for i in range(mu):
-        s_col = np.full(m0, zero, dtype=object) if exact else np.zeros(m0)
-        s_col[me + i] = zero + 1
-        cols.append(s_col)
-        cvec.append(zero)
-        uppers.append(np.inf)
-    ncols = len(cols)
+    # Column transforms onto z >= 0: x = l + z where the lower bound is
+    # finite, else x = u - z where the upper bound is, else a free x is
+    # z+ - z- on two columns.  The slack columns follow.
+    no_lower = problem.lower == -np.inf
+    free = no_lower & (problem.upper == np.inf)
+    flip = no_lower ^ free
+    span = 1 + free
+    first = np.cumsum(span) - span      # each variable's first column
+    var = np.repeat(np.arange(n0), span)
+    neg = np.zeros(var.size, dtype=bool)   # the columns of u - z and z-
+    neg[first[flip]] = True
+    neg[first[free] + 1] = True
+    ncols = var.size + mu
     N = ncols + m0
+
+    # The number type: float64 at tolerances.py's tolerances with narrow
+    # phases (each ends in a rebuild), or Fractions at zero tolerance with
+    # every column pivoted.
+    exact = mode == "exact"
     if exact:
         guards.check("exact_vars", N)
+        convert, scalar, width = _fractionize, Fraction, N
+        tol = feas = gap = 0
+    else:
+        convert, scalar, width = np.asarray, float, ncols
+        tol, feas, gap = PIVOT, LP_FEASIBILITY, LP_GAP
+    data = tuple(map(convert, (
+        problem.objective, problem.eq_rows, problem.eq_rhs, problem.ub_rows,
+        problem.ub_rhs, problem.lower, problem.upper)))
+    c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    zero, one = scalar(0), scalar(1)
+    dtype = c0.dtype
 
-    dtype = object if exact else np.float64
-    M = np.empty((m0, ncols), dtype=dtype)
-    for k, col in enumerate(cols):
-        M[:, k] = col
+    A_all = np.concatenate([A_eq, A_ub])
+    b_all = np.concatenate([b_eq, b_ub])
+    offset = np.where(no_lower, u0, l0)     # the bound z is measured from
+    # One shift at a time: the rounding of b depends on the order.
+    for j in ((problem.lower != 0) & ~free).nonzero()[0].tolist():
+        b_all = b_all - A_all[:, j] * offset[j]
+
+    M = np.full((m0, ncols), zero, dtype=dtype)
+    M[:, :var.size] = _negate(A_all[:, var], neg)
+    np.fill_diagonal(M[me:, var.size:], one)
+    cvec = np.full(ncols, zero, dtype=dtype)
+    cvec[:var.size] = _negate(c0[var], neg)
+    upper = np.full(N, np.inf, dtype=dtype)
+    upper[:var.size] = (u0 - l0)[var]   # u - (-inf) is inf
 
     # Flip rows to b >= 0 so the artificial basis starts feasible.
-    sgn = np.ones(m0, dtype=np.int64)
-    for i in range(m0):
-        if b_all[i] < 0:
-            sgn[i] = -1
-            M[i, :] = -M[i, :]
-            b_all[i] = -b_all[i]
+    flipped = b_all < 0
+    _negate(M, flipped[:, None])
+    _negate(b_all, flipped)
 
     T = np.full((m0 + 2, N + 1), zero, dtype=dtype)
     T[:m0, :ncols] = M
-    for i in range(m0):
-        T[i, ncols + i] = zero + 1
-        T[i, N] = b_all[i]
+    np.fill_diagonal(T[:m0, ncols:N], one)
+    T[:m0, N] = b_all
     T[m0, :ncols] = cvec
+    # Row by row: every pivot reads this row, so its rounding is kept.
     acc = np.full(ncols, zero, dtype=dtype)
     for i in range(m0):
         acc = acc + T[i, :ncols]
     T[m0 + 1, :ncols] = -acc
 
-    basis = np.arange(ncols, ncols + m0, dtype=np.int64)
+    basis = np.arange(ncols, N, dtype=np.int64)
     vstat = np.zeros(N, dtype=np.int64)
     vstat[basis] = BASIC
-    if exact:
-        upper = np.empty(N, dtype=object)
-        for j in range(ncols):
-            upper[j] = uppers[j]
-        for j in range(ncols, N):
-            upper[j] = np.inf
-    else:
-        upper = np.concatenate([np.asarray(uppers, dtype=np.float64),
-                                np.full(m0, np.inf)])
-
-    tol = 0 if exact else PIVOT
     max_iter = 1000 + 30 * (m0 + N)
-    if exact:
-        aug = cvec_arr = None
-    else:
-        # [M | I | b]: the constraint columns, the artificial (identity)
-        # columns and a spare column for the right-hand side, shared by every
-        # refactorization of this solve.
-        aug = np.concatenate([M, np.eye(m0), b_all[:, None]], axis=1)
-        cvec_arr = np.asarray(cvec, dtype=np.float64)
+    # [M | I | b]: the constraint columns, the artificial (identity) columns
+    # and a spare column for the right-hand side, shared by every float
+    # refactorization of this solve.
+    aug = T[:m0].copy()
 
-    code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols, N,
-                      tol, max_iter, exact, M, aug, b_all, cvec_arr)
+    code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols, width,
+                      tol, max_iter, exact, M, aug, b_all, cvec)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase one")
     if code != PHASE_OPTIMAL:
         raise NumericalFailure("phase one terminated abnormally")
 
-    nu = zero
-    for i in range(m0):
-        if basis[i] >= ncols:
-            nu = nu + T[i, N]
-    b_scale = 1.0
-    for i in range(m0):
-        b_scale = max(b_scale, abs(float(b_all[i])))
-    infeasible = nu > 0 if exact else nu > LP_FEASIBILITY * b_scale
-    if infeasible:
-        return _infeasible_outcome(
-            T, sgn, me, mu, m0, N, ncols,
-            A_eq, b_eq, A_ub, b_ub, l0, u0, exact)
+    nu = _fold(zero, T[:m0, N][basis >= ncols])
+    if nu > feas * float(b_all.max(initial=1.0)):
+        return _infeasible_outcome(T, flipped, m0, ncols, data, zero, one,
+                                   feas, scalar)
 
     phase_one_basis = basis.copy()
     drive_out_artificials(T, basis, vstat, upper, m0, N, ncols, tol)
-    for j in range(ncols, N):
-        upper[j] = zero
+    upper[ncols:] = zero
 
-    if not exact and np.array_equal(basis, phase_one_basis) \
+    if (basis == phase_one_basis).all() \
             and entering(T, vstat, upper, m0, ncols, tol)[0] == -1:
-        # Phase one ended in a rebuild, nothing has pivoted since and phase
-        # two has no column to enter: its closing rebuild would recompute
-        # the same tableau from the same basis, so it is skipped.
+        # Nothing has pivoted since phase one and phase two has no column
+        # to enter, so phase two would return at once; in float mode its
+        # closing rebuild would recompute phase one's rebuilt tableau.
         code = PHASE_OPTIMAL
     else:
-        # Float phase two ends in a rebuild of the whole tableau, and its
-        # pivots read no artificial column, so they skip that block.
-        code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols,
-                          N if exact else ncols,
-                          tol, max_iter, exact, M, aug, b_all, cvec_arr)
+        code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols, width,
+                          tol, max_iter, exact, M, aug, b_all, cvec)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase two")
     if code == PHASE_UNBOUNDED:
         return LpOutcome("unbounded", None, None, None, None, None)
 
-    return _optimal_outcome(
-        T, basis, vstat, upper, sgn, kinds, me, mu, m0, N, ncols,
-        c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact)
+    # x from the column values z: at a finite upper bound, basic, or 0.
+    z = np.full(N, zero, dtype=dtype)
+    at_upper = (vstat[:ncols] == AT_UPPER).nonzero()[0]
+    z[at_upper] = upper[at_upper]
+    z[basis] = T[:m0, N]
+    x = offset + _negate(z[first], flip)
+    pair = first[free]
+    x[free] = z[pair] - z[pair + 1]
+    return _optimal_outcome(T, x, flipped, m0, ncols, N, data, zero, feas,
+                            gap, scalar)
 
 
 def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
@@ -378,180 +343,94 @@ def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
     raise NumericalFailure("simplex failed to stabilize after refactorizations")
 
 
-def _infeasible_outcome(T, sgn, me, mu, m0, N, ncols,
-                        A_eq, b_eq, A_ub, b_ub, l0, u0, exact):
+def _infeasible_outcome(T, flipped, m0, ncols, data, zero, one, feas,
+                        scalar):
+    _, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
     # Phase-one reduced cost of artificial i is 1 - y_i in the flipped rows.
-    y = np.empty(m0, dtype=object if exact else np.float64)
-    for i in range(m0):
-        y[i] = int(sgn[i]) * ((1 if exact else 1.0) - T[m0 + 1, ncols + i])
-    peak = max((abs(v) for v in y), default=0)
+    y = _negate(one - T[m0 + 1, ncols:ncols + m0], flipped)
+    peak = np.abs(y).max(initial=0)
     if peak == 0:
         raise NumericalFailure("phase one reported infeasible without a certificate")
-    for i in range(m0):
-        y[i] = y[i] / peak
-    y_eq, y_ub = y[:me], y[me:]
+    y = y / peak
+    y_eq, y_ub = y[:b_eq.size], y[b_eq.size:]
+    if (y_ub > feas).any():
+        raise NumericalFailure("Farkas multipliers on inequality rows must be nonpositive")
+    y_ub[y_ub > 0] = 0
 
-    ztol = 0 if exact else LP_FEASIBILITY
-    for i in range(mu):
-        if y_ub[i] > ztol:
-            raise NumericalFailure("Farkas multipliers on inequality rows must be nonpositive")
-        if not exact and y_ub[i] > 0:
-            y_ub[i] = 0.0
-
-    r = np.zeros(A_eq.shape[1], dtype=object if exact else np.float64)
-    if exact:
-        r[...] = Fraction(0)
-    if me:
-        r = r + A_eq.T @ y_eq
-    if mu:
-        r = r + A_ub.T @ y_ub
-    cap = Fraction(0) if exact else 0.0
-    for j in range(r.size):
-        rj = r[j]
-        if abs(rj) <= ztol:
-            continue
-        if rj > 0:
-            if u0[j] == np.inf:
-                raise NumericalFailure("Farkas certificate leaks through an infinite upper bound")
-            cap = cap + rj * u0[j]
-        else:
-            if l0[j] == -np.inf:
-                raise NumericalFailure("Farkas certificate leaks through an infinite lower bound")
-            cap = cap + rj * l0[j]
-    viol = -cap
-    for i in range(me):
-        viol = viol + y_eq[i] * b_eq[i]
-    for i in range(mu):
-        viol = viol + y_ub[i] * b_ub[i]
+    # A positive r_j is capped by x_j's upper bound, a negative one by its
+    # lower bound.
+    r = A_eq.T @ y_eq + A_ub.T @ y_ub
+    active = np.abs(r) > feas
+    up = active & (r > 0)
+    leak = (up & (u0 == np.inf)) | (active & ~up & (l0 == -np.inf))
+    if leak.any():
+        side = "upper" if up[np.argmax(leak)] else "lower"
+        raise NumericalFailure(f"Farkas certificate leaks through an infinite {side} bound")
+    cap = _fold(zero, r[active] * np.where(up, u0, l0)[active])
+    viol = _fold(-cap, np.concatenate([y_eq * b_eq, y_ub * b_ub]))
     if viol <= 0:
         raise NumericalFailure("Farkas certificate does not separate")
-    if exact:
-        return LpOutcome("infeasible", None, None, y_eq, y_ub, None, viol)
-    return LpOutcome("infeasible", None, None, y_eq, y_ub, None, float(viol))
+    return LpOutcome("infeasible", None, None, y_eq, y_ub, None, scalar(viol))
 
 
-def _optimal_outcome(T, basis, vstat, upper, sgn, kinds, me, mu, m0, N, ncols,
-                     c0, A_eq, b_eq, A_ub, b_ub, l0, u0, exact):
-    zero = Fraction(0) if exact else 0.0
-    z = np.full(N, zero, dtype=object if exact else np.float64)
-    for j in range(ncols):
-        if vstat[j] == AT_UPPER:
-            z[j] = upper[j]
-    for i in range(m0):
-        z[basis[i]] = T[i, N]
-
-    n0 = c0.size
-    x = np.empty(n0, dtype=object if exact else np.float64)
-    k = 0
-    for j, kind in enumerate(kinds):
-        if kind[0] == "shift":
-            x[j] = kind[1] + z[k]
-            k += 1
-        elif kind[0] == "flip":
-            x[j] = kind[1] - z[k]
-            k += 1
-        else:
-            x[j] = z[k] - z[k + 1]
-            k += 2
-
-    y = np.empty(m0, dtype=object if exact else np.float64)
-    for i in range(m0):
-        y[i] = int(sgn[i]) * (zero - T[m0, ncols + i])
-    y_eq, y_ub = y[:me], y[me:]
-
-    rc = c0.copy()
-    if me:
-        rc = rc - A_eq.T @ y_eq
-    if mu:
-        rc = rc - A_ub.T @ y_ub
-
-    value = zero
-    for j in range(n0):
-        value = value + c0[j] * x[j]
-
-    if exact:
-        _verify_exact(x, value, y_eq, y_ub, rc,
-                      A_eq, b_eq, A_ub, b_ub, l0, u0)
-    else:
-        x = _verify_float(x, value, y_eq, y_ub, rc,
-                          A_eq, b_eq, A_ub, b_ub, l0, u0)
-        value = float(c0 @ x)
-    return LpOutcome("optimal", x, value, y_eq, y_ub, rc)
+def _optimal_outcome(T, x, flipped, m0, ncols, N, data, zero, feas, gap,
+                     scalar):
+    c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    y = _negate(zero - T[m0, ncols:N], flipped)
+    y_eq, y_ub = y[:b_eq.size], y[b_eq.size:]
+    rc = c0 - A_eq.T @ y_eq - A_ub.T @ y_ub
+    x = _verify(x, _fold(zero, c0 * x), y_eq, y_ub, rc, data, feas, gap)
+    return LpOutcome("optimal", x, scalar(c0 @ x), y_eq, y_ub, rc)
 
 
-def _verify_float(x, value, y_eq, y_ub, rc, A_eq, b_eq, A_ub, b_ub, l0, u0):
-    n0 = x.size
-    for i in range(A_eq.shape[0]):
-        ref = 1.0 + abs(b_eq[i]) + float(np.abs(A_eq[i]) @ np.abs(x))
-        if abs(float(A_eq[i] @ x) - b_eq[i]) > LP_FEASIBILITY * ref:
+def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
+    """Check an optimal answer against the original data: the rows and
+    bounds within `feas` relative to their size, the multiplier signs, and
+    strong duality within `gap`.  Returns x snapped onto its box and clears
+    roundoff-positive inequality multipliers in place.  Exact mode runs the
+    same checks on Fractions at zero tolerance."""
+    _, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    # A row may miss by `feas` times its size; at zero tolerance the size
+    # is not computed.
+    ax = np.abs(x)
+    if b_eq.size:
+        slack = feas and feas * (1 + np.abs(b_eq) + np.abs(A_eq) @ ax)
+        if (np.abs(A_eq @ x - b_eq) > slack).any():
             raise NumericalFailure("optimal point violates an equality row")
-    for i in range(A_ub.shape[0]):
-        ref = 1.0 + abs(b_ub[i]) + float(np.abs(A_ub[i]) @ np.abs(x))
-        if float(A_ub[i] @ x) - b_ub[i] > LP_FEASIBILITY * ref:
+    if b_ub.size:
+        slack = feas and feas * (1 + np.abs(b_ub) + np.abs(A_ub) @ ax)
+        if (A_ub @ x - b_ub > slack).any():
             raise NumericalFailure("optimal point violates an inequality row")
-    for j in range(n0):
-        if l0[j] != -np.inf and x[j] < l0[j] - LP_FEASIBILITY * (1.0 + abs(l0[j])):
-            raise NumericalFailure("optimal point violates a lower bound")
-        if u0[j] != np.inf and x[j] > u0[j] + LP_FEASIBILITY * (1.0 + abs(u0[j])):
-            raise NumericalFailure("optimal point violates an upper bound")
-    # Snap roundoff onto the box so downstream weights are clean.
-    x = np.clip(x, l0, u0)
+    # Snap roundoff onto the box so downstream weights are clean.  Only a
+    # coordinate the snap moves can be off its bound by more than `feas`.
+    box = np.clip(x, l0, u0)
+    moved = (box != x).nonzero()[0]
+    if moved.size:
+        xm, bound = x[moved], box[moved]
+        slack = feas * (1 + np.abs(bound))
+        below = xm < bound
+        off = np.where(below, xm < bound - slack, xm > bound + slack)
+        if off.any():
+            side = "a lower" if below[off.argmax()] else "an upper"
+            raise NumericalFailure(f"optimal point violates {side} bound")
+    x = box
 
-    for i in range(y_ub.size):
-        if y_ub[i] > LP_FEASIBILITY:
-            raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
-        if y_ub[i] > 0:
-            y_ub[i] = 0.0
+    if (y_ub > feas).any():
+        raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
+    y_ub[y_ub > 0] = 0
 
-    c_scale = 1.0 + float(np.max(np.abs(rc))) if rc.size else 1.0
-    ztol = LP_FEASIBILITY * c_scale
-    dual_obj = float(y_eq @ b_eq) + float(y_ub @ b_ub)
-    for j in range(n0):
-        r = rc[j]
-        if abs(r) <= ztol:
-            continue
-        if r > 0:
-            if l0[j] == -np.inf:
-                raise NumericalFailure("reduced cost positive on a variable without lower bound")
-            dual_obj += r * l0[j]
-        else:
-            if u0[j] == np.inf:
-                raise NumericalFailure("reduced cost negative on a variable without upper bound")
-            dual_obj += r * u0[j]
-    if abs(value - dual_obj) > LP_GAP * (1.0 + abs(value)):
+    # A positive reduced cost prices x_j at its lower bound, a negative one
+    # at its upper bound.
+    size = np.abs(rc)
+    active = size > feas * (1 + size.max())
+    up = active & (rc > 0)
+    unpriced = (up & (l0 == -np.inf)) | (active & ~up & (u0 == np.inf))
+    if unpriced.any():
+        if up[np.argmax(unpriced)]:
+            raise NumericalFailure("reduced cost positive on a variable without lower bound")
+        raise NumericalFailure("reduced cost negative on a variable without upper bound")
+    dual_obj = _fold(y_eq @ b_eq + y_ub @ b_ub,
+                     rc[active] * np.where(up, l0, u0)[active])
+    if abs(value - dual_obj) > gap * (1 + abs(value)):
         raise NumericalFailure("strong duality gap exceeds tolerance")
     return x
-
-
-def _verify_exact(x, value, y_eq, y_ub, rc, A_eq, b_eq, A_ub, b_ub, l0, u0):
-    for i in range(A_eq.shape[0]):
-        if sum(A_eq[i, j] * x[j] for j in range(x.size)) != b_eq[i]:
-            raise NumericalFailure("exact mode: equality residual is nonzero")
-    for i in range(A_ub.shape[0]):
-        if sum(A_ub[i, j] * x[j] for j in range(x.size)) > b_ub[i]:
-            raise NumericalFailure("exact mode: inequality row violated")
-    for j in range(x.size):
-        if x[j] < l0[j] or x[j] > u0[j]:
-            raise NumericalFailure("exact mode: bound violated")
-    for i in range(y_ub.size):
-        if y_ub[i] > 0:
-            raise NumericalFailure("exact mode: inequality multiplier positive")
-    dual_obj = Fraction(0)
-    for i in range(b_eq.size):
-        dual_obj += y_eq[i] * b_eq[i]
-    for i in range(b_ub.size):
-        dual_obj += y_ub[i] * b_ub[i]
-    for j in range(x.size):
-        r = rc[j]
-        if r == 0:
-            continue
-        if r > 0:
-            if l0[j] == -np.inf:
-                raise NumericalFailure("exact mode: dual infeasible at a free lower bound")
-            dual_obj += r * l0[j]
-        else:
-            if u0[j] == np.inf:
-                raise NumericalFailure("exact mode: dual infeasible at a free upper bound")
-            dual_obj += r * u0[j]
-    if dual_obj != value:
-        raise NumericalFailure("exact mode: duality gap is nonzero")

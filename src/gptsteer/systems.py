@@ -765,24 +765,42 @@ def system_to_payload(system):
     return out
 
 
+def payload_floats(raw, what):
+    """A JSON payload value as a float array; InvalidInput when it is not
+    numbers (a string, a ragged list)."""
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} must be numbers") from exc
+
+
+def _payload_dim(payload):
+    try:
+        return int(payload["dim"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("dim must be an integer") from exc
+
+
 def system_from_payload(payload):
     if not isinstance(payload, dict):
         raise InvalidInput("system payload must be a JSON object")
     kind = payload.get("kind")
+    unit = (None if payload.get("unit") is None
+            else payload_floats(payload["unit"], "unit"))
     if kind == POLYTOPIC:
         if "vertices" not in payload:
             raise InvalidInput("polytopic system requires vertices")
-        sys_ = polytopic(np.asarray(payload["vertices"], dtype=np.float64),
-                         unit=payload.get("unit"))
+        sys_ = polytopic(payload_floats(payload["vertices"], "vertices"),
+                         unit=unit)
     elif kind == CENTRALLY_SYMMETRIC:
         if "ball_norm" not in payload:
             raise InvalidInput("centrally symmetric system requires ball_norm")
         if "dim" not in payload:
             raise InvalidInput("centrally symmetric system requires dim")
-        sys_ = GptSystem(kind=CENTRALLY_SYMMETRIC, dim=int(payload["dim"]),
-                         ball_norm=payload["ball_norm"], unit=payload.get("unit"))
+        sys_ = GptSystem(kind=CENTRALLY_SYMMETRIC, dim=_payload_dim(payload),
+                         ball_norm=payload["ball_norm"], unit=unit)
     else:
         raise InvalidInput(f"kind must be one of {POLYTOPIC!r}, {CENTRALLY_SYMMETRIC!r}")
-    if "dim" in payload and int(payload["dim"]) != sys_.dim:
+    if "dim" in payload and _payload_dim(payload) != sys_.dim:
         raise InvalidInput("dim does not match the vertex width")
     return sys_

@@ -314,6 +314,29 @@ def test_bad_system_payload_exit_1(files, capsys):
     assert cli.main(["norm", files(bad)]) == 1
 
 
+NOT_NUMBERS = {
+    "weight": ("cmu", dict(UNIFORM_MEASURE, atoms=[
+        {"weight": "abc", "point": [1, 0, 0]}])),
+    "point": ("cmu", dict(UNIFORM_MEASURE, atoms=[
+        {"weight": 1.0, "point": ["a", 0, 0]}])),
+    "ragged_vertices": ("norm", dict(DIAG_TENSOR, system=dict(
+        SQUARE, vertices=[[1, 1, 1], [1, 1], [1, -1, 1]]))),
+    "dim": ("norm", dict(DIAG_TENSOR, system=dict(SQUARE, dim="three"))),
+    "unit": ("norm", dict(DIAG_TENSOR, system=dict(SQUARE, unit="abc"))),
+    "coeffs": ("unsteerable", dict(DIAG_STATE, coeffs="abc")),
+    "entries": ("lhs", dict(DIAG_ASM, entries=[1])),
+    "entry_row": ("lhs", dict(DIAG_ASM, entries=[DIAG_ASM["entries"][0], 3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_payload_that_is_not_numbers_exit_1(case, files, capsys):
+    verb, payload = NOT_NUMBERS[case]
+    assert cli.main([verb, files(payload)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "Traceback" not in err
+
+
 def test_unknown_verb_and_option_exit_1(files, capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["lhs", files(DIAG_ASM), "--bogus"]) == 1

@@ -704,14 +704,15 @@ def test_list_pricing_matches_scalar_reference():
 @pytest.fixture
 def dead_block(monkeypatch):
     """lp.simplex_phase that fills the artificial block T[:m, n_elig:N]
-    with NaN before every float phase-two run; returns the widths seen."""
+    with NaN before every float run of either phase; returns the widths
+    seen."""
     phase = lp.simplex_phase
     widths = collections.Counter()
 
     def poisoned(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
                  max_iter, width=None):
         exact = T.dtype == object
-        if cost_row == m and not exact:
+        if not exact:
             T[:m, n_elig:N] = np.nan
         widths["exact" if exact else "float",
                "two" if cost_row == m else "one",
@@ -738,10 +739,12 @@ def test_phase_two_reads_no_artificial_column(family, dead_block):
         want = _outcome(problem, mode)
         lp.simplex_phase = poisoned
         assert _outcome(problem, mode) == want
+    # Both float phases end in a rebuild, so neither pivots the block.
     if family != "infeasible":
         assert dead_block["float", "two", "narrow"]
+    assert dead_block["float", "one", "narrow"]
     assert not dead_block["float", "two", "full"]
-    assert not dead_block["float", "one", "narrow"]
+    assert not dead_block["float", "one", "full"]
 
 
 def test_phase_two_pivots_leave_the_artificial_block(monkeypatch):

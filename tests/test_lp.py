@@ -3,13 +3,15 @@ and agreement with an independent brute-force vertex enumeration and with
 HiGHS (scipy.optimize.linprog, skipped when scipy is absent)."""
 
 import itertools
+from fractions import Fraction
 
 import lp_cases
 import numpy as np
 import pytest
 
 from gptsteer import lp
-from gptsteer.errors import GuardExceeded, InvalidInput, MalformedProblem
+from gptsteer.errors import (GuardExceeded, InvalidInput, MalformedProblem,
+                             NumericalFailure)
 from gptsteer.lp import LpProblem, LpOutcome, feasibility, solve
 from gptsteer.tolerances import LP_GAP
 
@@ -204,12 +206,36 @@ def test_exact_mode_agrees_with_float():
 
 
 def test_exact_mode_value_is_a_fraction():
-    from fractions import Fraction
-
     p = LpProblem(np.array([-1.0, -1.0]), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0])
     out = solve(p, mode="exact")
     assert isinstance(out.value, Fraction)
     assert out.value == -1
+
+
+@pytest.mark.parametrize("mode, delta, holds", [
+    ("exact", Fraction(1, 10**30), False),
+    ("float", 1e-12, True),
+    ("float", 1e-6, False),
+])
+def test_one_verifier_keeps_both_tolerance_regimes(mode, delta, holds,
+                                                   monkeypatch):
+    # The optimum (1, 0) of x0 + x1 = 1 is moved off the row by delta before
+    # the shared check: exact mode allows no residual, float mode allows
+    # LP_FEASIBILITY relative to the row's size.
+    verify = lp._verify
+
+    def nudged(x, *args):
+        x = x.copy()
+        x[0] = x[0] + delta
+        return verify(x, *args)
+
+    monkeypatch.setattr(lp, "_verify", nudged)
+    p = LpProblem(np.array([1.0, 2.0]), eq_rows=[[1.0, 1.0]], eq_rhs=[1.0])
+    if holds:
+        assert solve(p, mode=mode).status == "optimal"
+    else:
+        with pytest.raises(NumericalFailure, match="equality row"):
+            solve(p, mode=mode)
 
 
 def test_repeat_solves_are_bit_identical():

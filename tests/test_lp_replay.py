@@ -2,6 +2,7 @@
 
 import importlib.util
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +68,21 @@ def test_callers_counts_per_question_and_reads_old_recordings(tmp_path):
     [(got, mode, chain, question)] = data["problems"]
     assert sorted(got) == sorted(tool.FIELDS)
     assert (mode, chain, question) == ("float", None, None)
+
+
+def test_record_tests_keeps_each_distinct_problem_once(tmp_path):
+    # The first test solves one float problem twice, the second one problem
+    # in exact mode.
+    out = tmp_path / "tests.lps"
+    test_lp = TOOL.parent.parent / "tests" / "test_lp.py"
+    subprocess.run(
+        [sys.executable, str(TOOL), "record", "--workload", "tests",
+         "--out", str(out),
+         f"{test_lp}::test_repeat_solves_are_bit_identical",
+         f"{test_lp}::test_exact_mode_value_is_a_fraction"],
+        check=True, capture_output=True, text=True)
+    data = load_tool().load(out)
+    assert data["questions"] == 0
+    assert [(mode, chain, question)
+            for _, mode, chain, question in data["problems"]] == [
+        ("float", "", None), ("exact", "", None)]

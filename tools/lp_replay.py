@@ -1,6 +1,7 @@
 """Record a benchmark workload's LP problems; replay them on two trees.
 
     python3 tools/lp_replay.py record --workload order --seed 0 --out order.lps
+    python3 tools/lp_replay.py record --workload tests --out tests.lps [PATH ...]
     python3 tools/lp_replay.py compare order.lps TREE_A TREE_B
     python3 tools/lp_replay.py callers order.lps
 
@@ -11,6 +12,11 @@ the set-up and the cycle: the problem data, the mode, the question it
 belongs to (None for the set-up) and the chain of gptsteer functions that
 asked for it, innermost first and without the lp module's own wrappers
 (`cone_member <- Assemblage.__post_init__ <- mixed_with_trivial <- ...`).
+`record --workload tests` instead runs pytest in process on the given test
+files or directories (by default this checkout's tests/) and stores every
+distinct problem, with its mode, that the tests hand to `lp.solve`, in
+first-asked order and with the chain of its first asking; they all count
+as set-up.
 `callers` prints the cycle's LP solves per question by chain, then the
 set-up's solves by chain.  `compare` solves every stored problem once
 under each source tree, in a child process per tree that imports gptsteer
@@ -103,6 +109,39 @@ def record(workload, seed):
     return {"questions": question, "problems": seen}, raised
 
 
+def record_tests(paths):
+    """{"questions": 0, "problems": [(fields, mode, chain, None)]} of every
+    distinct lp.solve problem the pytest run over `paths` asks for, and
+    pytest's exit code."""
+    import pytest
+
+    import_library(ROOT)
+    from gptsteer import lp
+
+    seen = {}
+    solve = lp.solve
+
+    def recording(problem, mode="float"):
+        if isinstance(problem, lp.LpProblem):
+            fields = {k: getattr(problem, k).copy() for k in FIELDS}
+            key = (mode,) + tuple((v.dtype.str, v.shape, v.tobytes())
+                                  for v in fields.values())
+            if key not in seen:
+                seen[key] = (fields, mode, caller_chain(sys._getframe(1)),
+                             None)
+        return solve(problem, mode)
+
+    # Patched before collection, so `from gptsteer.lp import solve` in a
+    # test module binds the recording wrapper too.
+    lp.solve = recording
+    try:
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir",
+                            str(ROOT)] + [str(p) for p in paths])
+    finally:
+        lp.solve = solve
+    return {"questions": 0, "problems": list(seen.values())}, int(code)
+
+
 def load(path):
     """The recording in `path`, in the current format; a recording without
     callers (a bare list of (fields, mode)) gets chain and question None."""
@@ -193,9 +232,11 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record", help="store one cycle's LP problems")
     rec.add_argument("--workload", required=True,
-                     choices=("norms", "order", "steer"))
+                     choices=("norms", "order", "steer", "tests"))
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--out", required=True)
+    rec.add_argument("paths", nargs="*", default=[str(ROOT / "tests")],
+                     help="test files or directories for --workload tests")
     cmp_ = sub.add_parser("compare", help="count outcome-byte mismatches")
     cmp_.add_argument("file")
     cmp_.add_argument("tree_a")
@@ -208,13 +249,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "record":
-        data, raised = record(args.workload, args.seed)
+        if args.workload == "tests":
+            data, code = record_tests(args.paths)
+            summary = {"pytest_exit": code}
+        else:
+            data, raised = record(args.workload, args.seed)
+            code = 0
+            summary = {"questions": data["questions"],
+                       "questions_raised": raised}
         with open(args.out, "wb") as fh:
             pickle.dump(data, fh)
-        print(json.dumps({"problems": len(data["problems"]),
-                          "questions": data["questions"],
-                          "questions_raised": raised}))
-    elif args.command == "callers":
+        print(json.dumps({"problems": len(data["problems"]), **summary}))
+        return code
+    if args.command == "callers":
         print("\n".join(callers(args.file)))
     elif args.command == "outcomes":
         print(json.dumps(outcomes(args.file, args.tree)))
