@@ -58,8 +58,8 @@ class SimpleMeasure:
                 system = p.system
             elif p.system != system:
                 raise SystemMismatch("atoms live on different systems")
-            if w < -1e-12:
-                raise InvalidInput(f"atom {j} has negative weight")
+            if not w >= -1e-12:   # NaN fails too
+                raise InvalidInput(f"atom {j} weight must be nonnegative")
             if abs(systems.pair(system.unit_functional, p) - 1.0) > COINCIDENCE:
                 raise InvalidInput(f"atom {j} point is not normalized")
             if not systems.in_cone(system, p):

@@ -185,17 +185,21 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
 
     Called between the phases (at most m degenerate pivots).  Rows where
     every structural entry vanishes are redundant; their artificial stays
-    basic at 0 and is fixed by the caller via upper = 0.
+    basic at 0 and is fixed by the caller via upper = 0.  Each row is read
+    as a list, with vstat as it stands when the row is reached.  Returns
+    the number of pivots made.
     """
-    for r in range(m):
-        if basis[r] < n_nonart:
+    moved = 0
+    for r, art in enumerate(basis.tolist()):
+        if art < n_nonart:
             continue
+        vs = vstat.tolist()
         piv = -1
         best = tol
-        for j in range(n_nonart):
-            if vstat[j] == BASIC:
+        for j, v in enumerate(T[r, :n_nonart].tolist()):
+            if vs[j] == BASIC:
                 continue
-            v = abs(T[r, j])
+            v = abs(v)
             if piv == -1 and v > ARTIFICIAL_PIVOT:
                 piv = j
                 break
@@ -205,10 +209,12 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
         if piv == -1:
             continue
         _pivot(T, r, piv, N)
-        vstat[basis[r]] = AT_LOWER
+        vstat[art] = AT_LOWER
         basis[r] = piv
-        T[r, N] = 0 if vstat[piv] == AT_LOWER else upper[piv]
+        T[r, N] = 0 if vs[piv] == AT_LOWER else upper[piv]
         vstat[piv] = BASIC
+        moved += 1
+    return moved
 
 
 def _eliminate(M, tol, rhs=None):

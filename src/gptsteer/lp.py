@@ -15,6 +15,17 @@ the float mode rebuilds its tableau, so only it may leave the artificial
 columns stale during a phase.  Exact mode is slow and guarded (see
 guards.py) but removes floating-point doubt on small instances; float inputs
 convert exactly, so both modes see one problem.
+
+Most LPs the library asks are tiny (three rows and four columns for a cone
+membership), so a call's fixed cost is numpy dispatch rather than pivots,
+and each step is written with few numpy calls: `LpProblem` validates in one
+pass and works out which check failed only on failure; `solve` builds its
+tableau in place, copies the constraint block and the costs out of it, and
+sums the phase-one row in one axis-0 reduction; `_verify` computes a row's
+size-relative slack only for a row that misses by more than the bare
+tolerance.  Every arithmetic operation keeps its operands and its order, so
+the pivots and the outcome bytes are those of the one-step-at-a-time code
+that tests/test_lp_reference.py keeps as the reference.
 """
 
 import functools
@@ -58,6 +69,46 @@ def _as_matrix(name, rows, rhs, n):
     return A, b
 
 
+def _rows(rows, rhs, n):
+    """(A, b) as float arrays, or None when their shapes do not fit."""
+    if rows is None and rhs is None:
+        return np.zeros((0, n)), np.zeros(0)
+    if rows is None or rhs is None:
+        return None
+    A = np.asarray(rows, dtype=np.float64)
+    if A.ndim == 1:
+        A = A.reshape(1, -1)
+    b = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    return (A, b) if A.shape == (b.size, n) else None
+
+
+def _reject(problem):
+    """Raise the first failing check of an invalid LpProblem, in order."""
+    c = np.asarray(problem.objective, dtype=np.float64).reshape(-1)
+    if c.size < 1:
+        raise MalformedProblem("objective must have at least one entry")
+    if not np.all(np.isfinite(c)):
+        raise MalformedProblem("objective must be finite")
+    n = c.size
+    _as_matrix("eq", problem.eq_rows, problem.eq_rhs, n)
+    _as_matrix("ub", problem.ub_rows, problem.ub_rhs, n)
+    l = (np.zeros(n) if problem.lower is None
+         else np.asarray(problem.lower, dtype=np.float64).reshape(-1))
+    u = (np.full(n, np.inf) if problem.upper is None
+         else np.asarray(problem.upper, dtype=np.float64).reshape(-1))
+    if l.shape[0] != n or u.shape[0] != n:
+        raise MalformedProblem("bound vectors must match the objective length")
+    if np.any(np.isnan(l)) or np.any(np.isnan(u)):
+        raise MalformedProblem("bounds must not contain NaN")
+    if np.any(l == np.inf) or np.any(u == -np.inf):
+        raise MalformedProblem("bounds describe an empty interval")
+    j = int(np.argmax(l > u))
+    raise MalformedProblem(f"lower bound exceeds upper bound at index {j}")
+
+
+_MAX = np.finfo(np.float64).max
+
+
 @dataclass
 class LpProblem:
     """min objective . x  s.t.  eq_rows x = eq_rhs, ub_rows x <= ub_rhs,
@@ -72,31 +123,32 @@ class LpProblem:
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=np.float64).reshape(-1)
-        if c.size < 1:
-            raise MalformedProblem("objective must have at least one entry")
-        if not np.all(np.isfinite(c)):
-            raise MalformedProblem("objective must be finite")
-        n = c.size
-        A_eq, b_eq = _as_matrix("eq", self.eq_rows, self.eq_rhs, n)
-        A_ub, b_ub = _as_matrix("ub", self.ub_rows, self.ub_rhs, n)
-        l = (np.zeros(n) if self.lower is None
-             else np.asarray(self.lower, dtype=np.float64).reshape(-1))
-        u = (np.full(n, np.inf) if self.upper is None
-             else np.asarray(self.upper, dtype=np.float64).reshape(-1))
-        if l.shape[0] != n or u.shape[0] != n:
-            raise MalformedProblem("bound vectors must match the objective length")
-        if np.any(np.isnan(l)) or np.any(np.isnan(u)):
-            raise MalformedProblem("bounds must not contain NaN")
-        if np.any(l == np.inf) or np.any(u == -np.inf):
-            raise MalformedProblem("bounds describe an empty interval")
-        bad = l > u
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise MalformedProblem(f"lower bound exceeds upper bound at index {j}")
+        # The valid path tests everything at once: the shapes fit, all the
+        # coefficients are finite, and (unless both bounds are defaults)
+        # max(l, -MAX) <= min(u, MAX), which fails on NaN (as l <= u
+        # does), on l > u and on an empty interval [inf, inf] or
+        # [-inf, -inf].  `_reject` finds which check failed.
+        try:
+            c = np.asarray(self.objective, dtype=np.float64).reshape(-1)
+            n = c.size
+            eq = _rows(self.eq_rows, self.eq_rhs, n)
+            ub = _rows(self.ub_rows, self.ub_rhs, n)
+            l = (np.zeros(n) if self.lower is None
+                 else np.asarray(self.lower, dtype=np.float64).reshape(-1))
+            u = (np.full(n, np.inf) if self.upper is None
+                 else np.asarray(self.upper, dtype=np.float64).reshape(-1))
+            valid = (n and eq and ub and l.size == n and u.size == n
+                     and np.isfinite(np.concatenate((c, *eq, *ub),
+                                                    axis=None)).all()
+                     and (self.lower is None and self.upper is None
+                          or (np.maximum(l, -_MAX)
+                              <= np.minimum(u, _MAX)).all()))
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            _reject(self)
         self.objective = c
-        self.eq_rows, self.eq_rhs = A_eq, b_eq
-        self.ub_rows, self.ub_rhs = A_ub, b_ub
+        (self.eq_rows, self.eq_rhs), (self.ub_rows, self.ub_rhs) = eq, ub
         self.lower, self.upper = l, u
 
     @property
@@ -132,6 +184,14 @@ def _negate(a, where):
     return np.negative(a, out=a, where=where)
 
 
+def _fill_diagonal(T, row, col, count, value):
+    """T[row + k, col + k] = value for k < count: one strided write to the
+    flat view of the contiguous T."""
+    width = T.shape[1]
+    start = row * width + col
+    T.reshape(-1)[start:start + count * (width + 1):width + 1] = value
+
+
 def _fold(start, terms):
     """start + terms[0] + terms[1] + ..., added left to right as a loop adds
     them (a sum may pair the terms and round differently)."""
@@ -140,7 +200,7 @@ def _fold(start, terms):
 
 def feasibility(problem):
     """Solve a zero-objective problem; only status and certificates matter."""
-    if isinstance(problem, LpProblem) and np.any(problem.objective):
+    if isinstance(problem, LpProblem) and problem.objective.any():
         raise MalformedProblem("a feasibility problem has a zero objective")
     return solve(problem)
 
@@ -161,72 +221,81 @@ def solve(problem, mode="float"):
     no_lower = problem.lower == -np.inf
     free = no_lower & (problem.upper == np.inf)
     flip = no_lower ^ free
-    span = 1 + free
-    first = np.cumsum(span) - span      # each variable's first column
-    var = np.repeat(np.arange(n0), span)
-    neg = np.zeros(var.size, dtype=bool)   # the columns of u - z and z-
-    neg[first[flip]] = True
-    neg[first[free] + 1] = True
-    ncols = var.size + mu
+    paired = free.any()
+    if paired:
+        span = free + 1
+        first = span.cumsum() - span    # each variable's first column
+        var = np.arange(n0).repeat(span)
+        neg = flip.repeat(span)         # the columns of u - z and z-
+        neg[first[free] + 1] = True
+        nv = var.size
+    else:
+        first = var = slice(n0)         # one column per variable
+        neg = flip
+        nv = n0
+    ncols = nv + mu
     N = ncols + m0
 
     # The number type: float64 at tolerances.py's tolerances with narrow
     # phases (each ends in a rebuild), or Fractions at zero tolerance with
     # every column pivoted.
-    exact = mode == "exact"
-    if exact:
+    data = (problem.objective, problem.eq_rows, problem.eq_rhs,
+            problem.ub_rows, problem.ub_rhs, problem.lower, problem.upper)
+    if mode == "exact":
         guards.check("exact_vars", N)
-        convert, scalar, width = _fractionize, Fraction, N
+        data = tuple(map(_fractionize, data))
+        exact, scalar, width = True, Fraction, N
         tol = feas = gap = 0
+        zero, one = Fraction(0), Fraction(1)
+        T = np.full((m0 + 2, N + 1), zero, dtype=object)
     else:
-        convert, scalar, width = np.asarray, float, ncols
+        exact, scalar, width = False, float, ncols
         tol, feas, gap = PIVOT, LP_FEASIBILITY, LP_GAP
-    data = tuple(map(convert, (
-        problem.objective, problem.eq_rows, problem.eq_rhs, problem.ub_rows,
-        problem.ub_rhs, problem.lower, problem.upper)))
+        zero, one = 0.0, 1.0
+        T = np.zeros((m0 + 2, N + 1))
     c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
-    zero, one = scalar(0), scalar(1)
-    dtype = c0.dtype
 
-    A_all = np.concatenate([A_eq, A_ub])
-    b_all = np.concatenate([b_eq, b_ub])
+    A_all = np.concatenate((A_eq, A_ub))
+    b_all = np.concatenate((b_eq, b_ub))
     offset = np.where(no_lower, u0, l0)     # the bound z is measured from
     # One shift at a time: the rounding of b depends on the order.
-    for j in ((problem.lower != 0) & ~free).nonzero()[0].tolist():
+    for j in ((problem.lower != 0) ^ free).nonzero()[0].tolist():
         b_all = b_all - A_all[:, j] * offset[j]
-
-    M = np.full((m0, ncols), zero, dtype=dtype)
-    M[:, :var.size] = _negate(A_all[:, var], neg)
-    np.fill_diagonal(M[me:, var.size:], one)
-    cvec = np.full(ncols, zero, dtype=dtype)
-    cvec[:var.size] = _negate(c0[var], neg)
-    upper = np.full(N, np.inf, dtype=dtype)
-    upper[:var.size] = (u0 - l0)[var]   # u - (-inf) is inf
-
     # Flip rows to b >= 0 so the artificial basis starts feasible.
     flipped = b_all < 0
-    _negate(M, flipped[:, None])
     _negate(b_all, flipped)
 
-    T = np.full((m0 + 2, N + 1), zero, dtype=dtype)
-    T[:m0, :ncols] = M
-    np.fill_diagonal(T[:m0, ncols:N], one)
+    # The tableau [A | S | I | b] over the phase-two and phase-one cost
+    # rows, built in place.  A flipped row flips its slack too, not its
+    # artificial.
+    T[:m0, :nv] = A_all[:, var]
+    _negate(T[:m0, :nv], neg)
+    _fill_diagonal(T, me, nv, mu, one)
+    _negate(T[:m0, :ncols], flipped[:, None])
+    _fill_diagonal(T, 0, ncols, m0, one)
     T[:m0, N] = b_all
-    T[m0, :ncols] = cvec
-    # Row by row: every pivot reads this row, so its rounding is kept.
-    acc = np.full(ncols, zero, dtype=dtype)
-    for i in range(m0):
-        acc = acc + T[i, :ncols]
-    T[m0 + 1, :ncols] = -acc
+    T[m0, :nv] = c0[var]
+    _negate(T[m0, :nv], neg)
+    # The phase-one row is minus the sum of the rows, added one row at a
+    # time (every pivot reads this row, so its rounding is kept): an
+    # axis-0 reduction over whole rows adds them in order, where a sum
+    # along one column may pair them.
+    np.negative(np.add.reduce(T[:m0], axis=0, initial=zero)[:ncols],
+                out=T[m0 + 1, :ncols])
+    # [M | I | b]: the constraint columns, the artificial (identity) columns
+    # and a spare column for the right-hand side, shared by every float
+    # refactorization of this solve; M and the phase-two costs (0 on the
+    # artificials) are contiguous copies.
+    aug = T[:m0].copy()
+    M = T[:m0, :ncols].copy()
+    cvec = T[m0, :N].copy()
+    upper = np.full(N, np.inf, dtype=T.dtype)
+    upper[:nv] = (u0 - l0)[var]     # u - (-inf) is inf
 
     basis = np.arange(ncols, N, dtype=np.int64)
     vstat = np.zeros(N, dtype=np.int64)
-    vstat[basis] = BASIC
+    vstat[ncols:] = BASIC
     max_iter = 1000 + 30 * (m0 + N)
-    # [M | I | b]: the constraint columns, the artificial (identity) columns
-    # and a spare column for the right-hand side, shared by every float
-    # refactorization of this solve.
-    aug = T[:m0].copy()
 
     code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols, width,
                       tol, max_iter, exact, M, aug, b_all, cvec)
@@ -240,12 +309,10 @@ def solve(problem, mode="float"):
         return _infeasible_outcome(T, flipped, m0, ncols, data, zero, one,
                                    feas, scalar)
 
-    phase_one_basis = basis.copy()
-    drive_out_artificials(T, basis, vstat, upper, m0, N, ncols, tol)
+    moved = drive_out_artificials(T, basis, vstat, upper, m0, N, ncols, tol)
     upper[ncols:] = zero
 
-    if (basis == phase_one_basis).all() \
-            and entering(T, vstat, upper, m0, ncols, tol)[0] == -1:
+    if not moved and entering(T, vstat, upper, m0, ncols, tol)[0] == -1:
         # Nothing has pivoted since phase one and phase two has no column
         # to enter, so phase two would return at once; in float mode its
         # closing rebuild would recompute phase one's rebuilt tableau.
@@ -259,13 +326,12 @@ def solve(problem, mode="float"):
         return LpOutcome("unbounded", None, None, None, None, None)
 
     # x from the column values z: at a finite upper bound, basic, or 0.
-    z = np.full(N, zero, dtype=dtype)
-    at_upper = (vstat[:ncols] == AT_UPPER).nonzero()[0]
-    z[at_upper] = upper[at_upper]
+    z = np.where(vstat == AT_UPPER, upper, zero)
     z[basis] = T[:m0, N]
     x = offset + _negate(z[first], flip)
-    pair = first[free]
-    x[free] = z[pair] - z[pair + 1]
+    if paired:
+        pair = first[free]
+        x[free] = z[pair] - z[pair + 1]
     return _optimal_outcome(T, x, flipped, m0, ncols, N, data, zero, feas,
                             gap, scalar)
 
@@ -281,36 +347,36 @@ def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
     buffer: B is its basis columns, and its last column is overwritten with
     b less the columns held at a finite nonzero upper bound.  Products with
     the constraint columns use the contiguous M, as they always have.
+    `cvec` holds the phase-two costs of all N columns (0 on the
+    artificials).
     """
     if m0 == 0:
         return
-    B = aug[:, basis]
+    B = aug.take(basis, axis=1)
     rhs = aug[:, N]
     rhs[:] = b_flip
-    for j in np.flatnonzero(vstat[:ncols] == AT_UPPER).tolist():
+    for j in (vstat[:ncols] == AT_UPPER).nonzero()[0].tolist():
         if 0 < upper[j] < np.inf:
             rhs -= M[:, j] * upper[j]
     try:
         sol = np.linalg.solve(B, aug)
     except np.linalg.LinAlgError:
         raise NumericalFailure("working basis is numerically singular")
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise NumericalFailure("working basis is numerically singular")
-    T[:m0, :N] = sol[:, :N]
-    T[:m0, N] = sol[:, N]
+    T[:m0] = sol
     Binv = sol[:, ncols:N]
     xB = sol[:, N]
-    jb = np.asarray(basis, dtype=np.int64)
-    cb2 = np.where(jb < ncols, cvec[np.minimum(jb, ncols - 1)], 0.0)
+    cb2 = cvec[basis]
     y2 = cb2 @ Binv
-    T[m0, :ncols] = cvec - y2 @ M
-    T[m0, ncols:N] = -y2
-    T[m0, N] = -float(cb2 @ xB)
-    cb1 = (jb >= ncols).astype(np.float64)
+    np.subtract(cvec[:ncols], y2 @ M, out=T[m0, :ncols])
+    np.negative(y2, out=T[m0, ncols:N])
+    T[m0, N] = -(cb2 @ xB)
+    cb1 = (basis >= ncols).astype(np.float64)
     y1 = cb1 @ Binv
-    T[m0 + 1, :ncols] = -(y1 @ M)
-    T[m0 + 1, ncols:N] = 1.0 - y1
-    T[m0 + 1, N] = -float(cb1 @ xB)
+    np.negative(y1 @ M, out=T[m0 + 1, :ncols])
+    np.subtract(1.0, y1, out=T[m0 + 1, ncols:N])
+    T[m0 + 1, N] = -(cb1 @ xB)
 
 
 def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
@@ -353,20 +419,23 @@ def _infeasible_outcome(T, flipped, m0, ncols, data, zero, one, feas,
         raise NumericalFailure("phase one reported infeasible without a certificate")
     y = y / peak
     y_eq, y_ub = y[:b_eq.size], y[b_eq.size:]
-    if (y_ub > feas).any():
-        raise NumericalFailure("Farkas multipliers on inequality rows must be nonpositive")
-    y_ub[y_ub > 0] = 0
+    positive = y_ub > 0
+    if positive.any():
+        if (y_ub > feas).any():
+            raise NumericalFailure("Farkas multipliers on inequality rows must be nonpositive")
+        y_ub[positive] = 0
 
     # A positive r_j is capped by x_j's upper bound, a negative one by its
-    # lower bound.
+    # lower bound; an active r_j on an infinite bound leaks.
     r = A_eq.T @ y_eq + A_ub.T @ y_ub
     active = np.abs(r) > feas
     up = active & (r > 0)
-    leak = (up & (u0 == np.inf)) | (active & ~up & (l0 == -np.inf))
+    bound = np.where(up, u0, l0)
+    leak = active & (np.abs(bound) == np.inf)
     if leak.any():
-        side = "upper" if up[np.argmax(leak)] else "lower"
+        side = "upper" if up[leak.argmax()] else "lower"
         raise NumericalFailure(f"Farkas certificate leaks through an infinite {side} bound")
-    cap = _fold(zero, r[active] * np.where(up, u0, l0)[active])
+    cap = _fold(zero, r[active] * bound[active])
     viol = _fold(-cap, np.concatenate([y_eq * b_eq, y_ub * b_ub]))
     if viol <= 0:
         raise NumericalFailure("Farkas certificate does not separate")
@@ -390,20 +459,24 @@ def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
     roundoff-positive inequality multipliers in place.  Exact mode runs the
     same checks on Fractions at zero tolerance."""
     _, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
-    # A row may miss by `feas` times its size; at zero tolerance the size
-    # is not computed.
-    ax = np.abs(x)
+    # A row may miss by `feas` times its size, which is at least 1; the
+    # size is computed only for a row that misses by more than `feas`, and
+    # at zero tolerance not at all.
     if b_eq.size:
-        slack = feas and feas * (1 + np.abs(b_eq) + np.abs(A_eq) @ ax)
-        if (np.abs(A_eq @ x - b_eq) > slack).any():
-            raise NumericalFailure("optimal point violates an equality row")
+        miss = np.abs(A_eq @ x - b_eq)
+        if not (miss <= feas).all():
+            slack = feas and feas * (1 + np.abs(b_eq) + np.abs(A_eq) @ np.abs(x))
+            if (miss > slack).any():
+                raise NumericalFailure("optimal point violates an equality row")
     if b_ub.size:
-        slack = feas and feas * (1 + np.abs(b_ub) + np.abs(A_ub) @ ax)
-        if (A_ub @ x - b_ub > slack).any():
-            raise NumericalFailure("optimal point violates an inequality row")
+        miss = A_ub @ x - b_ub
+        if not (miss <= feas).all():
+            slack = feas and feas * (1 + np.abs(b_ub) + np.abs(A_ub) @ np.abs(x))
+            if (miss > slack).any():
+                raise NumericalFailure("optimal point violates an inequality row")
     # Snap roundoff onto the box so downstream weights are clean.  Only a
     # coordinate the snap moves can be off its bound by more than `feas`.
-    box = np.clip(x, l0, u0)
+    box = x.clip(l0, u0)
     moved = (box != x).nonzero()[0]
     if moved.size:
         xm, bound = x[moved], box[moved]
@@ -415,22 +488,28 @@ def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
             raise NumericalFailure(f"optimal point violates {side} bound")
     x = box
 
-    if (y_ub > feas).any():
-        raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
-    y_ub[y_ub > 0] = 0
+    # A positive multiplier past `feas` fails; roundoff below it is cleared.
+    positive = y_ub > 0
+    if positive.any():
+        if (y_ub > feas).any():
+            raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
+        y_ub[positive] = 0
 
     # A positive reduced cost prices x_j at its lower bound, a negative one
-    # at its upper bound.
+    # at its upper bound; an active reduced cost on an infinite bound is
+    # unpriced.
     size = np.abs(rc)
     active = size > feas * (1 + size.max())
-    up = active & (rc > 0)
-    unpriced = (up & (l0 == -np.inf)) | (active & ~up & (u0 == np.inf))
-    if unpriced.any():
-        if up[np.argmax(unpriced)]:
-            raise NumericalFailure("reduced cost positive on a variable without lower bound")
-        raise NumericalFailure("reduced cost negative on a variable without upper bound")
-    dual_obj = _fold(y_eq @ b_eq + y_ub @ b_ub,
-                     rc[active] * np.where(up, l0, u0)[active])
+    dual_obj = y_eq @ b_eq + y_ub @ b_ub
+    if active.any():
+        up = active & (rc > 0)
+        bound = np.where(up, l0, u0)
+        unpriced = active & (np.abs(bound) == np.inf)
+        if unpriced.any():
+            if up[unpriced.argmax()]:
+                raise NumericalFailure("reduced cost positive on a variable without lower bound")
+            raise NumericalFailure("reduced cost negative on a variable without upper bound")
+        dual_obj = _fold(dual_obj, rc[active] * bound[active])
     if abs(value - dual_obj) > gap * (1 + abs(value)):
         raise NumericalFailure("strong duality gap exceeds tolerance")
     return x

@@ -264,11 +264,12 @@ class LhsModel:
                 raise InvalidInput("hidden states must share one system")
             if abs(systems.pair(unit, rho) - 1.0) > STATE_NORMALIZATION:
                 raise InvalidInput("hidden states must be normalized")
+        # Written so that NaN fails each test.
         for row in responses:
             for r in row:
-                if np.any(r < -1e-12) or np.any(r > 1.0 + 1e-12):
+                if not (np.all(r >= -1e-12) and np.all(r <= 1.0 + 1e-12)):
                     raise InvalidInput("responses must lie in [0, 1]")
-                if abs(float(np.sum(r)) - 1.0) > COINCIDENCE:
+                if not abs(float(np.sum(r)) - 1.0) <= COINCIDENCE:
                     raise InvalidInput("responses must sum to 1 per setting")
         w = w.copy()
         w.flags.writeable = False

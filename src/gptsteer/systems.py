@@ -76,6 +76,9 @@ class GptSystem:
     unit: Optional[np.ndarray] = None
     ball_norm: Optional[str] = None
     cone_facets: Optional[np.ndarray] = field(init=False, default=None)
+    # the extreme effects, filled in by `extreme_effects` on first use
+    effect_extremes: Optional[tuple] = field(init=False, default=None,
+                                             repr=False)
 
     def __post_init__(self):
         if self.kind == POLYTOPIC:
@@ -85,7 +88,10 @@ class GptSystem:
         else:
             raise InvalidInput(f"kind must be one of {POLYTOPIC!r}, {CENTRALLY_SYMMETRIC!r}")
 
-    def _init_polytopic(self):
+    def _init_polytopic(self, facets=None):
+        """Validate the vertices and store the cone facets.  `facets`, when
+        given, are `facets_of_cone` of these very vertices, every one of
+        which is already known to be extreme (see `polytopic_hull`)."""
         if self.vertices is None:
             raise InvalidInput("polytopic system requires vertices")
         V = np.asarray(self.vertices, dtype=np.float64)
@@ -115,11 +121,12 @@ class GptSystem:
         if sv.size < d or sv[-1] <= COINCIDENCE * sv[0]:
             raise InvalidInput("vertices must span the full space (generating cone)")
 
-        facets = facets_of_cone(V)
-        extreme = extreme_rows(V, facets)
-        if not extreme.all():
-            j = int(np.argmin(extreme))
-            raise InvalidInput(f"vertex {j} is not an extreme point of the hull")
+        if facets is None:
+            facets = facets_of_cone(V)
+            extreme = extreme_rows(V, facets)
+            if not extreme.all():
+                j = int(np.argmin(extreme))
+                raise InvalidInput(f"vertex {j} is not an extreme point of the hull")
         if facets.shape[0] < d:
             raise InvalidInput("cone is not full-dimensional")
 
@@ -342,7 +349,18 @@ def polytopic_hull(points, unit=None):
     if P.ndim != 2 or P.shape[0] < 1:
         raise InvalidInput("points must form a nonempty matrix")
     guards.check("vertices", P.shape[0])
-    return polytopic(P[extreme_rows(P, facets_of_cone(P))], unit=unit)
+    facets = facets_of_cone(P)
+    keep = extreme_rows(P, facets)
+    if not keep.all():
+        return polytopic(P[keep], unit=unit)
+    # Nothing pruned: the system's vertices are P itself, so its facet
+    # search would repeat this one.
+    system = object.__new__(GptSystem)
+    for name, value in (("kind", POLYTOPIC), ("dim", P.shape[1]),
+                        ("vertices", P), ("unit", unit), ("ball_norm", None)):
+        object.__setattr__(system, name, value)
+    system._init_polytopic(facets)
+    return system
 
 
 def simplex(k):
@@ -634,14 +652,18 @@ def sigma_base_norm(system, h, sigma):
 
 
 def extreme_effects(system):
-    """All extreme points of the effect interval {0 <= f <= unit}."""
+    """All extreme points of the effect interval {0 <= f <= unit}, as a
+    tuple enumerated once per system and kept on it."""
     system._require_polytopic()
-    V = system.vertices
-    n = V.shape[0]
-    A = np.vstack([V, -V])
-    b = np.concatenate([np.ones(n), np.zeros(n)])
-    pts = vertices_of_polytope(A, b)
-    return [system.functional(p) for p in pts]
+    if system.effect_extremes is None:
+        V = system.vertices
+        n = V.shape[0]
+        A = np.vstack([V, -V])
+        b = np.concatenate([np.ones(n), np.zeros(n)])
+        pts = vertices_of_polytope(A, b)
+        object.__setattr__(system, "effect_extremes",
+                           tuple(system.functional(p) for p in pts))
+    return system.effect_extremes
 
 
 def is_effect(system, f):

@@ -1,7 +1,11 @@
 """LP problems shared by the simplex reference tests and the HiGHS oracle.
 
 `random_lps` mixes every bound kind the solver transforms (nonnegative,
-boxed, upper-only, free, shifted), `tied_lps` repeats and rescales rows so
+boxed, upper-only, free, shifted), `signed_zero_lps` are such problems with
+-0.0 in place of some of their zeros and rows that are -0.0 throughout,
+`tall_lps` have one structural column under 8 to 20 rows of mixed
+magnitudes (a column sum taken in pairs rounds differently there),
+`tied_lps` repeats and rescales rows so
 the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
 is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
@@ -49,6 +53,49 @@ def random_lps(seed=0, count=120):
         n = int(rng.integers(2, 9))
         out.append(_random_problem(rng, n, int(rng.integers(0, 4)),
                                    int(rng.integers(1, 7)), integer=k % 2 == 0))
+    return out
+
+
+def signed_zero_lps(seed=6, count=60):
+    """Integer problems of `random_lps`'s kinds with about half their zero
+    coefficients, right-hand sides and bounds written as -0.0, a row of
+    -0.0 (right-hand side -0.0) added to the equalities or the
+    inequalities of every other problem, and a column of -0.0 in every
+    third."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(2, 7))
+        p = _random_problem(rng, n, int(rng.integers(0, 3)),
+                            int(rng.integers(1, 5)), integer=True)
+        fields = [p.objective, p.eq_rows, p.eq_rhs, p.ub_rows, p.ub_rhs,
+                  p.lower, p.upper]
+        for a in fields:
+            a[(a == 0) & (rng.random(a.shape) < 0.5)] = -0.0
+        if k % 3 == 0:
+            fields[1][:, 0] = fields[3][:, 0] = -0.0
+        if k % 2 == 0:
+            side = 1 if k % 4 == 0 else 3
+            fields[side] = np.concatenate([fields[side], np.full((1, n), -0.0)])
+            fields[side + 1] = np.append(fields[side + 1], -0.0)
+        out.append(LpProblem(*fields))
+    return out
+
+
+def tall_lps(seed=8, count=20):
+    """One variable, boxed or free, in 8 to 20 equality or inequality rows
+    whose entries span twelve orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        m = int(rng.integers(8, 21))
+        a = (rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7, m))[:, None]
+        b = a[:, 0] * rng.uniform(-1, 1)
+        bounds = ([-INF], [INF]) if k % 2 else ([-1.0], [1.0])
+        rows = dict(eq_rows=a, eq_rhs=b) if k % 3 else dict(ub_rows=a,
+                                                            ub_rhs=b)
+        out.append(LpProblem([float(rng.choice([-1.0, 0.0, 1.0]))],
+                             lower=bounds[0], upper=bounds[1], **rows))
     return out
 
 

@@ -127,6 +127,13 @@ def test_measures_solve_no_lp(lp_solves):
         assert np.max(np.abs(mu.barycenter.coords - sigma.coords)) <= 1e-12
 
 
+def test_measure_rejects_a_nan_or_negative_weight_first():
+    sq = square()
+    for w in (np.nan, -1e-9):
+        with pytest.raises(InvalidInput, match="atom 1 weight must be nonnegative"):
+            measure(sq, (0.5, (1, 0, 0)), (w, (1, 1, 1)))
+
+
 def test_measure_rejects_atoms_just_outside_the_cone():
     sq = square()
     for p in ((1, 1 + 1e-6, 0), (1, 1 + 1e-6, 1 + 1e-6), (1, -0.5, -1 - 1e-6)):

@@ -389,7 +389,9 @@ def ref_simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
 
 
 def ref_drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
-    """Scalar artificial drive-out with per-row elimination."""
+    """Scalar artificial drive-out with per-row elimination; returns the
+    number of pivots."""
+    moved = 0
     for r in range(m):
         if basis[r] < n_nonart:
             continue
@@ -419,6 +421,8 @@ def ref_drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
         basis[r] = piv
         T[r, N] = 0 if vstat[piv] == AT_LOWER else upper[piv]
         vstat[piv] = BASIC
+        moved += 1
+    return moved
 
 
 def ref_entering(T, vstat, upper, cost_row, n_elig, tol):

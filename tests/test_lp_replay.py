@@ -1,7 +1,9 @@
 """tools/lp_replay.py: caller chains, the recording format and `callers`."""
 
 import importlib.util
+import json
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 
 from gptsteer import lp, sampling, steering, systems
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "lp_replay.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "lp_replay.py"
 
 
 def load_tool():
@@ -86,3 +89,61 @@ def test_record_tests_keeps_each_distinct_problem_once(tmp_path):
     assert [(mode, chain, question)
             for _, mode, chain, question in data["problems"]] == [
         ("float", "", None), ("exact", "", None)]
+
+
+def test_time_loads_both_trees_and_times_every_problem(tmp_path):
+    # a second tree: a copy of these sources
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "gptsteer", other / "src" / "gptsteer",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fields = [
+        {"objective": np.zeros(2), "eq_rows": np.ones((1, 2)),
+         "eq_rhs": np.ones(1), "ub_rows": np.zeros((0, 2)),
+         "ub_rhs": np.zeros(0), "lower": np.zeros(2),
+         "upper": np.full(2, np.inf)},
+        {"objective": np.array([1.0]), "eq_rows": np.zeros((0, 1)),
+         "eq_rhs": np.zeros(0), "ub_rows": np.array([[1.0]]),
+         "ub_rhs": np.array([-1.0]), "lower": np.zeros(1),
+         "upper": np.full(1, np.inf)},                       # infeasible
+        {"objective": np.array([1.0]), "eq_rows": np.zeros((0, 1)),
+         "eq_rhs": np.zeros(0), "ub_rows": np.zeros((0, 1)),
+         "ub_rhs": np.zeros(0), "lower": np.zeros(1),
+         "upper": np.full(1, np.inf)}]
+    rec = tmp_path / "three.lps"
+    with open(rec, "wb") as fh:
+        pickle.dump({"questions": 0, "problems": [
+            (f, "float", "", None) for f in fields] + [
+            (fields[0], "exact", "", None)]}, fh)
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "time", str(rec), str(ROOT), str(other),
+         "--rounds", "2"],
+        check=True, capture_output=True, text=True)
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sorted(line) == ["problems", "ratio", "rounds", "us_per_lp_a",
+                            "us_per_lp_b"]
+    assert line["problems"] == 4 and line["rounds"] == 2
+    assert line["us_per_lp_a"] > 0 and line["us_per_lp_b"] > 0
+    assert line["ratio"] == round(line["us_per_lp_b"] / line["us_per_lp_a"], 4)
+
+
+def test_tree_packages_load_side_by_side(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "gptsteer", other / "src" / "gptsteer",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tool = load_tool()
+    names = ("lp_replay_test_tree_a", "lp_replay_test_tree_b")
+    try:
+        a = tool.load_tree_lp(ROOT, names[0])
+        b = tool.load_tree_lp(other, names[1])
+        assert a is not b and a.solve is not b.solve
+        assert Path(a.__file__).resolve() == ROOT / "src" / "gptsteer" / "lp.py"
+        assert Path(b.__file__).resolve() == (other / "src" / "gptsteer"
+                                              / "lp.py").resolve()
+        # each tree's lp runs on its own kernels
+        assert sys.modules[f"{names[1]}.kernels"].__file__.startswith(
+            str(other))
+        assert a.solve(a.LpProblem([1.0])).status == "optimal"
+    finally:
+        for name in list(sys.modules):
+            if name.split(".")[0] in names:
+                del sys.modules[name]

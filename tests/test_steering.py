@@ -716,6 +716,12 @@ def test_model_validation_errors():
         steering.LhsModel(
             weights=np.array([1.0]), states=(s.vector([2.0, 0, 0]),),
             responses=resp)
+    # NaN fails the range test rather than slipping past both
+    for bad in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(InvalidInput, match=r"lie in \[0, 1\]"):
+            steering.LhsModel(
+                weights=np.array([1.0]), states=(state,),
+                responses=((np.array(bad),),))
     model = steering.LhsModel(
         weights=np.array([1.0]), states=(state,), responses=resp)
     with pytest.raises(InvalidInput, match="shape"):

@@ -434,6 +434,23 @@ def test_extreme_effects_against_brute_force():
         assert np.allclose(got, want, atol=1e-7)
 
 
+def test_extreme_effects_are_enumerated_once_per_system(monkeypatch):
+    calls = []
+    enumerate_ = systems.vertices_of_polytope
+    monkeypatch.setattr(systems, "vertices_of_polytope",
+                        lambda *a: calls.append(1) or enumerate_(*a))
+    sq, cube = square(), systems.hypercube(3)
+    first = systems.extreme_effects(sq)
+    assert isinstance(first, tuple) and len(first) == 6
+    assert systems.extreme_effects(sq) is first
+    systems.extreme_effects(cube)
+    systems.extreme_effects(cube)
+    assert len(calls) == 2
+    # an equal system built anew enumerates its own
+    assert systems.extreme_effects(square()) is not first
+    assert len(calls) == 3
+
+
 def test_is_effect():
     s = square()
     assert systems.is_effect(s, s.functional([0.5, 0.5, 0.0]))
@@ -754,12 +771,40 @@ def test_facet_extremality_matches_the_per_point_lp(P):
     keep = _lp_keep(P)
     got = systems.extreme_rows(P, facets_of_cone(P))
     assert np.array_equal(got, keep)
-    assert systems.polytopic_hull(P).vertices.tobytes() == P[keep].tobytes()
+    hull = systems.polytopic_hull(P)
+    assert hull.vertices.tobytes() == P[keep].tobytes()
+    assert hull.cone_facets.tobytes() == systems.polytopic(
+        P[keep]).cone_facets.tobytes()
+    assert hull.unit.tobytes() == systems.polytopic(P[keep]).unit.tobytes()
     if keep.all():
         assert systems.polytopic(P).vertices.tobytes() == P.tobytes()
     else:
         with pytest.raises(InvalidInput, match="not an extreme point"):
             systems.polytopic(P)
+
+
+def test_hull_hands_its_facets_to_the_system_when_nothing_is_pruned(
+        monkeypatch):
+    calls = []
+    enumerate_ = systems.facets_of_cone
+    monkeypatch.setattr(systems, "facets_of_cone",
+                        lambda V: calls.append(V.shape[0]) or enumerate_(V))
+    cube = systems.hypercube(3).vertices.copy()
+    calls.clear()
+    hull = systems.polytopic_hull(cube)
+    assert calls == [8]
+    assert hull.cone_facets.tobytes() == systems.polytopic(cube).cone_facets.tobytes()
+    # the system keeps frozen copies; the caller's array stays its own
+    assert not hull.cone_facets.flags.writeable
+    assert not hull.vertices.flags.writeable and cube.flags.writeable
+    # a pruned hull enumerates again on the kept rows
+    calls.clear()
+    pruned = systems.polytopic_hull(np.vstack([cube, cube.mean(axis=0)]))
+    assert calls == [9, 8]
+    assert pruned.cone_facets.tobytes() == hull.cone_facets.tobytes()
+    # the hull's own checks still run on a kept set
+    with pytest.raises(InvalidInput, match="unit must pair to 1"):
+        systems.polytopic_hull(cube, unit=np.array([2.0, 0, 0, 0]))
 
 
 def test_hull_input_count_is_guarded(monkeypatch):

@@ -3,6 +3,7 @@
     python3 tools/lp_replay.py record --workload order --seed 0 --out order.lps
     python3 tools/lp_replay.py record --workload tests --out tests.lps [PATH ...]
     python3 tools/lp_replay.py compare order.lps TREE_A TREE_B
+    python3 tools/lp_replay.py time order.lps TREE_A TREE_B [--rounds R]
     python3 tools/lp_replay.py callers order.lps
 
 `record` builds the workload's cases with perfbench's builders and asks
@@ -25,7 +26,13 @@ outcome is the status, x, value, both dual vectors, the reduced costs and
 the Farkas margin, or the type and message of the exception raised.  It
 prints one JSON line and exits 1 when any outcome differs.  `outcomes FILE
 TREE` is the child's half: one status and digest per problem, as a JSON
-list.
+list.  `time` loads both trees' gptsteer into one process, as two packages
+under their own names, and times building each `LpProblem` and solving it.
+Each round visits the problems in order and times both trees on a problem
+before the next, the tree that goes first alternating.  Each problem keeps
+its fastest of the R rounds; the JSON line gives the mean of those per
+tree in microseconds per LP and the ratio B / A.  A solve that raises is
+timed like one that returns.
 
 The file is a pickle of plain numpy arrays and strings; load only files you
 recorded.  `compare` also reads recordings made before the callers were
@@ -35,10 +42,13 @@ stored (a bare list of (fields, mode)).
 import argparse
 import collections
 import hashlib
+import importlib
+import importlib.util
 import json
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +212,52 @@ def compare(path, tree_a, tree_b):
             "statuses": dict(collections.Counter(s for s, _ in a))}
 
 
+def load_tree_lp(tree, name):
+    """TREE/src/gptsteer imported as the package `name`; returns its lp
+    module.  Relative imports keep every module inside that package, so
+    two trees load side by side in one process."""
+    src = Path(tree).resolve() / "src" / "gptsteer"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, src / "__init__.py", submodule_search_locations=[str(src)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[name] = package
+        spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.lp")
+
+
+def _build_and_solve(lp, fields, mode):
+    start = time.perf_counter()
+    try:
+        lp.solve(lp.LpProblem(**fields), mode)
+    except Exception:  # a failing solve is timed like any other
+        pass
+    return time.perf_counter() - start
+
+
+def time_trees(path, tree_a, tree_b, rounds):
+    """Microseconds per LP to build and solve every problem in `path`
+    under each tree, each problem's fastest of `rounds` rounds, and the
+    ratio B / A."""
+    if rounds < 1:
+        raise SystemExit("lp_replay: --rounds must be at least 1")
+    libs = (load_tree_lp(tree_a, "lp_replay_tree_a"),
+            load_tree_lp(tree_b, "lp_replay_tree_b"))
+    problems = [(fields, mode) for fields, mode, _, _ in load(path)["problems"]]
+    if not problems:
+        raise SystemExit(f"lp_replay: {path} holds no problems")
+    best = [[float("inf")] * len(problems) for _ in libs]
+    for r in range(rounds):
+        for i, (fields, mode) in enumerate(problems):
+            for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                best[k][i] = min(best[k][i],
+                                 _build_and_solve(libs[k], fields, mode))
+    us = [1e6 * sum(b) / len(problems) for b in best]
+    return {"problems": len(problems), "rounds": rounds,
+            "us_per_lp_a": round(us[0], 2), "us_per_lp_b": round(us[1], 2),
+            "ratio": round(us[1] / us[0], 4)}
+
+
 def _by_count(counter):
     return sorted(counter.items(), key=lambda item: (-item[1], item[0]))
 
@@ -241,6 +297,11 @@ def main(argv=None):
     cmp_.add_argument("file")
     cmp_.add_argument("tree_a")
     cmp_.add_argument("tree_b")
+    tim = sub.add_parser("time", help="time build plus solve per LP")
+    tim.add_argument("file")
+    tim.add_argument("tree_a")
+    tim.add_argument("tree_b")
+    tim.add_argument("--rounds", type=int, default=7)
     who = sub.add_parser("callers", help="LP solves per question by caller")
     who.add_argument("file")
     one = sub.add_parser("outcomes", help="outcome digests under one tree")
@@ -263,6 +324,9 @@ def main(argv=None):
         return code
     if args.command == "callers":
         print("\n".join(callers(args.file)))
+    elif args.command == "time":
+        print(json.dumps(time_trees(args.file, args.tree_a, args.tree_b,
+                                    args.rounds)))
     elif args.command == "outcomes":
         print(json.dumps(outcomes(args.file, args.tree)))
     else:
