@@ -1,30 +1,29 @@
 """Dual-description helpers: vertex and facet enumeration with canonical order.
 
 Thin wrappers around the brute-force kernels, which test every d-subset of
-half-spaces (or (d-1)-subset of generators) in batched numpy chunks.  Inputs
-are normalized here so tolerances.COINCIDENCE is scale-free, and output
-rows are sorted lexicographically after rounding so results do not depend
-on input ordering, which keeps downstream certificates byte-reproducible.
+half-spaces (or (d-1)-subset of generators) at COINCIDENCE and raise past
+kernels.ROW_CAP rows.  Inputs are normalized here so that test is
+scale-free, and output rows are sorted lexicographically after rounding so
+results do not depend on input ordering, which keeps downstream
+certificates byte-reproducible.
 """
 
 import numpy as np
 
 from . import guards
-from .errors import GuardExceeded, InvalidInput
+from .errors import InvalidInput
 from .kernels import enum_cone_facets, enum_polytope_vertices
 from .tolerances import COINCIDENCE
 
-# Hard ceiling on enumerated rows; reaching it means the instance is far
-# outside desk scale regardless of the dimension guards.
-_ROW_CAP = 4096
+LEX_DECIMALS = 9   # rounding of the sort keys in lex_sorted
 
 
-def lex_sorted(rows, decimals=9):
+def lex_sorted(rows):
     """Rows sorted lexicographically by their rounded entries."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] <= 1:
         return rows.copy()
-    keys = np.round(rows, decimals)
+    keys = np.round(rows, LEX_DECIMALS)
     order = np.lexsort(keys[:, ::-1].T)
     return rows[order].copy()
 
@@ -49,10 +48,7 @@ def vertices_of_polytope(A, b):
     bn = b[keep] / scale[keep]
     if np.any(b[~keep] < -COINCIDENCE):
         return np.zeros((0, d))
-    verts, overflow = enum_polytope_vertices(
-        An, bn, COINCIDENCE, COINCIDENCE, COINCIDENCE, _ROW_CAP)
-    if overflow:
-        raise GuardExceeded(f"vertex enumeration exceeded {_ROW_CAP} rows")
+    verts = enum_polytope_vertices(An, bn)
     return lex_sorted(verts + 0.0)  # + 0.0 canonicalizes negative zeros
 
 
@@ -74,8 +70,5 @@ def facets_of_cone(V):
     if np.any(scale <= 1e-12):
         raise InvalidInput("zero generator in cone description")
     Vn = V / scale[:, None]
-    facets, overflow = enum_cone_facets(
-        Vn, COINCIDENCE, COINCIDENCE, COINCIDENCE, _ROW_CAP)
-    if overflow:
-        raise GuardExceeded(f"facet enumeration exceeded {_ROW_CAP} rows")
+    facets = enum_cone_facets(Vn)
     return lex_sorted(facets + 0.0)

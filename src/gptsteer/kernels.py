@@ -14,7 +14,8 @@ before a given width when its caller rebuilds the rest: lp's float phases,
 one and two, pivot only the structural columns, since each ends in a
 rebuild, and its exact-rational mode runs the same `simplex_phase` on
 object arrays of Fractions over every column.
-`symmetry_search` walks `itertools.permutations` and works on numpy rows.
+`symmetry_search` walks `itertools.permutations`, works on numpy rows and
+matches vertex images with `_greedy_matching`, as `systems.is_symmetry` does.
 The enumerations `enum_polytope_vertices` and `enum_cone_facets` are
 batched numpy: they walk the candidate subsets in lexicographic chunks of
 CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
@@ -22,7 +23,8 @@ tests and summation order of a one-subset-at-a-time elimination, so their
 output does not depend on the chunk size.
 
 Kernel conventions:
-  * no exceptions, failures are encoded in return codes;
+  * the simplex returns status codes; the searches raise GuardExceeded past
+    ROW_CAP rows or MAP_CAP maps, and test at COINCIDENCE on normalized rows;
   * no float literals inside simplex arithmetic (object-array reuse);
   * deterministic tie-breaking everywhere (lowest index / Bland).
 """
@@ -31,11 +33,17 @@ import itertools
 
 import numpy as np
 
-from .tolerances import ARTIFICIAL_PIVOT
+from .errors import GuardExceeded
+from .tolerances import ARTIFICIAL_PIVOT, COINCIDENCE
 
 # Subsets per batched elimination: large enough to amortize numpy dispatch,
 # small enough that the (CHUNK, m) feasibility sums stay within cache.
 CHUNK = 512
+
+# Hard ceilings on enumerated rows and on symmetry maps; reaching one means
+# the instance is far outside desk scale regardless of the dimension guards.
+ROW_CAP = 4096
+MAP_CAP = 1024
 
 # Tableau variable statuses.
 AT_LOWER = 0
@@ -270,24 +278,24 @@ def _back_substitute(U, rhs):
     return x
 
 
-def _far(P, Q, tol):
-    """(len P, len Q) mask: row pairs differing by more than tol somewhere."""
+def _far(P, Q):
+    """(len P, len Q) mask: row pairs more than COINCIDENCE apart somewhere."""
     far = np.zeros((P.shape[0], Q.shape[0]), dtype=bool)
     for c in range(P.shape[1]):
-        far |= np.abs(Q[None, :, c] - P[:, None, c]) > tol
+        far |= np.abs(Q[None, :, c] - P[:, None, c]) > COINCIDENCE
     return far
 
 
-def _append_distinct(out, count, cand, tol):
-    """Append the rows of cand that no earlier kept row matches within tol.
+def _append_distinct(out, cand, what):
+    """out and then the rows of cand that no earlier kept row matches.
 
     Greedy in row order, exactly as one-at-a-time insertion: a candidate is
-    dropped when it is within tol (entrywise) of a row already in out[:count]
-    or of an earlier candidate that was itself kept.  Stops at the capacity
-    of out.  Returns (new count, overflow flag).
+    dropped when it is within COINCIDENCE (entrywise) of a row of out or of
+    an earlier candidate that was itself kept.  Raises GuardExceeded, naming
+    the enumeration `what`, when the result passes ROW_CAP rows.
     """
-    cand = cand[_far(cand, out[:count], tol).all(axis=1)]
-    near = np.tril(~_far(cand, cand, tol), -1)   # near[j, i]: i < j, within tol
+    cand = cand[_far(cand, out).all(axis=1)]
+    near = np.tril(~_far(cand, cand), -1)   # near[j, i]: i < j, within tol
     # Candidate j is kept iff no earlier near candidate is kept.  Each round
     # settles at least the first unsettled candidate; clusters of
     # duplicates around a kept row settle in one round.
@@ -297,10 +305,10 @@ def _append_distinct(out, count, cand, tol):
         open_ = ~(keep | drop)
         drop |= open_ & (near & keep).any(axis=1)
         keep |= open_ & ~(near & ~drop).any(axis=1)
-    new = cand[keep]
-    room = out.shape[0] - count
-    out[count:count + min(room, new.shape[0])] = new[:room]
-    return count + min(room, new.shape[0]), int(new.shape[0] > room)
+    out = np.concatenate([out, cand[keep]])
+    if out.shape[0] > ROW_CAP:
+        raise GuardExceeded(f"{what} enumeration exceeded {ROW_CAP} rows")
+    return out
 
 
 def _subset_chunks(n, k):
@@ -314,56 +322,50 @@ def _subset_chunks(n, k):
         yield np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
 
 
-def enum_polytope_vertices(A, b, dedupe_tol, feas_tol, sing_tol, cap):
+def enum_polytope_vertices(A, b):
     """Vertices of {x : A x <= b} by brute force over d-subsets of rows.
 
     Each d-subset of rows is solved as an equality system (skipped when a
-    pivot is <= sing_tol), the solution kept when every row satisfies
-    -b_i + sum_c A_ic x_c <= feas_tol, and the first of any vertices within
-    dedupe_tol of each other wins, in lexicographic subset order.  Rows of
-    (A | b) should be normalized by the caller so the tolerances are
-    meaningful.  Returns (vertices, overflow_flag); overflow means more than
-    `cap` distinct vertices were found.
+    pivot is <= COINCIDENCE), the solution kept when every row satisfies
+    -b_i + sum_c A_ic x_c <= COINCIDENCE, and the first of any vertices
+    within COINCIDENCE of each other wins, in lexicographic subset order.
+    Rows of (A | b) should be normalized by the caller so the tolerance is
+    meaningful.
     """
     m, d = A.shape
-    out = np.empty((cap, d))
-    count = 0
+    out = np.empty((0, d))
     if m < d:
-        return out[:0].copy(), 0
+        return out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for idx in _subset_chunks(m, d):
             M = A[idx]
             rhs = b[idx]
-            singular, _ = _eliminate(M, sing_tol, rhs)
+            singular, _ = _eliminate(M, COINCIDENCE, rhs)
             ok = ~singular
             x = _back_substitute(M[ok], rhs[ok])
             s = np.broadcast_to(-b, (x.shape[0], m)).copy()
             for c in range(d):
                 s += A[None, :, c] * x[:, c, None]
-            x = x[~(s > feas_tol).any(axis=1)]
-            count, overflow = _append_distinct(out, count, x, dedupe_tol)
-            if overflow:
-                return out[:count].copy(), 1
-    return out[:count].copy(), 0
+            x = x[~(s > COINCIDENCE).any(axis=1)]
+            out = _append_distinct(out, x, "vertex")
+    return out
 
 
-def enum_cone_facets(V, dedupe_tol, feas_tol, sing_tol, cap):
+def enum_cone_facets(V):
     """Facet normals of cone(V rows) from (d-1)-subsets of generators.
 
     Each subset of d-1 generators spans a candidate hyperplane; its normal is
     computed by cofactor expansion (sign-alternating (d-1)-minors, each a
-    determinant by elimination), kept when its norm exceeds sing_tol, unit-
-    normalized, oriented so every generator lies on the nonnegative side
-    (within feas_tol) and de-duplicated as in enum_polytope_vertices.  Rows
-    of V should be normalized by the caller.  Returns (facets,
-    overflow_flag).
+    determinant by elimination), kept when its norm exceeds COINCIDENCE,
+    unit-normalized, oriented so every generator lies on the nonnegative
+    side (within COINCIDENCE) and de-duplicated as in
+    enum_polytope_vertices.  Rows of V should be normalized by the caller.
     """
     n, d = V.shape
     k = d - 1
-    out = np.empty((cap, d))
-    count = 0
+    out = np.empty((0, d))
     if n < k or k < 1:
-        return out[:0].copy(), 0
+        return out
     minor_cols = np.array([[c for c in range(d) if c != drop]
                            for drop in range(d)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -378,28 +380,26 @@ def enum_cone_facets(V, dedupe_tol, feas_tol, sing_tol, cap):
             for c in range(d):
                 nrm = nrm + normal[:, c] * normal[:, c]
             nrm = np.sqrt(nrm)
-            ok = nrm > sing_tol
+            ok = nrm > COINCIDENCE
             normal = normal[ok] / nrm[ok, None]
             s = np.zeros((normal.shape[0], n))
             for c in range(d):
                 s += V[None, :, c] * normal[:, c, None]
-            pos = ~(s < -feas_tol).any(axis=1)
-            neg = ~(s > feas_tol).any(axis=1)
+            pos = ~(s < -COINCIDENCE).any(axis=1)
+            neg = ~(s > COINCIDENCE).any(axis=1)
             flip = neg & ~pos
             normal[flip] = -normal[flip]
             normal = normal[pos | neg]
-            count, overflow = _append_distinct(out, count, normal, dedupe_tol)
-            if overflow:
-                return out[:count].copy(), 1
-    return out[:count].copy(), 0
+            out = _append_distinct(out, normal, "facet")
+    return out
 
 
-def _greedy_matching(near):
-    """Row i takes the first column of `near[i]` no earlier row took.
-
-    Returns the chosen columns as a tuple, or None when some row finds none.
-    """
-    taken = np.zeros(near.shape[1], dtype=bool)
+def _greedy_matching(P, Q):
+    """Row i of P takes the first row of Q within COINCIDENCE (entrywise)
+    that no earlier row took.  Returns the chosen rows as a tuple, or None
+    when some row finds none."""
+    near = ~_far(P, Q)
+    taken = np.zeros(Q.shape[0], dtype=bool)
     perm = []
     for row in near:
         hit = np.flatnonzero(row & ~taken)
@@ -410,18 +410,18 @@ def _greedy_matching(near):
     return tuple(perm)
 
 
-def symmetry_search(V, Binv, fix, match_tol, cap):
+def symmetry_search(V, Binv, fix):
     """Linear maps permuting the rows of V and fixing `fix`.
 
     Binv is the inverse of the d x d matrix whose rows are the first d
     linearly independent vertices (chosen by the caller); a candidate map is
     determined by the images of those rows, enumerated as ordered d-tuples
     of distinct vertex indices in lexicographic order.  Products are summed
-    one index q at a time, as a scalar loop would.  Vertex i's image is
-    matched to the first vertex within match_tol (entrywise) that no earlier
-    vertex matched, and a map inducing an already found vertex permutation
-    is dropped.  Returns (maps, overflow_flag): maps act on column vectors,
-    and overflow means more than `cap` maps were found.
+    one index q at a time, as a scalar loop would.  A map must fix `fix`
+    within COINCIDENCE (entrywise); vertex images are matched by
+    `_greedy_matching`, and a map inducing an already found vertex
+    permutation is dropped.  Returns the maps, which act on column vectors;
+    raises GuardExceeded past MAP_CAP maps.
     """
     n, d = V.shape
     maps = []
@@ -434,17 +434,17 @@ def symmetry_search(V, Binv, fix, match_tol, cap):
         image = np.zeros(d)
         for q in range(d):
             image += L[:, q] * fix[q]
-        if (np.abs(image - fix) > match_tol).any():
+        if (np.abs(image - fix) > COINCIDENCE).any():
             continue
         images = np.zeros((n, d))
         for q in range(d):
             images += V[:, q, None] * L[:, q]
-        far = np.abs(images[:, None, :] - V[None, :, :]) > match_tol
-        perm = _greedy_matching(~far.any(axis=2))
+        perm = _greedy_matching(images, V)
         if perm is None or perm in seen:
             continue
-        if len(maps) >= cap:
-            return maps, 1
+        if len(maps) >= MAP_CAP:
+            raise GuardExceeded(
+                f"symmetry search found more than {MAP_CAP} maps")
         seen.add(perm)
         maps.append(L.copy())
-    return maps, 0
+    return maps

@@ -38,8 +38,8 @@ def random_interior_state(rng, system, pull=None):
     return system.vector((1.0 - a) * system.barycenter.coords + a * mix)
 
 
-def random_dichotomic_tensor(rng, system, g, sigma=None, max_scale=1.0):
-    """Tensor with components y_x drawn inside max_scale times the sigma ball."""
+def random_dichotomic_tensor(rng, system, g, sigma=None):
+    """Tensor with components y_x drawn inside the sigma ball."""
     if sigma is None:
         sigma = random_interior_state(rng, system)
     comps = []
@@ -48,19 +48,19 @@ def random_dichotomic_tensor(rng, system, g, sigma=None, max_scale=1.0):
         nu = systems.order_unit_norm(system, system.vector(u), unit=sigma)
         if nu < 1e-12:
             continue
-        t = float(rng.uniform(0.0, max_scale))
+        t = float(rng.uniform(0.0, 1.0))
         comps.append(system.vector(u * (t / nu)))
     return tensors.DichotomicTensor(sigma=sigma, components=tuple(comps))
 
 
-def random_separable_coeffs(rng, sys_a, sys_b, n_terms=4):
-    """Coefficient matrix of a random mixture of product states."""
-    lam = rng.dirichlet(np.ones(n_terms))
+def random_separable_coeffs(rng, sys_a, sys_b):
+    """Coefficient matrix of a random mixture of four product states."""
+    lam = rng.dirichlet(np.ones(4))
     C = np.zeros((sys_a.dim, sys_b.dim))
-    for i in range(n_terms):
+    for w in lam:
         ra = random_interior_state(rng, sys_a, pull=rng.uniform(0.0, 1.0))
         rb = random_interior_state(rng, sys_b, pull=rng.uniform(0.0, 1.0))
-        C += lam[i] * np.outer(ra.coords, rb.coords)
+        C += w * np.outer(ra.coords, rb.coords)
     return C
 
 
@@ -175,12 +175,12 @@ def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):
     raise NumericalFailure("no absorbing atom found; is sigma interior?")
 
 
-def random_dilation(rng, measure, beta=None):
+def random_dilation(rng, measure):
     """Spread each atom toward the vertices, keeping its barycenter.
 
     Every atom (w, rho) becomes (1-b) w at rho plus b w distributed over a
-    conic decomposition of rho, so the result dominates `measure` in the
-    Choquet order by construction.
+    conic decomposition of rho, b uniform in [0.2, 0.9] per atom, so the
+    result dominates `measure` in the Choquet order by construction.
     """
     from . import choquet
 
@@ -191,7 +191,7 @@ def random_dilation(rng, measure, beta=None):
     for w, p in measure.atoms:
         if w <= 1e-12:
             continue
-        b = float(rng.uniform(0.2, 0.9)) if beta is None else float(beta)
+        b = float(rng.uniform(0.2, 0.9))
         coeff = systems.cone_member(system, p).coefficients
         atoms.append(((1.0 - b) * w, p))
         for i, ci in enumerate(coeff):

@@ -194,8 +194,8 @@ class Witness:
     def _check_dominance(self, system, comps):
         if system.kind == systems.POLYTOPIC:
             V = system.vertices
-            need = np.sum(
-                np.abs(np.stack([V @ w.coords for w in comps])), axis=0)
+            need = tensors.local_bound(
+                V, [(w.coords, -w.coords) for w in comps])
             have = V @ self.base.coords
             if np.min(have - need) < -CERTIFICATE:
                 raise InvalidInput(
@@ -318,10 +318,6 @@ class LhsVerdict:
     violation: Optional[float] = None
 
 
-def _strategies(shape):
-    return list(itertools.product(*(range(k) for k in shape)))
-
-
 def lhs_check(asm):
     """Decide whether the assemblage has a hidden-state model.
 
@@ -338,7 +334,7 @@ def lhs_check(asm):
     for k in shape:
         n_atoms *= k
     guards.check("lhs_atoms", n_atoms)
-    omegas = _strategies(shape)
+    omegas = list(itertools.product(*(range(k) for k in shape)))
     V = system.vertices
     n, d = V.shape
     offsets = np.concatenate([[0], np.cumsum(shape)])
@@ -359,7 +355,7 @@ def lhs_check(asm):
             asm, omegas, out.x.reshape(n_atoms, n) @ V))
     if out.status != "infeasible":
         raise NumericalFailure(f"strategy LP ended {out.status}")
-    return _steerable_verdict(asm, omegas, offsets, out.dual_eq)
+    return _steerable_verdict(asm, offsets, out.dual_eq)
 
 
 def _build_model(asm, omegas, phi):
@@ -389,16 +385,14 @@ def _build_model(asm, omegas, phi):
     return model
 
 
-def _steerable_verdict(asm, omegas, offsets, dual):
+def _steerable_verdict(asm, offsets, dual):
     system = asm.system
     d = system.dim
     h = [[system.functional(dual[d * (int(offsets[x]) + a):
                                  d * (int(offsets[x]) + a) + d])
           for a in range(k)] for x, k in enumerate(asm.shape)]
-    P = [np.stack([system.vertices @ f.coords for f in row]) for row in h]
-    worst = max(
-        float(np.max(sum(P[x][omega[x]] for x in range(len(omegas[0])))))
-        for omega in omegas)
+    worst = float(np.max(tensors.local_bound(
+        system.vertices, [[f.coords for f in row] for row in h])))
     if worst > CERTIFICATE:
         raise NumericalFailure(
             "steering certificate is positive on a deterministic strategy")
@@ -433,8 +427,7 @@ def _witness_from_farkas(asm, h):
     comps = [c / tau for c in u]
     V = system.vertices
     deficit = float(np.max(
-        np.sum(np.abs(np.stack([V @ c for c in comps])), axis=0)
-        - V @ base))
+        tensors.local_bound(V, [(c, -c) for c in comps]) - V @ base))
     if deficit > WITNESS_RESCALE:
         raise NumericalFailure(
             f"witness dominance fails by {deficit:.2e} after scaling")
@@ -574,8 +567,8 @@ def witness_verify(w, sigma):
         raise InvalidInput("sigma lives on another system")
     systems.assert_interior(system, sigma)
     V = system.vertices
-    need = np.sum(
-        np.abs(np.stack([V @ f.coords for f in w.components])), axis=0)
+    need = tensors.local_bound(
+        V, [(f.coords, -f.coords) for f in w.components])
     out = lp.feasibility(lp.LpProblem(
         objective=np.zeros(system.dim),
         eq_rows=sigma.coords.reshape(1, -1), eq_rhs=np.array([1.0]),
@@ -663,6 +656,8 @@ def steering_degree_estimate(system, sigma=None, g=2, trials=40, seed=0):
     if sigma is None:
         sigma = system.barycenter
     systems.assert_interior(system, sigma)
+    if not isinstance(g, (int, np.integer)) or g < 1:
+        raise InvalidInput("g must be a positive integer")
     if trials < 0:
         raise InvalidInput("trials must be nonnegative")
     rng = np.random.default_rng(seed)

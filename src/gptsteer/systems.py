@@ -22,15 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import guards, lp
+from . import guards, kernels, lp
 from .errors import (
-    GuardExceeded,
     InvalidInput,
     NotInterior,
     SystemMismatch,
 )
 from .geometry import facets_of_cone, lex_sorted, vertices_of_polytope
-from .kernels import symmetry_search
 from .tolerances import CERTIFICATE, COINCIDENCE, RECONSTRUCTION
 
 POLYTOPIC = "polytopic"
@@ -223,69 +221,50 @@ def _coerce(coords, dim, what):
 
 
 @dataclass(frozen=True, eq=False)
-class Vector:
+class _Element:
+    """Coordinates tagged with their system.  The two subclasses, Vector and
+    Functional, are the tags: arithmetic stays within one, and `tag` names
+    it in error messages."""
+
+    coords: np.ndarray
+    system: GptSystem
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _coerce(self.coords, self.system.dim, self.tag))
+
+    def _same(self, other):
+        if not isinstance(other, type(self)):
+            raise InvalidInput(f"{self.tag} arithmetic requires another {self.tag}")
+        if self.system != other.system:
+            raise SystemMismatch(f"{self.tag}s belong to different systems")
+
+    def __add__(self, other):
+        self._same(other)
+        return type(self)(self.coords + other.coords, self.system)
+
+    def __sub__(self, other):
+        self._same(other)
+        return type(self)(self.coords - other.coords, self.system)
+
+    def __neg__(self):
+        return type(self)(-self.coords, self.system)
+
+    def __mul__(self, a):
+        return type(self)(self.coords * float(a), self.system)
+
+    __rmul__ = __mul__
+
+
+class Vector(_Element):
     """Element of V, tagged with its system."""
 
-    coords: np.ndarray
-    system: GptSystem
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _coerce(self.coords, self.system.dim, "vector"))
-
-    def _same(self, other):
-        if not isinstance(other, Vector):
-            raise InvalidInput("vector arithmetic requires another vector")
-        if self.system != other.system:
-            raise SystemMismatch("vectors belong to different systems")
-
-    def __add__(self, other):
-        self._same(other)
-        return Vector(self.coords + other.coords, self.system)
-
-    def __sub__(self, other):
-        self._same(other)
-        return Vector(self.coords - other.coords, self.system)
-
-    def __neg__(self):
-        return Vector(-self.coords, self.system)
-
-    def __mul__(self, a):
-        return Vector(self.coords * float(a), self.system)
-
-    __rmul__ = __mul__
+    tag = "vector"
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
+class Functional(_Element):
     """Element of the dual space A = V*, tagged with its system."""
 
-    coords: np.ndarray
-    system: GptSystem
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _coerce(self.coords, self.system.dim, "functional"))
-
-    def _same(self, other):
-        if not isinstance(other, Functional):
-            raise InvalidInput("functional arithmetic requires another functional")
-        if self.system != other.system:
-            raise SystemMismatch("functionals belong to different systems")
-
-    def __add__(self, other):
-        self._same(other)
-        return Functional(self.coords + other.coords, self.system)
-
-    def __sub__(self, other):
-        self._same(other)
-        return Functional(self.coords - other.coords, self.system)
-
-    def __neg__(self):
-        return Functional(-self.coords, self.system)
-
-    def __mul__(self, a):
-        return Functional(self.coords * float(a), self.system)
-
-    __rmul__ = __mul__
+    tag = "functional"
 
     def pair(self, v):
         return pair(self, v)
@@ -472,23 +451,16 @@ def ball_approximation(n, resolution, which="inner"):
 # -- membership and norms -------------------------------------------------
 
 
-def _check_vec(system, v):
-    if not isinstance(v, Vector):
-        raise InvalidInput("expected a Vector")
-    if v.system != system:
-        raise SystemMismatch("vector tagged with a different system")
-
-
-def _check_fun(system, f):
-    if not isinstance(f, Functional):
-        raise InvalidInput("expected a Functional")
-    if f.system != system:
-        raise SystemMismatch("functional tagged with a different system")
+def _check(system, x, cls):
+    if not isinstance(x, cls):
+        raise InvalidInput(f"expected a {cls.__name__}")
+    if x.system != system:
+        raise SystemMismatch(f"{cls.tag} tagged with a different system")
 
 
 def assert_interior(system, sigma):
     """Raise NotInterior unless sigma lies strictly inside V+."""
-    _check_vec(system, sigma)
+    _check(system, sigma, Vector)
     if system.kind == POLYTOPIC:
         vals = system.cone_facets @ sigma.coords
         scale = 1.0 + float(np.max(np.abs(vals)))
@@ -528,7 +500,7 @@ def in_cone(system, v):
     COINCIDENCE * (1 + |t|).  For callers that read only the yes/no answer;
     `cone_member` returns coefficients or a separator.
     """
-    _check_vec(system, v)
+    _check(system, v, Vector)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(v.coords[0])
         r = _ball_norm_value(v.coords[1:], system.ball_norm)
@@ -544,7 +516,7 @@ def cone_member(system, v):
     Membership comes with vertex coefficients (polytopic; None for balls),
     rejection with a functional nonnegative on V+ and negative on v.
     """
-    _check_vec(system, v)
+    _check(system, v, Vector)
     if system.kind == CENTRALLY_SYMMETRIC:
         if in_cone(system, v):
             return ConeMembership(True, None, None)
@@ -563,7 +535,7 @@ def cone_member(system, v):
 
 def base_norm(system, v):
     """||v||_V: minimal total unit mass over decompositions v+ - v- in V+."""
-    _check_vec(system, v)
+    _check(system, v, Vector)
     if system.kind == CENTRALLY_SYMMETRIC:
         return max(abs(float(v.coords[0])),
                    _ball_norm_value(v.coords[1:], system.ball_norm))
@@ -591,8 +563,8 @@ def order_unit_norm(system, f, unit=None):
             unit = system.unit_functional
         if not isinstance(unit, Functional):
             raise InvalidInput("unit must be a Functional when f is a Functional")
-        _check_fun(system, f)
-        _check_fun(system, unit)
+        _check(system, f, Functional)
+        _check(system, unit, Functional)
         if system.kind == CENTRALLY_SYMMETRIC:
             e0 = np.zeros(system.dim)
             e0[0] = 1.0
@@ -610,7 +582,7 @@ def order_unit_norm(system, f, unit=None):
     if isinstance(f, Vector):
         if unit is None or not isinstance(unit, Vector):
             raise InvalidInput("unit must be a reference state Vector when f is a Vector")
-        _check_vec(system, f)
+        _check(system, f, Vector)
         assert_interior(system, unit)
         if system.kind == CENTRALLY_SYMMETRIC:
             _require_center(system, unit)
@@ -624,7 +596,7 @@ def order_unit_norm(system, f, unit=None):
 
 def sigma_base_norm(system, h, sigma):
     """||h||^sigma = max <h, y> over -sigma <= y <= sigma; returns (value, y*)."""
-    _check_fun(system, h)
+    _check(system, h, Functional)
     assert_interior(system, sigma)
     if system.kind == CENTRALLY_SYMMETRIC:
         _require_center(system, sigma)
@@ -667,7 +639,7 @@ def extreme_effects(system):
 
 
 def is_effect(system, f):
-    _check_fun(system, f)
+    _check(system, f, Functional)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(f.coords[0])
         r = _ball_norm_value(f.coords[1:], _dual_ball_name(system.ball_norm))
@@ -679,7 +651,7 @@ def is_effect(system, f):
 
 def in_dual_cone(system, f):
     """Whether f is nonnegative on every state, up to CERTIFICATE."""
-    _check_fun(system, f)
+    _check(system, f, Functional)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(f.coords[0])
         r = _ball_norm_value(f.coords[1:], _dual_ball_name(system.ball_norm))
@@ -700,7 +672,7 @@ class Measurement:
         system = effects[0].system
         total = np.zeros(system.dim)
         for i, f in enumerate(effects):
-            _check_fun(system, f)
+            _check(system, f, Functional)
             if not is_effect(system, f):
                 raise InvalidInput(f"effect {i} is outside the effect interval")
             total = total + f.coords
@@ -719,7 +691,7 @@ class Measurement:
 
 def dichotomic_measurement(system, f):
     """The pair (f, unit - f) for an effect f."""
-    _check_fun(system, f)
+    _check(system, f, Functional)
     return Measurement((f, system.unit_functional - f))
 
 
@@ -730,17 +702,10 @@ def is_symmetry(system, mat):
     if M.shape != (system.dim, system.dim):
         return False
     images = system.vertices @ M.T
-    taken = [False] * system.n_vertices
-    for img in images:
-        hit = -1
-        for j, w in enumerate(system.vertices):
-            if not taken[j] and np.max(np.abs(img - w)) <= COINCIDENCE:
-                hit = j
-                break
-        if hit < 0:
-            return False
-        taken[hit] = True
-    return True
+    # the matcher reads NaN as near, but a non-finite image is no vertex
+    if not np.all(np.isfinite(images)):
+        return False
+    return kernels._greedy_matching(images, system.vertices) is not None
 
 
 def symmetries(system, fix=None):
@@ -752,26 +717,21 @@ def symmetries(system, fix=None):
     if fix is None:
         fix_coords = system.vertices.mean(axis=0)
     else:
-        _check_vec(system, fix)
+        _check(system, fix, Vector)
         fix_coords = np.asarray(fix.coords)
     V = system.vertices
     rows = []
-    idx = []
     for i in range(n):
         cand = rows + [V[i]]
         s = np.linalg.svd(np.array(cand), compute_uv=False)
         if s[-1] > COINCIDENCE * s[0]:
             rows.append(V[i])
-            idx.append(i)
         if len(rows) == system.dim:
             break
     if len(rows) < system.dim:
         raise InvalidInput("vertices must span the full space (generating cone)")
     Binv = np.linalg.inv(np.array(rows))
-    maps, overflow = symmetry_search(V, Binv, fix_coords, COINCIDENCE, 1024)
-    if overflow:
-        raise GuardExceeded("symmetry search found more than 1024 maps")
-    return maps
+    return kernels.symmetry_search(V, Binv, fix_coords)
 
 
 # -- JSON ------------------------------------------------------------------

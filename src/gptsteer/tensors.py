@@ -12,6 +12,7 @@ elements whose optimum is the norm, whose primal solution is a hidden-state
 decomposition, and whose duals assemble into a steering witness.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -149,6 +150,18 @@ def sign_vectors(g):
     return list(itertools.product((1, -1), repeat=g))
 
 
+def local_bound(V, families):
+    """sum_x max_a <h_{a|x}, v> at each row v of V; families[x] holds the
+    coordinates of the h_{a|x}.  Rounded addition is monotone, so this is
+    bit for bit the largest strategy sum sum_x <h_{omega(x)|x}, v>, at
+    O(n sum_x k_x) cost, not O(n prod_x k_x).  Families (w_x, -w_x) give
+    sum_x |<w_x, v>|, the bound a witness base must meet."""
+    total = 0.0
+    for family in families:
+        total = total + functools.reduce(np.maximum, [V @ h for h in family])
+    return total
+
+
 @dataclass(frozen=True)
 class SteeringNormResult:
     """Value plus both certificates of the steering-norm LP.
@@ -227,10 +240,8 @@ def steering_norm(t):
 
 
 def _check_witness_certificate(t, value, w0, w):
-    # worst sign pattern at vertex i is sum_x |<w_x, v_i>|
     V = t.system.vertices
-    Wv = np.array([f.coords for f in w]) @ V.T
-    slack = (w0.coords @ V.T) - np.abs(Wv).sum(axis=0)
+    slack = w0.coords @ V.T - local_bound(V, [(f.coords, -f.coords) for f in w])
     if slack.min() < -CERTIFICATE:
         raise NumericalFailure("steering witness violates the sign condition")
     attained = sum(

@@ -5,10 +5,12 @@ must reproduce operation for operation: lexicographic subsets, first-maximum
 partial pivoting, the same singularity tests, sums taken one column at a time
 and greedy first-found de-duplication.  Further down, the scalar simplex
 phase, artificial drive-out and symmetry search are the references for the
-shared-pivot simplex kernel and the numpy symmetry search.  Results are
-compared byte for byte.  The list-based pricing rule is also compared on its
-own, and an artificial block filled with NaN shows that a float phase two
-reads none of the columns its pivots skip.
+shared-pivot simplex kernel and the numpy symmetry search, and the scalar
+vertex matcher is the reference for `systems.is_symmetry`.  Results are
+compared byte for byte; where a reference reports overflow at a cap, the
+kernel, run with that cap, must raise GuardExceeded.  The list-based pricing
+rule is also compared on its own, and an artificial block filled with NaN
+shows that a float phase two reads none of the columns its pivots skip.
 """
 
 import collections
@@ -23,9 +25,9 @@ from gptsteer import geometry, kernels, lp, systems
 from gptsteer.errors import GuardExceeded, NumericalFailure
 from gptsteer.kernels import (AT_LOWER, AT_UPPER, BASIC, PHASE_ITER_LIMIT,
                               PHASE_OPTIMAL, PHASE_UNBOUNDED)
-from gptsteer.tolerances import ARTIFICIAL_PIVOT
+from gptsteer.tolerances import ARTIFICIAL_PIVOT, COINCIDENCE
 
-TOLS = (1e-9, 1e-9, 1e-9)   # dedupe, feasibility, singularity
+TOLS = (COINCIDENCE,) * 3   # dedupe, feasibility, singularity
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +176,27 @@ def _cone_cases():
 
 
 def _same(got, want):
-    assert got[1] == want[1]
-    assert got[0].shape == want[0].shape
-    assert got[0].tobytes() == want[0].tobytes()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _matches_reference(run, want, monkeypatch):
+    """run() at the patched kernels.ROW_CAP against a reference's (rows,
+    overflow flag) at that cap: the same bytes or, where the reference
+    overflowed, GuardExceeded, and uncapped, more rows that begin with the
+    reference's.  Returns the flag."""
+    rows, overflow = want
+    if not overflow:
+        _same(run(), rows)
+        return overflow
+    with pytest.raises(GuardExceeded):
+        run()
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "ROW_CAP", 4096)
+        got = run()
+    assert got.shape[0] > rows.shape[0]
+    _same(got[:rows.shape[0]], rows)
+    return overflow
 
 
 # ---------------------------------------------------------------------------
@@ -184,47 +204,55 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("cap", [4096, 3])
-def test_vertices_match_scalar_reference_bytewise(cap):
-    for A, b in _vertex_cases():
-        _same(kernels.enum_polytope_vertices(A, b, *TOLS, cap),
-              ref_vertices(A, b, *TOLS, cap))
+def test_vertices_match_scalar_reference_bytewise(cap, monkeypatch):
+    cases = list(_vertex_cases())
+    monkeypatch.setattr(kernels, "ROW_CAP", cap)
+    flags = [_matches_reference(lambda: kernels.enum_polytope_vertices(A, b),
+                                ref_vertices(A, b, *TOLS, cap), monkeypatch)
+             for A, b in cases]
+    assert any(flags) == (cap == 3) and not all(flags)
 
 
 @pytest.mark.parametrize("cap", [4096, 3])
-def test_facets_match_scalar_reference_bytewise(cap):
-    for V in _cone_cases():
-        _same(kernels.enum_cone_facets(V, *TOLS, cap),
-              ref_facets(V, *TOLS, cap))
+def test_facets_match_scalar_reference_bytewise(cap, monkeypatch):
+    cases = list(_cone_cases())   # built before the cap is lowered
+    monkeypatch.setattr(kernels, "ROW_CAP", cap)
+    flags = [_matches_reference(lambda: kernels.enum_cone_facets(V),
+                                ref_facets(V, *TOLS, cap), monkeypatch)
+             for V in cases]
+    assert any(flags) == (cap == 3) and not all(flags)
 
 
 def test_vertex_hit_in_several_chunks_comes_out_once(monkeypatch):
     # m = 16, d = 4: 1820 subsets, four chunks; each vertex of the 4-cube is
     # the solution of 16 subsets spread over those chunks.
     A, b = _box(4, copies=2)
-    got = kernels.enum_polytope_vertices(A, b, *TOLS, 4096)
-    assert got[1] == 0 and got[0].shape == (16, 4)
+    got = kernels.enum_polytope_vertices(A, b)
+    assert got.shape == (16, 4)
     # first-found order: the same rows, in the same order, as the single box
-    _same(got, kernels.enum_polytope_vertices(*_box(4), *TOLS, 4096))
+    _same(got, kernels.enum_polytope_vertices(*_box(4)))
     for chunk in (1, 7, 1819):
         monkeypatch.setattr(kernels, "CHUNK", chunk)
-        _same(kernels.enum_polytope_vertices(A, b, *TOLS, 4096), got)
+        _same(kernels.enum_polytope_vertices(A, b), got)
 
 
 def test_facet_output_does_not_depend_on_chunk_size(monkeypatch):
     V = _unit_rows(systems.hypercube(4).vertices)   # C(16, 4) = 1820 subsets
-    got = kernels.enum_cone_facets(V, *TOLS, 4096)
-    assert got[1] == 0 and got[0].shape == (8, 5)
+    got = kernels.enum_cone_facets(V)
+    assert got.shape == (8, 5)
     for chunk in (1, 5):
         monkeypatch.setattr(kernels, "CHUNK", chunk)
-        _same(kernels.enum_cone_facets(V, *TOLS, 4096), got)
+        _same(kernels.enum_cone_facets(V), got)
 
 
 @pytest.mark.parametrize("cap", [40, 7])
-def test_greedy_dedupe_on_chains_of_near_duplicates(cap):
+def test_greedy_dedupe_on_chains_of_near_duplicates(cap, monkeypatch):
     # Points 0.6 tol apart along a line: closeness is not transitive, so
     # which points survive depends on insertion order.
+    monkeypatch.setattr(kernels, "ROW_CAP", cap)
     rng = np.random.default_rng(5)
-    tol = 1e-9
+    tol = COINCIDENCE
+    flags = []
     for _ in range(20):
         cand = np.round(rng.uniform(0, 12, size=(30, 2))) * 0.6 * tol
         prior = cand[rng.choice(30, size=3)] + 0.3 * tol
@@ -234,27 +262,34 @@ def test_greedy_dedupe_on_chains_of_near_duplicates(cap):
             overflow = _ref_append(want, row, tol, cap)
             if overflow:
                 break
-        out = np.empty((cap, 2))
-        out[:3] = prior
-        count, flag = kernels._append_distinct(out, 3, cand, tol)
-        assert flag == int(overflow)
-        assert out[:count].tobytes() == np.array(want).tobytes()
+        flags.append(_matches_reference(
+            lambda: kernels._append_distinct(prior, cand, "test"),
+            (np.array(want), overflow), monkeypatch))
+    assert flags == [cap == 7] * 20
 
 
-def test_cap_overflow_flag_on_the_cube():
+def test_cap_overflow_flag_on_the_cube(monkeypatch):
+    # 8 vertices and 6 facets: a cap of exactly that many rows holds them,
+    # one row fewer raises, naming the enumeration.
     A, b = _box(3)
-    verts, flag = kernels.enum_polytope_vertices(A, b, *TOLS, 3)
-    assert flag == 1 and verts.shape == (3, 3)
-    V = _unit_rows(systems.hypercube(3).vertices)
-    facets, flag = kernels.enum_cone_facets(V, *TOLS, 3)
-    assert flag == 1 and facets.shape == (3, 4)
+    V = _unit_rows(systems.hypercube(3).vertices)   # built at the full cap
+    monkeypatch.setattr(kernels, "ROW_CAP", 8)
+    assert kernels.enum_polytope_vertices(A, b).shape == (8, 3)
+    monkeypatch.setattr(kernels, "ROW_CAP", 7)
+    with pytest.raises(GuardExceeded, match="^vertex enumeration exceeded 7 rows$"):
+        kernels.enum_polytope_vertices(A, b)
+    monkeypatch.setattr(kernels, "ROW_CAP", 6)
+    assert kernels.enum_cone_facets(V).shape == (6, 4)
+    monkeypatch.setattr(kernels, "ROW_CAP", 5)
+    with pytest.raises(GuardExceeded, match="^facet enumeration exceeded 5 rows$"):
+        kernels.enum_cone_facets(V)
 
 
 def test_row_cap_raises_guard_exceeded(monkeypatch):
-    monkeypatch.setattr(geometry, "_ROW_CAP", 3)
-    with pytest.raises(GuardExceeded):
+    monkeypatch.setattr(kernels, "ROW_CAP", 3)
+    with pytest.raises(GuardExceeded, match="vertex enumeration exceeded 3"):
         geometry.vertices_of_polytope(*_box(3))
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="facet enumeration exceeded 3"):
         geometry.facets_of_cone(systems.hypercube(3).vertices)
 
 
@@ -805,11 +840,19 @@ SYMMETRIC = {
 }
 
 
-def _ref_maps(V, Binv, fix, match_tol, cap):
+def _ref_maps(V, Binv, fix, cap):
     mats, _, count, overflow = ref_symmetry_search(
         np.ascontiguousarray(V), np.ascontiguousarray(Binv),
-        np.ascontiguousarray(fix), match_tol, cap)
+        np.ascontiguousarray(fix), COINCIDENCE, cap)
     return [mats[i].copy() for i in range(count)], overflow
+
+
+def _ref_search(V, Binv, fix):
+    """The reference in the kernel's place, overflowing at MAP_CAP."""
+    maps, overflow = _ref_maps(V, Binv, fix, kernels.MAP_CAP)
+    if overflow:
+        raise GuardExceeded("reference overflow")
+    return maps
 
 
 def _fix_points(system):
@@ -824,7 +867,7 @@ def test_symmetries_match_scalar_reference(name, monkeypatch):
     build, order = SYMMETRIC[name]
     system = build()
     got = [systems.symmetries(system, fix) for fix in _fix_points(system)]
-    monkeypatch.setattr(systems, "symmetry_search", _ref_maps)
+    monkeypatch.setattr(kernels, "symmetry_search", _ref_search)
     want = [systems.symmetries(system, fix) for fix in _fix_points(system)]
     assert len(got[0]) == len(got[1]) == order
     assert len(got[2]) < order and len(got[3]) < order
@@ -835,12 +878,79 @@ def test_symmetries_match_scalar_reference(name, monkeypatch):
 
 def test_symmetry_search_overflow_matches_scalar_reference(monkeypatch):
     calls = []
-    monkeypatch.setattr(systems, "symmetry_search",
-                        lambda *a: calls.append(a) or ([], 0))
+    search = kernels.symmetry_search
+    monkeypatch.setattr(kernels, "symmetry_search",
+                        lambda *a: calls.append(a) or [])
     systems.symmetries(systems.hypercube(3))
-    V, Binv, fix, tol, _ = calls[0]
+    V, Binv, fix = calls[0]
     for cap in (1, 5, 48, 49):
-        maps, overflow = kernels.symmetry_search(V, Binv, fix, tol, cap)
-        ref, ref_overflow = _ref_maps(V, Binv, fix, tol, cap)
-        assert overflow == ref_overflow == int(cap < 48)
-        assert [m.tobytes() for m in maps] == [m.tobytes() for m in ref]
+        monkeypatch.setattr(kernels, "MAP_CAP", cap)
+        ref, ref_overflow = _ref_maps(V, Binv, fix, cap)
+        assert ref_overflow == int(cap < 48)
+        if ref_overflow:
+            with pytest.raises(GuardExceeded,
+                               match=f"^symmetry search found more than {cap} maps$"):
+                search(V, Binv, fix)
+        else:
+            maps = search(V, Binv, fix)
+            assert [m.tobytes() for m in maps] == [m.tobytes() for m in ref]
+
+
+def ref_is_symmetry(system, mat):
+    """Scalar vertex matcher: vertex i's image takes the first vertex within
+    COINCIDENCE (by the maximum entry difference) that no earlier image
+    took."""
+    M = np.asarray(mat, dtype=np.float64)
+    if M.shape != (system.dim, system.dim):
+        return False
+    images = system.vertices @ M.T
+    taken = [False] * system.n_vertices
+    for img in images:
+        hit = -1
+        for j, w in enumerate(system.vertices):
+            if not taken[j] and np.max(np.abs(img - w)) <= COINCIDENCE:
+                hit = j
+                break
+        if hit < 0:
+            return False
+        taken[hit] = True
+    return True
+
+
+def _candidate_maps(system, rng):
+    """Symmetries, near misses on both sides of COINCIDENCE, collapsing and
+    random maps, and matrices with NaN, inf or overflowing entries."""
+    d = system.dim
+    group = systems.symmetries(system)
+    out = list(group)
+    for g in group[:4]:
+        for step in (0.4, 3.0):
+            bump = np.zeros((d, d))
+            bump[int(rng.integers(d)), int(rng.integers(d))] = step * COINCIDENCE
+            out.append(g + bump)
+    out.append(np.outer(system.vertices[0], system.unit))   # all to vertex 0
+    out.append(np.zeros((d, d)))
+    out.append(np.eye(d + 1))                                # wrong shape
+    out += [rng.normal(size=(d, d)) for _ in range(3)]
+    for bad in (np.nan, np.inf, -np.inf, 1e308):
+        m = np.eye(d)
+        m[d - 1, int(rng.integers(d))] = bad
+        out.append(m)
+        out.append(np.full((d, d), bad))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_is_symmetry_matches_scalar_reference(name):
+    system = SYMMETRIC[name][0]()
+    rng = np.random.default_rng(3)
+    verdicts = collections.Counter()
+    for m in _candidate_maps(system, rng):
+        want = ref_is_symmetry(system, m)
+        assert systems.is_symmetry(system, m) == want
+        verdicts[want] += 1
+        if not np.all(np.isfinite(m)):
+            assert not want
+    assert verdicts[True] > len(systems.symmetries(system))
+    assert verdicts[False] >= 10

@@ -596,6 +596,13 @@ def test_degree_estimate_square():
     assert est.samples > 0
 
 
+@pytest.mark.parametrize("g", [0, -1, 1.5, "2"])
+def test_degree_estimate_rejects_a_bad_g(g, lp_solves):
+    with pytest.raises(InvalidInput, match="g must be a positive integer"):
+        steering.steering_degree_estimate(square(), g=g, trials=4)
+    assert lp_solves == []
+
+
 def test_degree_estimate_respects_lower_bound():
     rng = np.random.default_rng(77)
     for _ in range(4):

@@ -1,5 +1,6 @@
 """System model: norms, cones, effects, symmetries, serialization."""
 
+import dataclasses
 import itertools
 import json
 
@@ -588,6 +589,33 @@ def test_vector_arithmetic_and_mismatch():
         v + t.vector([0.3, 0.3, 0.4])
     with pytest.raises(SystemMismatch):
         systems.pair(t.functional([1.0, 1, 1]), v)
+
+
+@pytest.mark.parametrize("tag", ["vector", "functional"])
+def test_element_tags_keep_their_types_and_messages(tag):
+    s, t = square(), systems.simplex(3)
+    make, other = ((s.vector, s.functional) if tag == "vector"
+                   else (s.functional, s.vector))
+    a, b = make([1.0, 0.5, 0.0]), make([0.0, 0.5, 0.5])
+    cls = type(a)
+    assert cls.__name__.lower() == tag
+    for c in (a + b, a - b, -a, 2.0 * a, a * 2.0):
+        assert type(c) is cls and c.system is s
+    with pytest.raises(InvalidInput, match=f"^{tag} arithmetic requires another {tag}$"):
+        a + other([1.0, 0, 0])
+    with pytest.raises(SystemMismatch, match=f"^{tag}s belong to different systems$"):
+        a - getattr(t, tag)([0.3, 0.3, 0.4])
+    with pytest.raises(InvalidInput, match=f"^{tag} coordinates must have length 3$"):
+        make([1.0, 0.0])
+    with pytest.raises(InvalidInput, match=f"^{tag} coordinates must be finite$"):
+        make([1.0, np.nan, 0.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.coords = b.coords
+    check = systems.in_cone if tag == "vector" else systems.is_effect
+    with pytest.raises(InvalidInput, match=f"^expected a {cls.__name__}$"):
+        check(s, other([1.0, 0, 0]))
+    with pytest.raises(SystemMismatch, match=f"^{tag} tagged with a different system$"):
+        check(t, a)
 
 
 def test_pairing():

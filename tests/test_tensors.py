@@ -1,6 +1,7 @@
 """Cross norms: frozen square values, certificates, the sandwich, and the
 former two-LP tensor check and all-sign projective LP as references."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,48 @@ def test_certificates_on_random_instances():
         s = sampling.random_polytopic_system(rng, dim=dim)
         t = sampling.random_dichotomic_tensor(rng, s, g)
         assert_certificates_consistent(t, tensors.steering_norm(t))
+
+
+def reference_strategy_bound(V, families):
+    """The largest strategy sum at each vertex, one deterministic strategy
+    at a time: the loop lhs_check's certificate check ran before
+    local_bound."""
+    P = [np.stack([V @ h for h in family]) for family in families]
+    sums = [sum(P[x][omega[x]] for x in range(len(P)))
+            for omega in itertools.product(*(range(len(p)) for p in P))]
+    return np.max(np.stack(sums), axis=0)
+
+
+def reference_signed_bound(V, comps):
+    """sum_x |<w_x, v>| as the witness checks summed it before
+    local_bound."""
+    return np.sum(np.abs(np.stack([V @ w for w in comps])), axis=0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       name=st.sampled_from(["hull", *NAMED]))
+def test_local_bound_equals_the_strategy_maximum(seed, shape, name):
+    rng = np.random.default_rng(seed)
+    if name == "hull":
+        system = sampling.random_polytopic_system(
+            rng, dim=int(rng.integers(2, 6)))
+    else:
+        system = NAMED[name]()
+    V, d = system.vertices, system.dim
+    scale = 10.0 ** int(rng.integers(-6, 7))
+    families = [[scale * rng.standard_normal(d) for _ in range(k)]
+                for k in shape]
+    # ties between outcomes, and a functional that is zero on every vertex
+    families[0].append(families[0][0].copy())
+    families[-1][0] = np.zeros(d)
+    got = tensors.local_bound(V, families)
+    assert got.tobytes() == reference_strategy_bound(V, families).tobytes()
+    comps = [scale * rng.standard_normal(d)
+             for _ in range(int(rng.integers(1, 11)))] + [np.zeros(d)]
+    got = tensors.local_bound(V, [(w, -w) for w in comps])
+    assert got.tobytes() == reference_signed_bound(V, comps).tobytes()
 
 
 # ---------------------------------------------------------------------------

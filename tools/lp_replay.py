@@ -31,8 +31,8 @@ under their own names, and times building each `LpProblem` and solving it.
 Each round visits the problems in order and times both trees on a problem
 before the next, the tree that goes first alternating.  Each problem keeps
 its fastest of the R rounds; the JSON line gives the mean of those per
-tree in microseconds per LP and the ratio B / A.  A solve that raises is
-timed like one that returns.
+tree in microseconds per LP, rounded to 2 decimals, and the ratio B / A of
+the rounded means.  A solve that raises is timed like one that returns.
 
 The file is a pickle of plain numpy arrays and strings; load only files you
 recorded.  `compare` also reads recordings made before the callers were
@@ -252,9 +252,9 @@ def time_trees(path, tree_a, tree_b, rounds):
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                 best[k][i] = min(best[k][i],
                                  _build_and_solve(libs[k], fields, mode))
-    us = [1e6 * sum(b) / len(problems) for b in best]
+    us = [round(1e6 * sum(b) / len(problems), 2) for b in best]
     return {"problems": len(problems), "rounds": rounds,
-            "us_per_lp_a": round(us[0], 2), "us_per_lp_b": round(us[1], 2),
+            "us_per_lp_a": us[0], "us_per_lp_b": us[1],
             "ratio": round(us[1] / us[0], 4)}
 
 
