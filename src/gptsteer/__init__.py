@@ -36,6 +36,7 @@ from .systems import (
 from .tensors import (
     DichotomicTensor,
     TensorElement,
+    Witness,
     injective_norm_dichotomic,
     min_cone_member,
     projective_norm,
@@ -44,7 +45,6 @@ from .tensors import (
 )
 from .steering import (
     Assemblage,
-    Witness,
     lhs_check,
     optimal_witness,
     robustness,

@@ -182,24 +182,10 @@ def conditional_assemblage(state, measurements):
     return steering.Assemblage.unchecked(state.marginal_b, entries)
 
 
-def interval_extreme_functionals(system):
-    """Extreme points of the order interval [-unit, unit], one per sign pair.
-
-    These are the re-centered extreme effects 2f - unit.  Both e and -e
-    are extreme, so only the representative whose leading nonzero
-    coordinate is positive is kept.  They are exactly the extreme points
-    of the unit ball dual to the base norm of V, so the base norm of any
-    v is the largest |<e, v>| over the returned functionals.
-    """
-    E = np.array([2.0 * f.coords - system.unit
-                  for f in systems.extreme_effects(system)])
-    return tuple(system.functional(e) for e in E[systems.mirror_representatives(E)])
-
-
 def _nonunit_extremes(system):
     """The interval extremes other than +-unit (either may represent its pair)."""
     u = system.unit
-    return [e for e in interval_extreme_functionals(system)
+    return [e for e in systems.interval_extreme_functionals(system)
             if min(np.max(np.abs(e.coords - u)), np.max(np.abs(e.coords + u)))
             > COINCIDENCE]
 
@@ -302,8 +288,6 @@ def unsteerable_dichotomic(state):
         t = np.asarray(out.x[n:], dtype=np.float64).reshape(m, n)
         _verify_model(state, model, np.where(w > 1e-12, w, 0.0), targets, t)
         return UnsteerableVerdict(unsteerable=True, model=model)
-    if out.status != "infeasible":
-        raise NumericalFailure(f"zonotope LP ended {out.status}")
 
     blocks = np.asarray(out.dual_eq, dtype=np.float64)[d:].reshape(m, d)
     scale = float(np.max(np.abs(blocks))) if m else 0.0
@@ -425,12 +409,8 @@ def steerability_search(state, shapes=(2, 2), sampler=None, budget=50,
     a = state.system_a
     rng = np.random.default_rng(seed)
     if sampler is None:
-        extremes = systems.extreme_effects(a)
-
         def sampler(r):
-            return tuple(
-                sampling.random_measurement(r, a, k, extremes=extremes)
-                for k in shape)
+            return tuple(sampling.random_measurement(r, a, k) for k in shape)
 
     def stream():
         if all(k == 2 for k in shape):

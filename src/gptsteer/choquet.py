@@ -254,8 +254,8 @@ def choquet_below_dual_check(nu, mu, trials=64, seed=0):
     itself.
     """
     _same_system(nu, mu)
-    if trials < 1:
-        raise InvalidInput("trials must be positive")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvalidInput("trials must be a positive integer")
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         v = _mismatch_verdict(nu, mu)
         return DualCheckVerdict(False, v.functionals, v.violation)
@@ -354,13 +354,6 @@ def _ball_epigraph(Y, weights, P, lin):
                         ub_rows=ub, ub_rhs=rhs, lower=lower)
 
 
-def _optimum(problem, what):
-    out = lp.solve(problem)
-    if out.status != "optimal":
-        raise NumericalFailure(f"{what} ended {out.status}")
-    return float(out.value), out.x
-
-
 def c_mu(system, sigma, mu):
     """Minimum of the mu-average of |<h, .>| over the unit sphere of the
     sigma base norm.
@@ -385,9 +378,9 @@ def c_mu(system, sigma, mu):
     for i in range(Y.shape[0]):
         facet = np.zeros((1, ball.n_vars))
         facet[0, :d] = Y[i]
-        value, _ = _optimum(replace(
+        out = lp.optimum(replace(
             ball, eq_rows=facet, eq_rhs=np.ones(1)), "facet subproblem")
-        best = min(best, value)
+        best = min(best, out.value)
     if best < -COINCIDENCE or best > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"variational constant {best} escaped [0, 1]")
     return min(max(best, 0.0), 1.0)
@@ -434,10 +427,10 @@ def dichotomic_below_exact(nu, mu):
     best_h = None
     for tail in itertools.product((1.0, -1.0), repeat=k - 1):
         lin = -(np.array((1.0,) + tail) @ target)
-        value, x = _optimum(_ball_epigraph(Y, mu.weights, mu.points, lin),
-                            "order LP")
-        if value < best:
-            best, best_h = value, x[:d]
+        out = lp.optimum(_ball_epigraph(Y, mu.weights, mu.points, lin),
+                         "order LP")
+        if out.value < best:
+            best, best_h = out.value, out.x[:d]
     if best >= -COINCIDENCE:
         return DichotomicBelowVerdict(True)
     h = system.functional(best_h)

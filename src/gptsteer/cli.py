@@ -173,11 +173,8 @@ def _run_norm(args):
         return {"kind": args.kind,
                 "value": float(tensors.projective_norm_dichotomic(t))}
     result = tensors.steering_norm(t)
-    witness = steering.Witness(
-        components=result.witness_components, base=result.witness_base,
-        normalized=True)
     return {"kind": args.kind, "value": float(result.value),
-            "witness": _witness_payload(witness)}
+            "witness": _witness_payload(result.witness)}
 
 
 def _run_lhs(args):

@@ -8,6 +8,11 @@ conditions and strong duality, an infeasible verdict must carry a Farkas
 certificate whose separation margin is verified against the original data.
 A failed check raises NumericalFailure rather than returning a wrong answer.
 
+Callers read outcomes through two contracts: `feasibility` returns status
+"optimal" or "infeasible", never "unbounded", and `optimum` returns an
+optimal outcome or raises NumericalFailure naming the LP.  Both look up
+`solve` as this module's global, so a wrapper on `lp.solve` sees every one.
+
 `mode="exact"` is a choice of number type, made once at the top of `solve`:
 the same set-up, pivots, extraction and checks run on object arrays of
 `fractions.Fraction` at zero tolerance in place of tolerances.py's.  Only
@@ -199,10 +204,24 @@ def _fold(start, terms):
 
 
 def feasibility(problem):
-    """Solve a zero-objective problem; only status and certificates matter."""
+    """Solve a zero-objective problem; only status and certificates matter.
+    No ray improves a zero objective, so the status is "optimal" or
+    "infeasible"; an "unbounded" verdict raises NumericalFailure."""
     if isinstance(problem, LpProblem) and problem.objective.any():
         raise MalformedProblem("a feasibility problem has a zero objective")
-    return solve(problem)
+    out = solve(problem)
+    if out.status == "unbounded":
+        raise NumericalFailure("feasibility LP ended unbounded")
+    return out
+
+
+def optimum(problem, what):
+    """`solve`'s outcome when it is optimal; otherwise NumericalFailure
+    saying that `what` ended infeasible or unbounded."""
+    out = solve(problem)
+    if out.status != "optimal":
+        raise NumericalFailure(f"{what} ended {out.status}")
+    return out
 
 
 def solve(problem, mode="float"):

@@ -200,7 +200,7 @@ def random_dilation(rng, measure):
     return choquet.SimpleMeasure(tuple(atoms))
 
 
-def random_measurement(rng, system, n_outcomes, extremes=None):
+def random_measurement(rng, system, n_outcomes):
     """Random measurement biased toward sharp effects.
 
     Dichotomic draws jitter a random extreme effect toward the flat coin
@@ -210,8 +210,7 @@ def random_measurement(rng, system, n_outcomes, extremes=None):
     """
     if n_outcomes < 2:
         raise InvalidInput("a measurement needs at least two outcomes")
-    if extremes is None:
-        extremes = systems.extreme_effects(system)
+    extremes = systems.extreme_effects(system)
     half = 0.5 * system.unit
 
     def jittered():

@@ -22,6 +22,7 @@ import numpy as np
 from . import guards, lp, sampling, systems, tensors
 from .errors import (GuardExceeded, InvalidInput, NotDichotomic,
                      NumericalFailure)
+from .tensors import Witness
 from .tolerances import (BISECTION_WIDTH, CERTIFICATE, COINCIDENCE, RECONSTRUCTION,
                          SPATIAL_RANK, STATE_NORMALIZATION, WITNESS_RESCALE)
 
@@ -158,81 +159,6 @@ def from_dichotomic_tensor(t):
 
 
 @dataclass(frozen=True, eq=False)
-class Witness:
-    """Steering witness (w_1..w_g), optionally with a dominating base w_0.
-
-    The defining condition is sum_x eps_x w_x <= w_0 for every sign vector
-    eps, i.e. the base dominates every signed combination on the cone.  A
-    sigma-normalized witness additionally has <w_0, sigma> = 1; classical
-    two-outcome assemblages with that barycenter then satisfy
-    sum_x |<w_x, y_x>| <= 1.
-    """
-
-    components: tuple
-    base: Optional[systems.Functional] = None
-    normalized: bool = False
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) < 1:
-            raise InvalidInput("witness needs at least one component")
-        system = comps[0].system
-        for x, w in enumerate(comps):
-            if not isinstance(w, systems.Functional) or w.system != system:
-                raise InvalidInput(
-                    f"witness component {x} is not a functional on one "
-                    "common system")
-        if self.base is not None:
-            if not isinstance(self.base, systems.Functional) \
-                    or self.base.system != system:
-                raise InvalidInput("witness base lives on another system")
-            self._check_dominance(system, comps)
-        elif self.normalized:
-            raise InvalidInput("a normalized witness must carry its base")
-        object.__setattr__(self, "components", comps)
-
-    def _check_dominance(self, system, comps):
-        if system.kind == systems.POLYTOPIC:
-            V = system.vertices
-            need = tensors.local_bound(
-                V, [(w.coords, -w.coords) for w in comps])
-            have = V @ self.base.coords
-            if np.min(have - need) < -CERTIFICATE:
-                raise InvalidInput(
-                    "base does not dominate the signed combinations")
-            return
-        guards.check("sign_vectors", len(comps))
-        for eps in tensors.sign_vectors(len(comps)):
-            combo = self.base.coords - sum(
-                e * w.coords for e, w in zip(eps, comps))
-            if not systems.in_dual_cone(system, system.functional(combo)):
-                raise InvalidInput(
-                    "base does not dominate the signed combinations")
-
-    @property
-    def system(self):
-        return self.components[0].system
-
-    @property
-    def g(self):
-        return len(self.components)
-
-    def detection_value(self, target):
-        """sum_x |<w_x, y_x>| against an assemblage or dichotomic tensor.
-
-        For a sigma-normalized witness, any classical assemblage with that
-        barycenter scores at most 1; a score above 1 certifies steering.
-        """
-        if isinstance(target, Assemblage):
-            target = to_dichotomic_tensor(target)
-        if target.g != self.g:
-            raise InvalidInput("witness and target have different g")
-        return float(sum(
-            abs(systems.pair(w, y))
-            for w, y in zip(self.components, target.components)))
-
-
-@dataclass(frozen=True, eq=False)
 class LhsModel:
     """Hidden-state model: ensemble (q(omega), rho_omega) plus responses.
 
@@ -353,8 +279,6 @@ def lhs_check(asm):
     if out.status == "optimal":
         return LhsVerdict(classical=True, model=_build_model(
             asm, omegas, out.x.reshape(n_atoms, n) @ V))
-    if out.status != "infeasible":
-        raise NumericalFailure(f"strategy LP ended {out.status}")
     return _steerable_verdict(asm, offsets, out.dual_eq)
 
 
@@ -445,9 +369,7 @@ def _witness_from_farkas(asm, h):
 
 def optimal_witness(asm):
     """Witness attaining the steering norm of the dichotomic reduction."""
-    res = tensors.steering_norm(to_dichotomic_tensor(asm))
-    return Witness(components=res.witness_components,
-                   base=res.witness_base, normalized=True)
+    return tensors.steering_norm(to_dichotomic_tensor(asm)).witness
 
 
 def robustness(asm):
@@ -576,8 +498,6 @@ def witness_verify(w, sigma):
         lower=np.full(system.dim, -np.inf)))
     if out.status == "infeasible":
         return WitnessVerdict(valid=False, strict=False)
-    if out.status != "optimal":
-        raise NumericalFailure(f"witness LP ended {out.status}")
     total = sum(
         systems.sigma_base_norm(system, f, sigma)[0] for f in w.components)
     return WitnessVerdict(valid=True, strict=total > 1.0 + COINCIDENCE,
@@ -658,8 +578,8 @@ def steering_degree_estimate(system, sigma=None, g=2, trials=40, seed=0):
     systems.assert_interior(system, sigma)
     if not isinstance(g, (int, np.integer)) or g < 1:
         raise InvalidInput("g must be a positive integer")
-    if trials < 0:
-        raise InvalidInput("trials must be nonnegative")
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise InvalidInput("trials must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     B = tensors.sigma_interval_vertices(system, sigma)
     ratios = []

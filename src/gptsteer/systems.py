@@ -166,10 +166,6 @@ class GptSystem:
     def functional(self, coords):
         return Functional(np.asarray(coords, dtype=np.float64), self)
 
-    def vertex(self, i):
-        self._require_polytopic()
-        return self.vector(self.vertices[i])
-
     @property
     def unit_functional(self):
         return Functional(np.asarray(self.unit), self)
@@ -534,21 +530,15 @@ def cone_member(system, v):
 
 
 def base_norm(system, v):
-    """||v||_V: minimal total unit mass over decompositions v+ - v- in V+."""
+    """||v||_V: minimal total unit mass over decompositions v+ - v- in V+;
+    on a polytopic system, by LP duality, the largest |<e, v>| over
+    `interval_extreme_functionals`."""
     _check(system, v, Vector)
     if system.kind == CENTRALLY_SYMMETRIC:
         return max(abs(float(v.coords[0])),
                    _ball_norm_value(v.coords[1:], system.ball_norm))
-    n = system.n_vertices
-    prob = lp.LpProblem(
-        np.ones(2 * n),
-        eq_rows=np.hstack([system.vertices.T, -system.vertices.T]),
-        eq_rhs=v.coords,
-    )
-    out = lp.solve(prob)
-    if out.status != "optimal":
-        raise InvalidInput("base norm undefined: cone is not generating")
-    return float(out.value)
+    E = np.array([e.coords for e in interval_extreme_functionals(system)])
+    return float(np.max(np.abs(E @ v.coords)))
 
 
 def order_unit_norm(system, f, unit=None):
@@ -617,9 +607,8 @@ def sigma_base_norm(system, h, sigma):
         ub_rhs=np.concatenate([rhs, rhs]),
         lower=np.full(system.dim, -np.inf),
     )
-    out = lp.solve(prob)
-    if out.status != "optimal":
-        raise NotInterior("sigma interval is unbounded; sigma cannot be interior")
+    # After assert_interior the interval is bounded and contains 0.
+    out = lp.optimum(prob, "sigma base norm LP")
     return float(-out.value), system.vector(out.x)
 
 
@@ -636,6 +625,20 @@ def extreme_effects(system):
         object.__setattr__(system, "effect_extremes",
                            tuple(system.functional(p) for p in pts))
     return system.effect_extremes
+
+
+def interval_extreme_functionals(system):
+    """Extreme points of the order interval [-unit, unit], one per sign pair.
+
+    These are the re-centered extreme effects 2f - unit.  Both e and -e
+    are extreme, so only the representative whose leading nonzero
+    coordinate is positive is kept.  They are exactly the extreme points
+    of the unit ball dual to the base norm of V, so the base norm of any
+    v is the largest |<e, v>| over the returned functionals.
+    """
+    E = np.array([2.0 * f.coords - system.unit
+                  for f in extreme_effects(system)])
+    return tuple(system.functional(e) for e in E[mirror_representatives(E)])
 
 
 def is_effect(system, f):

@@ -8,8 +8,8 @@ setting in the sigma interval {y: sigma +- y in V+}, whose cached facets
 validate it and whose vertices span the projective sigma norm.
 
 The steering norm is the workhorse: a single LP over sign-vector-indexed cone
-elements whose optimum is the norm, whose primal solution is a hidden-state
-decomposition, and whose duals assemble into a steering witness.
+elements whose optimum is the norm and whose duals assemble into a Witness;
+its constructor is the dominance check, so that witness is checked once.
 """
 
 import functools
@@ -162,25 +162,98 @@ def local_bound(V, families):
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """Steering witness (w_1..w_g), optionally with a dominating base w_0.
+
+    The defining condition is sum_x eps_x w_x <= w_0 for every sign vector
+    eps, i.e. the base dominates every signed combination on the cone.  A
+    sigma-normalized witness additionally has <w_0, sigma> = 1; classical
+    two-outcome assemblages with that barycenter then satisfy
+    sum_x |<w_x, y_x>| <= 1.
+    """
+
+    components: tuple
+    base: Optional[systems.Functional] = None
+    normalized: bool = False
+
+    def __post_init__(self):
+        comps = tuple(self.components)
+        if len(comps) < 1:
+            raise InvalidInput("witness needs at least one component")
+        system = comps[0].system
+        for x, w in enumerate(comps):
+            if not isinstance(w, systems.Functional) or w.system != system:
+                raise InvalidInput(
+                    f"witness component {x} is not a functional on one "
+                    "common system")
+        if self.base is not None:
+            if not isinstance(self.base, systems.Functional) \
+                    or self.base.system != system:
+                raise InvalidInput("witness base lives on another system")
+            self._check_dominance(system, comps)
+        elif self.normalized:
+            raise InvalidInput("a normalized witness must carry its base")
+        object.__setattr__(self, "components", comps)
+
+    def _check_dominance(self, system, comps):
+        if system.kind == systems.POLYTOPIC:
+            V = system.vertices
+            need = local_bound(V, [(w.coords, -w.coords) for w in comps])
+            have = V @ self.base.coords
+            if np.min(have - need) < -CERTIFICATE:
+                raise InvalidInput(
+                    "base does not dominate the signed combinations")
+            return
+        guards.check("sign_vectors", len(comps))
+        for eps in sign_vectors(len(comps)):
+            combo = self.base.coords - sum(
+                e * w.coords for e, w in zip(eps, comps))
+            if not systems.in_dual_cone(system, system.functional(combo)):
+                raise InvalidInput(
+                    "base does not dominate the signed combinations")
+
+    @property
+    def system(self):
+        return self.components[0].system
+
+    @property
+    def g(self):
+        return len(self.components)
+
+    def detection_value(self, target):
+        """sum_x |<w_x, y_x>| against an assemblage or dichotomic tensor.
+
+        For a sigma-normalized witness, any classical assemblage with that
+        barycenter scores at most 1; a score above 1 certifies steering.
+        """
+        from . import steering
+        if isinstance(target, steering.Assemblage):
+            target = steering.to_dichotomic_tensor(target)
+        if target.g != self.g:
+            raise InvalidInput("witness and target have different g")
+        return float(sum(
+            abs(systems.pair(w, y))
+            for w, y in zip(self.components, target.components)))
+
+
 @dataclass(frozen=True)
 class SteeringNormResult:
-    """Value plus both certificates of the steering-norm LP.
+    """Value of the steering-norm LP with its checked witness.
 
-    decomposition maps each sign vector to a cone element phi_eps with
-    sum_eps eps_x phi_eps = y_x and sum_eps phi_eps <= value * sigma; when
-    value <= 1 this is a hidden-state model.  The witness (w0, w) satisfies
-    sum_x eps_x w_x <= w0 on the cone for every sign vector, <w0, sigma> = 1,
-    and sum_x <w_x, y_x> = value.
+    `witness` is the sigma-normalized Witness (w0, w) read off the LP's
+    duals: its constructor checked that sum_x eps_x w_x <= w0 on the cone
+    for every sign vector, <w0, sigma> = 1, and steering_norm checked that
+    sum_x <w_x, y_x> = value, both within CERTIFICATE, so its detection
+    value on the tensor is the norm up to that tolerance.
     """
 
     value: float
-    decomposition: dict
-    witness_base: systems.Functional
-    witness_components: tuple
+    witness: Witness
 
 
 def steering_norm(t):
-    """Steering norm of a dichotomic tensor, with certificates.
+    """Steering norm of a dichotomic tensor, with its checked witness.
 
     LP over phi_eps in V+ (one per sign vector eps, encoded by vertex
     weights): minimize lambda subject to sum_eps eps_x phi_eps = y_x and
@@ -214,17 +287,11 @@ def steering_norm(t):
 
     obj = np.zeros(ncols)
     obj[-1] = 1.0
-    out = lp.solve(lp.LpProblem(
-        objective=obj, eq_rows=A_eq, eq_rhs=b_eq, ub_rows=A_ub, ub_rhs=b_ub))
-    if out.status != "optimal":
-        raise NumericalFailure(f"steering norm LP ended {out.status}")
+    out = lp.optimum(lp.LpProblem(
+        objective=obj, eq_rows=A_eq, eq_rhs=b_eq, ub_rows=A_ub, ub_rhs=b_ub),
+        "steering norm LP")
 
     value = float(out.value)
-    decomposition = {}
-    for s, eps in enumerate(eps_list):
-        c = out.x[s * n:(s + 1) * n]
-        decomposition[eps] = system.vector(V.T @ c)
-
     w = tuple(
         system.functional(out.dual_eq[x * d:(x + 1) * d]) for x in range(g))
     w0_raw = -(F.T @ out.dual_ub)
@@ -233,21 +300,16 @@ def steering_norm(t):
         raise NumericalFailure("steering witness normalization failed")
     w0 = system.functional(w0_raw + max(shift, 0.0) * system.unit)
 
-    _check_witness_certificate(t, value, w0, w)
-    return SteeringNormResult(
-        value=value, decomposition=decomposition,
-        witness_base=w0, witness_components=w)
-
-
-def _check_witness_certificate(t, value, w0, w):
-    V = t.system.vertices
-    slack = w0.coords @ V.T - local_bound(V, [(f.coords, -f.coords) for f in w])
-    if slack.min() < -CERTIFICATE:
-        raise NumericalFailure("steering witness violates the sign condition")
+    try:
+        witness = Witness(components=w, base=w0, normalized=True)
+    except InvalidInput as exc:
+        raise NumericalFailure(
+            "steering witness violates the sign condition") from exc
     attained = sum(
         float(f.coords @ y.coords) for f, y in zip(w, t.components))
     if abs(attained - value) > CERTIFICATE * (1.0 + abs(value)):
         raise NumericalFailure("steering witness does not attain the norm")
+    return SteeringNormResult(value=value, witness=witness)
 
 
 def projective_norm(t):
@@ -266,9 +328,8 @@ def projective_norm(t):
     A_eq = np.concatenate([cols, -cols], axis=1)
     b_eq = t.coeffs.reshape(-1)
     obj = np.ones(2 * na * nb)
-    out = lp.solve(lp.LpProblem(objective=obj, eq_rows=A_eq, eq_rhs=b_eq))
-    if out.status != "optimal":
-        raise NumericalFailure(f"projective norm LP ended {out.status}")
+    out = lp.optimum(lp.LpProblem(objective=obj, eq_rows=A_eq, eq_rhs=b_eq),
+                     "projective norm LP")
     return float(out.value)
 
 
@@ -301,9 +362,8 @@ def projective_norm_dichotomic(t):
     A_eq = np.einsum("sx,bp->xpsb", eps, B).reshape(t.g * system.dim, -1)
     b_eq = np.concatenate([y.coords for y in t.components])
     obj = np.ones(A_eq.shape[1])
-    out = lp.solve(lp.LpProblem(objective=obj, eq_rows=A_eq, eq_rhs=b_eq))
-    if out.status != "optimal":
-        raise NumericalFailure(f"projective sigma norm LP ended {out.status}")
+    out = lp.optimum(lp.LpProblem(objective=obj, eq_rows=A_eq, eq_rhs=b_eq),
+                     "projective sigma norm LP")
     return float(out.value)
 
 
@@ -344,8 +404,6 @@ def min_cone_member(t):
     if out.status == "optimal":
         return MinConeResult(
             member=True, coefficients=out.x.reshape(na, nb), witness=None)
-    if out.status != "infeasible":
-        raise NumericalFailure(f"separability LP ended {out.status}")
     da, db = t.system_a.dim, t.system_b.dim
     W = -out.dual_eq.reshape(da, db)
     pairings = Va @ W @ Vb.T

@@ -322,6 +322,14 @@ def test_dual_check_deterministic():
         choquet.choquet_below_dual_check(u4, delta, trials=0)
 
 
+@pytest.mark.parametrize("trials", [1.5, "3"])
+def test_dual_check_rejects_bad_trials(trials):
+    sq = square()
+    u4 = choquet.vertex_measure(sq)
+    with pytest.raises(InvalidInput, match="trials must be a positive integer"):
+        choquet.choquet_below_dual_check(u4, u4, trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # norm-maximizing measures
 

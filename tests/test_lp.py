@@ -2,6 +2,7 @@
 and agreement with an independent brute-force vertex enumeration and with
 HiGHS (scipy.optimize.linprog, skipped when scipy is absent)."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -363,3 +364,55 @@ def test_random_lps_agree_with_highs():
 def test_library_lps_agree_with_highs():
     problems = [p for p, mode in lp_cases.library_lps() if mode == "float"]
     assert _agrees_with_highs(problems) == {"optimal", "infeasible"}
+
+
+ZERO_OBJECTIVE_FAMILIES = {
+    "random": lp_cases.random_lps,
+    "signed_zero": lp_cases.signed_zero_lps,
+    "tall": lp_cases.tall_lps,
+    "tied": lp_cases.tied_lps,
+    "flip": lp_cases.flip_lps,
+    "infeasible": lp_cases.infeasible_lps,
+    "unbounded": lp_cases.unbounded_lps,
+    "library": lambda: [p for p, _ in lp_cases.library_lps()],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ZERO_OBJECTIVE_FAMILIES))
+def test_zero_objective_ends_optimal_or_infeasible(family):
+    # The contract `feasibility` states: no ray improves a zero objective.
+    # Exact mode runs on the problems within its column guard.
+    exact = 0
+    for p in ZERO_OBJECTIVE_FAMILIES[family]():
+        zero = dataclasses.replace(p, objective=np.zeros(p.n_vars))
+        assert feasibility(zero).status in ("optimal", "infeasible")
+        try:
+            out = solve(zero, mode="exact")
+        except GuardExceeded:
+            continue
+        assert out.status in ("optimal", "infeasible")
+        exact += 1
+    assert exact > 0
+
+
+def test_feasibility_refuses_an_unbounded_verdict(monkeypatch):
+    monkeypatch.setattr(
+        lp, "solve",
+        lambda problem: LpOutcome("unbounded", None, None, None, None, None))
+    with pytest.raises(NumericalFailure, match="feasibility LP ended unbounded"):
+        feasibility(LpProblem(np.zeros(1)))
+
+
+@pytest.mark.parametrize("problem, status", [
+    (LpProblem(np.array([0.0]), ub_rows=[[1.0]], ub_rhs=[-1.0]), "infeasible"),
+    (LpProblem(np.array([-1.0]), ub_rows=[[-1.0]], ub_rhs=[0.0]), "unbounded"),
+])
+def test_optimum_names_the_lp_that_did_not_end_optimal(problem, status):
+    with pytest.raises(NumericalFailure, match=f"probe LP ended {status}"):
+        lp.optimum(problem, "probe LP")
+
+
+def test_optimum_returns_the_optimal_outcome():
+    p = LpProblem(np.array([-1.0, -1.0]), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0])
+    out = lp.optimum(p, "probe LP")
+    assert out.status == "optimal" and out.value == solve(p).value

@@ -334,6 +334,11 @@ def test_lhs_requires_polytopic():
 # witness type and witness_verify
 
 
+def test_one_witness_class():
+    import gptsteer
+    assert gptsteer.Witness is steering.Witness is tensors.Witness
+
+
 def test_witness_rejects_bad_base():
     s = square()
     with pytest.raises(InvalidInput, match="dominate"):
@@ -600,6 +605,14 @@ def test_degree_estimate_square():
 def test_degree_estimate_rejects_a_bad_g(g, lp_solves):
     with pytest.raises(InvalidInput, match="g must be a positive integer"):
         steering.steering_degree_estimate(square(), g=g, trials=4)
+    assert lp_solves == []
+
+
+@pytest.mark.parametrize("trials", [-1, 1.5, "3"])
+def test_degree_estimate_rejects_bad_trials(trials, lp_solves):
+    with pytest.raises(InvalidInput,
+                       match="trials must be a nonnegative integer"):
+        steering.steering_degree_estimate(square(), g=2, trials=trials)
     assert lp_solves == []
 
 

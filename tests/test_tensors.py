@@ -17,7 +17,7 @@ from gptsteer.errors import (
     NotInterior,
     NumericalFailure,
 )
-from gptsteer.tolerances import COINCIDENCE, LP_GAP
+from gptsteer.tolerances import CERTIFICATE, COINCIDENCE, LP_GAP
 
 KNOWN_FAILURES = Path(__file__).resolve().parent.parent / "perfbench" / "known_failures"
 
@@ -206,11 +206,11 @@ def test_projective_sigma_square_frozen():
 
 def test_diag_witness_is_the_half_diagonal_pair():
     res = tensors.steering_norm(center_tensor(*DIAG))
-    w = [f.coords for f in res.witness_components]
+    w = [f.coords for f in res.witness.components]
     assert np.allclose(w[0], [0, 0.5, 0.5], atol=1e-7)
     assert np.allclose(w[1], [0, 0.5, -0.5], atol=1e-7)
     assert systems.pair(
-        res.witness_base,
+        res.witness.base,
         square().vector([1.0, 0, 0])) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -219,28 +219,37 @@ def test_diag_witness_is_the_half_diagonal_pair():
 
 
 def assert_certificates_consistent(t, res, tol=1e-7):
-    system = t.system
-    V, F = system.vertices, system.cone_facets
-    total = np.zeros(system.dim)
-    for eps, phi in res.decomposition.items():
-        assert (F @ phi.coords).min() >= -1e-8
-        total += phi.coords
-    for x in range(t.g):
-        recon = np.zeros(system.dim)
-        for eps, phi in res.decomposition.items():
-            recon += eps[x] * phi.coords
-        assert np.allclose(recon, t.components[x].coords, atol=1e-7)
-    assert (F @ (res.value * t.sigma.coords - total)).min() >= -1e-7
-    # witness side
-    Wv = np.array([f.coords for f in res.witness_components]) @ V.T
-    assert ((res.witness_base.coords @ V.T)
+    V = t.system.vertices
+    witness = res.witness
+    assert witness.normalized
+    Wv = np.array([f.coords for f in witness.components]) @ V.T
+    assert ((witness.base.coords @ V.T)
             - np.abs(Wv).sum(axis=0)).min() >= -tol
-    assert systems.pair(res.witness_base, t.sigma) == pytest.approx(
+    assert systems.pair(witness.base, t.sigma) == pytest.approx(
         1.0, abs=1e-8)
     attained = sum(
         f.coords @ y.coords
-        for f, y in zip(res.witness_components, t.components))
+        for f, y in zip(witness.components, t.components))
     assert attained == pytest.approx(res.value, abs=tol * (1 + res.value))
+    assert witness.detection_value(t) == pytest.approx(
+        res.value, abs=CERTIFICATE)
+
+
+def test_witness_failing_its_sign_condition_is_a_numerical_failure(
+        monkeypatch):
+    # Duals scaled past the base: the Witness constructor rejects them with
+    # InvalidInput, which steering_norm reports as a numerical failure.
+    real = lp.optimum
+
+    def scaled(problem, what):
+        out = real(problem, what)
+        out.dual_eq = 10.0 * out.dual_eq
+        return out
+
+    monkeypatch.setattr(lp, "optimum", scaled)
+    with pytest.raises(NumericalFailure, match="sign condition") as info:
+        tensors.steering_norm(center_tensor(*DIAG))
+    assert not isinstance(info.value, InvalidInput)
 
 
 def test_certificates_on_frozen_instances():
