@@ -182,10 +182,24 @@ def conditional_assemblage(state, measurements):
     return steering.Assemblage.unchecked(state.marginal_b, entries)
 
 
+def interval_extreme_functionals(system):
+    """Extreme points of the order interval [-unit, unit], one per sign pair.
+
+    These are the re-centered extreme effects 2f - unit.  Both e and -e
+    are extreme, so only the representative whose leading nonzero
+    coordinate is positive is kept.  They are exactly the extreme points
+    of the unit ball dual to the base norm of V, so the base norm of any
+    v is the largest |<e, v>| over the returned functionals.
+    """
+    E = np.array([2.0 * f.coords - system.unit
+                  for f in systems.extreme_effects(system)])
+    return tuple(system.functional(e) for e in E[systems.mirror_representatives(E)])
+
+
 def _nonunit_extremes(system):
     """The interval extremes other than +-unit (either may represent its pair)."""
     u = system.unit
-    return [e for e in systems.interval_extreme_functionals(system)
+    return [e for e in interval_extreme_functionals(system)
             if min(np.max(np.abs(e.coords - u)), np.max(np.abs(e.coords + u)))
             > COINCIDENCE]
 

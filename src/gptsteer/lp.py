@@ -211,7 +211,9 @@ def feasibility(problem):
         raise MalformedProblem("a feasibility problem has a zero objective")
     out = solve(problem)
     if out.status == "unbounded":
-        raise NumericalFailure("feasibility LP ended unbounded")
+        rows = problem.eq_rows.shape[0] + problem.ub_rows.shape[0]
+        raise NumericalFailure(f"feasibility LP of shape {rows}x"
+                               f"{problem.n_vars} ended unbounded")
     return out
 
 

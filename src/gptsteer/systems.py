@@ -530,15 +530,20 @@ def cone_member(system, v):
 
 
 def base_norm(system, v):
-    """||v||_V: minimal total unit mass over decompositions v+ - v- in V+;
-    on a polytopic system, by LP duality, the largest |<e, v>| over
-    `interval_extreme_functionals`."""
+    """||v||_V: minimal total unit mass over decompositions v+ - v- in V+,
+    by LP (the dual envelope needs the C(2n, dim) effect enumeration)."""
     _check(system, v, Vector)
     if system.kind == CENTRALLY_SYMMETRIC:
         return max(abs(float(v.coords[0])),
                    _ball_norm_value(v.coords[1:], system.ball_norm))
-    E = np.array([e.coords for e in interval_extreme_functionals(system)])
-    return float(np.max(np.abs(E @ v.coords)))
+    n = system.n_vertices
+    prob = lp.LpProblem(
+        np.ones(2 * n),
+        eq_rows=np.hstack([system.vertices.T, -system.vertices.T]),
+        eq_rhs=v.coords,
+    )
+    # The cone is generating, so the LP is feasible and bounded below by 0.
+    return float(lp.optimum(prob, "base norm LP").value)
 
 
 def order_unit_norm(system, f, unit=None):
@@ -625,20 +630,6 @@ def extreme_effects(system):
         object.__setattr__(system, "effect_extremes",
                            tuple(system.functional(p) for p in pts))
     return system.effect_extremes
-
-
-def interval_extreme_functionals(system):
-    """Extreme points of the order interval [-unit, unit], one per sign pair.
-
-    These are the re-centered extreme effects 2f - unit.  Both e and -e
-    are extreme, so only the representative whose leading nonzero
-    coordinate is positive is kept.  They are exactly the extreme points
-    of the unit ball dual to the base norm of V, so the base norm of any
-    v is the largest |<e, v>| over the returned functionals.
-    """
-    E = np.array([2.0 * f.coords - system.unit
-                  for f in extreme_effects(system)])
-    return tuple(system.functional(e) for e in E[mirror_representatives(E)])
 
 
 def is_effect(system, f):

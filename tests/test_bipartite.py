@@ -306,12 +306,12 @@ class TestConditionalAssemblage:
 
 class TestIntervalExtremes:
     def test_square_extremes(self):
-        es = systems.interval_extreme_functionals(square())
+        es = bipartite.interval_extreme_functionals(square())
         got = sorted(tuple(e.coords) for e in es)
         assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
     def test_classical_bit_extremes(self):
-        es = systems.interval_extreme_functionals(systems.simplex(2))
+        es = bipartite.interval_extreme_functionals(systems.simplex(2))
         got = sorted(tuple(e.coords) for e in es)
         assert got == [(1.0, -1.0), (1.0, 1.0)]
 
@@ -320,7 +320,7 @@ class TestIntervalExtremes:
         # the representative of the pair, which is still the unit's pair.
         moved = systems.polytopic(square().vertices * [-1.0, 1.0, 1.0],
                                   unit=[-1.0, 0.0, 0.0])
-        es = systems.interval_extreme_functionals(moved)
+        es = bipartite.interval_extreme_functionals(moved)
         assert (1.0, 0.0, 0.0) in [tuple(e.coords) for e in es]
         for sq in (square(), moved):
             got = sorted(tuple(e.coords) for e in bipartite._nonunit_extremes(sq))
@@ -328,7 +328,7 @@ class TestIntervalExtremes:
 
     def test_base_norm_is_the_extreme_envelope(self):
         sq = square()
-        es = systems.interval_extreme_functionals(sq)
+        es = bipartite.interval_extreme_functionals(sq)
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = sq.vector(rng.standard_normal(3))
@@ -478,7 +478,7 @@ class TestZonotopeSoundness:
         V = state.system_b.vertices
         n = V.shape[0]
         outcomes = []
-        for e in systems.interval_extreme_functionals(state.system_a):
+        for e in bipartite.interval_extreme_functionals(state.system_a):
             target = state.coeffs.T @ e.coords
             ub = np.vstack([np.eye(n), -np.eye(n)])
             out = lp.feasibility(lp.LpProblem(
@@ -552,12 +552,6 @@ class TestUnsteerableSufficient:
 
     def test_diagonal_state_fails_at_the_square_degree(self):
         assert not bipartite.unsteerable_sufficient(diagonal_state(), 0.5)
-
-    def test_solves_no_lp(self, lp_solves):
-        st = noise_mixed(diagonal_state(), 0.5)
-        lp_solves.clear()
-        assert bipartite.unsteerable_sufficient(st, 0.5)
-        assert lp_solves == []
 
     def test_diagonal_state_passes_an_overstated_bound(self):
         # 1.0 is not a valid degree bound for the square (the true value

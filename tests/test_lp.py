@@ -399,8 +399,9 @@ def test_feasibility_refuses_an_unbounded_verdict(monkeypatch):
     monkeypatch.setattr(
         lp, "solve",
         lambda problem: LpOutcome("unbounded", None, None, None, None, None))
-    with pytest.raises(NumericalFailure, match="feasibility LP ended unbounded"):
-        feasibility(LpProblem(np.zeros(1)))
+    with pytest.raises(NumericalFailure,
+                       match="feasibility LP of shape 1x2 ended unbounded"):
+        feasibility(LpProblem(np.zeros(2), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0]))
 
 
 @pytest.mark.parametrize("problem, status", [

@@ -237,45 +237,6 @@ def test_base_norm_duality_with_extreme_effects():
             assert direct == pytest.approx(via_dual, abs=1e-7)
 
 
-def reference_base_norm(system, v):
-    """The LP base_norm solved before it read the interval extremes: the
-    least total mass of v+ and v- over signed vertex combinations."""
-    V = system.vertices
-    out = lp.solve(lp.LpProblem(
-        np.ones(2 * V.shape[0]), eq_rows=np.hstack([V.T, -V.T]),
-        eq_rhs=v.coords))
-    assert out.status == "optimal"
-    return float(out.value)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       shape=st.sampled_from(["cube", "octahedron", "hull"]))
-def test_base_norm_matches_the_lp_reference(seed, shape):
-    # points of V+ (conic combinations of vertices) and points outside it
-    # (their negatives, Gaussian vectors) under a random change of
-    # coordinates
-    rng = np.random.default_rng(seed)
-    base = {"cube": lambda: systems.hypercube(3),
-            "octahedron": lambda: systems.cross_polytope(3),
-            "hull": lambda: sampling.random_polytopic_system(
-                rng, dim=int(rng.integers(2, 6)))}[shape]()
-    s = changed_coordinates(rng, base)
-    inside = s.vertices.T @ rng.exponential(size=s.n_vertices)
-    points = [inside, -inside, rng.standard_normal(s.dim),
-              rng.uniform(0.1, 3.0) * rng.standard_normal(s.dim)]
-    for coords in points:
-        v = s.vector(coords)
-        assert systems.base_norm(s, v) == pytest.approx(
-            reference_base_norm(s, v), abs=1e-9)
-
-
-def test_base_norm_solves_no_lp(lp_solves):
-    for s in (square(), systems.cross_polytope(3), systems.regular_polygon(5)):
-        systems.base_norm(s, s.vector(np.arange(s.dim) - 0.5))
-    assert lp_solves == []
-
-
 def test_ball_matches_polytopic_twin_base_norm():
     rng = np.random.default_rng(8)
     pairs = [
