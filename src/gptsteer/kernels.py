@@ -2,18 +2,21 @@
 
 The simplex keeps each decision in one place: `entering` is Bland's pricing
 rule (also asked by lp after a refactorization), one ratio pass computes
-each blocking row's step once, and `_pivot` is the single elimination, a
-rank-1 update of the rows with a nonzero multiplier, shared with
+each blocking row's step once, and `_pivot` is the single elimination, an
+in-place rank-1 update of the rows with a nonzero multiplier, shared with
 `drive_out_artificials`.  Pricing and the ratio test stay early-exit loops,
 over Python lists read off the tableau with `tolist()`: the LPs are mostly
 small, numpy dispatch would cost more than it saves, and a list index is far
 cheaper than fetching one numpy scalar.  The list values are the same
 doubles (or Fractions), so every comparison, and with it every pivot, is
-that of the tableau's own entries.  A phase may pivot only the columns
-before a given width when its caller rebuilds the rest: lp's float phases,
-one and two, pivot only the structural columns, since each ends in a
-rebuild, and its exact-rational mode runs the same `simplex_phase` on
-object arrays of Fractions over every column.
+that of the tableau's own entries.  Per pivot, numpy is called only for
+work on whole rows and columns, in place where it can be: the row division
+and update in `_pivot`, the basic values, the entering column and the list
+copies; vstat and basis stay lists for the whole phase.  A phase may pivot
+only the columns before a given width when its caller rebuilds the rest:
+lp's float phases, one and two, pivot only the structural columns, since
+each ends in a rebuild, and its exact-rational mode runs the same
+`simplex_phase` on object arrays of Fractions over every column.
 `symmetry_search` walks `itertools.permutations`, works on numpy rows and
 matches vertex images with `_greedy_matching`, as `systems.is_symmetry` does.
 The enumerations `enum_polytope_vertices` and `enum_cone_facets` are
@@ -80,15 +83,18 @@ def entering(T, vstat, upper, cost_row, n_elig, tol):
 def _pivot(T, r, j, N):
     """Make column j the unit vector e_r in columns 0..N-1 of T.
 
-    Row r is divided by its pivot and subtracted, as one rank-1 update,
-    from every other row whose entry in column j is nonzero; rows with a
-    multiplier of exactly 0 are not touched, so their signed zeros stay.
+    Row r is divided by its pivot in place, then subtracted, as one in-place
+    rank-1 update, from every other row whose entry in column j is nonzero;
+    rows with a multiplier of exactly 0 are not touched, so their signed
+    zeros stay.  Each entry gets the one quotient, product and difference
+    it would get out of place, so working in place changes no byte.
     """
-    T[r, :N] = T[r, :N] / T[r, j]
+    prow = T[r, :N]
+    np.divide(prow, T[r, j], out=prow)
     f = T[:, j].copy()
     f[r] = 0
     rows = f.nonzero()[0]
-    T[rows, :N] = T[rows, :N] - f[rows, None] * T[r, :N]
+    T[rows, :N] -= np.multiply.outer(f[rows], prow)
 
 
 def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
@@ -115,24 +121,31 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
     leave the columns [n_elig, N) stale.  Pricing and the ratio test run
     on list copies of the cost row, the entering column, the basic values,
     vstat, upper and basis, which hold the arrays' own floats or
-    Fractions; vstat and basis are written to the lists and the arrays
-    together.
+    Fractions.  The basic values are updated in place on the T[:m, N]
+    view, the entering column is negated only when its variable moves
+    down, and vstat and basis change only as lists inside the phase and
+    are written back to the arrays once, on every return.
     """
     a_block = tol * 100
     neg_block = -a_block
     vs = vstat.tolist()
     up = upper.tolist()
     bl = basis.tolist()
+    xb = T[:m, N]
+    code = PHASE_ITER_LIMIT
     for _ in range(max_iter):
         enter, dirn = entering(T, vs, up, cost_row, n_elig, tol)
         if enter == -1:
-            return PHASE_OPTIMAL
+            code = PHASE_OPTIMAL
+            break
 
         # Ratio test: for each blocking row, the step t >= 0 at which its
         # basic variable reaches a bound (roundoff below 0 clamped to 0).
-        dcol = dirn * T[:m, enter]
+        dcol = T[:m, enter]
+        if dirn < 0:
+            dcol = dirn * dcol
         col = dcol.tolist()
-        rhs = T[:m, N].tolist()
+        rhs = xb.tolist()
         blocking = []
         t_min = np.inf
         for i, a in enumerate(col):
@@ -164,28 +177,29 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
 
         t_flip = up[enter]
         if leave_row == -1 and t_flip == np.inf:
-            return PHASE_UNBOUNDED
+            code = PHASE_UNBOUNDED
+            break
 
         if t_flip < t_best:
             # Bound flip: the entering variable crosses to its other bound,
             # the basis is unchanged.
-            T[:m, N] = T[:m, N] - dcol * t_flip
-            vs[enter] = vstat[enter] = 1 - vs[enter]
+            xb -= dcol * t_flip
+            vs[enter] = 1 - vs[enter]
             continue
 
         if vs[enter] == AT_LOWER:
             x_enter = dirn * t_best
         else:
             x_enter = up[enter] + dirn * t_best
-        leaving = bl[leave_row]
-        vs[leaving] = vstat[leaving] = (
-            AT_LOWER if col[leave_row] > 0 else AT_UPPER)
-        T[:m, N] = T[:m, N] - dcol * t_best
+        vs[bl[leave_row]] = AT_LOWER if col[leave_row] > 0 else AT_UPPER
+        xb -= dcol * t_best
         _pivot(T, leave_row, enter, width)
         T[leave_row, N] = x_enter
-        bl[leave_row] = basis[leave_row] = enter
-        vs[enter] = vstat[enter] = BASIC
-    return PHASE_ITER_LIMIT
+        bl[leave_row] = enter
+        vs[enter] = BASIC
+    vstat[:] = vs
+    basis[:] = bl
+    return code
 
 
 def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):

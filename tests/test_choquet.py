@@ -1,6 +1,7 @@
 """Simple measures, the Choquet order, and the variational constant."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -522,6 +523,76 @@ def test_monte_carlo_validation():
         choquet.c_mu_monte_carlo(ball, sigma=ball.vector([1, 0.3, 0, 0]))
     with pytest.raises(InvalidInput):
         choquet.c_mu_monte_carlo(samples=1)
+
+
+@pytest.mark.parametrize("samples", [2.5, "abc", None, True, 0])
+def test_monte_carlo_samples_must_be_an_integer_of_at_least_two(samples):
+    with pytest.raises(InvalidInput,
+                       match="samples must be an integer of at least 2"):
+        choquet.c_mu_monte_carlo(samples=samples)
+
+
+def test_monte_carlo_takes_numpy_integer_samples():
+    got = choquet.c_mu_monte_carlo(systems.ball(2), samples=np.int64(50))
+    want = choquet.c_mu_monte_carlo(systems.ball(2), samples=50)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+    assert type(got.samples) is int
+
+
+def ref_monte_carlo(n, samples, seed):
+    """(value, stderr) of the Monte Carlo search on the ball in R^(n+1) with
+    the one-expression score, evaluated afresh at every visit."""
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        U = np.where(rng.standard_normal((samples, 1)) >= 0.0, 1.0, -1.0)
+    else:
+        G = rng.standard_normal((samples, n))
+        U = G / np.linalg.norm(G, axis=1, keepdims=True)
+
+    def score(h):
+        return float(np.mean(np.abs(h[0] + U @ h[1:])))
+
+    def normalized(h):
+        nrm = max(abs(h[0]), float(np.linalg.norm(h[1:])))
+        return h / nrm if nrm > 1e-12 else None
+
+    cands = []
+    for t in np.linspace(0.0, 1.0, 6):
+        edge = np.zeros(n + 1)
+        edge[0], edge[1] = t, 1.0
+        cands.append(edge.copy())
+        edge[0], edge[1] = 1.0, t
+        cands.append(edge)
+    best = min(cands, key=score)
+    best_val = score(best)
+    step = 0.25
+    while step > 1e-4:
+        moved = False
+        for j in range(n + 1):
+            for s in (step, -step):
+                trial = best.copy()
+                trial[j] += s
+                trial = normalized(trial)
+                if trial is None:
+                    continue
+                val = score(trial)
+                if val < best_val - 1e-12:
+                    best, best_val, moved = trial, val, True
+        if not moved:
+            step *= 0.5
+    vals = np.abs(best[0] + U @ best[1:])
+    return best_val, float(vals.std(ddof=1)) / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("samples", [2, 3, 10**4])
+def test_monte_carlo_matches_one_expression_score(n, samples):
+    for seed in range(8):
+        est = choquet.c_mu_monte_carlo(systems.ball(n), samples=samples,
+                                       seed=seed)
+        want = ref_monte_carlo(n, samples, seed)
+        assert (est.value.hex(), est.stderr.hex()) == tuple(
+            v.hex() for v in want)
 
 
 # ---------------------------------------------------------------------------

@@ -682,6 +682,58 @@ def test_library_lps_match_scalar_reference(scalar_outcome):
     assert len(cases) >= 50 and got["optimal"] and got["infeasible"]
 
 
+def _phase_calls(problems, monkeypatch):
+    """The arguments but max_iter of every simplex_phase call `lp.solve`
+    makes on `problems` in float mode, the arrays copied on entry."""
+    calls = []
+    phase = lp.simplex_phase
+
+    def capture(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                max_iter, width=None):
+        calls.append((T.copy(), basis.copy(), vstat.copy(), upper.copy(),
+                      m, N, cost_row, n_elig, tol, width))
+        return phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+                     max_iter, width=width)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "simplex_phase", capture)
+        for problem in problems:
+            _outcome(problem)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["random", "tied", "flip", "unbounded"])
+def test_every_phase_exit_matches_scalar_reference(family, monkeypatch):
+    # Each captured phase runs again on copies of its tableau with
+    # max_iter = 0, 1, ..., k, where the k-th run is the first to end
+    # optimal or unbounded; every run must end with the reference's code,
+    # tableau, vstat and basis (the columns [width, N) the kernel leaves
+    # stale aside).
+    problems = {"random": lp_cases.random_lps(),
+                "tied": lp_cases.tied_lps(),
+                "flip": lp_cases.flip_lps(),
+                "unbounded": lp_cases.unbounded_lps()}[family]
+    exits = collections.Counter()
+    for T0, basis0, vstat0, upper, m, N, cost_row, n_elig, tol, width \
+            in _phase_calls(problems, monkeypatch):
+        for max_iter in itertools.count():
+            ends = []
+            for phase in (kernels.simplex_phase, ref_simplex_phase):
+                T, basis, vstat = T0.copy(), basis0.copy(), vstat0.copy()
+                code = phase(T, basis, vstat, upper.copy(), m, N, cost_row,
+                             n_elig, tol, max_iter, width=width)
+                ends.append((code, T[:, :width].tobytes(),
+                             T[:, N].tobytes(), vstat.tobytes(),
+                             basis.tobytes()))
+            assert ends[0] == ends[1]
+            exits[ends[0][0]] += 1
+            if ends[0][0] != PHASE_ITER_LIMIT:
+                break
+    assert exits[PHASE_ITER_LIMIT] > exits[PHASE_OPTIMAL] > 0
+    if family == "unbounded":
+        assert exits[PHASE_UNBOUNDED]
+
+
 def _pricing_cases(rng, tol, count):
     """(T, vstat, upper, cost_row, n_elig) with reduced costs at and just
     beyond +-tol, signed zeros, fixed variables (upper 0) and every

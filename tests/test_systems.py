@@ -811,6 +811,71 @@ def test_facet_extremality_matches_the_per_point_lp(P):
             systems.polytopic(P)
 
 
+# ---------------------------------------------------------------------------
+# enumeration output checked against its own definition: every facet normal
+# is nonnegative on the generators and tight on a subset of rank d - 1,
+# every vertex satisfies every row and is tight on a subset of rank d (all
+# at COINCIDENCE on unit rows, with the kernels' column-by-column sums)
+
+
+def _assert_facets_are_facets(V):
+    """Checks facets_of_cone(V) and returns it."""
+    F = facets_of_cone(V)
+    Vn = V / np.linalg.norm(V, axis=1)[:, None]
+    d = V.shape[1]
+    assert F.shape[0] >= d
+    for f in F:
+        s = np.zeros(Vn.shape[0])
+        for c in range(d):
+            s += Vn[:, c] * f[c]
+        assert (s >= -COINCIDENCE).all()
+        tight = np.abs(s) <= COINCIDENCE
+        assert np.linalg.matrix_rank(Vn[tight]) == d - 1
+    return F
+
+
+def _assert_vertices_are_vertices(A, b):
+    X = vertices_of_polytope(A, b)
+    scale = np.linalg.norm(A, axis=1)
+    An, bn = A / scale[:, None], b / scale
+    d = A.shape[1]
+    assert X.shape[0] >= d + 1
+    for x in X:
+        s = -bn
+        for c in range(d):
+            s = s + An[:, c] * x[c]
+        assert (s <= COINCIDENCE).all()
+        tight = np.abs(s) <= COINCIDENCE
+        assert np.linalg.matrix_rank(An[tight]) == d
+
+
+def _assert_dual_description(V):
+    """The facets of cone(V), the vertices of the interval [-sigma, sigma]
+    around the mean generator sigma and, for generators lifted to x_0 = 1,
+    the vertices of the cone's section there."""
+    F = _assert_facets_are_facets(V)
+    if V.shape[1] > 2 and (V[:, 0] == 1).all():
+        _assert_vertices_are_vertices(-F[:, 1:], F[:, 0])
+    Fs = F @ V.mean(axis=0)
+    _assert_vertices_are_vertices(np.concatenate([F, -F]),
+                                  np.concatenate([Fs, Fs]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lifted_clouds())
+def test_enumeration_output_is_a_dual_description(P):
+    _assert_dual_description(P)
+
+
+@pytest.mark.parametrize("factory,k", [
+    (systems.simplex, 2), (systems.simplex, 3), (systems.simplex, 4),
+    (systems.hypercube, 2), (systems.hypercube, 3), (systems.hypercube, 4),
+    (systems.cross_polytope, 3), (systems.cross_polytope, 4),
+    (systems.regular_polygon, 5), (systems.regular_polygon, 6)])
+def test_named_polytope_enumeration_is_a_dual_description(factory, k):
+    _assert_dual_description(factory(k).vertices)
+
+
 def test_hull_hands_its_facets_to_the_system_when_nothing_is_pruned(
         monkeypatch):
     calls = []
