@@ -9,107 +9,55 @@ on numpy alone: enumeration is batched, the simplex prices and ratio-tests
 in loops and pivots by rank-1 row updates, the symmetry search works on
 numpy rows, and a polytopic system's facets decide which of its points are
 extreme.  GPTSTEER_GUARDS raises size guards.  perfbench/ is the benchmark.
+
+Submodules load on first use: `import gptsteer` imports none of them, a
+public name below imports its defining submodule when it is first read,
+and each CLI verb loads only the modules it runs.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    GptSteerError,
-    GuardExceeded,
-    InvalidInput,
-    MalformedProblem,
-    MarginalNotInterior,
-    NotASymmetry,
-    NotDichotomic,
-    NotInterior,
-    NumericalFailure,
-    SystemMismatch,
-)
-from .systems import (
-    GptSystem,
-    Measurement,
-    ball,
-    dichotomic_measurement,
-    hypercube,
-    simplex,
-)
-from .tensors import (
-    DichotomicTensor,
-    TensorElement,
-    Witness,
-    injective_norm_dichotomic,
-    min_cone_member,
-    projective_norm,
-    projective_norm_dichotomic,
-    steering_norm,
-)
-from .steering import (
-    Assemblage,
-    lhs_check,
-    optimal_witness,
-    robustness,
-    steering_degree_estimate,
-)
-from .choquet import (
-    SimpleMeasure,
-    c_mu,
-    c_mu_monte_carlo,
-    choquet_below,
-    choquet_below_dual_check,
-    dichotomic_below_exact,
-)
-from .bipartite import (
-    BipartiteState,
-    conditional_assemblage,
-    product_state,
-    steerability_search,
-    steering_map,
-    unsteerable_dichotomic,
-    unsteerable_sufficient,
-)
+# Every public name, grouped by the submodule that defines it; the
+# module-level __getattr__ (PEP 562) imports it from there on first read.
+_EXPORTS = {
+    "errors": (
+        "GptSteerError", "GuardExceeded", "InvalidInput", "MalformedProblem",
+        "MarginalNotInterior", "NotASymmetry", "NotDichotomic", "NotInterior",
+        "NumericalFailure", "SystemMismatch"),
+    "systems": (
+        "GptSystem", "Measurement", "ball", "dichotomic_measurement",
+        "hypercube", "simplex"),
+    "tensors": (
+        "DichotomicTensor", "TensorElement", "Witness",
+        "injective_norm_dichotomic", "min_cone_member", "projective_norm",
+        "projective_norm_dichotomic", "steering_norm"),
+    "steering": (
+        "Assemblage", "lhs_check", "optimal_witness", "robustness",
+        "steering_degree_estimate"),
+    "choquet": (
+        "SimpleMeasure", "c_mu", "c_mu_monte_carlo", "choquet_below",
+        "choquet_below_dual_check", "dichotomic_below_exact"),
+    "bipartite": (
+        "BipartiteState", "conditional_assemblage", "product_state",
+        "steerability_search", "steering_map", "unsteerable_dichotomic",
+        "unsteerable_sufficient"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "Assemblage",
-    "BipartiteState",
-    "DichotomicTensor",
-    "GptSteerError",
-    "GptSystem",
-    "GuardExceeded",
-    "InvalidInput",
-    "MalformedProblem",
-    "MarginalNotInterior",
-    "Measurement",
-    "NotASymmetry",
-    "NotDichotomic",
-    "NotInterior",
-    "NumericalFailure",
-    "SimpleMeasure",
-    "SystemMismatch",
-    "TensorElement",
-    "Witness",
-    "__version__",
-    "ball",
-    "c_mu",
-    "c_mu_monte_carlo",
-    "choquet_below",
-    "choquet_below_dual_check",
-    "conditional_assemblage",
-    "dichotomic_below_exact",
-    "dichotomic_measurement",
-    "hypercube",
-    "injective_norm_dichotomic",
-    "lhs_check",
-    "min_cone_member",
-    "optimal_witness",
-    "product_state",
-    "projective_norm",
-    "projective_norm_dichotomic",
-    "robustness",
-    "simplex",
-    "steerability_search",
-    "steering_degree_estimate",
-    "steering_map",
-    "steering_norm",
-    "unsteerable_dichotomic",
-    "unsteerable_sufficient",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import choquet, geometry, guards, lp, sampling, steering, systems, tensors
+from . import choquet, geometry, guards, lp, steering, systems, tensors
 from .errors import (
     InvalidInput, MarginalNotInterior, NotInterior, NumericalFailure,
     SystemMismatch)
@@ -409,6 +409,8 @@ def steerability_search(state, shapes=(2, 2), sampler=None, budget=50,
     returns the family together with the steering verdict; exhausting
     the budget is inconclusive, never a claim of unsteerability.
     """
+    from . import sampling
+
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
     try:

@@ -7,6 +7,11 @@ fixed command line and seed: keys are sorted and all randomness flows
 through the --seed option.  The selftest verb prints its human report on
 stderr and the JSON summary on stdout, so piping stays clean.
 
+Each verb runs in its own process, so each loads only the modules it
+runs: `systems` is imported here, and the loaders and handlers import
+tensors, steering, choquet, bipartite or selftest where they use them
+(and look functions up on the module, so patching one takes effect).
+
 File schemas, shared with the library loaders:
   system     {"kind", "dim", "vertices" | "ball_norm", "unit"}
   tensor     {"system", "sigma", "components"}
@@ -21,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bipartite, choquet, selftest, steering, systems, tensors
+from . import __version__, systems
 from .errors import GuardExceeded, InvalidInput, NumericalFailure
 from .tolerances import CERTIFICATE, LP_FEASIBILITY, LP_GAP
 
@@ -60,6 +65,8 @@ def _vector(system, raw, what):
 
 
 def load_tensor(path):
+    from . import tensors
+
     obj = _expect(_load_json(path), ("system", "sigma", "components"),
                   "tensor")
     system = systems.system_from_payload(obj["system"])
@@ -74,6 +81,8 @@ def load_tensor(path):
 
 
 def load_assemblage(path):
+    from . import steering
+
     obj = _expect(_load_json(path), ("system", "barycenter", "entries"),
                   "assemblage")
     system = systems.system_from_payload(obj["system"])
@@ -93,6 +102,8 @@ def load_assemblage(path):
 
 
 def load_measure(path):
+    from . import choquet
+
     obj = _expect(_load_json(path), ("system", "atoms"), "measure")
     system = systems.system_from_payload(obj["system"])
     raw = obj["atoms"]
@@ -111,6 +122,8 @@ def load_measure(path):
 
 
 def load_bipartite(path):
+    from . import bipartite, tensors
+
     obj = _expect(_load_json(path), ("system_a", "system_b", "coeffs"),
                   "bipartite state")
     sys_a = systems.system_from_payload(obj["system_a"])
@@ -165,6 +178,8 @@ def _measurements_payload(measurements):
 
 
 def _run_norm(args):
+    from . import tensors
+
     t = load_tensor(args.file)
     if args.kind == "injective":
         return {"kind": args.kind,
@@ -178,6 +193,8 @@ def _run_norm(args):
 
 
 def _run_lhs(args):
+    from . import steering
+
     asm = load_assemblage(args.file)
     verdict = steering.lhs_check(asm)
     out = {"verdict": "classical" if verdict.classical else "steerable",
@@ -194,11 +211,15 @@ def _run_lhs(args):
 
 
 def _run_robustness(args):
+    from . import steering
+
     asm = load_assemblage(args.file)
     return {"robustness": float(steering.robustness(asm))}
 
 
 def _run_witness(args):
+    from . import steering
+
     asm = load_assemblage(args.file)
     witness = steering.optimal_witness(asm)
     return {"witness": _witness_payload(witness),
@@ -206,6 +227,8 @@ def _run_witness(args):
 
 
 def _run_choquet(args):
+    from . import choquet
+
     nu = load_measure(args.nu)
     mu = load_measure(args.mu)
     verdict = choquet.choquet_below(nu, mu)
@@ -220,6 +243,8 @@ def _run_choquet(args):
 
 
 def _run_cmu(args):
+    from . import choquet
+
     mu = load_measure(args.mu)
     system = mu.barycenter.system
     value = choquet.c_mu(system, mu.barycenter, mu)
@@ -227,6 +252,8 @@ def _run_cmu(args):
 
 
 def _run_mc_cmu(args):
+    from . import choquet
+
     est = choquet.c_mu_monte_carlo(
         system=systems.ball(args.dim), samples=args.samples, seed=args.seed)
     return {"value": float(est.value), "stderr": float(est.stderr),
@@ -234,6 +261,8 @@ def _run_mc_cmu(args):
 
 
 def _run_unsteerable(args):
+    from . import bipartite
+
     state = load_bipartite(args.file)
     if args.sufficient is not None:
         holds = bipartite.unsteerable_sufficient(state, args.sufficient)
@@ -250,6 +279,8 @@ def _run_unsteerable(args):
 
 
 def _run_search(args):
+    from . import bipartite
+
     state = load_bipartite(args.file)
     try:
         shapes = tuple(int(s) for s in args.shapes.split(","))
@@ -264,6 +295,8 @@ def _run_search(args):
 
 
 def _run_selftest(args):
+    from . import selftest
+
     overrides = {}
     for entry in args.override or ():
         name, eq, value = entry.partition("=")

@@ -15,11 +15,12 @@ optimal outcome or raises NumericalFailure naming the LP.  Both look up
 
 `mode="exact"` is a choice of number type, made once at the top of `solve`:
 the same set-up, pivots, extraction and checks run on object arrays of
-`fractions.Fraction` at zero tolerance in place of tolerances.py's.  Only
-the float mode rebuilds its tableau, so only it may leave the artificial
-columns stale during a phase.  Exact mode is slow and guarded (see
-guards.py) but removes floating-point doubt on small instances; float inputs
-convert exactly, so both modes see one problem.
+`fractions.Fraction` (imported on that path alone) at zero tolerance in
+place of tolerances.py's.  Only the float mode rebuilds its tableau, so
+only it may leave the artificial columns stale during a phase.  Exact mode
+is slow and guarded (see guards.py) but removes floating-point doubt on
+small instances; float inputs convert exactly, so both modes see one
+problem.
 
 Most LPs the library asks are tiny (three rows and four columns for a cone
 membership), so a call's fixed cost is numpy dispatch rather than pivots,
@@ -36,7 +37,6 @@ that tests/test_lp_reference.py keeps as the reference.
 import functools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -178,6 +178,8 @@ class LpOutcome:
 
 def _fractionize(a):
     """Exact object-array copy of a float array; infinities stay floats."""
+    from fractions import Fraction
+
     out = a.astype(object)
     finite = np.isfinite(a)
     out[finite] = [Fraction(v) for v in a[finite].tolist()]
@@ -263,6 +265,8 @@ def solve(problem, mode="float"):
     data = (problem.objective, problem.eq_rows, problem.eq_rhs,
             problem.ub_rows, problem.ub_rhs, problem.lower, problem.upper)
     if mode == "exact":
+        from fractions import Fraction
+
         guards.check("exact_vars", N)
         data = tuple(map(_fractionize, data))
         exact, scalar, width = True, Fraction, N

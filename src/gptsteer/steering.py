@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import guards, lp, sampling, systems, tensors
+from . import guards, lp, systems, tensors
 from .errors import (GuardExceeded, InvalidInput, NotDichotomic,
                      NumericalFailure)
 from .tensors import Witness
@@ -572,6 +572,8 @@ def steering_degree_estimate(system, sigma=None, g=2, trials=40, seed=0):
     random tensors from mixed distributions.  The ratio of the injective to
     the steering norm of each family is its degree.
     """
+    from . import sampling
+
     system._require_polytopic()
     if sigma is None:
         sigma = system.barycenter

@@ -77,6 +77,10 @@ class GptSystem:
     # the extreme effects, filled in by `extreme_effects` on first use
     effect_extremes: Optional[tuple] = field(init=False, default=None,
                                              repr=False)
+    # (sigma bytes, read-only vertices) of the last sigma interval that
+    # `tensors.sigma_interval_vertices` enumerated
+    sigma_interval: Optional[tuple] = field(init=False, default=None,
+                                            repr=False)
 
     def __post_init__(self):
         if self.kind == POLYTOPIC:

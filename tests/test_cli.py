@@ -1,6 +1,9 @@
 """Command-line surface: schemas, verdict payloads, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +363,83 @@ def test_numerical_failure_exit_3(files, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# child processes: the `python -m gptsteer.cli` path and what each verb loads
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import cli_workload  # noqa: E402
+
+
+def _child(argv):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT,
+                          env=cli_workload.child_env(ROOT),
+                          capture_output=True, timeout=120, check=False)
+
+
+@pytest.mark.parametrize("name, args", cli_workload.INVOCATIONS,
+                         ids=[name for name, _ in cli_workload.INVOCATIONS])
+def test_module_child_prints_the_expected_bytes(name, args):
+    proc = _child(["-m", "gptsteer.cli", *cli_workload.argv_for(args)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = ROOT / cli_workload.EXPECTED / f"{name}.json"
+    assert proc.stdout == expected.read_bytes()
+
+
+# Runs each argument list through cli.main in one fresh interpreter and
+# prints the gptsteer submodules it loaded.
+LOADED = """
+import contextlib, io, json, sys
+from gptsteer import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("gptsteer."))))
+"""
+
+
+@pytest.mark.parametrize("family, absent", [
+    ("norm", {"steering", "choquet", "bipartite", "sampling", "selftest"}),
+    ("steering", {"choquet", "bipartite", "sampling", "selftest"}),
+    ("choquet", {"steering", "bipartite", "sampling", "selftest"}),
+    ("bipartite", {"selftest"}),
+])
+def test_each_verb_family_loads_only_its_modules(family, absent, files):
+    asm = files(DIAG_ASM, "asm.json")
+    mu = files(UNIFORM_MEASURE, "mu.json")
+    state = files(DIAG_STATE, "state.json")
+    argvs = {
+        "norm": [["norm", files(DIAG_TENSOR), "--kind", kind]
+                 for kind in ("injective", "steering", "projective")],
+        "steering": [["lhs", asm], ["robustness", asm], ["witness", asm]],
+        "choquet": [["choquet", files(CENTER_MASS, "nu.json"), mu],
+                    ["cmu", mu], ["mc-cmu", "--samples", "500"]],
+        "bipartite": [["unsteerable", state],
+                      ["unsteerable", state, "--sufficient", "0.5"]],
+    }[family]
+    proc = _child(["-c", LOADED, json.dumps(argvs)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = {m.removeprefix("gptsteer.") for m in json.loads(proc.stdout)}
+    assert {"cli", "systems"} <= loaded
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_bare_import_and_a_float_solve_load_little():
+    script = """
+import json, sys
+import gptsteer
+bare = sorted(m for m in sys.modules if m.startswith("gptsteer."))
+from gptsteer import lp
+out = lp.solve(lp.LpProblem(objective=[1.0, 1.0], ub_rows=[[-1.0, -1.0]],
+                            ub_rhs=[-1.0]))
+assert out.status == "optimal", out.status
+print(json.dumps({"bare": bare, "fractions": "fractions" in sys.modules}))
+"""
+    proc = _child(["-c", script])
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert set(seen["bare"]) <= {"gptsteer.errors"}
+    assert seen["fractions"] is False

@@ -573,3 +573,35 @@ def test_projective_norm_of_rotated_octahedron_tensor():
     # simplex reports a numerically singular working basis.
     t = load_tensor(KNOWN_FAILURES / "rotated_octahedron_projective.json")
     assert tensors.projective_norm_dichotomic(t) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the sigma interval kept on the system
+
+
+def test_sigma_interval_is_enumerated_once_per_sigma(monkeypatch):
+    calls = []
+    enumerate_vertices = tensors.vertices_of_polytope
+
+    def counting(A, b):
+        calls.append(1)
+        return enumerate_vertices(A, b)
+
+    monkeypatch.setattr(tensors, "vertices_of_polytope", counting)
+    s = square()
+    first = tensors.sigma_interval_vertices(s, s.vector([1.0, 0, 0]))
+    assert len(calls) == 1 and not first.flags.writeable
+    again = tensors.sigma_interval_vertices(s, s.vector([1.0, 0, 0]))
+    assert len(calls) == 1
+    assert again.tobytes() == first.tobytes()
+
+    other = s.vector([1.0, 0.25, -0.5])
+    moved = tensors.sigma_interval_vertices(s, other)
+    assert len(calls) == 2
+    F = s.cone_facets
+    Fs = F @ other.coords
+    fresh = enumerate_vertices(np.concatenate([F, -F]),
+                               np.concatenate([Fs, Fs]))
+    assert moved.tobytes() == fresh.tobytes()
+    tensors.sigma_interval_vertices(s, s.vector([1.0, 0, 0]))
+    assert len(calls) == 3
