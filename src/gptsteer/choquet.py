@@ -13,7 +13,15 @@ The same machinery yields the variational constant attached to a measure:
 the minimum of the measure's average of |<h, .>| over the unit sphere of
 the sigma base norm.  That constant lower-bounds the steering robustness of
 every assemblage with barycenter sigma, and maximizing it over symmetrized
-vertex-supported measures recovers the universal degree.
+vertex-supported measures recovers the universal degree.  It is the least
+of one LP per facet of the sphere, and each facet has a closed-form floor:
+the measure's average is the support function of a zonotope, whose facets
+are spanned by subsets of the atoms, so the minimum over the facet's whole
+hyperplane is one over a zonotope gauge.  The smallest floor equals the
+constant, so `c_mu` solves facets in order of increasing floor, stops
+once the floors pass the best LP value, and checks that value against the
+smallest floor; when the atoms do not span the space (the constant is 0)
+or have too many subsets, every facet LP is solved.
 """
 
 import itertools
@@ -23,10 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import guards, lp, systems, tensors
+from . import guards, kernels, lp, systems, tensors
 from .errors import (InvalidInput, NotASymmetry, NotDichotomic,
                      NumericalFailure, SystemMismatch)
-from .tolerances import CERTIFICATE, COINCIDENCE, LP_FEASIBILITY, RECONSTRUCTION
+from .tolerances import (CERTIFICATE, COINCIDENCE, LP_FEASIBILITY, LP_GAP,
+                         RECONSTRUCTION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +263,7 @@ def choquet_below_dual_check(nu, mu, trials=64, seed=0):
     itself.
     """
     _same_system(nu, mu)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not guards.is_integer(trials) or trials < 1:
         raise InvalidInput("trials must be a positive integer")
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         v = _mismatch_verdict(nu, mu)
@@ -354,15 +363,53 @@ def _ball_epigraph(Y, weights, P, lin):
                         ub_rows=ub, ub_rhs=rhs, lower=lower)
 
 
+def _facet_floors(Y, weights, P):
+    """Lower bounds 1/||Y_i||_Z on the facet LPs, or None where none apply.
+
+    f(h) = sum_j w_j |<h, P_j>| is the support function of the zonotope
+    Z = sum_j w_j [-P_j, P_j], so min{f : <h, Y_i> = 1}, the facet LP
+    without its ball rows, is 1 over the gauge ||Y_i||_Z = max{<h, Y_i> :
+    f(h) <= 1}.  When the atoms of positive weight span R^d, {f <= 1} is a
+    polytope whose vertices are u / f(u) over the normals u of the
+    hyperplanes spanned by (d-1)-subsets of atoms, so the gauge is the
+    largest |<u, Y_i>| / f(u).  None when the atoms span no more than a
+    hyperplane ({f <= 1} is unbounded and c_mu is 0) or when their
+    C(n, d-1) subsets pass kernels.ROW_CAP.
+    """
+    live = weights > 0
+    P, w = P[live], weights[live]
+    if math.comb(P.shape[0], P.shape[1] - 1) > kernels.ROW_CAP:
+        return None
+    Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
+    U = kernels.subset_normals(Pn)
+    if not U.size or not float(np.max(np.abs(U @ Pn.T))) > COINCIDENCE:
+        return None
+    # spanning atoms leave no normal orthogonal to all of them: f(u) > 0
+    f = np.abs(U @ P.T) @ w
+    return 1.0 / np.max(np.abs(U @ Y.T) / f[:, None], axis=0)
+
+
 def c_mu(system, sigma, mu):
     """Minimum of the mu-average of |<h, .>| over the unit sphere of the
     sigma base norm.
 
     The sphere bounds the polar of the order interval [-sigma, sigma], so
-    its facets pair with the interval's vertices at one; the minimum over
-    each facet is an LP with epigraph variables for the absolute values,
-    one facet per mirror pair.  The measure must have barycenter sigma,
-    which caps the result at one.
+    its facets pair with the interval's vertices Y_i at one; the minimum
+    over each facet is an LP with epigraph variables for the absolute
+    values, one facet per mirror pair.  The measure must have barycenter
+    sigma, which caps the result at one.
+
+    Before any LP, `_facet_floors` gives each facet the closed-form minimum
+    of the same objective over its whole hyperplane <h, Y_i> = 1: a lower
+    bound on the facet LP, and since every h on that hyperplane has sigma
+    base norm at least one, the smallest floor is c_mu itself.  Facets are
+    solved in order of increasing floor (stable), and the scan stops at the
+    first floor above best + 2 LP_GAP (1 + |best|): every facet skipped has
+    an LP value above the minimum so far, and a float min does not depend
+    on order, so the value is the full scan's, to the byte.  The LP minimum
+    must agree with the smallest floor within CERTIFICATE (1 + |best|),
+    else NumericalFailure.  Without floors (atoms spanning no more than a
+    hyperplane, or too many atom subsets) every facet is solved.
     """
     if not isinstance(mu, SimpleMeasure):
         raise InvalidInput("expected a SimpleMeasure")
@@ -373,14 +420,27 @@ def c_mu(system, sigma, mu):
         raise InvalidInput("measure barycenter must equal sigma")
     Y = _interval_vertices(system, sigma)
     d = system.dim
-    ball = _ball_epigraph(Y, mu.weights, mu.points, np.zeros(d))
+    w, P = mu.weights, mu.points
+    ball = _ball_epigraph(Y, w, P, np.zeros(d))
+    floors = _facet_floors(Y, w, P)
+    if floors is None:
+        order = range(Y.shape[0])
+    else:
+        order = np.argsort(floors, kind="stable").tolist()
     best = math.inf
-    for i in range(Y.shape[0]):
+    for i in order:
+        if floors is not None and floors[i] > best + 2 * LP_GAP * (1 + abs(best)):
+            break   # this facet and every later one has its LP above best
         facet = np.zeros((1, ball.n_vars))
         facet[0, :d] = Y[i]
         out = lp.optimum(replace(
             ball, eq_rows=facet, eq_rhs=np.ones(1)), "facet subproblem")
         best = min(best, out.value)
+    if floors is not None:
+        floor = float(floors.min())
+        if abs(best - floor) > CERTIFICATE * (1 + abs(best)):
+            raise NumericalFailure(
+                f"facet minimum {best} misses the zonotope floor {floor}")
     if best < -COINCIDENCE or best > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"variational constant {best} escaped [0, 1]")
     return min(max(best, 0.0), 1.0)
@@ -474,7 +534,7 @@ def c_mu_monte_carlo(system=None, sigma=None, samples=100000, seed=0):
                            "l2 ball")
     if sigma is not None and not systems.is_center(system, sigma):
         raise InvalidInput("sigma must be the center of the ball")
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
+    if not guards.is_integer(samples) or samples < 2:
         raise InvalidInput("samples must be an integer of at least 2")
     samples = int(samples)
     n = system.dim - 1

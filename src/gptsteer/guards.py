@@ -5,9 +5,11 @@ variable, e.g.
 
     GPTSTEER_GUARDS="dim=8,sign_vectors=16" gptsteer norm ...
 
-Keys not listed below are rejected so typos fail loudly.
+Keys not listed below are rejected so typos fail loudly.  `is_integer` is
+the check the count arguments (trials, samples, settings g) share.
 """
 
+import numbers
 import os
 
 from .errors import GuardExceeded, InvalidInput
@@ -64,3 +66,9 @@ def check(name, value):
             f"{name}={value} exceeds guard {lim}; "
             f"set GPTSTEER_GUARDS=\"{name}={value}\" to allow"
         )
+
+
+def is_integer(value):
+    """Whether value is an integer count: Python and numpy integers pass,
+    bools (an int subclass) and everything else fail."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -365,46 +365,70 @@ def enum_polytope_vertices(A, b):
     return out
 
 
+def _chunk_normals(V, idx, minor_cols):
+    """Unit normals of the hyperplanes spanned by the subsets idx of V rows.
+
+    Each normal is computed by cofactor expansion (sign-alternating
+    (d-1)-minors, each a determinant by elimination) and kept when its norm
+    exceeds COINCIDENCE, so a subset of rank below d-1 gives none.
+    """
+    S, d = idx.shape[0], V.shape[1]
+    # Block s * d + c is the minor of subset s without column c.
+    M = V[idx[:, None, :, None], minor_cols[None, :, None, :]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        singular, det = _eliminate(M.reshape(S * d, d - 1, d - 1), 0.0)
+    normal = np.where(singular, 0.0, det).reshape(S, d)
+    normal[:, 1::2] = -normal[:, 1::2]
+    nrm = np.zeros(S)
+    for c in range(d):
+        nrm = nrm + normal[:, c] * normal[:, c]
+    nrm = np.sqrt(nrm)
+    ok = nrm > COINCIDENCE
+    return normal[ok] / nrm[ok, None]
+
+
+def _normal_chunks(V):
+    """`_chunk_normals` of every (d-1)-subset of V rows, chunk by chunk in
+    lexicographic subset order."""
+    n, d = V.shape
+    k = d - 1
+    if n < k or k < 1:
+        return
+    minor_cols = np.array([[c for c in range(d) if c != drop]
+                           for drop in range(d)])
+    for idx in _subset_chunks(n, k):
+        yield _chunk_normals(V, idx, minor_cols)
+
+
+def subset_normals(V):
+    """Unit normals, unoriented and not de-duplicated, of the hyperplanes
+    spanned by (d-1)-subsets of V rows, one per subset of rank d-1 in
+    lexicographic subset order.  Rows of V should be normalized by the
+    caller; the caller bounds the C(n, d-1) subsets."""
+    return np.concatenate([np.empty((0, V.shape[1])), *_normal_chunks(V)])
+
+
 def enum_cone_facets(V):
     """Facet normals of cone(V rows) from (d-1)-subsets of generators.
 
-    Each subset of d-1 generators spans a candidate hyperplane; its normal is
-    computed by cofactor expansion (sign-alternating (d-1)-minors, each a
-    determinant by elimination), kept when its norm exceeds COINCIDENCE,
-    unit-normalized, oriented so every generator lies on the nonnegative
-    side (within COINCIDENCE) and de-duplicated as in
-    enum_polytope_vertices.  Rows of V should be normalized by the caller.
+    Each subset of d-1 generators spans a candidate hyperplane whose unit
+    normal `_chunk_normals` computes; it is kept when it is oriented so
+    every generator lies on the nonnegative side (within COINCIDENCE),
+    flipped if need be, and de-duplicated as in enum_polytope_vertices.
+    Rows of V should be normalized by the caller.
     """
     n, d = V.shape
-    k = d - 1
     out = np.empty((0, d))
-    if n < k or k < 1:
-        return out
-    minor_cols = np.array([[c for c in range(d) if c != drop]
-                           for drop in range(d)])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for idx in _subset_chunks(n, k):
-            S = idx.shape[0]
-            # Block s * d + c is the minor of subset s without column c.
-            M = V[idx[:, None, :, None], minor_cols[None, :, None, :]]
-            singular, det = _eliminate(M.reshape(S * d, k, k), 0.0)
-            normal = np.where(singular, 0.0, det).reshape(S, d)
-            normal[:, 1::2] = -normal[:, 1::2]
-            nrm = np.zeros(S)
-            for c in range(d):
-                nrm = nrm + normal[:, c] * normal[:, c]
-            nrm = np.sqrt(nrm)
-            ok = nrm > COINCIDENCE
-            normal = normal[ok] / nrm[ok, None]
-            s = np.zeros((normal.shape[0], n))
-            for c in range(d):
-                s += V[None, :, c] * normal[:, c, None]
-            pos = ~(s < -COINCIDENCE).any(axis=1)
-            neg = ~(s > COINCIDENCE).any(axis=1)
-            flip = neg & ~pos
-            normal[flip] = -normal[flip]
-            normal = normal[pos | neg]
-            out = _append_distinct(out, normal, "facet")
+    for normal in _normal_chunks(V):
+        s = np.zeros((normal.shape[0], n))
+        for c in range(d):
+            s += V[None, :, c] * normal[:, c, None]
+        pos = ~(s < -COINCIDENCE).any(axis=1)
+        neg = ~(s > COINCIDENCE).any(axis=1)
+        flip = neg & ~pos
+        normal[flip] = -normal[flip]
+        normal = normal[pos | neg]
+        out = _append_distinct(out, normal, "facet")
     return out
 
 

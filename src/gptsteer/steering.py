@@ -507,7 +507,7 @@ def witness_verify(w, sigma):
 def universal_degree_lower(system, sigma, g):
     """Lower bound 1/min{g, d} on the steering degree of any g assemblage."""
     systems.assert_interior(system, sigma)
-    if not isinstance(g, (int, np.integer)) or g < 1:
+    if not guards.is_integer(g) or g < 1:
         raise InvalidInput("g must be a positive integer")
     return 1.0 / min(int(g), system.dim)
 
@@ -578,9 +578,9 @@ def steering_degree_estimate(system, sigma=None, g=2, trials=40, seed=0):
     if sigma is None:
         sigma = system.barycenter
     systems.assert_interior(system, sigma)
-    if not isinstance(g, (int, np.integer)) or g < 1:
+    if not guards.is_integer(g) or g < 1:
         raise InvalidInput("g must be a positive integer")
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
+    if not guards.is_integer(trials) or trials < 0:
         raise InvalidInput("trials must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     B = tensors.sigma_interval_vertices(system, sigma)

@@ -77,10 +77,9 @@ class GptSystem:
     # the extreme effects, filled in by `extreme_effects` on first use
     effect_extremes: Optional[tuple] = field(init=False, default=None,
                                              repr=False)
-    # (sigma bytes, read-only vertices) of the last sigma interval that
-    # `tensors.sigma_interval_vertices` enumerated
-    sigma_interval: Optional[tuple] = field(init=False, default=None,
-                                            repr=False)
+    # (sigma bytes, read-only vertices) of the last two sigma intervals that
+    # `tensors.sigma_interval_vertices` enumerated, the newest first
+    sigma_interval: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         if self.kind == POLYTOPIC:

@@ -337,20 +337,25 @@ def sigma_interval_vertices(system, sigma):
     """Vertices of the sigma interval {y: sigma +- y in V+} (the unit ball
     of the sigma order-unit norm), as a read-only array.
 
-    The last sigma's vertices are kept on the system, keyed by the bytes of
-    its coordinates: a Choquet-order group asks for one (system, sigma)
-    several times, and an equal sigma runs no second enumeration.
+    The last two sigmas' vertices are kept on the system, keyed by the
+    bytes of their coordinates: a Choquet-order group asks for its sigma
+    and for a two-atom measure's barycenter, which may differ from sigma in
+    the last bits, several times each, and an equal sigma runs no second
+    enumeration.  A third distinct sigma evicts the one enumerated first.
     """
     system._require_polytopic()
     key = sigma.coords.tobytes()
-    if system.sigma_interval is None or system.sigma_interval[0] != key:
-        F = system.cone_facets
-        Fs = F @ sigma.coords
-        B = vertices_of_polytope(
-            np.concatenate([F, -F], axis=0), np.concatenate([Fs, Fs]))
-        B.setflags(write=False)
-        object.__setattr__(system, "sigma_interval", (key, B))
-    return system.sigma_interval[1]
+    for cached, B in system.sigma_interval:
+        if cached == key:
+            return B
+    F = system.cone_facets
+    Fs = F @ sigma.coords
+    B = vertices_of_polytope(
+        np.concatenate([F, -F], axis=0), np.concatenate([Fs, Fs]))
+    B.setflags(write=False)
+    object.__setattr__(system, "sigma_interval",
+                       ((key, B),) + system.sigma_interval[:1])
+    return B
 
 
 def projective_norm_dichotomic(t):

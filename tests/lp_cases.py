@@ -12,10 +12,12 @@ in those verdicts, and `library_lps` records every problem the library
 solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
 two-atom order and zonotope questions, plus cone-membership LPs on the
 assemblage entries and measure atoms (feasible) and on a point outside V+
-(infeasible).
+(infeasible).  Its facet subproblems are every facet LP of `c_mu`, from
+`full_scan_c_mu`, the unscreened reference that `c_mu` must match.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
@@ -153,6 +155,28 @@ def unbounded_lps():
     ]
 
 
+def facet_subproblems(system, sigma, mu):
+    """Every facet LP of `choquet.c_mu`, one per kept sigma-interval vertex,
+    built as c_mu builds them and in its unscreened order."""
+    Y = choquet._interval_vertices(system, sigma)
+    d = system.dim
+    ball = choquet._ball_epigraph(Y, mu.weights, mu.points, np.zeros(d))
+    out = []
+    for y in Y:
+        facet = np.zeros((1, ball.n_vars))
+        facet[0, :d] = y
+        out.append(replace(ball, eq_rows=facet, eq_rhs=np.ones(1)))
+    return out
+
+
+def full_scan_c_mu(system, sigma, mu):
+    """The variational constant by solving every facet LP, without floors:
+    the reference the screened `choquet.c_mu` must match to the byte."""
+    best = min(lp.optimum(p, "facet subproblem").value
+               for p in facet_subproblems(system, sigma, mu))
+    return min(max(best, 0.0), 1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def library_lps():
     """Every (problem, mode) the library solves for a few paper questions."""
@@ -196,7 +220,8 @@ def library_lps():
             systems.cone_member(system, -sigma)   # outside V+: infeasible
             mu = choquet.vertex_measure(system)
             members(p for _, p in mu.atoms)
-            choquet.c_mu(system, sigma, mu)
+            # every facet LP, of which c_mu solves those its floors admit
+            full_scan_c_mu(system, sigma, mu)
         # two-atom order on the square: edge midpoints sit below the uniform
         # vertex measure (LP optimum 0), opposite vertices do not
         sq = systems.hypercube(2)

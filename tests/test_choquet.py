@@ -3,16 +3,18 @@
 import itertools
 import math
 
+import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import choquet, lp, sampling, steering, systems, tensors
+from gptsteer import choquet, kernels, lp, sampling, steering, systems, tensors
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
     NotASymmetry,
     NotDichotomic,
     NotInterior,
+    NumericalFailure,
     SystemMismatch,
 )
 from gptsteer.tolerances import CERTIFICATE, COINCIDENCE
@@ -323,7 +325,7 @@ def test_dual_check_deterministic():
         choquet.choquet_below_dual_check(u4, delta, trials=0)
 
 
-@pytest.mark.parametrize("trials", [1.5, "3"])
+@pytest.mark.parametrize("trials", [1.5, "3", True, False])
 def test_dual_check_rejects_bad_trials(trials):
     sq = square()
     u4 = choquet.vertex_measure(sq)
@@ -486,6 +488,135 @@ def test_constant_square_achievability():
     assert best == pytest.approx(inf_reading, abs=1e-6)
 
 
+def _c_mu_family(seed=101, per_dim=3):
+    """(system, sigma, mu) on random hulls of dim 2-5 with at most d + 2
+    vertices: random measures with 2 to d + 2 satellites, their dilations
+    up to dim 4 (in dim 5 a dilation has too many atom subsets for floors,
+    and its full scan takes seconds), two-atom splits (rank-deficient from
+    dim 3 on) and point masses."""
+    rng = np.random.default_rng(seed)
+    for dim in range(2, 6):
+        for _ in range(per_dim):
+            system = sampling.random_polytopic_system(rng, dim=dim,
+                                                      max_points=dim + 2)
+            sigma = sampling.random_interior_state(rng, system)
+            mu = sampling.random_measure_with_barycenter(
+                rng, system, sigma, n_satellites=int(rng.integers(2, dim + 3)))
+            yield system, sigma, mu
+            if dim < 5:
+                yield system, sigma, sampling.random_dilation(rng, mu)
+            yield system, sigma, two_atom_with_barycenter(rng, system, sigma)
+            yield system, sigma, choquet.point_mass(sigma)
+
+
+def test_constant_matches_the_full_facet_scan_to_the_byte():
+    cases = 0
+    for system, sigma, mu in _c_mu_family():
+        assert choquet.c_mu(system, sigma, mu) == lp_cases.full_scan_c_mu(
+            system, sigma, mu)
+        cases += 1
+    assert cases == 45
+
+
+@pytest.mark.parametrize("system, value", [
+    (systems.hypercube(2), 0.5), (systems.hypercube(3), 0.5),
+    (systems.cross_polytope(3), 1 / 3), (systems.regular_polygon(6), 2 / 3),
+    (systems.simplex(3), 1.0)])
+def test_constant_of_vertex_measures(system, value):
+    sigma = system.vector(system.vertices.mean(axis=0))
+    mu = choquet.vertex_measure(system)
+    got = choquet.c_mu(system, sigma, mu)
+    assert got == lp_cases.full_scan_c_mu(system, sigma, mu)
+    assert got == pytest.approx(value, abs=1e-15)
+    assert choquet.c_mu(system, sigma, choquet.point_mass(sigma)) == 0.0
+
+
+def _facet_count(system, sigma):
+    return choquet._interval_vertices(system, sigma).shape[0]
+
+
+def test_constant_of_a_generic_measure_solves_one_facet(lp_solves):
+    rng = np.random.default_rng(7)
+    for dim in (3, 4):
+        system = sampling.random_polytopic_system(rng, dim=dim)
+        sigma = sampling.random_interior_state(rng, system)
+        mu = sampling.random_measure_with_barycenter(rng, system, sigma,
+                                                     n_satellites=dim + 1)
+        assert _facet_count(system, sigma) > 1
+        lp_solves.clear()
+        choquet.c_mu(system, sigma, mu)
+        assert len(lp_solves) == 1
+
+
+def test_constant_without_floors_solves_every_facet(lp_solves):
+    rng = np.random.default_rng(8)
+    sq = square()
+    # two atoms do not span R^3 or R^4: no floors, and the constant is 0
+    for system in (sq, systems.hypercube(3)):
+        sigma = sampling.random_interior_state(rng, system)
+        pair = two_atom_with_barycenter(rng, system, sigma)
+        Y = choquet._interval_vertices(system, sigma)
+        assert choquet._facet_floors(Y, pair.weights, pair.points) is None
+        lp_solves.clear()
+        assert choquet.c_mu(system, sigma, pair) == 0.0
+        assert len(lp_solves) == Y.shape[0]
+    # 92 atoms in R^3 have C(92, 2) = 4186 > ROW_CAP pairs: no floors
+    P = np.column_stack([np.ones(92), rng.uniform(-1, 1, (92, 2))])
+    w = rng.dirichlet(np.ones(92))
+    big = choquet.SimpleMeasure(tuple(
+        (float(wi), sq.vector(p)) for wi, p in zip(w, P)))
+    assert math.comb(92, 2) > kernels.ROW_CAP
+    assert choquet._facet_floors(
+        choquet._interval_vertices(sq, big.barycenter), big.weights,
+        big.points) is None
+    lp_solves.clear()
+    value = choquet.c_mu(sq, big.barycenter, big)
+    assert len(lp_solves) == _facet_count(sq, big.barycenter)
+    assert value == lp_cases.full_scan_c_mu(sq, big.barycenter, big)
+
+
+def test_constant_of_the_square_solves_each_tied_facet(lp_solves):
+    sq = square()
+    mu = choquet.vertex_measure(sq)
+    floors = choquet._facet_floors(
+        choquet._interval_vertices(sq, center(sq)), mu.weights, mu.points)
+    # the two diagonal facets tie at 1/2, the sigma facet sits at 1
+    assert sorted(floors.tolist()) == pytest.approx([0.5, 0.5, 1.0],
+                                                    abs=1e-15)
+    assert choquet.c_mu(sq, center(sq), mu) == 0.5
+    assert len(lp_solves) == 2
+
+
+def test_constant_checks_the_lp_minimum_against_the_smallest_floor(
+        monkeypatch):
+    sq = square()
+    floors = choquet._facet_floors
+
+    def low(Y, weights, P):
+        return floors(Y, weights, P) - 0.01
+
+    monkeypatch.setattr(choquet, "_facet_floors", low)
+    with pytest.raises(NumericalFailure, match="zonotope floor"):
+        choquet.c_mu(sq, center(sq), choquet.vertex_measure(sq))
+
+
+def test_library_lps_record_every_facet_subproblem():
+    recorded = {_problem_bytes(p) for p, _ in lp_cases.library_lps()}
+    for system in (systems.hypercube(2), systems.regular_polygon(5),
+                   systems.cross_polytope(3)):
+        sigma = system.vector(system.vertices.mean(axis=0))
+        facets = lp_cases.facet_subproblems(
+            system, sigma, choquet.vertex_measure(system))
+        assert len(facets) == _facet_count(system, sigma)
+        assert all(_problem_bytes(p) in recorded for p in facets)
+
+
+def _problem_bytes(p):
+    return b"|".join(np.asarray(f).tobytes() for f in (
+        p.objective, p.eq_rows, p.eq_rhs, p.ub_rows, p.ub_rhs, p.lower,
+        p.upper))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo constant for the ball
 
@@ -525,7 +656,7 @@ def test_monte_carlo_validation():
         choquet.c_mu_monte_carlo(samples=1)
 
 
-@pytest.mark.parametrize("samples", [2.5, "abc", None, True, 0])
+@pytest.mark.parametrize("samples", [2.5, "abc", None, True, False, 0])
 def test_monte_carlo_samples_must_be_an_integer_of_at_least_two(samples):
     with pytest.raises(InvalidInput,
                        match="samples must be an integer of at least 2"):

@@ -593,6 +593,13 @@ def test_universal_degree_values():
         steering.universal_degree_lower(s, sigma, 0)
 
 
+@pytest.mark.parametrize("g", [True, False, 1.0])
+def test_universal_degree_rejects_a_non_integer_g(g):
+    s = square()
+    with pytest.raises(InvalidInput, match="g must be a positive integer"):
+        steering.universal_degree_lower(s, s.vector([1.0, 0, 0]), g)
+
+
 def test_degree_estimate_square():
     est = steering.steering_degree_estimate(square(), g=2, trials=10, seed=1)
     assert abs(est.inf_reading - 0.5) <= 1e-9
@@ -601,14 +608,14 @@ def test_degree_estimate_square():
     assert est.samples > 0
 
 
-@pytest.mark.parametrize("g", [0, -1, 1.5, "2"])
+@pytest.mark.parametrize("g", [0, -1, 1.5, "2", True])
 def test_degree_estimate_rejects_a_bad_g(g, lp_solves):
     with pytest.raises(InvalidInput, match="g must be a positive integer"):
         steering.steering_degree_estimate(square(), g=g, trials=4)
     assert lp_solves == []
 
 
-@pytest.mark.parametrize("trials", [-1, 1.5, "3"])
+@pytest.mark.parametrize("trials", [-1, 1.5, "3", False, True])
 def test_degree_estimate_rejects_bad_trials(trials, lp_solves):
     with pytest.raises(InvalidInput,
                        match="trials must be a nonnegative integer"):

@@ -603,5 +603,15 @@ def test_sigma_interval_is_enumerated_once_per_sigma(monkeypatch):
     fresh = enumerate_vertices(np.concatenate([F, -F]),
                                np.concatenate([Fs, Fs]))
     assert moved.tobytes() == fresh.tobytes()
-    tensors.sigma_interval_vertices(s, s.vector([1.0, 0, 0]))
+    # two sigmas are kept: returning to the first costs no enumeration
+    back = tensors.sigma_interval_vertices(s, s.vector([1.0, 0, 0]))
+    assert len(calls) == 2 and back is first
+    assert tensors.sigma_interval_vertices(s, other) is moved
+    assert len(calls) == 2
+    # a third distinct sigma evicts the one enumerated first
+    tensors.sigma_interval_vertices(s, s.vector([1.0, -0.25, 0.5]))
     assert len(calls) == 3
+    assert tensors.sigma_interval_vertices(s, other) is moved
+    assert len(calls) == 3
+    tensors.sigma_interval_vertices(s, s.vector([1.0, 0, 0]))
+    assert len(calls) == 4
