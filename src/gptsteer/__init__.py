@@ -34,11 +34,11 @@ _EXPORTS = {
         "injective_norm_dichotomic", "min_cone_member", "projective_norm",
         "projective_norm_dichotomic", "steering_norm"),
     "steering": (
-        "Assemblage", "lhs_check", "optimal_witness", "robustness",
-        "steering_degree_estimate"),
+        "Assemblage", "lhs_check", "optimal_witness", "robustness"),
     "choquet": (
         "SimpleMeasure", "c_mu", "c_mu_monte_carlo", "choquet_below",
-        "choquet_below_dual_check", "dichotomic_below_exact"),
+        "choquet_below_dual_check", "dichotomic_below_exact",
+        "universal_degree"),
     "bipartite": (
         "BipartiteState", "conditional_assemblage", "product_state",
         "steerability_search", "steering_map", "unsteerable_dichotomic",

@@ -341,7 +341,9 @@ def unsteerable_sufficient(state, s_lower):
     side's unit sublevel set is a polytope and the left side is convex,
     so the maximum sits at one of the polytope's vertices.
 
-    True certifies unsteerability, False is inconclusive on its own.
+    `choquet.universal_degree(system_b, marginal_b)` is the largest valid
+    s_lower.  True certifies unsteerability, False is inconclusive on its
+    own.
     """
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
@@ -413,14 +415,13 @@ def steerability_search(state, shapes=(2, 2), sampler=None, budget=50,
 
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
-    try:
-        budget = int(budget)
-    except (TypeError, ValueError):
+    if not guards.is_integer(budget):
         raise InvalidInput("budget must be an integer")
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
-    shape = tuple(int(k) for k in shapes)
-    if len(shape) < 1 or any(k < 2 for k in shape):
+    shape = tuple(shapes)
+    if (len(shape) < 1 or not all(map(guards.is_integer, shape))
+            or any(k < 2 for k in shape)):
         raise InvalidInput("shapes must list outcome counts of at least 2")
     a = state.system_a
     rng = np.random.default_rng(seed)

@@ -12,8 +12,9 @@ LP.
 The same machinery yields the variational constant attached to a measure:
 the minimum of the measure's average of |<h, .>| over the unit sphere of
 the sigma base norm.  That constant lower-bounds the steering robustness of
-every assemblage with barycenter sigma, and maximizing it over symmetrized
-vertex-supported measures recovers the universal degree.  It is the least
+every assemblage with barycenter sigma; its largest value over boundary
+measures with barycenter sigma, the universal steering degree, is one LP
+with a certificate each way (`universal_degree`).  The constant is the least
 of one LP per facet of the sphere, and each facet has a closed-form floor:
 the measure's average is the support function of a zonotope, whose facets
 are spanned by subsets of the atoms, so the minimum over the facet's whole
@@ -372,17 +373,20 @@ def _facet_floors(Y, weights, P):
     f(h) <= 1}.  When the atoms of positive weight span R^d, {f <= 1} is a
     polytope whose vertices are u / f(u) over the normals u of the
     hyperplanes spanned by (d-1)-subsets of atoms, so the gauge is the
-    largest |<u, Y_i>| / f(u).  None when the atoms span no more than a
-    hyperplane ({f <= 1} is unbounded and c_mu is 0) or when their
-    C(n, d-1) subsets pass kernels.ROW_CAP.
+    largest |<u, Y_i>| / f(u).  A repeated atom spans no new hyperplane,
+    so the subsets run over the distinct atoms, first occurrences in their
+    original order.  None when the atoms span no more than a hyperplane
+    ({f <= 1} is unbounded and c_mu is 0) or when the C(n, d-1) subsets of
+    the distinct ones pass kernels.ROW_CAP.
     """
     live = weights > 0
     P, w = P[live], weights[live]
-    if math.comb(P.shape[0], P.shape[1] - 1) > kernels.ROW_CAP:
+    D = np.array(list({p.tobytes(): p for p in P}.values()))
+    if math.comb(D.shape[0], D.shape[1] - 1) > kernels.ROW_CAP:
         return None
-    Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
-    U = kernels.subset_normals(Pn)
-    if not U.size or not float(np.max(np.abs(U @ Pn.T))) > COINCIDENCE:
+    Dn = D / np.linalg.norm(D, axis=1, keepdims=True)
+    U = kernels.subset_normals(Dn)
+    if not U.size or not float(np.max(np.abs(U @ Dn.T))) > COINCIDENCE:
         return None
     # spanning atoms leave no normal orthogonal to all of them: f(u) > 0
     f = np.abs(U @ P.T) @ w
@@ -444,6 +448,73 @@ def c_mu(system, sigma, mu):
     if best < -COINCIDENCE or best > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"variational constant {best} escaped [0, 1]")
     return min(max(best, 0.0), 1.0)
+
+
+def universal_degree(system, sigma=None):
+    """Universal steering degree at sigma (default the vertex barycenter),
+    the largest c_mu over boundary measures with barycenter sigma, as
+    (value, a measure attaining it).
+
+    Without its ball rows (they leave the minimum unchanged) the facet LP
+    of c_mu at interval vertex Y_i has the dual  max lambda_i  subject to
+    lambda_i Y_i = P^T (alpha_i - beta_i),  alpha_i + beta_i <= mu,  linear
+    in mu and its multipliers together (P holds the vertices).  So the
+    degree is one LP: max s subject to s <= lambda_i for every kept Y_i,
+    mu >= 0, sum mu = 1 and P^T mu = sigma.  Both certificates are checked
+    within CERTIFICATE (1 + value), else NumericalFailure.  Below: c_mu at
+    mu* = max(x_mu, 0) is the value.  Above: the duals give weights w_i >= 0
+    summing to one, points h_i with <h_i, Y_i> = w_i and an affine A with
+    sum_i |<h_i, v>| <= A(v) on every vertex and A(sigma) = value, so every
+    mu with barycenter sigma has c_mu(mu) <= sum_i w_i f_mu(h_i / w_i) <=
+    mu(A) = value, f_mu(h) being the mu-average of |<h, .>|.
+    """
+    system._require_polytopic()
+    sigma = system.barycenter if sigma is None else sigma
+    Y = _interval_vertices(system, sigma)
+    if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
+        raise InvalidInput("sigma must be normalized")
+    P = system.vertices
+    (m, d), n = Y.shape, P.shape[0]
+    k = 1 + 2 * n   # columns of block i: lambda_i, alpha_i, beta_i
+    eq = np.zeros((m * d + 1 + d, 1 + n + m * k))
+    ub = np.zeros((m + m * n, eq.shape[1]))
+    ub[:m, 0] = 1.0
+    ub[m:, 1:1 + n] = np.tile(-np.eye(n), (m, 1))
+    for i in range(m):
+        c = 1 + n + i * k
+        ub[i, c] = -1.0
+        eq[i * d:(i + 1) * d, c:c + k] = np.column_stack([Y[i], -P.T, P.T])
+        ub[m + i * n:m + (i + 1) * n, c + 1:c + k] = np.tile(np.eye(n), 2)
+    eq[m * d, 1:1 + n] = 1.0
+    eq[m * d + 1:, 1:1 + n] = P.T
+    lower = np.zeros(eq.shape[1])
+    lower[0] = lower[1 + n::k] = -np.inf
+    objective = np.zeros(eq.shape[1])
+    objective[0] = -1.0
+    out = lp.optimum(lp.LpProblem(
+        objective, eq_rows=eq, eq_rhs=np.concatenate(
+            [np.zeros(m * d), [1.0], sigma.coords]),
+        ub_rows=ub, ub_rhs=np.zeros(ub.shape[0]), lower=lower),
+        "universal degree LP")
+    value = -out.value
+    tol = CERTIFICATE * (1 + abs(value))
+    w = -out.dual_ub[:m]
+    H = -out.dual_eq[:m * d].reshape(m, d)
+    A = -out.dual_eq[m * d:]
+    excess = np.abs(P @ H.T).sum(axis=1) - (A[0] + P @ A[1:])
+    if (w.min() < -tol or abs(w.sum() - 1.0) > tol
+            or np.abs(np.einsum("id,id->i", H, Y) - w).max() > tol
+            or excess.max() > tol
+            or abs(A[0] + A[1:] @ sigma.coords - value) > tol):
+        raise NumericalFailure("universal degree dual certificate fails")
+    measure = vertex_measure(system, np.maximum(out.x[1:1 + n], 0.0))
+    low = c_mu(system, sigma, measure)
+    if abs(low - value) > tol:
+        raise NumericalFailure(
+            f"maximizing measure reaches {low}, not the degree {value}")
+    if value < -COINCIDENCE or value > 1.0 + COINCIDENCE:
+        raise NumericalFailure(f"universal degree {value} escaped [0, 1]")
+    return min(max(value, 0.0), 1.0), measure
 
 
 @dataclass(frozen=True)

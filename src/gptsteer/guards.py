@@ -6,7 +6,8 @@ variable, e.g.
     GPTSTEER_GUARDS="dim=8,sign_vectors=16" gptsteer norm ...
 
 Keys not listed below are rejected so typos fail loudly.  `is_integer` is
-the check the count arguments (trials, samples, settings g) share.
+the check the count arguments (trials, samples, settings g, search budget
+and outcome counts) share.
 """
 
 import numbers
@@ -23,8 +24,8 @@ DEFAULTS = {
     "lhs_atoms": 4096,   # product of outcome counts in the LHS feasibility LP
     "symmetry_vertices": 16,   # ordered-tuple search over vertex images
     "cmu_dim": 5,        # sigma-interval enumeration behind the c_mu facet
-                         # scan, the two-atom order check and the sigma_B
-                         # degree test
+                         # scan, the universal degree LP, the two-atom
+                         # order check and the sigma_B degree test
     "exact_vars": 64,    # tableau columns allowed in exact-rational LP mode
 }
 

@@ -56,15 +56,23 @@ from .kernels import (
 from .tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 
 
+def _floats(field, value):
+    """value as a float array, or MalformedProblem naming the field."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedProblem(f"{field} must be numeric") from exc
+
+
 def _as_matrix(name, rows, rhs, n):
     if rows is None and rhs is None:
         return np.zeros((0, n)), np.zeros(0)
     if rows is None or rhs is None:
         raise MalformedProblem(f"{name}_rows and {name}_rhs must be given together")
-    A = np.asarray(rows, dtype=np.float64)
+    A = _floats(f"{name}_rows", rows)
     if A.ndim == 1:
         A = A.reshape(1, -1)
-    b = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    b = _floats(f"{name}_rhs", rhs).reshape(-1)
     if A.ndim != 2 or A.shape[1] != n:
         raise MalformedProblem(f"{name}_rows must have {n} columns")
     if A.shape[0] != b.shape[0]:
@@ -89,7 +97,7 @@ def _rows(rows, rhs, n):
 
 def _reject(problem):
     """Raise the first failing check of an invalid LpProblem, in order."""
-    c = np.asarray(problem.objective, dtype=np.float64).reshape(-1)
+    c = _floats("objective", problem.objective).reshape(-1)
     if c.size < 1:
         raise MalformedProblem("objective must have at least one entry")
     if not np.all(np.isfinite(c)):
@@ -98,9 +106,9 @@ def _reject(problem):
     _as_matrix("eq", problem.eq_rows, problem.eq_rhs, n)
     _as_matrix("ub", problem.ub_rows, problem.ub_rhs, n)
     l = (np.zeros(n) if problem.lower is None
-         else np.asarray(problem.lower, dtype=np.float64).reshape(-1))
+         else _floats("lower", problem.lower).reshape(-1))
     u = (np.full(n, np.inf) if problem.upper is None
-         else np.asarray(problem.upper, dtype=np.float64).reshape(-1))
+         else _floats("upper", problem.upper).reshape(-1))
     if l.shape[0] != n or u.shape[0] != n:
         raise MalformedProblem("bound vectors must match the objective length")
     if np.any(np.isnan(l)) or np.any(np.isnan(u)):

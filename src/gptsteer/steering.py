@@ -504,14 +504,6 @@ def witness_verify(w, sigma):
                           base=system.functional(out.x))
 
 
-def universal_degree_lower(system, sigma, g):
-    """Lower bound 1/min{g, d} on the steering degree of any g assemblage."""
-    systems.assert_interior(system, sigma)
-    if not guards.is_integer(g) or g < 1:
-        raise InvalidInput("g must be a positive integer")
-    return 1.0 / min(int(g), system.dim)
-
-
 def dual_system(system, sigma=None):
     """The effect side of a polytopic system as a system of its own.
 
@@ -547,63 +539,3 @@ def measurements_to_assemblage(system, measurements, sigma=None):
     return Assemblage(
         barycenter=dual.vector(system.unit_functional.coords),
         entries=entries)
-
-
-@dataclass(frozen=True)
-class DegreeEstimate:
-    """Sampled bounds on the degree ratio injective/steering over tensors.
-
-    The worst assemblage determines the universal steering degree, so
-    `inf_reading` is the estimator for it (an upper bound on the true
-    infimum); `sup_reading` is reported alongside because the source
-    formula can be read either way, and the two differ substantially.
-    """
-
-    inf_reading: float
-    sup_reading: float
-    samples: int
-
-
-def steering_degree_estimate(system, sigma=None, g=2, trials=40, seed=0):
-    """Estimate the universal steering degree by sampling assemblages.
-
-    Deterministic seeds first: families of distinct sigma-interval vertices
-    (the extreme dichotomic components, which drive the ratio down), then
-    random tensors from mixed distributions.  The ratio of the injective to
-    the steering norm of each family is its degree.
-    """
-    from . import sampling
-
-    system._require_polytopic()
-    if sigma is None:
-        sigma = system.barycenter
-    systems.assert_interior(system, sigma)
-    if not guards.is_integer(g) or g < 1:
-        raise InvalidInput("g must be a positive integer")
-    if not guards.is_integer(trials) or trials < 0:
-        raise InvalidInput("trials must be a nonnegative integer")
-    rng = np.random.default_rng(seed)
-    B = tensors.sigma_interval_vertices(system, sigma)
-    ratios = []
-
-    def push(t):
-        value = tensors.steering_norm(t).value
-        if value > 1e-12:
-            ratios.append(tensors.injective_norm_dichotomic(t) / value)
-
-    for combo in itertools.islice(
-            itertools.combinations(range(B.shape[0]), g), 64):
-        push(tensors.DichotomicTensor.unchecked(
-            sigma, tuple(system.vector(B[j]) for j in combo)))
-    for i in range(trials):
-        if i % 2 == 0:
-            push(sampling.random_steerable_leaning_tensor(
-                rng, system, g, sigma=sigma))
-        else:
-            push(sampling.random_dichotomic_tensor(rng, system, g,
-                                                   sigma=sigma))
-    if not ratios:
-        raise NumericalFailure("no nondegenerate sample families")
-    return DegreeEstimate(inf_reading=float(min(ratios)),
-                          sup_reading=float(max(ratios)),
-                          samples=len(ratios))

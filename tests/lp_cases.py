@@ -10,9 +10,9 @@ the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
 is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
 solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
-two-atom order and zonotope questions, plus cone-membership LPs on the
-assemblage entries and measure atoms (feasible) and on a point outside V+
-(infeasible).  Its facet subproblems are every facet LP of `c_mu`, from
+universal-degree, two-atom order and zonotope questions, plus
+cone-membership LPs on the assemblage entries and measure atoms (feasible)
+and on a point outside V+ (infeasible).  Its facet subproblems are every facet LP of `c_mu`, from
 `full_scan_c_mu`, the unscreened reference that `c_mu` must match.
 """
 
@@ -222,6 +222,8 @@ def library_lps():
             members(p for _, p in mu.atoms)
             # every facet LP, of which c_mu solves those its floors admit
             full_scan_c_mu(system, sigma, mu)
+            # the universal degree LP, and c_mu of its maximizing measure
+            choquet.universal_degree(system, sigma)
         # two-atom order on the square: edge midpoints sit below the uniform
         # vertex measure (LP optimum 0), opposite vertices do not
         sq = systems.hypercube(2)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gptsteer import (bipartite, lp, sampling, steering, systems, tensors,
-                      tolerances)
+from gptsteer import (bipartite, choquet, lp, sampling, steering, systems,
+                      tensors, tolerances)
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -567,6 +567,18 @@ class TestUnsteerableSufficient:
         assert bipartite.unsteerable_dichotomic(
             noise_mixed(st, 0.5)).unsteerable
 
+    def test_universal_degree_is_a_valid_bound(self):
+        st = diagonal_state()
+        degree = choquet.universal_degree(st.system_b, st.marginal_b)[0]
+        verdicts = []
+        for lam in np.linspace(0.0, 1.0, 11):
+            mixed = noise_mixed(st, lam)
+            verdicts.append(bipartite.unsteerable_sufficient(mixed, degree))
+            if verdicts[-1]:
+                assert bipartite.unsteerable_dichotomic(mixed).unsteerable
+        assert verdicts == [lam >= 0.5 - 1e-12
+                            for lam in np.linspace(0.0, 1.0, 11)]
+
     def test_bound_validation(self):
         st = diagonal_state()
         for bad in (0.0, -0.5, 1.5):
@@ -635,6 +647,21 @@ class TestSteerabilitySearch:
             bipartite.steerability_search(st, shapes=())
         with pytest.raises(InvalidInput):
             bipartite.steerability_search(st, shapes=(2, 1))
+        # counts are not coerced: a bool, float or string is no count
+        for budget in (True, 2.7, "3"):
+            with pytest.raises(InvalidInput,
+                               match="budget must be an integer"):
+                bipartite.steerability_search(st, budget=budget)
+        for shapes in ((2.5, 2), (2, True), ("3", 2)):
+            with pytest.raises(InvalidInput,
+                               match="shapes must list outcome counts"):
+                bipartite.steerability_search(st, shapes=shapes)
+
+    def test_numpy_integer_counts_accepted(self):
+        result = bipartite.steerability_search(
+            diagonal_state(), shapes=(np.int64(2), np.int32(2)),
+            budget=np.int64(1))
+        assert result.found and result.tried == 1
 
 
 class TestRandomMeasurement:

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import choquet, kernels, lp, sampling, steering, systems, tensors
+from gptsteer import choquet, kernels, lp, sampling, systems, tensors
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -457,22 +458,24 @@ def test_constant_dimension_guard(monkeypatch):
 
 
 def test_constant_below_degree_estimates():
+    # the universal degree bounds c_mu of every measure with barycenter
+    # sigma, vertex-supported or not
     sq = square()
-    est = steering.steering_degree_estimate(sq)
     value = choquet.c_mu(sq, center(sq), choquet.vertex_measure(sq))
-    assert value <= est.inf_reading + 1e-6
+    assert value <= choquet.universal_degree(sq, center(sq))[0] + 1e-9
     rng = np.random.default_rng(31)
-    for _ in range(2):
+    for _ in range(3):
         system = sampling.random_polytopic_system(rng, dim=3, max_points=6)
         sigma = sampling.random_interior_state(rng, system)
-        mu = sampling.random_measure_with_barycenter(rng, system, sigma)
-        est = steering.steering_degree_estimate(system, sigma=sigma, trials=12)
-        assert choquet.c_mu(system, sigma, mu) <= est.inf_reading + 1e-6
+        degree = choquet.universal_degree(system, sigma)[0]
+        for _ in range(4):
+            mu = sampling.random_measure_with_barycenter(rng, system, sigma)
+            assert choquet.c_mu(system, sigma, mu) <= degree + 1e-9
 
 
 def test_constant_square_achievability():
     # symmetrizing any vertex-supported measure lands on the uniform one,
-    # whose constant matches the dichotomic degree exactly
+    # whose constant is the universal degree
     rng = np.random.default_rng(37)
     sq = square()
     group = systems.symmetries(sq)
@@ -483,17 +486,16 @@ def test_constant_square_achievability():
         sym = choquet.symmetrize(mu, group)
         assert np.allclose(sym.weights, 0.25, atol=1e-12)
         best = max(best, choquet.c_mu(sq, center(sq), sym))
-    inf_reading = steering.steering_degree_estimate(sq).inf_reading
     assert best == pytest.approx(0.5, abs=1e-6)
-    assert best == pytest.approx(inf_reading, abs=1e-6)
+    assert best == pytest.approx(
+        choquet.universal_degree(sq, center(sq))[0], abs=1e-12)
 
 
 def _c_mu_family(seed=101, per_dim=3):
     """(system, sigma, mu) on random hulls of dim 2-5 with at most d + 2
     vertices: random measures with 2 to d + 2 satellites, their dilations
-    up to dim 4 (in dim 5 a dilation has too many atom subsets for floors,
-    and its full scan takes seconds), two-atom splits (rank-deficient from
-    dim 3 on) and point masses."""
+    up to dim 4 (in dim 5 the full scan of a dilation takes seconds),
+    two-atom splits (rank-deficient from dim 3 on) and point masses."""
     rng = np.random.default_rng(seed)
     for dim in range(2, 6):
         for _ in range(per_dim):
@@ -600,6 +602,27 @@ def test_constant_checks_the_lp_minimum_against_the_smallest_floor(
         choquet.c_mu(sq, center(sq), choquet.vertex_measure(sq))
 
 
+def test_floors_enumerate_repeated_atoms_once(lp_solves):
+    # a dilation repeats its atoms: counted with repeats its atom subsets
+    # pass ROW_CAP, the distinct atoms still get floors
+    rng = np.random.default_rng(3)
+    for dim in (4, 5):
+        system = sampling.random_polytopic_system(rng, dim=dim,
+                                                  max_points=dim + 2)
+        sigma = sampling.random_interior_state(rng, system)
+        mu = sampling.random_dilation(
+            rng, sampling.random_measure_with_barycenter(
+                rng, system, sigma, n_satellites=dim + 2))
+        assert math.comb(len(mu.atoms), dim - 1) > kernels.ROW_CAP
+        Y = choquet._interval_vertices(system, sigma)
+        assert choquet._facet_floors(Y, mu.weights, mu.points) is not None
+        lp_solves.clear()
+        value = choquet.c_mu(system, sigma, mu)
+        solved = len(lp_solves)
+        assert value == lp_cases.full_scan_c_mu(system, sigma, mu)
+        assert solved < len(lp_solves) - solved == Y.shape[0]
+
+
 def test_library_lps_record_every_facet_subproblem():
     recorded = {_problem_bytes(p) for p, _ in lp_cases.library_lps()}
     for system in (systems.hypercube(2), systems.regular_polygon(5),
@@ -615,6 +638,84 @@ def _problem_bytes(p):
     return b"|".join(np.asarray(f).tobytes() for f in (
         p.objective, p.eq_rows, p.eq_rhs, p.ub_rows, p.ub_rhs, p.lower,
         p.upper))
+
+
+# ---------------------------------------------------------------------------
+# universal steering degree: the largest constant, one LP
+
+
+def test_universal_degree_is_invariant_under_a_signed_axis_permutation():
+    rng = np.random.default_rng(41)
+    for dim in (3, 4):
+        system = sampling.random_polytopic_system(rng, dim=dim,
+                                                  max_points=dim + 2)
+        sigma = sampling.random_interior_state(rng, system)
+        T = np.eye(dim)
+        T[1:, 1:] = np.eye(dim - 1)[rng.permutation(dim - 1)]
+        T[1:] *= rng.choice([-1.0, 1.0], size=(dim - 1, 1))
+        moved = systems.polytopic(system.vertices @ T.T)
+        value = choquet.universal_degree(system, sigma)[0]
+        assert choquet.universal_degree(
+            moved, moved.vector(T @ sigma.coords))[0] == pytest.approx(
+                value, abs=1e-12)
+
+
+def test_universal_degree_validation(monkeypatch):
+    sq = square()
+    with pytest.raises(InvalidInput, match="normalized"):
+        choquet.universal_degree(sq, sq.vector([2.0, 0.0, 0.0]))
+    with pytest.raises(NotInterior):
+        choquet.universal_degree(sq, sq.vector([1.0, 1.0, 0.0]))
+    with pytest.raises(InvalidInput):
+        choquet.universal_degree(systems.ball(2))
+    monkeypatch.setenv("GPTSTEER_GUARDS", "cmu_dim=2")
+    with pytest.raises(GuardExceeded):
+        choquet.universal_degree(sq)
+
+
+def _perturbed_degree_lp(monkeypatch, change):
+    """Make lp.solve hand the degree LP's outcome (the one LP minimizing
+    -s) through `change` before universal_degree checks it."""
+    solve = lp.solve
+
+    def perturbed(problem, mode="float"):
+        out = solve(problem, mode)
+        return change(out) if problem.objective[0] == -1.0 else out
+
+    monkeypatch.setattr(lp, "solve", perturbed)
+
+
+def test_universal_degree_checks_its_maximizing_measure(monkeypatch):
+    # the central square's other vertex measures have c_mu below 1/2
+    sq = square()
+    null = np.linalg.svd(sq.vertices.T)[2][-1]
+    w = 0.25 + 0.1 * null / np.max(np.abs(null))
+
+    def other_measure(out):
+        x = out.x.copy()
+        x[1:5] = w
+        return replace(out, x=x)
+
+    _perturbed_degree_lp(monkeypatch, other_measure)
+    with pytest.raises(NumericalFailure, match="maximizing measure"):
+        choquet.universal_degree(sq)
+
+
+@pytest.mark.parametrize("field, index", [
+    ("dual_ub", 0),      # a facet weight w_i
+    ("dual_eq", 1),      # a coordinate of h_1
+    ("dual_eq", -4),     # the constant term of A
+    ("dual_eq", -1)])    # a linear coefficient of A
+def test_universal_degree_checks_its_dual_certificate(monkeypatch, field,
+                                                       index):
+    def nudged(out):
+        y = getattr(out, field).copy()
+        y[index] += 1e-3
+        return replace(out, **{field: y})
+
+    _perturbed_degree_lp(monkeypatch, nudged)
+    with pytest.raises(NumericalFailure, match="dual certificate"):
+        choquet.universal_degree(square())
 
 
 # ---------------------------------------------------------------------------

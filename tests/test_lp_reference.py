@@ -35,15 +35,22 @@ from gptsteer.tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 # reference validation
 
 
+def ref_floats(field, value):
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedProblem(f"{field} must be numeric") from exc
+
+
 def ref_as_matrix(name, rows, rhs, n):
     if rows is None and rhs is None:
         return np.zeros((0, n)), np.zeros(0)
     if rows is None or rhs is None:
         raise MalformedProblem(f"{name}_rows and {name}_rhs must be given together")
-    A = np.asarray(rows, dtype=np.float64)
+    A = ref_floats(f"{name}_rows", rows)
     if A.ndim == 1:
         A = A.reshape(1, -1)
-    b = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    b = ref_floats(f"{name}_rhs", rhs).reshape(-1)
     if A.ndim != 2 or A.shape[1] != n:
         raise MalformedProblem(f"{name}_rows must have {n} columns")
     if A.shape[0] != b.shape[0]:
@@ -56,7 +63,7 @@ def ref_as_matrix(name, rows, rhs, n):
 def ref_validate(objective, eq_rows=None, eq_rhs=None, ub_rows=None,
                  ub_rhs=None, lower=None, upper=None):
     """The arrays an LpProblem stores, each check in turn."""
-    c = np.asarray(objective, dtype=np.float64).reshape(-1)
+    c = ref_floats("objective", objective).reshape(-1)
     if c.size < 1:
         raise MalformedProblem("objective must have at least one entry")
     if not np.all(np.isfinite(c)):
@@ -65,9 +72,9 @@ def ref_validate(objective, eq_rows=None, eq_rhs=None, ub_rows=None,
     A_eq, b_eq = ref_as_matrix("eq", eq_rows, eq_rhs, n)
     A_ub, b_ub = ref_as_matrix("ub", ub_rows, ub_rhs, n)
     l = (np.zeros(n) if lower is None
-         else np.asarray(lower, dtype=np.float64).reshape(-1))
+         else ref_floats("lower", lower).reshape(-1))
     u = (np.full(n, np.inf) if upper is None
-         else np.asarray(upper, dtype=np.float64).reshape(-1))
+         else ref_floats("upper", upper).reshape(-1))
     if l.shape[0] != n or u.shape[0] != n:
         raise MalformedProblem("bound vectors must match the objective length")
     if np.any(np.isnan(l)) or np.any(np.isnan(u)):
@@ -657,6 +664,14 @@ def test_validation_matches_the_reference():
     (dict(objective=[1.0, 1.0, 1.0], lower=[0.0, 2.0, 3.0],
           upper=[1.0, 1.0, 1.0]),
      "lower bound exceeds upper bound at index 1"),
+    (dict(objective="abc"), "objective must be numeric"),
+    (dict(objective=[10 ** 400]), "objective must be numeric"),
+    (dict(objective=[1.0, 1.0], eq_rows=[[1.0, 2.0], [3.0]],
+          eq_rhs=[1.0, 1.0]), "eq_rows must be numeric"),
+    (dict(objective=[1.0], ub_rows=[[1.0]], ub_rhs=["x"]),
+     "ub_rhs must be numeric"),
+    (dict(objective=[1.0], lower=["x"]), "lower must be numeric"),
+    (dict(objective=[1.0], upper=[{}]), "upper must be numeric"),
 ])
 def test_each_rejection_names_its_check(fields, message):
     with pytest.raises(MalformedProblem) as err:
@@ -671,5 +686,5 @@ def test_a_conversion_error_is_raised_where_the_checks_reach_it():
     # the objective's own check comes before the rows are read
     with pytest.raises(MalformedProblem, match="objective must be finite"):
         LpProblem([np.inf], eq_rows=[[1.0], [1.0, 2.0]], eq_rhs=[0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedProblem, match="eq_rows must be numeric"):
         LpProblem([1.0], eq_rows=[[1.0], [1.0, 2.0]], eq_rhs=[0.0, 0.0])

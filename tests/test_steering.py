@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptsteer import guards, sampling, steering, systems, tensors
+from gptsteer import choquet, guards, sampling, steering, systems, tensors
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -579,61 +579,69 @@ def test_mixing_monotone_in_noise():
 
 
 # ---------------------------------------------------------------------------
-# universal degree and the estimator
+# the universal steering degree
 
 
 def test_universal_degree_values():
-    s = square()
-    sigma = s.vector([1.0, 0, 0])
-    assert steering.universal_degree_lower(s, sigma, 2) == 0.5
-    assert steering.universal_degree_lower(s, sigma, 1) == 1.0
-    four = systems.simplex(4)
-    assert steering.universal_degree_lower(four, four.barycenter, 7) == 0.25
-    with pytest.raises(InvalidInput):
-        steering.universal_degree_lower(s, sigma, 0)
+    for system, value in ((square(), 0.5), (systems.hypercube(3), 0.5),
+                          (systems.cross_polytope(3), 1 / 3),
+                          (systems.regular_polygon(6), 2 / 3),
+                          (systems.simplex(3), 1.0)):
+        got, mu = choquet.universal_degree(system)
+        assert abs(got - value) <= 1e-12
+        assert isinstance(mu, choquet.BoundaryMeasure)
+        assert np.allclose(mu.barycenter.coords, system.barycenter.coords,
+                           atol=RECONSTRUCTION)
 
 
-@pytest.mark.parametrize("g", [True, False, 1.0])
-def test_universal_degree_rejects_a_non_integer_g(g):
-    s = square()
-    with pytest.raises(InvalidInput, match="g must be a positive integer"):
-        steering.universal_degree_lower(s, s.vector([1.0, 0, 0]), g)
-
-
-def test_degree_estimate_square():
-    est = steering.steering_degree_estimate(square(), g=2, trials=10, seed=1)
-    assert abs(est.inf_reading - 0.5) <= 1e-9
-    assert est.sup_reading <= 1.0 + 1e-9
-    assert est.inf_reading <= est.sup_reading
-    assert est.samples > 0
-
-
-@pytest.mark.parametrize("g", [0, -1, 1.5, "2", True])
-def test_degree_estimate_rejects_a_bad_g(g, lp_solves):
-    with pytest.raises(InvalidInput, match="g must be a positive integer"):
-        steering.steering_degree_estimate(square(), g=g, trials=4)
-    assert lp_solves == []
-
-
-@pytest.mark.parametrize("trials", [-1, 1.5, "3", False, True])
-def test_degree_estimate_rejects_bad_trials(trials, lp_solves):
-    with pytest.raises(InvalidInput,
-                       match="trials must be a nonnegative integer"):
-        steering.steering_degree_estimate(square(), g=2, trials=trials)
-    assert lp_solves == []
-
-
-def test_degree_estimate_respects_lower_bound():
+def test_universal_degree_lies_between_one_over_dim_and_one():
     rng = np.random.default_rng(77)
-    for _ in range(4):
-        system = sampling.random_polytopic_system(rng)
-        g = int(rng.integers(1, 4))
-        est = steering.steering_degree_estimate(
-            system, g=g, trials=6, seed=int(rng.integers(1 << 16)))
-        bound = steering.universal_degree_lower(
-            system, system.barycenter, g)
-        assert est.inf_reading >= bound - 1e-7
-        assert est.sup_reading <= 1.0 + 1e-7
+    for dim in (2, 3, 3, 4):
+        system = sampling.random_polytopic_system(rng, dim=dim,
+                                                  max_points=dim + 2)
+        for sigma in (system.barycenter,
+                      sampling.random_interior_state(rng, system)):
+            value = choquet.universal_degree(system, sigma)[0]
+            assert 1.0 / dim - 1e-12 <= value <= 1.0
+
+
+def _degree_ratios(rng, system, sigma):
+    """injective / steering norm of the families with 1 to 4 settings:
+    combinations of sigma-interval vertices, then sampled tensors."""
+    B = tensors.sigma_interval_vertices(system, sigma)
+    out = []
+    for g in range(1, 5):
+        families = [tensors.DichotomicTensor.unchecked(
+            sigma, tuple(system.vector(B[j]) for j in combo))
+            for combo in itertools.islice(
+                itertools.combinations(range(B.shape[0]), g), 12)]
+        for k in range(6):
+            draw = (sampling.random_steerable_leaning_tensor if k % 2 == 0
+                    else sampling.random_dichotomic_tensor)
+            families.append(draw(rng, system, g, sigma=sigma))
+        for t in families:
+            steer = tensors.steering_norm(t).value
+            if steer > 1e-12:
+                out.append(tensors.injective_norm_dichotomic(t) / steer)
+    return np.array(out)
+
+
+def test_universal_degree_bounds_every_sampled_degree_ratio():
+    # the degree is the infimum over every number of settings: no family
+    # goes below it, and on the named polytopes a vertex family reaches it
+    rng = np.random.default_rng(0)
+    hull = sampling.random_polytopic_system(rng, dim=3, max_points=5)
+    for system, sigma, attained in (
+            (square(), square().barycenter, True),
+            (systems.cross_polytope(3), systems.cross_polytope(3).barycenter,
+             True),
+            (hull, sampling.random_interior_state(rng, hull), False)):
+        value = choquet.universal_degree(system, sigma)[0]
+        ratios = _degree_ratios(rng, system, sigma)
+        assert ratios.size > 50
+        assert ratios.min() >= value - 1e-9
+        if attained:
+            assert ratios.min() <= value + 1e-9
 
 
 # ---------------------------------------------------------------------------
