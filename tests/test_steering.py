@@ -594,6 +594,22 @@ def test_universal_degree_values():
                            atol=RECONSTRUCTION)
 
 
+def test_degree_estimate_square():
+    # the square's degree 1/2: the uniform vertex measure attains it, and
+    # the two diagonal settings reach it as injective / steering norm
+    s = square()
+    value, mu = choquet.universal_degree(s)
+    assert abs(value - 0.5) <= 1e-12
+    assert abs(choquet.c_mu(s, s.barycenter, mu) - value) <= 1e-12
+    assert abs(choquet.c_mu(s, s.barycenter, choquet.vertex_measure(s))
+               - value) <= 1e-12
+    t = tensors.DichotomicTensor(
+        sigma=s.barycenter, components=tuple(s.vector(c) for c in DIAG))
+    ratio = (tensors.injective_norm_dichotomic(t)
+             / tensors.steering_norm(t).value)
+    assert abs(ratio - value) <= 1e-9
+
+
 def test_universal_degree_lies_between_one_over_dim_and_one():
     rng = np.random.default_rng(77)
     for dim in (2, 3, 3, 4):
