@@ -419,7 +419,10 @@ def steerability_search(state, shapes=(2, 2), sampler=None, budget=50,
         raise InvalidInput("budget must be an integer")
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
-    shape = tuple(shapes)
+    try:
+        shape = tuple(shapes)
+    except TypeError:   # a bare count, not a list of them
+        shape = ()
     if (len(shape) < 1 or not all(map(guards.is_integer, shape))
             or any(k < 2 for k in shape)):
         raise InvalidInput("shapes must list outcome counts of at least 2")

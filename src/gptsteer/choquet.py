@@ -9,16 +9,24 @@ answers come with a certificate.  A randomized dual tester and an exact
 decision over the sigma-dual ball for two-atom measures cross-check the
 LP.
 
+A measure's average of |<h, .>| is the support function of a zonotope, the
+weighted sum of the segments [-P_j, P_j] over its atoms, whose facets are
+spanned by subsets of the atoms; so its gauges have a closed form
+(`_zonotope_gauges`).  For two-atom nu the order is zonotope membership: nu
+sits below mu when each sign-pattern target of nu's weighted atoms has
+gauge at most one in mu's zonotope.  The exact decision bounds each
+pattern's LP by that gauge and solves it only when the bound leaves room
+for a refutation.
+
 The same machinery yields the variational constant attached to a measure:
 the minimum of the measure's average of |<h, .>| over the unit sphere of
 the sigma base norm.  That constant lower-bounds the steering robustness of
 every assemblage with barycenter sigma; its largest value over boundary
 measures with barycenter sigma, the universal steering degree, is one LP
 with a certificate each way (`universal_degree`).  The constant is the least
-of one LP per facet of the sphere, and each facet has a closed-form floor:
-the measure's average is the support function of a zonotope, whose facets
-are spanned by subsets of the atoms, so the minimum over the facet's whole
-hyperplane is one over a zonotope gauge.  The smallest floor equals the
+of one LP per facet of the sphere, and each facet has a closed-form floor,
+one over the zonotope gauge of the facet's interval vertex: the minimum
+over the facet's whole hyperplane.  The smallest floor equals the
 constant, so `c_mu` solves facets in order of increasing floor, stops
 once the floors pass the best LP value, and checks that value against the
 smallest floor; when the atoms do not span the space (the constant is 0)
@@ -364,20 +372,18 @@ def _ball_epigraph(Y, weights, P, lin):
                         ub_rows=ub, ub_rhs=rhs, lower=lower)
 
 
-def _facet_floors(Y, weights, P):
-    """Lower bounds 1/||Y_i||_Z on the facet LPs, or None where none apply.
+def _zonotope_gauges(weights, P, T):
+    """Gauges ||T_i||_Z of the rows of T, or None where no closed form applies.
 
     f(h) = sum_j w_j |<h, P_j>| is the support function of the zonotope
-    Z = sum_j w_j [-P_j, P_j], so min{f : <h, Y_i> = 1}, the facet LP
-    without its ball rows, is 1 over the gauge ||Y_i||_Z = max{<h, Y_i> :
-    f(h) <= 1}.  When the atoms of positive weight span R^d, {f <= 1} is a
-    polytope whose vertices are u / f(u) over the normals u of the
-    hyperplanes spanned by (d-1)-subsets of atoms, so the gauge is the
-    largest |<u, Y_i>| / f(u).  A repeated atom spans no new hyperplane,
-    so the subsets run over the distinct atoms, first occurrences in their
-    original order.  None when the atoms span no more than a hyperplane
-    ({f <= 1} is unbounded and c_mu is 0) or when the C(n, d-1) subsets of
-    the distinct ones pass kernels.ROW_CAP.
+    Z = sum_j w_j [-P_j, P_j], so ||t||_Z = max{<h, t> : f(h) <= 1}.  When
+    the atoms of positive weight span R^d, {f <= 1} is a polytope whose
+    vertices are u / f(u) over the normals u of the hyperplanes spanned by
+    (d-1)-subsets of atoms, so the gauge is the largest |<u, t>| / f(u).  A
+    repeated atom spans no new hyperplane, so the subsets run over the
+    distinct atoms, first occurrences in their original order.  None when
+    the atoms span no more than a hyperplane ({f <= 1} is unbounded) or
+    when the C(n, d-1) subsets of the distinct ones pass kernels.ROW_CAP.
     """
     live = weights > 0
     P, w = P[live], weights[live]
@@ -390,7 +396,16 @@ def _facet_floors(Y, weights, P):
         return None
     # spanning atoms leave no normal orthogonal to all of them: f(u) > 0
     f = np.abs(U @ P.T) @ w
-    return 1.0 / np.max(np.abs(U @ Y.T) / f[:, None], axis=0)
+    return np.max(np.abs(U @ T.T) / f[:, None], axis=0)
+
+
+def _facet_floors(Y, weights, P):
+    """Lower bounds 1/||Y_i||_Z on the facet LPs, or None where none apply:
+    min{f : <h, Y_i> = 1}, the facet LP without its ball rows, is one over
+    the zonotope gauge of Y_i.  None also when the atoms span no more than
+    a hyperplane, where c_mu is 0."""
+    gauges = _zonotope_gauges(weights, P, Y)
+    return None if gauges is None else 1.0 / gauges
 
 
 def c_mu(system, sigma, mu):
@@ -528,20 +543,47 @@ class DichotomicBelowVerdict:
     margin: Optional[float] = None
 
 
+def _order_floors(mu, sigma, T):
+    """Closed-form lower bounds -max(g - 1, 0) M on the order LP minima of
+    the targets T (rows), or -inf for each where the gauges g have no
+    closed form; see `dichotomic_below_exact`."""
+    gauges = _zonotope_gauges(mu.weights, mu.points, T)
+    if gauges is None:
+        return np.full(T.shape[0], -math.inf)
+    F = mu.system.cone_facets
+    M = mu.weights @ np.max(np.abs(mu.points @ F.T) / (F @ sigma.coords),
+                            axis=1)
+    return -np.maximum(gauges - 1.0, 0.0) * M
+
+
 def dichotomic_below_exact(nu, mu):
     """Exact Choquet-order decision for nu with at most two atoms.
 
     For two-atom nu the order is equivalent to the mu-average of |<h, .>|
     dominating the nu-average for every h.  nu's side is the maximum over
-    sign patterns eps of eps . (nu_a <h, point_a>), so the difference is
-    minimized once per pattern, each an LP over the unit ball of the sigma
-    base norm.  Both sides are positively homogeneous in h, so the minimum
-    over the ball is min(0, the minimum over the sphere), and a negative
-    optimum sits on the sphere.  eps and -eps are exchanged by h -> -h,
-    which maps the ball onto itself, so fixing eps_1 = +1 leaves at most
-    two LPs.  A negative minimum yields the violating h, of sigma base
-    norm one; when two patterns reach it, the first in `itertools.product`
-    order keeps its h.
+    sign patterns eps of <h, t_eps>, t_eps = eps . (nu_a point_a), so the
+    difference is minimized once per pattern, each an LP over the unit
+    ball of the sigma base norm.  Both sides are positively homogeneous in
+    h, so the minimum over the ball is min(0, the minimum over the sphere),
+    and a negative optimum sits on the sphere.  eps and -eps are exchanged
+    by h -> -h, which maps the ball onto itself, so fixing eps_1 = +1
+    leaves at most two LPs.  A negative minimum yields the violating h, of
+    sigma base norm one; when two patterns reach it, the first in
+    `itertools.product` order keeps its h.
+
+    The mu-average f is the support function of the zonotope Z = sum_j
+    mu_j [-P_j, P_j], so nu sits below mu exactly when every t_eps has
+    gauge g_eps = ||t_eps||_Z <= 1.  Since |<h, t_eps>| <= g_eps f(h) and
+    f is at most M = sum_j mu_j ||P_j||_sigma on the ball (||x||_sigma =
+    max_i |F_i x| / F_i sigma over the cone facets F_i), each pattern's LP
+    minimum is at least -max(g_eps - 1, 0) M (`_order_floors`).  A
+    pattern whose bound is at least -COINCIDENCE is not solved: it can
+    neither refute nor beat a refuting pattern's value, so the verdict,
+    functional and margin are those of solving every pattern.  The
+    all-plus target is sigma itself, of gauge one up to rounding, so its LP
+    (minimum 0) is skipped whenever the gauges have a closed form; without
+    one (mu's atoms span no more than a hyperplane, or have too many
+    subsets) every pattern is solved.
     """
     _same_system(nu, mu)
     if len(nu.atoms) > 2:
@@ -554,11 +596,14 @@ def dichotomic_below_exact(nu, mu):
     Y = _interval_vertices(system, nu.barycenter)
     target = nu.weights[:, None] * nu.points
     d, k = system.dim, target.shape[0]
+    T = np.array([(1.0,) + tail for tail in itertools.product(
+        (1.0, -1.0), repeat=k - 1)]) @ target
     best = math.inf
     best_h = None
-    for tail in itertools.product((1.0, -1.0), repeat=k - 1):
-        lin = -(np.array((1.0,) + tail) @ target)
-        out = lp.optimum(_ball_epigraph(Y, mu.weights, mu.points, lin),
+    for t, bound in zip(T, _order_floors(mu, nu.barycenter, T)):
+        if bound >= -COINCIDENCE:
+            continue   # this pattern's LP minimum cannot refute
+        out = lp.optimum(_ball_epigraph(Y, mu.weights, mu.points, -t),
                          "order LP")
         if out.value < best:
             best, best_h = out.value, out.x[:d]

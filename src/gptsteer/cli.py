@@ -112,11 +112,10 @@ def load_measure(path):
     atoms = []
     for j, atom in enumerate(raw):
         _expect(atom, ("weight", "point"), f"atom {j}")
-        try:
-            weight = float(atom["weight"])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"atom {j} weight must be a number") from exc
-        atoms.append((weight,
+        weight = atom["weight"]
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise InvalidInput(f"atom {j} weight must be a number")
+        atoms.append((float(weight),
                       _vector(system, atom["point"], f"atom {j} point")))
     return choquet.SimpleMeasure(tuple(atoms))
 

@@ -56,10 +56,22 @@ from .kernels import (
 from .tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 
 
+def _as_floats(value):
+    """value as a float array; TypeError on text (str or bytes data, or str
+    elements of an object array), which numpy would parse as numbers."""
+    if not isinstance(value, np.ndarray):
+        value = np.asarray(value)
+    kind = value.dtype.kind
+    if kind in "US" or (kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in value.flat)):
+        raise TypeError("text is not numeric")
+    return np.asarray(value, dtype=np.float64)
+
+
 def _floats(field, value):
     """value as a float array, or MalformedProblem naming the field."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        return _as_floats(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedProblem(f"{field} must be numeric") from exc
 
@@ -88,10 +100,10 @@ def _rows(rows, rhs, n):
         return np.zeros((0, n)), np.zeros(0)
     if rows is None or rhs is None:
         return None
-    A = np.asarray(rows, dtype=np.float64)
+    A = _as_floats(rows)
     if A.ndim == 1:
         A = A.reshape(1, -1)
-    b = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    b = _as_floats(rhs).reshape(-1)
     return (A, b) if A.shape == (b.size, n) else None
 
 
@@ -142,14 +154,14 @@ class LpProblem:
         # does), on l > u and on an empty interval [inf, inf] or
         # [-inf, -inf].  `_reject` finds which check failed.
         try:
-            c = np.asarray(self.objective, dtype=np.float64).reshape(-1)
+            c = _as_floats(self.objective).reshape(-1)
             n = c.size
             eq = _rows(self.eq_rows, self.eq_rhs, n)
             ub = _rows(self.ub_rows, self.ub_rhs, n)
             l = (np.zeros(n) if self.lower is None
-                 else np.asarray(self.lower, dtype=np.float64).reshape(-1))
+                 else _as_floats(self.lower).reshape(-1))
             u = (np.full(n, np.inf) if self.upper is None
-                 else np.asarray(self.upper, dtype=np.float64).reshape(-1))
+                 else _as_floats(self.upper).reshape(-1))
             valid = (n and eq and ub and l.size == n and u.size == n
                      and np.isfinite(np.concatenate((c, *eq, *ub),
                                                     axis=None)).all()

@@ -744,20 +744,34 @@ def system_to_payload(system):
     return out
 
 
+def json_numbers(raw):
+    """Whether every leaf of a JSON value (nested lists) is a number; bools,
+    strings and null are not, though numpy would convert them."""
+    stack = [raw]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+    return True
+
+
 def payload_floats(raw, what):
     """A JSON payload value as a float array; InvalidInput when it is not
-    numbers (a string, a ragged list)."""
-    try:
-        return np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{what} must be numbers") from exc
+    numbers (a string, a bool, null, a ragged list)."""
+    if json_numbers(raw):
+        try:
+            return np.asarray(raw, dtype=np.float64)
+        except (ValueError, OverflowError):   # ragged, or past float range
+            pass
+    raise InvalidInput(f"{what} must be numbers")
 
 
 def _payload_dim(payload):
-    try:
-        return int(payload["dim"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput("dim must be an integer") from exc
+    if not guards.is_integer(payload["dim"]):
+        raise InvalidInput("dim must be an integer")
+    return payload["dim"]
 
 
 def system_from_payload(payload):

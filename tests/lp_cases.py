@@ -13,10 +13,13 @@ solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
 universal-degree, two-atom order and zonotope questions, plus
 cone-membership LPs on the assemblage entries and measure atoms (feasible)
 and on a point outside V+ (infeasible).  Its facet subproblems are every facet LP of `c_mu`, from
-`full_scan_c_mu`, the unscreened reference that `c_mu` must match.
+`full_scan_c_mu`, the unscreened reference that `c_mu` must match, and its
+two-atom order LPs are every sign pattern's, from
+`full_scan_dichotomic_below`, the reference for `dichotomic_below_exact`.
 """
 
 import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +180,30 @@ def full_scan_c_mu(system, sigma, mu):
     return min(max(best, 0.0), 1.0)
 
 
+def full_scan_dichotomic_below(nu, mu):
+    """The two-atom order decision by solving every sign pattern's LP,
+    without the closed-form floors: the reference the screened
+    `choquet.dichotomic_below_exact` must match to the byte."""
+    choquet._same_system(nu, mu)
+    system = nu.system
+    Y = choquet._interval_vertices(system, nu.barycenter)
+    target = nu.weights[:, None] * nu.points
+    d, k = system.dim, target.shape[0]
+    best = np.inf
+    best_h = None
+    for tail in itertools.product((1.0, -1.0), repeat=k - 1):
+        lin = -(np.array((1.0,) + tail) @ target)
+        out = lp.optimum(choquet._ball_epigraph(Y, mu.weights, mu.points,
+                                                lin), "order LP")
+        if out.value < best:
+            best, best_h = out.value, out.x[:d]
+    if best >= -choquet.COINCIDENCE:
+        return choquet.DichotomicBelowVerdict(True)
+    h = system.functional(best_h)
+    return choquet.DichotomicBelowVerdict(
+        False, functional=h, margin=choquet._abs_gap(nu, mu, h))
+
+
 @functools.lru_cache(maxsize=None)
 def library_lps():
     """Every (problem, mode) the library solves for a few paper questions."""
@@ -232,7 +259,9 @@ def library_lps():
         for pair in (((1, 1, 0), (1, -1, 0)), ((1, 1, 1), (1, -1, -1))):
             nu = choquet.SimpleMeasure(tuple((0.5, sq.vector(p)) for p in pair))
             members(p for _, p in nu.atoms)
-            choquet.dichotomic_below_exact(nu, uniform)
+            # both pattern LPs, of which dichotomic_below_exact solves
+            # those its floors admit
+            full_scan_dichotomic_below(nu, uniform)
     finally:
         lp.solve = solve
     return tuple(seen)

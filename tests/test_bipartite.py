@@ -652,7 +652,7 @@ class TestSteerabilitySearch:
             with pytest.raises(InvalidInput,
                                match="budget must be an integer"):
                 bipartite.steerability_search(st, budget=budget)
-        for shapes in ((2.5, 2), (2, True), ("3", 2)):
+        for shapes in ((2.5, 2), (2, True), ("3", 2), 2, None):
             with pytest.raises(InvalidInput,
                                match="shapes must list outcome counts"):
                 bipartite.steerability_search(st, shapes=shapes)

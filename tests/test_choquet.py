@@ -8,7 +8,8 @@ import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import choquet, kernels, lp, sampling, systems, tensors
+from gptsteer import (choquet, kernels, lp, sampling, selftest, systems,
+                      tensors)
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -968,12 +969,150 @@ def test_exact_lp_count(lp_solves):
                       choquet.vertex_measure(system)))
     for nu, point, mu in cases:
         assert len(nu.atoms) == 2
+        # both patterns' gauges are at most one: no LP decides "below"
         lp_solves.clear()
-        choquet.dichotomic_below_exact(nu, mu)
-        assert len(lp_solves) == 2
+        assert choquet.dichotomic_below_exact(nu, mu).below
+        assert len(lp_solves) == 0
         lp_solves.clear()
         assert choquet.dichotomic_below_exact(point, mu).below
-        assert len(lp_solves) == 1
+        assert len(lp_solves) == 0
+        # a point mass spans no zonotope: both patterns are solved
+        lp_solves.clear()
+        assert not choquet.dichotomic_below_exact(nu, point).below
+        assert len(lp_solves) == 2
+    # the all-plus pattern never refutes: one LP refutes the diagonal
+    lp_solves.clear()
+    assert not choquet.dichotomic_below_exact(
+        vertex_diagonal(square), choquet.vertex_measure(square)).below
+    assert len(lp_solves) == 1
+
+
+def _order_family(rng, per_space):
+    """(nu, mu) pairs on each space of SPACES: random two-atom splits (both
+    constructions) under random measures, dilations of nu, nu itself,
+    point masses, sigma next to a vertex, and vertex measures."""
+    for space in sorted(SPACES):
+        for _ in range(per_space):
+            system = SPACES[space](rng)
+            sigma = sampling.random_interior_state(rng, system)
+            nu = two_atom_with_barycenter(rng, system, sigma)
+            split = selftest._two_atom_split(rng, system, sigma)
+            mu = sampling.random_measure_with_barycenter(rng, system, sigma)
+            yield nu, mu
+            yield split, mu
+            yield nu, sampling.random_dilation(rng, nu)
+            yield split, sampling.random_dilation(rng, split)
+            yield nu, nu
+            yield choquet.point_mass(sigma), mu
+            yield nu, choquet.point_mass(sigma)
+            edge = system.vector(0.03 * system.barycenter.coords
+                                 + 0.97 * system.vertices[0])
+            yield (two_atom_with_barycenter(rng, system, edge),
+                   sampling.random_measure_with_barycenter(rng, system, edge))
+            yield (two_atom_with_barycenter(rng, system, system.barycenter),
+                   choquet.vertex_measure(system))
+
+
+def test_exact_matches_the_full_pattern_scan_to_the_byte(lp_solves):
+    verdicts = {True: 0, False: 0}
+    solved = scanned = 0
+    for nu, mu in _order_family(np.random.default_rng(71), per_space=5):
+        lp_solves.clear()
+        got = choquet.dichotomic_below_exact(nu, mu)
+        solved += len(lp_solves)
+        lp_solves.clear()
+        want = lp_cases.full_scan_dichotomic_below(nu, mu)
+        scanned += len(lp_solves)
+        assert got.below == want.below
+        if not got.below:
+            assert got.margin == want.margin
+            assert got.functional.coords.tobytes() == \
+                want.functional.coords.tobytes()
+        verdicts[got.below] += 1
+    assert verdicts[True] >= 40 and verdicts[False] >= 40
+    assert solved < scanned / 2
+
+
+def _gauge_by_lp(mu, t):
+    """max <h, t> over f(h) = sum_j mu_j |<h, P_j>| <= 1, as an LP."""
+    P, w = mu.points, mu.weights
+    n, d = P.shape
+    ub = np.zeros((2 * n + 1, d + n))
+    ub[:n, :d], ub[:n, d:] = P, -np.eye(n)
+    ub[n:2 * n, :d], ub[n:2 * n, d:] = -P, -np.eye(n)
+    ub[2 * n, d:] = w
+    out = lp.optimum(lp.LpProblem(
+        np.concatenate([-t, np.zeros(n)]), ub_rows=ub,
+        ub_rhs=np.concatenate([np.zeros(2 * n), [1.0]]),
+        lower=np.concatenate([np.full(d, -np.inf), np.zeros(n)])), "gauge")
+    return -out.value
+
+
+def _ball_max_by_lp(Y, p):
+    """max |<h, p>| over the sigma-dual ball |<h, Y_k>| <= 1, as an LP."""
+    out = lp.optimum(lp.LpProblem(
+        -p, ub_rows=np.vstack([Y, -Y]), ub_rhs=np.ones(2 * Y.shape[0]),
+        lower=np.full(p.size, -np.inf)), "ball maximum")
+    return -out.value
+
+
+def test_order_floors_bound_every_pattern_lp():
+    checked = 0
+    for nu, mu in _order_family(np.random.default_rng(72), per_space=2):
+        target = nu.weights[:, None] * nu.points
+        T = np.array([(1.0,) + tail for tail in itertools.product(
+            (1.0, -1.0), repeat=len(nu.atoms) - 1)]) @ target
+        Y = choquet._interval_vertices(nu.system, nu.barycenter)
+        floors = choquet._order_floors(mu, nu.barycenter, T)
+        for t, floor in zip(T, floors):
+            value = lp.optimum(choquet._ball_epigraph(
+                Y, mu.weights, mu.points, -t), "order LP").value
+            assert floor <= value + 1e-12
+            if np.isfinite(floor):
+                # the closed form is -max(g - 1, 0) M, g and M by LPs
+                M = sum(w * _ball_max_by_lp(Y, p)
+                        for w, p in zip(mu.weights, mu.points))
+                want = -max(_gauge_by_lp(mu, t) - 1.0, 0.0) * M
+                assert floor == pytest.approx(want, rel=1e-9, abs=1e-12)
+                checked += 1
+    assert checked >= 100
+
+
+def test_exact_at_the_zonotope_boundary(lp_solves):
+    # nu splits sigma along s y / ||y||_Z, so its (1, -1) target is that
+    # point: s just below one is below mu with no LP, s just above one
+    # solves one LP, and it refutes by a small margin
+    rng = np.random.default_rng(73)
+    refuted = 0
+    for space in sorted(SPACES):
+        for _ in range(3):
+            system = SPACES[space](rng)
+            sigma = sampling.random_interior_state(rng, system)
+            mu = sampling.random_measure_with_barycenter(rng, system, sigma)
+            Y = tensors.sigma_interval_vertices(system, sigma)
+            y = rng.dirichlet(np.ones(Y.shape[0])) @ Y
+            g = choquet._zonotope_gauges(mu.weights, mu.points, y[None])[0]
+            for s in (1 - 1e-5, 1 + 1e-5):
+                atoms = []
+                for sign in (1.0, -1.0):
+                    half = 0.5 * (sigma.coords + sign * (s / g) * y)
+                    w = float(system.unit @ half)
+                    atoms.append((w, system.vector(half / w)))
+                nu = choquet.SimpleMeasure(tuple(atoms))
+                lp_solves.clear()
+                got = choquet.dichotomic_below_exact(nu, mu)
+                assert len(lp_solves) == (s > 1)
+                want = lp_cases.full_scan_dichotomic_below(nu, mu)
+                assert got.below == want.below
+                if s < 1:
+                    assert got.below
+                elif not got.below:
+                    assert got.margin == want.margin < 1e-4
+                    assert got.functional.coords.tobytes() == \
+                        want.functional.coords.tobytes()
+                    refuted += 1
+    # a thin zonotope can leave the margin under COINCIDENCE
+    assert refuted >= 12
 
 
 def test_exact_validation():

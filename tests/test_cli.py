@@ -329,6 +329,23 @@ NOT_NUMBERS = {
     "coeffs": ("unsteerable", dict(DIAG_STATE, coeffs="abc")),
     "entries": ("lhs", dict(DIAG_ASM, entries=[1])),
     "entry_row": ("lhs", dict(DIAG_ASM, entries=[DIAG_ASM["entries"][0], 3])),
+    # numpy and int() would convert these: a string, bool or null is no
+    # number, and dim must be a JSON integer
+    "dim_string": ("cmu", dict(UNIFORM_MEASURE, system=dict(SQUARE, dim="3"))),
+    "dim_fraction": ("cmu", dict(UNIFORM_MEASURE, system=dict(SQUARE,
+                                                               dim=3.7))),
+    "dim_bool": ("cmu", dict(UNIFORM_MEASURE, system=dict(SQUARE, dim=True))),
+    "weight_string": ("cmu", dict(UNIFORM_MEASURE, atoms=[
+        {"weight": "0.5", "point": [1, 1, 1]},
+        {"weight": 0.5, "point": [1, -1, -1]}])),
+    "weight_bool": ("cmu", dict(CENTER_MASS, atoms=[
+        {"weight": True, "point": [1, 0, 0]}])),
+    "bool_coordinate": ("cmu", dict(CENTER_MASS, atoms=[
+        {"weight": 1.0, "point": [True, 0, 0]}])),
+    "null_coordinate": ("lhs", dict(DIAG_ASM, barycenter=[1, None, 0])),
+    "string_vertex": ("norm", dict(DIAG_TENSOR, system=dict(
+        SQUARE, vertices=[["1", 1, 1], [1, 1, -1], [1, -1, 1],
+                          [1, -1, -1]]))),
 }
 
 

@@ -37,6 +37,9 @@ from gptsteer.tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 
 def ref_floats(field, value):
     try:
+        leaves = np.asarray(value, dtype=object).ravel()
+        if any(isinstance(v, (str, bytes)) for v in leaves):
+            raise TypeError("text is not numeric")
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedProblem(f"{field} must be numeric") from exc
@@ -672,6 +675,18 @@ def test_validation_matches_the_reference():
      "ub_rhs must be numeric"),
     (dict(objective=[1.0], lower=["x"]), "lower must be numeric"),
     (dict(objective=[1.0], upper=[{}]), "upper must be numeric"),
+    # numpy would parse these strings as numbers
+    (dict(objective="1.5"), "objective must be numeric"),
+    (dict(objective=[1.0], lower=["-2"]), "lower must be numeric"),
+    (dict(objective=[1.0, 2.0], eq_rows=[[1.0, "2"]], eq_rhs=[1.0]),
+     "eq_rows must be numeric"),
+    (dict(objective=[1.0], eq_rows=[[1.0]], eq_rhs=np.array(["1"])),
+     "eq_rhs must be numeric"),
+    (dict(objective=[1.0], upper=np.array([b"1"])), "upper must be numeric"),
+    (dict(objective=[1.0], ub_rows=np.array([["2"]], dtype=object),
+          ub_rhs=[1.0]), "ub_rows must be numeric"),
+    (dict(objective=np.array([1.0, "2"], dtype=object)),
+     "objective must be numeric"),
 ])
 def test_each_rejection_names_its_check(fields, message):
     with pytest.raises(MalformedProblem) as err:

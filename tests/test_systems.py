@@ -652,6 +652,23 @@ def test_payload_reports_first_violated_invariant():
             {"kind": "polytopic", "dim": 2, "unit": [1, 0]})
 
 
+def test_payload_numbers_are_json_numbers():
+    assert systems.payload_floats([[1, 2.5], [-3, 0]], "x").tolist() == [
+        [1.0, 2.5], [-3.0, 0.0]]
+    for raw in ("1.5", ["1.5", 2], [True, 0], [[1.0], [None]], None,
+                [[1.0, 2.0], [3.0]], [10 ** 400]):
+        with pytest.raises(InvalidInput, match="x must be numbers"):
+            systems.payload_floats(raw, "x")
+    payload = systems.system_to_payload(systems.ball(3, "l2"))
+    for dim in ("3", 3.0, 3.7, True, None):
+        with pytest.raises(InvalidInput, match="dim must be an integer"):
+            systems.system_from_payload(dict(payload, dim=dim))
+    polytope = systems.system_to_payload(square())
+    with pytest.raises(InvalidInput, match="dim must be an integer"):
+        systems.system_from_payload(dict(polytope, dim="3"))
+    assert systems.system_from_payload(dict(polytope, dim=3)) == square()
+
+
 def test_vertices_of_polytope_wrapper():
     # unit box via inequalities only
     A = np.concatenate([np.eye(2), -np.eye(2)], axis=0)
