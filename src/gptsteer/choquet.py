@@ -62,7 +62,10 @@ class SimpleMeasure:
 
     def __post_init__(self):
         try:
-            atoms = tuple((float(w), p) for (w, p) in self.atoms)
+            atoms = tuple((w, p) for (w, p) in self.atoms)
+            if not systems.real_numbers([w for w, _ in atoms]):
+                raise TypeError("weights must be real numbers")
+            atoms = tuple((float(w), p) for (w, p) in atoms)
         except (TypeError, ValueError) as exc:
             raise InvalidInput("atoms must be (weight, point) pairs") from exc
         if len(atoms) < 1:
@@ -134,7 +137,8 @@ def vertex_measure(system, weights=None):
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        w = systems.float_array(
+            weights, "weights must list one entry per vertex").reshape(-1)
         if w.shape[0] != n:
             raise InvalidInput("weights must list one entry per vertex")
     return BoundaryMeasure(

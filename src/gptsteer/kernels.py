@@ -20,10 +20,19 @@ each ends in a rebuild, and its exact-rational mode runs the same
 `symmetry_search` walks `itertools.permutations`, works on numpy rows and
 matches vertex images with `_greedy_matching`, as `systems.is_symmetry` does.
 The enumerations `enum_polytope_vertices` and `enum_cone_facets` are
-batched numpy: they walk the candidate subsets in lexicographic chunks of
-CHUNK and eliminate a whole chunk at once, with the pivoting, tolerance
-tests and summation order of a one-subset-at-a-time elimination, so their
-output does not depend on the chunk size.
+batched numpy: they walk the candidate subsets in lexicographic chunks and
+eliminate a whole chunk at once, with the pivoting, tolerance tests and
+summation order of a one-subset-at-a-time elimination, so their output
+does not depend on the chunk size.  The vertex search groups the rows into
+units, a row and its exact negation, and eliminates each subset of units
+once for every sign pattern, one right-hand side per pattern.  Negation is
+exact and, without an exact tie for a pivot, the order of a subset's rows
+does not change what partial pivoting computes, so each pattern gets the
+bytes of its own row subset up to the signs of zeros.  A unit subset whose
+pivot search met a tie, and a solution with a zero coordinate, are solved
+again on their own row subsets; the solutions are de-duplicated in
+lexicographic row-subset order, as the one-subset-at-a-time search finds
+them.
 
 Kernel conventions:
   * the simplex returns status codes; the searches raise GuardExceeded past
@@ -32,6 +41,7 @@ Kernel conventions:
   * deterministic tie-breaking everywhere (lowest index / Bland).
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -39,8 +49,9 @@ import numpy as np
 from .errors import GuardExceeded
 from .tolerances import ARTIFICIAL_PIVOT, COINCIDENCE
 
-# Subsets per batched elimination: large enough to amortize numpy dispatch,
-# small enough that the (CHUNK, m) feasibility sums stay within cache.
+# Subsets (or, in the vertex search, sign patterns) per batched
+# elimination: large enough to amortize numpy dispatch, small enough that
+# the (CHUNK, m) feasibility sums stay within cache.
 CHUNK = 512
 
 # Hard ceilings on enumerated rows and on symmetry maps; reaching one means
@@ -239,56 +250,56 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
     return moved
 
 
-def _eliminate(M, tol, rhs=None):
-    """Forward elimination with partial pivoting on a stack of square blocks.
+def _eliminate(M, tol, tied=None, flips=None):
+    """Forward elimination with partial pivoting on a stack of blocks.
 
-    M is (S, d, d) and is reduced in place to upper-triangular form; rhs,
-    when given, is (S, d) and follows the row operations.  The pivot is the
-    first maximum of |column| on or below the diagonal, a block is singular
-    once a pivot is <= tol, and a multiplier that is exactly 0 leaves its row
-    untouched, so every block sees the float operations of a scalar
-    elimination.  Returns (singular, det): det is the signed product of
-    pivots and is meaningful only where singular is False.
+    M is (S, d, d + r): square blocks, each followed by r right-hand sides,
+    reduced in place to upper-triangular form with the right-hand sides
+    following the row operations.  The pivot is the first maximum of
+    |column| on or below the diagonal, a block is singular once a pivot is
+    <= tol, and a multiplier that is exactly 0 leaves its row untouched, so
+    every block and right-hand side sees the float operations of a scalar
+    elimination.  Returns the (S,) singular mask.  `tied` and `flips`, when
+    given, are (S,) bool arrays: `tied` is set where a pivot search met
+    more than one maximum before the block was found singular (only there
+    can the order of a block's rows change what is computed), and `flips`
+    ends as the parity of the row swaps.
     """
     S, d = M.shape[:2]
     rows = np.arange(S)
     singular = np.zeros(S, dtype=bool)
-    det = np.ones(S)
     for k in range(d):
-        p = k + np.argmax(np.abs(M[:, k:, k]), axis=1)
-        singular |= np.abs(M[rows, p, k]) <= tol
-        swap = rows[p != k]
-        if swap.size:
-            pk = p[swap]
-            M[swap, k], M[swap, pk] = M[swap, pk], M[swap, k]
-            if rhs is not None:
-                rhs[swap, k], rhs[swap, pk] = rhs[swap, pk], rhs[swap, k]
-            det[swap] = -det[swap]
-        piv = M[:, k, k]
-        det = det * piv
+        col = np.abs(M[:, k:, k])
+        q = col.argmax(axis=1)
+        top = col[rows, q]
+        singular |= top <= tol
         if k + 1 == d:
             break
-        f = M[:, k + 1:, k] / piv[:, None]
-        live = f != 0
-        M[:, k + 1:, k:] = np.where(
-            live[:, :, None],
-            M[:, k + 1:, k:] - f[:, :, None] * M[:, None, k, k:],
-            M[:, k + 1:, k:])
-        if rhs is not None:
-            rhs[:, k + 1:] = np.where(
-                live, rhs[:, k + 1:] - f * rhs[:, None, k], rhs[:, k + 1:])
-    return singular, det
+        if tied is not None:
+            tied |= ((col == top[:, None]).sum(axis=1) > 1) > singular
+        if flips is not None:
+            flips ^= q != 0
+        p = q + k
+        prow = M[rows, p]
+        M[rows, p] = M[:, k]
+        M[:, k] = prow
+        f = M[:, k + 1:, k] / prow[:, k, None]
+        below = M[:, k + 1:, k:]
+        np.subtract(below, f[:, :, None] * prow[:, None, k:], out=below,
+                    where=(f != 0)[:, :, None])
+    return singular
 
 
-def _back_substitute(U, rhs):
-    """Solutions of the upper-triangular systems U x = rhs, row by row."""
-    d = U.shape[1]
-    x = np.empty_like(rhs)
+def _back_substitute(M):
+    """(S, d, r): the solutions of the upper-triangular systems that
+    `_eliminate` leaves in M, row by row."""
+    d = M.shape[1]
+    x = np.empty((M.shape[0], d, M.shape[2] - d))
     for k in range(d - 1, -1, -1):
-        s = rhs[:, k]
+        s = M[:, k, d:]
         for j in range(k + 1, d):
-            s = s - U[:, k, j] * x[:, j]
-        x[:, k] = s / U[:, k, k]
+            s = s - M[:, k, j, None] * x[:, j]
+        x[:, k] = s / M[:, k, k, None]
     return x
 
 
@@ -308,12 +319,15 @@ def _append_distinct(out, cand, what):
     an earlier candidate that was itself kept.  Raises GuardExceeded, naming
     the enumeration `what`, when the result passes ROW_CAP rows.
     """
-    cand = cand[_far(cand, out).all(axis=1)]
-    near = np.tril(~_far(cand, cand), -1)   # near[j, i]: i < j, within tol
-    # Candidate j is kept iff no earlier near candidate is kept.  Each round
-    # settles at least the first unsettled candidate; clusters of
-    # duplicates around a kept row settle in one round.
-    keep = np.zeros(cand.shape[0], dtype=bool)
+    if out.shape[0]:
+        cand = cand[_far(cand, out).all(axis=1)]
+    order = np.arange(cand.shape[0])
+    near = ~_far(cand, cand) & (order[:, None] > order)   # near[j, i]: i < j
+    # Candidate j is kept iff no earlier near candidate is kept, so it is
+    # kept at once if it has none.  Each round settles at least the first
+    # unsettled candidate; clusters of duplicates around a kept row settle
+    # in one round.
+    keep = ~near.any(axis=1)
     drop = np.zeros(cand.shape[0], dtype=bool)
     while not (keep | drop).all():
         open_ = ~(keep | drop)
@@ -325,15 +339,146 @@ def _append_distinct(out, cand, what):
     return out
 
 
-def _subset_chunks(n, k):
-    """Lexicographic k-subsets of range(n) as (<= CHUNK, k) index arrays."""
+def _subset_chunks(n, k, size):
+    """Lexicographic k-subsets of range(n) as (<= size, k) index arrays."""
     subsets = itertools.combinations(range(n), k)
     while True:
-        chunk = list(itertools.islice(subsets, CHUNK))
+        chunk = list(itertools.islice(subsets, size))
         if not chunk:
             return
         flat = itertools.chain.from_iterable(chunk)
         yield np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
+
+
+def _pair_units(A):
+    """Rows grouped into units: a (u, 2) array whose row k holds unit k's
+    first row and its partner, the first later row not yet in a unit that
+    is the first row's negation bit for bit, or -1 where there is none."""
+    m, d = A.shape
+    key = np.dtype((np.void, 8 * d))
+    A = np.ascontiguousarray(A)
+    rows = A.view(key).ravel().tolist()
+    negs = (-A).view(key).ravel().tolist()
+    where = {}
+    for i, row in enumerate(rows):
+        where.setdefault(row, []).append(i)
+    taken = [False] * m
+    units = []
+    for i in range(m):
+        if taken[i]:
+            continue
+        j = next((j for j in where.get(negs[i], ()) if j > i and not taken[j]),
+                 -1)
+        if j >= 0:
+            taken[j] = True
+        units.append((i, j))
+    return np.array(units).reshape(-1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_patterns(d):
+    """(2^d, d) array of 0 and 1: pattern p takes unit k's first row where
+    [p, k] is 0 and its partner where it is 1.  Pattern 2^d - 1 - p is the
+    complement of p.  The array is shared, so it is read-only."""
+    patterns = np.array(list(itertools.product((0, 1), repeat=d)),
+                        dtype=np.intp).reshape(-1, d)
+    patterns.setflags(write=False)
+    return patterns
+
+
+def _feasible(A, b, x):
+    """Mask over the points x[..., :] with -b_i + sum_c A_ic x_c <=
+    COINCIDENCE for every row i, summed one column at a time."""
+    s = x[..., 0, None] * A[:, 0] - b
+    for c in range(1, A.shape[1]):
+        s += x[..., c, None] * A[:, c]
+    return ~(s > COINCIDENCE).any(axis=-1)
+
+
+def _ascending(rows):
+    """rows with the entries of each row in increasing order.  The stable
+    sort shares its code with `np.lexsort`; numpy's default sort on
+    integers would map about 0.3 MB more of the library into memory."""
+    return np.sort(rows, axis=1, kind="stable")
+
+
+def _row_subset_vertices(A, b, rows):
+    """(rows, x) of the feasible solutions of A[r] x = b[r], r a row of
+    rows, each eliminated on its own in the order r lists its rows."""
+    M = np.concatenate([A[rows], b[rows][:, :, None]], axis=2)
+    singular = _eliminate(M, COINCIDENCE)
+    ok = ~singular
+    x = _back_substitute(M[ok])[:, :, 0]
+    feasible = _feasible(A, b, x)
+    return rows[ok][feasible], x[feasible]
+
+
+def _unit_subset_vertices(A, b, units, rhs, idx, signs, mirror):
+    """[(rows, x), ...]: the feasible solutions of the sign patterns signs
+    of the unit subsets idx, each with its row subset in increasing order.
+
+    rhs[k] holds the right-hand sides of unit k's first row for either
+    sign: b of the row itself, or -b of its partner.  With mirror set, the
+    input is centrally symmetric (every unit has a partner with the same
+    b) and signs holds half the patterns: the complement of a pattern has
+    the negated solution and the same feasibility, since each row's sum
+    for -x is its partner's for x."""
+    d = idx.shape[1]
+    M = np.concatenate([A[units[idx, 0]], rhs[idx[:, :, None], signs.T]],
+                       axis=2)
+    tied = np.zeros(idx.shape[0], dtype=bool)
+    singular = _eliminate(M, COINCIDENCE, tied)
+    ok = ~(singular | tied)
+    found = []
+    redo = np.empty((0, d), np.intp)
+    if ok.any():
+        x = _back_substitute(M[ok]).transpose(0, 2, 1)
+        s, p = np.nonzero(_feasible(A, b, x))
+        x = x[s, p]
+        sub, sign = idx[ok][s], signs[p]
+        rows = units[sub, sign]
+        if mirror:
+            rows = np.concatenate([rows, units[sub, 1 - sign]])
+            x = np.concatenate([x, -x])
+        else:   # drop the patterns that take a missing partner
+            valid = (rows >= 0).all(axis=1)
+            rows, x = rows[valid], x[valid]
+        zero = (x == 0).any(axis=1)
+        found.append((_ascending(rows[~zero]), x[~zero]))
+        redo = rows[zero]
+    if tied.any():
+        again = units[idx[tied][:, None, :], _sign_patterns(d)].reshape(-1, d)
+        redo = np.concatenate([again[(again >= 0).all(axis=1)], redo])
+    if redo.shape[0]:
+        found.append(_row_subset_vertices(A, b, _ascending(redo)))
+    return found
+
+
+def _before(rows, bound):
+    """Mask of the index tuples (rows of rows) that come before the tuple
+    bound in lexicographic order."""
+    before = np.zeros(rows.shape[0], dtype=bool)
+    tie = np.ones(rows.shape[0], dtype=bool)
+    for c in range(rows.shape[1]):
+        before |= tie & (rows[:, c] < bound[c])
+        tie &= rows[:, c] == bound[c]
+    return before
+
+
+def _first_copies(rows, x):
+    """(rows, x) less each row of x that repeats an earlier row bit for bit.
+    `_append_distinct` never keeps such a repeat (the row it repeats, or
+    the kept row that dropped it, is as near), so it changes nothing."""
+    if x.shape[0] < 2:
+        return rows, x
+    bits = x.view(np.int64)
+    order = np.lexsort(bits.T)      # stable: first copies first
+    sorted_bits = bits[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (sorted_bits[1:] != sorted_bits[:-1]).any(axis=1)
+    keep = np.zeros(order.shape[0], dtype=bool)
+    keep[order[first]] = True
+    return rows[keep], x[keep]
 
 
 def enum_polytope_vertices(A, b):
@@ -345,23 +490,75 @@ def enum_polytope_vertices(A, b):
     within COINCIDENCE of each other wins, in lexicographic subset order.
     Rows of (A | b) should be normalized by the caller so the tolerance is
     meaningful.
+
+    The rows are grouped into units by `_pair_units`: a row and, where
+    there is one, its exact negation.  A subset holding both rows of a
+    unit is singular, so only subsets of d distinct units are solved, and
+    each is eliminated once for all its sign patterns: the unit's first
+    row with the right-hand side b of the row the pattern takes, or -b of
+    its partner.  Negation is exact and, without an exact tie for a pivot,
+    the order of the rows does not change what partial pivoting computes,
+    so every pattern gets the solution of its own row subset bit for bit,
+    up to the signs of zeros.  Two cases are solved again on their own row
+    subsets, one elimination each in increasing row order: every pattern
+    of a unit subset whose pivot search met a tie, and every feasible
+    solution with a coordinate that is 0.  When every row has a partner
+    with the same b, half the patterns are solved and the other half
+    mirrored (`_unit_subset_vertices`).  A chunk solves at most CHUNK
+    patterns, and at least one unit subset.  The feasible solutions are
+    de-duplicated in the lexicographic order of their row subsets, a batch
+    at a time: once at least CHUNK solutions, and twice as many as after
+    the last batch, wait, those that no later chunk can precede form the
+    next batch, and the others wait on, less their bit-for-bit repeats
+    (`_first_copies`).
     """
     m, d = A.shape
     out = np.empty((0, d))
     if m < d:
         return out
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for idx in _subset_chunks(m, d):
-            M = A[idx]
-            rhs = b[idx]
-            singular, _ = _eliminate(M, COINCIDENCE, rhs)
-            ok = ~singular
-            x = _back_substitute(M[ok], rhs[ok])
-            s = np.broadcast_to(-b, (x.shape[0], m)).copy()
-            for c in range(d):
-                s += A[None, :, c] * x[:, c, None]
-            x = x[~(s > COINCIDENCE).any(axis=1)]
-            out = _append_distinct(out, x, "vertex")
+    units = _pair_units(A)
+    # rhs[k]: b of unit k's first row and -b of its partner (a unit with
+    # no partner reads another row's, and its patterns are dropped)
+    rhs = np.concatenate([b, -b])[units + (0, m)]
+    mirror = bool((units[:, 1] >= 0).all()) and (
+        rhs[:, 0].tobytes() == (-rhs[:, 1]).tobytes())
+    signs = _sign_patterns(d)
+    if mirror:
+        signs = signs[:signs.shape[0] // 2]
+    # Slices of an eighth chunk: most candidates then meet the vertices
+    # found before them in `_append_distinct`'s first filter, not in its
+    # square masks, whose float temporaries stay near 32 KB.
+    step = max(1, CHUNK // 8)
+    pending = [(np.empty((0, d), np.intp), out)]
+    held, limit = 0, CHUNK
+    chunks = _subset_chunks(units.shape[0], d, max(1, CHUNK // signs.shape[0]))
+    idx = next(chunks, None)
+    while idx is not None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            found = _unit_subset_vertices(A, b, units, rhs, idx, signs,
+                                          mirror)
+        pending += found
+        held += sum(r.shape[0] for r, _ in found)
+        idx = next(chunks, None)
+        if idx is not None and held < limit:
+            continue
+        rows, x = map(np.concatenate, zip(*pending))
+        order = np.lexsort(rows.T[::-1])
+        rows, x = rows[order], x[order]
+        # Unit subsets come in lexicographic order and a partner row comes
+        # after its first row, so no later unit subset solves a row subset
+        # before the first rows of the next one: the solutions before them
+        # are final.
+        ready = rows.shape[0] if idx is None else np.count_nonzero(
+            _before(rows, units[idx[0], 0]))
+        for start in range(0, ready, step):
+            out = _append_distinct(out, x[start:min(start + step, ready)],
+                                   "vertex")
+        pending = [_first_copies(rows[ready:], x[ready:])]
+        # The next flush waits for as many again and a chunk more, so the
+        # waiting solutions are sorted O(log) times each.
+        held = pending[0][0].shape[0]
+        limit = 2 * held + CHUNK
     return out
 
 
@@ -375,9 +572,15 @@ def _chunk_normals(V, idx, minor_cols):
     S, d = idx.shape[0], V.shape[1]
     # Block s * d + c is the minor of subset s without column c.
     M = V[idx[:, None, :, None], minor_cols[None, :, None, :]]
+    M = M.reshape(S * d, d - 1, d - 1)
+    flips = np.zeros(S * d, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        singular, det = _eliminate(M.reshape(S * d, d - 1, d - 1), 0.0)
-    normal = np.where(singular, 0.0, det).reshape(S, d)
+        singular = _eliminate(M, 0.0, flips=flips)
+        # the signed product of the pivots, in elimination order
+        det = M[:, 0, 0]
+        for k in range(1, d - 1):
+            det = det * M[:, k, k]
+    normal = np.where(singular, 0.0, np.where(flips, -det, det)).reshape(S, d)
     normal[:, 1::2] = -normal[:, 1::2]
     nrm = np.zeros(S)
     for c in range(d):
@@ -396,7 +599,7 @@ def _normal_chunks(V):
         return
     minor_cols = np.array([[c for c in range(d) if c != drop]
                            for drop in range(d)])
-    for idx in _subset_chunks(n, k):
+    for idx in _subset_chunks(n, k, CHUNK):
         yield _chunk_normals(V, idx, minor_cols)
 
 

@@ -17,6 +17,7 @@ pairings fail loudly rather than silently misinterpreting coordinates.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,7 +96,7 @@ class GptSystem:
         which is already known to be extreme (see `polytopic_hull`)."""
         if self.vertices is None:
             raise InvalidInput("polytopic system requires vertices")
-        V = np.asarray(self.vertices, dtype=np.float64)
+        V = float_array(self.vertices, "vertices must be finite")
         if V.ndim != 2 or V.shape[0] < 1:
             raise InvalidInput("vertices must form a nonempty matrix")
         if not np.all(np.isfinite(V)):
@@ -112,7 +113,8 @@ class GptSystem:
                 raise InvalidInput(
                     "vertices must admit a unit functional pairing to 1 with every vertex")
         else:
-            u = np.asarray(self.unit, dtype=np.float64).reshape(-1)
+            u = float_array(self.unit, "unit must be a finite vector of "
+                            "length dim").reshape(-1)
             if u.shape[0] != d or not np.all(np.isfinite(u)):
                 raise InvalidInput("unit must be a finite vector of length dim")
             if np.max(np.abs(V @ u - 1.0)) > RECONSTRUCTION:
@@ -150,7 +152,8 @@ class GptSystem:
         e0 = np.zeros(self.dim)
         e0[0] = 1.0
         if self.unit is not None:
-            u = np.asarray(self.unit, dtype=np.float64).reshape(-1)
+            u = float_array(self.unit, "centrally symmetric unit must be the "
+                            "first coordinate functional").reshape(-1)
             if u.shape[0] != self.dim or np.max(np.abs(u - e0)) > 1e-12:
                 raise InvalidInput(
                     "centrally symmetric unit must be the first coordinate functional")
@@ -164,10 +167,10 @@ class GptSystem:
         return 0 if self.vertices is None else self.vertices.shape[0]
 
     def vector(self, coords):
-        return Vector(np.asarray(coords, dtype=np.float64), self)
+        return Vector(coords, self)
 
     def functional(self, coords):
-        return Functional(np.asarray(coords, dtype=np.float64), self)
+        return Functional(coords, self)
 
     @property
     def unit_functional(self):
@@ -209,7 +212,9 @@ class GptSystem:
 
 
 def _coerce(coords, dim, what):
-    c = np.asarray(coords, dtype=np.float64).reshape(-1)
+    if type(coords) is not np.ndarray or coords.dtype != np.float64:
+        coords = float_array(coords, f"{what} coordinates must be finite")
+    c = coords.reshape(-1)
     if c.shape[0] != dim:
         raise InvalidInput(f"{what} coordinates must have length {dim}")
     if not np.all(np.isfinite(c)):
@@ -310,7 +315,7 @@ def mirror_representatives(rows):
 
 def polytopic(vertices, unit=None):
     """System from the extreme points of K (each row one vertex)."""
-    V = np.asarray(vertices, dtype=np.float64)
+    V = float_array(vertices, "vertices must be finite")
     if V.ndim != 2:
         raise InvalidInput("vertices must form a matrix")
     return GptSystem(kind=POLYTOPIC, dim=V.shape[1], vertices=V, unit=unit)
@@ -323,7 +328,7 @@ def polytopic_hull(points, unit=None):
     count is held to the `vertices` guard: the facet search is combinatorial
     in it.
     """
-    P = np.asarray(points, dtype=np.float64)
+    P = float_array(points, "points must form a nonempty matrix")
     if P.ndim != 2 or P.shape[0] < 1:
         raise InvalidInput("points must form a nonempty matrix")
     guards.check("vertices", P.shape[0])
@@ -744,28 +749,43 @@ def system_to_payload(system):
     return out
 
 
-def json_numbers(raw):
-    """Whether every leaf of a JSON value (nested lists) is a number; bools,
-    strings and null are not, though numpy would convert them."""
+def real_numbers(raw):
+    """Whether every leaf of raw (nested lists and tuples, numpy arrays) is
+    a real number; bools, text and None are not, though numpy would
+    convert them."""
     stack = [raw]
     while stack:
         x = stack.pop()
-        if isinstance(x, list):
+        if isinstance(x, (list, tuple)):
             stack.extend(x)
-        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+        elif isinstance(x, np.ndarray):
+            if x.dtype.kind == "O":
+                stack.extend(x.flat)
+            elif x.dtype.kind not in "iuf":
+                return False
+        elif isinstance(x, bool) or not isinstance(x, numbers.Real):
             return False
     return True
+
+
+def float_array(raw, message):
+    """raw as a float array, or InvalidInput(message) when it is not real
+    numbers (`real_numbers`) or its nesting is ragged.  A float array is
+    returned as it is, unchecked."""
+    if type(raw) is np.ndarray and raw.dtype == np.float64:
+        return raw
+    if real_numbers(raw):
+        try:
+            return np.asarray(raw, dtype=np.float64)
+        except (ValueError, OverflowError):   # ragged, or past float range
+            pass
+    raise InvalidInput(message)
 
 
 def payload_floats(raw, what):
     """A JSON payload value as a float array; InvalidInput when it is not
     numbers (a string, a bool, null, a ragged list)."""
-    if json_numbers(raw):
-        try:
-            return np.asarray(raw, dtype=np.float64)
-        except (ValueError, OverflowError):   # ragged, or past float range
-            pass
-    raise InvalidInput(f"{what} must be numbers")
+    return float_array(raw, f"{what} must be numbers")
 
 
 def _payload_dim(payload):

@@ -38,7 +38,7 @@ class TensorElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
+        c = systems.float_array(self.coeffs, "coeffs must be finite")
         if c.shape != (self.system_a.dim, self.system_b.dim):
             raise InvalidInput(
                 f"coeffs must be {self.system_a.dim} x {self.system_b.dim}, "

@@ -115,6 +115,30 @@ def test_measure_rejects_bad_points():
         choquet.SimpleMeasure((1.0, sq.vector([1, 0, 0])))  # not pairs
 
 
+def test_measure_rejects_text_and_bool_weights():
+    sq = square()
+    p, q = sq.vector(sq.vertices[0]), sq.vector(sq.vertices[1])
+    for w in ("0.5", True, np.bool_(True), None, b"0.5"):
+        with pytest.raises(InvalidInput,
+                           match="^atoms must be \\(weight, point\\) pairs$"):
+            choquet.SimpleMeasure(((w, p), (0.5, q)))
+    # numpy scalars and integers are numbers
+    m = choquet.SimpleMeasure(((np.float64(0.5), p), (np.int64(0), q),
+                               (0.5, q)))
+    assert [type(w) for w, _ in m.atoms] == [float] * 3
+
+
+def test_vertex_measure_rejects_text_and_bool_weights():
+    sq = square()
+    for weights in (["0.25"] * 4, [True, 0, 0, 0], np.array([True, False] * 2),
+                    [0.25, 0.25, 0.25, None], np.array(["0.25"] * 4)):
+        with pytest.raises(InvalidInput,
+                           match="^weights must list one entry per vertex$"):
+            choquet.vertex_measure(sq, weights)
+    assert np.allclose(choquet.vertex_measure(sq, (1, 0, 0, 0)).weights,
+                       [1, 0, 0, 0])
+
+
 def test_measures_solve_no_lp(lp_solves):
     # atoms are checked on the cached facets, so building a measure on a
     # polytopic system solves no LP, whichever builder makes it

@@ -8,20 +8,28 @@ phase, artificial drive-out and symmetry search are the references for the
 shared-pivot simplex kernel and the numpy symmetry search, and the scalar
 vertex matcher is the reference for `systems.is_symmetry`.  Results are
 compared byte for byte; where a reference reports overflow at a cap, the
-kernel, run with that cap, must raise GuardExceeded.  The list-based pricing
+kernel, run with that cap, must raise GuardExceeded.  `full_scan_vertices`
+keeps the vertex kernel as it was before rows were grouped into +- pairs
+(every d-subset of rows eliminated on its own): the grouped kernel must
+give its bytes, and the scalar reference's, on what the library asks of
+it (a `norms` benchmark cycle, sigma intervals with exact pivot ties,
+effect intervals, the rows of `unsteerable_sufficient`) and on inputs with
+zero vertex coordinates or rows that have no partner.  The list-based pricing
 rule is also compared on its own, and an artificial block filled with NaN
 shows that a float phase two reads none of the columns its pivots skip.
 """
 
 import collections
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import geometry, kernels, lp, systems
+from gptsteer import bipartite, geometry, kernels, lp, systems, tensors
 from gptsteer.errors import GuardExceeded, NumericalFailure
 from gptsteer.kernels import (AT_LOWER, AT_UPPER, BASIC, PHASE_ITER_LIMIT,
                               PHASE_OPTIMAL, PHASE_UNBOUNDED)
@@ -100,6 +108,20 @@ def ref_vertices(A, b, dedupe_tol, feas_tol, sing_tol, cap):
         if feasible and _ref_append(out, x, dedupe_tol, cap):
             return np.array(out).reshape(-1, d), 1
     return np.array(out).reshape(-1, d), 0
+
+
+def full_scan_vertices(A, b):
+    """Vertices by eliminating every d-subset of rows on its own, chunk by
+    chunk in lexicographic order, each chunk de-duplicated as it comes: the
+    kernel before rows were grouped into +- pairs, the reference that
+    `kernels.enum_polytope_vertices` must match to the byte."""
+    m, d = A.shape
+    out = np.empty((0, d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows in kernels._subset_chunks(m, d, kernels.CHUNK):
+            _, x = kernels._row_subset_vertices(A, b, rows)
+            out = kernels._append_distinct(out, x, "vertex")
+    return out
 
 
 def ref_facets(V, dedupe_tol, feas_tol, sing_tol, cap):
@@ -221,6 +243,226 @@ def test_facets_match_scalar_reference_bytewise(cap, monkeypatch):
                                 ref_facets(V, *TOLS, cap), monkeypatch)
              for V in cases]
     assert any(flags) == (cap == 3) and not all(flags)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _vertex_inputs(run):
+    """(A, b) of every enumeration run() asks of geometry, as the kernel
+    receives them (rows normalized)."""
+    seen = []
+    enum = geometry.enum_polytope_vertices
+
+    def capture(A, b):
+        seen.append((A.copy(), b.copy()))
+        return enum(A, b)
+
+    geometry.enum_polytope_vertices = capture
+    try:
+        run()
+    finally:
+        geometry.enum_polytope_vertices = enum
+    return seen
+
+
+def _norms_cycle(seed):
+    """One cycle of the `norms` benchmark workload."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+    for case in workloads.norms(seed, workloads.NORMS_CATALOG):
+        for _, ask in case.questions:
+            ask()
+
+
+def _sigma_intervals():
+    for system in (systems.hypercube(2), systems.hypercube(3),
+                   systems.cross_polytope(3), systems.regular_polygon(5)):
+        centre = system.vector(system.vertices.mean(axis=0))
+        off = system.vector(system.vertices.mean(axis=0)
+                            + 0.1 * (system.vertices[0] - system.vertices[1]))
+        for sigma in (centre, off):
+            tensors.sigma_interval_vertices(system, sigma)
+
+
+def _effect_intervals(large):
+    names = (["hypercube4"] if large else
+             ["hypercube2", "hypercube3", "cross3", "cross4", "simplex3"]
+             + [f"polygon{n}" for n in range(3, 7)])
+    build = {"hypercube2": lambda: systems.hypercube(2),
+             "hypercube3": lambda: systems.hypercube(3),
+             "hypercube4": lambda: systems.hypercube(4),
+             "cross3": lambda: systems.cross_polytope(3),
+             "cross4": lambda: systems.cross_polytope(4),
+             "simplex3": lambda: systems.simplex(3)}
+    for name in names:
+        system = (systems.regular_polygon(int(name[7:]))
+                  if name.startswith("polygon") else build[name]())
+        systems.extreme_effects(system)
+
+
+def _unsteerable_rows():
+    sq = systems.hypercube(2)
+    t = tensors.DichotomicTensor(
+        sigma=sq.vector((1.0, 0.0, 0.0)),
+        components=(sq.vector((0.0, 1.0, 1.0)), sq.vector((0.0, 1.0, -1.0))))
+    diagonal = bipartite.BipartiteState(tensors.embed_dichotomic(t))
+    product = bipartite.product_state(sq.vector((1.0, 0.4, -0.1)),
+                                      sq.vector((1.0, 0.2, 0.1)))
+    for state, s in ((diagonal, 0.5), (diagonal, 1.0), (product, 0.3)):
+        bipartite.unsteerable_sufficient(state, s)
+
+
+def _zero_face(rng, d):
+    """x_0 <= 0 and x_0 >= -1 cut by d + 1 random +- pairs: the vertices
+    on the face x_0 = 0 have an exact zero coordinate and no pivot ties."""
+    G = _unit_rows(rng.normal(size=(d + 1, d)))
+    e = np.eye(d)[:1]
+    A = np.vstack([e, -e, G, -G])
+    return A, np.concatenate([[0.0, 1.0], rng.uniform(0.5, 1.5, 2 * d + 2)])
+
+
+def _edge_cases():
+    """Zero vertex coordinates, rows without a partner, duplicated rows,
+    partners whose b differ, and intervals and triangles."""
+    rng = np.random.default_rng(17)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    yield _unit_rows(signs, np.ones(8))        # vertices +-e_i: zeros
+    for d in (2, 3, 4):
+        yield _zero_face(rng, d)
+    yield np.array([[1.0], [-1.0]]), np.array([2.0, 2.0])
+    yield np.array([[1.0], [-1.0], [1.0]]), np.array([2.0, 1.0, 0.5])
+    yield _unit_rows(rng.normal(size=(3, 2)) + [3.0, 0.0], -np.ones(3))
+    box, ones = _box(3)
+    yield box, np.array([1.0, 2.0, 0.5, 1.0, 0.0, 2.0])   # paired, b differ
+    yield np.vstack([box, [[1.0, 0.0, 0.0]]]), np.append(ones, 0.5)
+    for d in (2, 3, 4):
+        G = rng.normal(size=(d + 2, d))
+        A, b = _unit_rows(np.vstack([G, -G[:3], G[:1]]),
+                          rng.uniform(0.2, 1.5, size=d + 6))
+        yield A, b                              # some rows unpaired
+        yield A[::-1].copy(), b[::-1].copy()    # partners before rows
+
+
+def _family(name):
+    if name.startswith("norms"):
+        return _vertex_inputs(lambda: _norms_cycle(int(name[5:])))
+    run = {"sigma intervals": _sigma_intervals,
+           "effect intervals": lambda: _effect_intervals(False),
+           "unsteerable rows": _unsteerable_rows}.get(name)
+    return _vertex_inputs(run) if run else list(_edge_cases())
+
+
+@pytest.fixture
+def recomputed(monkeypatch):
+    """Rows handed to the one-subset-at-a-time path, by reason."""
+    seen = collections.Counter()
+    unit = kernels._unit_subset_vertices
+    solve = kernels._row_subset_vertices
+
+    def counting_unit(A, b, units, rhs, idx, signs, mirror):
+        seen["unit subsets"] += idx.shape[0]
+        seen["mirrored"] += idx.shape[0] * mirror
+        return unit(A, b, units, rhs, idx, signs, mirror)
+
+    def counting_solve(A, b, rows):
+        seen["recomputed"] += rows.shape[0]
+        return solve(A, b, rows)
+
+    monkeypatch.setattr(kernels, "_unit_subset_vertices", counting_unit)
+    monkeypatch.setattr(kernels, "_row_subset_vertices", counting_solve)
+    return seen
+
+
+@pytest.mark.parametrize("family", ["norms0", "norms1", "norms2",
+                                    "sigma intervals", "effect intervals",
+                                    "unsteerable rows", "edge cases"])
+def test_paired_vertices_match_full_scan_and_scalar_reference(family,
+                                                              recomputed):
+    cases = _family(family)
+    got = [kernels.enum_polytope_vertices(A, b) for A, b in cases]
+    assert got and recomputed["unit subsets"] and recomputed["recomputed"]
+    assert bool(recomputed["mirrored"]) == (family != "effect intervals")
+    for (A, b), rows in zip(cases, got):
+        _same(rows, full_scan_vertices(A, b))
+        _same(rows, ref_vertices(A, b, *TOLS, kernels.ROW_CAP)[0])
+
+
+def test_hypercube4_effects_match_full_scan(monkeypatch):
+    # C(32, 5) subsets: the scalar reference would take about 10 s, so the
+    # full scan, itself held to the scalar reference above, stands in.
+    (A, b), = _vertex_inputs(lambda: _effect_intervals(True))
+    # 30080 feasible solutions for 10 vertices: the ones that must wait for
+    # later chunks stay within two chunks, and a few dozen once repeats go.
+    waiting = []
+    first_copies = kernels._first_copies
+
+    def recording(rows, x):
+        kept = first_copies(rows, x)
+        waiting.append((x.shape[0], kept[1].shape[0]))
+        return kept
+
+    monkeypatch.setattr(kernels, "_first_copies", recording)
+    _same(kernels.enum_polytope_vertices(A, b), full_scan_vertices(A, b))
+    assert len(waiting) > 10
+    assert max(w for w, _ in waiting) <= 2 * kernels.CHUNK
+    assert max(k for _, k in waiting) < kernels.CHUNK // 4
+
+
+def test_recompute_rules_fire(recomputed):
+    # A random interval needs neither rule.
+    rng = np.random.default_rng(3)
+    F = _unit_rows(rng.normal(size=(6, 3)))
+    kernels.enum_polytope_vertices(np.vstack([F, -F]), np.ones(12))
+    assert recomputed == {"unit subsets": 20, "mirrored": 20}
+    # The octahedron's interval ties a pivot in each of its unit subsets,
+    # so all 16 patterns of every subset are solved again.
+    recomputed.clear()
+    octahedron = systems.cross_polytope(3)
+    tensors.sigma_interval_vertices(
+        octahedron, octahedron.vector((1.0, 0.0, 0.0, 0.0)))
+    assert recomputed["recomputed"] == 16 * recomputed["unit subsets"] == 1120
+    # Without ties, only the feasible solutions with a zero coordinate are
+    # solved again: here those on the face x_0 = 0.
+    recomputed.clear()
+    A, b = _zero_face(rng, 3)
+    got = kernels.enum_polytope_vertices(A, b)
+    assert 0 < recomputed["recomputed"] < recomputed["unit subsets"]
+    assert (got[:, 0] == 0).any() and (got[:, 0] != 0).any()
+
+
+def test_pair_units_match_bit_for_bit():
+    A = np.array([[1.0, 0.0], [-1.0, -0.0], [-1.0, 0.0], [1.0, 0.0],
+                  [2.0, 1.0], [-2.0, -1.0], [-2.0, -1.0], [2.0, 1.0]])
+    # Row 1 is row 0 negated, -0.0 included.  Rows 2 and 3 differ from
+    # each other's negation in the sign of a zero, so neither has a
+    # partner.  Row 4 takes row 5, the first later negation, and row 6,
+    # row 5's equal, is left to pair with row 7.
+    units = kernels._pair_units(A)
+    assert units.tolist() == [[0, 1], [2, -1], [3, -1], [4, 5], [6, 7]]
+    assert kernels._pair_units(A[[0, 2, 4]]).tolist() == [[0, -1], [1, -1],
+                                                          [2, -1]]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1819])
+def test_paired_vertices_do_not_depend_on_chunk_size(chunk, monkeypatch):
+    cases = (_family("norms0")[::7] + _family("sigma intervals")
+             + list(_edge_cases()))
+    want = [kernels.enum_polytope_vertices(A, b) for A, b in cases]
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    for (A, b), rows in zip(cases, want):
+        _same(kernels.enum_polytope_vertices(A, b), rows)
+        _same(full_scan_vertices(A, b), rows)
+
+
+def test_paired_vertices_overflow_where_the_full_scan_does(monkeypatch):
+    cases = _family("sigma intervals") + list(_edge_cases())
+    monkeypatch.setattr(kernels, "ROW_CAP", 3)
+    flags = [_matches_reference(lambda: kernels.enum_polytope_vertices(A, b),
+                                ref_vertices(A, b, *TOLS, 3), monkeypatch)
+             for A, b in cases]
+    assert any(flags) and not all(flags)
 
 
 def test_vertex_hit_in_several_chunks_comes_out_once(monkeypatch):

@@ -652,6 +652,45 @@ def test_payload_reports_first_violated_invariant():
             {"kind": "polytopic", "dim": 2, "unit": [1, 0]})
 
 
+def test_elements_reject_text_and_bools():
+    sq = systems.hypercube(2)
+    for coords in (["1", "0", True], [1.0, 0.0, True], [1, None, 0],
+                   np.array(["1", "0", "0"]), np.array([True, False, False]),
+                   (1.0, np.bool_(False), 0.0)):
+        with pytest.raises(InvalidInput,
+                           match="^vector coordinates must be finite$"):
+            sq.vector(coords)
+        with pytest.raises(InvalidInput,
+                           match="^functional coordinates must be finite$"):
+            sq.functional(coords)
+    v = sq.vector((1, np.int64(0), np.float64(0.5)))
+    assert v.coords.dtype == np.float64 and v.coords.tolist() == [1, 0, 0.5]
+    # a float array is taken as it is, copied once
+    x = np.array([1.0, 0.2, -0.3])
+    assert sq.vector(x).coords.tolist() == x.tolist()
+
+
+def test_polytopic_rejects_text_and_bools():
+    rows = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+    for bad in ("0", True, None):
+        V = [row[:] for row in rows]
+        V[2][2] = bad
+        with pytest.raises(InvalidInput, match="^vertices must be finite$"):
+            systems.polytopic(V)
+        with pytest.raises(InvalidInput, match="^vertices must be finite$"):
+            systems.GptSystem(kind="polytopic", dim=3, vertices=V)
+        with pytest.raises(InvalidInput,
+                           match="^points must form a nonempty matrix$"):
+            systems.polytopic_hull(V)
+        with pytest.raises(InvalidInput,
+                           match="^unit must be a finite vector of length dim$"):
+            systems.polytopic(rows, unit=[1.0, 0.0, bad])
+    assert systems.polytopic(tuple(map(tuple, rows))).n_vertices == 3
+    with pytest.raises(InvalidInput, match="^centrally symmetric unit"):
+        systems.GptSystem(kind="centrally_symmetric", dim=3, ball_norm="l2",
+                          unit=["1", 0, 0])
+
+
 def test_payload_numbers_are_json_numbers():
     assert systems.payload_floats([[1, 2.5], [-3, 0]], "x").tolist() == [
         [1.0, 2.5], [-3.0, 0.0]]

@@ -174,6 +174,15 @@ def test_tensor_element_shape_check():
             system_a=square(), system_b=square(), coeffs=np.eye(2))
 
 
+def test_tensor_element_rejects_text_and_bools():
+    for bad in ("1", True, None):
+        coeffs = np.eye(3).tolist()
+        coeffs[1][2] = bad
+        with pytest.raises(InvalidInput, match="^coeffs must be finite$"):
+            tensors.TensorElement(
+                system_a=square(), system_b=square(), coeffs=coeffs)
+
+
 # ---------------------------------------------------------------------------
 # frozen square values
 
