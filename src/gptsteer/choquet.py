@@ -14,9 +14,10 @@ weighted sum of the segments [-P_j, P_j] over its atoms, whose facets are
 spanned by subsets of the atoms; so its gauges have a closed form
 (`_zonotope_gauges`).  For two-atom nu the order is zonotope membership: nu
 sits below mu when each sign-pattern target of nu's weighted atoms has
-gauge at most one in mu's zonotope.  The exact decision bounds each
-pattern's LP by that gauge and solves it only when the bound leaves room
-for a refutation.
+gauge at most one in mu's zonotope.  The exact decision reads those gauges
+with one relative tolerance and refutes with the normal that attains the
+largest, solving no LP; one LP per sign pattern decides only where the
+gauges have no closed form.
 
 The same machinery yields the variational constant attached to a measure:
 the minimum of the measure's average of |<h, .>| over the unit sphere of
@@ -377,7 +378,8 @@ def _ball_epigraph(Y, weights, P, lin):
 
 
 def _zonotope_gauges(weights, P, T):
-    """Gauges ||T_i||_Z of the rows of T, or None where no closed form applies.
+    """Gauges ||T_i||_Z of the rows of T and maximizers, or None where no
+    closed form applies.
 
     f(h) = sum_j w_j |<h, P_j>| is the support function of the zonotope
     Z = sum_j w_j [-P_j, P_j], so ||t||_Z = max{<h, t> : f(h) <= 1}.  When
@@ -385,9 +387,11 @@ def _zonotope_gauges(weights, P, T):
     vertices are u / f(u) over the normals u of the hyperplanes spanned by
     (d-1)-subsets of atoms, so the gauge is the largest |<u, t>| / f(u).  A
     repeated atom spans no new hyperplane, so the subsets run over the
-    distinct atoms, first occurrences in their original order.  None when
-    the atoms span no more than a hyperplane ({f <= 1} is unbounded) or
-    when the C(n, d-1) subsets of the distinct ones pass kernels.ROW_CAP.
+    distinct atoms, first occurrences in their original order.  Row i of
+    the maximizers is u / f(u) for the first u attaining gauge i.  None
+    when the atoms span no more than a hyperplane ({f <= 1} is unbounded)
+    or when the C(n, d-1) subsets of the distinct ones pass
+    kernels.ROW_CAP.
     """
     live = weights > 0
     P, w = P[live], weights[live]
@@ -400,7 +404,9 @@ def _zonotope_gauges(weights, P, T):
         return None
     # spanning atoms leave no normal orthogonal to all of them: f(u) > 0
     f = np.abs(U @ P.T) @ w
-    return np.max(np.abs(U @ T.T) / f[:, None], axis=0)
+    ratios = np.abs(U @ T.T) / f[:, None]
+    best = np.argmax(ratios, axis=0)
+    return ratios[best, np.arange(T.shape[0])], U[best] / f[best, None]
 
 
 def _facet_floors(Y, weights, P):
@@ -409,7 +415,7 @@ def _facet_floors(Y, weights, P):
     the zonotope gauge of Y_i.  None also when the atoms span no more than
     a hyperplane, where c_mu is 0."""
     gauges = _zonotope_gauges(weights, P, Y)
-    return None if gauges is None else 1.0 / gauges
+    return None if gauges is None else 1.0 / gauges[0]
 
 
 def c_mu(system, sigma, mu):
@@ -539,55 +545,41 @@ def universal_degree(system, sigma=None):
 @dataclass(frozen=True)
 class DichotomicBelowVerdict:
     """Outcome of the exact two-atom order decision; a refutation carries a
-    functional whose nu-average of |<h, .>| beats the mu-average by
-    `margin`."""
+    functional h whose nu-average of |<h, .>| beats the mu-average by
+    `margin`.  From the zonotope gauges h has mu-average one, so `margin`
+    is the largest gauge minus one; from the LP fallback, h has sigma base
+    norm one."""
 
     below: bool
     functional: Optional[systems.Functional] = None
     margin: Optional[float] = None
 
 
-def _order_floors(mu, sigma, T):
-    """Closed-form lower bounds -max(g - 1, 0) M on the order LP minima of
-    the targets T (rows), or -inf for each where the gauges g have no
-    closed form; see `dichotomic_below_exact`."""
-    gauges = _zonotope_gauges(mu.weights, mu.points, T)
-    if gauges is None:
-        return np.full(T.shape[0], -math.inf)
-    F = mu.system.cone_facets
-    M = mu.weights @ np.max(np.abs(mu.points @ F.T) / (F @ sigma.coords),
-                            axis=1)
-    return -np.maximum(gauges - 1.0, 0.0) * M
-
-
 def dichotomic_below_exact(nu, mu):
     """Exact Choquet-order decision for nu with at most two atoms.
 
-    For two-atom nu the order is equivalent to the mu-average of |<h, .>|
-    dominating the nu-average for every h.  nu's side is the maximum over
-    sign patterns eps of <h, t_eps>, t_eps = eps . (nu_a point_a), so the
-    difference is minimized once per pattern, each an LP over the unit
-    ball of the sigma base norm.  Both sides are positively homogeneous in
-    h, so the minimum over the ball is min(0, the minimum over the sphere),
-    and a negative optimum sits on the sphere.  eps and -eps are exchanged
-    by h -> -h, which maps the ball onto itself, so fixing eps_1 = +1
-    leaves at most two LPs.  A negative minimum yields the violating h, of
-    sigma base norm one; when two patterns reach it, the first in
-    `itertools.product` order keeps its h.
+    For two-atom nu the order is equivalent to the mu-average f of
+    |<h, .>| dominating the nu-average for every h.  nu's side is the
+    maximum over sign patterns eps of <h, t_eps>, t_eps = eps . (nu_a
+    point_a), and eps and -eps are exchanged by h -> -h, so fixing
+    eps_1 = +1 leaves at most two targets.  f is the support function of
+    the zonotope Z = sum_j mu_j [-P_j, P_j], so the least f(h) - <h, t_eps>
+    over f(h) = 1 is 1 - g_eps, g_eps = ||t_eps||_Z the gauge from
+    `_zonotope_gauges`, and nu sits below mu exactly when every g_eps <= 1.
+    The decision accepts 1 - g_eps >= -COINCIDENCE, a tolerance relative
+    to Z (the all-plus target is sigma, of gauge one up to rounding).  A
+    refutation's functional is h = u / f(u) for the subset normal u
+    attaining the largest gauge, the first such normal of the first such
+    pattern in `itertools.product` order, so f(h) = 1 and `margin` is that
+    gauge minus one, up to rounding.  No LP is solved, and h is not
+    rescaled to sigma base norm one (that norm is an LP).
 
-    The mu-average f is the support function of the zonotope Z = sum_j
-    mu_j [-P_j, P_j], so nu sits below mu exactly when every t_eps has
-    gauge g_eps = ||t_eps||_Z <= 1.  Since |<h, t_eps>| <= g_eps f(h) and
-    f is at most M = sum_j mu_j ||P_j||_sigma on the ball (||x||_sigma =
-    max_i |F_i x| / F_i sigma over the cone facets F_i), each pattern's LP
-    minimum is at least -max(g_eps - 1, 0) M (`_order_floors`).  A
-    pattern whose bound is at least -COINCIDENCE is not solved: it can
-    neither refute nor beat a refuting pattern's value, so the verdict,
-    functional and margin are those of solving every pattern.  The
-    all-plus target is sigma itself, of gauge one up to rounding, so its LP
-    (minimum 0) is skipped whenever the gauges have a closed form; without
-    one (mu's atoms span no more than a hyperplane, or have too many
-    subsets) every pattern is solved.
+    Where the gauges have no closed form (mu's atoms span no more than a
+    hyperplane, or have too many subsets), each pattern's difference is
+    minimized by an LP over the unit ball of the sigma base norm instead:
+    both sides are positively homogeneous in h, so a negative minimum sits
+    on the sphere, and one below -COINCIDENCE refutes with its h, of sigma
+    base norm one; when both patterns reach it the first keeps its h.
     """
     _same_system(nu, mu)
     if len(nu.atoms) > 2:
@@ -597,20 +589,23 @@ def dichotomic_below_exact(nu, mu):
                            "barycenter")
     system = nu.system
     system._require_polytopic()
-    Y = _interval_vertices(system, nu.barycenter)
+    systems.assert_interior(system, nu.barycenter)
+    guards.check("cmu_dim", system.dim)
     target = nu.weights[:, None] * nu.points
-    d, k = system.dim, target.shape[0]
     T = np.array([(1.0,) + tail for tail in itertools.product(
-        (1.0, -1.0), repeat=k - 1)]) @ target
-    best = math.inf
-    best_h = None
-    for t, bound in zip(T, _order_floors(mu, nu.barycenter, T)):
-        if bound >= -COINCIDENCE:
-            continue   # this pattern's LP minimum cannot refute
-        out = lp.optimum(_ball_epigraph(Y, mu.weights, mu.points, -t),
-                         "order LP")
-        if out.value < best:
-            best, best_h = out.value, out.x[:d]
+        (1.0, -1.0), repeat=target.shape[0] - 1)]) @ target
+    gauges = _zonotope_gauges(mu.weights, mu.points, T)
+    if gauges is not None:
+        i = int(np.argmax(gauges[0]))
+        best, best_h = 1.0 - gauges[0][i], gauges[1][i]
+    else:
+        Y = _interval_vertices(system, nu.barycenter)
+        best = math.inf
+        for t in T:
+            out = lp.optimum(_ball_epigraph(Y, mu.weights, mu.points, -t),
+                             "order LP")
+            if out.value < best:
+                best, best_h = out.value, out.x[:system.dim]
     if best >= -COINCIDENCE:
         return DichotomicBelowVerdict(True)
     h = system.functional(best_h)

@@ -57,14 +57,16 @@ from .tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 
 
 def _as_floats(value):
-    """value as a float array; TypeError on text (str or bytes data, or str
-    elements of an object array), which numpy would parse as numbers."""
+    """value as a float array; TypeError on text or bools (str, bytes or
+    bool data, or such elements of an object array or a nested sequence),
+    which numpy would convert to numbers.  A sequence is read as objects,
+    since numpy turns [True, 1.0] into floats."""
     if not isinstance(value, np.ndarray):
-        value = np.asarray(value)
+        value = np.asarray(value, dtype=object)
     kind = value.dtype.kind
-    if kind in "US" or (kind == "O" and any(
-            isinstance(v, (str, bytes)) for v in value.flat)):
-        raise TypeError("text is not numeric")
+    if kind in "USb" or (kind == "O" and any(
+            isinstance(v, (str, bytes, bool, np.bool_)) for v in value.flat)):
+        raise TypeError("text and bools are not numeric")
     return np.asarray(value, dtype=np.float64)
 
 

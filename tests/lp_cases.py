@@ -181,9 +181,9 @@ def full_scan_c_mu(system, sigma, mu):
 
 
 def full_scan_dichotomic_below(nu, mu):
-    """The two-atom order decision by solving every sign pattern's LP,
-    without the closed-form floors: the reference the screened
-    `choquet.dichotomic_below_exact` must match to the byte."""
+    """The two-atom order decision by solving every sign pattern's LP: the
+    LP fallback of `choquet.dichotomic_below_exact`, and the reference
+    whose verdict its zonotope gauges must give."""
     choquet._same_system(nu, mu)
     system = nu.system
     Y = choquet._interval_vertices(system, nu.barycenter)
@@ -259,8 +259,8 @@ def library_lps():
         for pair in (((1, 1, 0), (1, -1, 0)), ((1, 1, 1), (1, -1, -1))):
             nu = choquet.SimpleMeasure(tuple((0.5, sq.vector(p)) for p in pair))
             members(p for _, p in nu.atoms)
-            # both pattern LPs, of which dichotomic_below_exact solves
-            # those its floors admit
+            # both pattern LPs, which dichotomic_below_exact solves only
+            # where mu's zonotope gauges have no closed form
             full_scan_dichotomic_below(nu, uniform)
     finally:
         lp.solve = solve

@@ -862,7 +862,10 @@ def test_exact_square_frozen():
     assert choquet.dichotomic_below_exact(flat_pair(sq), u4).below
     v = choquet.dichotomic_below_exact(vertex_diagonal(sq), u4)
     assert not v.below
-    assert v.margin == pytest.approx(0.5, abs=1e-7)
+    # the (+, -) target (0, 1, 1) has gauge 2 in the uniform zonotope,
+    # attained at h = (0, 1, 1), whose uniform average of |<h, .>| is 1
+    assert v.margin == 1.0
+    assert v.functional.coords.tolist() == [0.0, 1.0, 1.0]
     assert abs_gap(vertex_diagonal(sq), u4, v.functional) == pytest.approx(
         v.margin, abs=1e-12)
 
@@ -917,21 +920,70 @@ def facet_scan_minimum(nu, mu):
     return best, system.functional(best_h)
 
 
-def assert_matches_facet_scan(nu, mu):
-    """Same verdict and margin as the facet scan; a refutation carries a
-    unit functional of the sigma base norm.  Returns the verdict."""
-    v = choquet.dichotomic_below_exact(nu, mu)
-    best, h_ref = facet_scan_minimum(nu, mu)
-    assert v.below == (best >= -COINCIDENCE)
-    if not v.below:
-        assert v.margin == pytest.approx(-best, abs=1e-9)
-        assert v.margin == pytest.approx(abs_gap(nu, mu, h_ref), abs=1e-9)
-        assert abs_gap(nu, mu, v.functional) == pytest.approx(
-            v.margin, abs=1e-12)
-        norm, _ = systems.sigma_base_norm(nu.system, v.functional,
-                                          nu.barycenter)
+def _gauge_by_lp(mu, t):
+    """max <h, t> over f(h) = sum_j mu_j |<h, P_j>| <= 1, as an LP."""
+    P, w = mu.points, mu.weights
+    n, d = P.shape
+    ub = np.zeros((2 * n + 1, d + n))
+    ub[:n, :d], ub[:n, d:] = P, -np.eye(n)
+    ub[n:2 * n, :d], ub[n:2 * n, d:] = -P, -np.eye(n)
+    ub[2 * n, d:] = w
+    out = lp.optimum(lp.LpProblem(
+        np.concatenate([-t, np.zeros(n)]), ub_rows=ub,
+        ub_rhs=np.concatenate([np.zeros(2 * n), [1.0]]),
+        lower=np.concatenate([np.full(d, -np.inf), np.zeros(n)])), "gauge")
+    return -out.value
+
+
+def _ball_max_by_lp(Y, p):
+    """max |<h, p>| over the sigma-dual ball |<h, Y_k>| <= 1, as an LP."""
+    out = lp.optimum(lp.LpProblem(
+        -p, ub_rows=np.vstack([Y, -Y]), ub_rhs=np.ones(2 * Y.shape[0]),
+        lower=np.full(p.size, -np.inf)), "ball maximum")
+    return -out.value
+
+
+def assert_unit_average(mu, h):
+    """mu's average of |<h, .>| is one, up to rounding on the scale of its
+    terms (h is large on a thin zonotope)."""
+    scale = mu.weights @ (np.abs(mu.points) @ np.abs(h))
+    assert abs(mu.weights @ np.abs(mu.points @ h) - 1.0) <= 1e-12 * scale
+
+
+def assert_refutation(nu, mu, v, violation):
+    """Check a refutation against V, a reference's largest violation over
+    the sigma-dual ball (its least order-LP value, negated).  The margin
+    is the gap at h, so h / ||h||_sigma shows margin / ||h||_sigma <= V.
+    A gauge margin is g - 1, and on the ball the mu-average is at most
+    M = sum_j mu_j max_ball |<h, P_j>|, so V <= (g - 1) M = margin M.
+    From the gauges h has mu-average one; from the LP fallback it has
+    sigma base norm one."""
+    h = v.functional
+    assert abs_gap(nu, mu, h) == pytest.approx(v.margin, rel=1e-12,
+                                               abs=1e-12)
+    norm, _ = systems.sigma_base_norm(nu.system, h, nu.barycenter)
+    Y = choquet._interval_vertices(nu.system, nu.barycenter)
+    M = sum(w * _ball_max_by_lp(Y, p) for w, p in zip(mu.weights, mu.points))
+    assert v.margin / norm <= violation + 1e-9
+    assert violation <= v.margin * M + 1e-9
+    if choquet._zonotope_gauges(mu.weights, mu.points, nu.points) is None:
         assert abs(norm - 1.0) <= CERTIFICATE
-    return v.below
+    else:
+        assert_unit_average(mu, h.coords)
+
+
+def assert_matches_facet_scan(nu, mu):
+    """The facet scan's verdict, or where the two differ the verdict of
+    `choquet_below`; a refutation passes `assert_refutation` against the
+    scan's least value.  Returns (below, whether the scan differed)."""
+    v = choquet.dichotomic_below_exact(nu, mu)
+    best, _ = facet_scan_minimum(nu, mu)
+    differs = v.below != (best >= -COINCIDENCE)
+    if differs:
+        assert v.below == choquet.choquet_below(nu, mu).below
+    if not v.below:
+        assert_refutation(nu, mu, v, -best)
+    return v.below, differs
 
 
 SPACES = {
@@ -950,6 +1002,7 @@ SPACES = {
 def test_exact_matches_facet_scan(space):
     rng = np.random.default_rng(sorted(SPACES).index(space))
     verdicts = {True: 0, False: 0}
+    differed = 0
     for i in range(8):
         system = SPACES[space](rng)
         sigma = sampling.random_interior_state(rng, system)
@@ -958,8 +1011,11 @@ def test_exact_matches_facet_scan(space):
             mu = sampling.random_dilation(rng, nu)
         else:
             mu = sampling.random_measure_with_barycenter(rng, system, sigma)
-        verdicts[assert_matches_facet_scan(nu, mu)] += 1
+        below, differs = assert_matches_facet_scan(nu, mu)
+        verdicts[below] += 1
+        differed += differs
     assert verdicts[True] >= 3 and verdicts[False] >= 1
+    assert differed == 0
 
 
 @pytest.mark.parametrize("space", sorted(SPACES))
@@ -969,15 +1025,18 @@ def test_exact_matches_facet_scan_on_edge_cases(space):
     sigma = sampling.random_interior_state(rng, system)
     mu = sampling.random_measure_with_barycenter(rng, system, sigma)
     nu = two_atom_with_barycenter(rng, system, sigma)
-    assert assert_matches_facet_scan(choquet.point_mass(sigma), mu)
-    assert assert_matches_facet_scan(nu, nu)
-    assert assert_matches_facet_scan(nu, sampling.random_dilation(rng, nu))
+    assert assert_matches_facet_scan(choquet.point_mass(sigma), mu) == (
+        True, False)
+    assert assert_matches_facet_scan(nu, nu) == (True, False)
+    assert assert_matches_facet_scan(
+        nu, sampling.random_dilation(rng, nu)) == (True, False)
     # sigma a hair inside the boundary, next to a vertex
     edge = system.vector(0.03 * system.barycenter.coords
                          + 0.97 * system.vertices[0])
-    assert_matches_facet_scan(
+    _, differs = assert_matches_facet_scan(
         two_atom_with_barycenter(rng, system, edge),
         sampling.random_measure_with_barycenter(rng, system, edge))
+    assert not differs
 
 
 def test_exact_lp_count(lp_solves):
@@ -1004,11 +1063,11 @@ def test_exact_lp_count(lp_solves):
         lp_solves.clear()
         assert not choquet.dichotomic_below_exact(nu, point).below
         assert len(lp_solves) == 2
-    # the all-plus pattern never refutes: one LP refutes the diagonal
+    # the gauges refute the diagonal with no LP
     lp_solves.clear()
     assert not choquet.dichotomic_below_exact(
         vertex_diagonal(square), choquet.vertex_measure(square)).below
-    assert len(lp_solves) == 1
+    assert len(lp_solves) == 0
 
 
 def _order_family(rng, per_space):
@@ -1037,9 +1096,9 @@ def _order_family(rng, per_space):
                    choquet.vertex_measure(system))
 
 
-def test_exact_matches_the_full_pattern_scan_to_the_byte(lp_solves):
+def test_exact_matches_the_full_pattern_scan(lp_solves):
     verdicts = {True: 0, False: 0}
-    solved = scanned = 0
+    solved = scanned = differed = fallback = 0
     for nu, mu in _order_family(np.random.default_rng(71), per_space=5):
         lp_solves.clear()
         got = choquet.dichotomic_below_exact(nu, mu)
@@ -1047,65 +1106,47 @@ def test_exact_matches_the_full_pattern_scan_to_the_byte(lp_solves):
         lp_solves.clear()
         want = lp_cases.full_scan_dichotomic_below(nu, mu)
         scanned += len(lp_solves)
-        assert got.below == want.below
-        if not got.below:
-            assert got.margin == want.margin
-            assert got.functional.coords.tobytes() == \
-                want.functional.coords.tobytes()
+        if got.below != want.below:
+            assert got.below == choquet.choquet_below(nu, mu).below
+            differed += 1
+        elif not got.below:
+            assert_refutation(nu, mu, got, want.margin)
+        if choquet._zonotope_gauges(mu.weights, mu.points, nu.points) is None:
+            # the LP fallback is the scan itself
+            fallback += 1
+            assert got.below == want.below and got.margin == want.margin
+            if not got.below:
+                assert got.functional.coords.tobytes() == \
+                    want.functional.coords.tobytes()
         verdicts[got.below] += 1
     assert verdicts[True] >= 40 and verdicts[False] >= 40
-    assert solved < scanned / 2
+    assert differed == 0
+    assert solved == 2 * fallback < scanned / 2
 
 
-def _gauge_by_lp(mu, t):
-    """max <h, t> over f(h) = sum_j mu_j |<h, P_j>| <= 1, as an LP."""
-    P, w = mu.points, mu.weights
-    n, d = P.shape
-    ub = np.zeros((2 * n + 1, d + n))
-    ub[:n, :d], ub[:n, d:] = P, -np.eye(n)
-    ub[n:2 * n, :d], ub[n:2 * n, d:] = -P, -np.eye(n)
-    ub[2 * n, d:] = w
-    out = lp.optimum(lp.LpProblem(
-        np.concatenate([-t, np.zeros(n)]), ub_rows=ub,
-        ub_rhs=np.concatenate([np.zeros(2 * n), [1.0]]),
-        lower=np.concatenate([np.full(d, -np.inf), np.zeros(n)])), "gauge")
-    return -out.value
-
-
-def _ball_max_by_lp(Y, p):
-    """max |<h, p>| over the sigma-dual ball |<h, Y_k>| <= 1, as an LP."""
-    out = lp.optimum(lp.LpProblem(
-        -p, ub_rows=np.vstack([Y, -Y]), ub_rhs=np.ones(2 * Y.shape[0]),
-        lower=np.full(p.size, -np.inf)), "ball maximum")
-    return -out.value
-
-
-def test_order_floors_bound_every_pattern_lp():
+def test_zonotope_gauges_match_the_gauge_lp():
     checked = 0
     for nu, mu in _order_family(np.random.default_rng(72), per_space=2):
         target = nu.weights[:, None] * nu.points
         T = np.array([(1.0,) + tail for tail in itertools.product(
             (1.0, -1.0), repeat=len(nu.atoms) - 1)]) @ target
-        Y = choquet._interval_vertices(nu.system, nu.barycenter)
-        floors = choquet._order_floors(mu, nu.barycenter, T)
-        for t, floor in zip(T, floors):
-            value = lp.optimum(choquet._ball_epigraph(
-                Y, mu.weights, mu.points, -t), "order LP").value
-            assert floor <= value + 1e-12
-            if np.isfinite(floor):
-                # the closed form is -max(g - 1, 0) M, g and M by LPs
-                M = sum(w * _ball_max_by_lp(Y, p)
-                        for w, p in zip(mu.weights, mu.points))
-                want = -max(_gauge_by_lp(mu, t) - 1.0, 0.0) * M
-                assert floor == pytest.approx(want, rel=1e-9, abs=1e-12)
-                checked += 1
+        gauges = choquet._zonotope_gauges(mu.weights, mu.points, T)
+        if gauges is None:
+            continue
+        for t, g, h in zip(T, *gauges):
+            assert g == pytest.approx(_gauge_by_lp(mu, t), rel=1e-9)
+            # h = u / f(u) attains the gauge on the boundary of {f <= 1}
+            assert_unit_average(mu, h)
+            assert abs(h @ t) == pytest.approx(g, rel=1e-12)
+            checked += 1
     assert checked >= 100
 
 
 def test_exact_at_the_zonotope_boundary(lp_solves):
     # nu splits sigma along s y / ||y||_Z, so its (1, -1) target is that
-    # point: s just below one is below mu with no LP, s just above one
-    # solves one LP, and it refutes by a small margin
+    # point, of gauge s: s just below one is below mu and s just above one
+    # refutes with margin s - 1, with no LP either way, even on a thin
+    # zonotope, where an absolute tolerance on an LP minimum said below
     rng = np.random.default_rng(73)
     refuted = 0
     for space in sorted(SPACES):
@@ -1115,7 +1156,7 @@ def test_exact_at_the_zonotope_boundary(lp_solves):
             mu = sampling.random_measure_with_barycenter(rng, system, sigma)
             Y = tensors.sigma_interval_vertices(system, sigma)
             y = rng.dirichlet(np.ones(Y.shape[0])) @ Y
-            g = choquet._zonotope_gauges(mu.weights, mu.points, y[None])[0]
+            g = choquet._zonotope_gauges(mu.weights, mu.points, y[None])[0][0]
             for s in (1 - 1e-5, 1 + 1e-5):
                 atoms = []
                 for sign in (1.0, -1.0):
@@ -1125,18 +1166,13 @@ def test_exact_at_the_zonotope_boundary(lp_solves):
                 nu = choquet.SimpleMeasure(tuple(atoms))
                 lp_solves.clear()
                 got = choquet.dichotomic_below_exact(nu, mu)
-                assert len(lp_solves) == (s > 1)
-                want = lp_cases.full_scan_dichotomic_below(nu, mu)
-                assert got.below == want.below
-                if s < 1:
-                    assert got.below
-                elif not got.below:
-                    assert got.margin == want.margin < 1e-4
-                    assert got.functional.coords.tobytes() == \
-                        want.functional.coords.tobytes()
+                assert len(lp_solves) == 0
+                assert got.below == (s < 1)
+                assert got.below == choquet.choquet_below(nu, mu).below
+                if not got.below:
+                    assert got.margin == pytest.approx(s - 1, rel=1e-6)
                     refuted += 1
-    # a thin zonotope can leave the margin under COINCIDENCE
-    assert refuted >= 12
+    assert refuted == 3 * len(SPACES)
 
 
 def test_exact_validation():

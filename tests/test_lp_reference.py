@@ -38,8 +38,8 @@ from gptsteer.tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 def ref_floats(field, value):
     try:
         leaves = np.asarray(value, dtype=object).ravel()
-        if any(isinstance(v, (str, bytes)) for v in leaves):
-            raise TypeError("text is not numeric")
+        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in leaves):
+            raise TypeError("text and bools are not numeric")
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedProblem(f"{field} must be numeric") from exc
@@ -686,6 +686,13 @@ def test_validation_matches_the_reference():
     (dict(objective=[1.0], ub_rows=np.array([["2"]], dtype=object),
           ub_rhs=[1.0]), "ub_rows must be numeric"),
     (dict(objective=np.array([1.0, "2"], dtype=object)),
+     "objective must be numeric"),
+    # numpy would convert these bools to numbers
+    (dict(objective=[True, 1.0]), "objective must be numeric"),
+    (dict(objective=[1.0, 2.0], eq_rows=[[True, False]], eq_rhs=[1.0]),
+     "eq_rows must be numeric"),
+    (dict(objective=[1.0], lower=[np.False_]), "lower must be numeric"),
+    (dict(objective=np.array([1.0, True], dtype=object)),
      "objective must be numeric"),
 ])
 def test_each_rejection_names_its_check(fields, message):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import pickle
 import shutil
 import subprocess
@@ -71,6 +72,23 @@ def test_callers_counts_per_question_and_reads_old_recordings(tmp_path):
     [(got, mode, chain, question)] = data["problems"]
     assert sorted(got) == sorted(tool.FIELDS)
     assert (mode, chain, question) == ("float", None, None)
+
+
+def test_callers_exits_quietly_when_its_reader_is_gone(tmp_path):
+    fields = {k: np.zeros(1) for k in load_tool().FIELDS}
+    rec = tmp_path / "rec.lps"
+    with open(rec, "wb") as fh:
+        pickle.dump({"questions": 1, "problems": [
+            (fields, "float", "lhs_check", 0)]}, fh)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(TOOL), "callers", str(rec)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_record_tests_keeps_each_distinct_problem_once(tmp_path):

@@ -19,7 +19,9 @@ distinct problem, with its mode, that the tests hand to `lp.solve`, in
 first-asked order and with the chain of its first asking; they all count
 as set-up.
 `callers` prints the cycle's LP solves per question by chain, then the
-set-up's solves by chain.  `compare` solves every stored problem once
+set-up's solves by chain.  A command whose reader closes stdout early
+(`callers FILE | head -1`) exits 1 without a traceback.
+`compare` solves every stored problem once
 under each source tree, in a child process per tree that imports gptsteer
 from TREE/src, and counts the problems whose outcome bytes differ.  An
 outcome is the status, x, value, both dual vectors, the reduced costs and
@@ -45,6 +47,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -308,7 +311,18 @@ def main(argv=None):
     one.add_argument("file")
     one.add_argument("tree")
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`callers FILE | head -1`): point
+        # stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
+
+def _run(args):
     if args.command == "record":
         if args.workload == "tests":
             data, code = record_tests(args.paths)
