@@ -155,8 +155,7 @@ def _model_payload(model):
     return {
         "weights": [float(w) for w in model.weights],
         "states": [_coords(rho) for rho in model.states],
-        "responses": [np.asarray(r, dtype=np.float64).tolist()
-                      for r in model.responses],
+        "responses": [[r.tolist() for r in row] for row in model.responses],
     }
 
 

@@ -4,17 +4,21 @@ An assemblage is a finite family of subnormalized states rho_{a|x} sharing a
 barycenter sigma.  The central question is whether it admits a hidden-state
 model (an ensemble plus response functions); `lhs_check` decides it by LP
 over deterministic strategies and returns either the model or a certificate
-of steering.  Robustness measures how much trivial noise the assemblage
-tolerates before turning classical; for two-outcome assemblages it is the
-reciprocal of the steering norm.
+of steering; the model's responses are frozen arrays, one per setting.
+Robustness measures how much trivial noise the assemblage tolerates before
+turning classical: for two-outcome assemblages it is the reciprocal of the
+steering norm (on l1 and linf balls, of a polytopic twin built once), and
+other shapes bisect over mixtures whose entries are built from coordinates,
+each still checked by one `cone_member` LP.
 
 The measurement side of the duality lives here too: a family of measurements
 on a system becomes an assemblage on the dual system, and joint
 measurability becomes the hidden-state question for that assemblage.
 """
 
-import itertools
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -118,14 +122,19 @@ def trivial_assemblage(sigma, shape):
 
 
 def mixed_with_trivial(asm, s):
-    """Mix s of the assemblage with 1 - s of the trivial one (same sigma)."""
+    """Mix s of the assemblage with 1 - s of the trivial one (same sigma).
+
+    Entries are built from coordinates; each is checked by one
+    `cone_member` LP (`Assemblage`)."""
     if not 0.0 <= s <= 1.0:
         raise InvalidInput("mixing weight must lie in [0, 1]")
+    sigma = asm.barycenter
     entries = tuple(
-        tuple(rho * s + asm.barycenter * ((1.0 - s) / len(row))
-              for rho in row)
+        tuple(sigma.system.vector(
+            rho.coords * s + sigma.coords * ((1.0 - s) / len(row)))
+            for rho in row)
         for row in asm.entries)
-    return Assemblage(barycenter=asm.barycenter, entries=entries)
+    return Assemblage(barycenter=sigma, entries=entries)
 
 
 def to_dichotomic_tensor(asm):
@@ -165,20 +174,26 @@ class LhsModel:
     responses[omega][x][a] is the probability of reporting outcome a for
     setting x when the hidden state is omega; models built by lhs_check are
     deterministic.  Zero-weight strategies are dropped from the ensemble
-    (their responses would be the uniform 1/k_x by convention).
+    (their responses would be the uniform 1/k_x by convention).  The model
+    is frozen: by_setting[x] is a read-only copy of setting x's responses,
+    one row per hidden state, and responses[omega][x] is its row omega.
     """
 
     weights: np.ndarray
     states: tuple
     responses: tuple
+    by_setting: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         states = tuple(self.states)
-        responses = tuple(tuple(np.asarray(r, dtype=np.float64)
-                                for r in row) for row in self.responses)
-        if not (w.size == len(states) == len(responses)) or w.size < 1:
+        rows = tuple(tuple(row) for row in self.responses)
+        if not (w.size == len(states) == len(rows)) or w.size < 1 \
+                or any(len(row) != len(rows[0]) for row in rows):
             raise InvalidInput("ensemble, states and responses must align")
+        # a ragged setting raises ValueError here
+        by_setting = tuple(np.array([row[x] for row in rows], dtype=np.float64)
+                           for x in range(len(rows[0])))
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise InvalidInput("ensemble weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > RECONSTRUCTION:
@@ -191,36 +206,39 @@ class LhsModel:
             if abs(systems.pair(unit, rho) - 1.0) > STATE_NORMALIZATION:
                 raise InvalidInput("hidden states must be normalized")
         # Written so that NaN fails each test.
-        for row in responses:
-            for r in row:
-                if not (np.all(r >= -1e-12) and np.all(r <= 1.0 + 1e-12)):
-                    raise InvalidInput("responses must lie in [0, 1]")
-                if not abs(float(np.sum(r)) - 1.0) <= COINCIDENCE:
-                    raise InvalidInput("responses must sum to 1 per setting")
+        for R in by_setting:
+            if R.ndim != 2:
+                raise InvalidInput("ensemble, states and responses must align")
+            if not (np.all(R >= -1e-12) and np.all(R <= 1.0 + 1e-12)):
+                raise InvalidInput("responses must lie in [0, 1]")
+            if not np.all(np.abs(np.sum(R, axis=1) - 1.0) <= COINCIDENCE):
+                raise InvalidInput("responses must sum to 1 per setting")
+            R.flags.writeable = False
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "by_setting", by_setting)
+        object.__setattr__(self, "responses", tuple(
+            tuple(R[j] for R in by_setting) for j in range(w.size)))
 
     @property
     def system(self):
         return self.states[0].system
 
     def reconstruction_error(self, asm):
-        """Largest coordinate deviation of the model from the assemblage."""
-        if any(len(row) != k for row, k in
-               zip(self.responses[0], asm.shape)) \
-                or len(self.responses[0]) != asm.g:
+        """Largest coordinate deviation of the model from the assemblage
+        (each entry adds its strategies' terms left to right)."""
+        if len(self.by_setting) != asm.g or any(
+                R.shape[1] != k for R, k in zip(self.by_setting, asm.shape)):
             raise InvalidInput("model responses do not match the shape")
+        S = np.array([rho.coords for rho in self.states])
         worst = 0.0
-        for x, row in enumerate(asm.entries):
-            for a, rho in enumerate(row):
-                acc = np.zeros(asm.system.dim)
-                for q, state, resp in zip(
-                        self.weights, self.states, self.responses):
-                    acc = acc + q * resp[x][a] * state.coords
-                worst = max(worst, float(np.max(np.abs(acc - rho.coords))))
+        for R, row in zip(self.by_setting, asm.entries):
+            acc = np.add.reduce(
+                (self.weights[:, None] * R)[:, :, None] * S[:, None, :], axis=0)
+            worst = max(worst, float(np.max(np.abs(
+                acc - np.array([rho.coords for rho in row])))))
         return worst
 
     def reconstructs(self, asm):
@@ -256,24 +274,19 @@ def lhs_check(asm):
     system = asm.system
     system._require_polytopic()
     shape = asm.shape
-    n_atoms = 1
-    for k in shape:
-        n_atoms *= k
+    n_atoms = math.prod(shape)
     guards.check("lhs_atoms", n_atoms)
-    omegas = list(itertools.product(*(range(k) for k in shape)))
+    # the strategies, one row each, in itertools.product order
+    omegas = np.indices(shape).reshape(len(shape), -1).T
     V = system.vertices
     n, d = V.shape
     offsets = np.concatenate([[0], np.cumsum(shape)])
     A = np.zeros((d * int(offsets[-1]), n_atoms * n))
-    b = np.zeros(A.shape[0])
-    for x, row in enumerate(asm.entries):
-        for a, rho in enumerate(row):
-            off = d * (int(offsets[x]) + a)
-            b[off:off + d] = rho.coords
-    for j, omega in enumerate(omegas):
-        for x in range(len(shape)):
-            off = d * (int(offsets[x]) + omega[x])
-            A[off:off + d, j * n:(j + 1) * n] = V.T
+    b = np.concatenate([rho.coords for row in asm.entries for rho in row])
+    # block (outcome offsets[x] + omega_j[x], strategy j) of A is V^T
+    blocks = A.reshape(int(offsets[-1]), d, n_atoms, n)
+    for x in range(len(shape)):
+        blocks[offsets[x] + omegas[:, x], :, np.arange(n_atoms), :] = V.T
     out = lp.feasibility(lp.LpProblem(
         objective=np.zeros(n_atoms * n), eq_rows=A, eq_rhs=b))
     if out.status == "optimal":
@@ -283,25 +296,19 @@ def lhs_check(asm):
 
 
 def _build_model(asm, omegas, phi):
+    """The model of the strategies' cone elements phi[j] (strategy j is row
+    j of omegas); those of weight q_j <= 1e-15 are dropped."""
     system = asm.system
     unit = system.unit_functional.coords
-    weights, states, responses = [], [], []
-    for j, omega in enumerate(omegas):
-        q = float(unit @ phi[j])
-        if q <= 1e-15:
-            continue
-        weights.append(q)
-        states.append(system.vector(phi[j] / q))
-        resp = []
-        for x, k in enumerate(asm.shape):
-            row = np.zeros(k)
-            row[omega[x]] = 1.0
-            resp.append(row)
-        responses.append(tuple(resp))
-    total = float(np.sum(weights))
+    # one dot per strategy: a matrix product may round the weights otherwise
+    q = np.array([unit @ p for p in phi])
+    keep = q > 1e-15
+    q = q[keep]
     model = LhsModel(
-        weights=np.asarray(weights) / total,
-        states=tuple(states), responses=tuple(responses))
+        weights=q / float(np.sum(q)),
+        states=tuple(system.vector(p) for p in phi[keep] / q[:, None]),
+        responses=tuple(zip(*(np.eye(k)[omegas[keep, x]]
+                              for x, k in enumerate(asm.shape)))))
     err = model.reconstruction_error(asm)
     if err > RECONSTRUCTION:
         raise NumericalFailure(
@@ -413,16 +420,23 @@ def _cs_steering_norm(t):
     """
     system = t.system
     n = system.dim - 1
-    if system.ball_norm == "l1" or n == 1:
-        twin = systems.cross_polytope(n)
-    elif system.ball_norm == "linf":
-        twin = systems.hypercube(n)
-    else:
+    if system.ball_norm == "l2" and n > 1:
         return _disk_bracket(t)
+    twin = _ball_twin(system.ball_norm, n)
     t_twin = tensors.DichotomicTensor.unchecked(
         twin.vector(t.sigma.coords),
         tuple(twin.vector(y.coords) for y in t.components))
     return tensors.steering_norm(t_twin).value
+
+
+@functools.lru_cache(maxsize=None)
+def _ball_twin(norm, n):
+    """The polytopic twin of the `norm` ball in R^(n+1), built once: the
+    cross polytope for l1 and for n = 1 (a segment), the hypercube for
+    linf.  A cached twin is not held to the size guards again."""
+    if norm == "l1" or n == 1:
+        return systems.cross_polytope(n)
+    return systems.hypercube(n)
 
 
 def _disk_bracket(t):

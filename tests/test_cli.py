@@ -131,6 +131,19 @@ def test_lhs_classical_axis(files, capsys):
     assert len(out["model"]["states"]) == len(weights)
 
 
+def test_lhs_classical_model_with_unequal_outcome_counts(files, capsys):
+    # settings with two and three outcomes: each model's responses are one
+    # list per setting, of that setting's length
+    asm = dict(AXIS_ASM, entries=[
+        [[0.5, 0.1, 0.0], [0.5, -0.1, 0.0]],
+        [[0.4, 0.0, 0.1], [0.3, 0.0, -0.1], [0.3, 0.0, 0.0]]])
+    out = run_json(capsys, ["lhs", files(asm)])
+    assert out["verdict"] == "classical"
+    responses = out["model"]["responses"]
+    assert len(responses) == len(out["model"]["weights"])
+    assert {tuple(len(r) for r in row) for row in responses} == {(2, 3)}
+
+
 def test_lhs_bad_sums_names_invariant(files, capsys):
     bad = dict(AXIS_ASM, entries=[[[0.5, 0.5, 0.0], [0.6, -0.5, 0.0]]])
     assert cli.main(["lhs", files(bad)]) == 1

@@ -521,6 +521,39 @@ def test_ball_twin_robustness():
         steering.from_dichotomic_tensor(t)) - 0.5) <= 1e-7
 
 
+def test_ball_twin_is_built_once(monkeypatch):
+    # each (norm, n) builds its polytopic twin on the first robustness call
+    # only; the value keeps the bytes of a freshly built twin's norm
+    builds = []
+    polytopic = systems.polytopic
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return polytopic(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "polytopic", counting)
+    steering._ball_twin.cache_clear()
+    rng = np.random.default_rng(12)
+    for norm, build, order in (("l1", systems.cross_polytope, 1),
+                               ("linf", systems.hypercube, np.inf)):
+        for n in (2, 3):
+            ball = systems.ball(n, norm)
+            fresh = build(n)
+            for call in range(3):
+                raw = rng.uniform(-1.0, 1.0, size=(2, n))
+                ys = 0.9 * raw / np.linalg.norm(raw, ord=order, axis=1)[:, None]
+                t = tensors.DichotomicTensor(
+                    sigma=ball.vector(np.r_[1.0, np.zeros(n)]),
+                    components=tuple(ball.vector(np.r_[0.0, y]) for y in ys))
+                builds.clear()
+                r = steering.robustness(steering.from_dichotomic_tensor(t))
+                assert len(builds) == (1 if call == 0 else 0)
+                value = tensors.steering_norm(tensors.DichotomicTensor.unchecked(
+                    fresh.vector(t.sigma.coords),
+                    tuple(fresh.vector(y.coords) for y in t.components))).value
+                assert r.hex() == (1.0 if value <= 1.0 else 1.0 / value).hex()
+
+
 def test_general_shape_bisection_postcondition():
     asm = center_assemblage(*DIAG)
     split = steering.Assemblage(
@@ -777,3 +810,131 @@ def test_model_validation_errors():
         weights=np.array([1.0]), states=(state,), responses=resp)
     with pytest.raises(InvalidInput, match="shape"):
         model.reconstruction_error(center_assemblage(*AXIS))
+    # responses are one row per setting for every hidden state: a ragged
+    # setting or a missing one is rejected
+    two = (state, state)
+    with pytest.raises(ValueError):
+        steering.LhsModel(
+            weights=np.array([0.5, 0.5]), states=two,
+            responses=(([1.0, [0.0]],), ([1.0, 0.0],)))
+    with pytest.raises(ValueError):
+        steering.LhsModel(
+            weights=np.array([0.5, 0.5]), states=two,
+            responses=(([1.0, 0.0],), ([1.0, 0.0, 0.0],)))
+    with pytest.raises(InvalidInput, match="align"):
+        steering.LhsModel(
+            weights=np.array([0.5, 0.5]), states=two,
+            responses=(([1.0, 0.0],), ([1.0, 0.0], [0.0, 1.0])))
+
+
+def test_model_copies_and_freezes_its_responses():
+    asm = center_assemblage(*AXIS)
+    built = steering.lhs_check(asm).model
+    mine = [[np.array(r) for r in row] for row in built.responses]
+    model = steering.LhsModel(
+        weights=built.weights, states=built.states, responses=mine)
+    before = [[r.tobytes() for r in row] for row in model.responses]
+    err = model.reconstruction_error(asm)
+    for row in mine:
+        for r in row:
+            r[:] = 0.5
+    mine[0][0] = np.array([0.0, 1.0])
+    assert [[r.tobytes() for r in row] for row in model.responses] == before
+    assert model.reconstruction_error(asm).hex() == err.hex()
+    for row in model.responses:
+        for r in row:
+            assert not r.flags.writeable
+    for R in model.by_setting:
+        assert not R.flags.writeable
+    with pytest.raises(ValueError):
+        model.responses[0][0][0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# the array path against loop references: the per-strategy loops that
+# `_build_model`, `LhsModel.reconstruction_error` and `mixed_with_trivial`
+# replaced, kept to pin every byte of their answers
+
+
+def loop_build_model(asm, omegas, phi):
+    """(weights, states, responses) of the model, one strategy at a time."""
+    system = asm.system
+    unit = system.unit_functional.coords
+    weights, states, responses = [], [], []
+    for j, omega in enumerate(omegas):
+        q = float(unit @ phi[j])
+        if q <= 1e-15:
+            continue
+        weights.append(q)
+        states.append(system.vector(phi[j] / q))
+        resp = []
+        for x, k in enumerate(asm.shape):
+            row = np.zeros(k)
+            row[omega[x]] = 1.0
+            resp.append(row)
+        responses.append(tuple(resp))
+    return np.asarray(weights) / float(np.sum(weights)), states, responses
+
+
+def loop_reconstruction_error(weights, states, responses, asm):
+    worst = 0.0
+    for x, row in enumerate(asm.entries):
+        for a, rho in enumerate(row):
+            acc = np.zeros(asm.system.dim)
+            for q, state, resp in zip(weights, states, responses):
+                acc = acc + q * resp[x][a] * state.coords
+            worst = max(worst, float(np.max(np.abs(acc - rho.coords))))
+    return worst
+
+
+def vector_mixed_entries(asm, s):
+    """mixed_with_trivial's entries by three `Vector` operations each."""
+    return tuple(
+        tuple(rho * s + asm.barycenter * ((1.0 - s) / len(row))
+              for rho in row)
+        for row in asm.entries)
+
+
+def coord_bytes(vectors):
+    return [v.coords.tobytes() for v in vectors]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_array_path_matches_the_loop_references(shape, monkeypatch):
+    calls = []
+    build = steering._build_model
+
+    def spy(asm, omegas, phi):
+        calls.append((omegas, phi))
+        return build(asm, omegas, phi)
+
+    monkeypatch.setattr(steering, "_build_model", spy)
+    rng = np.random.default_rng(sum(shape) + 10 * len(shape))
+    for system in (square(), systems.simplex(3), systems.regular_polygon(5),
+                   systems.hypercube(3), systems.cross_polytope(3)):
+        asm = sampling.random_classical_assemblage(rng, system, shape)
+        calls.clear()
+        model = steering.lhs_check(asm).model
+        [(omegas, phi)] = calls
+        omegas = [tuple(int(a) for a in omega) for omega in omegas]
+        assert omegas == list(itertools.product(*(range(k) for k in shape)))
+        weights, states, responses = loop_build_model(asm, omegas, phi)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert coord_bytes(model.states) == coord_bytes(states)
+        assert [[(r.shape, r.tobytes()) for r in row]
+                for row in model.responses] == \
+            [[(r.shape, r.tobytes()) for r in row] for row in responses]
+        assert model.reconstruction_error(asm).hex() == \
+            loop_reconstruction_error(weights, states, responses, asm).hex()
+        # stochastic responses: every product and sum is a nontrivial float
+        mixed = [tuple(rng.dirichlet(np.ones(k)) for k in shape)
+                 for _ in states]
+        other = steering.LhsModel(
+            weights=weights, states=states, responses=mixed)
+        assert other.reconstruction_error(asm).hex() == \
+            loop_reconstruction_error(weights, states, mixed, asm).hex()
+        for s in (0.0, 0.3, 0.5, 1.0):
+            got = steering.mixed_with_trivial(asm, s).entries
+            want = vector_mixed_entries(asm, s)
+            assert [coord_bytes(row) for row in got] == \
+                [coord_bytes(row) for row in want]
