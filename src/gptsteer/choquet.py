@@ -6,8 +6,7 @@ averages at least as high against the second; for simple measures this is
 decided by an LP over response weights, and the Farkas dual of that LP is a
 tuple of affine functionals violating the dual-order inequality, so both
 answers come with a certificate.  A randomized dual tester and an exact
-decision over the sigma-dual ball for two-atom measures cross-check the
-LP.
+closed-form decision for two-atom measures cross-check the LP.
 
 A measure's average of |<h, .>| is the support function of a zonotope, the
 weighted sum of the segments [-P_j, P_j] over its atoms, whose facets are
@@ -16,8 +15,8 @@ spanned by subsets of the atoms; so its gauges have a closed form
 sits below mu when each sign-pattern target of nu's weighted atoms has
 gauge at most one in mu's zonotope.  The exact decision reads those gauges
 with one relative tolerance and refutes with the normal that attains the
-largest, solving no LP; one LP per sign pattern decides only where the
-gauges have no closed form.
+largest, solving no LP; where the gauges have no closed form it takes the
+verdict of the response-weight LP.
 
 The same machinery yields the variational constant attached to a measure:
 the minimum of the measure's average of |<h, .>| over the unit sphere of
@@ -358,10 +357,10 @@ def _interval_vertices(system, sigma):
     return Y[systems.mirror_representatives(Y)]
 
 
-def _ball_epigraph(Y, weights, P, lin):
-    """LP minimizing  lin . h + sum_j weights_j |<h, P_j>|  over the
-    sigma-dual ball |<h, Y_k>| <= 1, with epigraph variables t_j bounding
-    the absolute values; variables are (h, t), h free and t nonnegative."""
+def _ball_epigraph(Y, weights, P):
+    """LP minimizing  sum_j weights_j |<h, P_j>|  over the sigma-dual ball
+    |<h, Y_k>| <= 1, with epigraph variables t_j bounding the absolute
+    values; variables are (h, t), h free and t nonnegative."""
     m, d = Y.shape
     n = P.shape[0]
     ub = np.zeros((2 * n + 2 * m, d + n))
@@ -373,7 +372,7 @@ def _ball_epigraph(Y, weights, P, lin):
     ub[2 * n + m:, :d] = -Y
     rhs = np.concatenate([np.zeros(2 * n), np.ones(2 * m)])
     lower = np.concatenate([np.full(d, -np.inf), np.zeros(n)])
-    return lp.LpProblem(np.concatenate([lin, weights]),
+    return lp.LpProblem(np.concatenate([np.zeros(d), weights]),
                         ub_rows=ub, ub_rhs=rhs, lower=lower)
 
 
@@ -409,15 +408,6 @@ def _zonotope_gauges(weights, P, T):
     return ratios[best, np.arange(T.shape[0])], U[best] / f[best, None]
 
 
-def _facet_floors(Y, weights, P):
-    """Lower bounds 1/||Y_i||_Z on the facet LPs, or None where none apply:
-    min{f : <h, Y_i> = 1}, the facet LP without its ball rows, is one over
-    the zonotope gauge of Y_i.  None also when the atoms span no more than
-    a hyperplane, where c_mu is 0."""
-    gauges = _zonotope_gauges(weights, P, Y)
-    return None if gauges is None else 1.0 / gauges[0]
-
-
 def c_mu(system, sigma, mu):
     """Minimum of the mu-average of |<h, .>| over the unit sphere of the
     sigma base norm.
@@ -428,14 +418,15 @@ def c_mu(system, sigma, mu):
     values, one facet per mirror pair.  The measure must have barycenter
     sigma, which caps the result at one.
 
-    Before any LP, `_facet_floors` gives each facet the closed-form minimum
-    of the same objective over its whole hyperplane <h, Y_i> = 1: a lower
-    bound on the facet LP, and since every h on that hyperplane has sigma
-    base norm at least one, the smallest floor is c_mu itself.  Facets are
-    solved in order of increasing floor (stable), and the scan stops at the
-    first floor above best + 2 LP_GAP (1 + |best|): every facet skipped has
-    an LP value above the minimum so far, and a float min does not depend
-    on order, so the value is the full scan's, to the byte.  The LP minimum
+    Before any LP, each facet gets a floor, one over the zonotope gauge of
+    Y_i (`_zonotope_gauges`): the closed-form minimum of the same objective
+    over its whole hyperplane <h, Y_i> = 1, so a lower bound on the facet
+    LP, and since every h on that hyperplane has sigma base norm at least
+    one, the smallest floor is c_mu itself.  Facets are solved in order of
+    increasing floor (stable), and the scan stops at the first floor above
+    best + 2 LP_GAP (1 + |best|): every facet skipped has an LP value above
+    the minimum so far, and a float min does not depend on order, so the
+    value is the full scan's, to the byte.  The LP minimum
     must agree with the smallest floor within CERTIFICATE (1 + |best|),
     else NumericalFailure.  Without floors (atoms spanning no more than a
     hyperplane, or too many atom subsets) every facet is solved.
@@ -445,16 +436,17 @@ def c_mu(system, sigma, mu):
     if mu.system != system:
         raise SystemMismatch("measure lives on another system")
     system._require_polytopic()
+    Y = _interval_vertices(system, sigma)
     if float(np.max(np.abs(mu.barycenter.coords - sigma.coords))) > RECONSTRUCTION:
         raise InvalidInput("measure barycenter must equal sigma")
-    Y = _interval_vertices(system, sigma)
     d = system.dim
     w, P = mu.weights, mu.points
-    ball = _ball_epigraph(Y, w, P, np.zeros(d))
-    floors = _facet_floors(Y, w, P)
-    if floors is None:
-        order = range(Y.shape[0])
+    ball = _ball_epigraph(Y, w, P)
+    gauges = _zonotope_gauges(w, P, Y)
+    if gauges is None:
+        floors, order = None, range(Y.shape[0])
     else:
+        floors = 1.0 / gauges[0]
         order = np.argsort(floors, kind="stable").tolist()
     best = math.inf
     for i in order:
@@ -547,8 +539,8 @@ class DichotomicBelowVerdict:
     """Outcome of the exact two-atom order decision; a refutation carries a
     functional h whose nu-average of |<h, .>| beats the mu-average by
     `margin`.  From the zonotope gauges h has mu-average one, so `margin`
-    is the largest gauge minus one; from the LP fallback, h has sigma base
-    norm one."""
+    is the largest gauge minus one; from `choquet_below`'s refutation h is
+    half the difference of its two functionals."""
 
     below: bool
     functional: Optional[systems.Functional] = None
@@ -575,11 +567,13 @@ def dichotomic_below_exact(nu, mu):
     rescaled to sigma base norm one (that norm is an LP).
 
     Where the gauges have no closed form (mu's atoms span no more than a
-    hyperplane, or have too many subsets), each pattern's difference is
-    minimized by an LP over the unit ball of the sigma base norm instead:
-    both sides are positively homogeneous in h, so a negative minimum sits
-    on the sphere, and one below -COINCIDENCE refutes with its h, of sigma
-    base norm one; when both patterns reach it the first keeps its h.
+    hyperplane, or have too many subsets), the verdict is `choquet_below`'s,
+    from its one LP.  A one-atom nu at mu's barycenter sits below mu
+    (Jensen); a two-atom refutation's tuple (g_1, g_2) becomes h = (g_1 -
+    g_2) / 2, since max(g_1, g_2) = m + |h| with m = (g_1 + g_2) / 2, so
+    h's gap is at least the tuple's violation, up to the barycenter
+    mismatch.  Either way the returned margin is the gap at h, which must
+    be positive, else NumericalFailure.
     """
     _same_system(nu, mu)
     if len(nu.atoms) > 2:
@@ -587,28 +581,21 @@ def dichotomic_below_exact(nu, mu):
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         raise InvalidInput("the two-atom characterization needs a common "
                            "barycenter")
-    system = nu.system
-    system._require_polytopic()
-    systems.assert_interior(system, nu.barycenter)
-    guards.check("cmu_dim", system.dim)
     target = nu.weights[:, None] * nu.points
     T = np.array([(1.0,) + tail for tail in itertools.product(
         (1.0, -1.0), repeat=target.shape[0] - 1)]) @ target
     gauges = _zonotope_gauges(mu.weights, mu.points, T)
     if gauges is not None:
         i = int(np.argmax(gauges[0]))
-        best, best_h = 1.0 - gauges[0][i], gauges[1][i]
+        if 1.0 - gauges[0][i] >= -COINCIDENCE:
+            return DichotomicBelowVerdict(True)
+        h = nu.system.functional(gauges[1][i])
     else:
-        Y = _interval_vertices(system, nu.barycenter)
-        best = math.inf
-        for t in T:
-            out = lp.optimum(_ball_epigraph(Y, mu.weights, mu.points, -t),
-                             "order LP")
-            if out.value < best:
-                best, best_h = out.value, out.x[:system.dim]
-    if best >= -COINCIDENCE:
-        return DichotomicBelowVerdict(True)
-    h = system.functional(best_h)
+        verdict = choquet_below(nu, mu)
+        if verdict.below:
+            return DichotomicBelowVerdict(True)
+        g = verdict.functionals
+        h = 0.5 * (g[0] - g[-1])
     margin = _abs_gap(nu, mu, h)
     if not margin > 0.0:
         raise NumericalFailure("exact order check lost its violation")

@@ -24,8 +24,8 @@ DEFAULTS = {
     "lhs_atoms": 4096,   # product of outcome counts in the LHS feasibility LP
     "symmetry_vertices": 16,   # ordered-tuple search over vertex images
     "cmu_dim": 5,        # sigma-interval enumeration behind the c_mu facet
-                         # scan, the universal degree LP, the two-atom
-                         # order check and the sigma_B degree test
+                         # scan, the universal degree LP and the sigma_B
+                         # degree test
     "exact_vars": 64,    # tableau columns allowed in exact-rational LP mode
 }
 

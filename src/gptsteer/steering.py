@@ -7,7 +7,8 @@ over deterministic strategies and returns either the model or a certificate
 of steering; the model's responses are frozen arrays, one per setting.
 Robustness measures how much trivial noise the assemblage tolerates before
 turning classical: for two-outcome assemblages it is the reciprocal of the
-steering norm (on l1 and linf balls, of a polytopic twin built once), and
+steering norm (on l1 and linf balls, of a polytopic twin built once; on
+the l2 disk, bracketed by two polygons built once), and
 other shapes bisect over mixtures whose entries are built from coordinates,
 each still checked by one `cone_member` LP.
 
@@ -126,8 +127,8 @@ def mixed_with_trivial(asm, s):
 
     Entries are built from coordinates; each is checked by one
     `cone_member` LP (`Assemblage`)."""
-    if not 0.0 <= s <= 1.0:
-        raise InvalidInput("mixing weight must lie in [0, 1]")
+    if not systems.real_numbers(s) or not 0.0 <= s <= 1.0:
+        raise InvalidInput("mixing weight must be a real number in [0, 1]")
     sigma = asm.barycenter
     entries = tuple(
         tuple(sigma.system.vector(
@@ -384,7 +385,8 @@ def robustness(asm):
 
     Two-outcome assemblages use the closed form 1/steering_norm (capped at
     1); centrally symmetric systems reduce to polytopic twins, with an
-    inner/outer polygon bracket of _DISK_VERTICES vertices for the l2 ball.
+    inner/outer polygon bracket of _DISK_VERTICES vertices for the l2 ball,
+    each twin and polygon built once per process.
     Other shapes bisect with lhs_check down to BISECTION_WIDTH, so the
     returned s tests classical and s + 2 BISECTION_WIDTH tests steerable.
     """
@@ -415,8 +417,9 @@ def _cs_steering_norm(t):
     l1 and linf balls have exact polytopic twins (cross polytope and
     hypercube).  The l2 ball needs the barycenter at the center; the
     problem then projects onto the span of the spatial components, which
-    must fit in a plane, and the disk value is bracketed between regular
-    polygons inscribed and circumscribed with _DISK_VERTICES vertices.
+    must fit in a plane, and the disk value is bracketed between the
+    regular polygons of `_disk_polygons`, inscribed and circumscribed with
+    _DISK_VERTICES vertices.  Twins and polygons are cached.
     """
     system = t.system
     n = system.dim - 1
@@ -439,6 +442,17 @@ def _ball_twin(norm, n):
     return systems.hypercube(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _disk_polygons():
+    """The regular _DISK_VERTICES-gons inscribed in and circumscribed about
+    the unit disk, built once: the outer one is the inner one with its
+    spatial coordinates scaled by 1 / cos(pi / _DISK_VERTICES)."""
+    inner = systems.regular_polygon(_DISK_VERTICES)
+    radius = 1.0 / np.cos(np.pi / _DISK_VERTICES)
+    return inner, systems.polytopic(
+        inner.vertices * np.array([1.0, radius, radius]), unit=inner.unit)
+
+
 def _disk_bracket(t):
     system = t.system
     if not systems.is_center(system, t.sigma):
@@ -459,13 +473,7 @@ def _disk_bracket(t):
     Q[:min(2, Vt.shape[0])] = Vt[:min(2, Vt.shape[0])]
     plane = np.column_stack([S, Z @ Q[0], Z @ Q[1]])
     values = []
-    for radius in (1.0, 1.0 / np.cos(np.pi / _DISK_VERTICES)):
-        ang = 2.0 * np.pi * np.arange(_DISK_VERTICES) / _DISK_VERTICES
-        poly = systems.polytopic(
-            np.column_stack(
-                [np.ones(_DISK_VERTICES), radius * np.cos(ang),
-                 radius * np.sin(ang)]),
-            unit=np.array([1.0, 0.0, 0.0]))
+    for poly in _disk_polygons():
         t_poly = tensors.DichotomicTensor.unchecked(
             poly.vector(np.array([1.0, 0.0, 0.0])),
             tuple(poly.vector(row) for row in plane))

@@ -16,7 +16,6 @@ Vectors live in V, functionals in the dual; both carry their system so mixed
 pairings fail loudly rather than silently misinterpreting coordinates.
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -348,15 +347,15 @@ def polytopic_hull(points, unit=None):
 
 def simplex(k):
     """Classical system with k pure states (the probability simplex)."""
-    if k < 1:
-        raise InvalidInput("simplex needs at least one outcome")
+    if not guards.is_integer(k) or k < 1:
+        raise InvalidInput("simplex needs an integer k >= 1")
     return polytopic(np.eye(k), unit=np.ones(k))
 
 
 def hypercube(g):
     """Polytopic l-infinity ball system in R^(g+1): vertices (1, signs)."""
-    if g < 1:
-        raise InvalidInput("hypercube needs g >= 1")
+    if not guards.is_integer(g) or g < 1:
+        raise InvalidInput("hypercube needs an integer g >= 1")
     rows = []
     for idx in range(2 ** g):
         eps = [1.0 if (idx >> b) & 1 == 0 else -1.0 for b in range(g)]
@@ -373,8 +372,8 @@ def square():
 
 def cross_polytope(n):
     """Polytopic l1 ball system in R^(n+1): vertices (1, +-e_i)."""
-    if n < 1:
-        raise InvalidInput("cross polytope needs n >= 1")
+    if not guards.is_integer(n) or n < 1:
+        raise InvalidInput("cross polytope needs an integer n >= 1")
     rows = []
     for i in range(n):
         for s in (1.0, -1.0):
@@ -388,68 +387,19 @@ def cross_polytope(n):
 
 def ball(n, norm="l2"):
     """Centrally symmetric ball system in R^(n+1) (n=3, l2: the qubit)."""
-    if n < 1:
-        raise InvalidInput("ball needs n >= 1")
-    return GptSystem(kind=CENTRALLY_SYMMETRIC, dim=n + 1, ball_norm=norm)
+    if not guards.is_integer(n) or n < 1:
+        raise InvalidInput("ball needs an integer n >= 1")
+    return GptSystem(kind=CENTRALLY_SYMMETRIC, dim=int(n) + 1, ball_norm=norm)
 
 
 def regular_polygon(m):
     """Polytopic disk approximation: m unit-circle vertices in R^3."""
-    if m < 3:
-        raise InvalidInput("polygon needs at least 3 vertices")
+    if not guards.is_integer(m) or m < 3:
+        raise InvalidInput("polygon needs an integer m >= 3")
     guards.check("vertices", m)
     ang = 2.0 * np.pi * np.arange(m) / m
     V = np.column_stack([np.ones(m), np.cos(ang), np.sin(ang)])
     return polytopic(V, unit=np.array([1.0, 0.0, 0.0]))
-
-
-def ball_approximation(n, resolution, which="inner"):
-    """Polytopic approximation of the l2 ball system with a certified factor.
-
-    Returns (system, r) where r < 1 is the inradius of the vertex hull:
-    "inner" satisfies ball(r) <= hull <= ball(1), "outer" is the hull scaled
-    by 1/r, so it contains the unit ball and sits inside ball(1/r).
-    """
-    if which not in ("inner", "outer"):
-        raise InvalidInput("which must be 'inner' or 'outer'")
-    if n == 1:
-        pts = np.array([[1.0], [-1.0]])
-    elif n == 2:
-        if resolution < 3:
-            raise InvalidInput("need at least 3 points on the circle")
-        ang = 2.0 * np.pi * np.arange(resolution) / resolution
-        pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif n == 3:
-        if resolution < 2:
-            raise InvalidInput("need resolution >= 2 rings")
-        rows = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-        for i in range(1, resolution):
-            th = np.pi * i / resolution
-            for j in range(2 * resolution):
-                ph = np.pi * j / resolution
-                rows.append(np.array([
-                    math.sin(th) * math.cos(ph),
-                    math.sin(th) * math.sin(ph),
-                    math.cos(th),
-                ]))
-        pts = np.vstack(rows)
-    else:
-        raise InvalidInput("ball approximations are implemented for n <= 3")
-    guards.check("vertices", pts.shape[0])
-    lifted = np.column_stack([np.ones(pts.shape[0]), pts])
-    facets = facets_of_cone(lifted)
-    r = np.inf
-    for F in facets:
-        tail = np.linalg.norm(F[1:])
-        if tail > 1e-12:
-            r = min(r, F[0] / tail)
-    if not (0 < r < np.inf):
-        raise InvalidInput("degenerate point set for a ball approximation")
-    unit = np.zeros(n + 1)
-    unit[0] = 1.0
-    if which == "outer":
-        lifted = np.column_stack([np.ones(pts.shape[0]), pts / r])
-    return polytopic(lifted, unit=unit), float(r)
 
 
 # -- membership and norms -------------------------------------------------
@@ -478,6 +428,7 @@ def assert_interior(system, sigma):
 
 
 def is_center(system, sigma):
+    _check(system, sigma, Vector)
     c = np.zeros(system.dim)
     c[0] = 1.0
     return float(np.max(np.abs(sigma.coords - c))) <= COINCIDENCE

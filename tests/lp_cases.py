@@ -9,12 +9,15 @@ magnitudes (a column sum taken in pairs rounds differently there),
 the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
 is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
-solves for steering-norm, projective sigma-norm, strategy, facet-subproblem,
-universal-degree, two-atom order and zonotope questions, plus
-cone-membership LPs on the assemblage entries and measure atoms (feasible)
-and on a point outside V+ (infeasible).  Its facet subproblems are every facet LP of `c_mu`, from
-`full_scan_c_mu`, the unscreened reference that `c_mu` must match, and its
-two-atom order LPs are every sign pattern's, from
+solves for steering-norm (on polytopes and on the inscribed disk polygon),
+projective sigma-norm, strategy, facet-subproblem, universal-degree,
+two-atom order and zonotope questions, plus cone-membership LPs on the
+assemblage entries and measure atoms (feasible) and on a point outside V+
+(infeasible).  Its facet subproblems are every facet LP of `c_mu`, from
+`full_scan_c_mu`, the unscreened reference that `c_mu` must match; its
+two-atom order LPs are `choquet_below`'s under a point mass, which
+`dichotomic_below_exact` solves where mu's zonotope gauges have no closed
+form, and every sign pattern's LP over the sigma-dual ball, from
 `full_scan_dichotomic_below`, the reference for `dichotomic_below_exact`.
 """
 
@@ -163,7 +166,7 @@ def facet_subproblems(system, sigma, mu):
     built as c_mu builds them and in its unscreened order."""
     Y = choquet._interval_vertices(system, sigma)
     d = system.dim
-    ball = choquet._ball_epigraph(Y, mu.weights, mu.points, np.zeros(d))
+    ball = choquet._ball_epigraph(Y, mu.weights, mu.points)
     out = []
     for y in Y:
         facet = np.zeros((1, ball.n_vars))
@@ -181,20 +184,23 @@ def full_scan_c_mu(system, sigma, mu):
 
 
 def full_scan_dichotomic_below(nu, mu):
-    """The two-atom order decision by solving every sign pattern's LP: the
-    LP fallback of `choquet.dichotomic_below_exact`, and the reference
-    whose verdict its zonotope gauges must give."""
+    """The two-atom order decision by one LP per sign pattern eps: the least
+    sum_j mu_j |<h, P_j>| - <h, t_eps> over the unit ball of the sigma base
+    norm, a negative value refuting with its h, of sigma base norm one.
+    The reference whose verdict `choquet.dichotomic_below_exact` must give
+    (it solved these LPs itself where mu's gauges have no closed form)."""
     choquet._same_system(nu, mu)
     system = nu.system
     Y = choquet._interval_vertices(system, nu.barycenter)
+    ball = choquet._ball_epigraph(Y, mu.weights, mu.points)
     target = nu.weights[:, None] * nu.points
     d, k = system.dim, target.shape[0]
     best = np.inf
     best_h = None
     for tail in itertools.product((1.0, -1.0), repeat=k - 1):
         lin = -(np.array((1.0,) + tail) @ target)
-        out = lp.optimum(choquet._ball_epigraph(Y, mu.weights, mu.points,
-                                                lin), "order LP")
+        out = lp.optimum(replace(ball, objective=np.concatenate(
+            [lin, mu.weights])), "order LP")
         if out.value < best:
             best, best_h = out.value, out.x[:d]
     if best >= -choquet.COINCIDENCE:
@@ -259,9 +265,16 @@ def library_lps():
         for pair in (((1, 1, 0), (1, -1, 0)), ((1, 1, 1), (1, -1, -1))):
             nu = choquet.SimpleMeasure(tuple((0.5, sq.vector(p)) for p in pair))
             members(p for _, p in nu.atoms)
-            # both pattern LPs, which dichotomic_below_exact solves only
-            # where mu's zonotope gauges have no closed form
+            # both pattern LPs of the reference
             full_scan_dichotomic_below(nu, uniform)
+            # a point mass spans no zonotope: the order LP decides
+            choquet.dichotomic_below_exact(nu, choquet.point_mass(sq.barycenter))
+        # the steering-norm LP on the inscribed polygon, the first of the two
+        # that `robustness` solves for a rank-2 tensor on the l2 disk
+        disk = steering._disk_polygons()[0]
+        tensors.steering_norm(tensors.DichotomicTensor.unchecked(
+            disk.vector([1.0, 0.0, 0.0]),
+            (disk.vector([0.0, 0.6, 0.2]), disk.vector([0.0, -0.3, 0.5]))))
     finally:
         lp.solve = solve
     return tuple(seen)

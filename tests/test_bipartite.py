@@ -584,6 +584,11 @@ class TestUnsteerableSufficient:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(InvalidInput):
                 bipartite.unsteerable_sufficient(st, bad)
+        for bad in ("0.5", True, None):
+            with pytest.raises(InvalidInput, match="real number"):
+                bipartite.unsteerable_sufficient(st, bad)
+        assert bipartite.unsteerable_sufficient(st, np.float64(0.5)) == \
+            bipartite.unsteerable_sufficient(st, 0.5)
 
     def test_boundary_marginal_raises(self):
         sq = square()

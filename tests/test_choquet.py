@@ -19,7 +19,7 @@ from gptsteer.errors import (
     NumericalFailure,
     SystemMismatch,
 )
-from gptsteer.tolerances import CERTIFICATE, COINCIDENCE
+from gptsteer.tolerances import COINCIDENCE
 
 
 def square():
@@ -475,6 +475,24 @@ def test_constant_validation():
                      choquet.point_mass(systems.ball(2).vector([1, 0, 0])))
 
 
+def test_constants_take_sigma_as_a_state_vector_of_the_system():
+    sq = square()
+    u4 = choquet.vertex_measure(sq)
+    for bad in (np.array([1.0, 0.0, 0.0]), sq.functional([1.0, 0.0, 0.0])):
+        with pytest.raises(InvalidInput, match="expected a Vector"):
+            choquet.c_mu(sq, bad, u4)
+    with pytest.raises(SystemMismatch):
+        choquet.c_mu(sq, systems.simplex(3).vector([1 / 3] * 3), u4)
+    ball = systems.ball(3)
+    for bad in (np.array([1.0, 0.0, 0.0, 0.0]),
+                ball.functional([1.0, 0.0, 0.0, 0.0])):
+        with pytest.raises(InvalidInput, match="expected a Vector"):
+            choquet.c_mu_monte_carlo(ball, bad, samples=100)
+    with pytest.raises(SystemMismatch):
+        choquet.c_mu_monte_carlo(ball, systems.ball(2).vector([1.0, 0, 0]),
+                                 samples=100)
+
+
 def test_constant_dimension_guard(monkeypatch):
     monkeypatch.setenv("GPTSTEER_GUARDS", "cmu_dim=2")
     sq = square()
@@ -562,6 +580,13 @@ def _facet_count(system, sigma):
     return choquet._interval_vertices(system, sigma).shape[0]
 
 
+def _floors(Y, mu):
+    """c_mu's facet floors, one over the zonotope gauges of the rows of Y,
+    or None where the gauges have no closed form."""
+    gauges = choquet._zonotope_gauges(mu.weights, mu.points, Y)
+    return None if gauges is None else 1.0 / gauges[0]
+
+
 def test_constant_of_a_generic_measure_solves_one_facet(lp_solves):
     rng = np.random.default_rng(7)
     for dim in (3, 4):
@@ -583,7 +608,7 @@ def test_constant_without_floors_solves_every_facet(lp_solves):
         sigma = sampling.random_interior_state(rng, system)
         pair = two_atom_with_barycenter(rng, system, sigma)
         Y = choquet._interval_vertices(system, sigma)
-        assert choquet._facet_floors(Y, pair.weights, pair.points) is None
+        assert _floors(Y, pair) is None
         lp_solves.clear()
         assert choquet.c_mu(system, sigma, pair) == 0.0
         assert len(lp_solves) == Y.shape[0]
@@ -593,9 +618,8 @@ def test_constant_without_floors_solves_every_facet(lp_solves):
     big = choquet.SimpleMeasure(tuple(
         (float(wi), sq.vector(p)) for wi, p in zip(w, P)))
     assert math.comb(92, 2) > kernels.ROW_CAP
-    assert choquet._facet_floors(
-        choquet._interval_vertices(sq, big.barycenter), big.weights,
-        big.points) is None
+    assert _floors(choquet._interval_vertices(sq, big.barycenter),
+                   big) is None
     lp_solves.clear()
     value = choquet.c_mu(sq, big.barycenter, big)
     assert len(lp_solves) == _facet_count(sq, big.barycenter)
@@ -605,8 +629,7 @@ def test_constant_without_floors_solves_every_facet(lp_solves):
 def test_constant_of_the_square_solves_each_tied_facet(lp_solves):
     sq = square()
     mu = choquet.vertex_measure(sq)
-    floors = choquet._facet_floors(
-        choquet._interval_vertices(sq, center(sq)), mu.weights, mu.points)
+    floors = _floors(choquet._interval_vertices(sq, center(sq)), mu)
     # the two diagonal facets tie at 1/2, the sigma facet sits at 1
     assert sorted(floors.tolist()) == pytest.approx([0.5, 0.5, 1.0],
                                                     abs=1e-15)
@@ -617,12 +640,14 @@ def test_constant_of_the_square_solves_each_tied_facet(lp_solves):
 def test_constant_checks_the_lp_minimum_against_the_smallest_floor(
         monkeypatch):
     sq = square()
-    floors = choquet._facet_floors
+    gauges = choquet._zonotope_gauges
 
-    def low(Y, weights, P):
-        return floors(Y, weights, P) - 0.01
+    def low(weights, P, T):
+        # every floor 0.01 lower
+        g, U = gauges(weights, P, T)
+        return 1.0 / (1.0 / g - 0.01), U
 
-    monkeypatch.setattr(choquet, "_facet_floors", low)
+    monkeypatch.setattr(choquet, "_zonotope_gauges", low)
     with pytest.raises(NumericalFailure, match="zonotope floor"):
         choquet.c_mu(sq, center(sq), choquet.vertex_measure(sq))
 
@@ -640,7 +665,7 @@ def test_floors_enumerate_repeated_atoms_once(lp_solves):
                 rng, system, sigma, n_satellites=dim + 2))
         assert math.comb(len(mu.atoms), dim - 1) > kernels.ROW_CAP
         Y = choquet._interval_vertices(system, sigma)
-        assert choquet._facet_floors(Y, mu.weights, mu.points) is not None
+        assert _floors(Y, mu) is not None
         lp_solves.clear()
         value = choquet.c_mu(system, sigma, mu)
         solved = len(lp_solves)
@@ -953,23 +978,25 @@ def assert_unit_average(mu, h):
 def assert_refutation(nu, mu, v, violation):
     """Check a refutation against V, a reference's largest violation over
     the sigma-dual ball (its least order-LP value, negated).  The margin
-    is the gap at h, so h / ||h||_sigma shows margin / ||h||_sigma <= V.
-    A gauge margin is g - 1, and on the ball the mu-average is at most
+    is the gap at h, and positive, so h / ||h||_sigma shows
+    margin / ||h||_sigma <= V.  From the gauges, h has mu-average one and
+    the margin is g - 1; on the ball the mu-average is at most
     M = sum_j mu_j max_ball |<h, P_j>|, so V <= (g - 1) M = margin M.
-    From the gauges h has mu-average one; from the LP fallback it has
-    sigma base norm one."""
+    Where the gauges have no closed form, h comes from `choquet_below`'s
+    tuple and the margin is exactly the gap that `_abs_gap` computes."""
     h = v.functional
+    assert v.margin > 0.0
     assert abs_gap(nu, mu, h) == pytest.approx(v.margin, rel=1e-12,
                                                abs=1e-12)
     norm, _ = systems.sigma_base_norm(nu.system, h, nu.barycenter)
+    assert v.margin / norm <= violation + 1e-9
+    if choquet._zonotope_gauges(mu.weights, mu.points, nu.points) is None:
+        assert v.margin == choquet._abs_gap(nu, mu, h)
+        return
     Y = choquet._interval_vertices(nu.system, nu.barycenter)
     M = sum(w * _ball_max_by_lp(Y, p) for w, p in zip(mu.weights, mu.points))
-    assert v.margin / norm <= violation + 1e-9
     assert violation <= v.margin * M + 1e-9
-    if choquet._zonotope_gauges(mu.weights, mu.points, nu.points) is None:
-        assert abs(norm - 1.0) <= CERTIFICATE
-    else:
-        assert_unit_average(mu, h.coords)
+    assert_unit_average(mu, h.coords)
 
 
 def assert_matches_facet_scan(nu, mu):
@@ -1059,10 +1086,10 @@ def test_exact_lp_count(lp_solves):
         lp_solves.clear()
         assert choquet.dichotomic_below_exact(point, mu).below
         assert len(lp_solves) == 0
-        # a point mass spans no zonotope: both patterns are solved
+        # a point mass spans no zonotope: the order LP decides
         lp_solves.clear()
         assert not choquet.dichotomic_below_exact(nu, point).below
-        assert len(lp_solves) == 2
+        assert len(lp_solves) == 1
     # the gauges refute the diagonal with no LP
     lp_solves.clear()
     assert not choquet.dichotomic_below_exact(
@@ -1098,30 +1125,82 @@ def _order_family(rng, per_space):
 
 def test_exact_matches_the_full_pattern_scan(lp_solves):
     verdicts = {True: 0, False: 0}
-    solved = scanned = differed = fallback = 0
+    fallback = 0
     for nu, mu in _order_family(np.random.default_rng(71), per_space=5):
         lp_solves.clear()
         got = choquet.dichotomic_below_exact(nu, mu)
-        solved += len(lp_solves)
-        lp_solves.clear()
+        solved = len(lp_solves)
         want = lp_cases.full_scan_dichotomic_below(nu, mu)
-        scanned += len(lp_solves)
-        if got.below != want.below:
-            assert got.below == choquet.choquet_below(nu, mu).below
-            differed += 1
-        elif not got.below:
+        assert got.below == want.below == choquet.choquet_below(nu, mu).below
+        if not got.below:
             assert_refutation(nu, mu, got, want.margin)
+        # the gauges solve no LP; without them the order LP decides
         if choquet._zonotope_gauges(mu.weights, mu.points, nu.points) is None:
-            # the LP fallback is the scan itself
             fallback += 1
-            assert got.below == want.below and got.margin == want.margin
-            if not got.below:
-                assert got.functional.coords.tobytes() == \
-                    want.functional.coords.tobytes()
+            assert solved == 1
+        else:
+            assert solved == 0
         verdicts[got.below] += 1
     assert verdicts[True] >= 40 and verdicts[False] >= 40
-    assert differed == 0
-    assert solved == 2 * fallback < scanned / 2
+    assert fallback > 0
+
+
+def _ball_order_family(rng, norm, count):
+    """(nu, mu) pairs on ball(2) and ball(3) with the `norm`, at a random
+    interior sigma: nu two atoms on a chord through sigma, with unequal
+    weights; mu two to four such chords, a dilation of nu (each atom split
+    along a chord through it), nu itself or the point mass at sigma."""
+    order = {"l1": 1, "l2": 2, "linf": np.inf}[norm]
+
+    def chord(centre, scale):
+        # atoms centre + a y and centre - b y, weights b and a over a + b;
+        # ||y|| <= 1 - ||centre|| keeps both in the ball
+        y = rng.standard_normal(centre.size)
+        y *= scale * (1.0 - np.linalg.norm(centre, order)) / np.linalg.norm(
+            y, order)
+        a, b = rng.uniform(0.2, 1.0, 2)
+        return [(b / (a + b), centre + a * y), (a / (a + b), centre - b * y)]
+
+    def measure(atoms):
+        return choquet.SimpleMeasure(tuple(
+            (float(w), system.vector(np.r_[1.0, x])) for w, x in atoms))
+
+    for k in range(count):
+        system = systems.ball(2 + k % 2, norm)
+        s = rng.standard_normal(system.dim - 1)
+        s *= rng.uniform(0.0, 0.5) / np.linalg.norm(s, order)
+        nu_atoms = chord(s, rng.uniform(0.1, 0.7))
+        nu = measure(nu_atoms)
+        kind = k % 6
+        if kind < 3:
+            m = int(rng.integers(2, 5))
+            mu = measure([(w / m, x) for _ in range(m)
+                          for w, x in chord(s, rng.uniform(0.4, 1.0))])
+        elif kind == 3:
+            mu = measure([(w * v, z) for w, x in nu_atoms
+                          for v, z in chord(x, rng.uniform(0.2, 1.0))])
+        elif kind == 4:
+            mu = nu
+        else:
+            mu = choquet.point_mass(nu.barycenter)
+        yield nu, mu
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_exact_matches_choquet_below_on_balls(norm, lp_solves):
+    verdicts = {True: 0, False: 0}
+    rng = np.random.default_rng(74 + ["l1", "l2", "linf"].index(norm))
+    for nu, mu in _ball_order_family(rng, norm, 48):
+        lp_solves.clear()
+        got = choquet.dichotomic_below_exact(nu, mu)
+        gauges = choquet._zonotope_gauges(mu.weights, mu.points, nu.points)
+        assert len(lp_solves) == (0 if gauges is not None else 1)
+        assert got.below == choquet.choquet_below(nu, mu).below
+        if not got.below:
+            assert got.margin > 0.0
+            assert got.margin == choquet._abs_gap(nu, mu, got.functional)
+        verdicts[got.below] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
 def test_zonotope_gauges_match_the_gauge_lp():

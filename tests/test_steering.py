@@ -552,6 +552,58 @@ def test_ball_twin_is_built_once(monkeypatch):
                     fresh.vector(t.sigma.coords),
                     tuple(fresh.vector(y.coords) for y in t.components))).value
                 assert r.hex() == (1.0 if value <= 1.0 else 1.0 / value).hex()
+    # the l2 disk's two polygons likewise: both on the first call only
+    steering._disk_polygons.cache_clear()
+    for call, t in enumerate(_disk_family(rng, 3)):
+        builds.clear()
+        steering.robustness(steering.from_dichotomic_tensor(t))
+        assert len(builds) == (2 if call == 0 else 0)
+
+
+def _disk_family(rng, count):
+    """Tensors at the center of ball(2) and ball(3) with two or three
+    components of spatial rank <= 2 (a random plane), of spatial norm
+    0.55-0.95 and first coordinate within 0.05 of zero."""
+    for k in range(count):
+        n = 2 + k % 2
+        ball = systems.ball(n)
+        Q = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        comps = []
+        for _ in range(2 + (k // 2) % 2):
+            c = rng.standard_normal(2)
+            c *= rng.uniform(0.55, 0.95) / np.linalg.norm(c)
+            comps.append(ball.vector(np.r_[rng.uniform(-0.05, 0.05), Q @ c]))
+        yield tensors.DichotomicTensor(
+            sigma=ball.vector(np.r_[1.0, np.zeros(n)]),
+            components=tuple(comps))
+
+
+# robustness of `_disk_family(default_rng(0), 16)` when each call built
+# both polygons afresh from cos and sin of the angles
+DISK_ROBUSTNESS = [
+    "0x1.b0fb29b5f9757p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.e57d56b2803a3p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.9f2d9e1f1500cp-1", "0x1.9e6db43d968c6p-1", "0x1.0000000000000p+0",
+    "0x1.e811d72220121p-1", "0x1.b719b264d1c37p-1", "0x1.e5979a58d4ae3p-1",
+    "0x1.f3da428bbc05ap-1", "0x1.d7b0df3768678p-1", "0x1.8a88e85673e72p-1",
+    "0x1.bed9bb904b8ccp-1"]
+
+
+def test_disk_robustness_keeps_its_bytes():
+    got = [steering.robustness(steering.from_dichotomic_tensor(t)).hex()
+           for t in _disk_family(np.random.default_rng(0), 16)]
+    assert got == DISK_ROBUSTNESS
+
+
+def test_disk_polygons_are_the_regular_polygon_and_its_scaling():
+    inner, outer = steering._disk_polygons()
+    want = systems.regular_polygon(64)
+    assert inner.vertices.tobytes() == want.vertices.tobytes()
+    assert inner.unit.tobytes() == outer.unit.tobytes() == want.unit.tobytes()
+    ang = 2.0 * np.pi * np.arange(64) / 64
+    radius = 1.0 / np.cos(np.pi / 64)
+    assert outer.vertices.tobytes() == np.column_stack(
+        [np.ones(64), radius * np.cos(ang), radius * np.sin(ang)]).tobytes()
 
 
 def test_general_shape_bisection_postcondition():
@@ -605,6 +657,13 @@ def test_mixing_monotone_in_noise():
                        asm.barycenter.coords * 0.5)
     with pytest.raises(InvalidInput):
         steering.mixed_with_trivial(asm, 1.2)
+    for bad in ("0.5", True, None):
+        with pytest.raises(InvalidInput, match="real number"):
+            steering.mixed_with_trivial(asm, bad)
+    assert [[rho.coords.tobytes() for rho in row] for row in
+            steering.mixed_with_trivial(asm, np.float64(0.75)).entries] == \
+        [[rho.coords.tobytes() for rho in row]
+         for row in steering.mixed_with_trivial(asm, 0.75).entries]
     values = [steering.robustness(
         steering.mixed_with_trivial(asm, s)) for s in (1.0, 0.75, 0.5)]
     assert values[0] <= values[1] <= values[2]

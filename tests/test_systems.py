@@ -63,6 +63,18 @@ def test_rejects_unit_not_one_on_vertices():
         systems.polytopic(pts, unit=np.array([1.0, 0]))
 
 
+@pytest.mark.parametrize("factory", [
+    systems.simplex, systems.hypercube, systems.cross_polytope, systems.ball,
+    systems.regular_polygon])
+def test_factories_take_integer_counts(factory):
+    for bad in (2.5, 2.0, True, "3", None):
+        with pytest.raises(InvalidInput, match="integer"):
+            factory(bad)
+    got, want = factory(np.int64(3)), factory(3)
+    assert got == want and type(got.dim) is int
+    assert systems.system_to_payload(got) == systems.system_to_payload(want)
+
+
 def test_hull_factory_prunes_interior_and_duplicates():
     pts = np.array([
         [1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1],
@@ -541,40 +553,6 @@ def test_symmetry_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ball approximations
-
-
-def test_polygon_approximation_inradius():
-    inner, r_in = systems.ball_approximation(2, 16, which="inner")
-    outer, r_out = systems.ball_approximation(2, 16, which="outer")
-    assert r_in == pytest.approx(np.cos(np.pi / 16), rel=1e-9)
-    assert r_out == pytest.approx(r_in, abs=1e-12)
-    assert inner.n_vertices == 16
-    assert outer.n_vertices == 16
-    # outer hull contains the circle: its vertices lie at radius 1/r
-    rad = np.linalg.norm(outer.vertices[:, 1:], axis=1)
-    assert np.allclose(rad, 1.0 / r_out, atol=1e-9)
-
-
-def test_sphere_approximation_shape():
-    inner, r = systems.ball_approximation(3, 3, which="inner")
-    assert inner.n_vertices == 14
-    assert r == pytest.approx(0.75, abs=1e-9)
-    assert 0 < r <= 1
-
-
-def test_line_segment_approximation_exact():
-    inner, r = systems.ball_approximation(1, 7, which="inner")
-    assert r == pytest.approx(1.0, abs=1e-12)
-    assert inner.n_vertices == 2
-
-
-def test_ball_approximation_rejects_high_dim():
-    with pytest.raises(InvalidInput):
-        systems.ball_approximation(4, 3)
-
-
-# ---------------------------------------------------------------------------
 # vectors, functionals, serialization
 
 
@@ -968,7 +946,7 @@ def test_hull_input_count_is_guarded(monkeypatch):
 def test_construction_solves_no_lp(lp_solves):
     sq = systems.hypercube(2)
     systems.cross_polytope(3)
-    systems.ball_approximation(3, 3)
+    systems.regular_polygon(64)
     systems.polytopic_hull(np.array(
         [[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1], [1, 0, 0],
          [1, 1, 1], [1, 1, 0]]))

@@ -584,6 +584,27 @@ def test_projective_norm_of_rotated_octahedron_tensor():
     assert tensors.projective_norm_dichotomic(t) > 0.0
 
 
+@pytest.mark.xfail(strict=True, raises=NumericalFailure,
+                   reason="simplex iteration limit in phase one (cycling)")
+def test_disk_robustness_of_a_rank_two_qubit_tensor():
+    # The first steering-norm LP of the disk bracket, on the inscribed
+    # 64-gon (9 equality rows, 64 inequality rows, 513 columns), stops at
+    # the iteration limit; HiGHS solves the same LP in 61 iterations, to
+    # 1.1285799221648936.
+    ball = systems.ball(3)
+    t = tensors.DichotomicTensor(
+        sigma=ball.vector([1.0, 0.0, 0.0, 0.0]),
+        components=tuple(ball.vector(y) for y in (
+            (0.0, 0.14910923215930152, 0.5267700785987224,
+             -0.5923177658052656),
+            (0.0, -0.72052549933614, 0.30406815799309167,
+             -0.16377914502630078),
+            (0.0, 0.6212615614296786, -0.2593694487274865,
+             0.1382335895161032))))
+    r = steering.robustness(steering.from_dichotomic_tensor(t))
+    assert abs(r - 1.0 / 1.1285799221648936) <= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # the sigma interval kept on the system
 
