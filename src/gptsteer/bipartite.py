@@ -347,7 +347,7 @@ def unsteerable_sufficient(state, s_lower):
     """
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
-    if not systems.real_numbers(s_lower):
+    if not systems.real_number(s_lower):
         raise InvalidInput("the degree lower bound must be a real number")
     s = float(s_lower)
     if not 0.0 < s <= 1.0:

@@ -704,7 +704,8 @@ def symmetrize(mu, group):
     if not isinstance(mu, SimpleMeasure):
         raise InvalidInput("expected a SimpleMeasure")
     system = mu.system
-    maps = [np.asarray(T, dtype=np.float64) for T in group]
+    maps = [systems.float_array(T, "a symmetry must be a matrix of real numbers")
+            for T in group]
     if len(maps) < 1:
         raise InvalidInput("group must contain at least one map")
     for T in maps:

@@ -3,8 +3,8 @@
 The simplex keeps each decision in one place: `entering` is Bland's pricing
 rule (also asked by lp after a refactorization), one ratio pass computes
 each blocking row's step once, and `_pivot` is the single elimination, an
-in-place rank-1 update of the rows with a nonzero multiplier, shared with
-`drive_out_artificials`.  Pricing and the ratio test stay early-exit loops,
+in-place rank-1 update of the tableau (dense on floats; on Fractions only
+the rows with a nonzero multiplier), shared with `drive_out_artificials`.  Pricing and the ratio test stay early-exit loops,
 over Python lists read off the tableau with `tolist()`: the LPs are mostly
 small, numpy dispatch would cost more than it saves, and a list index is far
 cheaper than fetching one numpy scalar.  The list values are the same
@@ -28,13 +28,18 @@ units, a row and its exact negation, and eliminates each subset of units
 once for every sign pattern, one right-hand side per pattern.  Negation is
 exact and, without an exact tie for a pivot, the order of a subset's rows
 does not change what partial pivoting computes, so each pattern gets the
-bytes of its own row subset up to the signs of zeros.  A unit subset whose
-pivot search met a tie, and a solution with a zero coordinate, are solved
-again on their own row subsets; the solutions are de-duplicated in
-lexicographic row-subset order, as the one-subset-at-a-time search finds
-them.
+values of its own row subset.  Only a unit subset whose pivot search met a
+tie is solved again, row subset by row subset; the solutions are
+de-duplicated in lexicographic row-subset order, as the
+one-subset-at-a-time search finds them.
 
 Kernel conventions:
+  * outputs are values: the sign of a zero is part of no kernel contract.
+    A row update subtracts a signed zero where its multiplier is 0, and
+    every comparison the kernels make (`<`, `>`, `==`, `|.|`) reads -0.0 as
+    0.0.  `geometry` canonicalizes the vertices and facets it returns with
+    `+ 0.0`, and lp reads a float tableau only after `lp._refactorize` has
+    rebuilt it from the problem's data; Fractions have no signed zero;
   * the simplex returns status codes; the searches raise GuardExceeded past
     ROW_CAP rows or MAP_CAP maps, and test at COINCIDENCE on normalized rows;
   * no float literals inside simplex arithmetic (object-array reuse);
@@ -94,17 +99,20 @@ def entering(T, vstat, upper, cost_row, n_elig, tol):
 def _pivot(T, r, j, N):
     """Make column j the unit vector e_r in columns 0..N-1 of T.
 
-    Row r is divided by its pivot in place, then subtracted, as one in-place
-    rank-1 update, from every other row whose entry in column j is nonzero;
-    rows with a multiplier of exactly 0 are not touched, so their signed
-    zeros stay.  Each entry gets the one quotient, product and difference
-    it would get out of place, so working in place changes no byte.
+    Row r is divided by its pivot in place, then subtracted from every other
+    row, times that row's entry in column j, as one in-place rank-1 update.
+    On floats the update is dense (row r's own multiplier is 0): a row with
+    a multiplier of 0 keeps its values, and only a zero entry may change
+    sign.  On Fractions (exact mode) each entry costs Python arithmetic, so
+    only the rows with a nonzero multiplier are updated.  Each entry gets
+    the one quotient, product and difference it would get out of place, so
+    working in place changes no byte.
     """
     prow = T[r, :N]
     np.divide(prow, T[r, j], out=prow)
     f = T[:, j].copy()
     f[r] = 0
-    rows = f.nonzero()[0]
+    rows = f.nonzero()[0] if T.dtype == object else slice(None)
     T[rows, :N] -= np.multiply.outer(f[rows], prow)
 
 
@@ -257,13 +265,14 @@ def _eliminate(M, tol, tied=None, flips=None):
     reduced in place to upper-triangular form with the right-hand sides
     following the row operations.  The pivot is the first maximum of
     |column| on or below the diagonal, a block is singular once a pivot is
-    <= tol, and a multiplier that is exactly 0 leaves its row untouched, so
-    every block and right-hand side sees the float operations of a scalar
-    elimination.  Returns the (S,) singular mask.  `tied` and `flips`, when
-    given, are (S,) bool arrays: `tied` is set where a pivot search met
-    more than one maximum before the block was found singular (only there
-    can the order of a block's rows change what is computed), and `flips`
-    ends as the parity of the row swaps.
+    <= tol, and every row below the pivot is updated, so every block and
+    right-hand side gets the values of a scalar elimination (a row whose
+    multiplier is 0 keeps its values; only a zero entry may change sign).
+    Returns the (S,) singular mask.  `tied` and `flips`, when given, are
+    (S,) bool arrays: `tied` is set where a pivot search met more than one
+    maximum before the block was found singular (only there can the order
+    of a block's rows change what is computed), and `flips` ends as the
+    parity of the row swaps.
     """
     S, d = M.shape[:2]
     rows = np.arange(S)
@@ -285,8 +294,7 @@ def _eliminate(M, tol, tied=None, flips=None):
         M[:, k] = prow
         f = M[:, k + 1:, k] / prow[:, k, None]
         below = M[:, k + 1:, k:]
-        np.subtract(below, f[:, :, None] * prow[:, None, k:], out=below,
-                    where=(f != 0)[:, :, None])
+        below -= f[:, :, None] * prow[:, None, k:]
     return singular
 
 
@@ -422,7 +430,10 @@ def _unit_subset_vertices(A, b, units, rhs, idx, signs, mirror):
     input is centrally symmetric (every unit has a partner with the same
     b) and signs holds half the patterns: the complement of a pattern has
     the negated solution and the same feasibility, since each row's sum
-    for -x is its partner's for x."""
+    for -x is its partner's for x.  A unit subset whose pivot search met a
+    tie has each of its patterns solved again on its own row subset
+    (`_row_subset_vertices`); no other solution is, whatever the signs of
+    its zero coordinates."""
     d = idx.shape[1]
     M = np.concatenate([A[units[idx, 0]], rhs[idx[:, :, None], signs.T]],
                        axis=2)
@@ -430,7 +441,6 @@ def _unit_subset_vertices(A, b, units, rhs, idx, signs, mirror):
     singular = _eliminate(M, COINCIDENCE, tied)
     ok = ~(singular | tied)
     found = []
-    redo = np.empty((0, d), np.intp)
     if ok.any():
         x = _back_substitute(M[ok]).transpose(0, 2, 1)
         s, p = np.nonzero(_feasible(A, b, x))
@@ -443,14 +453,11 @@ def _unit_subset_vertices(A, b, units, rhs, idx, signs, mirror):
         else:   # drop the patterns that take a missing partner
             valid = (rows >= 0).all(axis=1)
             rows, x = rows[valid], x[valid]
-        zero = (x == 0).any(axis=1)
-        found.append((_ascending(rows[~zero]), x[~zero]))
-        redo = rows[zero]
+        found.append((_ascending(rows), x))
     if tied.any():
         again = units[idx[tied][:, None, :], _sign_patterns(d)].reshape(-1, d)
-        redo = np.concatenate([again[(again >= 0).all(axis=1)], redo])
-    if redo.shape[0]:
-        found.append(_row_subset_vertices(A, b, _ascending(redo)))
+        again = again[(again >= 0).all(axis=1)]
+        found.append(_row_subset_vertices(A, b, _ascending(again)))
     return found
 
 
@@ -498,11 +505,11 @@ def enum_polytope_vertices(A, b):
     row with the right-hand side b of the row the pattern takes, or -b of
     its partner.  Negation is exact and, without an exact tie for a pivot,
     the order of the rows does not change what partial pivoting computes,
-    so every pattern gets the solution of its own row subset bit for bit,
-    up to the signs of zeros.  Two cases are solved again on their own row
-    subsets, one elimination each in increasing row order: every pattern
-    of a unit subset whose pivot search met a tie, and every feasible
-    solution with a coordinate that is 0.  When every row has a partner
+    so every pattern gets the values of its own row subset.  Only the
+    patterns of a unit subset whose pivot search met a tie are solved again
+    on their own row subsets, one elimination each in increasing row order.
+    The output's zeros may carry either sign; `geometry.vertices_of_polytope`
+    canonicalizes them with `+ 0.0`.  When every row has a partner
     with the same b, half the patterns are solved and the other half
     mirrored (`_unit_subset_vertices`).  A chunk solves at most CHUNK
     patterns, and at least one unit subset.  The feasible solutions are

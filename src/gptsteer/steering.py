@@ -117,6 +117,12 @@ def _checked_rows(barycenter, entries, cone_lp):
 
 def trivial_assemblage(sigma, shape):
     """The assemblage rho_{a|x} = sigma / k_x; classical for any sigma."""
+    try:
+        shape = tuple(shape)
+    except TypeError:   # a bare count, not a list of them
+        shape = (None,)
+    if not all(map(guards.is_integer, shape)):
+        raise InvalidInput("shape must list integer outcome counts")
     entries = tuple(
         tuple(sigma * (1.0 / k) for _ in range(k)) for k in shape)
     return Assemblage(barycenter=sigma, entries=entries)
@@ -127,7 +133,7 @@ def mixed_with_trivial(asm, s):
 
     Entries are built from coordinates; each is checked by one
     `cone_member` LP (`Assemblage`)."""
-    if not systems.real_numbers(s) or not 0.0 <= s <= 1.0:
+    if not systems.real_number(s) or not 0.0 <= s <= 1.0:
         raise InvalidInput("mixing weight must be a real number in [0, 1]")
     sigma = asm.barycenter
     entries = tuple(
@@ -186,7 +192,8 @@ class LhsModel:
     by_setting: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        w = systems.float_array(
+            self.weights, "ensemble weights must be real numbers").reshape(-1)
         states = tuple(self.states)
         rows = tuple(tuple(row) for row in self.responses)
         if not (w.size == len(states) == len(rows)) or w.size < 1 \
@@ -507,6 +514,8 @@ def witness_verify(w, sigma):
     """
     system = w.system
     system._require_polytopic()
+    if not isinstance(sigma, systems.Vector):
+        raise InvalidInput("sigma must be a Vector")
     if sigma.system != system:
         raise InvalidInput("sigma lives on another system")
     systems.assert_interior(system, sigma)

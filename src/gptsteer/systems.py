@@ -651,7 +651,7 @@ def dichotomic_measurement(system, f):
 def is_symmetry(system, mat):
     """True iff `mat` permutes the vertex set (acting on column vectors)."""
     system._require_polytopic()
-    M = np.asarray(mat, dtype=np.float64)
+    M = float_array(mat, "a symmetry must be a matrix of real numbers")
     if M.shape != (system.dim, system.dim):
         return False
     images = system.vertices @ M.T
@@ -717,6 +717,13 @@ def real_numbers(raw):
         elif isinstance(x, bool) or not isinstance(x, numbers.Real):
             return False
     return True
+
+
+def real_number(raw):
+    """Whether raw is one real number: `real_numbers` of rank 0, so a
+    Python or numpy real or a 0-d array, not a list or a 1-element array."""
+    return (not isinstance(raw, (list, tuple)) and np.ndim(raw) == 0
+            and real_numbers(raw))
 
 
 def float_array(raw, message):

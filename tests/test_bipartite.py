@@ -584,11 +584,15 @@ class TestUnsteerableSufficient:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(InvalidInput):
                 bipartite.unsteerable_sufficient(st, bad)
-        for bad in ("0.5", True, None):
+        # one real number: no text, bool or None, and no list or array of
+        # one
+        for bad in ("0.5", True, None, [0.5], np.array([0.5]),
+                    np.array([[0.5]])):
             with pytest.raises(InvalidInput, match="real number"):
                 bipartite.unsteerable_sufficient(st, bad)
-        assert bipartite.unsteerable_sufficient(st, np.float64(0.5)) == \
-            bipartite.unsteerable_sufficient(st, 0.5)
+        want = bipartite.unsteerable_sufficient(st, 0.5)
+        assert bipartite.unsteerable_sufficient(st, np.float64(0.5)) == want
+        assert bipartite.unsteerable_sufficient(st, np.array(0.5)) == want
 
     def test_boundary_marginal_raises(self):
         sq = square()

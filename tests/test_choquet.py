@@ -1314,6 +1314,8 @@ def test_symmetrize_rejects_non_symmetry():
         choquet.symmetrize(mu, [np.diag([1.0, 2.0, 1.0])])
     with pytest.raises(InvalidInput):
         choquet.symmetrize(mu, [])
+    with pytest.raises(InvalidInput, match="real numbers"):
+        choquet.symmetrize(mu, ["abc"])
 
 
 def test_symmetrize_preserves_domination():

@@ -7,16 +7,21 @@ and greedy first-found de-duplication.  Further down, the scalar simplex
 phase, artificial drive-out and symmetry search are the references for the
 shared-pivot simplex kernel and the numpy symmetry search, and the scalar
 vertex matcher is the reference for `systems.is_symmetry`.  Results are
-compared byte for byte; where a reference reports overflow at a cap, the
-kernel, run with that cap, must raise GuardExceeded.  `full_scan_vertices`
-keeps the vertex kernel as it was before rows were grouped into +- pairs
-(every d-subset of rows eliminated on its own): the grouped kernel must
-give its bytes, and the scalar reference's, on what the library asks of
-it (a `norms` benchmark cycle, sigma intervals with exact pivot ties,
-effect intervals, the rows of `unsteerable_sufficient`) and on inputs with
-zero vertex coordinates or rows that have no partner.  The list-based pricing
-rule is also compared on its own, and an artificial block filled with NaN
-shows that a float phase two reads none of the columns its pivots skip.
+compared byte for byte, with one exception: the references leave a row
+whose multiplier is exactly 0 untouched and the kernels subtract a signed
+zero from it, so a simplex tableau, and the effect-interval and edge-case
+vertices found by another elimination order (the full scan, the scalar
+reference), are compared up to the signs of zeros (`_same_values`).  Where a reference reports
+overflow at a cap, the kernel, run with that cap, must raise
+GuardExceeded.  `full_scan_vertices` keeps the vertex kernel as it was
+before rows were grouped into +- pairs (every d-subset of rows eliminated
+on its own): the grouped kernel must give its values, and the scalar
+reference's, on what the library asks of it (a `norms` benchmark cycle,
+sigma intervals with exact pivot ties, effect intervals, the rows of
+`unsteerable_sufficient`) and on inputs with zero vertex coordinates or
+rows that have no partner.  The list-based pricing rule is also compared on
+its own, and an artificial block filled with NaN shows that a float phase
+two reads none of the columns its pivots skip.
 """
 
 import collections
@@ -114,7 +119,8 @@ def full_scan_vertices(A, b):
     """Vertices by eliminating every d-subset of rows on its own, chunk by
     chunk in lexicographic order, each chunk de-duplicated as it comes: the
     kernel before rows were grouped into +- pairs, the reference that
-    `kernels.enum_polytope_vertices` must match to the byte."""
+    `kernels.enum_polytope_vertices` must match in value (up to the signs
+    of zeros)."""
     m, d = A.shape
     out = np.empty((0, d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -200,6 +206,11 @@ def _cone_cases():
 def _same(got, want):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _same_values(got, want):
+    """`_same` up to the signs of zeros, which no kernel promises."""
+    _same(got + 0.0, want + 0.0)
 
 
 def _matches_reference(run, want, monkeypatch):
@@ -384,9 +395,13 @@ def test_paired_vertices_match_full_scan_and_scalar_reference(family,
     got = [kernels.enum_polytope_vertices(A, b) for A, b in cases]
     assert got and recomputed["unit subsets"] and recomputed["recomputed"]
     assert bool(recomputed["mirrored"]) == (family != "effect intervals")
+    # Only these two families have a vertex whose zero coordinate another
+    # elimination order signs differently; the rest stay byte for byte.
+    same = (_same_values if family in ("effect intervals", "edge cases")
+            else _same)
     for (A, b), rows in zip(cases, got):
-        _same(rows, full_scan_vertices(A, b))
-        _same(rows, ref_vertices(A, b, *TOLS, kernels.ROW_CAP)[0])
+        same(rows, full_scan_vertices(A, b))
+        same(rows, ref_vertices(A, b, *TOLS, kernels.ROW_CAP)[0])
 
 
 def test_hypercube4_effects_match_full_scan(monkeypatch):
@@ -411,7 +426,7 @@ def test_hypercube4_effects_match_full_scan(monkeypatch):
 
 
 def test_recompute_rules_fire(recomputed):
-    # A random interval needs neither rule.
+    # A random interval has no pivot tie.
     rng = np.random.default_rng(3)
     F = _unit_rows(rng.normal(size=(6, 3)))
     kernels.enum_polytope_vertices(np.vstack([F, -F]), np.ones(12))
@@ -423,12 +438,12 @@ def test_recompute_rules_fire(recomputed):
     tensors.sigma_interval_vertices(
         octahedron, octahedron.vector((1.0, 0.0, 0.0, 0.0)))
     assert recomputed["recomputed"] == 16 * recomputed["unit subsets"] == 1120
-    # Without ties, only the feasible solutions with a zero coordinate are
-    # solved again: here those on the face x_0 = 0.
+    # Without ties nothing is solved again, not even the vertices on the
+    # face x_0 = 0, whose zero coordinate may carry either sign.
     recomputed.clear()
     A, b = _zero_face(rng, 3)
     got = kernels.enum_polytope_vertices(A, b)
-    assert 0 < recomputed["recomputed"] < recomputed["unit subsets"]
+    assert recomputed["recomputed"] == 0 < recomputed["unit subsets"]
     assert (got[:, 0] == 0).any() and (got[:, 0] != 0).any()
 
 
@@ -453,7 +468,7 @@ def test_paired_vertices_do_not_depend_on_chunk_size(chunk, monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK", chunk)
     for (A, b), rows in zip(cases, want):
         _same(kernels.enum_polytope_vertices(A, b), rows)
-        _same(full_scan_vertices(A, b), rows)
+        _same_values(full_scan_vertices(A, b), rows)
 
 
 def test_paired_vertices_overflow_where_the_full_scan_does(monkeypatch):
@@ -877,18 +892,31 @@ def _float(problems):
     return [(p, "float") for p in problems]
 
 
-def test_pivot_leaves_rows_with_a_zero_multiplier_untouched():
-    # 0.0 * -0.5 is -0.0, and -0.0 - -0.0 would turn row 1's -0.0 into 0.0
+def test_pivot_keeps_the_values_of_rows_with_a_zero_multiplier():
+    # Rows 1 and 2 have a zero multiplier: the update subtracts a signed
+    # zero from each entry, which may flip the sign of a zero entry only.
     T = np.array([[2.0, -1.0, 4.0, 6.0],
                   [0.0, -0.0, 3.0, 1.0],
                   [-0.0, -0.0, -0.0, 2.0],
                   [1.0, -1.0, 0.5, 0.0]])
     before = T.copy()
     kernels._pivot(T, 0, 0, 3)
-    assert T[1].tobytes() == before[1].tobytes()
-    assert T[2].tobytes() == before[2].tobytes()
+    assert (T[1] == before[1]).all() and (T[2] == before[2]).all()
     assert T[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
     assert T[3].tolist() == [0.0, -0.5, -1.5, 0.0]
+
+
+def test_exact_pivot_skips_rows_with_a_zero_multiplier():
+    # Fraction arithmetic is Python-level, so an exact pivot does none for
+    # rows 1 and 2: they hold the very objects they held before.
+    T = np.array([[2, -1, 4, 6], [0, 0, 3, 1], [0, 0, 0, 2],
+                  [1, -1, Fraction(1, 2), 0]], dtype=object)
+    T = np.vectorize(Fraction, otypes=[object])(T)
+    before = T.copy()
+    kernels._pivot(T, 0, 0, 3)
+    assert all(a is b for a, b in zip(T[1:3].flat, before[1:3].flat))
+    assert T[:, 0].tolist() == [1, 0, 0, 0]
+    assert T[3].tolist() == [0, Fraction(-1, 2), Fraction(-3, 2), 0]
 
 
 def test_random_lps_match_scalar_reference(scalar_outcome):
@@ -949,8 +977,8 @@ def test_every_phase_exit_matches_scalar_reference(family, monkeypatch):
     # Each captured phase runs again on copies of its tableau with
     # max_iter = 0, 1, ..., k, where the k-th run is the first to end
     # optimal or unbounded; every run must end with the reference's code,
-    # tableau, vstat and basis (the columns [width, N) the kernel leaves
-    # stale aside).
+    # vstat and basis, and its tableau up to the signs of zeros (the
+    # columns [width, N) the kernel leaves stale aside).
     problems = {"random": lp_cases.random_lps(),
                 "tied": lp_cases.tied_lps(),
                 "flip": lp_cases.flip_lps(),
@@ -964,7 +992,7 @@ def test_every_phase_exit_matches_scalar_reference(family, monkeypatch):
                 T, basis, vstat = T0.copy(), basis0.copy(), vstat0.copy()
                 code = phase(T, basis, vstat, upper.copy(), m, N, cost_row,
                              n_elig, tol, max_iter, width=width)
-                ends.append((code, T[:, :width].tobytes(),
+                ends.append((code, (T[:, :width] + 0.0).tobytes(),
                              T[:, N].tobytes(), vstat.tobytes(),
                              basis.tobytes()))
             assert ends[0] == ends[1]

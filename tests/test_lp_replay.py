@@ -74,6 +74,35 @@ def test_callers_counts_per_question_and_reads_old_recordings(tmp_path):
     assert (mode, chain, question) == ("float", None, None)
 
 
+def test_diff_counts_differing_problems_and_a_count_mismatch(tmp_path,
+                                                            capsys):
+    tool = load_tool()
+    rng = np.random.default_rng(5)
+    problems = [({k: rng.normal(size=3) for k in tool.FIELDS}, "float",
+                 "lhs_check", q) for q in range(3)]
+
+    def run(edited):
+        paths = []
+        for name, recorded in (("old", problems), ("new", edited)):
+            paths.append(tmp_path / f"{name}.lps")
+            with open(paths[-1], "wb") as fh:
+                pickle.dump({"questions": 3, "problems": recorded}, fh)
+        code = tool.main(["diff", *map(str, paths)])
+        return code, json.loads(capsys.readouterr().out)
+
+    copies = [({k: v.copy() for k, v in f.items()}, m, c, q)
+              for f, m, c, q in problems]
+    assert run(copies) == (0, {
+        "problems_a": 3, "problems_b": 3, "count_mismatch": False,
+        "differences": 0, "first_differences": []})
+    flipped = copies[1][0]["ub_rows"].view(np.uint8)
+    flipped[0] ^= 1
+    code, line = run(copies)
+    assert (code, line["differences"], line["first_differences"]) == (1, 1, [1])
+    code, line = run(problems[:2])
+    assert (code, line["count_mismatch"], line["differences"]) == (1, True, 0)
+
+
 def test_callers_exits_quietly_when_its_reader_is_gone(tmp_path):
     fields = {k: np.zeros(1) for k in load_tool().FIELDS}
     rec = tmp_path / "rec.lps"

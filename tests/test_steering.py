@@ -142,6 +142,14 @@ def test_trivial_assemblage_has_zero_components():
         assert np.allclose(y.coords, 0.0)
 
 
+def test_trivial_assemblage_takes_integer_counts_only():
+    sigma = square().vector([1.0, 0.2, -0.1])
+    for bad in ((2, 2.5), (True, 2), (2, "2"), 2):
+        with pytest.raises(InvalidInput, match="integer outcome counts"):
+            steering.trivial_assemblage(sigma, bad)
+    assert steering.trivial_assemblage(sigma, (np.int64(2), 3)).shape == (2, 3)
+
+
 def test_square_vertex_assemblage_pattern():
     s = square()
     asm = steering.Assemblage(
@@ -468,6 +476,9 @@ def test_witness_verify_errors():
         steering.witness_verify(w, s.vector([1.0, 1.0, 1.0]))
     with pytest.raises(InvalidInput, match="another system"):
         steering.witness_verify(w, systems.simplex(3).vector([1, 0, 0]))
+    for bad in (np.array([1.0, 0, 0]), s.functional([1.0, 0, 0])):
+        with pytest.raises(InvalidInput, match="must be a Vector"):
+            steering.witness_verify(w, bad)
 
 
 def test_optimal_witness_attains_the_norm():
@@ -657,13 +668,16 @@ def test_mixing_monotone_in_noise():
                        asm.barycenter.coords * 0.5)
     with pytest.raises(InvalidInput):
         steering.mixed_with_trivial(asm, 1.2)
-    for bad in ("0.5", True, None):
+    # one real number: no text, bool or None, and no list or array of one
+    for bad in ("0.5", True, None, [0.5], np.array([0.5]),
+                np.array([[0.5]])):
         with pytest.raises(InvalidInput, match="real number"):
             steering.mixed_with_trivial(asm, bad)
     assert [[rho.coords.tobytes() for rho in row] for row in
             steering.mixed_with_trivial(asm, np.float64(0.75)).entries] == \
         [[rho.coords.tobytes() for rho in row]
          for row in steering.mixed_with_trivial(asm, 0.75).entries]
+    assert steering.mixed_with_trivial(asm, np.array(0.75)).shape == asm.shape
     values = [steering.robustness(
         steering.mixed_with_trivial(asm, s)) for s in (1.0, 0.75, 0.5)]
     assert values[0] <= values[1] <= values[2]
@@ -865,6 +879,9 @@ def test_model_validation_errors():
             steering.LhsModel(
                 weights=np.array([1.0]), states=(state,),
                 responses=((np.array(bad),),))
+    for bad in (["1"], [True]):
+        with pytest.raises(InvalidInput, match="real numbers"):
+            steering.LhsModel(weights=bad, states=(state,), responses=resp)
     model = steering.LhsModel(
         weights=np.array([1.0]), states=(state,), responses=resp)
     with pytest.raises(InvalidInput, match="shape"):

@@ -546,6 +546,14 @@ def test_is_symmetry_rejects_shear():
     assert not systems.is_symmetry(s, m)
 
 
+def test_is_symmetry_takes_real_matrices_only():
+    s = square()
+    for bad in ("abc", np.eye(3, dtype=bool), [["1", 0, 0]] * 3):
+        with pytest.raises(InvalidInput, match="real numbers"):
+            systems.is_symmetry(s, bad)
+    assert systems.is_symmetry(s, np.eye(3, dtype=int))
+
+
 def test_symmetry_guard(monkeypatch):
     monkeypatch.setenv("GPTSTEER_GUARDS", "symmetry_vertices=3")
     with pytest.raises(GuardExceeded):

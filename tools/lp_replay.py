@@ -3,6 +3,7 @@
     python3 tools/lp_replay.py record --workload order --seed 0 --out order.lps
     python3 tools/lp_replay.py record --workload tests --out tests.lps [PATH ...]
     python3 tools/lp_replay.py compare order.lps TREE_A TREE_B
+    python3 tools/lp_replay.py diff OLD.lps NEW.lps
     python3 tools/lp_replay.py time order.lps TREE_A TREE_B [--rounds R]
     python3 tools/lp_replay.py callers order.lps
 
@@ -26,7 +27,12 @@ under each source tree, in a child process per tree that imports gptsteer
 from TREE/src, and counts the problems whose outcome bytes differ.  An
 outcome is the status, x, value, both dual vectors, the reduced costs and
 the Farkas margin, or the type and message of the exception raised.  It
-prints one JSON line and exits 1 when any outcome differs.  `outcomes FILE
+prints one JSON line and exits 1 when any outcome differs.  `diff` sets
+two recordings side by side, say one made on each tree, since `compare`
+cannot see a change that builds different problems: it counts the
+positions whose mode, caller chain, question or any field's dtype, shape
+or bytes differ, reports whether the problem counts differ, prints one
+JSON line and exits 1 when anything differs.  `outcomes FILE
 TREE` is the child's half: one status and digest per problem, as a JSON
 list.  `time` loads both trees' gptsteer into one process, as two packages
 under their own names, and times building each `LpProblem` and solving it.
@@ -64,6 +70,13 @@ FIELDS = ("objective", "eq_rows", "eq_rhs", "ub_rows", "ub_rhs",
           "lower", "upper")
 OUTCOME = ("x", "value", "dual_eq", "dual_ub", "reduced_costs",
            "farkas_margin")
+
+
+def field_key(fields):
+    """Each field's name, dtype, shape and bytes, in name order: two
+    problems with the same key and mode are the same problem."""
+    return tuple((k, v.dtype.str, v.shape, v.tobytes())
+                 for k, v in sorted(fields.items()))
 
 
 def caller_chain(frame):
@@ -137,8 +150,7 @@ def record_tests(paths):
     def recording(problem, mode="float"):
         if isinstance(problem, lp.LpProblem):
             fields = {k: getattr(problem, k).copy() for k in FIELDS}
-            key = (mode,) + tuple((v.dtype.str, v.shape, v.tobytes())
-                                  for v in fields.values())
+            key = (mode,) + field_key(fields)
             if key not in seen:
                 seen[key] = (fields, mode, caller_chain(sys._getframe(1)),
                              None)
@@ -213,6 +225,22 @@ def compare(path, tree_a, tree_b):
     return {"problems": len(a), "mismatches": len(differ),
             "first_mismatches": differ[:10],
             "statuses": dict(collections.Counter(s for s, _ in a))}
+
+
+def _recorded(problem):
+    fields, mode, chain, question = problem
+    return mode, chain, question, field_key(fields)
+
+
+def diff(path_a, path_b):
+    """Positions where two recordings hold different problems, and
+    whether their problem counts differ."""
+    a, b = load(path_a)["problems"], load(path_b)["problems"]
+    differ = [i for i, (x, y) in enumerate(zip(a, b))
+              if _recorded(x) != _recorded(y)]
+    return {"problems_a": len(a), "problems_b": len(b),
+            "count_mismatch": len(a) != len(b), "differences": len(differ),
+            "first_differences": differ[:10]}
 
 
 def load_tree_lp(tree, name):
@@ -300,6 +328,9 @@ def main(argv=None):
     cmp_.add_argument("file")
     cmp_.add_argument("tree_a")
     cmp_.add_argument("tree_b")
+    dif = sub.add_parser("diff", help="count problems two recordings differ in")
+    dif.add_argument("file_a")
+    dif.add_argument("file_b")
     tim = sub.add_parser("time", help="time build plus solve per LP")
     tim.add_argument("file")
     tim.add_argument("tree_a")
@@ -343,6 +374,10 @@ def _run(args):
                                     args.rounds)))
     elif args.command == "outcomes":
         print(json.dumps(outcomes(args.file, args.tree)))
+    elif args.command == "diff":
+        result = diff(args.file_a, args.file_b)
+        print(json.dumps(result))
+        return 1 if result["differences"] or result["count_mismatch"] else 0
     else:
         result = compare(args.file, args.tree_a, args.tree_b)
         print(json.dumps(result))
