@@ -63,7 +63,7 @@ class SimpleMeasure:
     def __post_init__(self):
         try:
             atoms = tuple((w, p) for (w, p) in self.atoms)
-            if not systems.real_numbers([w for w, _ in atoms]):
+            if not guards.real_numbers([w for w, _ in atoms]):
                 raise TypeError("weights must be real numbers")
             atoms = tuple((float(w), p) for (w, p) in atoms)
         except (TypeError, ValueError) as exc:
@@ -137,7 +137,7 @@ def vertex_measure(system, weights=None):
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = systems.float_array(
+        w = guards.float_array(
             weights, "weights must list one entry per vertex").reshape(-1)
         if w.shape[0] != n:
             raise InvalidInput("weights must list one entry per vertex")
@@ -704,7 +704,7 @@ def symmetrize(mu, group):
     if not isinstance(mu, SimpleMeasure):
         raise InvalidInput("expected a SimpleMeasure")
     system = mu.system
-    maps = [systems.float_array(T, "a symmetry must be a matrix of real numbers")
+    maps = [guards.float_array(T, "a symmetry must be a matrix of real numbers")
             for T in group]
     if len(maps) < 1:
         raise InvalidInput("group must contain at least one map")

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, systems
+from . import __version__, guards, systems
 from .errors import GuardExceeded, InvalidInput, NumericalFailure
 from .tolerances import CERTIFICATE, LP_FEASIBILITY, LP_GAP
 
@@ -113,7 +113,7 @@ def load_measure(path):
     for j, atom in enumerate(raw):
         _expect(atom, ("weight", "point"), f"atom {j}")
         weight = atom["weight"]
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        if not guards.real_number(weight):
             raise InvalidInput(f"atom {j} weight must be a number")
         atoms.append((float(weight),
                       _vector(system, atom["point"], f"atom {j} point")))

@@ -34,8 +34,8 @@ def vertices_of_polytope(A, b):
     Rows are normalized internally so the tolerance is scale-free; the
     dimension guard applies because the search is combinatorial in d.
     """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    A = guards.float_array(A, "half-space data must be real numbers")
+    b = guards.float_array(b, "half-space data must be real numbers").reshape(-1)
     if A.ndim != 2 or A.shape[0] != b.shape[0]:
         raise InvalidInput("half-space matrix and offsets must have matching rows")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -59,7 +59,7 @@ def facets_of_cone(V):
     a spanning subset; only full-dimensional pointed cones are meaningful
     inputs (the caller checks that).
     """
-    V = np.asarray(V, dtype=np.float64)
+    V = guards.float_array(V, "generators must be real numbers")
     if V.ndim != 2:
         raise InvalidInput("generators must form a matrix")
     if not np.all(np.isfinite(V)):

@@ -1,17 +1,25 @@
-"""Size guards for the brute-force enumerations.
+"""Size guards for the brute-force enumerations, and the two input rules
+every entry point shares.
 
 Every guard can be raised explicitly through the GPTSTEER_GUARDS environment
 variable, e.g.
 
     GPTSTEER_GUARDS="dim=8,sign_vectors=16" gptsteer norm ...
 
-Keys not listed below are rejected so typos fail loudly.  `is_integer` is
-the check the count arguments (trials, samples, settings g, search budget
-and outcome counts) share.
+Keys not listed below are rejected so typos fail loudly.
+
+`is_integer` is the rule for counts (trials, samples, settings g, search
+budget and outcome counts).  `real_numbers`, `real_number` and
+`float_array` are the rule for every coordinate, weight, scale and LP
+datum: the spaces are real ordered vector spaces, so bools, text, None and
+complex numbers are rejected, though numpy would convert them (a complex
+one with only a warning).
 """
 
 import numbers
 import os
+
+import numpy as np
 
 from .errors import GuardExceeded, InvalidInput
 
@@ -73,3 +81,44 @@ def is_integer(value):
     """Whether value is an integer count: Python and numpy integers pass,
     bools (an int subclass) and everything else fail."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_PLAIN_REALS = frozenset((float, int, np.float64))
+
+
+def real_numbers(raw):
+    """Whether every leaf of raw is a real number.  Lists, tuples and numpy
+    arrays nest; anything else is a leaf, and bools, text, None, complex
+    numbers and other containers (a range, a dict) are not real numbers,
+    though numpy would convert some of them.  A level whose entries are all
+    plain floats and ints is decided by one set of types."""
+    if isinstance(raw, np.ndarray):
+        if raw.dtype.kind != "O":
+            return raw.dtype.kind in "iuf"
+        raw = raw.ravel()
+    elif not isinstance(raw, (list, tuple)):
+        return type(raw) is not bool and isinstance(raw, numbers.Real)
+    return set(map(type, raw)) <= _PLAIN_REALS or all(map(real_numbers, raw))
+
+
+def real_number(raw):
+    """Whether raw is one real number: `real_numbers` of rank 0, so a
+    Python or numpy real or a 0-d array, not a list or a 1-element array."""
+    if type(raw) is float or type(raw) is int:
+        return True
+    return (not isinstance(raw, (list, tuple)) and np.ndim(raw) == 0
+            and real_numbers(raw))
+
+
+def float_array(raw, message):
+    """raw as a float array, or InvalidInput(message) when it is not real
+    numbers (`real_numbers`) or its nesting is ragged.  A float array is
+    returned as it is, unchecked."""
+    if type(raw) is np.ndarray and raw.dtype == np.float64:
+        return raw
+    if real_numbers(raw):
+        try:
+            return np.asarray(raw, dtype=np.float64)
+        except (ValueError, OverflowError):   # ragged, or past float range
+            pass
+    raise InvalidInput(message)

@@ -24,8 +24,10 @@ problem.
 
 Most LPs the library asks are tiny (three rows and four columns for a cone
 membership), so a call's fixed cost is numpy dispatch rather than pivots,
-and each step is written with few numpy calls: `LpProblem` validates in one
-pass and works out which check failed only on failure; `solve` builds its
+and each step is written with few numpy calls: `LpProblem` converts every
+field with `guards.float_array` (text, bools, None and complex data are a
+MalformedProblem naming the field), validates in one pass and works out
+which check failed only on failure; `solve` builds its
 tableau in place, copies the constraint block and the costs out of it, and
 sums the phase-one row in one axis-0 reduction; `_verify` computes a row's
 size-relative slack only for a row that misses by more than the bare
@@ -56,57 +58,26 @@ from .kernels import (
 from .tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 
 
-def _as_floats(value):
-    """value as a float array; TypeError on text or bools (str, bytes or
-    bool data, or such elements of an object array or a nested sequence),
-    which numpy would convert to numbers.  A sequence is read as objects,
-    since numpy turns [True, 1.0] into floats."""
-    if not isinstance(value, np.ndarray):
-        value = np.asarray(value, dtype=object)
-    kind = value.dtype.kind
-    if kind in "USb" or (kind == "O" and any(
-            isinstance(v, (str, bytes, bool, np.bool_)) for v in value.flat)):
-        raise TypeError("text and bools are not numeric")
-    return np.asarray(value, dtype=np.float64)
-
-
 def _floats(field, value):
-    """value as a float array, or MalformedProblem naming the field."""
+    """value as a float array (`guards.float_array`), or MalformedProblem
+    naming the field."""
+    message = f"{field} must be numeric"
     try:
-        return _as_floats(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedProblem(f"{field} must be numeric") from exc
+        return guards.float_array(value, message)
+    except InvalidInput:
+        raise MalformedProblem(message) from None
 
 
-def _as_matrix(name, rows, rhs, n):
+def _rows(name, rows, rhs, n):
+    """(A, b) as float arrays, a flat A read as one row; MalformedProblem
+    when a field is not numeric or only one of the two is given."""
     if rows is None and rhs is None:
         return np.zeros((0, n)), np.zeros(0)
     if rows is None or rhs is None:
         raise MalformedProblem(f"{name}_rows and {name}_rhs must be given together")
     A = _floats(f"{name}_rows", rows)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    b = _floats(f"{name}_rhs", rhs).reshape(-1)
-    if A.ndim != 2 or A.shape[1] != n:
-        raise MalformedProblem(f"{name}_rows must have {n} columns")
-    if A.shape[0] != b.shape[0]:
-        raise MalformedProblem(f"{name}_rhs length does not match {name}_rows")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise MalformedProblem(f"{name} constraint data must be finite")
-    return A, b
-
-
-def _rows(rows, rhs, n):
-    """(A, b) as float arrays, or None when their shapes do not fit."""
-    if rows is None and rhs is None:
-        return np.zeros((0, n)), np.zeros(0)
-    if rows is None or rhs is None:
-        return None
-    A = _as_floats(rows)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    b = _as_floats(rhs).reshape(-1)
-    return (A, b) if A.shape == (b.size, n) else None
+    return (A.reshape(1, -1) if A.ndim == 1 else A,
+            _floats(f"{name}_rhs", rhs).reshape(-1))
 
 
 def _reject(problem):
@@ -117,8 +88,15 @@ def _reject(problem):
     if not np.all(np.isfinite(c)):
         raise MalformedProblem("objective must be finite")
     n = c.size
-    _as_matrix("eq", problem.eq_rows, problem.eq_rhs, n)
-    _as_matrix("ub", problem.ub_rows, problem.ub_rhs, n)
+    for name in ("eq", "ub"):
+        A, b = _rows(name, getattr(problem, f"{name}_rows"),
+                     getattr(problem, f"{name}_rhs"), n)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise MalformedProblem(f"{name}_rows must have {n} columns")
+        if A.shape[0] != b.shape[0]:
+            raise MalformedProblem(f"{name}_rhs length does not match {name}_rows")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise MalformedProblem(f"{name} constraint data must be finite")
     l = (np.zeros(n) if problem.lower is None
          else _floats("lower", problem.lower).reshape(-1))
     u = (np.full(n, np.inf) if problem.upper is None
@@ -156,21 +134,23 @@ class LpProblem:
         # does), on l > u and on an empty interval [inf, inf] or
         # [-inf, -inf].  `_reject` finds which check failed.
         try:
-            c = _as_floats(self.objective).reshape(-1)
+            c = _floats("objective", self.objective).reshape(-1)
             n = c.size
-            eq = _rows(self.eq_rows, self.eq_rhs, n)
-            ub = _rows(self.ub_rows, self.ub_rhs, n)
+            eq = _rows("eq", self.eq_rows, self.eq_rhs, n)
+            ub = _rows("ub", self.ub_rows, self.ub_rhs, n)
             l = (np.zeros(n) if self.lower is None
-                 else _as_floats(self.lower).reshape(-1))
+                 else _floats("lower", self.lower).reshape(-1))
             u = (np.full(n, np.inf) if self.upper is None
-                 else _as_floats(self.upper).reshape(-1))
-            valid = (n and eq and ub and l.size == n and u.size == n
+                 else _floats("upper", self.upper).reshape(-1))
+            valid = (n and eq[0].shape == (eq[1].size, n)
+                     and ub[0].shape == (ub[1].size, n)
+                     and l.size == n and u.size == n
                      and np.isfinite(np.concatenate((c, *eq, *ub),
                                                     axis=None)).all()
                      and (self.lower is None and self.upper is None
                           or (np.maximum(l, -_MAX)
                               <= np.minimum(u, _MAX)).all()))
-        except (TypeError, ValueError, OverflowError):
+        except MalformedProblem:
             valid = False
         if not valid:
             _reject(self)

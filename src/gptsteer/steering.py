@@ -89,7 +89,12 @@ class Assemblage:
 def _checked_rows(barycenter, entries, cone_lp):
     """The entries as a tuple of tuples, checked as `Assemblage` states;
     each entry's cone membership only when cone_lp is set."""
-    rows = tuple(tuple(row) for row in entries)
+    if not isinstance(barycenter, systems.Vector):
+        raise InvalidInput("barycenter must be a Vector")
+    try:
+        rows = tuple(tuple(row) for row in entries)
+    except TypeError:
+        raise InvalidInput("entries must be rows of vectors") from None
     if len(rows) < 1:
         raise InvalidInput("assemblage needs at least one setting")
     system = barycenter.system
@@ -133,7 +138,7 @@ def mixed_with_trivial(asm, s):
 
     Entries are built from coordinates; each is checked by one
     `cone_member` LP (`Assemblage`)."""
-    if not systems.real_number(s) or not 0.0 <= s <= 1.0:
+    if not guards.real_number(s) or not 0.0 <= s <= 1.0:
         raise InvalidInput("mixing weight must be a real number in [0, 1]")
     sigma = asm.barycenter
     entries = tuple(
@@ -192,20 +197,23 @@ class LhsModel:
     by_setting: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = systems.float_array(
+        w = guards.float_array(
             self.weights, "ensemble weights must be real numbers").reshape(-1)
         states = tuple(self.states)
         rows = tuple(tuple(row) for row in self.responses)
         if not (w.size == len(states) == len(rows)) or w.size < 1 \
                 or any(len(row) != len(rows[0]) for row in rows):
             raise InvalidInput("ensemble, states and responses must align")
-        # a ragged setting raises ValueError here
-        by_setting = tuple(np.array([row[x] for row in rows], dtype=np.float64)
-                           for x in range(len(rows[0])))
+        by_setting = tuple(guards.float_array(
+            [row[x] for row in rows],
+            f"responses to setting {x} must be rows of real numbers")
+            for x in range(len(rows[0])))
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise InvalidInput("ensemble weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > RECONSTRUCTION:
             raise InvalidInput("ensemble weights must sum to 1")
+        if not isinstance(states[0], systems.Vector):
+            raise InvalidInput("hidden states must share one system")
         system = states[0].system
         unit = system.unit_functional
         for rho in states:
@@ -248,9 +256,6 @@ class LhsModel:
             worst = max(worst, float(np.max(np.abs(
                 acc - np.array([rho.coords for rho in row])))))
         return worst
-
-    def reconstructs(self, asm):
-        return self.reconstruction_error(asm) <= RECONSTRUCTION
 
 
 @dataclass(frozen=True)

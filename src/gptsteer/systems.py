@@ -16,7 +16,6 @@ Vectors live in V, functionals in the dual; both carry their system so mixed
 pairings fail loudly rather than silently misinterpreting coordinates.
 """
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,7 +94,7 @@ class GptSystem:
         which is already known to be extreme (see `polytopic_hull`)."""
         if self.vertices is None:
             raise InvalidInput("polytopic system requires vertices")
-        V = float_array(self.vertices, "vertices must be finite")
+        V = guards.float_array(self.vertices, "vertices must be finite")
         if V.ndim != 2 or V.shape[0] < 1:
             raise InvalidInput("vertices must form a nonempty matrix")
         if not np.all(np.isfinite(V)):
@@ -112,8 +111,8 @@ class GptSystem:
                 raise InvalidInput(
                     "vertices must admit a unit functional pairing to 1 with every vertex")
         else:
-            u = float_array(self.unit, "unit must be a finite vector of "
-                            "length dim").reshape(-1)
+            u = guards.float_array(
+                self.unit, "unit must be a finite vector of length dim").reshape(-1)
             if u.shape[0] != d or not np.all(np.isfinite(u)):
                 raise InvalidInput("unit must be a finite vector of length dim")
             if np.max(np.abs(V @ u - 1.0)) > RECONSTRUCTION:
@@ -151,8 +150,8 @@ class GptSystem:
         e0 = np.zeros(self.dim)
         e0[0] = 1.0
         if self.unit is not None:
-            u = float_array(self.unit, "centrally symmetric unit must be the "
-                            "first coordinate functional").reshape(-1)
+            u = guards.float_array(self.unit, "centrally symmetric unit must "
+                                   "be the first coordinate functional").reshape(-1)
             if u.shape[0] != self.dim or np.max(np.abs(u - e0)) > 1e-12:
                 raise InvalidInput(
                     "centrally symmetric unit must be the first coordinate functional")
@@ -212,7 +211,7 @@ class GptSystem:
 
 def _coerce(coords, dim, what):
     if type(coords) is not np.ndarray or coords.dtype != np.float64:
-        coords = float_array(coords, f"{what} coordinates must be finite")
+        coords = guards.float_array(coords, f"{what} coordinates must be finite")
     c = coords.reshape(-1)
     if c.shape[0] != dim:
         raise InvalidInput(f"{what} coordinates must have length {dim}")
@@ -253,6 +252,8 @@ class _Element:
         return type(self)(-self.coords, self.system)
 
     def __mul__(self, a):
+        if not guards.real_number(a):
+            raise InvalidInput(f"a {self.tag} scales by a real number only")
         return type(self)(self.coords * float(a), self.system)
 
     __rmul__ = __mul__
@@ -314,7 +315,7 @@ def mirror_representatives(rows):
 
 def polytopic(vertices, unit=None):
     """System from the extreme points of K (each row one vertex)."""
-    V = float_array(vertices, "vertices must be finite")
+    V = guards.float_array(vertices, "vertices must be finite")
     if V.ndim != 2:
         raise InvalidInput("vertices must form a matrix")
     return GptSystem(kind=POLYTOPIC, dim=V.shape[1], vertices=V, unit=unit)
@@ -327,7 +328,7 @@ def polytopic_hull(points, unit=None):
     count is held to the `vertices` guard: the facet search is combinatorial
     in it.
     """
-    P = float_array(points, "points must form a nonempty matrix")
+    P = guards.float_array(points, "points must form a nonempty matrix")
     if P.ndim != 2 or P.shape[0] < 1:
         raise InvalidInput("points must form a nonempty matrix")
     guards.check("vertices", P.shape[0])
@@ -622,6 +623,8 @@ class Measurement:
         effects = tuple(self.effects)
         if len(effects) < 1:
             raise InvalidInput("measurement needs at least one effect")
+        if not isinstance(effects[0], Functional):
+            raise InvalidInput("expected a Functional")
         system = effects[0].system
         total = np.zeros(system.dim)
         for i, f in enumerate(effects):
@@ -651,7 +654,7 @@ def dichotomic_measurement(system, f):
 def is_symmetry(system, mat):
     """True iff `mat` permutes the vertex set (acting on column vectors)."""
     system._require_polytopic()
-    M = float_array(mat, "a symmetry must be a matrix of real numbers")
+    M = guards.float_array(mat, "a symmetry must be a matrix of real numbers")
     if M.shape != (system.dim, system.dim):
         return False
     images = system.vertices @ M.T
@@ -700,50 +703,11 @@ def system_to_payload(system):
     return out
 
 
-def real_numbers(raw):
-    """Whether every leaf of raw (nested lists and tuples, numpy arrays) is
-    a real number; bools, text and None are not, though numpy would
-    convert them."""
-    stack = [raw]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (list, tuple)):
-            stack.extend(x)
-        elif isinstance(x, np.ndarray):
-            if x.dtype.kind == "O":
-                stack.extend(x.flat)
-            elif x.dtype.kind not in "iuf":
-                return False
-        elif isinstance(x, bool) or not isinstance(x, numbers.Real):
-            return False
-    return True
-
-
-def real_number(raw):
-    """Whether raw is one real number: `real_numbers` of rank 0, so a
-    Python or numpy real or a 0-d array, not a list or a 1-element array."""
-    return (not isinstance(raw, (list, tuple)) and np.ndim(raw) == 0
-            and real_numbers(raw))
-
-
-def float_array(raw, message):
-    """raw as a float array, or InvalidInput(message) when it is not real
-    numbers (`real_numbers`) or its nesting is ragged.  A float array is
-    returned as it is, unchecked."""
-    if type(raw) is np.ndarray and raw.dtype == np.float64:
-        return raw
-    if real_numbers(raw):
-        try:
-            return np.asarray(raw, dtype=np.float64)
-        except (ValueError, OverflowError):   # ragged, or past float range
-            pass
-    raise InvalidInput(message)
-
-
 def payload_floats(raw, what):
-    """A JSON payload value as a float array; InvalidInput when it is not
-    numbers (a string, a bool, null, a ragged list)."""
-    return float_array(raw, f"{what} must be numbers")
+    """A JSON payload value as a float array (`guards.float_array`);
+    InvalidInput when it is not numbers (a string, a bool, null, a ragged
+    list)."""
+    return guards.float_array(raw, f"{what} must be numbers")
 
 
 def _payload_dim(payload):

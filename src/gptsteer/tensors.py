@@ -38,7 +38,7 @@ class TensorElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = systems.float_array(self.coeffs, "coeffs must be finite")
+        c = guards.float_array(self.coeffs, "coeffs must be finite")
         if c.shape != (self.system_a.dim, self.system_b.dim):
             raise InvalidInput(
                 f"coeffs must be {self.system_a.dim} x {self.system_b.dim}, "
@@ -65,6 +65,8 @@ def checked_components(sigma, components):
     scaled by max |F sigma|, balls their closed-form cone test.  Raises
     InvalidInput naming the first component that leaves the cone.
     """
+    if not isinstance(sigma, systems.Vector):
+        raise InvalidInput("sigma must be a Vector")
     comps = tuple(components)
     if len(comps) < 1:
         raise InvalidInput("need at least one component")
@@ -181,12 +183,13 @@ class Witness:
         comps = tuple(self.components)
         if len(comps) < 1:
             raise InvalidInput("witness needs at least one component")
-        system = comps[0].system
-        for x, w in enumerate(comps):
-            if not isinstance(w, systems.Functional) or w.system != system:
+        for x, w in enumerate(comps):   # comps[0] is checked first
+            if not isinstance(w, systems.Functional) \
+                    or w.system != comps[0].system:
                 raise InvalidInput(
                     f"witness component {x} is not a functional on one "
                     "common system")
+        system = comps[0].system
         if self.base is not None:
             if not isinstance(self.base, systems.Functional) \
                     or self.base.system != system:

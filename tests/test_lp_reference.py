@@ -38,8 +38,9 @@ from gptsteer.tolerances import LP_FEASIBILITY, LP_GAP, PIVOT
 def ref_floats(field, value):
     try:
         leaves = np.asarray(value, dtype=object).ravel()
-        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in leaves):
-            raise TypeError("text and bools are not numeric")
+        if any(isinstance(v, (str, bytes, bool, np.bool_, complex,
+                              np.complexfloating)) for v in leaves):
+            raise TypeError("text, bools and complex numbers are not real")
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedProblem(f"{field} must be numeric") from exc
@@ -694,6 +695,10 @@ def test_validation_matches_the_reference():
     (dict(objective=[1.0], lower=[np.False_]), "lower must be numeric"),
     (dict(objective=np.array([1.0, True], dtype=object)),
      "objective must be numeric"),
+    # numpy would drop these imaginary parts with a ComplexWarning
+    (dict(objective=np.array([1 + 1j, 2.0])), "objective must be numeric"),
+    (dict(objective=[1.0, 2.0], eq_rows=np.array([[1.0, 2j]]),
+          eq_rhs=[1.0]), "eq_rows must be numeric"),
 ])
 def test_each_rejection_names_its_check(fields, message):
     with pytest.raises(MalformedProblem) as err:

@@ -889,11 +889,11 @@ def test_model_validation_errors():
     # responses are one row per setting for every hidden state: a ragged
     # setting or a missing one is rejected
     two = (state, state)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         steering.LhsModel(
             weights=np.array([0.5, 0.5]), states=two,
             responses=(([1.0, [0.0]],), ([1.0, 0.0],)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         steering.LhsModel(
             weights=np.array([0.5, 0.5]), states=two,
             responses=(([1.0, 0.0],), ([1.0, 0.0, 0.0],)))
