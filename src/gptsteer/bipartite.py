@@ -31,8 +31,7 @@ import numpy as np
 
 from . import choquet, geometry, guards, lp, steering, systems, tensors
 from .errors import (
-    InvalidInput, MarginalNotInterior, NotInterior, NumericalFailure,
-    SystemMismatch)
+    InvalidInput, MarginalNotInterior, NotInterior, NumericalFailure)
 from .tolerances import CERTIFICATE, COINCIDENCE, LP_FEASIBILITY
 
 A_TO_B = "a_to_b"
@@ -52,11 +51,10 @@ class BipartiteState:
     element: tensors.TensorElement
 
     def __post_init__(self):
-        if not isinstance(self.element, tensors.TensorElement):
-            raise InvalidInput("expected a TensorElement")
+        guards.expect(self.element, tensors.TensorElement)
         a, b = self.element.system_a, self.element.system_b
-        a._require_polytopic()
-        b._require_polytopic()
+        systems.require_polytopic(a)
+        systems.require_polytopic(b)
         c = self.element.coeffs
         total = float(a.unit @ c @ b.unit)
         if abs(total - 1.0) > COINCIDENCE:
@@ -96,6 +94,7 @@ def product_state(rho_a, rho_b):
 
 def swapped(state):
     """The same state with the two parties exchanged."""
+    guards.expect(state, BipartiteState)
     return BipartiteState(tensors.TensorElement(
         system_a=state.system_b, system_b=state.system_a,
         coeffs=state.coeffs.T))
@@ -117,10 +116,7 @@ class SteeringMap:
     direction: str
 
     def __call__(self, h):
-        if not isinstance(h, systems.Functional):
-            raise InvalidInput("steering maps act on functionals")
-        if h.system != self.source:
-            raise SystemMismatch("functional lives on the wrong party")
+        guards.expect(h, systems.Functional, self.source)
         return self.target.vector(self.matrix @ h.coords)
 
 
@@ -133,8 +129,7 @@ def steering_map(state, direction=B_TO_A):
     source party's marginal must be interior so that its normalized
     positive functionals form a base of the dual cone.
     """
-    if not isinstance(state, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
+    guards.expect(state, BipartiteState)
     if direction == B_TO_A:
         source, target = state.system_b, state.system_a
         marginal, matrix = state.marginal_b, state.coeffs
@@ -161,16 +156,11 @@ def conditional_assemblage(state, measurements):
     `Assemblage.unchecked` still verifies that the outcomes of every
     setting sum to the B marginal.
     """
-    if not isinstance(state, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
-    meas = tuple(measurements)
-    if len(meas) < 1:
-        raise InvalidInput("need at least one measurement")
-    for m in meas:
-        if not isinstance(m, systems.Measurement):
-            raise InvalidInput("settings must be Measurement instances")
-        if m.system != state.system_a:
-            raise SystemMismatch("measurement lives on the wrong party")
+    guards.expect(state, BipartiteState)
+    meas = guards.items(measurements, "need at least one measurement")
+    for x, m in enumerate(meas):
+        guards.expect(m, systems.Measurement, state.system_a,
+                      f"measurement {x}")
     b = state.system_b
     ct = state.coeffs.T
     entries = tuple(
@@ -255,8 +245,7 @@ def unsteerable_dichotomic(state):
     lhs_check may hit its own strategy-count guard for systems with
     many extreme effects.
     """
-    if not isinstance(state, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
+    guards.expect(state, BipartiteState)
     a, b = state.system_a, state.system_b
     try:
         systems.assert_interior(b, state.marginal_b)
@@ -345,11 +334,9 @@ def unsteerable_sufficient(state, s_lower):
     s_lower.  True certifies unsteerability, False is inconclusive on its
     own.
     """
-    if not isinstance(state, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
-    if not guards.real_number(s_lower):
-        raise InvalidInput("the degree lower bound must be a real number")
-    s = float(s_lower)
+    guards.expect(state, BipartiteState)
+    s = guards.real_float(s_lower,
+                          "the degree lower bound must be a real number")
     if not 0.0 < s <= 1.0:
         raise InvalidInput("the degree lower bound must lie in (0, 1]")
     a, b = state.system_a, state.system_b
@@ -415,19 +402,15 @@ def steerability_search(state, shapes=(2, 2), sampler=None, budget=50,
     """
     from . import sampling
 
-    if not isinstance(state, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
-    if not guards.is_integer(budget):
-        raise InvalidInput("budget must be an integer")
-    if budget < 1:
-        raise InvalidInput("budget must be at least 1")
-    try:
-        shape = tuple(shapes)
-    except TypeError:   # a bare count, not a list of them
-        shape = ()
-    if (len(shape) < 1 or not all(map(guards.is_integer, shape))
-            or any(k < 2 for k in shape)):
-        raise InvalidInput("shapes must list outcome counts of at least 2")
+    guards.expect(state, BipartiteState)
+    guards.count(budget, 1, "budget must be an integer of at least 1")
+    guards.count(seed, 0, "seed must be a nonnegative integer")
+    if sampler is not None and not callable(sampler):
+        raise InvalidInput("sampler must be callable")
+    counts = "shapes must list outcome counts of at least 2"
+    shape = guards.items(shapes, counts)
+    if not all(guards.is_integer(k) and k >= 2 for k in shape):
+        raise InvalidInput(counts)
     a = state.system_a
     rng = np.random.default_rng(seed)
     if sampler is None:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import guards, kernels, lp, systems, tensors
 from .errors import (InvalidInput, NotASymmetry, NotDichotomic,
-                     NumericalFailure, SystemMismatch)
+                     NumericalFailure)
 from .tolerances import (CERTIFICATE, COINCIDENCE, LP_FEASIBILITY, LP_GAP,
                          RECONSTRUCTION)
 
@@ -61,24 +61,18 @@ class SimpleMeasure:
     atoms: tuple
 
     def __post_init__(self):
+        pairs = "atoms must be (weight, point) pairs"
         try:
-            atoms = tuple((w, p) for (w, p) in self.atoms)
-            if not guards.real_numbers([w for w, _ in atoms]):
-                raise TypeError("weights must be real numbers")
-            atoms = tuple((float(w), p) for (w, p) in atoms)
+            atoms = tuple((guards.real_float(w, pairs), p)
+                          for (w, p) in guards.items(
+                              self.atoms, "measure needs at least one atom"))
         except (TypeError, ValueError) as exc:
-            raise InvalidInput("atoms must be (weight, point) pairs") from exc
-        if len(atoms) < 1:
-            raise InvalidInput("measure needs at least one atom")
-        system = None
+            raise InvalidInput(pairs) from exc
+        system = guards.expect(atoms[0][1], systems.Vector,
+                               name="atom 0 point").system
         total = 0.0
         for j, (w, p) in enumerate(atoms):
-            if not isinstance(p, systems.Vector):
-                raise InvalidInput(f"atom {j} point is not a state vector")
-            if system is None:
-                system = p.system
-            elif p.system != system:
-                raise SystemMismatch("atoms live on different systems")
+            guards.expect(p, systems.Vector, system, f"atom {j} point")
             if not w >= -1e-12:   # NaN fails too
                 raise InvalidInput(f"atom {j} weight must be nonnegative")
             if abs(systems.pair(system.unit_functional, p) - 1.0) > COINCIDENCE:
@@ -118,7 +112,7 @@ class BoundaryMeasure(SimpleMeasure):
     def __post_init__(self):
         super().__post_init__()
         system = self.system
-        system._require_polytopic()
+        systems.require_polytopic(system)
         for j, (_, p) in enumerate(self.atoms):
             gap = np.max(np.abs(system.vertices - p.coords), axis=1)
             if float(np.min(gap)) > COINCIDENCE:
@@ -132,7 +126,7 @@ def point_mass(rho):
 
 def vertex_measure(system, weights=None):
     """Boundary measure on the full vertex set; uniform unless weighted."""
-    system._require_polytopic()
+    systems.require_polytopic(system)
     n = system.n_vertices
     if weights is None:
         w = np.full(n, 1.0 / n)
@@ -143,14 +137,6 @@ def vertex_measure(system, weights=None):
             raise InvalidInput("weights must list one entry per vertex")
     return BoundaryMeasure(
         tuple((float(wi), system.vector(v)) for wi, v in zip(w, system.vertices)))
-
-
-def _same_system(nu, mu):
-    for m in (nu, mu):
-        if not isinstance(m, SimpleMeasure):
-            raise InvalidInput("expected a SimpleMeasure")
-    if nu.system != mu.system:
-        raise SystemMismatch("measures live on different systems")
 
 
 def _barycenter_gap(nu, mu):
@@ -217,7 +203,8 @@ def choquet_below(nu, mu):
     functional tuple.  Measures with different barycenters are never
     ordered, so that case short-circuits to a refutation.
     """
-    _same_system(nu, mu)
+    guards.expect(mu, SimpleMeasure, guards.expect(
+        nu, SimpleMeasure, name="nu").system, "mu")
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         return _mismatch_verdict(nu, mu)
     k, n, d = len(nu.atoms), len(mu.atoms), nu.system.dim
@@ -275,9 +262,10 @@ def choquet_below_dual_check(nu, mu, trials=64, seed=0):
     violation refutes nu below mu; passing every trial proves nothing by
     itself.
     """
-    _same_system(nu, mu)
-    if not guards.is_integer(trials) or trials < 1:
-        raise InvalidInput("trials must be a positive integer")
+    guards.expect(mu, SimpleMeasure, guards.expect(
+        nu, SimpleMeasure, name="nu").system, "mu")
+    guards.count(trials, 1, "trials must be a positive integer")
+    guards.count(seed, 0, "seed must be a nonnegative integer")
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
         v = _mismatch_verdict(nu, mu)
         return DualCheckVerdict(False, v.functionals, v.violation)
@@ -325,13 +313,14 @@ def co_norm_max(system, sigma, h):
     normalizing them gives a measure whose |<h, .>| average equals the
     norm, and no measure with barycenter sigma averages higher.
     """
-    if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
+    unit = guards.expect(sigma, systems.Vector, system).system.unit_functional
+    if abs(systems.pair(unit, sigma) - 1.0) > COINCIDENCE:
         raise InvalidInput("sigma must be normalized")
     value, y = systems.sigma_base_norm(system, h, sigma)
     atoms = []
     for s in (1.0, -1.0):
         half = 0.5 * (sigma + s * y)
-        w = systems.pair(system.unit_functional, half)
+        w = systems.pair(unit, half)
         if w > 1e-12:
             atoms.append((w, (1.0 / w) * half))
     if not atoms:
@@ -431,11 +420,8 @@ def c_mu(system, sigma, mu):
     else NumericalFailure.  Without floors (atoms spanning no more than a
     hyperplane, or too many atom subsets) every facet is solved.
     """
-    if not isinstance(mu, SimpleMeasure):
-        raise InvalidInput("expected a SimpleMeasure")
-    if mu.system != system:
-        raise SystemMismatch("measure lives on another system")
-    system._require_polytopic()
+    guards.expect(mu, SimpleMeasure, systems.require_polytopic(system),
+                  "measure")
     Y = _interval_vertices(system, sigma)
     if float(np.max(np.abs(mu.barycenter.coords - sigma.coords))) > RECONSTRUCTION:
         raise InvalidInput("measure barycenter must equal sigma")
@@ -485,7 +471,7 @@ def universal_degree(system, sigma=None):
     mu with barycenter sigma has c_mu(mu) <= sum_i w_i f_mu(h_i / w_i) <=
     mu(A) = value, f_mu(h) being the mu-average of |<h, .>|.
     """
-    system._require_polytopic()
+    systems.require_polytopic(system)
     sigma = system.barycenter if sigma is None else sigma
     Y = _interval_vertices(system, sigma)
     if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
@@ -575,7 +561,8 @@ def dichotomic_below_exact(nu, mu):
     mismatch.  Either way the returned margin is the gap at h, which must
     be positive, else NumericalFailure.
     """
-    _same_system(nu, mu)
+    guards.expect(mu, SimpleMeasure, guards.expect(
+        nu, SimpleMeasure, name="nu").system, "mu")
     if len(nu.atoms) > 2:
         raise NotDichotomic("exact order check needs at most two atoms")
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
@@ -631,14 +618,15 @@ def c_mu_monte_carlo(system=None, sigma=None, samples=100000, seed=0):
     """
     if system is None:
         system = systems.ball(3)
+    guards.expect(system, systems.GptSystem)
     if system.kind != systems.CENTRALLY_SYMMETRIC or system.ball_norm != "l2":
         raise InvalidInput("the Monte Carlo constant is specialized to the "
                            "l2 ball")
     if sigma is not None and not systems.is_center(system, sigma):
         raise InvalidInput("sigma must be the center of the ball")
-    if not guards.is_integer(samples) or samples < 2:
-        raise InvalidInput("samples must be an integer of at least 2")
-    samples = int(samples)
+    samples = int(guards.count(
+        samples, 2, "samples must be an integer of at least 2"))
+    guards.count(seed, 0, "seed must be a nonnegative integer")
     n = system.dim - 1
     rng = np.random.default_rng(seed)
     if n == 1:
@@ -701,13 +689,10 @@ def symmetrize(mu, group):
     output invariant; vertex support survives, so a BoundaryMeasure stays
     one.
     """
-    if not isinstance(mu, SimpleMeasure):
-        raise InvalidInput("expected a SimpleMeasure")
-    system = mu.system
+    system = guards.expect(mu, SimpleMeasure).system
     maps = [guards.float_array(T, "a symmetry must be a matrix of real numbers")
-            for T in group]
-    if len(maps) < 1:
-        raise InvalidInput("group must contain at least one map")
+            for T in guards.items(group,
+                                  "group must contain at least one map")]
     for T in maps:
         if not systems.is_symmetry(system, T):
             raise NotASymmetry("map does not permute the state-space vertices")

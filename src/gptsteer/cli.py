@@ -70,9 +70,8 @@ def load_tensor(path):
     obj = _expect(_load_json(path), ("system", "sigma", "components"),
                   "tensor")
     system = systems.system_from_payload(obj["system"])
-    comps = obj["components"]
-    if not isinstance(comps, list) or not comps:
-        raise InvalidInput("tensor payload needs a nonempty component list")
+    comps = guards.items(obj["components"],
+                         "tensor payload needs a nonempty component list")
     return tensors.DichotomicTensor(
         sigma=_vector(system, obj["sigma"], "sigma"),
         components=tuple(
@@ -86,15 +85,12 @@ def load_assemblage(path):
     obj = _expect(_load_json(path), ("system", "barycenter", "entries"),
                   "assemblage")
     system = systems.system_from_payload(obj["system"])
-    rows = obj["entries"]
-    if not isinstance(rows, list) or not rows:
-        raise InvalidInput("assemblage payload needs a nonempty entry list")
-    for x, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise InvalidInput(f"entry row {x} must be a list of vectors")
+    rows = guards.items(obj["entries"],
+                        "assemblage payload needs a nonempty entry list")
     entries = tuple(
         tuple(_vector(system, rho, f"entry ({a}|{x})")
-              for a, rho in enumerate(row))
+              for a, rho in enumerate(guards.items(
+                  row, f"entry row {x} must be a nonempty list of vectors")))
         for x, row in enumerate(rows))
     return steering.Assemblage(
         barycenter=_vector(system, obj["barycenter"], "barycenter"),
@@ -106,18 +102,12 @@ def load_measure(path):
 
     obj = _expect(_load_json(path), ("system", "atoms"), "measure")
     system = systems.system_from_payload(obj["system"])
-    raw = obj["atoms"]
-    if not isinstance(raw, list) or not raw:
-        raise InvalidInput("measure payload needs a nonempty atom list")
-    atoms = []
-    for j, atom in enumerate(raw):
-        _expect(atom, ("weight", "point"), f"atom {j}")
-        weight = atom["weight"]
-        if not guards.real_number(weight):
-            raise InvalidInput(f"atom {j} weight must be a number")
-        atoms.append((float(weight),
-                      _vector(system, atom["point"], f"atom {j} point")))
-    return choquet.SimpleMeasure(tuple(atoms))
+    raw = guards.items(obj["atoms"],
+                       "measure payload needs a nonempty atom list")
+    return choquet.SimpleMeasure(tuple(
+        (_expect(atom, ("weight", "point"), f"atom {j}")["weight"],
+         _vector(system, atom["point"], f"atom {j} point"))
+        for j, atom in enumerate(raw)))
 
 
 def load_bipartite(path):
@@ -127,12 +117,9 @@ def load_bipartite(path):
                   "bipartite state")
     sys_a = systems.system_from_payload(obj["system_a"])
     sys_b = systems.system_from_payload(obj["system_b"])
-    coeffs = systems.payload_floats(obj["coeffs"], "coeffs")
-    if coeffs.ndim != 2 or coeffs.shape != (sys_a.dim, sys_b.dim):
-        raise InvalidInput(
-            f"coeffs must be a {sys_a.dim} x {sys_b.dim} matrix")
     return bipartite.BipartiteState(tensors.TensorElement(
-        system_a=sys_a, system_b=sys_b, coeffs=coeffs))
+        system_a=sys_a, system_b=sys_b,
+        coeffs=systems.payload_floats(obj["coeffs"], "coeffs")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Size guards for the brute-force enumerations, and the two input rules
+"""Size guards for the brute-force enumerations, and the three input rules
 every entry point shares.
 
 Every guard can be raised explicitly through the GPTSTEER_GUARDS environment
@@ -8,20 +8,29 @@ variable, e.g.
 
 Keys not listed below are rejected so typos fail loudly.
 
-`is_integer` is the rule for counts (trials, samples, settings g, search
-budget and outcome counts).  `real_numbers`, `real_number` and
-`float_array` are the rule for every coordinate, weight, scale and LP
-datum: the spaces are real ordered vector spaces, so bools, text, None and
-complex numbers are rejected, though numpy would convert them (a complex
-one with only a warning).
+The three input rules:
+- counts (trials, samples, seeds, settings g, search budget and outcome
+  counts): `is_integer` and `count` take Python and numpy integers that
+  fit an index;
+- reals: `real_numbers`, `real_number`, `float_array` and `real_float`
+  decide every coordinate, weight, scale and LP datum.  The spaces are
+  real ordered vector spaces, so bools, text, None, complex numbers and
+  numbers past float range are rejected, though numpy would convert the
+  first four (a complex one with only a warning);
+- the public boundary: `expect` checks a typed argument's class and
+  system, and `items` turns a collection into a nonempty tuple.  Every
+  public name calls them at entry, so a wrong type, a foreign system or a
+  non-iterable collection is InvalidInput (SystemMismatch for the system)
+  and only GptSteerError subclasses escape.
 """
 
 import numbers
 import os
+import sys
 
 import numpy as np
 
-from .errors import GuardExceeded, InvalidInput
+from .errors import GuardExceeded, InvalidInput, SystemMismatch
 
 # Defaults are desk scale: the enumerations behind them are exponential.
 DEFAULTS = {
@@ -78,9 +87,20 @@ def check(name, value):
 
 
 def is_integer(value):
-    """Whether value is an integer count: Python and numpy integers pass,
-    bools (an int subclass) and everything else fail."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Whether value is an integer count: Python and numpy integers that
+    fit an index pass; bools (an int subclass), integers past sys.maxsize
+    (numpy cannot allocate them and a loop over them never ends) and
+    everything else fail."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and -sys.maxsize - 1 <= value <= sys.maxsize)
+
+
+def count(value, least, message):
+    """value, once it is an integer count (`is_integer`) of at least
+    `least`; InvalidInput(message) otherwise."""
+    if not is_integer(value) or value < least:
+        raise InvalidInput(message)
+    return value
 
 
 _PLAIN_REALS = frozenset((float, int, np.float64))
@@ -122,3 +142,48 @@ def float_array(raw, message):
         except (ValueError, OverflowError):   # ragged, or past float range
             pass
     raise InvalidInput(message)
+
+
+def real_float(raw, message):
+    """raw as a float, or InvalidInput(message) unless it is one real
+    number (`real_number`) within float range: `float_array`'s rule for a
+    single number."""
+    if real_number(raw):
+        try:
+            return float(raw)
+        except OverflowError:   # past float range
+            pass
+    raise InvalidInput(message)
+
+
+_ANY_SYSTEM = object()
+
+
+def expect(x, cls, system=_ANY_SYSTEM, name=None):
+    """x, once it is a `cls` tagged with `system` (when one is passed, even
+    None: a caller's system argument is checked as given).
+
+    Raises InvalidInput "expected a <cls>" when it is no cls, and
+    SystemMismatch "<cls> tagged with a different system" when its system
+    differs; with a name, "<name> must be a <cls>" and "<name> lives on
+    another system"."""
+    if not isinstance(x, cls):
+        raise InvalidInput(f"{name} must be a {cls.__name__}" if name
+                           else f"expected a {cls.__name__}")
+    if system is not _ANY_SYSTEM and x.system != system:
+        raise SystemMismatch(f"{name} lives on another system" if name else
+                             f"{cls.__name__.lower()} tagged with a "
+                             "different system")
+    return x
+
+
+def items(raw, message):
+    """raw as a nonempty tuple, or InvalidInput(message) when it is not
+    iterable (a number, None) or holds nothing."""
+    try:
+        out = tuple(raw)
+    except TypeError:
+        raise InvalidInput(message) from None
+    if not out:
+        raise InvalidInput(message)
+    return out

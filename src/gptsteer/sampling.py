@@ -96,7 +96,7 @@ def random_steerable_leaning_tensor(rng, system, g=2, sigma=None):
     the steering norm exceeds 1 on a large fraction of draws; Gaussian
     components almost never steer at small g.
     """
-    system._require_polytopic()
+    systems.require_polytopic(system)
     if sigma is None:
         sigma = random_interior_state(rng, system)
     B = tensors.sigma_interval_vertices(system, sigma)
@@ -131,7 +131,7 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
     """
     from . import steering
 
-    system._require_polytopic()
+    systems.require_polytopic(system)
     V = system.vertices
     n = V.shape[0]
     if sigma is None:
@@ -158,7 +158,7 @@ def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):
     """
     from . import choquet
 
-    system._require_polytopic()
+    systems.require_polytopic(system)
     V = system.vertices
     sats = [system.vector(V.T @ rng.dirichlet(np.ones(V.shape[0])))
             for _ in range(n_satellites)]
@@ -185,7 +185,7 @@ def random_dilation(rng, measure):
     from . import choquet
 
     system = measure.system
-    system._require_polytopic()
+    systems.require_polytopic(system)
     V = system.vertices
     atoms = []
     for w, p in measure.atoms:

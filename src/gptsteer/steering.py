@@ -89,28 +89,18 @@ class Assemblage:
 def _checked_rows(barycenter, entries, cone_lp):
     """The entries as a tuple of tuples, checked as `Assemblage` states;
     each entry's cone membership only when cone_lp is set."""
-    if not isinstance(barycenter, systems.Vector):
-        raise InvalidInput("barycenter must be a Vector")
-    try:
-        rows = tuple(tuple(row) for row in entries)
-    except TypeError:
-        raise InvalidInput("entries must be rows of vectors") from None
-    if len(rows) < 1:
-        raise InvalidInput("assemblage needs at least one setting")
-    system = barycenter.system
+    system = guards.expect(barycenter, systems.Vector,
+                           name="barycenter").system
+    rows = tuple(guards.items(row, f"setting {x} has no outcomes")
+                 for x, row in enumerate(guards.items(
+                     entries, "assemblage needs at least one setting")))
     if abs(systems.pair(system.unit_functional, barycenter)
            - 1.0) > COINCIDENCE:
         raise InvalidInput("barycenter is not normalized")
     for x, row in enumerate(rows):
-        if len(row) < 1:
-            raise InvalidInput(f"setting {x} has no outcomes")
         total = np.zeros(system.dim)
         for a, rho in enumerate(row):
-            if not isinstance(rho, systems.Vector) \
-                    or rho.system != system:
-                raise InvalidInput(
-                    f"entry ({a}|{x}) is not a vector on the "
-                    "barycenter system")
+            guards.expect(rho, systems.Vector, system, f"entry ({a}|{x})")
             if cone_lp and not systems.cone_member(system, rho).member:
                 raise InvalidInput(f"entry ({a}|{x}) is outside V+")
             total = total + rho.coords
@@ -122,10 +112,7 @@ def _checked_rows(barycenter, entries, cone_lp):
 
 def trivial_assemblage(sigma, shape):
     """The assemblage rho_{a|x} = sigma / k_x; classical for any sigma."""
-    try:
-        shape = tuple(shape)
-    except TypeError:   # a bare count, not a list of them
-        shape = (None,)
+    shape = guards.items(shape, "shape must list integer outcome counts")
     if not all(map(guards.is_integer, shape)):
         raise InvalidInput("shape must list integer outcome counts")
     entries = tuple(
@@ -138,9 +125,10 @@ def mixed_with_trivial(asm, s):
 
     Entries are built from coordinates; each is checked by one
     `cone_member` LP (`Assemblage`)."""
-    if not guards.real_number(s) or not 0.0 <= s <= 1.0:
+    s = guards.real_float(s, "mixing weight must be a real number in [0, 1]")
+    if not 0.0 <= s <= 1.0:
         raise InvalidInput("mixing weight must be a real number in [0, 1]")
-    sigma = asm.barycenter
+    sigma = guards.expect(asm, Assemblage).barycenter
     entries = tuple(
         tuple(sigma.system.vector(
             rho.coords * s + sigma.coords * ((1.0 - s) / len(row)))
@@ -156,7 +144,7 @@ def to_dichotomic_tensor(asm):
     entries in V+ and summing to sigma, sigma +- y_x = 2 rho_{-/+|x} stays
     in the cone, so the unchecked constructor is sound here.
     """
-    if any(k != 2 for k in asm.shape):
+    if any(k != 2 for k in guards.expect(asm, Assemblage).shape):
         raise NotDichotomic(
             "dichotomic reduction needs two outcomes per setting, "
             f"got shape {asm.shape}")
@@ -173,6 +161,7 @@ def from_dichotomic_tensor(t):
     balls) and no `cone_member` LP runs.  The check runs again here, so a
     tensor built with `DichotomicTensor.unchecked` is checked too.
     """
+    guards.expect(t, tensors.DichotomicTensor)
     comps = tensors.checked_components(t.sigma, t.components)
     entries = tuple(
         ((t.sigma + y) * 0.5, (t.sigma - y) * 0.5) for y in comps)
@@ -199,11 +188,13 @@ class LhsModel:
     def __post_init__(self):
         w = guards.float_array(
             self.weights, "ensemble weights must be real numbers").reshape(-1)
-        states = tuple(self.states)
-        rows = tuple(tuple(row) for row in self.responses)
+        align = "ensemble, states and responses must align"
+        states = guards.items(self.states, align)
+        rows = tuple(guards.items(row, align)
+                     for row in guards.items(self.responses, align))
         if not (w.size == len(states) == len(rows)) or w.size < 1 \
                 or any(len(row) != len(rows[0]) for row in rows):
-            raise InvalidInput("ensemble, states and responses must align")
+            raise InvalidInput(align)
         by_setting = tuple(guards.float_array(
             [row[x] for row in rows],
             f"responses to setting {x} must be rows of real numbers")
@@ -212,19 +203,17 @@ class LhsModel:
             raise InvalidInput("ensemble weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > RECONSTRUCTION:
             raise InvalidInput("ensemble weights must sum to 1")
-        if not isinstance(states[0], systems.Vector):
-            raise InvalidInput("hidden states must share one system")
-        system = states[0].system
+        system = guards.expect(states[0], systems.Vector,
+                               name="hidden state 0").system
         unit = system.unit_functional
-        for rho in states:
-            if not isinstance(rho, systems.Vector) or rho.system != system:
-                raise InvalidInput("hidden states must share one system")
+        for j, rho in enumerate(states):
+            guards.expect(rho, systems.Vector, system, f"hidden state {j}")
             if abs(systems.pair(unit, rho) - 1.0) > STATE_NORMALIZATION:
                 raise InvalidInput("hidden states must be normalized")
         # Written so that NaN fails each test.
         for R in by_setting:
             if R.ndim != 2:
-                raise InvalidInput("ensemble, states and responses must align")
+                raise InvalidInput(align)
             if not (np.all(R >= -1e-12) and np.all(R <= 1.0 + 1e-12)):
                 raise InvalidInput("responses must lie in [0, 1]")
             if not np.all(np.abs(np.sum(R, axis=1) - 1.0) <= COINCIDENCE):
@@ -245,7 +234,7 @@ class LhsModel:
     def reconstruction_error(self, asm):
         """Largest coordinate deviation of the model from the assemblage
         (each entry adds its strategies' terms left to right)."""
-        if len(self.by_setting) != asm.g or any(
+        if len(self.by_setting) != guards.expect(asm, Assemblage).g or any(
                 R.shape[1] != k for R, k in zip(self.by_setting, asm.shape)):
             raise InvalidInput("model responses do not match the shape")
         S = np.array([rho.coords for rho in self.states])
@@ -284,8 +273,7 @@ def lhs_check(asm):
     Feasible: the normalized phi_omega are the hidden states.  Infeasible:
     the Farkas dual supplies the steering certificate.
     """
-    system = asm.system
-    system._require_polytopic()
+    system = systems.require_polytopic(guards.expect(asm, Assemblage).system)
     shape = asm.shape
     n_atoms = math.prod(shape)
     guards.check("lhs_atoms", n_atoms)
@@ -402,7 +390,7 @@ def robustness(asm):
     Other shapes bisect with lhs_check down to BISECTION_WIDTH, so the
     returned s tests classical and s + 2 BISECTION_WIDTH tests steerable.
     """
-    system = asm.system
+    system = guards.expect(asm, Assemblage).system
     systems.assert_interior(system, asm.barycenter)
     if all(k == 2 for k in asm.shape):
         t = to_dichotomic_tensor(asm)
@@ -517,13 +505,9 @@ def witness_verify(w, sigma):
     Strict: additionally the sigma base norms of the components sum above 1,
     so the witness detects some assemblage.
     """
-    system = w.system
-    system._require_polytopic()
-    if not isinstance(sigma, systems.Vector):
-        raise InvalidInput("sigma must be a Vector")
-    if sigma.system != system:
-        raise InvalidInput("sigma lives on another system")
-    systems.assert_interior(system, sigma)
+    system = systems.require_polytopic(guards.expect(w, Witness).system)
+    systems.assert_interior(system, guards.expect(
+        sigma, systems.Vector, system, "sigma"))
     V = system.vertices
     need = tensors.local_bound(
         V, [(f.coords, -f.coords) for f in w.components])
@@ -547,7 +531,7 @@ def dual_system(system, sigma=None):
     its vertices are the cone facets scaled to value 1 on sigma, and its
     unit functional is sigma itself.  Defaults to the vertex barycenter.
     """
-    system._require_polytopic()
+    systems.require_polytopic(system)
     if sigma is None:
         sigma = system.barycenter
     systems.assert_interior(system, sigma)
@@ -563,12 +547,9 @@ def measurements_to_assemblage(system, measurements, sigma=None):
     dual-system state; all settings share the unit functional as
     barycenter.  lhs_check on the result decides joint measurability.
     """
-    meas = tuple(measurements)
-    if len(meas) < 1:
-        raise InvalidInput("need at least one measurement")
-    for m in meas:
-        if not isinstance(m, systems.Measurement) or m.system != system:
-            raise InvalidInput("measurements must live on the given system")
+    meas = guards.items(measurements, "need at least one measurement")
+    for x, m in enumerate(meas):
+        guards.expect(m, systems.Measurement, system, f"measurement {x}")
     dual = dual_system(system, sigma)
     entries = tuple(
         tuple(dual.vector(f.coords) for f in m.effects) for m in meas)

@@ -17,6 +17,7 @@ pairings fail loudly rather than silently misinterpreting coordinates.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -143,7 +144,7 @@ class GptSystem:
     def _init_ball(self):
         if self.ball_norm not in BALL_NORMS:
             raise InvalidInput(f"ball_norm must be one of {BALL_NORMS}")
-        if self.dim < 2:
+        if not guards.is_integer(self.dim) or self.dim < 2:
             raise InvalidInput("centrally symmetric systems need dim >= 2")
         if self.vertices is not None:
             raise InvalidInput("centrally symmetric systems take no vertices")
@@ -170,9 +171,10 @@ class GptSystem:
     def functional(self, coords):
         return Functional(coords, self)
 
-    @property
+    @cached_property
     def unit_functional(self):
-        return Functional(np.asarray(self.unit), self)
+        """The unit as a Functional, built on first read and kept."""
+        return Functional(self.unit, self)
 
     @property
     def barycenter(self):
@@ -181,10 +183,6 @@ class GptSystem:
         c = np.zeros(self.dim)
         c[0] = 1.0
         return self.vector(c)
-
-    def _require_polytopic(self):
-        if self.kind != POLYTOPIC:
-            raise InvalidInput("operation requires a polytopic system")
 
     def __eq__(self, other):
         if self is other:
@@ -252,9 +250,8 @@ class _Element:
         return type(self)(-self.coords, self.system)
 
     def __mul__(self, a):
-        if not guards.real_number(a):
-            raise InvalidInput(f"a {self.tag} scales by a real number only")
-        return type(self)(self.coords * float(a), self.system)
+        return type(self)(self.coords * guards.real_float(
+            a, f"a {self.tag} scales by a real number only"), self.system)
 
     __rmul__ = __mul__
 
@@ -276,11 +273,8 @@ class Functional(_Element):
 
 def pair(f, v):
     """Dual pairing <f, v>; rejects mixed systems."""
-    if not isinstance(f, Functional) or not isinstance(v, Vector):
-        raise InvalidInput("pair expects (Functional, Vector)")
-    if f.system != v.system:
-        raise SystemMismatch("pairing across different systems")
-    return float(f.coords @ v.coords)
+    guards.expect(f, Functional)
+    return float(f.coords @ guards.expect(v, Vector, f.system).coords)
 
 
 # -- factories ------------------------------------------------------------
@@ -348,15 +342,17 @@ def polytopic_hull(points, unit=None):
 
 def simplex(k):
     """Classical system with k pure states (the probability simplex)."""
-    if not guards.is_integer(k) or k < 1:
-        raise InvalidInput("simplex needs an integer k >= 1")
+    guards.count(k, 1, "simplex needs an integer k >= 1")
+    guards.check("dim", k)
+    guards.check("vertices", k)
     return polytopic(np.eye(k), unit=np.ones(k))
 
 
 def hypercube(g):
     """Polytopic l-infinity ball system in R^(g+1): vertices (1, signs)."""
-    if not guards.is_integer(g) or g < 1:
-        raise InvalidInput("hypercube needs an integer g >= 1")
+    guards.count(g, 1, "hypercube needs an integer g >= 1")
+    guards.check("dim", g + 1)
+    guards.check("vertices", 2 ** g)
     rows = []
     for idx in range(2 ** g):
         eps = [1.0 if (idx >> b) & 1 == 0 else -1.0 for b in range(g)]
@@ -373,8 +369,9 @@ def square():
 
 def cross_polytope(n):
     """Polytopic l1 ball system in R^(n+1): vertices (1, +-e_i)."""
-    if not guards.is_integer(n) or n < 1:
-        raise InvalidInput("cross polytope needs an integer n >= 1")
+    guards.count(n, 1, "cross polytope needs an integer n >= 1")
+    guards.check("dim", n + 1)
+    guards.check("vertices", 2 * n)
     rows = []
     for i in range(n):
         for s in (1.0, -1.0):
@@ -388,15 +385,13 @@ def cross_polytope(n):
 
 def ball(n, norm="l2"):
     """Centrally symmetric ball system in R^(n+1) (n=3, l2: the qubit)."""
-    if not guards.is_integer(n) or n < 1:
-        raise InvalidInput("ball needs an integer n >= 1")
+    guards.count(n, 1, "ball needs an integer n >= 1")
     return GptSystem(kind=CENTRALLY_SYMMETRIC, dim=int(n) + 1, ball_norm=norm)
 
 
 def regular_polygon(m):
     """Polytopic disk approximation: m unit-circle vertices in R^3."""
-    if not guards.is_integer(m) or m < 3:
-        raise InvalidInput("polygon needs an integer m >= 3")
+    guards.count(m, 3, "polygon needs an integer m >= 3")
     guards.check("vertices", m)
     ang = 2.0 * np.pi * np.arange(m) / m
     V = np.column_stack([np.ones(m), np.cos(ang), np.sin(ang)])
@@ -406,16 +401,16 @@ def regular_polygon(m):
 # -- membership and norms -------------------------------------------------
 
 
-def _check(system, x, cls):
-    if not isinstance(x, cls):
-        raise InvalidInput(f"expected a {cls.__name__}")
-    if x.system != system:
-        raise SystemMismatch(f"{cls.tag} tagged with a different system")
+def require_polytopic(system):
+    """system, once it is a polytopic GptSystem; InvalidInput otherwise."""
+    if guards.expect(system, GptSystem).kind != POLYTOPIC:
+        raise InvalidInput("operation requires a polytopic system")
+    return system
 
 
 def assert_interior(system, sigma):
     """Raise NotInterior unless sigma lies strictly inside V+."""
-    _check(system, sigma, Vector)
+    guards.expect(sigma, Vector, system)
     if system.kind == POLYTOPIC:
         vals = system.cone_facets @ sigma.coords
         scale = 1.0 + float(np.max(np.abs(vals)))
@@ -429,7 +424,7 @@ def assert_interior(system, sigma):
 
 
 def is_center(system, sigma):
-    _check(system, sigma, Vector)
+    guards.expect(sigma, Vector, system)
     c = np.zeros(system.dim)
     c[0] = 1.0
     return float(np.max(np.abs(sigma.coords - c))) <= COINCIDENCE
@@ -456,7 +451,7 @@ def in_cone(system, v):
     COINCIDENCE * (1 + |t|).  For callers that read only the yes/no answer;
     `cone_member` returns coefficients or a separator.
     """
-    _check(system, v, Vector)
+    guards.expect(v, Vector, system)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(v.coords[0])
         r = _ball_norm_value(v.coords[1:], system.ball_norm)
@@ -472,7 +467,7 @@ def cone_member(system, v):
     Membership comes with vertex coefficients (polytopic; None for balls),
     rejection with a functional nonnegative on V+ and negative on v.
     """
-    _check(system, v, Vector)
+    guards.expect(v, Vector, system)
     if system.kind == CENTRALLY_SYMMETRIC:
         if in_cone(system, v):
             return ConeMembership(True, None, None)
@@ -492,7 +487,7 @@ def cone_member(system, v):
 def base_norm(system, v):
     """||v||_V: minimal total unit mass over decompositions v+ - v- in V+,
     by LP (the dual envelope needs the C(2n, dim) effect enumeration)."""
-    _check(system, v, Vector)
+    guards.expect(v, Vector, system)
     if system.kind == CENTRALLY_SYMMETRIC:
         return max(abs(float(v.coords[0])),
                    _ball_norm_value(v.coords[1:], system.ball_norm))
@@ -514,12 +509,9 @@ def order_unit_norm(system, f, unit=None):
     sigma, giving the sigma order-unit norm on V.
     """
     if isinstance(f, Functional):
-        if unit is None:
-            unit = system.unit_functional
-        if not isinstance(unit, Functional):
-            raise InvalidInput("unit must be a Functional when f is a Functional")
-        _check(system, f, Functional)
-        _check(system, unit, Functional)
+        guards.expect(f, Functional, system)
+        unit = guards.expect(system.unit_functional if unit is None else unit,
+                             Functional, system, "unit")
         if system.kind == CENTRALLY_SYMMETRIC:
             e0 = np.zeros(system.dim)
             e0[0] = 1.0
@@ -535,9 +527,7 @@ def order_unit_norm(system, f, unit=None):
         num = np.abs(system.vertices @ f.coords)
         return float(np.max(num / den))
     if isinstance(f, Vector):
-        if unit is None or not isinstance(unit, Vector):
-            raise InvalidInput("unit must be a reference state Vector when f is a Vector")
-        _check(system, f, Vector)
+        guards.expect(f, Vector, system)
         assert_interior(system, unit)
         if system.kind == CENTRALLY_SYMMETRIC:
             _require_center(system, unit)
@@ -551,7 +541,7 @@ def order_unit_norm(system, f, unit=None):
 
 def sigma_base_norm(system, h, sigma):
     """||h||^sigma = max <h, y> over -sigma <= y <= sigma; returns (value, y*)."""
-    _check(system, h, Functional)
+    guards.expect(h, Functional, system)
     assert_interior(system, sigma)
     if system.kind == CENTRALLY_SYMMETRIC:
         _require_center(system, sigma)
@@ -580,7 +570,7 @@ def sigma_base_norm(system, h, sigma):
 def extreme_effects(system):
     """All extreme points of the effect interval {0 <= f <= unit}, as a
     tuple enumerated once per system and kept on it."""
-    system._require_polytopic()
+    require_polytopic(system)
     if system.effect_extremes is None:
         V = system.vertices
         n = V.shape[0]
@@ -593,7 +583,7 @@ def extreme_effects(system):
 
 
 def is_effect(system, f):
-    _check(system, f, Functional)
+    guards.expect(f, Functional, system)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(f.coords[0])
         r = _ball_norm_value(f.coords[1:], _dual_ball_name(system.ball_norm))
@@ -605,7 +595,7 @@ def is_effect(system, f):
 
 def in_dual_cone(system, f):
     """Whether f is nonnegative on every state, up to CERTIFICATE."""
-    _check(system, f, Functional)
+    guards.expect(f, Functional, system)
     if system.kind == CENTRALLY_SYMMETRIC:
         t = float(f.coords[0])
         r = _ball_norm_value(f.coords[1:], _dual_ball_name(system.ball_norm))
@@ -620,15 +610,12 @@ class Measurement:
     effects: tuple
 
     def __post_init__(self):
-        effects = tuple(self.effects)
-        if len(effects) < 1:
-            raise InvalidInput("measurement needs at least one effect")
-        if not isinstance(effects[0], Functional):
-            raise InvalidInput("expected a Functional")
-        system = effects[0].system
+        effects = guards.items(self.effects,
+                               "measurement needs at least one effect")
+        system = guards.expect(effects[0], Functional).system
         total = np.zeros(system.dim)
         for i, f in enumerate(effects):
-            _check(system, f, Functional)
+            guards.expect(f, Functional, system)
             if not is_effect(system, f):
                 raise InvalidInput(f"effect {i} is outside the effect interval")
             total = total + f.coords
@@ -647,13 +634,13 @@ class Measurement:
 
 def dichotomic_measurement(system, f):
     """The pair (f, unit - f) for an effect f."""
-    _check(system, f, Functional)
+    guards.expect(f, Functional, system)
     return Measurement((f, system.unit_functional - f))
 
 
 def is_symmetry(system, mat):
     """True iff `mat` permutes the vertex set (acting on column vectors)."""
-    system._require_polytopic()
+    require_polytopic(system)
     M = guards.float_array(mat, "a symmetry must be a matrix of real numbers")
     if M.shape != (system.dim, system.dim):
         return False
@@ -667,14 +654,11 @@ def is_symmetry(system, mat):
 def symmetries(system, fix=None):
     """All linear maps permuting the vertices and fixing `fix` (barycenter
     by default, which every vertex permutation fixes automatically)."""
-    system._require_polytopic()
+    require_polytopic(system)
     n = system.n_vertices
     guards.check("symmetry_vertices", n)
-    if fix is None:
-        fix_coords = system.vertices.mean(axis=0)
-    else:
-        _check(system, fix, Vector)
-        fix_coords = np.asarray(fix.coords)
+    fix_coords = (system.vertices.mean(axis=0) if fix is None
+                  else guards.expect(fix, Vector, system).coords)
     V = system.vertices
     rows = []
     for i in range(n):

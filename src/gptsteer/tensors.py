@@ -38,6 +38,8 @@ class TensorElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        guards.expect(self.system_a, systems.GptSystem)
+        guards.expect(self.system_b, systems.GptSystem)
         c = guards.float_array(self.coeffs, "coeffs must be finite")
         if c.shape != (self.system_a.dim, self.system_b.dim):
             raise InvalidInput(
@@ -52,6 +54,8 @@ class TensorElement:
 
 def tensor_product(rho_a, rho_b):
     """Simple tensor of two vectors as a TensorElement."""
+    guards.expect(rho_a, systems.Vector)
+    guards.expect(rho_b, systems.Vector)
     return TensorElement(
         system_a=rho_a.system, system_b=rho_b.system,
         coeffs=np.outer(rho_a.coords, rho_b.coords))
@@ -65,16 +69,10 @@ def checked_components(sigma, components):
     scaled by max |F sigma|, balls their closed-form cone test.  Raises
     InvalidInput naming the first component that leaves the cone.
     """
-    if not isinstance(sigma, systems.Vector):
-        raise InvalidInput("sigma must be a Vector")
-    comps = tuple(components)
-    if len(comps) < 1:
-        raise InvalidInput("need at least one component")
-    system = sigma.system
+    system = guards.expect(sigma, systems.Vector, name="sigma").system
+    comps = guards.items(components, "need at least one component")
     for x, y in enumerate(comps):
-        if not isinstance(y, systems.Vector) or y.system != system:
-            raise InvalidInput(
-                f"component {x} is not a vector on the sigma system")
+        guards.expect(y, systems.Vector, system, f"component {x}")
     if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
         raise InvalidInput("barycenter is not normalized")
     if system.kind == systems.POLYTOPIC:
@@ -132,6 +130,7 @@ def embed_dichotomic(t):
 
     Row 0 of the coefficient matrix is sigma, row x is y_x.
     """
+    guards.expect(t, DichotomicTensor)
     rows = [t.sigma.coords] + [y.coords for y in t.components]
     return TensorElement(
         system_a=systems.hypercube(t.g), system_b=t.system,
@@ -140,7 +139,7 @@ def embed_dichotomic(t):
 
 def injective_norm_dichotomic(t):
     """Largest sigma order-unit norm among the components."""
-    system = t.system
+    system = guards.expect(t, DichotomicTensor).system
     systems.assert_interior(system, t.sigma)
     return max(
         systems.order_unit_norm(system, y, unit=t.sigma)
@@ -180,20 +179,16 @@ class Witness:
     normalized: bool = False
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) < 1:
-            raise InvalidInput("witness needs at least one component")
-        for x, w in enumerate(comps):   # comps[0] is checked first
-            if not isinstance(w, systems.Functional) \
-                    or w.system != comps[0].system:
-                raise InvalidInput(
-                    f"witness component {x} is not a functional on one "
-                    "common system")
-        system = comps[0].system
+        comps = guards.items(self.components,
+                             "witness needs at least one component")
+        system = guards.expect(comps[0], systems.Functional,
+                               name="witness component 0").system
+        for x, w in enumerate(comps):
+            guards.expect(w, systems.Functional, system,
+                          f"witness component {x}")
         if self.base is not None:
-            if not isinstance(self.base, systems.Functional) \
-                    or self.base.system != system:
-                raise InvalidInput("witness base lives on another system")
+            guards.expect(self.base, systems.Functional, system,
+                          "witness base")
             self._check_dominance(system, comps)
         elif self.normalized:
             raise InvalidInput("a normalized witness must carry its base")
@@ -233,7 +228,7 @@ class Witness:
         from . import steering
         if isinstance(target, steering.Assemblage):
             target = steering.to_dichotomic_tensor(target)
-        if target.g != self.g:
+        if guards.expect(target, DichotomicTensor, name="target").g != self.g:
             raise InvalidInput("witness and target have different g")
         return float(sum(
             abs(systems.pair(w, y))
@@ -262,8 +257,8 @@ def steering_norm(t):
     weights): minimize lambda subject to sum_eps eps_x phi_eps = y_x and
     sum_eps phi_eps <= lambda sigma.
     """
-    system = t.system
-    system._require_polytopic()
+    system = guards.expect(t, DichotomicTensor).system
+    systems.require_polytopic(system)
     systems.assert_interior(system, t.sigma)
     guards.check("sign_vectors", t.g)
 
@@ -323,8 +318,9 @@ def projective_norm(t):
     a difference bounded inside conv(K_A x K_B) both ways; for normalized max
     cone elements, <= 1 iff separable.
     """
-    t.system_a._require_polytopic()
-    t.system_b._require_polytopic()
+    guards.expect(t, TensorElement)
+    systems.require_polytopic(t.system_a)
+    systems.require_polytopic(t.system_b)
     Va, Vb = t.system_a.vertices, t.system_b.vertices
     na, nb = Va.shape[0], Vb.shape[0]
     cols = np.einsum("ip,jq->ijpq", Va, Vb).reshape(na * nb, -1).T
@@ -346,8 +342,8 @@ def sigma_interval_vertices(system, sigma):
     the last bits, several times each, and an equal sigma runs no second
     enumeration.  A third distinct sigma evicts the one enumerated first.
     """
-    system._require_polytopic()
-    key = sigma.coords.tobytes()
+    systems.require_polytopic(system)
+    key = guards.expect(sigma, systems.Vector, system).coords.tobytes()
     for cached, B in system.sigma_interval:
         if cached == key:
             return B
@@ -371,8 +367,8 @@ def projective_norm_dichotomic(t):
     the steering norm: column c (eps tensor b) splits into cone elements
     c/2 (sigma + b) on eps and c/2 (sigma - b) on -eps, of mass c sigma.
     """
-    system = t.system
-    system._require_polytopic()
+    system = guards.expect(t, DichotomicTensor).system
+    systems.require_polytopic(system)
     systems.assert_interior(system, t.sigma)
     guards.check("sign_vectors", t.g)
     B = sigma_interval_vertices(system, t.sigma)
@@ -387,6 +383,7 @@ def projective_norm_dichotomic(t):
 
 def max_cone_member(t):
     """Whether t pairs nonnegatively with every product of effects."""
+    guards.expect(t, TensorElement)
     EA = np.array(
         [f.coords for f in systems.extreme_effects(t.system_a)])
     EB = np.array(
@@ -411,8 +408,9 @@ class MinConeResult:
 
 def min_cone_member(t):
     """Membership of t in the separable cone, by LP feasibility."""
-    t.system_a._require_polytopic()
-    t.system_b._require_polytopic()
+    guards.expect(t, TensorElement)
+    systems.require_polytopic(t.system_a)
+    systems.require_polytopic(t.system_b)
     Va, Vb = t.system_a.vertices, t.system_b.vertices
     na, nb = Va.shape[0], Vb.shape[0]
     cols = np.einsum("ip,jq->ijpq", Va, Vb).reshape(na * nb, -1).T

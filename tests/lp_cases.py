@@ -27,8 +27,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from gptsteer import (bipartite, choquet, lp, sampling, steering, systems,
-                      tensors)
+from gptsteer import (bipartite, choquet, guards, lp, sampling, steering,
+                      systems, tensors)
 from gptsteer.lp import LpProblem
 
 INF = np.inf
@@ -189,7 +189,8 @@ def full_scan_dichotomic_below(nu, mu):
     norm, a negative value refuting with its h, of sigma base norm one.
     The reference whose verdict `choquet.dichotomic_below_exact` must give
     (it solved these LPs itself where mu's gauges have no closed form)."""
-    choquet._same_system(nu, mu)
+    guards.expect(mu, choquet.SimpleMeasure,
+                  guards.expect(nu, choquet.SimpleMeasure).system)
     system = nu.system
     Y = choquet._interval_vertices(system, nu.barycenter)
     ball = choquet._ball_epigraph(Y, mu.weights, mu.points)

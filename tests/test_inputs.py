@@ -18,7 +18,7 @@ import pytest
 
 from gptsteer import (bipartite, choquet, cli, geometry, guards, lp,
                       steering, systems, tensors)
-from gptsteer.errors import InvalidInput, MalformedProblem
+from gptsteer.errors import GuardExceeded, InvalidInput, MalformedProblem
 
 SQ = systems.polytopic(
     [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]], unit=[1, 0, 0])
@@ -104,6 +104,7 @@ NOT_REAL = {
     "None": None,
     "None in a float list": [1.0, None],
     "ragged": [[1.0, 2.0], [3.0]],
+    "past float range": 10 ** 400,
 }
 
 
@@ -219,8 +220,40 @@ RAW = np.array([1.0, 0.0, 0.0])
     lambda: steering.Assemblage(barycenter=CENTER, entries=(3,)),
     lambda: steering.LhsModel(weights=[1.0], states=(RAW,),
                               responses=(([1.0, 0.0],),)),
+    lambda: steering.LhsModel(weights=[1.0], states=3,
+                              responses=(([1.0, 0.0],),)),
+    lambda: steering.LhsModel(weights=[1.0], states=(CENTER,), responses=3),
+    lambda: tensors.Witness(components=3),
+    lambda: tensors.DichotomicTensor(sigma=CENTER, components=3),
+    lambda: systems.Measurement(3),
 ], ids=["Witness", "Measurement", "DichotomicTensor", "Assemblage",
-        "Assemblage entries=3", "Assemblage entries=(3,)", "LhsModel"])
+        "Assemblage entries=3", "Assemblage entries=(3,)", "LhsModel",
+        "LhsModel states=3", "LhsModel responses=3", "Witness components=3",
+        "DichotomicTensor components=3", "Measurement effects=3"])
 def test_constructors_check_the_element_type_first(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# counts: the size guards trip before anything is built, and a count past
+# an index is no count
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: systems.hypercube(30), "dim=31"),
+    (lambda: systems.simplex(10 ** 6), "dim=1000000"),
+    (lambda: systems.cross_polytope(10 ** 5), "dim=100001"),
+], ids=["hypercube", "simplex", "cross_polytope"])
+def test_factories_check_their_size_guards_before_they_build(build, named):
+    with pytest.raises(GuardExceeded, match=f"^{named} exceeds guard "):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: systems.ball(10 ** 400),
+    lambda: choquet.c_mu_monte_carlo(samples=10 ** 400),
+    lambda: systems.hypercube(10 ** 400),
+], ids=["ball", "c_mu_monte_carlo", "hypercube"])
+def test_a_count_past_an_index_is_invalid_input(build):
     with pytest.raises(InvalidInput):
         build()

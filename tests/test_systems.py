@@ -104,6 +104,16 @@ def test_system_equality_is_content_based():
     assert systems.ball(2, "l2") != systems.ball(2, "linf")
 
 
+@pytest.mark.parametrize("build", [square, lambda: systems.ball(3),
+                                   lambda: systems.simplex(3)])
+def test_unit_functional_is_built_once_with_the_unit_bytes(build):
+    s = build()
+    assert s.unit_functional is s.unit_functional
+    assert s.unit_functional.system is s
+    assert s.unit_functional.coords.tobytes() == s.unit.tobytes()
+    assert not s.unit_functional.coords.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # cone facets of the square, frozen from the enumeration kernel
 
