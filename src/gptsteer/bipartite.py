@@ -15,11 +15,11 @@ satisfies
 where S is the steering map toward party A.  The right side is the
 support function of the zonotope with generators mu_j rho_j, so the
 condition says that the adjoint image S*(e) of every extreme point e of
-the order interval [-unit_A, unit_A] lies in that zonotope.  Writing
-the zonotope coefficients as t_j with |t_j| <= mu_j turns the joint
-search over mu and the memberships into one LP, and a Farkas
-certificate of infeasibility converts into dichotomic measurements on A
-whose conditional assemblage provably steers.
+the order interval [-unit_A, unit_A] lies in that zonotope.  The joint
+search over mu and the memberships is one LP, the zonotope cover
+`choquet._cover_lp` (coefficients t = alpha - beta, alpha + beta <= mu),
+and a Farkas certificate of infeasibility converts into dichotomic
+measurements on A whose conditional assemblage provably steers.
 """
 
 import itertools
@@ -211,26 +211,6 @@ class UnsteerableVerdict:
     measurements: Optional[tuple] = None
 
 
-def _verify_model(state, model, weights, targets, t):
-    """Check the zonotope certificate of an unsteerability model.
-
-    `weights` are the model's weights on the vertices rho_j of B (0 for
-    dropped atoms); row i of `t` writes the target S*(e_i) of the i-th
-    non-unit interval extreme as sum_j t_ij rho_j.  With |t_ij| <= w_j
-    every |<h, S*(e_i)>| is at most sum_j w_j |<h, rho_j>|, and the unit
-    extreme is covered by the barycenter, so the steering bound holds in
-    every direction h.
-    """
-    gap = np.max(np.abs(model.barycenter.coords - state.marginal_b.coords))
-    if gap > CERTIFICATE:
-        raise NumericalFailure("model barycenter drifted from sigma_B")
-    miss = np.abs(t @ state.system_b.vertices - targets)
-    if not np.all(miss <= CERTIFICATE):
-        raise NumericalFailure("zonotope coefficients miss their targets")
-    if not np.all(np.abs(t) - weights <= CERTIFICATE):
-        raise NumericalFailure("model fails the steering bound")
-
-
 def unsteerable_dichotomic(state):
     """Decide whether dichotomic measurements on A can steer party B.
 
@@ -238,12 +218,12 @@ def unsteerable_dichotomic(state):
     decided exactly, with the unit extreme skipped: its inequality
     |<h, sigma_B>| <= sum_j mu_j |<h, rho_j>| holds automatically for
     any measure with barycenter sigma_B.  On the unsteerable side the
-    LP's zonotope coefficients are re-checked against the model; on the
-    steerable side the Farkas dual selects interval extremes on A, and
-    the resulting measurements are certified by lhs_check (falling back
-    to the full extreme family if rounding blurred the selection).
-    lhs_check may hit its own strategy-count guard for systems with
-    many extreme effects.
+    zonotope coefficients t = alpha - beta are re-checked against the
+    model (`choquet._check_cover`); on the steerable side the Farkas dual
+    selects interval extremes on A, and the resulting measurements are
+    certified by lhs_check (falling back to the full extreme family if
+    rounding blurred the selection).  lhs_check may hit its own
+    strategy-count guard for systems with many extreme effects.
     """
     guards.expect(state, BipartiteState)
     a, b = state.system_a, state.system_b
@@ -260,37 +240,20 @@ def unsteerable_dichotomic(state):
     n, d = V.shape
     m = len(es)
     targets = np.array([state.coeffs.T @ e.coords for e in es]).reshape(m, d)
-    nvar = n * (1 + m)
-    eq = np.zeros((d * (1 + m), nvar))
-    eq[:d, :n] = V.T
-    for i in range(m):
-        eq[d * (i + 1):d * (i + 2), n * (i + 1):n * (i + 2)] = V.T
-    rhs = np.concatenate([state.marginal_b.coords, targets.reshape(-1)])
-    ub = np.zeros((2 * m * n, nvar))
-    idx = np.arange(n)
-    for i in range(m):
-        top = 2 * n * i
-        ub[top + idx, n * (i + 1) + idx] = 1.0
-        ub[top + idx, idx] = -1.0
-        ub[top + n + idx, n * (i + 1) + idx] = -1.0
-        ub[top + n + idx, idx] = -1.0
-    lower = np.concatenate([np.zeros(n), np.full(n * m, -np.inf)])
-    out = lp.feasibility(lp.LpProblem(
-        objective=np.zeros(nvar), eq_rows=eq, eq_rhs=rhs,
-        ub_rows=ub, ub_rhs=np.zeros(2 * m * n), lower=lower))
+    sigma = state.marginal_b.coords
+    out = lp.feasibility(choquet._cover_lp(V, sigma, targets, scaled=False))
 
     if out.status == "optimal":
-        w = np.asarray(out.x[:n], dtype=np.float64)
-        if float(w.min()) < -LP_FEASIBILITY:
+        x = np.asarray(out.x, dtype=np.float64)
+        if float(x[:n].min()) < -LP_FEASIBILITY:
             raise NumericalFailure("model weights went negative")
-        w = np.clip(w, 0.0, None)
-        atoms = tuple(
-            (float(wj), b.vector(V[j]))
-            for j, wj in enumerate(w) if wj > 1e-12)
-        model = choquet.BoundaryMeasure(atoms)
-        t = np.asarray(out.x[n:], dtype=np.float64).reshape(m, n)
-        _verify_model(state, model, np.where(w > 1e-12, w, 0.0), targets, t)
-        return UnsteerableVerdict(unsteerable=True, model=model)
+        w = np.where(x[:n] > 1e-12, x[:n], 0.0)
+        ab = x[n:].reshape(m, 2, n)
+        choquet._check_cover(V, w, sigma, targets, ab[:, 0] - ab[:, 1])
+        atoms = tuple((float(wj), b.vector(V[j]))
+                      for j, wj in enumerate(w) if wj > 0.0)
+        return UnsteerableVerdict(
+            unsteerable=True, model=choquet.BoundaryMeasure(atoms))
 
     blocks = np.asarray(out.dual_eq, dtype=np.float64)[d:].reshape(m, d)
     scale = float(np.max(np.abs(blocks))) if m else 0.0

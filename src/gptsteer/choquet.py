@@ -23,14 +23,17 @@ the minimum of the measure's average of |<h, .>| over the unit sphere of
 the sigma base norm.  That constant lower-bounds the steering robustness of
 every assemblage with barycenter sigma; its largest value over boundary
 measures with barycenter sigma, the universal steering degree, is one LP
-with a certificate each way (`universal_degree`).  The constant is the least
-of one LP per facet of the sphere, and each facet has a closed-form floor,
-one over the zonotope gauge of the facet's interval vertex: the minimum
-over the facet's whole hyperplane.  The smallest floor equals the
-constant, so `c_mu` solves facets in order of increasing floor, stops
-once the floors pass the best LP value, and checks that value against the
-smallest floor; when the atoms do not span the space (the constant is 0)
-or have too many subsets, every facet LP is solved.
+with a certificate each way (`universal_degree`): the largest s with s
+times each interval vertex in the zonotope of a vertex measure, a zonotope
+cover (`_cover_lp`, checked by `_check_cover`) that also decides
+`bipartite.unsteerable_dichotomic`.  The constant is the least of one LP
+per facet of the sphere, and each facet has a closed-form floor, one over
+the zonotope gauge of the facet's interval vertex: the minimum over the
+facet's whole hyperplane.  The smallest floor equals the constant, so
+`c_mu` solves facets in order of increasing floor, stops once the floors
+pass the best LP value, and checks that value against the smallest floor;
+when the atoms do not span the space (the constant is 0) or have too many
+subsets, every facet LP is solved.
 """
 
 import itertools
@@ -453,23 +456,60 @@ def c_mu(system, sigma, mu):
     return min(max(best, 0.0), 1.0)
 
 
+def _cover_lp(P, sigma, targets, scaled):
+    """LP for a vertex measure mu with barycenter sigma whose zonotope
+    sum_j mu_j [-P_j, P_j] holds each row T_i of targets (s T_i for the
+    largest s when scaled).  Columns, all nonnegative: mu, alpha_i and
+    beta_i per target, then s when scaled, with objective -s; rows P^T mu
+    = sigma, P^T (alpha_i - beta_i) = T_i (or s T_i) and alpha_i + beta_i
+    <= mu.  No sum mu = 1 row: <unit, sigma> = 1 implies it."""
+    n, d = P.shape
+    m = targets.shape[0]
+    eq = np.zeros((d * (1 + m), n * (1 + 2 * m) + scaled))
+    ub = np.zeros((m * n, eq.shape[1]))
+    eq[:d, :n] = P.T
+    ub[:, :n] = np.tile(-np.eye(n), (m, 1))
+    for i in range(m):
+        c = n * (1 + 2 * i)
+        eq[d * (1 + i):d * (2 + i), c:c + 2 * n] = np.hstack([P.T, -P.T])
+        ub[n * i:n * (i + 1), c:c + 2 * n] = np.tile(np.eye(n), 2)
+    objective = np.zeros(eq.shape[1])
+    if scaled:
+        eq[d:, -1] = -targets.reshape(-1)
+        objective[-1] = -1.0
+    rhs = np.concatenate([sigma, np.zeros(m * d) if scaled
+                          else targets.reshape(-1)])
+    return lp.LpProblem(objective, eq_rows=eq, eq_rhs=rhs, ub_rows=ub,
+                        ub_rhs=np.zeros(m * n))
+
+
+def _check_cover(P, weights, sigma, targets, t):
+    """NumericalFailure unless weights on the vertices P_j have barycenter
+    sigma and row i of t writes target T_i as sum_j t_ij P_j with |t_ij| <=
+    weights_j, which puts T_i in their zonotope."""
+    if not np.all(np.abs(weights @ P - sigma) <= CERTIFICATE):
+        raise NumericalFailure("model barycenter drifted from sigma")
+    if not np.all(np.abs(t @ P - targets) <= CERTIFICATE):
+        raise NumericalFailure("zonotope coefficients miss their targets")
+    if not np.all(np.abs(t) - weights <= CERTIFICATE):
+        raise NumericalFailure("zonotope coefficients exceed the weights")
+
+
 def universal_degree(system, sigma=None):
     """Universal steering degree at sigma (default the vertex barycenter),
     the largest c_mu over boundary measures with barycenter sigma, as
     (value, a measure attaining it).
 
-    Without its ball rows (they leave the minimum unchanged) the facet LP
-    of c_mu at interval vertex Y_i has the dual  max lambda_i  subject to
-    lambda_i Y_i = P^T (alpha_i - beta_i),  alpha_i + beta_i <= mu,  linear
-    in mu and its multipliers together (P holds the vertices).  So the
-    degree is one LP: max s subject to s <= lambda_i for every kept Y_i,
-    mu >= 0, sum mu = 1 and P^T mu = sigma.  Both certificates are checked
-    within CERTIFICATE (1 + value), else NumericalFailure.  Below: c_mu at
-    mu* = max(x_mu, 0) is the value.  Above: the duals give weights w_i >= 0
-    summing to one, points h_i with <h_i, Y_i> = w_i and an affine A with
-    sum_i |<h_i, v>| <= A(v) on every vertex and A(sigma) = value, so every
-    mu with barycenter sigma has c_mu(mu) <= sum_i w_i f_mu(h_i / w_i) <=
-    mu(A) = value, f_mu(h) being the mu-average of |<h, .>|.
+    c_mu(mu) >= s iff s Y_i lies in the zonotope of mu for each kept
+    interval vertex Y_i (the sigma sphere lies on the hyperplanes <h, +-Y_i>
+    = 1), so the degree is the largest s of `_cover_lp` over the Y_i.  Both
+    certificates are checked within CERTIFICATE (1 + value), else
+    NumericalFailure.  Below: t = alpha - beta is a zonotope model
+    (`_check_cover`) of value Y_i under mu* = max(x_mu, 0).  Above: the
+    duals give h_i with sum_i <h_i, Y_i> = 1 and a linear A with sum_i
+    |<h_i, v>| <= A(v) on every vertex and A(sigma) = value; since sum_i
+    |<h_i, Y_i>| >= 1, each mu with barycenter sigma has c_mu(mu) <= sum_i
+    f_mu(h_i) <= mu(A) = value, f_mu being the mu-average of |<h, .>|.
     """
     systems.require_polytopic(system)
     sigma = system.barycenter if sigma is None else sigma
@@ -478,46 +518,22 @@ def universal_degree(system, sigma=None):
         raise InvalidInput("sigma must be normalized")
     P = system.vertices
     (m, d), n = Y.shape, P.shape[0]
-    k = 1 + 2 * n   # columns of block i: lambda_i, alpha_i, beta_i
-    eq = np.zeros((m * d + 1 + d, 1 + n + m * k))
-    ub = np.zeros((m + m * n, eq.shape[1]))
-    ub[:m, 0] = 1.0
-    ub[m:, 1:1 + n] = np.tile(-np.eye(n), (m, 1))
-    for i in range(m):
-        c = 1 + n + i * k
-        ub[i, c] = -1.0
-        eq[i * d:(i + 1) * d, c:c + k] = np.column_stack([Y[i], -P.T, P.T])
-        ub[m + i * n:m + (i + 1) * n, c + 1:c + k] = np.tile(np.eye(n), 2)
-    eq[m * d, 1:1 + n] = 1.0
-    eq[m * d + 1:, 1:1 + n] = P.T
-    lower = np.zeros(eq.shape[1])
-    lower[0] = lower[1 + n::k] = -np.inf
-    objective = np.zeros(eq.shape[1])
-    objective[0] = -1.0
-    out = lp.optimum(lp.LpProblem(
-        objective, eq_rows=eq, eq_rhs=np.concatenate(
-            [np.zeros(m * d), [1.0], sigma.coords]),
-        ub_rows=ub, ub_rhs=np.zeros(ub.shape[0]), lower=lower),
-        "universal degree LP")
+    out = lp.optimum(_cover_lp(P, sigma.coords, Y, scaled=True),
+                     "universal degree LP")
     value = -out.value
     tol = CERTIFICATE * (1 + abs(value))
-    w = -out.dual_ub[:m]
-    H = -out.dual_eq[:m * d].reshape(m, d)
-    A = -out.dual_eq[m * d:]
-    excess = np.abs(P @ H.T).sum(axis=1) - (A[0] + P @ A[1:])
-    if (w.min() < -tol or abs(w.sum() - 1.0) > tol
-            or np.abs(np.einsum("id,id->i", H, Y) - w).max() > tol
-            or excess.max() > tol
-            or abs(A[0] + A[1:] @ sigma.coords - value) > tol):
+    A = -out.dual_eq[:d]
+    H = out.dual_eq[d:].reshape(m, d)
+    excess = tensors.local_bound(P, [(h, -h) for h in H]) - P @ A
+    if (abs(np.einsum("id,id->", H, Y) - 1.0) > tol or excess.max() > tol
+            or abs(A @ sigma.coords - value) > tol):
         raise NumericalFailure("universal degree dual certificate fails")
-    measure = vertex_measure(system, np.maximum(out.x[1:1 + n], 0.0))
-    low = c_mu(system, sigma, measure)
-    if abs(low - value) > tol:
-        raise NumericalFailure(
-            f"maximizing measure reaches {low}, not the degree {value}")
+    ab = out.x[n:-1].reshape(m, 2, n)
+    weights = np.maximum(out.x[:n], 0.0)
+    _check_cover(P, weights, sigma.coords, value * Y, ab[:, 0] - ab[:, 1])
     if value < -COINCIDENCE or value > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"universal degree {value} escaped [0, 1]")
-    return min(max(value, 0.0), 1.0), measure
+    return min(max(value, 0.0), 1.0), vertex_measure(system, weights)
 
 
 @dataclass(frozen=True)

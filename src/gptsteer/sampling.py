@@ -5,7 +5,7 @@ Everything takes an explicit numpy Generator so callers control determinism.
 
 import numpy as np
 
-from . import systems, tensors
+from . import choquet, guards, steering, systems, tensors
 from .errors import InvalidInput, NumericalFailure
 
 
@@ -15,10 +15,10 @@ def random_polytopic_system(rng, dim=3, max_points=8):
     Retries until the hull is a valid system (enough extreme points, full
     span); degenerate draws are rare but possible.
     """
-    if dim < 2:
-        raise InvalidInput("sampled systems need dim >= 2")
-    if max_points < dim + 1:
-        raise InvalidInput("max_points must be at least dim + 1")
+    guards.expect(rng, np.random.Generator, name="rng")
+    guards.count(dim, 2, "sampled systems need an integer dim >= 2")
+    guards.check("dim", dim)
+    guards.count(max_points, dim + 1, "max_points must be an integer > dim")
     for _ in range(100):
         n = int(rng.integers(dim + 1, max_points + 1))
         x = rng.uniform(-1.0, 1.0, size=(n, dim - 1))
@@ -31,7 +31,13 @@ def random_polytopic_system(rng, dim=3, max_points=8):
 
 
 def random_interior_state(rng, system, pull=None):
-    """Strict convex mixture of the vertex barycenter with a random state."""
+    """Strict convex mixture of the vertex barycenter with a random state,
+    pull (default uniform in [0.2, 0.9]) of the way toward the latter."""
+    guards.expect(rng, np.random.Generator, name="rng")
+    systems.require_polytopic(system)
+    if pull is not None and not 0.0 <= guards.real_float(
+            pull, "pull must be a real number") <= 1.0:
+        raise InvalidInput("pull must lie in [0, 1]")
     w = rng.dirichlet(np.ones(system.n_vertices))
     mix = system.vertices.T @ w
     a = float(rng.uniform(0.2, 0.9)) if pull is None else float(pull)
@@ -40,8 +46,12 @@ def random_interior_state(rng, system, pull=None):
 
 def random_dichotomic_tensor(rng, system, g, sigma=None):
     """Tensor with components y_x drawn inside the sigma ball."""
+    guards.expect(rng, np.random.Generator, name="rng")
+    guards.count(g, 1, "g must be an integer of at least 1")
+    guards.check("sign_vectors", g)
     if sigma is None:
         sigma = random_interior_state(rng, system)
+    guards.expect(sigma, systems.Vector, system, "sigma")
     comps = []
     while len(comps) < g:
         u = rng.normal(size=system.dim)
@@ -55,8 +65,9 @@ def random_dichotomic_tensor(rng, system, g, sigma=None):
 
 def random_separable_coeffs(rng, sys_a, sys_b):
     """Coefficient matrix of a random mixture of four product states."""
+    guards.expect(rng, np.random.Generator, name="rng")
     lam = rng.dirichlet(np.ones(4))
-    C = np.zeros((sys_a.dim, sys_b.dim))
+    C = 0.0   # random_interior_state checks both systems
     for w in lam:
         ra = random_interior_state(rng, sys_a, pull=rng.uniform(0.0, 1.0))
         rb = random_interior_state(rng, sys_b, pull=rng.uniform(0.0, 1.0))
@@ -96,7 +107,10 @@ def random_steerable_leaning_tensor(rng, system, g=2, sigma=None):
     the steering norm exceeds 1 on a large fraction of draws; Gaussian
     components almost never steer at small g.
     """
+    guards.expect(rng, np.random.Generator, name="rng")
     systems.require_polytopic(system)
+    guards.count(g, 1, "g must be an integer of at least 1")
+    guards.check("sign_vectors", g)
     if sigma is None:
         sigma = random_interior_state(rng, system)
     B = tensors.sigma_interval_vertices(system, sigma)
@@ -129,9 +143,10 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
     combination of vertices, so it lies in V+ by construction and the
     assemblage is built with `Assemblage.unchecked` (no LP).
     """
-    from . import steering
-
+    guards.expect(rng, np.random.Generator, name="rng")
     systems.require_polytopic(system)
+    counts = "shape must list outcome counts of at least 1"
+    shape = [guards.count(k, 1, counts) for k in guards.items(shape, counts)]
     V = system.vertices
     n = V.shape[0]
     if sigma is None:
@@ -156,9 +171,10 @@ def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):
     keeps the average at sigma; the satellite mass halves until the
     absorber lands in the cone, which an interior sigma guarantees.
     """
-    from . import choquet
-
+    guards.expect(rng, np.random.Generator, name="rng")
     systems.require_polytopic(system)
+    guards.expect(sigma, systems.Vector, system, "sigma")
+    guards.count(n_satellites, 1, "n_satellites must be an integer >= 1")
     V = system.vertices
     sats = [system.vector(V.T @ rng.dirichlet(np.ones(V.shape[0])))
             for _ in range(n_satellites)]
@@ -182,10 +198,9 @@ def random_dilation(rng, measure):
     conic decomposition of rho, b uniform in [0.2, 0.9] per atom, so the
     result dominates `measure` in the Choquet order by construction.
     """
-    from . import choquet
-
-    system = measure.system
-    systems.require_polytopic(system)
+    guards.expect(rng, np.random.Generator, name="rng")
+    guards.expect(measure, choquet.SimpleMeasure, name="measure")
+    system = systems.require_polytopic(measure.system)
     V = system.vertices
     atoms = []
     for w, p in measure.atoms:
@@ -208,8 +223,8 @@ def random_measurement(rng, system, n_outcomes):
     jittered extreme and the last effect absorbing the remainder, which
     keeps every effect inside the interval by construction.
     """
-    if n_outcomes < 2:
-        raise InvalidInput("a measurement needs at least two outcomes")
+    guards.expect(rng, np.random.Generator, name="rng")
+    guards.count(n_outcomes, 2, "a measurement needs at least two outcomes")
     extremes = systems.extreme_effects(system)
     half = 0.5 * system.unit
 

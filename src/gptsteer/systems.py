@@ -95,6 +95,8 @@ class GptSystem:
         which is already known to be extreme (see `polytopic_hull`)."""
         if self.vertices is None:
             raise InvalidInput("polytopic system requires vertices")
+        if self.ball_norm is not None:
+            raise InvalidInput("polytopic systems take no ball_norm")
         V = guards.float_array(self.vertices, "vertices must be finite")
         if V.ndim != 2 or V.shape[0] < 1:
             raise InvalidInput("vertices must form a nonempty matrix")
@@ -148,7 +150,10 @@ class GptSystem:
             raise InvalidInput("centrally symmetric systems need dim >= 2")
         if self.vertices is not None:
             raise InvalidInput("centrally symmetric systems take no vertices")
-        e0 = np.zeros(self.dim)
+        try:
+            e0 = np.zeros(self.dim)
+        except (ValueError, MemoryError):   # past numpy's or memory's size
+            raise InvalidInput(f"no memory for dimension {self.dim}") from None
         e0[0] = 1.0
         if self.unit is not None:
             u = guards.float_array(self.unit, "centrally symmetric unit must "

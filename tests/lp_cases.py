@@ -19,6 +19,10 @@ two-atom order LPs are `choquet_below`'s under a point mass, which
 `dichotomic_below_exact` solves where mu's zonotope gauges have no closed
 form, and every sign pattern's LP over the sigma-dual ball, from
 `full_scan_dichotomic_below`, the reference for `dichotomic_below_exact`.
+`lambda_degree` and `free_coefficient_unsteerable` are the two zonotope
+LPs the library solved before both moved onto `choquet._cover_lp`, kept
+as the references for `universal_degree`'s value and
+`unsteerable_dichotomic`'s verdict.
 """
 
 import functools
@@ -211,6 +215,71 @@ def full_scan_dichotomic_below(nu, mu):
         False, functional=h, margin=choquet._abs_gap(nu, mu, h))
 
 
+def lambda_degree(system, sigma):
+    """The universal degree by the LP with one lambda_i column per kept
+    sigma-interval vertex Y_i: max s subject to s <= lambda_i, lambda_i Y_i
+    = P^T (alpha_i - beta_i), alpha_i + beta_i <= mu, sum mu = 1 and P^T mu
+    = sigma (the sum row is redundant).  The reference whose value
+    `choquet.universal_degree`, built on `choquet._cover_lp`, must match
+    within LP_GAP (1 + |value|)."""
+    Y = choquet._interval_vertices(system, sigma)
+    P = system.vertices
+    (m, d), n = Y.shape, P.shape[0]
+    k = 1 + 2 * n   # columns of block i: lambda_i, alpha_i, beta_i
+    eq = np.zeros((m * d + 1 + d, 1 + n + m * k))
+    ub = np.zeros((m + m * n, eq.shape[1]))
+    ub[:m, 0] = 1.0
+    ub[m:, 1:1 + n] = np.tile(-np.eye(n), (m, 1))
+    for i in range(m):
+        c = 1 + n + i * k
+        ub[i, c] = -1.0
+        eq[i * d:(i + 1) * d, c:c + k] = np.column_stack([Y[i], -P.T, P.T])
+        ub[m + i * n:m + (i + 1) * n, c + 1:c + k] = np.tile(np.eye(n), 2)
+    eq[m * d, 1:1 + n] = 1.0
+    eq[m * d + 1:, 1:1 + n] = P.T
+    lower = np.zeros(eq.shape[1])
+    lower[0] = lower[1 + n::k] = -INF
+    objective = np.zeros(eq.shape[1])
+    objective[0] = -1.0
+    return -lp.optimum(LpProblem(
+        objective, eq_rows=eq, eq_rhs=np.concatenate(
+            [np.zeros(m * d), [1.0], sigma.coords]),
+        ub_rows=ub, ub_rhs=np.zeros(ub.shape[0]), lower=lower),
+        "lambda degree LP").value
+
+
+def free_coefficient_unsteerable(state):
+    """Whether the dichotomic unsteerability LP with free zonotope
+    coefficients t_ij, |t_ij| <= mu_j as 2n rows per target, is feasible:
+    some vertex measure mu on B with barycenter sigma_B writes every S*(e)
+    of A's non-unit interval extremes as sum_j t_ij rho_j.  The reference
+    whose verdict `bipartite.unsteerable_dichotomic` must give."""
+    es = bipartite._nonunit_extremes(state.system_a)
+    V = state.system_b.vertices
+    n, d = V.shape
+    m = len(es)
+    targets = np.array([state.coeffs.T @ e.coords for e in es]).reshape(m, d)
+    nvar = n * (1 + m)
+    eq = np.zeros((d * (1 + m), nvar))
+    eq[:d, :n] = V.T
+    for i in range(m):
+        eq[d * (i + 1):d * (i + 2), n * (i + 1):n * (i + 2)] = V.T
+    rhs = np.concatenate([state.marginal_b.coords, targets.reshape(-1)])
+    ub = np.zeros((2 * m * n, nvar))
+    idx = np.arange(n)
+    for i in range(m):
+        top = 2 * n * i
+        ub[top + idx, n * (i + 1) + idx] = 1.0
+        ub[top + idx, idx] = -1.0
+        ub[top + n + idx, n * (i + 1) + idx] = -1.0
+        ub[top + n + idx, idx] = -1.0
+    lower = np.concatenate([np.zeros(n), np.full(n * m, -INF)])
+    return lp.feasibility(LpProblem(
+        objective=np.zeros(nvar), eq_rows=eq, eq_rhs=rhs,
+        ub_rows=ub, ub_rhs=np.zeros(2 * m * n),
+        lower=lower)).status == "optimal"
+
+
 @functools.lru_cache(maxsize=None)
 def library_lps():
     """Every (problem, mode) the library solves for a few paper questions."""
@@ -256,7 +325,7 @@ def library_lps():
             members(p for _, p in mu.atoms)
             # every facet LP, of which c_mu solves those its floors admit
             full_scan_c_mu(system, sigma, mu)
-            # the universal degree LP, and c_mu of its maximizing measure
+            # the universal degree LP
             choquet.universal_degree(system, sigma)
         # two-atom order on the square: edge midpoints sit below the uniform
         # vertex measure (LP optimum 0), opposite vertices do not

@@ -1,5 +1,6 @@
 """Bipartite states, steering maps, and the dichotomic unsteerability test."""
 
+import lp_cases
 import numpy as np
 import pytest
 
@@ -438,6 +439,26 @@ class TestUnsteerableDichotomic:
             seen[verdict.unsteerable] += 1
         assert min(seen.values()) >= 5
 
+    def test_verdicts_match_the_free_coefficient_lp(self):
+        sq = square()
+        rng = np.random.default_rng(17)
+        states = [separable_state(seed) for seed in range(21, 25)]
+        states += [noise_mixed(diagonal_state(), lam)
+                   for lam in (0.0, 0.3, 0.45, 0.5, 0.55, 0.8)]
+        for _ in range(6):
+            t = sampling.random_max_cone_tensor(rng, sq, sq)
+            states.append(state_on(sq, sq, t.coeffs))
+        # the walk above rarely leaves the separable cone; these embed
+        # steering-leaning families, so some of them steer
+        states += [bipartite.BipartiteState(
+            sampling.random_dichotomic_max_cone_tensor(rng, sq, 2))
+            for _ in range(6)]
+        verdicts = [bipartite.unsteerable_dichotomic(st).unsteerable
+                    for st in states]
+        assert verdicts == [lp_cases.free_coefficient_unsteerable(st)
+                            for st in states]
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_noise_mixing_crosses_at_one_half(self):
         st = diagonal_state()
         assert not bipartite.unsteerable_dichotomic(
@@ -692,58 +713,68 @@ class TestRandomMeasurement:
 
 class TestModelCertificate:
     def captured(self, monkeypatch, state):
-        """Arguments unsteerable_dichotomic hands to _verify_model."""
+        """Arguments unsteerable_dichotomic hands to choquet._check_cover."""
         seen = []
-        real = bipartite._verify_model
+        real = choquet._check_cover
 
         def spy(*args):
             seen.append(args)
             return real(*args)
 
-        monkeypatch.setattr(bipartite, "_verify_model", spy)
+        monkeypatch.setattr(choquet, "_check_cover", spy)
         assert bipartite.unsteerable_dichotomic(state).unsteerable
         assert len(seen) == 1
         return seen[0]
 
     def test_certificate_covers_every_nonunit_extreme(self, monkeypatch):
         st = noise_mixed(diagonal_state(), 0.6)
-        state, model, weights, targets, t = self.captured(monkeypatch, st)
+        P, weights, sigma, targets, t = self.captured(monkeypatch, st)
+        assert np.array_equal(P, st.system_b.vertices)
+        assert np.array_equal(sigma, st.marginal_b.coords)
         assert t.shape == (2, 4) and targets.shape == (2, 3)
         assert np.allclose(t @ st.system_b.vertices, targets, atol=1e-9)
         assert np.all(np.abs(t) <= weights + 1e-9)
+        model = bipartite.unsteerable_dichotomic(st).model
         assert np.allclose(weights, vertex_weights(st, model))
 
     def test_coefficient_past_its_weight_is_rejected(self, monkeypatch):
         st = noise_mixed(diagonal_state(), 0.6)
-        state, model, weights, targets, t = self.captured(monkeypatch, st)
+        P, weights, sigma, targets, t = self.captured(monkeypatch, st)
         j = int(np.argmax(weights))
         bad = t.copy()
         bad[0, j] = weights[j] + 10 * tolerances.CERTIFICATE
         # move the target along, so only the weight bound is violated
-        with pytest.raises(NumericalFailure, match="steering bound"):
-            bipartite._verify_model(
-                state, model, weights, bad @ st.system_b.vertices, bad)
+        with pytest.raises(NumericalFailure, match="exceed the weights"):
+            choquet._check_cover(P, weights, sigma, bad @ P, bad)
 
     def test_target_off_by_ten_tolerances_is_rejected(self, monkeypatch):
         st = bipartite.product_state(
             square().vector((1.0, 0.3, 0.0)),
             square().vector((1.0, 0.2, -0.1)))
-        state, model, weights, targets, t = self.captured(monkeypatch, st)
+        P, weights, sigma, targets, t = self.captured(monkeypatch, st)
         off = targets.copy()
         off[-1, 1] += 10 * tolerances.CERTIFICATE
         with pytest.raises(NumericalFailure, match="miss"):
-            bipartite._verify_model(state, model, weights, off, t)
+            choquet._check_cover(P, weights, sigma, off, t)
+
+    def test_barycenter_off_by_ten_tolerances_is_rejected(self, monkeypatch):
+        st = noise_mixed(diagonal_state(), 0.6)
+        P, weights, sigma, targets, t = self.captured(monkeypatch, st)
+        off = sigma.copy()
+        off[1] += 10 * tolerances.CERTIFICATE
+        with pytest.raises(NumericalFailure, match="barycenter"):
+            choquet._check_cover(P, weights, off, targets, t)
 
     def test_verification_solves_no_lp(self, monkeypatch, lp_solves):
         inside = []
-        real_verify = bipartite._verify_model
+        real_check = choquet._check_cover
 
-        def verify(*args):
+        def check(*args):
             before = len(lp_solves)
-            real_verify(*args)
+            real_check(*args)
             inside.append(len(lp_solves) - before)
 
         st = noise_mixed(diagonal_state(), 0.6)
-        monkeypatch.setattr(bipartite, "_verify_model", verify)
+        monkeypatch.setattr(choquet, "_check_cover", check)
         assert bipartite.unsteerable_dichotomic(st).unsteerable
         assert inside == [0]

@@ -4,8 +4,9 @@ Three sweeps, none of which reads a timer:
 - every callable in `gptsteer.__all__` is called with every tuple of up to
   three positional arguments drawn from CATALOG that binds to its
   signature, and may raise nothing but a GptSteerError subclass;
-- each argument of one valid call per callable is replaced in turn by
-  every CATALOG value, under the same rule;
+- each argument of one valid call per callable, and per `sampling`
+  function, is replaced in turn by every CATALOG value, under the same
+  rule;
 - every CLI verb that reads a file runs on single-field mutations of the
   committed payloads under perfbench/cli/inputs (each object key deleted,
   and each key and each list's first entry replaced by every JSON value of
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import gptsteer
-from gptsteer import cli, systems
+from gptsteer import cli, sampling, systems
 from gptsteer.errors import GptSteerError
 
 SQUARE = systems.polytopic(
@@ -148,9 +149,52 @@ def test_every_public_callable_has_a_valid_call():
         getattr(gptsteer, name)(**kwargs)
 
 
+@functools.lru_cache(maxsize=None)
+def _valid_samples():
+    """`sampling` function name -> the keyword arguments of one call that
+    succeeds; the calls share one generator."""
+    sq, center = SQUARE, CATALOG[-1]
+    rng = np.random.default_rng(0)
+    rng_sq = dict(rng=rng, system=sq)
+    return {
+        "random_polytopic_system": dict(rng=rng, dim=3, max_points=5),
+        "random_interior_state": dict(rng_sq, pull=0.5),
+        "random_dichotomic_tensor": dict(rng_sq, g=2, sigma=center),
+        "random_separable_coeffs": dict(rng=rng, sys_a=sq, sys_b=sq),
+        "random_max_cone_tensor": dict(rng=rng, sys_a=sq, sys_b=sq),
+        "random_steerable_leaning_tensor": dict(rng_sq, g=2, sigma=center),
+        "random_dichotomic_max_cone_tensor": dict(rng_sq, g=2),
+        "random_classical_assemblage": dict(rng_sq, shape=(2, 3),
+                                            sigma=center),
+        "random_measure_with_barycenter": dict(rng_sq, sigma=center,
+                                               n_satellites=3),
+        "random_dilation": dict(rng=rng, measure=gptsteer.SimpleMeasure(
+            tuple((0.25, sq.vector(v)) for v in sq.vertices))),
+        "random_measurement": dict(rng_sq, n_outcomes=3),
+    }
+
+
+def test_every_sampling_function_has_a_valid_call():
+    assert sorted(_valid_samples()) == sorted(
+        name for name, fn in inspect.getmembers(sampling, inspect.isfunction)
+        if fn.__module__ == sampling.__name__ and not name.startswith("_"))
+    for name, kwargs in _valid_samples().items():
+        getattr(sampling, name)(**kwargs)
+
+
 @pytest.mark.parametrize("name", PUBLIC_CALLABLES)
 def test_each_argument_of_a_valid_call_is_checked(name):
-    fn, kwargs = getattr(gptsteer, name), _valid_calls()[name]
+    _assert_each_argument_checked(name, getattr(gptsteer, name),
+                                  _valid_calls()[name])
+
+
+@pytest.mark.parametrize("name", sorted(_valid_samples()))
+def test_each_argument_of_a_sampling_call_is_checked(name):
+    _assert_each_argument_checked(name, getattr(sampling, name),
+                                  _valid_samples()[name])
+
+
+def _assert_each_argument_checked(name, fn, kwargs):
     leaks = []
     for key, value in itertools.product(kwargs, CATALOG):
         exc = _leak(fn, **dict(kwargs, **{key: value}))

@@ -725,37 +725,39 @@ def test_universal_degree_validation(monkeypatch):
 
 def _perturbed_degree_lp(monkeypatch, change):
     """Make lp.solve hand the degree LP's outcome (the one LP minimizing
-    -s) through `change` before universal_degree checks it."""
+    -s, its last column) through `change` before universal_degree checks
+    it."""
     solve = lp.solve
 
     def perturbed(problem, mode="float"):
         out = solve(problem, mode)
-        return change(out) if problem.objective[0] == -1.0 else out
+        return change(out) if problem.objective[-1] == -1.0 else out
 
     monkeypatch.setattr(lp, "solve", perturbed)
 
 
 def test_universal_degree_checks_its_maximizing_measure(monkeypatch):
-    # the central square's other vertex measures have c_mu below 1/2
+    # the central square's other vertex measures have c_mu below 1/2, so
+    # no zonotope model of theirs reaches the degree
     sq = square()
     null = np.linalg.svd(sq.vertices.T)[2][-1]
     w = 0.25 + 0.1 * null / np.max(np.abs(null))
 
     def other_measure(out):
         x = out.x.copy()
-        x[1:5] = w
+        x[:4] = w
         return replace(out, x=x)
 
     _perturbed_degree_lp(monkeypatch, other_measure)
-    with pytest.raises(NumericalFailure, match="maximizing measure"):
+    with pytest.raises(NumericalFailure, match="exceed the weights"):
         choquet.universal_degree(sq)
 
 
 @pytest.mark.parametrize("field, index", [
-    ("dual_ub", 0),      # a facet weight w_i
-    ("dual_eq", 1),      # a coordinate of h_1
-    ("dual_eq", -4),     # the constant term of A
-    ("dual_eq", -1)])    # a linear coefficient of A
+    ("dual_eq", 0),      # the constant term of A (the square's unit is e_0)
+    ("dual_eq", 1),      # a linear coefficient of A
+    ("dual_eq", -4),     # a coordinate of h_2
+    ("dual_eq", -1)])    # a coordinate of h_3
 def test_universal_degree_checks_its_dual_certificate(monkeypatch, field,
                                                        index):
     def nudged(out):
@@ -766,6 +768,14 @@ def test_universal_degree_checks_its_dual_certificate(monkeypatch, field,
     _perturbed_degree_lp(monkeypatch, nudged)
     with pytest.raises(NumericalFailure, match="dual certificate"):
         choquet.universal_degree(square())
+
+
+def test_universal_degree_solves_one_lp(lp_solves):
+    for system in (square(), systems.regular_polygon(7),
+                   systems.cross_polytope(3)):
+        lp_solves.clear()
+        choquet.universal_degree(system)
+        assert len(lp_solves) == 1
 
 
 # ---------------------------------------------------------------------------

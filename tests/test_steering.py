@@ -2,6 +2,7 @@
 
 import itertools
 
+import lp_cases
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from gptsteer.errors import (
     NotInterior,
 )
 from gptsteer.geometry import lex_sorted
-from gptsteer.tolerances import RECONSTRUCTION
+from gptsteer.tolerances import LP_GAP, RECONSTRUCTION
 
 
 def square():
@@ -688,16 +689,34 @@ def test_mixing_monotone_in_noise():
 # the universal steering degree
 
 
+NAMED_DEGREES = ((square(), 0.5), (systems.hypercube(3), 0.5),
+                 (systems.cross_polytope(3), 1 / 3),
+                 (systems.regular_polygon(6), 2 / 3),
+                 (systems.simplex(3), 1.0))
+
+
 def test_universal_degree_values():
-    for system, value in ((square(), 0.5), (systems.hypercube(3), 0.5),
-                          (systems.cross_polytope(3), 1 / 3),
-                          (systems.regular_polygon(6), 2 / 3),
-                          (systems.simplex(3), 1.0)):
+    for system, value in NAMED_DEGREES:
         got, mu = choquet.universal_degree(system)
         assert abs(got - value) <= 1e-12
         assert isinstance(mu, choquet.BoundaryMeasure)
         assert np.allclose(mu.barycenter.coords, system.barycenter.coords,
                            atol=RECONSTRUCTION)
+
+
+def test_universal_degree_matches_the_lambda_lp():
+    # the named polytopes, then random hulls in dims 3-5 at random sigma
+    # (dim 5 with at most 6 vertices: the lambda LP on 7 takes seconds)
+    cases = [(system, system.barycenter) for system, _ in NAMED_DEGREES]
+    rng = np.random.default_rng(5)
+    for dim in (3, 3, 4, 4, 5):
+        system = sampling.random_polytopic_system(
+            rng, dim=dim, max_points=min(dim + 2, 6))
+        cases.append((system, sampling.random_interior_state(rng, system)))
+    for system, sigma in cases:
+        want = lp_cases.lambda_degree(system, sigma)
+        got = choquet.universal_degree(system, sigma)[0]
+        assert abs(got - want) <= LP_GAP * (1 + abs(want))
 
 
 def test_degree_estimate_square():

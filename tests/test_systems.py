@@ -3,6 +3,10 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,37 @@ def test_ball_systems_take_no_vertices():
     with pytest.raises(InvalidInput, match="no vertices"):
         systems.GptSystem(kind=systems.CENTRALLY_SYMMETRIC, dim=3,
                           ball_norm="l2", vertices=square().vertices)
+
+
+def test_polytopic_systems_take_no_ball_norm():
+    with pytest.raises(InvalidInput, match="no ball_norm"):
+        systems.GptSystem(kind=systems.POLYTOPIC, dim=3,
+                          vertices=square().vertices, ball_norm="l2")
+
+
+def test_a_ball_numpy_cannot_allocate_is_invalid_input():
+    # numpy refuses 2**60 doubles before it allocates anything
+    with pytest.raises(InvalidInput,
+                       match="dimension 1152921504606846977$"):
+        systems.ball(2 ** 60)
+
+
+def test_a_ball_past_memory_is_invalid_input():
+    # 2**40 doubles fail with a MemoryError once the address space is
+    # capped, which only a child process may do to itself
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from gptsteer import InvalidInput, systems\n"
+        "try:\n"
+        "    systems.ball(2 ** 40)\n"
+        "except InvalidInput as exc:\n"
+        "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "no memory for dimension 1099511627777\n"
 
 
 def test_cone_facets_are_computed_not_passed():
