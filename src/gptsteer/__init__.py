@@ -37,8 +37,7 @@ _EXPORTS = {
         "Assemblage", "lhs_check", "optimal_witness", "robustness"),
     "choquet": (
         "SimpleMeasure", "c_mu", "c_mu_monte_carlo", "choquet_below",
-        "choquet_below_dual_check", "dichotomic_below_exact",
-        "universal_degree"),
+        "dichotomic_below_exact", "universal_degree"),
     "bipartite": (
         "BipartiteState", "conditional_assemblage", "product_state",
         "steerability_search", "steering_map", "unsteerable_dichotomic",

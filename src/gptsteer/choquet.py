@@ -5,8 +5,8 @@ state space K.  One measure sits below another when every convex function
 averages at least as high against the second; for simple measures this is
 decided by an LP over response weights, and the Farkas dual of that LP is a
 tuple of affine functionals violating the dual-order inequality, so both
-answers come with a certificate.  A randomized dual tester and an exact
-closed-form decision for two-atom measures cross-check the LP.
+answers come with a certificate.  Only the exact closed-form decision for
+two-atom measures cross-checks the LP.
 
 A measure's average of |<h, .>| is the support function of a zonotope, the
 weighted sum of the segments [-P_j, P_j] over its atoms, whose facets are
@@ -189,14 +189,6 @@ def _refuted(nu, mu, gs):
     return ChoquetVerdict(False, functionals=tuple(gs), violation=gap)
 
 
-def _mismatch_verdict(nu, mu):
-    # distinct barycenters: the difference direction, used for every slot,
-    # already violates the dual inequality at the affine level
-    diff = nu.barycenter.coords - mu.barycenter.coords
-    h = nu.system.functional(diff / np.linalg.norm(diff))
-    return _refuted(nu, mu, (h,) * len(nu.atoms))
-
-
 def choquet_below(nu, mu):
     """Decide whether nu sits below mu in the Choquet order.
 
@@ -209,7 +201,11 @@ def choquet_below(nu, mu):
     guards.expect(mu, SimpleMeasure, guards.expect(
         nu, SimpleMeasure, name="nu").system, "mu")
     if _barycenter_gap(nu, mu) > RECONSTRUCTION:
-        return _mismatch_verdict(nu, mu)
+        # the difference direction, used for every slot, already violates
+        # the dual inequality at the affine level
+        diff = nu.barycenter.coords - mu.barycenter.coords
+        h = nu.system.functional(diff / np.linalg.norm(diff))
+        return _refuted(nu, mu, (h,) * len(nu.atoms))
     k, n, d = len(nu.atoms), len(mu.atoms), nu.system.dim
     weighted_mu = mu.weights[:, None] * mu.points
     target = nu.weights[:, None] * nu.points
@@ -236,77 +232,6 @@ def choquet_below(nu, mu):
     scale = max(1.0, float(np.max(np.abs(H))))
     gs = [nu.system.functional(H[a] / scale) for a in range(k)]
     return _refuted(nu, mu, gs)
-
-
-@dataclass(frozen=True)
-class DualCheckVerdict:
-    """Outcome of the randomized dual-order test.  `passed` means no sampled
-    tuple violated the inequality; a refutation carries the tuple and gap."""
-
-    passed: bool
-    functionals: Optional[tuple] = None
-    violation: Optional[float] = None
-
-
-def _sign_tuple(nu, h):
-    """Violating tuple for the general inequality built from a single h
-    that already violates the absolute-value form."""
-    signs = np.where(nu.points @ h.coords >= 0.0, 1.0, -1.0)
-    return tuple(s * h for s in signs)
-
-
-def choquet_below_dual_check(nu, mu, trials=64, seed=0):
-    """One-sided randomized test of the dual-order inequality.
-
-    Samples Gaussian functional tuples normalized in the sigma base norm
-    (sigma the common barycenter; euclidean normalization when sigma is not
-    interior).  With at most two nu atoms a single functional per trial
-    suffices, through the absolute-value form of the inequality.  Any
-    violation refutes nu below mu; passing every trial proves nothing by
-    itself.
-    """
-    guards.expect(mu, SimpleMeasure, guards.expect(
-        nu, SimpleMeasure, name="nu").system, "mu")
-    guards.count(trials, 1, "trials must be a positive integer")
-    guards.count(seed, 0, "seed must be a nonnegative integer")
-    if _barycenter_gap(nu, mu) > RECONSTRUCTION:
-        v = _mismatch_verdict(nu, mu)
-        return DualCheckVerdict(False, v.functionals, v.violation)
-    system = nu.system
-    sigma = nu.barycenter
-    k = len(nu.atoms)
-    rng = np.random.default_rng(seed)
-
-    def draw():
-        z = rng.standard_normal(system.dim)
-        h = system.functional(z)
-        try:
-            norm, _ = systems.sigma_base_norm(system, h, sigma)
-        except InvalidInput:
-            norm = float(np.linalg.norm(z))
-        if norm <= 1e-12:
-            return None
-        return (1.0 / norm) * h
-
-    for _ in range(trials):
-        if k <= 2:
-            h = draw()
-            if h is None:
-                continue
-            if _abs_gap(nu, mu, h) > COINCIDENCE:
-                gs = _sign_tuple(nu, h)
-                gap = _dual_gap(nu, mu, gs)
-                if not gap > 0.0:
-                    raise NumericalFailure("dual check lost its violation")
-                return DualCheckVerdict(False, gs, gap)
-        else:
-            gs = [draw() for _ in range(k)]
-            if any(g is None for g in gs):
-                continue
-            gap = _dual_gap(nu, mu, gs)
-            if gap > COINCIDENCE:
-                return DualCheckVerdict(False, tuple(gs), gap)
-    return DualCheckVerdict(True)
 
 
 def co_norm_max(system, sigma, h):
@@ -645,11 +570,12 @@ def c_mu_monte_carlo(system=None, sigma=None, samples=100000, seed=0):
     guards.count(seed, 0, "seed must be a nonnegative integer")
     n = system.dim - 1
     rng = np.random.default_rng(seed)
-    if n == 1:
-        U = np.where(rng.standard_normal((samples, 1)) >= 0.0, 1.0, -1.0)
-    else:
-        G = rng.standard_normal((samples, n))
-        U = G / np.linalg.norm(G, axis=1, keepdims=True)
+    with guards.allocation(f"{samples} samples"):
+        if n == 1:
+            U = np.where(rng.standard_normal((samples, 1)) >= 0.0, 1.0, -1.0)
+        else:
+            G = rng.standard_normal((samples, n))
+            U = G / np.linalg.norm(G, axis=1, keepdims=True)
 
     scores = {}
 

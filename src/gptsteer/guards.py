@@ -1,5 +1,5 @@
-"""Size guards for the brute-force enumerations, and the three input rules
-every entry point shares.
+"""Size guards for the brute-force enumerations, the three input rules
+every entry point shares, and one allocation rule.
 
 Every guard can be raised explicitly through the GPTSTEER_GUARDS environment
 variable, e.g.
@@ -22,8 +22,14 @@ The three input rules:
   public name calls them at entry, so a wrong type, a foreign system or a
   non-iterable collection is InvalidInput (SystemMismatch for the system)
   and only GptSteerError subclasses escape.
+
+The allocation rule: a count can fit an index and still not fit memory,
+so every array sized by a caller's count is allocated under `allocation`,
+which turns numpy's ValueError (past its size limit) or MemoryError into
+InvalidInput naming the count.
 """
 
+import contextlib
 import numbers
 import os
 import sys
@@ -154,6 +160,16 @@ def real_float(raw, message):
         except OverflowError:   # past float range
             pass
     raise InvalidInput(message)
+
+
+@contextlib.contextmanager
+def allocation(what):
+    """Run the allocations in the block; numpy's ValueError ("array is too
+    big") or MemoryError becomes InvalidInput "no memory for <what>"."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise InvalidInput(f"no memory for {what}") from None
 
 
 _ANY_SYSTEM = object()

@@ -19,6 +19,7 @@ def random_polytopic_system(rng, dim=3, max_points=8):
     guards.count(dim, 2, "sampled systems need an integer dim >= 2")
     guards.check("dim", dim)
     guards.count(max_points, dim + 1, "max_points must be an integer > dim")
+    guards.check("vertices", max_points)
     for _ in range(100):
         n = int(rng.integers(dim + 1, max_points + 1))
         x = rng.uniform(-1.0, 1.0, size=(n, dim - 1))
@@ -157,7 +158,8 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
             raise InvalidInput("sigma must lie in the cone")
     entries = []
     for k in shape:
-        alloc = rng.dirichlet(np.ones(k), size=n)
+        with guards.allocation(f"{k} outcomes"):
+            alloc = rng.dirichlet(np.ones(k), size=n)
         entries.append(tuple(
             system.vector(V.T @ (w * alloc[:, a])) for a in range(k)))
     return steering.Assemblage.unchecked(
@@ -176,9 +178,10 @@ def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):
     guards.expect(sigma, systems.Vector, system, "sigma")
     guards.count(n_satellites, 1, "n_satellites must be an integer >= 1")
     V = system.vertices
-    sats = [system.vector(V.T @ rng.dirichlet(np.ones(V.shape[0])))
-            for _ in range(n_satellites)]
-    split = rng.dirichlet(np.ones(n_satellites))
+    with guards.allocation(f"{n_satellites} satellites"):
+        W = rng.dirichlet(np.ones(V.shape[0]), size=n_satellites)
+        split = rng.dirichlet(np.ones(n_satellites))
+    sats = [system.vector(V.T @ w) for w in W]
     mix = sum(s * p.coords for s, p in zip(split, sats))
     t = 0.5
     for _ in range(40):
@@ -236,7 +239,8 @@ def random_measurement(rng, system, n_outcomes):
     if n_outcomes == 2:
         return systems.dichotomic_measurement(
             system, system.functional(jittered()))
-    beta = rng.dirichlet(np.ones(n_outcomes))
+    with guards.allocation(f"{n_outcomes} outcomes"):
+        beta = rng.dirichlet(np.ones(n_outcomes))
     firsts = [beta[i] * jittered() for i in range(n_outcomes - 1)]
     effects = [system.functional(c) for c in firsts]
     effects.append(system.functional(system.unit - np.sum(firsts, axis=0)))

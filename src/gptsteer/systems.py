@@ -150,10 +150,8 @@ class GptSystem:
             raise InvalidInput("centrally symmetric systems need dim >= 2")
         if self.vertices is not None:
             raise InvalidInput("centrally symmetric systems take no vertices")
-        try:
+        with guards.allocation(f"dimension {self.dim}"):
             e0 = np.zeros(self.dim)
-        except (ValueError, MemoryError):   # past numpy's or memory's size
-            raise InvalidInput(f"no memory for dimension {self.dim}") from None
         e0[0] = 1.0
         if self.unit is not None:
             u = guards.float_array(self.unit, "centrally symmetric unit must "

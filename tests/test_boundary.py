@@ -1,6 +1,6 @@
 """The public boundary: only GptSteerError subclasses escape a public name.
 
-Three sweeps, none of which reads a timer:
+Four sweeps, none of which reads a timer:
 - every callable in `gptsteer.__all__` is called with every tuple of up to
   three positional arguments drawn from CATALOG that binds to its
   signature, and may raise nothing but a GptSteerError subclass;
@@ -11,7 +11,9 @@ Three sweeps, none of which reads a timer:
   committed payloads under perfbench/cli/inputs (each object key deleted,
   and each key and each list's first entry replaced by every JSON value of
   JSON_VALUES), and may end only in exit codes 0-3, with no exception
-  escaping `cli.main`.
+  escaping `cli.main`;
+- every CLI verb that takes a number runs with each of its options set in
+  turn to every value of OPTION_VALUES, under the same rule.
 """
 
 import functools
@@ -65,7 +67,7 @@ def _leak(call, *args, **kwargs):
 
 
 def test_the_sweep_covers_every_public_name():
-    assert len(ERRORS) == 10 and len(PUBLIC_CALLABLES) == 32
+    assert len(ERRORS) == 10 and len(PUBLIC_CALLABLES) == 31
     for name in PUBLIC_CALLABLES:
         fn = getattr(gptsteer, name)
         assert callable(fn) and any(True for _ in _bindings(fn))
@@ -128,7 +130,6 @@ def _valid_calls():
         "c_mu_monte_carlo": dict(system=gptsteer.ball(2), sigma=None,
                                  samples=50, seed=0),
         "choquet_below": dict(nu=nu, mu=mu),
-        "choquet_below_dual_check": dict(nu=nu, mu=mu, trials=4, seed=0),
         "dichotomic_below_exact": dict(nu=nu, mu=mu),
         "universal_degree": dict(system=sq, sigma=center),
         "BipartiteState": dict(element=te),
@@ -283,4 +284,55 @@ def test_cli_verb_ends_in_an_exit_code_on_every_mutation(
         if code not in (0, 1, 2, 3):
             shown = "deleted" if value is DELETED else repr(value)[:20]
             bad.append(f"{'/'.join(map(str, field))} = {shown}: {code}")
+    assert not bad, f"{len(bad)} bad endings, first: " + "\n".join(bad[:3])
+
+
+# ---------------------------------------------------------------------------
+# the CLI on each option value
+
+OPTION_VALUES = ("-1", "0", str(2 ** 62), str(10 ** 400), "x", "nan")
+
+# verb -> (base argv, {option: values that replace its value in turn});
+# left out are the values that only make a verb run long: a large positive
+# --budget, and a --samples that fits in memory
+OPTIONS = {
+    "mc-cmu": (["mc-cmu", "--dim", "2", "--samples", "50", "--seed", "0"],
+               {"--dim": OPTION_VALUES, "--samples": OPTION_VALUES,
+                "--seed": OPTION_VALUES}),
+    "selftest": (["selftest", "--quick"],
+                 {"--seed": OPTION_VALUES,
+                  "--override": ("norm-sandwich=x", "nope=1")}),
+    "search": (["search", "state_noisy.json", "--shapes", "2,2",
+                "--budget", "2", "--seed", "0"],
+               {"--shapes": tuple(f"2,{v}" for v in OPTION_VALUES),
+                "--budget": tuple(v for v in OPTION_VALUES
+                                  if v != str(2 ** 62)),
+                "--seed": OPTION_VALUES}),
+    "unsteerable": (["unsteerable", "state_noisy.json", "--sufficient",
+                     "0.5"], {"--sufficient": OPTION_VALUES}),
+}
+
+
+def _with_option(argv, option, value):
+    """argv with option's value replaced, or the option appended."""
+    argv = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+        return argv
+    return argv + [option, value]
+
+
+@pytest.mark.parametrize("verb", OPTIONS)
+def test_cli_verb_ends_in_an_exit_code_on_every_option_value(verb, capsys):
+    base, options = OPTIONS[verb]
+    bad = []
+    for option, values in options.items():
+        for value in values:
+            try:
+                code = cli.main(_with_option(base, option, value))
+            except BaseException as exc:   # noqa: BLE001 - the leak under test
+                code = f"{type(exc).__name__}: {exc}"
+            capsys.readouterr()
+            if code not in (0, 1, 2, 3):
+                bad.append(f"{verb} {option} {value[:20]}: {code}")
     assert not bad, f"{len(bad)} bad endings, first: " + "\n".join(bad[:3])

@@ -233,12 +233,20 @@ def test_below_square_frozen_responses():
 def test_below_refuted_with_verified_tuple():
     sq = square()
     u4 = choquet.vertex_measure(sq)
-    v = choquet.choquet_below(vertex_diagonal(sq), u4)
-    assert not v.below
-    assert len(v.functionals) == 2
-    assert v.violation == pytest.approx(
-        tuple_gap(vertex_diagonal(sq), u4, v.functionals), abs=1e-12)
-    assert v.violation > 1e-9
+    delta = choquet.point_mass(center(sq))
+    # a measure spread above a point mass: the absolute-value direction
+    # that refutes it, by hand
+    h = np.array([0.0, 1.0, 0.0])
+    assert sum(0.25 * abs(h @ v) for v in sq.vertices) == pytest.approx(1.0)
+    assert abs(h @ delta.barycenter.coords) == 0.0
+    for nu, mu in ((vertex_diagonal(sq), u4), (u4, delta),
+                   (flat_pair(sq), delta)):
+        v = choquet.choquet_below(nu, mu)
+        assert not v.below
+        assert len(v.functionals) == len(nu.atoms)
+        assert v.violation == pytest.approx(
+            tuple_gap(nu, mu, v.functionals), abs=1e-12)
+        assert v.violation > 1e-9
 
 
 def test_below_mismatched_barycenters():
@@ -289,74 +297,6 @@ def test_below_on_ball_system():
         ((0.5, ball.vector([1, 0.8, 0])), (0.5, ball.vector([1, -0.8, 0]))))
     assert choquet.choquet_below(choquet.point_mass(c), mu).below
     assert not choquet.choquet_below(mu, choquet.point_mass(c)).below
-
-
-# ---------------------------------------------------------------------------
-# randomized dual check
-
-
-def test_dual_check_sound_when_below():
-    rng = np.random.default_rng(19)
-    for _ in range(4):
-        system = sampling.random_polytopic_system(rng, dim=3, max_points=6)
-        sigma = sampling.random_interior_state(rng, system)
-        a = sampling.random_measure_with_barycenter(
-            rng, system, sigma, n_satellites=2)
-        b = sampling.random_dilation(rng, a)
-        assert choquet.choquet_below(a, b).below
-        assert choquet.choquet_below_dual_check(a, b, trials=40).passed
-
-
-def test_dual_check_refutes_spread_above_point():
-    sq = square()
-    u4 = choquet.vertex_measure(sq)
-    delta = choquet.point_mass(center(sq))
-    # the absolute-value direction the refutation rests on, by hand
-    h = np.array([0.0, 1.0, 0.0])
-    assert sum(0.25 * abs(h @ v) for v in sq.vertices) == pytest.approx(1.0)
-    assert abs(h @ delta.barycenter.coords) == 0.0
-    many = choquet.choquet_below_dual_check(u4, delta, trials=64)
-    assert not many.passed
-    assert tuple_gap(u4, delta, many.functionals) == pytest.approx(
-        many.violation, abs=1e-12)
-    two = choquet.choquet_below_dual_check(flat_pair(sq), delta, trials=64)
-    assert not two.passed
-    assert two.violation > 1e-9
-
-
-def test_dual_check_reflexive_passes():
-    sq = square()
-    for m in (choquet.vertex_measure(sq), flat_pair(sq)):
-        assert choquet.choquet_below_dual_check(m, m, trials=30).passed
-
-
-def test_dual_check_mismatched_barycenters():
-    sq = square()
-    v = choquet.choquet_below_dual_check(
-        choquet.point_mass(sq.vector([1, 0.2, 0])),
-        choquet.point_mass(center(sq)))
-    assert not v.passed and v.violation > 0
-
-
-def test_dual_check_deterministic():
-    sq = square()
-    u4 = choquet.vertex_measure(sq)
-    delta = choquet.point_mass(center(sq))
-    a = choquet.choquet_below_dual_check(u4, delta, trials=64, seed=9)
-    b = choquet.choquet_below_dual_check(u4, delta, trials=64, seed=9)
-    assert a.passed == b.passed
-    assert all(np.array_equal(x.coords, y.coords)
-               for x, y in zip(a.functionals, b.functionals))
-    with pytest.raises(InvalidInput):
-        choquet.choquet_below_dual_check(u4, delta, trials=0)
-
-
-@pytest.mark.parametrize("trials", [1.5, "3", True, False])
-def test_dual_check_rejects_bad_trials(trials):
-    sq = square()
-    u4 = choquet.vertex_measure(sq)
-    with pytest.raises(InvalidInput, match="trials must be a positive integer"):
-        choquet.choquet_below_dual_check(u4, u4, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line surface: schemas, verdict payloads, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,54 @@ def test_selftest_report_goes_to_stderr(capsys):
 def test_selftest_bad_override_format(capsys):
     assert cli.main(["selftest", "--quick", "--override", "nonsense"]) == 1
     assert "name=value" in capsys.readouterr().err
+
+
+def test_selftest_verdicts_ignore_the_clock(monkeypatch):
+    # a clock that advances 1000 s per reading: every item still passes,
+    # and each line still reports the wall time it read
+    ticks = iter(range(0, 10 ** 9, 1000))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    items = selftest.run(quick=True, seed=0)
+    assert [item.name for item in items if not item.passed] == []
+    assert all(item.elapsed >= 1000.0 for item in items)
+
+
+# ---------------------------------------------------------------------------
+# counts past memory end in "invalid input", not in a traceback
+
+NOISY = str(Path(__file__).resolve().parents[1] / "perfbench" / "cli"
+            / "inputs" / "state_noisy.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--quick", "--seed", "-1"],
+    ["mc-cmu", "--samples", str(2 ** 62)],
+], ids=["selftest seed", "mc-cmu samples"])
+def test_a_count_past_numpys_size_is_invalid_input(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def test_a_count_past_memory_is_invalid_input():
+    # MemoryError needs a capped address space, which only a child process
+    # may set for itself
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from gptsteer import cli\n"
+        "print(cli.main(['mc-cmu', '--dim', '100000', '--samples', "
+        "'1000000']))\n"
+        f"print(cli.main(['search', {NOISY!r}, '--shapes', "
+        f"'2,100000000000', '--budget', '1']))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["1", "1"]
+    assert proc.stderr.splitlines() == [
+        "invalid input: no memory for 1000000 samples",
+        "invalid input: no memory for 100000000000 outcomes"]
 
 
 # ---------------------------------------------------------------------------

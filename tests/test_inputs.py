@@ -10,14 +10,17 @@ check an element's type before they read its system.
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gptsteer import (bipartite, choquet, cli, geometry, guards, lp,
-                      steering, systems, tensors)
+                      sampling, selftest, steering, systems, tensors)
 from gptsteer.errors import GuardExceeded, InvalidInput, MalformedProblem
 
 SQ = systems.polytopic(
@@ -257,3 +260,75 @@ def test_factories_check_their_size_guards_before_they_build(build, named):
 def test_a_count_past_an_index_is_invalid_input(build):
     with pytest.raises(InvalidInput):
         build()
+
+
+# ---------------------------------------------------------------------------
+# counts that fit an index but not memory: numpy refuses 2**62 doubles
+# before it allocates, so the allocation rule turns its ValueError into
+# InvalidInput in process; 2**40 doubles fail with a MemoryError only once
+# the address space is capped, which only a child process may do to itself
+
+def _past_memory(count):
+    rng = np.random.default_rng(0)
+    return {
+        "c_mu_monte_carlo": (
+            lambda: choquet.c_mu_monte_carlo(samples=count),
+            f"{count} samples"),
+        "c_mu_monte_carlo on the segment": (
+            lambda: choquet.c_mu_monte_carlo(systems.ball(1), samples=count),
+            f"{count} samples"),
+        "random_classical_assemblage": (
+            lambda: sampling.random_classical_assemblage(rng, SQ, (2, count)),
+            f"{count} outcomes"),
+        "random_measure_with_barycenter": (
+            lambda: sampling.random_measure_with_barycenter(
+                rng, SQ, CENTER, n_satellites=count),
+            f"{count} satellites"),
+        "random_measurement": (
+            lambda: sampling.random_measurement(rng, SQ, count),
+            f"{count} outcomes"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_past_memory(2 ** 62)))
+def test_a_count_past_numpys_size_is_invalid_input(name):
+    build, what = _past_memory(2 ** 62)[name]
+    with pytest.raises(InvalidInput, match=f"^no memory for {what}$"):
+        build()
+
+
+def test_a_count_past_memory_is_invalid_input():
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "import test_inputs\n"
+        "for name, (build, what) in sorted("
+        "test_inputs._past_memory(2 ** 40).items()):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except test_inputs.InvalidInput as exc:\n"
+        "        print(exc)\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   (str(root / "src"), str(root / "tests"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    cases = _past_memory(2 ** 40)
+    assert proc.stdout.splitlines() == [
+        f"no memory for {cases[name][1]}" for name in sorted(cases)], \
+        proc.stderr
+
+
+def test_a_sampled_system_checks_its_vertex_guard_before_it_draws():
+    rng = np.random.default_rng(0)
+    with pytest.raises(GuardExceeded, match=f"^vertices={2 ** 62} exceeds"):
+        sampling.random_polytopic_system(rng, 3, 2 ** 62)
+    assert rng.bit_generator.state == np.random.default_rng(0) \
+        .bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None, 10 ** 400])
+def test_selftest_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(InvalidInput, match="seed must be a nonnegative"):
+        selftest.run(quick=True, seed=seed)
