@@ -23,6 +23,7 @@ measurements on A whose conditional assemblage provably steers.
 """
 
 import itertools
+import math
 
 from dataclasses import dataclass
 from typing import Optional
@@ -374,6 +375,8 @@ def steerability_search(state, shapes=(2, 2), sampler=None, budget=50,
     shape = guards.items(shapes, counts)
     if not all(guards.is_integer(k) and k >= 2 for k in shape):
         raise InvalidInput(counts)
+    # every candidate's lhs_check holds this guard: check it before a draw
+    guards.check("lhs_atoms", math.prod(shape))
     a = state.system_a
     rng = np.random.default_rng(seed)
     if sampler is None:

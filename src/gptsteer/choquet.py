@@ -555,7 +555,7 @@ def c_mu_monte_carlo(system=None, sigma=None, samples=100000, seed=0):
     functional's bytes within one call, since the descent revisits points
     (253 evaluations, 217 distinct, on the 3-ball with seed 1).  The
     reference value E|x_1| = Gamma(n/2) / (sqrt(pi) Gamma((n+1)/2)) is the
-    exact constant for every ball dimension n.
+    exact constant for every ball dimension n (`_sphere_abs_mean`).
     """
     if system is None:
         system = systems.ball(3)
@@ -618,9 +618,19 @@ def c_mu_monte_carlo(system=None, sigma=None, samples=100000, seed=0):
             step *= 0.5
     vals = np.abs(best[0] + U @ best[1:])
     stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
-    reference = math.gamma(n / 2.0) / (math.sqrt(math.pi)
-                                       * math.gamma((n + 1) / 2.0))
-    return MonteCarloEstimate(best_val, stderr, reference, samples, seed)
+    return MonteCarloEstimate(best_val, stderr, _sphere_abs_mean(n), samples,
+                              seed)
+
+
+def _sphere_abs_mean(n):
+    """E|x_1| on the unit sphere of R^n, Gamma(n/2) / (sqrt(pi)
+    Gamma((n+1)/2)); through lgamma where gamma overflows (n >= 343)."""
+    try:
+        return math.gamma(n / 2.0) / (math.sqrt(math.pi)
+                                      * math.gamma((n + 1) / 2.0))
+    except OverflowError:
+        return math.exp(math.lgamma(n / 2.0) - math.lgamma((n + 1) / 2.0)) \
+            / math.sqrt(math.pi)
 
 
 def symmetrize(mu, group):

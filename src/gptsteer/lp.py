@@ -22,6 +22,22 @@ is slow and guarded (see guards.py) but removes floating-point doubt on
 small instances; float inputs convert exactly, so both modes see one
 problem.
 
+A float solve may start from a basis: `start` lists one tableau column
+per constraint row, where the columns are each variable's (two for a free
+variable, z+ then z-), then one slack per inequality row, then one
+artificial per row, as in the `basis` of an optimal LpOutcome.  The
+solver builds the same tableau, rebuilds it once on the start's columns
+(every other column at 0, the artificials fixed at 0) and skips phase
+one when the basic values lie within their bounds to LP_FEASIBILITY;
+phase two, the extraction and every check then run as on the cold path.
+A numerically singular or infeasible start leaves the tableau untouched
+and runs the cold path, so its outcome is the cold one byte for byte; a
+start of the wrong length, with a repeated, negative, too large or
+non-integer column, or in exact mode is InvalidInput.  A start that
+ends at another optimal vertex gives another x and other certificates,
+each checked.  The robustness bisection starts each cone-membership LP
+from the basis that decided the same entry one step earlier.
+
 Most LPs the library asks are tiny (three rows and four columns for a cone
 membership), so a call's fixed cost is numpy dispatch rather than pivots,
 and each step is written with few numpy calls: `LpProblem` converts every
@@ -167,7 +183,9 @@ class LpProblem:
 class LpOutcome:
     """Result of `solve`.  For status "infeasible" the dual vectors hold the
     Farkas certificate and `farkas_margin` its verified separation; for
-    status "unbounded" everything but the status is None."""
+    status "unbounded" everything but the status is None.  `basis` holds,
+    read-only, the tableau columns basic at a checked optimum, one per
+    constraint row, and is None otherwise; it is a valid `start`."""
 
     status: str
     x: Optional[np.ndarray]
@@ -176,6 +194,7 @@ class LpOutcome:
     dual_ub: Optional[np.ndarray]
     reduced_costs: Optional[np.ndarray]
     farkas_margin: Optional[float] = None
+    basis: Optional[np.ndarray] = None
 
 
 def _fractionize(a):
@@ -207,13 +226,14 @@ def _fold(start, terms):
     return functools.reduce(operator.add, terms.tolist(), start)
 
 
-def feasibility(problem):
-    """Solve a zero-objective problem; only status and certificates matter.
-    No ray improves a zero objective, so the status is "optimal" or
-    "infeasible"; an "unbounded" verdict raises NumericalFailure."""
+def feasibility(problem, start=None):
+    """Solve a zero-objective problem, from the basis `start` when one is
+    given; only status and certificates matter.  No ray improves a zero
+    objective, so the status is "optimal" or "infeasible"; an "unbounded"
+    verdict raises NumericalFailure."""
     if isinstance(problem, LpProblem) and problem.objective.any():
         raise MalformedProblem("a feasibility problem has a zero objective")
-    out = solve(problem)
+    out = solve(problem, start=start)
     if out.status == "unbounded":
         rows = problem.eq_rows.shape[0] + problem.ub_rows.shape[0]
         raise NumericalFailure(f"feasibility LP of shape {rows}x"
@@ -230,12 +250,15 @@ def optimum(problem, what):
     return out
 
 
-def solve(problem, mode="float"):
-    """Solve an LpProblem and return a verified LpOutcome."""
+def solve(problem, mode="float", start=None):
+    """Solve an LpProblem and return a verified LpOutcome; a `start` basis
+    may skip phase one (the module docstring's start contract)."""
     if not isinstance(problem, LpProblem):
         raise InvalidInput("problem must be an LpProblem")
     if mode not in ("float", "exact"):
         raise InvalidInput("mode must be 'float' or 'exact'")
+    if start is not None and mode == "exact":
+        raise InvalidInput("a start basis needs mode 'float'")
     me = problem.eq_rows.shape[0]
     mu = problem.ub_rows.shape[0]
     m0 = me + mu
@@ -260,6 +283,8 @@ def solve(problem, mode="float"):
         nv = n0
     ncols = nv + mu
     N = ncols + m0
+    if start is not None:
+        start = _start_columns(start, m0, N)
 
     # The number type: float64 at tolerances.py's tolerances with narrow
     # phases (each ends in a rebuild), or Fractions at zero tolerance with
@@ -293,8 +318,8 @@ def solve(problem, mode="float"):
     _negate(b_all, flipped)
 
     # The tableau [A | S | I | b] over the phase-two and phase-one cost
-    # rows, built in place.  A flipped row flips its slack too, not its
-    # artificial.
+    # rows, built in place (the phase-one row only when phase one runs).
+    # A flipped row flips its slack too, not its artificial.
     T[:m0, :nv] = A_all[:, var]
     _negate(T[:m0, :nv], neg)
     _fill_diagonal(T, me, nv, mu, one)
@@ -303,12 +328,6 @@ def solve(problem, mode="float"):
     T[:m0, N] = b_all
     T[m0, :nv] = c0[var]
     _negate(T[m0, :nv], neg)
-    # The phase-one row is minus the sum of the rows, added one row at a
-    # time (every pivot reads this row, so its rounding is kept): an
-    # axis-0 reduction over whole rows adds them in order, where a sum
-    # along one column may pair them.
-    np.negative(np.add.reduce(T[:m0], axis=0, initial=zero)[:ncols],
-                out=T[m0 + 1, :ncols])
     # [M | I | b]: the constraint columns, the artificial (identity) columns
     # and a spare column for the right-hand side, shared by every float
     # refactorization of this solve; M and the phase-two costs (0 on the
@@ -319,30 +338,45 @@ def solve(problem, mode="float"):
     upper = np.full(N, np.inf, dtype=T.dtype)
     upper[:nv] = (u0 - l0)[var]     # u - (-inf) is inf
 
-    basis = np.arange(ncols, N, dtype=np.int64)
     vstat = np.zeros(N, dtype=np.int64)
-    vstat[ncols:] = BASIC
     max_iter = 1000 + 30 * (m0 + N)
+    if start is not None and _warm_start(T, start, upper, M, aug, cvec, m0,
+                                         ncols, N, feas):
+        # The start's basic values are feasible: phase one is skipped.
+        basis = start
+        vstat[basis] = BASIC
+        moved = 0
+    else:
+        # The phase-one row is minus the sum of the rows, added one row at
+        # a time (every pivot reads this row, so its rounding is kept): an
+        # axis-0 reduction over whole rows adds them in order, where a sum
+        # along one column may pair them.
+        np.negative(np.add.reduce(T[:m0], axis=0, initial=zero)[:ncols],
+                    out=T[m0 + 1, :ncols])
+        basis = np.arange(ncols, N, dtype=np.int64)
+        vstat[ncols:] = BASIC
+        code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols,
+                          width, tol, max_iter, exact, M, aug, b_all, cvec)
+        if code == PHASE_ITER_LIMIT:
+            raise NumericalFailure(
+                "simplex iteration limit exceeded in phase one")
+        if code != PHASE_OPTIMAL:
+            raise NumericalFailure("phase one terminated abnormally")
 
-    code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols, width,
-                      tol, max_iter, exact, M, aug, b_all, cvec)
-    if code == PHASE_ITER_LIMIT:
-        raise NumericalFailure("simplex iteration limit exceeded in phase one")
-    if code != PHASE_OPTIMAL:
-        raise NumericalFailure("phase one terminated abnormally")
+        nu = _fold(zero, T[:m0, N][basis >= ncols])
+        if nu > feas * float(b_all.max(initial=1.0)):
+            return _infeasible_outcome(T, flipped, m0, ncols, data, zero,
+                                       one, feas, scalar)
 
-    nu = _fold(zero, T[:m0, N][basis >= ncols])
-    if nu > feas * float(b_all.max(initial=1.0)):
-        return _infeasible_outcome(T, flipped, m0, ncols, data, zero, one,
-                                   feas, scalar)
-
-    moved = drive_out_artificials(T, basis, vstat, upper, m0, N, ncols, tol)
+        moved = drive_out_artificials(T, basis, vstat, upper, m0, N, ncols,
+                                      tol)
     upper[ncols:] = zero
 
     if not moved and entering(T, vstat, upper, m0, ncols, tol)[0] == -1:
-        # Nothing has pivoted since phase one and phase two has no column
-        # to enter, so phase two would return at once; in float mode its
-        # closing rebuild would recompute phase one's rebuilt tableau.
+        # Nothing has pivoted since phase one (or the start's rebuild) and
+        # phase two has no column to enter, so phase two would return at
+        # once; in float mode its closing rebuild would recompute the
+        # rebuilt tableau.
         code = PHASE_OPTIMAL
     else:
         code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols, width,
@@ -359,8 +393,57 @@ def solve(problem, mode="float"):
     if paired:
         pair = first[free]
         x[free] = z[pair] - z[pair + 1]
-    return _optimal_outcome(T, x, flipped, m0, ncols, N, data, zero, feas,
-                            gap, scalar)
+    return _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero,
+                            feas, gap, scalar)
+
+
+def _start_columns(start, m0, N):
+    """start as a new int64 array, once it lists m0 distinct integer
+    columns in [0, N); InvalidInput otherwise."""
+    message = f"start must list {m0} distinct column indices in [0, {N})"
+    try:
+        s = np.asarray(start)
+    except (ValueError, TypeError, OverflowError):   # ragged, or past int64
+        raise InvalidInput(message) from None
+    if s.dtype.kind not in "iu" or s.shape != (m0,):
+        raise InvalidInput(message)
+    cols = s.tolist()
+    if len(set(cols)) != m0 or m0 and not (0 <= min(cols) and max(cols) < N):
+        raise InvalidInput(message)
+    return s.astype(np.int64)
+
+
+def _basic_solution(aug, B):
+    """B^-1 [M | I | b] for the basis matrix B, or None when B is
+    numerically singular."""
+    try:
+        sol = np.linalg.solve(B, aug)
+    except np.linalg.LinAlgError:
+        return None
+    return sol if np.isfinite(sol).all() else None
+
+
+def _warm_start(T, start, upper, M, aug, cvec, m0, ncols, N, feas):
+    """Rebuild T on the basis `start` (every other column at 0) and return
+    True when its basic values lie within their bounds to `feas`, an
+    artificial's bounds being [0, 0]; return False, T untouched, when the
+    start is numerically singular or its basic values are not.  A start
+    counts as singular when the condition estimate max|B| max|B^-1| (over
+    the entries) passes 1 / PIVOT, where roundoff alone may have kept an
+    exactly singular B invertible."""
+    if m0 == 0:
+        return True
+    B = aug.take(start, axis=1)
+    sol = _basic_solution(aug, B)
+    if sol is None or PIVOT * np.abs(B).max() \
+            * np.abs(sol[:, ncols:N]).max() > 1:
+        return False
+    xB = sol[:, N]
+    cap = np.where(start < ncols, upper[start], 0.0)
+    if not ((xB >= -feas) & (xB <= cap + feas)).all():
+        return False
+    _install(T, sol, start, M, cvec, m0, ncols, N)
+    return True
 
 
 def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
@@ -379,18 +462,21 @@ def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
     """
     if m0 == 0:
         return
-    B = aug.take(basis, axis=1)
     rhs = aug[:, N]
     rhs[:] = b_flip
     for j in (vstat[:ncols] == AT_UPPER).nonzero()[0].tolist():
         if 0 < upper[j] < np.inf:
             rhs -= M[:, j] * upper[j]
-    try:
-        sol = np.linalg.solve(B, aug)
-    except np.linalg.LinAlgError:
+    sol = _basic_solution(aug, aug.take(basis, axis=1))
+    if sol is None:
         raise NumericalFailure("working basis is numerically singular")
-    if not np.isfinite(sol).all():
-        raise NumericalFailure("working basis is numerically singular")
+    _install(T, sol, basis, M, cvec, m0, ncols, N)
+
+
+def _install(T, sol, basis, M, cvec, m0, ncols, N):
+    """Write the basis' solution sol = B^-1 [M | I | b] into T's rows and
+    recompute both reduced-cost rows from `cvec` and the constraint
+    columns M."""
     T[:m0] = sol
     Binv = sol[:, ncols:N]
     xB = sol[:, N]
@@ -469,14 +555,16 @@ def _infeasible_outcome(T, flipped, m0, ncols, data, zero, one, feas,
     return LpOutcome("infeasible", None, None, y_eq, y_ub, None, scalar(viol))
 
 
-def _optimal_outcome(T, x, flipped, m0, ncols, N, data, zero, feas, gap,
-                     scalar):
+def _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero, feas,
+                     gap, scalar):
     c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
     y = _negate(zero - T[m0, ncols:N], flipped)
     y_eq, y_ub = y[:b_eq.size], y[b_eq.size:]
     rc = c0 - A_eq.T @ y_eq - A_ub.T @ y_ub
     x = _verify(x, _fold(zero, c0 * x), y_eq, y_ub, rc, data, feas, gap)
-    return LpOutcome("optimal", x, scalar(c0 @ x), y_eq, y_ub, rc)
+    basis.flags.writeable = False
+    return LpOutcome("optimal", x, scalar(c0 @ x), y_eq, y_ub, rc,
+                     basis=basis)
 
 
 def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):

@@ -10,7 +10,8 @@ turning classical: for two-outcome assemblages it is the reciprocal of the
 steering norm (on l1 and linf balls, of a polytopic twin built once; on
 the l2 disk, bracketed by two polygons built once), and
 other shapes bisect over mixtures whose entries are built from coordinates,
-each still checked by one `cone_member` LP.
+each still checked by one `cone_member` LP, which from the second step on
+starts from the basis that decided the same entry one step before.
 
 The measurement side of the duality lives here too: a family of measurements
 on a system becomes an assemblage on the dual system, and joint
@@ -45,7 +46,9 @@ class Assemblage:
     - the LP: direct construction (the CLI's assemblage input too), and so
       `mixed_with_trivial`, `trivial_assemblage` and
       `measurements_to_assemblage`, solve one `systems.cone_member` LP per
-      entry (closed form on balls);
+      entry (closed form on balls); the mixtures of the `robustness`
+      bisection solve the same LP, each started from the basis that
+      decided its entry at the step before;
     - `systems.in_cone` on the cached facets, no LP:
       `bipartite.conditional_assemblage`;
     - by construction, no check: `from_dichotomic_tensor` (the tensor's
@@ -67,11 +70,7 @@ class Assemblage:
         membership the caller has already decided (with `systems.in_cone`
         or by construction).  Shapes, systems, the barycenter's
         normalization and each setting's sum are still checked."""
-        asm = object.__new__(Assemblage)
-        object.__setattr__(asm, "barycenter", barycenter)
-        object.__setattr__(asm, "entries", _checked_rows(
-            barycenter, entries, cone_lp=False))
-        return asm
+        return _assemblage(barycenter, entries, cone_lp=False)
 
     @property
     def system(self):
@@ -86,9 +85,20 @@ class Assemblage:
         return len(self.entries)
 
 
-def _checked_rows(barycenter, entries, cone_lp):
+def _assemblage(barycenter, entries, cone_lp, bases=None):
+    """An Assemblage whose entries `_checked_rows` checks."""
+    asm = object.__new__(Assemblage)
+    object.__setattr__(asm, "barycenter", barycenter)
+    object.__setattr__(asm, "entries", _checked_rows(
+        barycenter, entries, cone_lp, bases))
+    return asm
+
+
+def _checked_rows(barycenter, entries, cone_lp, bases=None):
     """The entries as a tuple of tuples, checked as `Assemblage` states;
-    each entry's cone membership only when cone_lp is set."""
+    each entry's cone membership only when cone_lp is set.  With a dict
+    `bases` (polytopic systems), entry (a|x)'s membership LP starts from
+    bases[x, a] and leaves there the basis that decided it."""
     system = guards.expect(barycenter, systems.Vector,
                            name="barycenter").system
     rows = tuple(guards.items(row, f"setting {x} has no outcomes")
@@ -101,8 +111,14 @@ def _checked_rows(barycenter, entries, cone_lp):
         total = np.zeros(system.dim)
         for a, rho in enumerate(row):
             guards.expect(rho, systems.Vector, system, f"entry ({a}|{x})")
-            if cone_lp and not systems.cone_member(system, rho).member:
-                raise InvalidInput(f"entry ({a}|{x}) is outside V+")
+            if cone_lp:
+                if bases is None:
+                    member = systems.cone_member(system, rho)
+                else:
+                    member, bases[x, a] = systems._cone_member_from(
+                        system, rho, bases.get((x, a)))
+                if not member.member:
+                    raise InvalidInput(f"entry ({a}|{x}) is outside V+")
             total = total + rho.coords
         if np.max(np.abs(total - barycenter.coords)) > RECONSTRUCTION:
             raise InvalidInput(
@@ -128,13 +144,18 @@ def mixed_with_trivial(asm, s):
     s = guards.real_float(s, "mixing weight must be a real number in [0, 1]")
     if not 0.0 <= s <= 1.0:
         raise InvalidInput("mixing weight must be a real number in [0, 1]")
-    sigma = guards.expect(asm, Assemblage).barycenter
-    entries = tuple(
+    return Assemblage(barycenter=guards.expect(asm, Assemblage).barycenter,
+                      entries=_mixture(asm, s))
+
+
+def _mixture(asm, s):
+    """The entries s rho_{a|x} + (1 - s) sigma / k_x, from coordinates."""
+    sigma = asm.barycenter
+    return tuple(
         tuple(sigma.system.vector(
             rho.coords * s + sigma.coords * ((1.0 - s) / len(row)))
             for rho in row)
         for row in asm.entries)
-    return Assemblage(barycenter=sigma, entries=entries)
 
 
 def to_dichotomic_tensor(asm):
@@ -389,6 +410,12 @@ def robustness(asm):
     each twin and polygon built once per process.
     Other shapes bisect with lhs_check down to BISECTION_WIDTH, so the
     returned s tests classical and s + 2 BISECTION_WIDTH tests steerable.
+    Each step builds the mixture of `mixed_with_trivial` and checks every
+    entry with one cone-membership LP, which from the second step on
+    starts from the basis that decided that entry at the step before
+    (`lp.solve`'s start); a start that is no longer feasible solves cold.
+    The LHS LPs solve cold: starting one from the last classical step's
+    basis saved too little to keep.
     """
     system = guards.expect(asm, Assemblage).system
     systems.assert_interior(system, asm.barycenter)
@@ -401,10 +428,14 @@ def robustness(asm):
         return 1.0 if value <= 1.0 else 1.0 / value
     if lhs_check(asm).classical:
         return 1.0
+    # each entry's membership LP starts from the basis that decided it at
+    # the step before
+    bases = {}
     lo, hi = 0.0, 1.0
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        if lhs_check(mixed_with_trivial(asm, mid)).classical:
+        mixed = _assemblage(asm.barycenter, _mixture(asm, mid), True, bases)
+        if lhs_check(mixed).classical:
             lo = mid
         else:
             hi = mid

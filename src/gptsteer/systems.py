@@ -476,15 +476,32 @@ def cone_member(system, v):
             return ConeMembership(True, None, None)
         phi = _dual_achiever(v.coords[1:], system.ball_norm)
         return ConeMembership(False, None, np.concatenate([[1.0], -phi]))
-    prob = lp.LpProblem(
+    return _membership(lp.feasibility(_cone_lp(system, v)))
+
+
+def _cone_lp(system, v):
+    """cone_member's LP on a polytopic system: v as a nonnegative
+    combination of the vertices."""
+    return lp.LpProblem(
         np.zeros(system.n_vertices),
         eq_rows=system.vertices.T,
         eq_rhs=v.coords,
     )
-    out = lp.feasibility(prob)
+
+
+def _membership(out):
+    """The ConeMembership of the outcome of a `_cone_lp`."""
     if out.status == "optimal":
         return ConeMembership(True, out.x, None)
     return ConeMembership(False, None, -out.dual_eq)
+
+
+def _cone_member_from(system, v, start):
+    """cone_member(system, v) on a polytopic system, its LP started from
+    the basis `start` (None for none), and the basis that decided it
+    (None when v lies outside V+)."""
+    out = lp.feasibility(_cone_lp(system, v), start=start)
+    return _membership(out), out.basis
 
 
 def base_norm(system, v):

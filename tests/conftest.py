@@ -11,9 +11,9 @@ def lp_solves(monkeypatch):
     seen = []
     solve = lp.solve
 
-    def counting(problem, mode="float"):
+    def counting(problem, mode="float", **keywords):
         seen.append(problem)
-        return solve(problem, mode)
+        return solve(problem, mode, **keywords)
 
     monkeypatch.setattr(lp, "solve", counting)
     return seen

@@ -286,9 +286,9 @@ def library_lps():
     seen = []
     solve = lp.solve
 
-    def record(problem, mode="float"):
+    def record(problem, mode="float", **keywords):
         seen.append((problem, mode))
-        return solve(problem, mode)
+        return solve(problem, mode, **keywords)
 
     def members(points):
         # the membership LPs measures and conditional assemblages solved

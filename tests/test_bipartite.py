@@ -687,6 +687,17 @@ class TestSteerabilitySearch:
                                match="shapes must list outcome counts"):
                 bipartite.steerability_search(st, shapes=shapes)
 
+    def test_strategy_guard_is_checked_before_any_draw(self):
+        # 2 * 1000000 strategies pass the lhs_atoms guard of 4096: the
+        # search stops before it asks the sampler for a family
+        def sentinel(rng):
+            raise AssertionError("the sampler was called")
+
+        with pytest.raises(GuardExceeded, match="lhs_atoms=2000000"):
+            bipartite.steerability_search(
+                separable_state(), shapes=(2, 1000000), sampler=sentinel,
+                budget=1)
+
     def test_numpy_integer_counts_accepted(self):
         result = bipartite.steerability_search(
             diagonal_state(), shapes=(np.int64(2), np.int32(2)),

@@ -669,8 +669,8 @@ def _perturbed_degree_lp(monkeypatch, change):
     it."""
     solve = lp.solve
 
-    def perturbed(problem, mode="float"):
-        out = solve(problem, mode)
+    def perturbed(problem, mode="float", **keywords):
+        out = solve(problem, mode, **keywords)
         return change(out) if problem.objective[-1] == -1.0 else out
 
     monkeypatch.setattr(lp, "solve", perturbed)
@@ -737,6 +737,20 @@ def test_monte_carlo_disk_and_segment():
     seg = choquet.c_mu_monte_carlo(systems.ball(1), samples=200000, seed=0)
     assert seg.reference == pytest.approx(1.0, abs=1e-12)
     assert seg.value == pytest.approx(1.0, abs=0.005)
+
+
+def test_monte_carlo_reference_past_the_gamma_overflow():
+    # Gamma((n + 1) / 2) passes float range from n = 343 on
+    with pytest.raises(OverflowError):
+        math.gamma(401 / 2.0)
+    est = choquet.c_mu_monte_carlo(systems.ball(400), samples=50)
+    want = math.exp(math.lgamma(200.0) - math.lgamma(200.5)) / math.sqrt(
+        math.pi)
+    assert est.reference == pytest.approx(want, rel=1e-12)
+    # E|x_1| ~ sqrt(2 / (pi n)) for large n
+    assert est.reference == pytest.approx(math.sqrt(2 / (math.pi * 400)),
+                                          rel=1e-3)
+    assert est.samples == 50
 
 
 def test_monte_carlo_deterministic():

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, verdict payloads, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import gptsteer
-from gptsteer import cli, selftest, steering, tolerances
+from gptsteer import cli, sampling, selftest, steering, tolerances
 from gptsteer.errors import NumericalFailure
 
 SQUARE = {
@@ -191,6 +192,13 @@ def test_cmu_uniform_square(files, capsys):
     assert out["sigma"] == pytest.approx([1, 0, 0], abs=1e-9)
 
 
+def test_mc_cmu_past_the_gamma_overflow(capsys):
+    out = run_json(capsys, ["mc-cmu", "--dim", "400", "--samples", "50"])
+    assert out["reference"] == pytest.approx(
+        np.exp(math.lgamma(200.0) - math.lgamma(200.5)) / np.sqrt(np.pi),
+        rel=1e-12)
+
+
 def test_mc_cmu_disk(capsys):
     out = run_json(capsys, ["mc-cmu", "--dim", "2", "--samples", "20000",
                             "--seed", "5"])
@@ -315,9 +323,23 @@ def test_a_count_past_numpys_size_is_invalid_input(argv, capsys):
     assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
+def test_search_checks_its_strategy_guard_before_it_draws(capsys,
+                                                         monkeypatch):
+    # the default sampler would build a whole family first (about 30 s)
+    def no_draw(*args):
+        raise AssertionError("a measurement was drawn")
+
+    monkeypatch.setattr(sampling, "random_measurement", no_draw)
+    assert cli.main(["search", NOISY, "--shapes", "2,1000000",
+                     "--budget", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "guard exceeded: lhs_atoms=2000000 exceeds guard 4096")
+
+
 def test_a_count_past_memory_is_invalid_input():
     # MemoryError needs a capped address space, which only a child process
-    # may set for itself
+    # may set for itself; the search's lhs_atoms guard is raised past its
+    # 2 * 10^11 strategies, so the draw is what runs out of memory
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -327,7 +349,8 @@ def test_a_count_past_memory_is_invalid_input():
         f"print(cli.main(['search', {NOISY!r}, '--shapes', "
         f"'2,100000000000', '--budget', '1']))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               GPTSTEER_GUARDS="lhs_atoms=200000000000")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.split() == ["1", "1"]

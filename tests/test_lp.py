@@ -398,7 +398,8 @@ def test_zero_objective_ends_optimal_or_infeasible(family):
 def test_feasibility_refuses_an_unbounded_verdict(monkeypatch):
     monkeypatch.setattr(
         lp, "solve",
-        lambda problem: LpOutcome("unbounded", None, None, None, None, None))
+        lambda problem, **keywords: LpOutcome("unbounded", None, None, None,
+                                              None, None))
     with pytest.raises(NumericalFailure,
                        match="feasibility LP of shape 1x2 ended unbounded"):
         feasibility(LpProblem(np.zeros(2), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0]))
@@ -417,3 +418,190 @@ def test_optimum_returns_the_optimal_outcome():
     p = LpProblem(np.array([-1.0, -1.0]), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0])
     out = lp.optimum(p, "probe LP")
     assert out.status == "optimal" and out.value == solve(p).value
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+
+
+WARM_FAMILIES = {
+    "random": lp_cases.random_lps,
+    "signed_zero": lp_cases.signed_zero_lps,
+    "tall": lp_cases.tall_lps,
+    "tied": lp_cases.tied_lps,
+    "flip": lp_cases.flip_lps,
+    "infeasible": lp_cases.infeasible_lps,
+    "unbounded": lp_cases.unbounded_lps,
+    "library": lambda: [p for p, mode in lp_cases.library_lps()
+                        if mode == "float"],
+}
+
+
+# the least number of solves in each family that a nearby optimum's basis
+# starts without phase one (61, 13, 19 and 75 at seed 11)
+WARM_SKIPS = {"random": 50, "signed_zero": 10, "tied": 15, "library": 60}
+
+
+def _outcome_bytes(problem, **keywords):
+    out = solve(problem, **keywords)
+    return (out.status,) + tuple(
+        None if v is None else np.asarray(v).tobytes()
+        for v in (out.x, out.value, out.dual_eq, out.dual_ub,
+                  out.reduced_costs, out.farkas_margin, out.basis))
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """Whether each `_warm_start` the solves make skipped phase one."""
+    taken = []
+    warm = lp._warm_start
+
+    def spy(*args):
+        taken.append(warm(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(lp, "_warm_start", spy)
+    return taken
+
+
+def _perturbed(problem, rng, scale):
+    eq, ub = problem.eq_rhs, problem.ub_rhs
+    return dataclasses.replace(
+        problem, eq_rhs=eq + scale * rng.standard_normal(eq.size),
+        ub_rhs=ub + scale * rng.standard_normal(ub.size))
+
+
+@pytest.mark.parametrize("family", sorted(WARM_FAMILIES))
+def test_a_start_from_a_nearby_optimum_keeps_status_and_value(family,
+                                                              warm_starts):
+    # the optimal basis of a perturbed right-hand side starts the solve
+    rng = np.random.default_rng(11)
+    for p in WARM_FAMILIES[family]():
+        cold = solve(p)
+        near = solve(_perturbed(p, rng, 1e-3))
+        if near.status != "optimal":
+            continue
+        warm = solve(p, start=near.basis)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            gap = LP_GAP * (1 + abs(cold.value))
+            assert abs(warm.value - cold.value) <= gap
+            ref = _highs(p)
+            assert abs(warm.value - ref.fun) <= LP_GAP * (1 + abs(ref.fun))
+            assert warm.basis is not None and not warm.basis.flags.writeable
+    # how many of those skip phase one: a start's nonbasic columns sit at
+    # 0, so the box optima of `flip` (columns at their upper bounds) run
+    # cold; the perturbed `tall`, `infeasible` and `unbounded` problems
+    # end without an optimum to start from
+    assert warm_starts.count(True) >= WARM_SKIPS.get(family, 0)
+
+
+def test_outcome_basis_is_read_only_and_set_at_an_optimum_only():
+    p = LpProblem(np.array([-1.0, -1.0]), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0])
+    out = solve(p)
+    assert out.basis.tolist() == [0] and not out.basis.flags.writeable
+    with pytest.raises(ValueError):
+        out.basis[0] = 1
+    assert solve(p, mode="exact").basis.tolist() == [0]
+    for q in lp_cases.infeasible_lps() + lp_cases.unbounded_lps():
+        assert solve(q).basis is None
+
+
+def _columns(p):
+    """The tableau's column count: one per variable (two when free), one
+    slack per inequality row and one artificial per row."""
+    free = (p.lower == -np.inf) & (p.upper == np.inf)
+    return (p.n_vars + int(free.sum()) + 2 * p.ub_rows.shape[0]
+            + p.eq_rows.shape[0])
+
+
+@pytest.mark.parametrize("family", sorted(WARM_FAMILIES))
+def test_a_singular_or_infeasible_start_gives_the_cold_outcome(family,
+                                                               warm_starts):
+    # random column sets: every one that does not skip phase one leaves
+    # each byte of the cold solve
+    rng = np.random.default_rng(12)
+    fallbacks = 0
+    for p in WARM_FAMILIES[family]():
+        m0 = p.eq_rows.shape[0] + p.ub_rows.shape[0]
+        cold = _outcome_bytes(p)
+        for _ in range(3):
+            start = rng.choice(_columns(p), size=m0, replace=False)
+            warm_starts.clear()
+            got = _outcome_bytes(p, start=start)
+            if m0 and warm_starts == [False]:
+                assert got == cold
+                fallbacks += 1
+            elif got[0] == "optimal":
+                # a feasible start: another optimum, within the gap
+                value = solve(p).value
+                assert abs(solve(p, start=start).value - value) \
+                    <= LP_GAP * (1 + abs(value))
+            else:
+                assert got[0] == cold[0]
+    assert fallbacks >= 3
+
+
+def test_a_singular_start_runs_the_cold_path(warm_starts):
+    # columns 0 and 1 are parallel, so no basis holds both
+    p = LpProblem(np.array([1.0, 2.0, 3.0]), eq_rows=[[1.0, 2.0, 0.0],
+                                                    [2.0, 4.0, 1.0]],
+                  eq_rhs=[2.0, 5.0])
+    assert _outcome_bytes(p, start=[0, 1]) == _outcome_bytes(p)
+    assert warm_starts == [False]
+    # an infeasible one: on columns 2 and 1, x_1 = -1/3
+    q = LpProblem(np.array([1.0, 2.0, 3.0]), eq_rows=[[1.0, 2.0, -1.0],
+                                                    [0.0, 1.0, 1.0]],
+                  eq_rhs=[-1.0, 0.0])
+    warm_starts.clear()
+    assert _outcome_bytes(q, start=[2, 1]) == _outcome_bytes(q)
+    assert warm_starts == [False]
+
+
+@pytest.mark.parametrize("start", [
+    [0], [0, 1, 2, 3], [0, 0, 1], [0, 1, 7], [-1, 0, 1], [0.0, 1.0, 2.0],
+    [0, 1, 2.5], ["0", "1", "2"], [True, False, True], [[0, 1, 2]],
+    [0, 1, 2 ** 70], 3, "012", [0, 1, None]],
+    ids=["short", "long", "repeat", "past the columns", "negative",
+         "floats", "fraction", "text", "bools", "nested", "huge", "number",
+         "string", "none"])
+def test_a_malformed_start_is_invalid_input(start):
+    # the cone LP of the square: 3 rows, 4 columns and 3 artificials
+    V = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+    p = LpProblem(np.zeros(4), eq_rows=V.T, eq_rhs=[1.0, 0.2, -0.4])
+    with pytest.raises(InvalidInput, match="start must list 3 distinct"):
+        solve(p, start=start)
+    with pytest.raises(InvalidInput, match="start must list 3 distinct"):
+        feasibility(p, start=start)
+
+
+def test_a_start_in_exact_mode_is_invalid_input():
+    p = LpProblem(np.array([1.0]), ub_rows=[[-1.0]], ub_rhs=[-1.0])
+    basis = solve(p).basis
+    assert solve(p, start=basis).status == "optimal"
+    with pytest.raises(InvalidInput, match="needs mode 'float'"):
+        solve(p, mode="exact", start=basis)
+
+
+def test_a_warm_feasible_cone_lp_makes_no_phase_one(monkeypatch):
+    V = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+    basis = feasibility(LpProblem(np.zeros(4), eq_rows=V.T,
+                                  eq_rhs=[1.0, 0.2, -0.4])).basis
+    rows = []
+    phase = lp.simplex_phase
+
+    def phases(T, basis, vstat, upper, m, N, cost_row, *args, **keywords):
+        rows.append(cost_row)
+        return phase(T, basis, vstat, upper, m, N, cost_row, *args,
+                     **keywords)
+
+    monkeypatch.setattr(lp, "simplex_phase", phases)
+    b = [1.0, 0.25, -0.35]
+    out = feasibility(LpProblem(np.zeros(4), eq_rows=V.T, eq_rhs=b),
+                      start=basis)
+    assert out.status == "optimal" and rows == []
+    assert out.basis.tolist() == basis.tolist()
+    assert np.max(np.abs(V.T @ out.x - b)) <= 1e-12
+    # the cold solve of the same LP runs phase one (cost row 3 + 1)
+    feasibility(LpProblem(np.zeros(4), eq_rows=V.T, eq_rhs=b))
+    assert rows == [4]

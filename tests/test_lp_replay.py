@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gptsteer import lp, sampling, steering, systems
+from gptsteer import lp, sampling, steering, systems, tensors
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "lp_replay.py"
@@ -29,9 +29,9 @@ def test_caller_chain_names_the_asking_functions(monkeypatch):
     chains = []
     solve = lp.solve
 
-    def recording(problem, mode="float"):
+    def recording(problem, mode="float", **keywords):
         chains.append(tool.caller_chain(sys._getframe(1)))
-        return solve(problem, mode)
+        return solve(problem, mode, **keywords)
 
     monkeypatch.setattr(lp, "solve", recording)
     rng = np.random.default_rng(4)
@@ -69,9 +69,9 @@ def test_callers_counts_per_question_and_reads_old_recordings(tmp_path):
         pickle.dump([(fields, "float")], fh)
     data = tool.load(old)
     assert data["questions"] is None
-    [(got, mode, chain, question)] = data["problems"]
+    [(got, mode, chain, question, start)] = data["problems"]
     assert sorted(got) == sorted(tool.FIELDS)
-    assert (mode, chain, question) == ("float", None, None)
+    assert (mode, chain, question, start) == ("float", None, None, None)
 
 
 def test_diff_counts_differing_problems_and_a_count_mismatch(tmp_path,
@@ -133,9 +133,9 @@ def test_record_tests_keeps_each_distinct_problem_once(tmp_path):
         check=True, capture_output=True, text=True)
     data = load_tool().load(out)
     assert data["questions"] == 0
-    assert [(mode, chain, question)
-            for _, mode, chain, question in data["problems"]] == [
-        ("float", "", None), ("exact", "", None)]
+    assert [(mode, chain, question, start)
+            for _, mode, chain, question, start in data["problems"]] == [
+        ("float", "", None, None), ("exact", "", None, None)]
 
 
 def test_time_loads_both_trees_and_times_every_problem(tmp_path):
@@ -194,3 +194,62 @@ def test_tree_packages_load_side_by_side(tmp_path):
         for name in list(sys.modules):
             if name.split(".")[0] in names:
                 del sys.modules[name]
+
+
+def test_a_recorded_warm_bisection_replays_its_starts(monkeypatch):
+    # the (2, 3) square assemblage of robustness 1/2: 20 bisection steps
+    # of five membership LPs and one LHS LP, and the LHS LP before them
+    tool = load_tool()
+    sq = systems.hypercube(2)
+    sigma = sq.vector([1.0, 0.0, 0.0])
+    pair = steering.from_dichotomic_tensor(tensors.DichotomicTensor(
+        sigma=sigma, components=(sq.vector([0.0, 1, 1]),
+                                 sq.vector([0.0, 1, -1])))).entries
+    asm = steering.Assemblage(barycenter=sigma, entries=(
+        pair[0], (pair[1][0], pair[1][1] * 0.5, pair[1][1] * 0.5)))
+    outs, seen = [], []
+    solve = lp.solve
+
+    def solving(problem, mode="float", **keywords):
+        outs.append(solve(problem, mode, **keywords))
+        return outs[-1]
+
+    monkeypatch.setattr(lp, "solve", solving)
+    monkeypatch.setattr(lp, "solve", tool.recorder(
+        lp, lambda *problem: seen.append(problem)))
+    assert abs(steering.robustness(asm) - 0.5) <= 1e-6
+    monkeypatch.undo()
+    assert len(seen) == len(outs) == 121
+    chains = {chain for _, _, _, chain in seen}
+    assert chains == {"lhs_check <- robustness",
+                      "_cone_member_from <- _checked_rows <- _assemblage "
+                      "<- robustness"}
+    starts = [start for _, _, start, chain in seen
+              if chain.startswith("_cone")]
+    # the first step's five start cold, every later one from a basis
+    assert [s is None for s in starts] == [True] * 5 + [False] * 95
+    for (fields, mode, start, _), out in zip(seen, outs):
+        assert tool.outcome(lp, fields, mode, start) == tool.outcome_bytes(out)
+
+
+def test_diff_compares_starts(tmp_path, capsys):
+    tool = load_tool()
+    fields = {k: np.zeros(1) for k in tool.FIELDS}
+
+    def run(starts_a, starts_b):
+        paths = []
+        for name, starts in (("a", starts_a), ("b", starts_b)):
+            paths.append(tmp_path / f"{name}.lps")
+            with open(paths[-1], "wb") as fh:
+                pickle.dump({"questions": 1, "problems": [
+                    (fields, "float", "lhs_check", 0) + (() if s is False
+                                                         else (s,))
+                    for s in starts]}, fh)
+        code = tool.main(["diff", *map(str, paths)])
+        return code, json.loads(capsys.readouterr().out)["first_differences"]
+
+    basis = np.array([0])
+    # a recording without starts reads as cold solves
+    assert run([False, False], [None, None]) == (0, [])
+    assert run([None, basis], [None, basis.copy()]) == (0, [])
+    assert run([None, basis], [basis, np.array([1])]) == (1, [0, 1])

@@ -6,7 +6,8 @@ import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import choquet, guards, sampling, steering, systems, tensors
+from gptsteer import (choquet, guards, lp, sampling, steering, systems,
+                      tensors)
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -14,7 +15,7 @@ from gptsteer.errors import (
     NotInterior,
 )
 from gptsteer.geometry import lex_sorted
-from gptsteer.tolerances import LP_GAP, RECONSTRUCTION
+from gptsteer.tolerances import BISECTION_WIDTH, LP_GAP, RECONSTRUCTION
 
 
 def square():
@@ -630,6 +631,69 @@ def test_general_shape_bisection_postcondition():
     probe = min(1.0, r + 2e-6)
     assert not steering.lhs_check(
         steering.mixed_with_trivial(split, probe)).classical
+
+
+def _cold_bisection(asm):
+    """`robustness` of a shape that is not two-outcome as it was before its
+    membership LPs started warm: each mixture from `mixed_with_trivial`,
+    each LP from the artificial basis."""
+    if steering.lhs_check(asm).classical:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if steering.lhs_check(steering.mixed_with_trivial(asm, mid)).classical:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _split_assemblage(rng, system, shape):
+    """A steerable-leaning two-outcome assemblage with g = len(shape), the
+    second outcome of setting x split into shape[x] - 1 parts."""
+    t = sampling.random_steerable_leaning_tensor(rng, system, g=len(shape))
+    asm = steering.from_dichotomic_tensor(t)
+    entries = []
+    for (plus, minus), k in zip(asm.entries, shape):
+        w = rng.dirichlet(np.ones(k - 1))
+        entries.append((plus,) + tuple(minus * float(c) for c in w))
+    return steering.Assemblage(barycenter=asm.barycenter, entries=entries)
+
+
+WARM_SYSTEMS = {"square": square(), "pentagon": systems.regular_polygon(5),
+                "simplex3": systems.simplex(3),
+                "hypercube3": systems.hypercube(3)}
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2, 2, 3)])
+@pytest.mark.parametrize("name", sorted(WARM_SYSTEMS))
+def test_warm_bisection_matches_the_cold_one(name, shape, lp_solves,
+                                             monkeypatch):
+    # (2, 2, 2) is two-outcome: robustness takes the closed form there
+    taken = []
+    warm = lp._warm_start
+
+    def spy(*args):
+        taken.append(warm(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(lp, "_warm_start", spy)
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(2):
+        asm = _split_assemblage(rng, WARM_SYSTEMS[name], shape)
+        lp_solves.clear()
+        taken.clear()
+        got = steering.robustness(asm)
+        solves, skips = len(lp_solves), taken.copy()
+        lp_solves.clear()
+        taken.clear()
+        assert got.hex() == _cold_bisection(asm).hex()
+        assert solves == len(lp_solves) and taken == []
+        # 20 steps: from the second on, every membership LP has a start,
+        # and most of those starts are still feasible (1388 of 1406 here)
+        assert len(skips) == (0 if got == 1.0 else 19 * sum(shape))
+        assert skips.count(False) <= 0.1 * len(skips)
 
 
 def test_disk_reduction_rank_guard():

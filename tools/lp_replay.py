@@ -11,14 +11,15 @@
 every question of one cycle (perfbench's CYCLES, by default the whole
 sequence) against this checkout's src/.  It stores each `lp.solve` call of
 the set-up and the cycle: the problem data, the mode, the question it
-belongs to (None for the set-up) and the chain of gptsteer functions that
+belongs to (None for the set-up), the chain of gptsteer functions that
 asked for it, innermost first and without the lp module's own wrappers
-(`cone_member <- Assemblage.__post_init__ <- mixed_with_trivial <- ...`).
+(`cone_member <- Assemblage.__post_init__ <- mixed_with_trivial <- ...`),
+and the basis the solve started from (None for a cold solve).
 `record --workload tests` instead runs pytest in process on the given test
 files or directories (by default this checkout's tests/) and stores every
-distinct problem, with its mode, that the tests hand to `lp.solve`, in
-first-asked order and with the chain of its first asking; they all count
-as set-up.
+distinct problem, with its mode and start, that the tests hand to
+`lp.solve`, in first-asked order and with the chain of its first asking;
+they all count as set-up.
 `callers` prints the cycle's LP solves per question by chain, then the
 set-up's solves by chain.  A command whose reader closes stdout early
 (`callers FILE | head -1`) exits 1 without a traceback.
@@ -30,9 +31,9 @@ the Farkas margin, or the type and message of the exception raised.  It
 prints one JSON line and exits 1 when any outcome differs.  `diff` sets
 two recordings side by side, say one made on each tree, since `compare`
 cannot see a change that builds different problems: it counts the
-positions whose mode, caller chain, question or any field's dtype, shape
-or bytes differ, reports whether the problem counts differ, prints one
-JSON line and exits 1 when anything differs.  `outcomes FILE
+positions whose mode, caller chain, question, start or any field's dtype,
+shape or bytes differ, reports whether the problem counts differ, prints
+one JSON line and exits 1 when anything differs.  `outcomes FILE
 TREE` is the child's half: one status and digest per problem, as a JSON
 list.  `time` loads both trees' gptsteer into one process, as two packages
 under their own names, and times building each `LpProblem` and solving it.
@@ -41,14 +42,19 @@ before the next, the tree that goes first alternating.  Each problem keeps
 its fastest of the R rounds; the JSON line gives the mean of those per
 tree in microseconds per LP, rounded to 2 decimals, and the ratio B / A of
 the rounded means.  A solve that raises is timed like one that returns.
+Every replay passes a problem's recorded start, and no start keyword at
+all for a cold solve, so a recording without starts also replays on a
+tree whose `lp.solve` takes none.
 
 The file is a pickle of plain numpy arrays and strings; load only files you
-recorded.  `compare` also reads recordings made before the callers were
-stored (a bare list of (fields, mode)).
+recorded.  `load` also reads recordings made before the starts were stored
+(four fields a problem) and before the callers were (a bare list of
+(fields, mode)).
 """
 
 import argparse
 import collections
+import copy
 import hashlib
 import importlib
 import importlib.util
@@ -70,6 +76,12 @@ FIELDS = ("objective", "eq_rows", "eq_rhs", "ub_rows", "ub_rhs",
           "lower", "upper")
 OUTCOME = ("x", "value", "dual_eq", "dual_ub", "reduced_costs",
            "farkas_margin")
+
+
+def start_key(start):
+    """None for a cold solve, else the pickle of the start: two starts with
+    the same key are the same start."""
+    return None if start is None else pickle.dumps(start)
 
 
 def field_key(fields):
@@ -97,10 +109,24 @@ def caller_chain(frame):
     return " <- ".join(names)
 
 
+def recorder(lp, keep):
+    """A stand-in for `lp.solve` as it stands now: it hands each problem's
+    fields, mode, start (copied) and caller chain to `keep`, then solves."""
+    solve = lp.solve
+
+    def recording(problem, mode="float", start=None):
+        if isinstance(problem, lp.LpProblem):
+            keep({k: getattr(problem, k).copy() for k in FIELDS}, mode,
+                 copy.deepcopy(start), caller_chain(sys._getframe(1)))
+        return solve(problem, mode, start=start)
+
+    return recording
+
+
 def record(workload, seed):
-    """{"questions": n, "problems": [(fields, mode, chain, question)]} of
-    every lp.solve call in the set-up (question None) and one cycle of
-    `workload`, and the number of questions that raised."""
+    """{"questions": n, "problems": [(fields, mode, chain, question,
+    start)]} of every lp.solve call in the set-up (question None) and one
+    cycle of `workload`, and the number of questions that raised."""
     import_library(ROOT)
     from gptsteer import lp
     from perfbench import workloads
@@ -109,14 +135,11 @@ def record(workload, seed):
     solve = lp.solve
     question = None
 
-    def recording(problem, mode="float"):
-        if isinstance(problem, lp.LpProblem):
-            seen.append(({k: getattr(problem, k).copy() for k in FIELDS},
-                         mode, caller_chain(sys._getframe(1)), question))
-        return solve(problem, mode)
+    def keep(fields, mode, start, chain):
+        seen.append((fields, mode, chain, question, start))
 
     raised = 0
-    lp.solve = recording
+    lp.solve = recorder(lp, keep)
     try:
         cases = workloads.BUILDERS[workload](seed)
         cycle = workloads.CYCLES.get(workload) or len(cases)
@@ -136,9 +159,9 @@ def record(workload, seed):
 
 
 def record_tests(paths):
-    """{"questions": 0, "problems": [(fields, mode, chain, None)]} of every
-    distinct lp.solve problem the pytest run over `paths` asks for, and
-    pytest's exit code."""
+    """{"questions": 0, "problems": [(fields, mode, chain, None, start)]}
+    of every distinct lp.solve problem and start the pytest run over
+    `paths` asks for, and pytest's exit code."""
     import pytest
 
     import_library(ROOT)
@@ -147,18 +170,14 @@ def record_tests(paths):
     seen = {}
     solve = lp.solve
 
-    def recording(problem, mode="float"):
-        if isinstance(problem, lp.LpProblem):
-            fields = {k: getattr(problem, k).copy() for k in FIELDS}
-            key = (mode,) + field_key(fields)
-            if key not in seen:
-                seen[key] = (fields, mode, caller_chain(sys._getframe(1)),
-                             None)
-        return solve(problem, mode)
+    def keep(fields, mode, start, chain):
+        key = (mode, start_key(start)) + field_key(fields)
+        if key not in seen:
+            seen[key] = (fields, mode, chain, None, start)
 
     # Patched before collection, so `from gptsteer.lp import solve` in a
     # test module binds the recording wrapper too.
-    lp.solve = recording
+    lp.solve = recorder(lp, keep)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir",
                             str(ROOT)] + [str(p) for p in paths])
@@ -168,13 +187,15 @@ def record_tests(paths):
 
 
 def load(path):
-    """The recording in `path`, in the current format; a recording without
-    callers (a bare list of (fields, mode)) gets chain and question None."""
+    """The recording in `path`, in the current format: a recording without
+    callers (a bare list of (fields, mode)) gets chain and question None,
+    and one without starts gets start None."""
     with open(path, "rb") as fh:
         data = pickle.load(fh)
     if isinstance(data, list):
-        data = {"questions": None,
-                "problems": [(f, m, None, None) for f, m in data]}
+        data = {"questions": None, "problems": data}
+    data["problems"] = [tuple(p) + (None,) * (5 - len(p))
+                        for p in data["problems"]]
     return data
 
 
@@ -188,13 +209,28 @@ def _bytes(v):
     return type(v).__name__, repr(v)
 
 
-def outcome(lp, fields, mode):
+def _solve(lp, fields, mode, start):
+    """lp.solve on the recorded problem, with no start keyword for a cold
+    solve."""
+    problem = lp.LpProblem(**fields)
+    if start is None:
+        return lp.solve(problem, mode)
+    return lp.solve(problem, mode, start=start)
+
+
+def outcome_bytes(o):
+    """An LpOutcome as a printable tuple: its status and the bytes of
+    every OUTCOME field."""
+    return (o.status,) + tuple(_bytes(getattr(o, k)) for k in OUTCOME)
+
+
+def outcome(lp, fields, mode, start=None):
     """The outcome of one solve as a printable tuple."""
     try:
-        o = lp.solve(lp.LpProblem(**fields), mode)
+        o = _solve(lp, fields, mode, start)
     except Exception as exc:  # an exception is an outcome to compare
         return type(exc).__name__, str(exc)
-    return (o.status,) + tuple(_bytes(getattr(o, k)) for k in OUTCOME)
+    return outcome_bytes(o)
 
 
 def outcomes(path, tree):
@@ -203,8 +239,8 @@ def outcomes(path, tree):
     from gptsteer import lp
 
     out = []
-    for fields, mode, _, _ in load(path)["problems"]:
-        got = outcome(lp, fields, mode)
+    for fields, mode, _, _, start in load(path)["problems"]:
+        got = outcome(lp, fields, mode, start)
         out.append((got[0], hashlib.sha256(repr(got).encode()).hexdigest()))
     return out
 
@@ -228,8 +264,8 @@ def compare(path, tree_a, tree_b):
 
 
 def _recorded(problem):
-    fields, mode, chain, question = problem
-    return mode, chain, question, field_key(fields)
+    fields, mode, chain, question, start = problem
+    return mode, chain, question, start_key(start), field_key(fields)
 
 
 def diff(path_a, path_b):
@@ -257,13 +293,13 @@ def load_tree_lp(tree, name):
     return importlib.import_module(f"{name}.lp")
 
 
-def _build_and_solve(lp, fields, mode):
-    start = time.perf_counter()
+def _build_and_solve(lp, fields, mode, start):
+    began = time.perf_counter()
     try:
-        lp.solve(lp.LpProblem(**fields), mode)
+        _solve(lp, fields, mode, start)
     except Exception:  # a failing solve is timed like any other
         pass
-    return time.perf_counter() - start
+    return time.perf_counter() - began
 
 
 def time_trees(path, tree_a, tree_b, rounds):
@@ -274,15 +310,16 @@ def time_trees(path, tree_a, tree_b, rounds):
         raise SystemExit("lp_replay: --rounds must be at least 1")
     libs = (load_tree_lp(tree_a, "lp_replay_tree_a"),
             load_tree_lp(tree_b, "lp_replay_tree_b"))
-    problems = [(fields, mode) for fields, mode, _, _ in load(path)["problems"]]
+    problems = [(fields, mode, start)
+                for fields, mode, _, _, start in load(path)["problems"]]
     if not problems:
         raise SystemExit(f"lp_replay: {path} holds no problems")
     best = [[float("inf")] * len(problems) for _ in libs]
     for r in range(rounds):
-        for i, (fields, mode) in enumerate(problems):
+        for i, (fields, mode, start) in enumerate(problems):
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                best[k][i] = min(best[k][i],
-                                 _build_and_solve(libs[k], fields, mode))
+                best[k][i] = min(best[k][i], _build_and_solve(
+                    libs[k], fields, mode, start))
     us = [round(1e6 * sum(b) / len(problems), 2) for b in best]
     return {"problems": len(problems), "rounds": rounds,
             "us_per_lp_a": us[0], "us_per_lp_b": us[1],
@@ -301,10 +338,10 @@ def callers(path):
         raise SystemExit(f"lp_replay: {path} was recorded without callers")
     q = max(data["questions"], 1)
     cycle = collections.Counter(
-        chain for _, _, chain, question in data["problems"]
+        chain for _, _, chain, question, _ in data["problems"]
         if question is not None)
     setup = collections.Counter(
-        chain for _, _, chain, question in data["problems"]
+        chain for _, _, chain, question, _ in data["problems"]
         if question is None)
     lines = [f"{n / q:8.2f}  {chain}" for chain, n in _by_count(cycle)]
     lines.append(f"{sum(cycle.values()) / q:8.2f}  total per question, "
