@@ -6,7 +6,12 @@ variable, e.g.
 
     GPTSTEER_GUARDS="dim=8,sign_vectors=16" gptsteer norm ...
 
-Keys not listed below are rejected so typos fail loudly.
+Keys not listed below are rejected so typos fail loudly.  Most guards
+bound a size (a dimension, a vertex or outcome count); `eliminations` and
+`mc_sweep` bound the work a search is about to do, where sizes within
+their own guards can still multiply into hours.  Each is checked before
+the first subset is eliminated or the first sample drawn, so a refused
+call costs nothing.
 
 The three input rules:
 - counts (trials, samples, seeds, settings g, search budget and outcome
@@ -50,6 +55,13 @@ DEFAULTS = {
                          # scan, the universal degree LP and the sigma_B
                          # degree test
     "exact_vars": 64,    # tableau columns allowed in exact-rational LP mode
+    "eliminations": 10**6,   # subsets one dual-description search
+                         # eliminates: C(units, d) times the sign patterns
+                         # in the vertex search, C(generators, d - 1) in
+                         # the facet search (seconds at the default)
+    "mc_sweep": 10**8,   # multiply-adds in one coordinate-descent sweep of
+                         # the Monte Carlo constant on the ball in R^(n+1):
+                         # 2(n + 1) scores of samples * n each
 }
 
 

@@ -41,16 +41,21 @@ Kernel conventions:
     `+ 0.0`, and lp reads a float tableau only after `lp._refactorize` has
     rebuilt it from the problem's data; Fractions have no signed zero;
   * the simplex returns status codes; the searches raise GuardExceeded past
-    ROW_CAP rows or MAP_CAP maps, and test at COINCIDENCE on normalized rows;
+    ROW_CAP rows or MAP_CAP maps, the dual-description searches also when
+    the subsets they are about to eliminate pass the `eliminations` guard
+    (checked before the first), and all test at COINCIDENCE on normalized
+    rows;
   * no float literals inside simplex arithmetic (object-array reuse);
   * deterministic tie-breaking everywhere (lowest index / Bland).
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
+from . import guards
 from .errors import GuardExceeded
 from .tolerances import ARTIFICIAL_PIVOT, COINCIDENCE
 
@@ -532,6 +537,8 @@ def enum_polytope_vertices(A, b):
     signs = _sign_patterns(d)
     if mirror:
         signs = signs[:signs.shape[0] // 2]
+    guards.check("eliminations",
+                 math.comb(units.shape[0], d) * signs.shape[0])
     # Slices of an eighth chunk: most candidates then meet the vertices
     # found before them in `_append_distinct`'s first filter, not in its
     # square masks, whose float temporaries stay near 32 KB.
@@ -628,6 +635,7 @@ def enum_cone_facets(V):
     Rows of V should be normalized by the caller.
     """
     n, d = V.shape
+    guards.check("eliminations", math.comb(n, d - 1) if d > 1 else 0)
     out = np.empty((0, d))
     for normal in _normal_chunks(V):
         s = np.zeros((normal.shape[0], n))

@@ -442,18 +442,20 @@ def _warm_start(T, start, upper, M, aug, cvec, m0, ncols, N, feas):
     cap = np.where(start < ncols, upper[start], 0.0)
     if not ((xB >= -feas) & (xB <= cap + feas)).all():
         return False
-    _install(T, sol, start, M, cvec, m0, ncols, N)
+    _install(T, sol, start, M, cvec, m0, ncols, N, False)
     return True
 
 
-def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
+def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N,
+                 phase_one):
     """Rebuild the float tableau from the original data and current basis.
 
     Dense row updates accumulate roundoff over many pivots (badly so on
     nearly parallel constraint sets), and the certificates are read straight
     off the tableau, so before anything is extracted every row is recomputed
-    against the original columns: basic values, both reduced-cost rows, and
-    the B^-1 image in the artificial slots.  `aug` is the solve's [M | I | b]
+    against the original columns: basic values, the phase-two reduced-cost
+    row, the phase-one row while phase one runs (`phase_one`), and the
+    B^-1 image in the artificial slots.  `aug` is the solve's [M | I | b]
     buffer: B is its basis columns, and its last column is overwritten with
     b less the columns held at a finite nonzero upper bound.  Products with
     the constraint columns use the contiguous M, as they always have.
@@ -470,13 +472,16 @@ def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N):
     sol = _basic_solution(aug, aug.take(basis, axis=1))
     if sol is None:
         raise NumericalFailure("working basis is numerically singular")
-    _install(T, sol, basis, M, cvec, m0, ncols, N)
+    _install(T, sol, basis, M, cvec, m0, ncols, N, phase_one)
 
 
-def _install(T, sol, basis, M, cvec, m0, ncols, N):
+def _install(T, sol, basis, M, cvec, m0, ncols, N, phase_one):
     """Write the basis' solution sol = B^-1 [M | I | b] into T's rows and
-    recompute both reduced-cost rows from `cvec` and the constraint
-    columns M."""
+    recompute the phase-two reduced-cost row from `cvec` and the constraint
+    columns M, and with `phase_one` the phase-one row too.  Once phase one
+    is over nothing reads that row (pricing reads row m0, the Farkas
+    certificate is read as phase one ends), so a warm start and the
+    phase-two rebuilds leave it stale."""
     T[:m0] = sol
     Binv = sol[:, ncols:N]
     xB = sol[:, N]
@@ -485,6 +490,8 @@ def _install(T, sol, basis, M, cvec, m0, ncols, N):
     np.subtract(cvec[:ncols], y2 @ M, out=T[m0, :ncols])
     np.negative(y2, out=T[m0, ncols:N])
     T[m0, N] = -(cb2 @ xB)
+    if not phase_one:
+        return
     cb1 = (basis >= ncols).astype(np.float64)
     y1 = cb1 @ Binv
     np.negative(y1 @ M, out=T[m0 + 1, :ncols])
@@ -511,12 +518,12 @@ def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
             # An unbounded ray seen on drifted rows may close after rebuild.
             retried_unbounded = True
             _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
-                         m0, ncols, N)
+                         m0, ncols, N, cost_row > m0)
             continue
         if code != PHASE_OPTIMAL:
             return code
         _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
-                     m0, ncols, N)
+                     m0, ncols, N, cost_row > m0)
         if entering(T, vstat, upper, cost_row, ncols, tol)[0] == -1:
             return code
     raise NumericalFailure("simplex failed to stabilize after refactorizations")

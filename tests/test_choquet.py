@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import lp_cases
@@ -787,7 +788,9 @@ def test_monte_carlo_takes_numpy_integer_samples():
 
 def ref_monte_carlo(n, samples, seed):
     """(value, stderr) of the Monte Carlo search on the ball in R^(n+1) with
-    the one-expression score, evaluated afresh at every visit."""
+    the one-expression score, evaluated afresh at every visit, on a sample
+    normalized out of place by `np.linalg.norm` (the estimator before it
+    normalized one buffer in place, block by block)."""
     rng = np.random.default_rng(seed)
     if n == 1:
         U = np.where(rng.standard_normal((samples, 1)) >= 0.0, 1.0, -1.0)
@@ -839,6 +842,44 @@ def test_monte_carlo_matches_one_expression_score(n, samples):
         want = ref_monte_carlo(n, samples, seed)
         assert (est.value.hex(), est.stderr.hex()) == tuple(
             v.hex() for v in want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_monte_carlo_in_place_sample_keeps_every_byte(n):
+    # the fixture call, ball(3) at 20000 samples with seed 1, is in the grid
+    for samples in (2, 50, 20000, 10**5):
+        for seed in (0, 1, 7):
+            est = choquet.c_mu_monte_carlo(systems.ball(n), samples=samples,
+                                           seed=seed)
+            want = ref_monte_carlo(n, samples, seed)
+            assert (est.value, est.stderr) == want
+
+
+def test_monte_carlo_peak_memory_is_one_sample_and_a_column():
+    # tracemalloc counts numpy's buffers and does not depend on load
+    ball = systems.ball(3)
+    choquet.c_mu_monte_carlo(ball, samples=50)   # imports and caches
+    samples = 10**5
+    tracemalloc.start()
+    try:
+        choquet.c_mu_monte_carlo(ball, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * samples * 3 * 8
+
+
+def test_monte_carlo_checks_its_sweep_guard_before_it_draws(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(GuardExceeded,
+                       match=f"^mc_sweep={50 * 20000 * 2 * 20001} exceeds"):
+        choquet.c_mu_monte_carlo(systems.ball(20000), samples=50)
+    monkeypatch.setenv("GPTSTEER_GUARDS", "mc_sweep=39")
+    with pytest.raises(GuardExceeded, match="^mc_sweep=40 exceeds guard 39"):
+        choquet.c_mu_monte_carlo(systems.ball(1), samples=10)
 
 
 # ---------------------------------------------------------------------------

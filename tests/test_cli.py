@@ -199,6 +199,21 @@ def test_mc_cmu_past_the_gamma_overflow(capsys):
         rel=1e-12)
 
 
+def test_mc_cmu_checks_its_sweep_guard_before_it_draws():
+    # the descent at this size ran past 20 s before the guard; the timeout
+    # only keeps a regression from hanging the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("GPTSTEER_GUARDS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptsteer.cli", "mc-cmu", "--dim", "20000",
+         "--samples", "50"], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(
+        f"guard exceeded: mc_sweep={50 * 20000 * 2 * 20001} exceeds guard")
+
+
 def test_mc_cmu_disk(capsys):
     out = run_json(capsys, ["mc-cmu", "--dim", "2", "--samples", "20000",
                             "--seed", "5"])
@@ -317,7 +332,10 @@ NOISY = str(Path(__file__).resolve().parents[1] / "perfbench" / "cli"
     ["selftest", "--quick", "--seed", "-1"],
     ["mc-cmu", "--samples", str(2 ** 62)],
 ], ids=["selftest seed", "mc-cmu samples"])
-def test_a_count_past_numpys_size_is_invalid_input(argv, capsys):
+def test_a_count_past_numpys_size_is_invalid_input(argv, capsys,
+                                                   monkeypatch):
+    # the Monte Carlo sweep guard would refuse the count before the draw
+    monkeypatch.setenv("GPTSTEER_GUARDS", f"mc_sweep={2 ** 70}")
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and err.count("\n") == 1
@@ -339,7 +357,8 @@ def test_search_checks_its_strategy_guard_before_it_draws(capsys,
 def test_a_count_past_memory_is_invalid_input():
     # MemoryError needs a capped address space, which only a child process
     # may set for itself; the search's lhs_atoms guard is raised past its
-    # 2 * 10^11 strategies, so the draw is what runs out of memory
+    # 2 * 10^11 strategies and the Monte Carlo sweep guard past its 2 * 10^16
+    # multiply-adds, so the draws are what run out of memory
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -350,7 +369,8 @@ def test_a_count_past_memory_is_invalid_input():
         f"'2,100000000000', '--budget', '1']))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               GPTSTEER_GUARDS="lhs_atoms=200000000000")
+               GPTSTEER_GUARDS="lhs_atoms=200000000000,"
+                               "mc_sweep=100000000000000000")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.split() == ["1", "1"]

@@ -266,7 +266,12 @@ def test_a_count_past_an_index_is_invalid_input(build):
 # counts that fit an index but not memory: numpy refuses 2**62 doubles
 # before it allocates, so the allocation rule turns its ValueError into
 # InvalidInput in process; 2**40 doubles fail with a MemoryError only once
-# the address space is capped, which only a child process may do to itself
+# the address space is capped, which only a child process may do to itself.
+# The Monte Carlo sweep guard refuses such sample counts before the draw,
+# so it is raised past them.
+
+PAST_THE_SWEEP_GUARD = f"mc_sweep={2 ** 70}"
+
 
 def _past_memory(count):
     rng = np.random.default_rng(0)
@@ -291,7 +296,8 @@ def _past_memory(count):
 
 
 @pytest.mark.parametrize("name", sorted(_past_memory(2 ** 62)))
-def test_a_count_past_numpys_size_is_invalid_input(name):
+def test_a_count_past_numpys_size_is_invalid_input(name, monkeypatch):
+    monkeypatch.setenv("GPTSTEER_GUARDS", PAST_THE_SWEEP_GUARD)
     build, what = _past_memory(2 ** 62)[name]
     with pytest.raises(InvalidInput, match=f"^no memory for {what}$"):
         build()
@@ -310,6 +316,7 @@ def test_a_count_past_memory_is_invalid_input():
         "        print(exc)\n")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               GPTSTEER_GUARDS=PAST_THE_SWEEP_GUARD,
                PYTHONPATH=os.pathsep.join(
                    (str(root / "src"), str(root / "tests"))))
     proc = subprocess.run([sys.executable, "-c", code], env=env,

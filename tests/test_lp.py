@@ -67,6 +67,26 @@ def test_phase_two_rebuilds_only_after_phase_one(monkeypatch):
     assert out.x.tolist() == [0.0, 1.0]
 
 
+def test_only_phase_one_rebuilds_the_phase_one_row(monkeypatch):
+    # nothing reads the phase-one cost row once phase one is over, so a
+    # warm start and phase two's rebuilds leave it as it stands
+    flags = []
+    install = lp._install
+
+    def recording(*args):
+        flags.append(args[-1])
+        return install(*args)
+
+    monkeypatch.setattr(lp, "_install", recording)
+    p = LpProblem(np.array([-1.0, -2.0]), ub_rows=[[1.0, 1.0]], ub_rhs=[1.0])
+    cold = solve(p)
+    assert cold.status == "optimal" and flags == [True, False]
+    flags.clear()
+    warm = solve(p, start=cold.basis)
+    assert flags == [False]
+    assert warm.x.tobytes() == cold.x.tobytes() and warm.value == cold.value
+
+
 def test_unbounded_detected():
     out = solve(LpProblem(np.array([-1.0])))
     assert out.status == "unbounded"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_tensors import changed_coordinates
 
-from gptsteer import lp, sampling, systems
+from gptsteer import kernels, lp, sampling, systems
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -507,6 +508,57 @@ def test_extreme_effects_are_enumerated_once_per_system(monkeypatch):
     # an equal system built anew enumerates its own
     assert systems.extreme_effects(square()) is not first
     assert len(calls) == 3
+
+
+def test_effect_search_checks_its_elimination_guard_before_it_eliminates(
+        monkeypatch):
+    # hypercube(5)'s 32 vertex pairs give C(32, 6) unit subsets of 2^6 sign
+    # patterns each, about two minutes of eliminations
+    cube = systems.hypercube(5)
+
+    def no_elimination(*args):
+        raise AssertionError("a subset was eliminated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_unit_subset_vertices", no_elimination)
+        with pytest.raises(GuardExceeded, match=(
+                f"^eliminations={math.comb(32, 6) * 64} exceeds guard ")):
+            systems.extreme_effects(cube)
+    assert cube.effect_extremes is None
+    # C(16, 5) * 2^5 = 139776 eliminations, and C(10, 6) * 2^6
+    assert len(systems.extreme_effects(systems.hypercube(4))) == 10
+    assert len(systems.extreme_effects(systems.cross_polytope(5))) == 34
+
+
+def test_facet_search_checks_its_elimination_guard_before_it_eliminates(
+        monkeypatch):
+    V = np.column_stack([np.ones(44), np.random.default_rng(3).normal(
+        size=(44, 5))])
+
+    def no_elimination(*args):
+        raise AssertionError("a subset was eliminated")
+
+    monkeypatch.setattr(kernels, "_chunk_normals", no_elimination)
+    with pytest.raises(GuardExceeded, match=(
+            f"^eliminations={math.comb(44, 5)} exceeds guard ")):
+        facets_of_cone(V)
+
+
+def test_elimination_guard_counts_what_each_search_runs(monkeypatch):
+    # the cube's facet search eliminates C(8, 3) generator subsets; the
+    # box's three unit pairs mirror each other, so half its 2^3 patterns
+    cube = systems.hypercube(3).vertices
+    box = (np.concatenate([np.eye(3), -np.eye(3)]), np.ones(6))
+    monkeypatch.setenv("GPTSTEER_GUARDS", "eliminations=55")
+    with pytest.raises(GuardExceeded, match="^eliminations=56 exceeds"):
+        facets_of_cone(cube)
+    monkeypatch.setenv("GPTSTEER_GUARDS", "eliminations=3")
+    with pytest.raises(GuardExceeded, match="^eliminations=4 exceeds"):
+        vertices_of_polytope(*box)
+    monkeypatch.setenv("GPTSTEER_GUARDS", "eliminations=4")
+    assert vertices_of_polytope(*box).shape == (8, 3)
+    monkeypatch.setenv("GPTSTEER_GUARDS", "eliminations=56")
+    assert facets_of_cone(cube).shape == (6, 4)
 
 
 def test_is_effect():
