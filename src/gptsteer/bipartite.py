@@ -152,10 +152,9 @@ def conditional_assemblage(state, measurements):
     """Assemblage produced on party B by measuring the given settings on A.
 
     Entry (a|x) pairs the effect f_{a|x} with the A side of the state.
-    `BipartiteState` already guarantees every such entry lies in V+; each
-    is re-checked with `systems.in_cone` (no LP), and
-    `Assemblage.unchecked` still verifies that the outcomes of every
-    setting sum to the B marginal.
+    `BipartiteState` already guarantees every such entry lies in V+;
+    `Assemblage` re-checks each with `systems.in_cone` (no LP) and verifies
+    that the outcomes of every setting sum to the B marginal.
     """
     guards.expect(state, BipartiteState)
     meas = guards.items(measurements, "need at least one measurement")
@@ -164,13 +163,8 @@ def conditional_assemblage(state, measurements):
                       f"measurement {x}")
     b = state.system_b
     ct = state.coeffs.T
-    entries = tuple(
-        tuple(b.vector(ct @ f.coords) for f in m.effects) for m in meas)
-    for x, row in enumerate(entries):
-        for a, rho in enumerate(row):
-            if not systems.in_cone(b, rho):
-                raise InvalidInput(f"entry ({a}|{x}) is outside V+")
-    return steering.Assemblage.unchecked(state.marginal_b, entries)
+    return steering.Assemblage(barycenter=state.marginal_b, entries=tuple(
+        tuple(b.vector(ct @ f.coords) for f in m.effects) for m in meas))
 
 
 def interval_extreme_functionals(system):

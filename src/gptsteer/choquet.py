@@ -165,7 +165,7 @@ def _abs_gap(nu, mu, h):
     return lhs - rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoquetVerdict:
     """Outcome of choquet_below.
 

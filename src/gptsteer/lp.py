@@ -130,7 +130,7 @@ def _reject(problem):
 _MAX = np.finfo(np.float64).max
 
 
-@dataclass
+@dataclass(eq=False)
 class LpProblem:
     """min objective . x  s.t.  eq_rows x = eq_rhs, ub_rows x <= ub_rhs,
     lower <= x <= upper componentwise (infinite bounds allowed)."""
@@ -179,7 +179,7 @@ class LpProblem:
         return self.objective.size
 
 
-@dataclass
+@dataclass(eq=False)
 class LpOutcome:
     """Result of `solve`.  For status "infeasible" the dual vectors hold the
     Farkas certificate and `farkas_margin` its verified separation; for

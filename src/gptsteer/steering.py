@@ -5,6 +5,7 @@ barycenter sigma.  The central question is whether it admits a hidden-state
 model (an ensemble plus response functions); `lhs_check` decides it by LP
 over deterministic strategies and returns either the model or a certificate
 of steering; the model's responses are frozen arrays, one per setting.
+`Assemblage` decides its entries in V+ with `systems.in_cone`, no LP.
 Robustness measures how much trivial noise the assemblage tolerates before
 turning classical: for two-outcome assemblages it is the reciprocal of the
 steering norm (on l1 and linf balls, of a polytopic twin built once; on
@@ -43,18 +44,16 @@ class Assemblage:
     entry lies in V+ and each setting's outcomes sum to the barycenter.
 
     How each builder decides that the entries lie in V+:
-    - the LP: direct construction (the CLI's assemblage input too), and so
-      `mixed_with_trivial`, `trivial_assemblage` and
-      `measurements_to_assemblage`, solve one `systems.cone_member` LP per
-      entry (closed form on balls); the mixtures of the `robustness`
-      bisection solve the same LP, each started from the basis that
-      decided its entry at the step before;
-    - `systems.in_cone` on the cached facets, no LP:
-      `bipartite.conditional_assemblage`;
-    - by construction, no check: `from_dichotomic_tensor` (the tensor's
-      facet check) and `sampling.random_classical_assemblage` (conic
-      combinations of vertices).
-    The last two groups build through `Assemblage.unchecked`.
+    - `systems.in_cone` on the cached facets (the closed form on balls), no
+      LP: direct construction (the CLI's assemblage input too), and so
+      `mixed_with_trivial`, `trivial_assemblage`,
+      `measurements_to_assemblage` and `bipartite.conditional_assemblage`;
+    - by construction, through `Assemblage.unchecked`:
+      `from_dichotomic_tensor` (the tensor's facet check) and
+      `sampling.random_classical_assemblage` (conic combinations of
+      vertices);
+    - one warm-started `cone_member` LP per entry: the mixtures of the
+      `robustness` bisection.
     """
 
     barycenter: systems.Vector
@@ -62,15 +61,14 @@ class Assemblage:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _checked_rows(
-            self.barycenter, self.entries, cone_lp=True))
+            self.barycenter, self.entries, check=True))
 
     @staticmethod
     def unchecked(barycenter, entries):
-        """Skip the cone-membership LP of each entry; for entries whose
-        membership the caller has already decided (with `systems.in_cone`
-        or by construction).  Shapes, systems, the barycenter's
-        normalization and each setting's sum are still checked."""
-        return _assemblage(barycenter, entries, cone_lp=False)
+        """Skip the V+ check of each entry, for entries in V+ by
+        construction.  Shapes, systems, the barycenter's normalization and
+        each setting's sum are still checked."""
+        return _assemblage(barycenter, entries, check=False)
 
     @property
     def system(self):
@@ -85,20 +83,20 @@ class Assemblage:
         return len(self.entries)
 
 
-def _assemblage(barycenter, entries, cone_lp, bases=None):
+def _assemblage(barycenter, entries, check, bases=None):
     """An Assemblage whose entries `_checked_rows` checks."""
     asm = object.__new__(Assemblage)
     object.__setattr__(asm, "barycenter", barycenter)
     object.__setattr__(asm, "entries", _checked_rows(
-        barycenter, entries, cone_lp, bases))
+        barycenter, entries, check, bases))
     return asm
 
 
-def _checked_rows(barycenter, entries, cone_lp, bases=None):
+def _checked_rows(barycenter, entries, check, bases=None):
     """The entries as a tuple of tuples, checked as `Assemblage` states;
-    each entry's cone membership only when cone_lp is set.  With a dict
-    `bases` (polytopic systems), entry (a|x)'s membership LP starts from
-    bases[x, a] and leaves there the basis that decided it."""
+    each entry's cone membership with `systems.in_cone` when check is set,
+    or with a dict `bases` (polytopic systems) by a `cone_member` LP that
+    starts from bases[x, a] and leaves there the basis that decided it."""
     system = guards.expect(barycenter, systems.Vector,
                            name="barycenter").system
     rows = tuple(guards.items(row, f"setting {x} has no outcomes")
@@ -111,14 +109,14 @@ def _checked_rows(barycenter, entries, cone_lp, bases=None):
         total = np.zeros(system.dim)
         for a, rho in enumerate(row):
             guards.expect(rho, systems.Vector, system, f"entry ({a}|{x})")
-            if cone_lp:
-                if bases is None:
-                    member = systems.cone_member(system, rho)
-                else:
-                    member, bases[x, a] = systems._cone_member_from(
-                        system, rho, bases.get((x, a)))
-                if not member.member:
-                    raise InvalidInput(f"entry ({a}|{x}) is outside V+")
+            if bases is not None:
+                member, bases[x, a] = systems._cone_member_from(
+                    system, rho, bases.get((x, a)))
+                outside = not member.member
+            else:
+                outside = check and not systems.in_cone(system, rho)
+            if outside:
+                raise InvalidInput(f"entry ({a}|{x}) is outside V+")
             total = total + rho.coords
         if np.max(np.abs(total - barycenter.coords)) > RECONSTRUCTION:
             raise InvalidInput(
@@ -127,7 +125,8 @@ def _checked_rows(barycenter, entries, cone_lp, bases=None):
 
 
 def trivial_assemblage(sigma, shape):
-    """The assemblage rho_{a|x} = sigma / k_x; classical for any sigma."""
+    """The assemblage rho_{a|x} = sigma / k_x, classical for any sigma;
+    `Assemblage` decides each entry with `systems.in_cone`, no LP."""
     shape = guards.items(shape, "shape must list integer outcome counts")
     if not all(map(guards.is_integer, shape)):
         raise InvalidInput("shape must list integer outcome counts")
@@ -139,8 +138,8 @@ def trivial_assemblage(sigma, shape):
 def mixed_with_trivial(asm, s):
     """Mix s of the assemblage with 1 - s of the trivial one (same sigma).
 
-    Entries are built from coordinates; each is checked by one
-    `cone_member` LP (`Assemblage`)."""
+    Entries are built from coordinates; `Assemblage` decides each with
+    `systems.in_cone`, no LP."""
     s = guards.real_float(s, "mixing weight must be a real number in [0, 1]")
     if not 0.0 <= s <= 1.0:
         raise InvalidInput("mixing weight must be a real number in [0, 1]")

@@ -439,7 +439,7 @@ def _require_center(system, sigma):
             "centrally symmetric norms are implemented at the center state only")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeMembership:
     member: bool
     coefficients: Optional[np.ndarray]

@@ -391,7 +391,7 @@ def max_cone_member(t):
     return bool(np.min(EA @ t.coeffs @ EB.T) >= -COINCIDENCE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinConeResult:
     """Separability verdict with a certificate either way.
 

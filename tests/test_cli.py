@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_steering import near_face_assemblages
 
 import gptsteer
 from gptsteer import cli, sampling, selftest, steering, tolerances
@@ -152,6 +153,31 @@ def test_lhs_bad_sums_names_invariant(files, capsys):
     assert cli.main(["lhs", files(bad)]) == 1
     err = capsys.readouterr().err
     assert "do not sum to the barycenter" in err
+
+
+def near_face_payload(push=0.0):
+    """A two-setting hull assemblage whose entry (0|0) lies 1.1e-10 inside
+    V+ near a 2-face (point 7 of `near_face_assemblages(0, "hull")`), its
+    second setting (sigma / 2, sigma / 2); with `push`, entry (0|0) moves
+    that far out through its nearest facet and entry (1|0) takes it up."""
+    s, ((rho, rest),), sigma = list(near_face_assemblages(0, "hull"))[7]
+    F = s.cone_facets
+    assert 0.0 < np.min(F @ rho.coords) < 1e-9
+    w = push * F[np.argmin(F @ rho.coords)]
+    half = sigma.coords * 0.5
+    return {"system": {"kind": "polytopic", "vertices": s.vertices.tolist()},
+            "barycenter": sigma.coords.tolist(),
+            "entries": [[(rho.coords - w).tolist(),
+                         (rest.coords + w).tolist()],
+                        [half.tolist(), half.tolist()]]}
+
+
+def test_lhs_takes_a_near_face_entry(files, capsys):
+    # a cone_member LP per entry raised NumericalFailure (exit 3) here
+    out = run_json(capsys, ["lhs", files(near_face_payload())])
+    assert out["verdict"] == "classical"
+    assert cli.main(["lhs", files(near_face_payload(push=1e-7))]) == 1
+    assert "entry (0|0) is outside V+" in capsys.readouterr().err
 
 
 def test_robustness_verb(files, capsys):

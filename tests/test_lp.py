@@ -10,7 +10,7 @@ import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import lp
+from gptsteer import choquet, lp, systems, tensors
 from gptsteer.errors import (GuardExceeded, InvalidInput, MalformedProblem,
                              NumericalFailure)
 from gptsteer.lp import LpProblem, LpOutcome, feasibility, solve
@@ -24,6 +24,20 @@ def test_single_variable_floor():
     assert out.status == "optimal"
     assert abs(out.value - 3.0) <= 1e-9
     assert abs(out.x[0] - 3.0) <= 1e-9
+
+
+def test_result_records_holding_arrays_compare_by_identity():
+    problem = LpProblem(np.array([1.0]), ub_rows=[[-1.0]], ub_rhs=[-3.0])
+    makers = (
+        lambda: LpProblem(np.array([1.0]), ub_rows=[[-1.0]], ub_rhs=[-3.0]),
+        lambda: solve(problem),
+        lambda: systems.ConeMembership(True, np.ones(2), None),
+        lambda: choquet.ChoquetVerdict(below=True, responses=np.eye(2)),
+        lambda: tensors.MinConeResult(member=True, coefficients=np.ones(2),
+                                      witness=None))
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b, a}) == 2, type(a)
 
 
 def test_infeasible_box_carries_farkas_certificate():

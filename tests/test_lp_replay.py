@@ -35,14 +35,14 @@ def test_caller_chain_names_the_asking_functions(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", recording)
     rng = np.random.default_rng(4)
-    t = sampling.random_dichotomic_tensor(rng, systems.hypercube(2), 2)
+    sq = systems.hypercube(2)
+    t = sampling.random_dichotomic_tensor(rng, sq, 2)
     asm = steering.from_dichotomic_tensor(t)
-    assert chains == []
     steering.mixed_with_trivial(asm, 0.5)
-    # lp.feasibility, the dataclass __init__ and this test are left out
-    assert chains == [
-        "cone_member <- _checked_rows <- Assemblage.__post_init__ "
-        "<- mixed_with_trivial"] * 4
+    assert chains == []
+    sampling.random_classical_assemblage(rng, sq, (2, 3), sigma=asm.barycenter)
+    # lp.feasibility and this test are left out
+    assert chains == ["cone_member <- random_classical_assemblage"]
 
 
 def test_callers_counts_per_question_and_reads_old_recordings(tmp_path):

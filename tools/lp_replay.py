@@ -13,7 +13,7 @@ sequence) against this checkout's src/.  It stores each `lp.solve` call of
 the set-up and the cycle: the problem data, the mode, the question it
 belongs to (None for the set-up), the chain of gptsteer functions that
 asked for it, innermost first and without the lp module's own wrappers
-(`cone_member <- Assemblage.__post_init__ <- mixed_with_trivial <- ...`),
+(`cone_member <- random_dilation <- ...`),
 and the basis the solve started from (None for a cold solve).
 `record --workload tests` instead runs pytest in process on the given test
 files or directories (by default this checkout's tests/) and stores every
