@@ -50,6 +50,22 @@ size-relative slack only for a row that misses by more than the bare
 tolerance.  Every arithmetic operation keeps its operands and its order, so
 the pivots and the outcome bytes are those of the one-step-at-a-time code
 that tests/test_lp_reference.py keeps as the reference.
+
+One rule decides what a solve leaves out: a step is skipped only when its
+operands make it an exact no-op, and that is decided on each call from the
+problem's arrays, so a replayed or a mutated LpProblem takes the path its
+data asks for.  Under the default bounds (every lower bound 0, every upper
+bound +inf, as every cone-membership LP has) the bound transforms, the
+shifts of b and the column negations are skipped, and no column has a
+finite upper bound, so none sits at one and the AT_UPPER gathers of the
+extraction and the rebuilds are skipped; with no inequality row, the
+copies that append its rows, its slack diagonal, the product A_ub^T y_ub
+and its multipliers' sign checks are; with no negative right-hand side,
+the negations of the flipped rows of b, T and y are.  Dropping rc - A_ub^T
+y_ub with no inequality row keeps every byte, since that product is +0.0
+and t - (+0.0) is t for every float t, -0.0 included.  The default bounds
+keep x = l + z, the addition of the zero lower bounds: 0.0 + (-0.0) is
++0.0, so that addition is no exact no-op.
 """
 
 import functools
@@ -208,8 +224,9 @@ def _fractionize(a):
 
 
 def _negate(a, where):
-    """a with its entries under the mask `where` negated in place."""
-    return np.negative(a, out=a, where=where)
+    """a with its entries under the mask `where` negated in place; a mask
+    of None negates nothing."""
+    return a if where is None else np.negative(a, out=a, where=where)
 
 
 def _fill_diagonal(T, row, col, count, value):
@@ -252,7 +269,11 @@ def optimum(problem, what):
 
 def solve(problem, mode="float", start=None):
     """Solve an LpProblem and return a verified LpOutcome; a `start` basis
-    may skip phase one (the module docstring's start contract)."""
+    may skip phase one (the module docstring's start contract).  A set-up,
+    extraction or check step is skipped only where this problem's arrays
+    make it an exact no-op (the module docstring's rule): the bound
+    transforms under the default bounds, the inequality-row work with no
+    inequality row, the flips with no negative right-hand side."""
     if not isinstance(problem, LpProblem):
         raise InvalidInput("problem must be an LpProblem")
     if mode not in ("float", "exact"):
@@ -265,11 +286,19 @@ def solve(problem, mode="float", start=None):
     n0 = problem.n_vars
     # Column transforms onto z >= 0: x = l + z where the lower bound is
     # finite, else x = u - z where the upper bound is, else a free x is
-    # z+ - z- on two columns.  The slack columns follow.
-    no_lower = problem.lower == -np.inf
-    free = no_lower & (problem.upper == np.inf)
-    flip = no_lower ^ free
-    paired = free.any()
+    # z+ - z- on two columns.  The slack columns follow.  Under the default
+    # bounds (every lower bound 0, every upper bound +inf) every column is
+    # x = 0 + z, with no shift, no negation and no finite upper bound.
+    default = not problem.lower.any() and problem.upper.min() == np.inf
+    if default:
+        paired = False
+        neg = None
+    else:
+        no_lower = problem.lower == -np.inf
+        free = no_lower & (problem.upper == np.inf)
+        flip = no_lower ^ free
+        paired = free.any()
+        neg = flip                      # the columns of u - z
     if paired:
         span = free + 1
         first = span.cumsum() - span    # each variable's first column
@@ -279,7 +308,6 @@ def solve(problem, mode="float", start=None):
         nv = var.size
     else:
         first = var = slice(n0)         # one column per variable
-        neg = flip
         nv = n0
     ncols = nv + mu
     N = ncols + m0
@@ -307,23 +335,33 @@ def solve(problem, mode="float", start=None):
         T = np.zeros((m0 + 2, N + 1))
     c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
 
-    A_all = np.concatenate((A_eq, A_ub))
-    b_all = np.concatenate((b_eq, b_ub))
-    offset = np.where(no_lower, u0, l0)     # the bound z is measured from
-    # One shift at a time: the rounding of b depends on the order.
-    for j in ((problem.lower != 0) ^ free).nonzero()[0].tolist():
-        b_all = b_all - A_all[:, j] * offset[j]
-    # Flip rows to b >= 0 so the artificial basis starts feasible.
+    if mu:
+        A_all = np.concatenate((A_eq, A_ub))
+        b_all = np.concatenate((b_eq, b_ub))
+    else:   # b_all is the solve's own: a flip negates it in place
+        A_all, b_all = A_eq, b_eq.copy()
+    if not default:
+        offset = np.where(no_lower, u0, l0)     # the bound z is measured from
+        # One shift at a time: the rounding of b depends on the order.
+        for j in ((problem.lower != 0) ^ free).nonzero()[0].tolist():
+            b_all = b_all - A_all[:, j] * offset[j]
+    # Flip rows to b >= 0 so the artificial basis starts feasible; with no
+    # negative right-hand side no row flips, and `flipped` is None.
     flipped = b_all < 0
-    _negate(b_all, flipped)
+    if flipped.any():
+        _negate(b_all, flipped)
+    else:
+        flipped = None
 
     # The tableau [A | S | I | b] over the phase-two and phase-one cost
     # rows, built in place (the phase-one row only when phase one runs).
     # A flipped row flips its slack too, not its artificial.
     T[:m0, :nv] = A_all[:, var]
     _negate(T[:m0, :nv], neg)
-    _fill_diagonal(T, me, nv, mu, one)
-    _negate(T[:m0, :ncols], flipped[:, None])
+    if mu:
+        _fill_diagonal(T, me, nv, mu, one)
+    if flipped is not None:
+        _negate(T[:m0, :ncols], flipped[:, None])
     _fill_diagonal(T, 0, ncols, m0, one)
     T[:m0, N] = b_all
     T[m0, :nv] = c0[var]
@@ -336,7 +374,8 @@ def solve(problem, mode="float", start=None):
     M = T[:m0, :ncols].copy()
     cvec = T[m0, :N].copy()
     upper = np.full(N, np.inf, dtype=T.dtype)
-    upper[:nv] = (u0 - l0)[var]     # u - (-inf) is inf
+    if not default:
+        upper[:nv] = (u0 - l0)[var]     # u - (-inf) is inf
 
     vstat = np.zeros(N, dtype=np.int64)
     max_iter = 1000 + 30 * (m0 + N)
@@ -356,7 +395,8 @@ def solve(problem, mode="float", start=None):
         basis = np.arange(ncols, N, dtype=np.int64)
         vstat[ncols:] = BASIC
         code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols,
-                          width, tol, max_iter, exact, M, aug, b_all, cvec)
+                          width, tol, max_iter, exact, M, aug, b_all, cvec,
+                          not default)
         if code == PHASE_ITER_LIMIT:
             raise NumericalFailure(
                 "simplex iteration limit exceeded in phase one")
@@ -380,19 +420,28 @@ def solve(problem, mode="float", start=None):
         code = PHASE_OPTIMAL
     else:
         code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols, width,
-                          tol, max_iter, exact, M, aug, b_all, cvec)
+                          tol, max_iter, exact, M, aug, b_all, cvec,
+                          not default)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase two")
     if code == PHASE_UNBOUNDED:
         return LpOutcome("unbounded", None, None, None, None, None)
 
     # x from the column values z: at a finite upper bound, basic, or 0.
-    z = np.where(vstat == AT_UPPER, upper, zero)
-    z[basis] = T[:m0, N]
-    x = offset + _negate(z[first], flip)
-    if paired:
-        pair = first[free]
-        x[free] = z[pair] - z[pair + 1]
+    # Under default bounds no column has a finite upper bound, so none is
+    # AT_UPPER (a column leaves or flips onto its upper bound only when that
+    # bound is finite), and x = 0 + z.
+    if default:
+        z = np.full(N, zero, dtype=T.dtype)
+        z[basis] = T[:m0, N]
+        x = l0 + z[:n0]     # 0.0 + (-0.0) is +0.0: not a no-op, so kept
+    else:
+        z = np.where(vstat == AT_UPPER, upper, zero)
+        z[basis] = T[:m0, N]
+        x = offset + _negate(z[first], flip)
+        if paired:
+            pair = first[free]
+            x[free] = z[pair] - z[pair + 1]
     return _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero,
                             feas, gap, scalar)
 
@@ -447,7 +496,7 @@ def _warm_start(T, start, upper, M, aug, cvec, m0, ncols, N, feas):
 
 
 def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N,
-                 phase_one):
+                 phase_one, capped):
     """Rebuild the float tableau from the original data and current basis.
 
     Dense row updates accumulate roundoff over many pivots (badly so on
@@ -456,19 +505,21 @@ def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N,
     against the original columns: basic values, the phase-two reduced-cost
     row, the phase-one row while phase one runs (`phase_one`), and the
     B^-1 image in the artificial slots.  `aug` is the solve's [M | I | b]
-    buffer: B is its basis columns, and its last column is overwritten with
-    b less the columns held at a finite nonzero upper bound.  Products with
-    the constraint columns use the contiguous M, as they always have.
-    `cvec` holds the phase-two costs of all N columns (0 on the
-    artificials).
+    buffer: B is its basis columns, and with `capped` its last column is
+    overwritten with b less the columns held at a finite nonzero upper
+    bound.  Without `capped` no column has a finite upper bound, so that
+    column keeps b as the solve built it.  Products with the constraint
+    columns use the contiguous M, as they always have.  `cvec` holds the
+    phase-two costs of all N columns (0 on the artificials).
     """
     if m0 == 0:
         return
-    rhs = aug[:, N]
-    rhs[:] = b_flip
-    for j in (vstat[:ncols] == AT_UPPER).nonzero()[0].tolist():
-        if 0 < upper[j] < np.inf:
-            rhs -= M[:, j] * upper[j]
+    if capped:
+        rhs = aug[:, N]
+        rhs[:] = b_flip
+        for j in (vstat[:ncols] == AT_UPPER).nonzero()[0].tolist():
+            if 0 < upper[j] < np.inf:
+                rhs -= M[:, j] * upper[j]
     sol = _basic_solution(aug, aug.take(basis, axis=1))
     if sol is None:
         raise NumericalFailure("working basis is numerically singular")
@@ -500,13 +551,13 @@ def _install(T, sol, basis, M, cvec, m0, ncols, N, phase_one):
 
 
 def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
-               tol, max_iter, exact, M, aug, b_flip, cvec):
+               tol, max_iter, exact, M, aug, b_flip, cvec, capped):
     """One simplex phase, refactorizing at optimum until it stays optimal.
 
     A phase that terminates on drifted rows may not be optimal for the true
     data; after the rebuild the pricing test is repeated and the phase rerun
     on the clean tableau.  Exact mode has no drift and runs the phase once.
-    `width` goes to simplex_phase.
+    `width` goes to simplex_phase, `capped` to `_refactorize`.
     """
     retried_unbounded = False
     for _ in range(6):
@@ -518,12 +569,12 @@ def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
             # An unbounded ray seen on drifted rows may close after rebuild.
             retried_unbounded = True
             _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
-                         m0, ncols, N, cost_row > m0)
+                         m0, ncols, N, cost_row > m0, capped)
             continue
         if code != PHASE_OPTIMAL:
             return code
         _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
-                     m0, ncols, N, cost_row > m0)
+                     m0, ncols, N, cost_row > m0, capped)
         if entering(T, vstat, upper, cost_row, ncols, tol)[0] == -1:
             return code
     raise NumericalFailure("simplex failed to stabilize after refactorizations")
@@ -567,7 +618,9 @@ def _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero, feas,
     c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
     y = _negate(zero - T[m0, ncols:N], flipped)
     y_eq, y_ub = y[:b_eq.size], y[b_eq.size:]
-    rc = c0 - A_eq.T @ y_eq - A_ub.T @ y_ub
+    rc = c0 - A_eq.T @ y_eq
+    if b_ub.size:   # else A_ub.T @ y_ub is +0.0, and rc - 0.0 is rc
+        rc = rc - A_ub.T @ y_ub
     x = _verify(x, _fold(zero, c0 * x), y_eq, y_ub, rc, data, feas, gap)
     basis.flags.writeable = False
     return LpOutcome("optimal", x, scalar(c0 @ x), y_eq, y_ub, rc,
@@ -611,11 +664,12 @@ def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
     x = box
 
     # A positive multiplier past `feas` fails; roundoff below it is cleared.
-    positive = y_ub > 0
-    if positive.any():
-        if (y_ub > feas).any():
-            raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
-        y_ub[positive] = 0
+    if y_ub.size:
+        positive = y_ub > 0
+        if positive.any():
+            if (y_ub > feas).any():
+                raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
+            y_ub[positive] = 0
 
     # A positive reduced cost prices x_j at its lower bound, a negative one
     # at its upper bound; an active reduced cost on an infinite bound is

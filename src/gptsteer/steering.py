@@ -4,7 +4,9 @@ An assemblage is a finite family of subnormalized states rho_{a|x} sharing a
 barycenter sigma.  The central question is whether it admits a hidden-state
 model (an ensemble plus response functions); `lhs_check` decides it by LP
 over deterministic strategies and returns either the model or a certificate
-of steering; the model's responses are frozen arrays, one per setting.
+of steering (a one-setting assemblage is classical in closed form, its
+entries its own hidden states); the model's responses are frozen arrays,
+one per setting.
 `Assemblage` decides its entries in V+ with `systems.in_cone`, no LP.
 Robustness measures how much trivial noise the assemblage tolerates before
 turning classical: for two-outcome assemblages it is the reciprocal of the
@@ -291,7 +293,10 @@ def lhs_check(asm):
     omega (a joint choice of outcome for every setting), reproducing each
     rho_{a|x} as the sum of phi_omega over strategies answering a at x.
     Feasible: the normalized phi_omega are the hidden states.  Infeasible:
-    the Farkas dual supplies the steering certificate.
+    the Farkas dual supplies the steering certificate.  A one-setting
+    assemblage needs no LP: it is classical, its entries being their own
+    hidden states (phi_a = rho_a, weights <u, rho_a>), and its model is
+    checked as the LP's is.
     """
     system = systems.require_polytopic(guards.expect(asm, Assemblage).system)
     shape = asm.shape
@@ -299,6 +304,9 @@ def lhs_check(asm):
     guards.check("lhs_atoms", n_atoms)
     # the strategies, one row each, in itertools.product order
     omegas = np.indices(shape).reshape(len(shape), -1).T
+    if asm.g == 1:
+        return LhsVerdict(classical=True, model=_build_model(
+            asm, omegas, np.array([rho.coords for rho in asm.entries[0]])))
     V = system.vertices
     n, d = V.shape
     offsets = np.concatenate([[0], np.cumsum(shape)])

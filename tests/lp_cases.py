@@ -7,7 +7,8 @@ boxed, upper-only, free, shifted), `signed_zero_lps` are such problems with
 magnitudes (a column sum taken in pairs rounds differently there),
 `tied_lps` repeats and rescales rows so
 the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
-is reached mostly by bound flips, `infeasible_lps` and `unbounded_lps` end
+is reached mostly by bound flips, `default_bound_lps` keep every variable
+in [0, inf) with and without negative right-hand sides, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
 solves for steering-norm (on polytopes and on the inscribed disk polygon),
 projective sigma-norm, strategy, facet-subproblem, universal-degree,
@@ -138,6 +139,41 @@ def flip_lps(seed=2, count=20):
                              ub_rows=w[None, :], ub_rhs=[w.sum() - 0.7],
                              lower=-rng.uniform(0, 1, n),
                              upper=rng.uniform(0.5, 2, n)))
+    return out
+
+
+def default_bound_lps(seed=3, count=60):
+    """Problems under the default bounds x >= 0, as every cone-membership
+    LP is: equality rows only, inequality rows only, or both (by k % 3);
+    rows of nonnegative entries, so that no right-hand side is negative,
+    or signed rows (by k % 2); the bounds left out, or given as 0 and +inf
+    with some lower bounds -0.0 (by k % 4); a nonnegative objective, or a
+    signed one that may leave the LP unbounded.  Every seventh problem
+    with nonnegative rows asks its first row for -1, so it is infeasible."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(2, 7))
+        me, mu = [(int(rng.integers(1, 4)), 0), (0, int(rng.integers(1, 4))),
+                  (int(rng.integers(1, 3)), int(rng.integers(1, 3)))][k % 3]
+        signed = k % 2 == 1
+        draw = rng.standard_normal if signed else functools.partial(
+            rng.uniform, 0.0, 2.0)
+        x0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.6)
+        A_eq, A_ub = draw((me, n)), draw((mu, n))
+        b_eq, b_ub = A_eq @ x0, A_ub @ x0 + rng.uniform(0, 1, mu)
+        if not signed and k % 7 == 6:
+            (b_eq if me else b_ub)[0] = -1.0
+        bounds = {}
+        if k % 4 == 0:
+            bounds = dict(lower=np.where(rng.random(n) < 0.5, -0.0, 0.0),
+                          upper=np.full(n, INF))
+        elif k % 4 == 1:
+            bounds = dict(lower=np.zeros(n))
+        objective = (rng.standard_normal(n) if k % 5 == 4
+                     else rng.uniform(0, 1, n))
+        out.append(LpProblem(objective, eq_rows=A_eq, eq_rhs=b_eq,
+                             ub_rows=A_ub, ub_rhs=b_ub, **bounds))
     return out
 
 

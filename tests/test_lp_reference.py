@@ -375,6 +375,7 @@ def _families():
         "tall": lp_cases.tall_lps(),
         "tied": lp_cases.tied_lps(),
         "flip": lp_cases.flip_lps(),
+        "default": lp_cases.default_bound_lps(),
         "infeasible": lp_cases.infeasible_lps(),
         "unbounded": lp_cases.unbounded_lps(),
         "library": [p for p, _ in lp_cases.library_lps()],
@@ -386,8 +387,8 @@ def _exact_cases():
     return (lp_cases.random_lps(seed=4, count=30)
             + lp_cases.signed_zero_lps(count=20) + lp_cases.tall_lps()[:6]
             + lp_cases.tied_lps()[:8]
-            + lp_cases.flip_lps()[:4] + lp_cases.infeasible_lps()
-            + lp_cases.unbounded_lps())
+            + lp_cases.flip_lps()[:4] + lp_cases.default_bound_lps(count=24)
+            + lp_cases.infeasible_lps() + lp_cases.unbounded_lps())
 
 
 class _Handed(Exception):
@@ -399,10 +400,10 @@ def _phase_one_input(problem, mode, monkeypatch):
     seen = {}
 
     def capture(T, basis, vstat, upper, m0, N, cost_row, ncols, width, tol,
-                max_iter, exact, M, aug, b_flip, cvec):
+                max_iter, exact, M, aug, b_flip, cvec, capped):
         seen.update(T=T.copy(), basis=basis.copy(), vstat=vstat.copy(),
                     upper=upper.copy(), M=M.copy(), aug=aug.copy(),
-                    b_flip=b_flip.copy(), cvec=cvec.copy(),
+                    b_flip=b_flip.copy(), cvec=cvec.copy(), capped=capped,
                     sizes=(m0, N, cost_row, ncols, width, tol, max_iter,
                            exact))
         raise _Handed
@@ -425,6 +426,16 @@ def _same_phase_one_input(problem, mode, monkeypatch):
     # the phase-two costs now cover the artificial columns too, at 0
     assert _bytes(got["cvec"][:ncols]) == _bytes(want["cvec"])
     assert all(v == 0 for v in got["cvec"][ncols:].tolist())
+    # only the default bounds skip the AT_UPPER gathers, and under them
+    # no column has a finite upper bound
+    assert got["capped"] == (not _default_bounds(problem))
+    if not got["capped"]:
+        assert all(v == np.inf for v in want["upper"][:ncols].tolist())
+
+
+def _default_bounds(problem):
+    """Every lower bound 0 (either sign) and every upper bound +inf."""
+    return bool((problem.lower == 0).all() and (problem.upper == np.inf).all())
 
 
 @pytest.mark.parametrize("family", sorted(_families()))
@@ -470,6 +481,30 @@ def test_phase_one_row_keeps_its_signed_zeros(monkeypatch):
     _same_phase_one_input(p, "float", monkeypatch)
 
 
+@pytest.mark.parametrize("lower, sign", [(None, 0.0), ([0.0], 0.0),
+                                          ([-0.0], -0.0)])
+def test_default_bounds_still_add_the_lower_bound(lower, sign, monkeypatch):
+    # the right-hand side -0.0 rebuilds to a basic value of -0.0, and
+    # x = l + z turns it into +0.0 unless l is -0.0 too: adding a zero lower
+    # bound is not an exact no-op, so the default bounds keep it (the snap
+    # onto the box would make this -0.0 a +0.0 as well)
+    handed = []
+    verify = lp._verify
+
+    def spy(x, *args):
+        handed.append(x.copy())
+        return verify(x, *args)
+
+    p = LpProblem([1.0], eq_rows=[[1.0]], eq_rhs=[-0.0], lower=lower)
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_verify", spy)
+        lp.solve(p)
+    assert handed[0].tolist() == [0.0]
+    assert np.signbit(handed[0][0]) == np.signbit(sign)
+    for mode in ("float", "exact"):
+        assert _outcome(lp.solve, p, mode) == _outcome(ref_solve, p, mode)
+
+
 def test_signed_zero_rows_reach_every_set_up_branch():
     # the generator must keep producing what it is there for
     seen = collections.Counter()
@@ -484,6 +519,50 @@ def test_signed_zero_rows_reach_every_set_up_branch():
         seen["shifted"] += bool(((p.lower != 0) & np.isfinite(p.lower)).any())
         seen["boxed"] += bool((np.isfinite(p.lower) & np.isfinite(p.upper)).any())
     assert min(seen.values()) >= 5 and len(seen) == 7
+
+
+def _without_finite_column_bounds(problem):
+    """No column of the tableau has a finite upper bound, so a solve ends
+    with every nonbasic column at 0, where a start at its basis puts it."""
+    return bool(np.isinf(problem.upper - problem.lower).all())
+
+
+@pytest.mark.parametrize("family", ["default", "library", "random", "tied"])
+def test_a_start_at_the_own_optimal_basis_matches_the_reference(family):
+    # the start rebuilds the tableau the cold solve ended on, so phase one
+    # and phase two are skipped and the outcome is the reference's
+    warm = 0
+    for problem in _families()[family]:
+        if not _without_finite_column_bounds(problem):
+            continue
+        cold = lp.solve(problem)
+        if cold.status != "optimal":
+            continue
+        want = _outcome(ref_solve, problem, "float")
+        got = _outcome(lambda p, mode: lp.solve(p, mode, start=cold.basis),
+                       problem, "float")
+        assert got == want
+        warm += 1
+    assert warm >= 5
+
+
+def test_default_bound_lps_reach_every_skip_branch():
+    # the generator must keep producing what it is there for: each skip
+    # of lp.solve taken and not taken, and every status (the optimal ones
+    # also from a start, above)
+    seen = collections.Counter()
+    for p in lp_cases.default_bound_lps():
+        assert _default_bounds(p)
+        rhs = np.concatenate([p.eq_rhs, p.ub_rhs])
+        status = lp.solve(p).status
+        seen[status] += 1
+        seen["negative rhs" if (rhs < 0).any() else "no negative rhs"] += 1
+        seen["equality rows only" if not p.ub_rhs.size
+             else "inequality rows"] += 1
+        seen["-0.0 lower bound"] += bool(np.signbit(p.lower).any())
+    for p in lp_cases.random_lps():
+        seen["other bounds"] += not _default_bounds(p)
+    assert min(seen.values()) >= 3 and len(seen) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -157,20 +157,32 @@ def test_time_loads_both_trees_and_times_every_problem(tmp_path):
          "ub_rhs": np.zeros(0), "lower": np.zeros(1),
          "upper": np.full(1, np.inf)}]
     rec = tmp_path / "three.lps"
+    chains = ["lhs_check", "cone_member <- robustness", "", "lhs_check"]
     with open(rec, "wb") as fh:
         pickle.dump({"questions": 0, "problems": [
-            (f, "float", "", None) for f in fields] + [
-            (fields[0], "exact", "", None)]}, fh)
+            (f, "float", c, None) for f, c in zip(fields, chains)] + [
+            (fields[0], "exact", chains[3], None)]}, fh)
     proc = subprocess.run(
         [sys.executable, str(TOOL), "time", str(rec), str(ROOT), str(other),
          "--rounds", "2"],
         check=True, capture_output=True, text=True)
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    *per_chain, last = proc.stdout.strip().splitlines()
+    line = json.loads(last)
     assert sorted(line) == ["problems", "ratio", "rounds", "us_per_lp_a",
                             "us_per_lp_b"]
     assert line["problems"] == 4 and line["rounds"] == 2
     assert line["us_per_lp_a"] > 0 and line["us_per_lp_b"] > 0
     assert line["ratio"] == round(line["us_per_lp_b"] / line["us_per_lp_a"], 4)
+    # one line per chain, most LPs first (ties by name), "-" for none
+    rows = [row.split(None, 4) for row in per_chain]
+    assert [(int(n), chain) for _, _, _, n, chain in rows] == [
+        (2, "lhs_check"), (1, "-"), (1, "cone_member <- robustness")]
+    for a, b, ratio, _, _ in rows:
+        assert float(a) > 0 and float(b) > 0
+        assert float(ratio) == round(float(b) / float(a), 4)
+    for k, key in ((0, "us_per_lp_a"), (1, "us_per_lp_b")):
+        total = sum(float(row[k]) * int(row[3]) for row in rows)
+        assert abs(total / 4 - line[key]) <= 0.01
 
 
 def test_tree_packages_load_side_by_side(tmp_path):

@@ -41,7 +41,11 @@ Each round visits the problems in order and times both trees on a problem
 before the next, the tree that goes first alternating.  Each problem keeps
 its fastest of the R rounds; the JSON line gives the mean of those per
 tree in microseconds per LP, rounded to 2 decimals, and the ratio B / A of
-the rounded means.  A solve that raises is timed like one that returns.
+the rounded means.  Before it comes one line per caller chain, most LPs
+first: the same two means and their ratio over that chain's LPs, the
+count and the chain, so the time a change moves is attributed to the
+layer that asks for the LPs.  A solve that raises is timed like one that
+returns.
 Every replay passes a problem's recorded start, and no start keyword at
 all for a cold solve, so a recording without starts also replays on a
 tree whose `lp.solve` takes none.
@@ -305,25 +309,40 @@ def _build_and_solve(lp, fields, mode, start):
 def time_trees(path, tree_a, tree_b, rounds):
     """Microseconds per LP to build and solve every problem in `path`
     under each tree, each problem's fastest of `rounds` rounds, and the
-    ratio B / A."""
+    ratio B / A, as a dict; and the same per caller chain, as lines."""
     if rounds < 1:
         raise SystemExit("lp_replay: --rounds must be at least 1")
     libs = (load_tree_lp(tree_a, "lp_replay_tree_a"),
             load_tree_lp(tree_b, "lp_replay_tree_b"))
-    problems = [(fields, mode, start)
-                for fields, mode, _, _, start in load(path)["problems"]]
-    if not problems:
+    recorded = load(path)["problems"]
+    if not recorded:
         raise SystemExit(f"lp_replay: {path} holds no problems")
-    best = [[float("inf")] * len(problems) for _ in libs]
+    best = [[float("inf")] * len(recorded) for _ in libs]
     for r in range(rounds):
-        for i, (fields, mode, start) in enumerate(problems):
+        for i, (fields, mode, _, _, start) in enumerate(recorded):
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                 best[k][i] = min(best[k][i], _build_and_solve(
                     libs[k], fields, mode, start))
-    us = [round(1e6 * sum(b) / len(problems), 2) for b in best]
-    return {"problems": len(problems), "rounds": rounds,
-            "us_per_lp_a": us[0], "us_per_lp_b": us[1],
-            "ratio": round(us[1] / us[0], 4)}
+    us = [round(1e6 * sum(b) / len(recorded), 2) for b in best]
+    summary = {"problems": len(recorded), "rounds": rounds,
+               "us_per_lp_a": us[0], "us_per_lp_b": us[1],
+               "ratio": round(us[1] / us[0], 4)}
+    return summary, _per_chain([p[2] for p in recorded], best)
+
+
+def _per_chain(chains, best):
+    """One line per caller chain, most LPs first: the mean microseconds per
+    LP of each tree's best times, rounded to 2 decimals, the ratio B / A of
+    the rounded means, the LP count and the chain ("-" for none)."""
+    groups = collections.defaultdict(list)
+    for i, chain in enumerate(chains):
+        groups[chain or "-"].append(i)
+    lines = []
+    for chain, rows in _by_count({c: len(r) for c, r in groups.items()}):
+        a, b = (round(1e6 * sum(t[i] for i in groups[chain]) / rows, 2)
+                for t in best)
+        lines.append(f"{a:10.2f} {b:10.2f} {b / a:8.4f} {rows:7d}  {chain}")
+    return lines
 
 
 def _by_count(counter):
@@ -407,8 +426,10 @@ def _run(args):
     if args.command == "callers":
         print("\n".join(callers(args.file)))
     elif args.command == "time":
-        print(json.dumps(time_trees(args.file, args.tree_a, args.tree_b,
-                                    args.rounds)))
+        summary, lines = time_trees(args.file, args.tree_a, args.tree_b,
+                                    args.rounds)
+        print("\n".join(lines))
+        print(json.dumps(summary))
     elif args.command == "outcomes":
         print(json.dumps(outcomes(args.file, args.tree)))
     elif args.command == "diff":
