@@ -33,7 +33,7 @@ import numpy as np
 from . import choquet, geometry, guards, lp, steering, systems, tensors
 from .errors import (
     InvalidInput, MarginalNotInterior, NotInterior, NumericalFailure)
-from .tolerances import CERTIFICATE, COINCIDENCE, LP_FEASIBILITY
+from .tolerances import CERTIFICATE, COINCIDENCE
 
 A_TO_B = "a_to_b"
 B_TO_A = "b_to_a"
@@ -239,18 +239,15 @@ def unsteerable_dichotomic(state):
     out = lp.feasibility(choquet._cover_lp(V, sigma, targets, scaled=False))
 
     if out.status == "optimal":
-        x = np.asarray(out.x, dtype=np.float64)
-        if float(x[:n].min()) < -LP_FEASIBILITY:
-            raise NumericalFailure("model weights went negative")
-        w = np.where(x[:n] > 1e-12, x[:n], 0.0)
-        ab = x[n:].reshape(m, 2, n)
+        w = np.where(out.x[:n] > 1e-12, out.x[:n], 0.0)
+        ab = out.x[n:].reshape(m, 2, n)
         choquet._check_cover(V, w, sigma, targets, ab[:, 0] - ab[:, 1])
         atoms = tuple((float(wj), b.vector(V[j]))
                       for j, wj in enumerate(w) if wj > 0.0)
         return UnsteerableVerdict(
             unsteerable=True, model=choquet.BoundaryMeasure(atoms))
 
-    blocks = np.asarray(out.dual_eq, dtype=np.float64)[d:].reshape(m, d)
+    blocks = out.dual_eq[d:].reshape(m, d)
     scale = float(np.max(np.abs(blocks))) if m else 0.0
     if not np.isfinite(scale) or scale <= 1e-12:
         raise NumericalFailure("Farkas certificate carries no functional")
@@ -288,6 +285,11 @@ def unsteerable_sufficient(state, s_lower):
     side's unit sublevel set is a polytope and the left side is convex,
     so the maximum sits at one of the polytope's vertices.
 
+    The base norm of S(h) is the largest |<e, S(h)>| over the
+    `interval_extreme_functionals` e of A, read for every vertex h in one
+    matrix product, no LP: `BipartiteState` has already enumerated A's
+    extreme effects.
+
     `choquet.universal_degree(system_b, marginal_b)` is the largest valid
     s_lower.  True certifies unsteerability, False is inconclusive on its
     own.
@@ -307,11 +309,10 @@ def unsteerable_sufficient(state, s_lower):
     sig = state.marginal_b.coords
     rows = np.vstack([Y, -Y, sig[None, :], -sig[None, :]])
     rhs = np.concatenate([np.full(2 * Y.shape[0], 1.0 / s), np.ones(2)])
-    for h in geometry.vertices_of_polytope(rows, rhs):
-        image = a.vector(state.coeffs @ h)
-        if systems.base_norm(a, image) > 1.0 + CERTIFICATE:
-            return False
-    return True
+    H = geometry.vertices_of_polytope(rows, rhs)
+    E = np.array([e.coords for e in interval_extreme_functionals(a)])
+    norms = np.abs(E @ state.coeffs @ H.T).max(axis=0)
+    return bool(np.all(norms <= 1.0 + CERTIFICATE))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,7 @@ import numpy as np
 from . import guards, kernels, lp, systems, tensors
 from .errors import (InvalidInput, NotASymmetry, NotDichotomic,
                      NumericalFailure)
-from .tolerances import (CERTIFICATE, COINCIDENCE, LP_FEASIBILITY, LP_GAP,
-                         RECONSTRUCTION)
+from .tolerances import CERTIFICATE, COINCIDENCE, LP_GAP, RECONSTRUCTION
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +54,8 @@ class SimpleMeasure:
     """Convex combination of point masses: atoms are (weight, state) pairs.
 
     Weights are nonnegative and sum to one; every state lies in V+ with
-    unit pairing one.  Membership is decided with `systems.in_cone` on the
-    cached facets (closed form on balls), so construction solves no LP;
+    unit pairing one.  Membership is decided with one `systems.in_cone` on
+    the stacked atoms (closed form on balls), so construction solves no LP;
     `BoundaryMeasure`, `vertex_measure`, `point_mass` and the samplers
     inherit that.  The barycenter is computed once at construction.
     """
@@ -80,9 +79,10 @@ class SimpleMeasure:
                 raise InvalidInput(f"atom {j} weight must be nonnegative")
             if abs(systems.pair(system.unit_functional, p) - 1.0) > COINCIDENCE:
                 raise InvalidInput(f"atom {j} point is not normalized")
-            if not systems.in_cone(system, p):
-                raise InvalidInput(f"atom {j} point is outside V+")
             total += w
+        inside = systems.in_cone(system, np.array([p.coords for _, p in atoms]))
+        if not inside.all():
+            raise InvalidInput(f"atom {int(np.argmin(inside))} point is outside V+")
         if abs(total - 1.0) > RECONSTRUCTION:
             raise InvalidInput("atom weights must sum to one")
         bary = np.zeros(system.dim)
@@ -218,9 +218,6 @@ def choquet_below(nu, mu):
     out = lp.feasibility(lp.LpProblem(np.zeros(k * n), eq_rows=A, eq_rhs=b))
     if out.status == "optimal":
         q = out.x.reshape(k, n)
-        if float(q.min()) < -LP_FEASIBILITY:
-            raise NumericalFailure("response weights went negative")
-        q = np.maximum(q, 0.0)
         if float(np.max(np.abs(q.sum(axis=0) - 1.0))) > CERTIFICATE:
             raise NumericalFailure("response weights do not sum to one")
         recon = np.einsum("aj,jd->ad", q, weighted_mu)
@@ -430,7 +427,7 @@ def universal_degree(system, sigma=None):
     = 1), so the degree is the largest s of `_cover_lp` over the Y_i.  Both
     certificates are checked within CERTIFICATE (1 + value), else
     NumericalFailure.  Below: t = alpha - beta is a zonotope model
-    (`_check_cover`) of value Y_i under mu* = max(x_mu, 0).  Above: the
+    (`_check_cover`) of value Y_i under mu* = x_mu.  Above: the
     duals give h_i with sum_i <h_i, Y_i> = 1 and a linear A with sum_i
     |<h_i, v>| <= A(v) on every vertex and A(sigma) = value; since sum_i
     |<h_i, Y_i>| >= 1, each mu with barycenter sigma has c_mu(mu) <= sum_i
@@ -454,7 +451,7 @@ def universal_degree(system, sigma=None):
             or abs(A @ sigma.coords - value) > tol):
         raise NumericalFailure("universal degree dual certificate fails")
     ab = out.x[n:-1].reshape(m, 2, n)
-    weights = np.maximum(out.x[:n], 0.0)
+    weights = out.x[:n]
     _check_cover(P, weights, sigma.coords, value * Y, ab[:, 0] - ab[:, 1])
     if value < -COINCIDENCE or value > 1.0 + COINCIDENCE:
         raise NumericalFailure(f"universal degree {value} escaped [0, 1]")

@@ -1,6 +1,9 @@
 """Seeded random instances shared by tests, the self test, and search tools.
 
 Everything takes an explicit numpy Generator so callers control determinism.
+The records drawn here (tensors, assemblages, measures) are built through
+their public constructors, so `systems.in_cone` decides their cone
+elements as it decides every caller's.
 """
 
 import numpy as np
@@ -141,8 +144,8 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
     outcomes independently per setting; the vertices themselves are the
     hidden states.  Useful as the guaranteed-classical side of property
     tests.  Every entry V^T (w * alloc) with w, alloc >= 0 is a conic
-    combination of vertices, so it lies in V+ by construction and the
-    assemblage is built with `Assemblage.unchecked` (no LP).
+    combination of vertices; `Assemblage` decides the entries with
+    `systems.in_cone`, as it does every builder's (no LP).
     """
     guards.expect(rng, np.random.Generator, name="rng")
     systems.require_polytopic(system)
@@ -162,8 +165,7 @@ def random_classical_assemblage(rng, system, shape, sigma=None):
             alloc = rng.dirichlet(np.ones(k), size=n)
         entries.append(tuple(
             system.vector(V.T @ (w * alloc[:, a])) for a in range(k)))
-    return steering.Assemblage.unchecked(
-        system.vector(V.T @ w), tuple(entries))
+    return steering.Assemblage(system.vector(V.T @ w), tuple(entries))
 
 
 def random_measure_with_barycenter(rng, system, sigma, n_satellites=3):

@@ -7,14 +7,16 @@ over deterministic strategies and returns either the model or a certificate
 of steering (a one-setting assemblage is classical in closed form, its
 entries its own hidden states); the model's responses are frozen arrays,
 one per setting.
-`Assemblage` decides its entries in V+ with `systems.in_cone`, no LP.
+`Assemblage` decides its entries in V+ with `systems.in_cone`, no LP, and
+`LhsModel` its hidden states' shares the same way.
 Robustness measures how much trivial noise the assemblage tolerates before
 turning classical: for two-outcome assemblages it is the reciprocal of the
 steering norm (on l1 and linf balls, of a polytopic twin built once; on
 the l2 disk, bracketed by two polygons built once), and
 other shapes bisect over mixtures whose entries are built from coordinates,
 each still checked by one `cone_member` LP, which from the second step on
-starts from the basis that decided the same entry one step before.
+starts from the basis that decided the same entry one step before: the
+one record check left that is not `systems.in_cone`.
 
 The measurement side of the duality lives here too: a family of measurements
 on a system becomes an assemblage on the dual system, and joint
@@ -45,17 +47,14 @@ class Assemblage:
     entries[x][a] is the state steered to by outcome a of setting x; every
     entry lies in V+ and each setting's outcomes sum to the barycenter.
 
-    How each builder decides that the entries lie in V+:
-    - `systems.in_cone` on the cached facets (the closed form on balls), no
-      LP: direct construction (the CLI's assemblage input too), and so
-      `mixed_with_trivial`, `trivial_assemblage`,
-      `measurements_to_assemblage` and `bipartite.conditional_assemblage`;
-    - by construction, through `Assemblage.unchecked`:
-      `from_dichotomic_tensor` (the tensor's facet check) and
-      `sampling.random_classical_assemblage` (conic combinations of
-      vertices);
-    - one warm-started `cone_member` LP per entry: the mixtures of the
-      `robustness` bisection.
+    Every builder's entries are decided by `systems.in_cone`, stacked into
+    one facet product (the closed form on balls), no LP: direct
+    construction (the CLI's assemblage input too), `mixed_with_trivial`,
+    `trivial_assemblage`, `measurements_to_assemblage`,
+    `from_dichotomic_tensor`, `bipartite.conditional_assemblage` and
+    `sampling.random_classical_assemblage`.  The one exception is the
+    mixtures of the `robustness` bisection, decided by one warm-started
+    `cone_member` LP per entry.
     """
 
     barycenter: systems.Vector
@@ -63,14 +62,7 @@ class Assemblage:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _checked_rows(
-            self.barycenter, self.entries, check=True))
-
-    @staticmethod
-    def unchecked(barycenter, entries):
-        """Skip the V+ check of each entry, for entries in V+ by
-        construction.  Shapes, systems, the barycenter's normalization and
-        each setting's sum are still checked."""
-        return _assemblage(barycenter, entries, check=False)
+            self.barycenter, self.entries))
 
     @property
     def system(self):
@@ -85,20 +77,22 @@ class Assemblage:
         return len(self.entries)
 
 
-def _assemblage(barycenter, entries, check, bases=None):
-    """An Assemblage whose entries `_checked_rows` checks."""
+def _assemblage(barycenter, entries, bases):
+    """An Assemblage whose entries `_checked_rows` decides by the warm
+    `cone_member` LPs of `bases`."""
     asm = object.__new__(Assemblage)
     object.__setattr__(asm, "barycenter", barycenter)
     object.__setattr__(asm, "entries", _checked_rows(
-        barycenter, entries, check, bases))
+        barycenter, entries, bases))
     return asm
 
 
-def _checked_rows(barycenter, entries, check, bases=None):
+def _checked_rows(barycenter, entries, bases=None):
     """The entries as a tuple of tuples, checked as `Assemblage` states;
-    each entry's cone membership with `systems.in_cone` when check is set,
-    or with a dict `bases` (polytopic systems) by a `cone_member` LP that
-    starts from bases[x, a] and leaves there the basis that decided it."""
+    their cone membership by one `systems.in_cone` on the stacked entries,
+    or with a dict `bases` (polytopic systems) by a `cone_member` LP per
+    entry that starts from bases[x, a] and leaves there the basis that
+    decided it."""
     system = guards.expect(barycenter, systems.Vector,
                            name="barycenter").system
     rows = tuple(guards.items(row, f"setting {x} has no outcomes")
@@ -107,19 +101,23 @@ def _checked_rows(barycenter, entries, check, bases=None):
     if abs(systems.pair(system.unit_functional, barycenter)
            - 1.0) > COINCIDENCE:
         raise InvalidInput("barycenter is not normalized")
+    labels = [(a, x) for x, row in enumerate(rows) for a in range(len(row))]
+    for a, x in labels:
+        guards.expect(rows[x][a], systems.Vector, system, f"entry ({a}|{x})")
+    if bases is None:
+        inside = systems.in_cone(system, np.array(
+            [rho.coords for row in rows for rho in row]))
+    else:
+        inside = []
+        for a, x in labels:
+            member, bases[x, a] = systems._cone_member_from(
+                system, rows[x][a], bases.get((x, a)))
+            inside.append(member.member)
+    if not all(inside):
+        a, x = labels[list(inside).index(False)]
+        raise InvalidInput(f"entry ({a}|{x}) is outside V+")
     for x, row in enumerate(rows):
-        total = np.zeros(system.dim)
-        for a, rho in enumerate(row):
-            guards.expect(rho, systems.Vector, system, f"entry ({a}|{x})")
-            if bases is not None:
-                member, bases[x, a] = systems._cone_member_from(
-                    system, rho, bases.get((x, a)))
-                outside = not member.member
-            else:
-                outside = check and not systems.in_cone(system, rho)
-            if outside:
-                raise InvalidInput(f"entry ({a}|{x}) is outside V+")
-            total = total + rho.coords
+        total = np.add.reduce([rho.coords for rho in row])
         if np.max(np.abs(total - barycenter.coords)) > RECONSTRUCTION:
             raise InvalidInput(
                 f"setting {x} outcomes do not sum to the barycenter")
@@ -177,17 +175,14 @@ def to_dichotomic_tensor(asm):
 def from_dichotomic_tensor(t):
     """Inverse of to_dichotomic_tensor: rho_{+-|x} = (sigma +- y_x) / 2.
 
-    Validation is inherited the other way: the entries lie in V+ exactly
-    when the tensor is valid, so `tensors.checked_components` decides them
-    (the facet test |F y_x| <= F sigma on polytopes, the closed-form test on
-    balls) and no `cone_member` LP runs.  The check runs again here, so a
-    tensor built with `DichotomicTensor.unchecked` is checked too.
+    These entries are the vectors `DichotomicTensor` decides with
+    `systems.in_cone`, so a valid tensor gives a valid assemblage;
+    `Assemblage` decides them again, so a tensor built with
+    `DichotomicTensor.unchecked` is checked too.
     """
     guards.expect(t, tensors.DichotomicTensor)
-    comps = tensors.checked_components(t.sigma, t.components)
-    entries = tuple(
-        ((t.sigma + y) * 0.5, (t.sigma - y) * 0.5) for y in comps)
-    return Assemblage.unchecked(t.sigma, entries)
+    return Assemblage(t.sigma, tuple(
+        ((t.sigma + y) * 0.5, (t.sigma - y) * 0.5) for y in t.components))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +192,9 @@ class LhsModel:
     responses[omega][x][a] is the probability of reporting outcome a for
     setting x when the hidden state is omega; models built by lhs_check are
     deterministic.  Zero-weight strategies are dropped from the ensemble
-    (their responses would be the uniform 1/k_x by convention).  The model
+    (their responses would be the uniform 1/k_x by convention).  Each
+    hidden state's share q(omega) rho_omega, the scale at which lhs_check
+    builds it, is decided in V+ with `systems.in_cone`.  The model
     is frozen: by_setting[x] is a read-only copy of setting x's responses,
     one row per hidden state, and responses[omega][x] is its row omega.
     """
@@ -232,6 +229,11 @@ class LhsModel:
             guards.expect(rho, systems.Vector, system, f"hidden state {j}")
             if abs(systems.pair(unit, rho) - 1.0) > STATE_NORMALIZATION:
                 raise InvalidInput("hidden states must be normalized")
+        inside = systems.in_cone(
+            system, w[:, None] * np.array([rho.coords for rho in states]))
+        if not inside.all():
+            raise InvalidInput(
+                f"hidden state {int(np.argmin(inside))} is outside V+")
         # Written so that NaN fails each test.
         for R in by_setting:
             if R.ndim != 2:
@@ -256,7 +258,8 @@ class LhsModel:
     def reconstruction_error(self, asm):
         """Largest coordinate deviation of the model from the assemblage
         (each entry adds its strategies' terms left to right)."""
-        if len(self.by_setting) != guards.expect(asm, Assemblage).g or any(
+        if len(self.by_setting) != guards.expect(
+                asm, Assemblage, self.system).g or any(
                 R.shape[1] != k for R, k in zip(self.by_setting, asm.shape)):
             raise InvalidInput("model responses do not match the shape")
         S = np.array([rho.coords for rho in self.states])
@@ -441,7 +444,7 @@ def robustness(asm):
     lo, hi = 0.0, 1.0
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        mixed = _assemblage(asm.barycenter, _mixture(asm, mid), True, bases)
+        mixed = _assemblage(asm.barycenter, _mixture(asm, mid), bases)
         if lhs_check(mixed).classical:
             lo = mid
         else:

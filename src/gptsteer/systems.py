@@ -449,19 +449,28 @@ class ConeMembership:
 def in_cone(system, v):
     """Decide v in V+ without an LP and without a certificate.
 
-    Polytopic systems test min(F v) >= -COINCIDENCE * (1 + max |F v|) on
-    the cached unit facets F; balls test the closed form ||x|| <= t within
-    COINCIDENCE * (1 + |t|).  For callers that read only the yes/no answer;
+    The one V+ rule of every record: assemblage entries, measure atoms,
+    the entries (sigma +- y_x) / 2 of a dichotomic tensor and the shares
+    q_j s_j of a hidden-state model.  `v` is a Vector (the answer is a
+    bool) or a stack of coordinate rows of this system (a bool per row),
+    decided with one facet product: polytopic systems test
+    min(F v) >= -COINCIDENCE * (1 + max |F v|) on the cached unit facets
+    F, balls the closed form ||x|| <= t within COINCIDENCE * (1 + |t|),
+    row by row.  For callers that read only the yes/no answer;
     `cone_member` returns coefficients or a separator.
     """
-    guards.expect(v, Vector, system)
+    single = not isinstance(v, np.ndarray)
+    rows = guards.expect(v, Vector, system).coords[None] if single else v
     if system.kind == CENTRALLY_SYMMETRIC:
-        t = float(v.coords[0])
-        r = _ball_norm_value(v.coords[1:], system.ball_norm)
-        return r <= t + COINCIDENCE * (1.0 + abs(t))
-    vals = system.cone_facets @ v.coords
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    return float(np.min(vals)) >= -COINCIDENCE * scale
+        t = rows[:, 0]
+        r = np.array([_ball_norm_value(x, system.ball_norm)
+                      for x in rows[:, 1:]])
+        inside = r <= t + COINCIDENCE * (1.0 + np.abs(t))
+    else:
+        vals = rows @ system.cone_facets.T
+        inside = vals.min(axis=1) >= -COINCIDENCE * (
+            1.0 + np.abs(vals).max(axis=1))
+    return bool(inside[0]) if single else inside
 
 
 def cone_member(system, v):

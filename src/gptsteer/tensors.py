@@ -4,8 +4,9 @@ Two element types live here.  TensorElement is a coefficient matrix over a
 pair of systems; it carries the injective/projective norm machinery and the
 min/max cone tests (separability).  DichotomicTensor is the (sigma, y_1..y_g)
 family behind dichotomic steering: a barycenter plus one signed component per
-setting in the sigma interval {y: sigma +- y in V+}, whose cached facets
-validate it and whose vertices span the projective sigma norm.
+setting in the sigma interval {y: sigma +- y in V+}, whose vertices span
+the projective sigma norm.  `systems.in_cone`, the one V+ rule of every
+record, validates it on the entries (sigma +- y_x) / 2 of its assemblage.
 
 The steering norm is the workhorse: a single LP over sign-vector-indexed cone
 elements whose optimum is the norm and whose duals assemble into a Witness;
@@ -61,52 +62,40 @@ def tensor_product(rho_a, rho_b):
         coeffs=np.outer(rho_a.coords, rho_b.coords))
 
 
-def checked_components(sigma, components):
-    """The components as a tuple, once sigma +- y_x in V+ is checked for each.
-
-    The one validity rule of dichotomic tensors, with no LP: polytopic
-    systems test |F y_x| <= F sigma on the unit facets F at COINCIDENCE
-    scaled by max |F sigma|, balls their closed-form cone test.  Raises
-    InvalidInput naming the first component that leaves the cone.
-    """
-    system = guards.expect(sigma, systems.Vector, name="sigma").system
-    comps = guards.items(components, "need at least one component")
-    for x, y in enumerate(comps):
-        guards.expect(y, systems.Vector, system, f"component {x}")
-    if abs(systems.pair(system.unit_functional, sigma) - 1.0) > COINCIDENCE:
-        raise InvalidInput("barycenter is not normalized")
-    if system.kind == systems.POLYTOPIC:
-        F = system.cone_facets
-        Fs = F @ sigma.coords
-        slack = COINCIDENCE * (1.0 + float(np.max(np.abs(Fs))))
-        inside = [np.max(np.abs(F @ y.coords) - Fs) <= slack for y in comps]
-    else:
-        inside = [systems.in_cone(system, sigma + y)
-                  and systems.in_cone(system, sigma - y) for y in comps]
-    if not all(inside):
-        raise InvalidInput(
-            f"component {inside.index(False)} leaves the cone: "
-            "sigma +- y_x must stay in V+")
-    return comps
-
-
 @dataclass(frozen=True, eq=False)
 class DichotomicTensor:
     """Barycenter sigma plus signed components y_1..y_g on one system.
 
     Valid tensors satisfy sigma +- y_x in V+ for every x, which is exactly
     membership of the (sigma, y) family in the max cone against the hypercube
-    system; <unit, sigma> must be 1.  `checked_components` decides it without
-    an LP (sigma may lie on the boundary); `steering.from_dichotomic_tensor`
-    applies the same rule to the assemblage it builds.
+    system; <unit, sigma> must be 1.  The entries (sigma +- y_x) / 2 that
+    `steering.from_dichotomic_tensor` builds are decided with one
+    `systems.in_cone` on their stack, no LP (sigma may lie on the
+    boundary), so a tensor and its assemblage are valid together.
+    InvalidInput names the first component that leaves the cone.
     """
 
     sigma: systems.Vector
     components: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "components",
-                           checked_components(self.sigma, self.components))
+        system = guards.expect(self.sigma, systems.Vector,
+                               name="sigma").system
+        comps = guards.items(self.components, "need at least one component")
+        for x, y in enumerate(comps):
+            guards.expect(y, systems.Vector, system, f"component {x}")
+        if abs(systems.pair(system.unit_functional, self.sigma)
+               - 1.0) > COINCIDENCE:
+            raise InvalidInput("barycenter is not normalized")
+        s, Y = self.sigma.coords, np.array([y.coords for y in comps])
+        # one row per entry, in the assemblage's order: + then - per setting
+        inside = systems.in_cone(system, np.hstack(
+            [s + Y, s - Y]).reshape(-1, system.dim) * 0.5)
+        if not inside.all():
+            raise InvalidInput(
+                f"component {int(np.argmin(inside)) // 2} leaves the cone: "
+                "sigma +- y_x must stay in V+")
+        object.__setattr__(self, "components", comps)
 
     @staticmethod
     def unchecked(sigma, components):

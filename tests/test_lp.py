@@ -429,6 +429,36 @@ def test_zero_objective_ends_optimal_or_infeasible(family):
     assert exact > 0
 
 
+BOX_FAMILIES = {
+    "random": lp_cases.random_lps,
+    "signed_zero": lp_cases.signed_zero_lps,
+    "tall": lp_cases.tall_lps,
+    "tied": lp_cases.tied_lps,
+    "flip": lp_cases.flip_lps,
+    "default_bound": lp_cases.default_bound_lps,
+    "library": lambda: [p for p, mode in lp_cases.library_lps()
+                        if mode == "float"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOX_FAMILIES))
+def test_optimal_x_lies_on_its_box_exactly(family):
+    # The contract callers read x by, with no clip or sign check of their
+    # own: every coordinate within [lower, upper] exactly, and +0.0, never
+    # -0.0, where the lower bound is +0.0 (every cone-membership and cover
+    # LP's default bound).
+    optimal = 0
+    for p in BOX_FAMILIES[family]():
+        out = solve(p)
+        if out.status != "optimal":
+            continue
+        optimal += 1
+        assert np.all(p.lower <= out.x) and np.all(out.x <= p.upper)
+        zero = (p.lower == 0.0) & ~np.signbit(p.lower)
+        assert not np.signbit(out.x[zero]).any()
+    assert optimal > 0
+
+
 def test_feasibility_refuses_an_unbounded_verdict(monkeypatch):
     monkeypatch.setattr(
         lp, "solve",

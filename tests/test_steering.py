@@ -17,6 +17,7 @@ from gptsteer.errors import (
     InvalidInput,
     NotDichotomic,
     NotInterior,
+    SystemMismatch,
 )
 from gptsteer.geometry import lex_sorted
 from gptsteer.tolerances import BISECTION_WIDTH, LP_GAP, RECONSTRUCTION
@@ -104,24 +105,13 @@ def test_from_dichotomic_tensor_checks_unchecked_tensors():
     t = tensors.DichotomicTensor.unchecked(
         s.vector([1.0, 0, 0]), (s.vector([0.0, 0.5, 0]),
                                  s.vector([0.0, 1.5, 0])))
-    with pytest.raises(InvalidInput, match="component 1 leaves the cone"):
+    with pytest.raises(InvalidInput, match=r"^entry \(0\|1\) is outside V\+$"):
         steering.from_dichotomic_tensor(t)
     b = systems.ball(2, "l2")
     t = tensors.DichotomicTensor.unchecked(
         b.vector([1.0, 0, 0]), (b.vector([0.0, 0.8, 0.8]),))
-    with pytest.raises(InvalidInput, match="component 0 leaves the cone"):
+    with pytest.raises(InvalidInput, match=r"^entry \(0\|0\) is outside V\+$"):
         steering.from_dichotomic_tensor(t)
-
-
-def test_unchecked_assemblage_keeps_the_sum_check(lp_solves):
-    s = square()
-    sigma = s.vector([1.0, 0, 0])
-    asm = steering.Assemblage.unchecked(
-        sigma, ((s.vector([0.5, 0.2, 0]), s.vector([0.5, -0.2, 0])),))
-    assert asm.shape == (2,) and lp_solves == []
-    with pytest.raises(InvalidInput, match="sum to the barycenter"):
-        steering.Assemblage.unchecked(
-            sigma, ((s.vector([0.5, 0.2, 0]), s.vector([0.4, -0.2, 0])),))
 
 
 def test_classical_sampler_and_mixing_solve_no_lp(lp_solves):
@@ -1068,6 +1058,28 @@ def test_model_validation_errors():
         steering.LhsModel(
             weights=np.array([0.5, 0.5]), states=two,
             responses=(([1.0, 0.0],), ([1.0, 0.0], [0.0, 1.0])))
+
+
+def test_model_hidden_states_are_decided_in_the_cone():
+    s = square()
+    outside = s.vector([1.0, 3.0, 0.0])   # normalized, but not in K
+    with pytest.raises(InvalidInput, match=r"^hidden state 0 is outside V\+$"):
+        steering.LhsModel(weights=np.array([1.0]), states=(outside,),
+                          responses=(([1.0, 0.0],),))
+    with pytest.raises(InvalidInput, match=r"^hidden state 1 is outside V\+$"):
+        steering.LhsModel(weights=np.array([0.5, 0.5]),
+                          states=(s.vector([1.0, 0.0, 0.0]), outside),
+                          responses=(([1.0, 0.0],), ([0.0, 1.0],)))
+
+
+def test_reconstruction_error_checks_the_assemblage_system():
+    model = steering.lhs_check(center_assemblage(*AXIS)).model
+    pentagon = systems.regular_polygon(5)
+    sigma = pentagon.vector([1.0, 0.0, 0.0])
+    asm = steering.Assemblage(sigma, (
+        (sigma * 0.5, sigma * 0.5), (sigma * 0.5, sigma * 0.5)))
+    with pytest.raises(SystemMismatch):
+        model.reconstruction_error(asm)
 
 
 def test_model_copies_and_freezes_its_responses():

@@ -125,7 +125,6 @@ def test_facet_check_matches_the_cone_member_reference(seed, shape, on_face):
         span = np.eye(s.dim)
     Fs = F @ sigma.coords
     live = Fs > 1e-9 * (1.0 + Fs.max())
-    slack = COINCIDENCE * (1.0 + Fs.max())
 
     def scaled(norm):
         y = span @ rng.standard_normal(span.shape[1])
@@ -136,14 +135,19 @@ def test_facet_check_matches_the_cone_member_reference(seed, shape, on_face):
     for delta in DELTAS:
         comps = [scaled(0.5) for _ in range(g)]
         comps[x] = scaled(1.0 + delta)
-        excess = float(np.max(np.abs(F @ comps[x].coords) - Fs))
+        # the one rule on the entries (sigma +- y_x) / 2: min F v against
+        # COINCIDENCE (1 + max |F v|)
+        vals = np.array([(sigma.coords + e * y.coords) * 0.5
+                         for y in comps for e in (1, -1)]) @ F.T
+        margin = vals.min(axis=1)
+        band = COINCIDENCE * (1.0 + np.abs(vals).max(axis=1))
         try:
             tensors.DichotomicTensor(sigma=sigma, components=tuple(comps))
             accepted = True
         except InvalidInput as exc:
             assert f"component {x} leaves the cone" in str(exc)
             accepted = False
-        assert accepted == (excess <= slack)
+        assert accepted == bool(np.all(margin >= -band))
         assert accepted or delta > 1e-9
         # the assemblage of an accepted tensor is built, with no
         # InvalidInput or NumericalFailure from a second boundary rule
@@ -155,17 +159,59 @@ def test_facet_check_matches_the_cone_member_reference(seed, shape, on_face):
             expected = reference_valid(sigma, comps)
         except NumericalFailure:
             # the reference LP fails numerically on some draws with sigma on
-            # a face, and within 1e-9 of the boundary; the facet check cannot
+            # a face, and within 1e-9 of the boundary; the facet rule cannot
             assert on_face or abs(delta) == 1e-9
             continue
-        if delta <= 1e-12 or excess > slack:
-            # an excess inside the slack is accepted by design; the
+        if delta <= 1e-12 or np.any(margin < -band):
+            # an entry inside the band is accepted by design; the
             # reference's LP tolerance may reject it
             assert expected == accepted
     comps[x] = scaled(1.0 + 1e-3)
-    with pytest.raises(InvalidInput, match=f"component {x} leaves the cone"):
+    with pytest.raises(InvalidInput,
+                       match=rf"^entry \([01]\|{x}\) is outside V\+$"):
         steering.from_dichotomic_tensor(
             tensors.DichotomicTensor.unchecked(sigma, comps))
+
+
+RULE_SYSTEMS = {
+    "hull": lambda rng: sampling.random_polytopic_system(
+        rng, dim=int(rng.integers(3, 6))),
+    "cube": lambda rng: systems.hypercube(3),
+    "octahedron": lambda rng: systems.cross_polytope(3),
+    "pentagon": lambda rng: systems.regular_polygon(5),
+    **{f"{norm} ball": lambda rng, norm=norm: systems.ball(3, norm)
+       for norm in systems.BALL_NORMS},
+}
+# ||y||_sigma - 1, either side of the boundary and of the COINCIDENCE band
+NEAR = tuple(sign * d for d in (1e-12, 1e-9, 3e-9, 1e-8) for sign in (1, -1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(list(RULE_SYSTEMS)))
+def test_a_tensor_is_valid_exactly_when_its_assemblage_is(seed, shape):
+    # one V+ rule: the tensor decides the very entries its assemblage holds
+    rng = np.random.default_rng(seed)
+    s = RULE_SYSTEMS[shape](rng)
+    sigma = (s.barycenter if s.kind == systems.CENTRALLY_SYMMETRIC
+             else sampling.random_interior_state(rng, s))
+
+    def accepted(build):
+        try:
+            build()
+        except InvalidInput:
+            return False
+        return True
+
+    for delta in NEAR:
+        u = s.vector(rng.standard_normal(s.dim))
+        y = u * ((1.0 + delta) / systems.order_unit_norm(s, u, unit=sigma))
+        as_tensor = accepted(
+            lambda: tensors.DichotomicTensor(sigma=sigma, components=(y,)))
+        as_assemblage = accepted(lambda: steering.Assemblage(
+            sigma, (((sigma + y) * 0.5, (sigma - y) * 0.5),)))
+        assert as_tensor == as_assemblage, delta
+        assert as_tensor or delta > 0.0
 
 
 def test_tensor_element_shape_check():
