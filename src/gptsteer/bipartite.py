@@ -15,11 +15,18 @@ satisfies
 where S is the steering map toward party A.  The right side is the
 support function of the zonotope with generators mu_j rho_j, so the
 condition says that the adjoint image S*(e) of every extreme point e of
-the order interval [-unit_A, unit_A] lies in that zonotope.  The joint
+the order interval [-unit_A, unit_A] lies in that zonotope.  Both e and -e
+are extreme, and the zonotope is symmetric, so one representative per
++-pair (`systems.interval_extremes`) is enough.  The joint
 search over mu and the memberships is one LP, the zonotope cover
 `choquet._cover_lp` (coefficients t = alpha - beta, alpha + beta <= mu),
 and a Farkas certificate of infeasibility converts into dichotomic
 measurements on A whose conditional assemblage provably steers.
+
+`unsteerable_sufficient` is a one-sided test from a lower bound on the
+steering degree of sigma_B: one vertex search over the polytope cut by the
+half-spaces |<h, y>| <= 1/s of B's sigma-interval vertices y, again one
+per +-pair.
 """
 
 import itertools
@@ -167,26 +174,19 @@ def conditional_assemblage(state, measurements):
         tuple(b.vector(ct @ f.coords) for f in m.effects) for m in meas))
 
 
-def interval_extreme_functionals(system):
-    """Extreme points of the order interval [-unit, unit], one per sign pair.
-
-    These are the re-centered extreme effects 2f - unit.  Both e and -e
-    are extreme, so only the representative whose leading nonzero
-    coordinate is positive is kept.  They are exactly the extreme points
-    of the unit ball dual to the base norm of V, so the base norm of any
-    v is the largest |<e, v>| over the returned functionals.
-    """
-    E = np.array([2.0 * f.coords - system.unit
-                  for f in systems.extreme_effects(system)])
-    return tuple(system.functional(e) for e in E[systems.mirror_representatives(E)])
-
-
 def _nonunit_extremes(system):
     """The interval extremes other than +-unit (either may represent its pair)."""
+    E = systems.interval_extremes(system)
     u = system.unit
-    return [e for e in interval_extreme_functionals(system)
-            if min(np.max(np.abs(e.coords - u)), np.max(np.abs(e.coords + u)))
-            > COINCIDENCE]
+    return E[np.minimum(np.max(np.abs(E - u), axis=1),
+                        np.max(np.abs(E + u), axis=1)) > COINCIDENCE]
+
+
+def _require_interior_sigma_b(state):
+    try:
+        systems.assert_interior(state.system_b, state.marginal_b)
+    except NotInterior as exc:
+        raise MarginalNotInterior(f"sigma_B is not interior: {exc}")
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,7 @@ def unsteerable_dichotomic(state):
     """
     guards.expect(state, BipartiteState)
     a, b = state.system_a, state.system_b
-    try:
-        systems.assert_interior(b, state.marginal_b)
-    except NotInterior as exc:
-        raise MarginalNotInterior(f"sigma_B is not interior: {exc}")
+    _require_interior_sigma_b(state)
     guards.check("vertices", a.n_vertices)
     guards.check("vertices", b.n_vertices)
     es = _nonunit_extremes(a)
@@ -234,7 +231,7 @@ def unsteerable_dichotomic(state):
     V = b.vertices
     n, d = V.shape
     m = len(es)
-    targets = np.array([state.coeffs.T @ e.coords for e in es]).reshape(m, d)
+    targets = np.array([state.coeffs.T @ e for e in es]).reshape(m, d)
     sigma = state.marginal_b.coords
     out = lp.feasibility(choquet._cover_lp(V, sigma, targets, scaled=False))
 
@@ -259,7 +256,7 @@ def unsteerable_dichotomic(state):
             continue
         meas = tuple(
             systems.dichotomic_measurement(
-                a, a.functional(0.5 * (a.unit + es[i].coords)))
+                a, a.functional(0.5 * (a.unit + es[i])))
             for i in chosen)
         verdict = steering.lhs_check(conditional_assemblage(state, meas))
         if not verdict.classical:
@@ -285,8 +282,12 @@ def unsteerable_sufficient(state, s_lower):
     side's unit sublevel set is a polytope and the left side is convex,
     so the maximum sits at one of the polytope's vertices.
 
-    The base norm of S(h) is the largest |<e, S(h)>| over the
-    `interval_extreme_functionals` e of A, read for every vertex h in one
+    Both order intervals are read with one representative per +-pair.
+    The polytope is |<h, y>| <= 1/s_lower and |<h, sigma_B>| <= 1, with y
+    over `choquet._interval_vertices` of B (the sigma_B interval is
+    centrally symmetric), so each half-space reaches the vertex search
+    once.  The base norm of S(h) is the largest |<e, S(h)>| over
+    `systems.interval_extremes` of A, read for every vertex h in one
     matrix product, no LP: `BipartiteState` has already enumerated A's
     extreme effects.
 
@@ -299,18 +300,13 @@ def unsteerable_sufficient(state, s_lower):
                           "the degree lower bound must be a real number")
     if not 0.0 < s <= 1.0:
         raise InvalidInput("the degree lower bound must lie in (0, 1]")
-    a, b = state.system_a, state.system_b
-    try:
-        systems.assert_interior(b, state.marginal_b)
-    except NotInterior as exc:
-        raise MarginalNotInterior(f"sigma_B is not interior: {exc}")
-    guards.check("cmu_dim", b.dim)
-    Y = tensors.sigma_interval_vertices(b, state.marginal_b)
+    _require_interior_sigma_b(state)
+    Y = choquet._interval_vertices(state.system_b, state.marginal_b)
     sig = state.marginal_b.coords
     rows = np.vstack([Y, -Y, sig[None, :], -sig[None, :]])
     rhs = np.concatenate([np.full(2 * Y.shape[0], 1.0 / s), np.ones(2)])
     H = geometry.vertices_of_polytope(rows, rhs)
-    E = np.array([e.coords for e in interval_extreme_functionals(a)])
+    E = systems.interval_extremes(state.system_a)
     norms = np.abs(E @ state.coeffs @ H.T).max(axis=0)
     return bool(np.all(norms <= 1.0 + CERTIFICATE))
 
@@ -342,7 +338,7 @@ def _axis_family(system, count):
 
 def _extreme_families(system, count):
     meas = [systems.dichotomic_measurement(
-        system, system.functional(0.5 * (system.unit + e.coords)))
+        system, system.functional(0.5 * (system.unit + e)))
         for e in _nonunit_extremes(system)]
     return itertools.combinations(meas, count)
 

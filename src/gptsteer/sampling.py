@@ -86,8 +86,8 @@ def random_max_cone_tensor(rng, sys_a, sys_b):
     product of extreme effects hits zero, then stops at a uniform fraction of
     that distance.  Near the far end the element is typically entangled.
     """
-    EA = np.array([f.coords for f in systems.extreme_effects(sys_a)])
-    EB = np.array([f.coords for f in systems.extreme_effects(sys_b)])
+    EA = systems.extreme_effects(sys_a)
+    EB = systems.extreme_effects(sys_b)
     T0 = random_separable_coeffs(rng, sys_a, sys_b)
     D = rng.normal(size=T0.shape)
     vals0 = EA @ T0 @ EB.T
@@ -234,7 +234,7 @@ def random_measurement(rng, system, n_outcomes):
     half = 0.5 * system.unit
 
     def jittered():
-        g = extremes[int(rng.integers(len(extremes)))].coords
+        g = extremes[int(rng.integers(len(extremes)))]
         j = float(rng.uniform(0.0, 0.3))
         return (1.0 - j) * g + j * half
 

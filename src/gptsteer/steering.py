@@ -160,9 +160,13 @@ def _mixture(asm, s):
 def to_dichotomic_tensor(asm):
     """The (sigma, y) family of a two-outcome assemblage, y_x = rho+ - rho-.
 
-    Outcome index 0 plays the "+" role.  Validation is inherited: with both
-    entries in V+ and summing to sigma, sigma +- y_x = 2 rho_{-/+|x} stays
-    in the cone, so the unchecked constructor is sound here.
+    Outcome index 0 plays the "+" role.  The tensor is built with
+    `DichotomicTensor.unchecked`.  Were each setting's entries to sum to
+    sigma exactly, sigma +- y_x = 2 rho_{-/+|x} would lie in the cone; but
+    `Assemblage` holds the sums to sigma only within RECONSTRUCTION, while
+    `systems.in_cone` decides within COINCIDENCE.  When a sum misses sigma
+    by more than COINCIDENCE, the tensor, and the assemblage
+    `from_dichotomic_tensor` rebuilds from it, can fail the cone check.
     """
     if any(k != 2 for k in guards.expect(asm, Assemblage).shape):
         raise NotDichotomic(
@@ -414,10 +418,13 @@ def optimal_witness(asm):
 def robustness(asm):
     """Largest s for which s rho_{a|x} + (1-s) sigma/k_x stays classical.
 
-    Two-outcome assemblages use the closed form 1/steering_norm (capped at
-    1); centrally symmetric systems reduce to polytopic twins, with an
-    inner/outer polygon bracket of _DISK_VERTICES vertices for the l2 ball,
-    each twin and polygon built once per process.
+    On a polytopic system a one-setting assemblage is classical (its
+    entries are their own hidden states, as in lhs_check), so its
+    robustness is 1 with no LP.  Two-outcome assemblages use the closed
+    form 1/steering_norm (capped at 1); centrally symmetric systems reduce
+    to polytopic twins, with an inner/outer polygon bracket of
+    _DISK_VERTICES vertices for the l2 ball, each twin and polygon built
+    once per process.
     Other shapes bisect with lhs_check down to BISECTION_WIDTH, so the
     returned s tests classical and s + 2 BISECTION_WIDTH tests steerable.
     Each step builds the mixture of `mixed_with_trivial` and checks every
@@ -429,6 +436,8 @@ def robustness(asm):
     """
     system = guards.expect(asm, Assemblage).system
     systems.assert_interior(system, asm.barycenter)
+    if asm.g == 1 and system.kind == systems.POLYTOPIC:
+        return 1.0   # classical in closed form, as lhs_check answers it
     if all(k == 2 for k in asm.shape):
         t = to_dichotomic_tensor(asm)
         if system.kind == systems.POLYTOPIC:

@@ -14,6 +14,10 @@ carries the state space K.  Two kinds are supported:
 
 Vectors live in V, functionals in the dual; both carry their system so mixed
 pairings fail loudly rather than silently misinterpreting coordinates.
+Enumerated geometry is returned as read-only coordinate rows: the vertices,
+the cone facets, the extreme effects (kept on the system once enumerated)
+and the order interval [-unit, unit]'s extremes, one per +-pair, derived
+from them.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +78,10 @@ class GptSystem:
     unit: Optional[np.ndarray] = None
     ball_norm: Optional[str] = None
     cone_facets: Optional[np.ndarray] = field(init=False, default=None)
-    # the extreme effects, filled in by `extreme_effects` on first use
-    effect_extremes: Optional[tuple] = field(init=False, default=None,
-                                             repr=False)
+    # read-only rows of the extreme effects, filled in by `extreme_effects`
+    # on first use
+    effect_extremes: Optional[np.ndarray] = field(init=False, default=None,
+                                                  repr=False)
     # (sigma bytes, read-only vertices) of the last two sigma intervals that
     # `tensors.sigma_interval_vertices` enumerated, the newest first
     sigma_interval: tuple = field(init=False, default=(), repr=False)
@@ -597,8 +602,9 @@ def sigma_base_norm(system, h, sigma):
 
 
 def extreme_effects(system):
-    """All extreme points of the effect interval {0 <= f <= unit}, as a
-    tuple enumerated once per system and kept on it."""
+    """All extreme points of the effect interval {0 <= f <= unit}, as the
+    coordinate rows of a read-only array enumerated once per system and
+    kept on it."""
     require_polytopic(system)
     if system.effect_extremes is None:
         V = system.vertices
@@ -606,9 +612,24 @@ def extreme_effects(system):
         A = np.vstack([V, -V])
         b = np.concatenate([np.ones(n), np.zeros(n)])
         pts = vertices_of_polytope(A, b)
-        object.__setattr__(system, "effect_extremes",
-                           tuple(system.functional(p) for p in pts))
+        pts.setflags(write=False)
+        object.__setattr__(system, "effect_extremes", pts)
     return system.effect_extremes
+
+
+def interval_extremes(system):
+    """Extreme points of the order interval [-unit, unit], one per +-pair.
+
+    These are the re-centered extreme effects 2f - unit, as coordinate
+    rows.  Both e and -e are extreme, so only the representative whose
+    leading nonzero coordinate is positive is kept
+    (`mirror_representatives`).  They are exactly the extreme points of
+    the unit ball dual to the base norm of V, so the base norm of any v
+    is the largest |<e, v>| over the returned rows.  Derived from the
+    cached `extreme_effects` on each call.
+    """
+    E = 2.0 * extreme_effects(system) - system.unit
+    return E[mirror_representatives(E)]
 
 
 def is_effect(system, f):

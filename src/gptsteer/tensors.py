@@ -299,6 +299,18 @@ def steering_norm(t):
     return SteeringNormResult(value=value, witness=witness)
 
 
+def _vertex_products(t):
+    """The products v_i tensor w_j of the vertices of t's two polytopic
+    systems as columns, pair (i, j) at column i * n_b + j; the rows
+    follow t.coeffs.reshape(-1)."""
+    guards.expect(t, TensorElement)
+    systems.require_polytopic(t.system_a)
+    systems.require_polytopic(t.system_b)
+    Va, Vb = t.system_a.vertices, t.system_b.vertices
+    na, nb = Va.shape[0], Vb.shape[0]
+    return np.einsum("ip,jq->ijpq", Va, Vb).reshape(na * nb, -1).T
+
+
 def projective_norm(t):
     """Projective cross norm of the base norms on the two systems.
 
@@ -307,15 +319,10 @@ def projective_norm(t):
     a difference bounded inside conv(K_A x K_B) both ways; for normalized max
     cone elements, <= 1 iff separable.
     """
-    guards.expect(t, TensorElement)
-    systems.require_polytopic(t.system_a)
-    systems.require_polytopic(t.system_b)
-    Va, Vb = t.system_a.vertices, t.system_b.vertices
-    na, nb = Va.shape[0], Vb.shape[0]
-    cols = np.einsum("ip,jq->ijpq", Va, Vb).reshape(na * nb, -1).T
+    cols = _vertex_products(t)
     A_eq = np.concatenate([cols, -cols], axis=1)
     b_eq = t.coeffs.reshape(-1)
-    obj = np.ones(2 * na * nb)
+    obj = np.ones(2 * cols.shape[1])
     out = lp.optimum(lp.LpProblem(objective=obj, eq_rows=A_eq, eq_rhs=b_eq),
                      "projective norm LP")
     return float(out.value)
@@ -373,10 +380,8 @@ def projective_norm_dichotomic(t):
 def max_cone_member(t):
     """Whether t pairs nonnegatively with every product of effects."""
     guards.expect(t, TensorElement)
-    EA = np.array(
-        [f.coords for f in systems.extreme_effects(t.system_a)])
-    EB = np.array(
-        [f.coords for f in systems.extreme_effects(t.system_b)])
+    EA = systems.extreme_effects(t.system_a)
+    EB = systems.extreme_effects(t.system_b)
     return bool(np.min(EA @ t.coeffs @ EB.T) >= -COINCIDENCE)
 
 
@@ -397,18 +402,14 @@ class MinConeResult:
 
 def min_cone_member(t):
     """Membership of t in the separable cone, by LP feasibility."""
-    guards.expect(t, TensorElement)
-    systems.require_polytopic(t.system_a)
-    systems.require_polytopic(t.system_b)
-    Va, Vb = t.system_a.vertices, t.system_b.vertices
-    na, nb = Va.shape[0], Vb.shape[0]
-    cols = np.einsum("ip,jq->ijpq", Va, Vb).reshape(na * nb, -1).T
+    cols = _vertex_products(t)
     b_eq = t.coeffs.reshape(-1)
     out = lp.feasibility(lp.LpProblem(
-        objective=np.zeros(na * nb), eq_rows=cols, eq_rhs=b_eq))
+        objective=np.zeros(cols.shape[1]), eq_rows=cols, eq_rhs=b_eq))
+    Va, Vb = t.system_a.vertices, t.system_b.vertices
     if out.status == "optimal":
-        return MinConeResult(
-            member=True, coefficients=out.x.reshape(na, nb), witness=None)
+        return MinConeResult(member=True, witness=None,
+                             coefficients=out.x.reshape(len(Va), len(Vb)))
     da, db = t.system_a.dim, t.system_b.dim
     W = -out.dual_eq.reshape(da, db)
     pairings = Va @ W @ Vb.T

@@ -294,7 +294,7 @@ def free_coefficient_unsteerable(state):
     V = state.system_b.vertices
     n, d = V.shape
     m = len(es)
-    targets = np.array([state.coeffs.T @ e.coords for e in es]).reshape(m, d)
+    targets = np.array([state.coeffs.T @ e for e in es]).reshape(m, d)
     nvar = n * (1 + m)
     eq = np.zeros((d * (1 + m), nvar))
     eq[:d, :n] = V.T

@@ -1,11 +1,13 @@
 """Bipartite states, steering maps, and the dichotomic unsteerability test."""
 
+import math
+
 import lp_cases
 import numpy as np
 import pytest
 
-from gptsteer import (bipartite, choquet, lp, sampling, steering, systems,
-                      tensors, tolerances)
+from gptsteer import (bipartite, choquet, geometry, lp, sampling, steering,
+                      systems, tensors, tolerances)
 from gptsteer.errors import (
     GuardExceeded,
     InvalidInput,
@@ -62,6 +64,46 @@ def separable_state(seed=21):
     sq = square()
     c = sampling.random_separable_coeffs(rng, sq, sq)
     return state_on(sq, sq, c / float(sq.unit @ c @ sq.unit))
+
+
+def doubled_rows_unsteerable(state, s):
+    """`unsteerable_sufficient` with every sigma_B-interval vertex y and its
+    mirror -y both stacked with their negations, so that each half-space
+    |<h, y>| <= 1/s enters the vertex search twice: the reference whose
+    verdict the one-row-per-half-space test must give."""
+    Y = tensors.sigma_interval_vertices(state.system_b, state.marginal_b)
+    sig = state.marginal_b.coords
+    rows = np.vstack([Y, -Y, sig[None, :], -sig[None, :]])
+    rhs = np.concatenate([np.full(2 * Y.shape[0], 1.0 / s), np.ones(2)])
+    H = geometry.vertices_of_polytope(rows, rhs)
+    E = systems.interval_extremes(state.system_a)
+    norms = np.abs(E @ state.coeffs @ H.T).max(axis=0)
+    return bool(np.all(norms <= 1.0 + tolerances.CERTIFICATE))
+
+
+def random_bipartite_states(rng, count):
+    """Product, separable, noise-mixed diagonal and normalized max-cone
+    states, in turn, on the square, the pentagon, simplex(3) and random
+    dim-3 hulls."""
+    pool = (square(), systems.regular_polygon(5), systems.simplex(3))
+    diag = diagonal_state()
+    for j in range(count):
+        a = pool[j % 2]
+        b = (pool[(j // 2) % 3] if j % 5
+             else sampling.random_polytopic_system(rng, 3))
+        kind = j % 4
+        if kind == 0:
+            yield bipartite.product_state(
+                sampling.random_interior_state(rng, a),
+                sampling.random_interior_state(rng, b))
+        elif kind == 1:
+            c = sampling.random_separable_coeffs(rng, a, b)
+            yield state_on(a, b, c / float(a.unit @ c @ b.unit))
+        elif kind == 2:
+            yield noise_mixed(diag, float(rng.uniform()))
+        else:
+            yield bipartite.BipartiteState(
+                sampling.random_max_cone_tensor(rng, a, b))
 
 
 def vertex_weights(state, model):
@@ -307,13 +349,13 @@ class TestConditionalAssemblage:
 
 class TestIntervalExtremes:
     def test_square_extremes(self):
-        es = bipartite.interval_extreme_functionals(square())
-        got = sorted(tuple(e.coords) for e in es)
+        es = systems.interval_extremes(square())
+        got = sorted(tuple(e) for e in es)
         assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
     def test_classical_bit_extremes(self):
-        es = bipartite.interval_extreme_functionals(systems.simplex(2))
-        got = sorted(tuple(e.coords) for e in es)
+        es = systems.interval_extremes(systems.simplex(2))
+        got = sorted(tuple(e) for e in es)
         assert got == [(1.0, -1.0), (1.0, 1.0)]
 
     def test_nonunit_extremes_drop_minus_unit(self):
@@ -321,20 +363,20 @@ class TestIntervalExtremes:
         # the representative of the pair, which is still the unit's pair.
         moved = systems.polytopic(square().vertices * [-1.0, 1.0, 1.0],
                                   unit=[-1.0, 0.0, 0.0])
-        es = bipartite.interval_extreme_functionals(moved)
-        assert (1.0, 0.0, 0.0) in [tuple(e.coords) for e in es]
+        es = systems.interval_extremes(moved)
+        assert (1.0, 0.0, 0.0) in [tuple(e) for e in es]
         for sq in (square(), moved):
-            got = sorted(tuple(e.coords) for e in bipartite._nonunit_extremes(sq))
+            got = sorted(tuple(e) for e in bipartite._nonunit_extremes(sq))
             assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]
 
     def test_base_norm_is_the_extreme_envelope(self):
         sq = square()
-        es = bipartite.interval_extreme_functionals(sq)
+        es = systems.interval_extremes(sq)
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = sq.vector(rng.standard_normal(3))
             envelope = max(
-                abs(float(e.coords @ v.coords)) for e in es)
+                abs(float(e @ v.coords)) for e in es)
             assert abs(envelope - systems.base_norm(sq, v)) < 1e-9
 
 
@@ -499,8 +541,8 @@ class TestZonotopeSoundness:
         V = state.system_b.vertices
         n = V.shape[0]
         outcomes = []
-        for e in bipartite.interval_extreme_functionals(state.system_a):
-            target = state.coeffs.T @ e.coords
+        for e in systems.interval_extremes(state.system_a):
+            target = state.coeffs.T @ e
             ub = np.vstack([np.eye(n), -np.eye(n)])
             out = lp.feasibility(lp.LpProblem(
                 objective=np.zeros(n), eq_rows=V.T, eq_rhs=target,
@@ -545,7 +587,7 @@ class TestZonotopeSoundness:
                 # dual of the membership LP separates S*(e) from the
                 # zonotope: some sign of h makes the pairing with the
                 # target exceed the support function
-                target = st.coeffs.T @ e.coords
+                target = st.coeffs.T @ e
                 reach = abs(float(h @ target))
                 support = float(w @ np.abs(st.system_b.vertices @ h))
                 assert reach > support - 1e-9
@@ -599,6 +641,60 @@ class TestUnsteerableSufficient:
                 assert bipartite.unsteerable_dichotomic(mixed).unsteerable
         assert verdicts == [lam >= 0.5 - 1e-12
                             for lam in np.linspace(0.0, 1.0, 11)]
+
+    def test_verdicts_match_the_doubled_rows_reference(self):
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for st in random_bipartite_states(rng, 100):
+            s = 1.0 - float(rng.uniform())   # in (0, 1]
+            got = bipartite.unsteerable_sufficient(st, s)
+            assert got == doubled_rows_unsteerable(st, s)
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+        # the degree boundary of test_universal_degree_is_a_valid_bound
+        st = diagonal_state()
+        degree = choquet.universal_degree(st.system_b, st.marginal_b)[0]
+        for lam in np.linspace(0.0, 1.0, 11):
+            mixed = noise_mixed(st, lam)
+            assert (bipartite.unsteerable_sufficient(mixed, degree)
+                    == doubled_rows_unsteerable(mixed, degree))
+
+    def test_each_half_space_reaches_the_vertex_search_once(self,
+                                                           monkeypatch):
+        searched = []
+        search = geometry.vertices_of_polytope
+        monkeypatch.setattr(geometry, "vertices_of_polytope",
+                            lambda A, b: searched.append((A, b))
+                            or search(A, b))
+        rng = np.random.default_rng(8)
+        for st in random_bipartite_states(rng, 12):
+            searched.clear()
+            bipartite.unsteerable_sufficient(st, 0.5)
+            (A, b), = searched
+            Y = tensors.sigma_interval_vertices(st.system_b, st.marginal_b)
+            sig = st.marginal_b.coords
+            np.testing.assert_array_equal(A[-2:], [sig, -sig])
+            np.testing.assert_array_equal(b, np.concatenate(
+                [np.full(Y.shape[0], 2.0), np.ones(2)]))
+            # the rows before sigma are the interval's vertices, each once
+            # (a mirror -y is read off a kept y, so it may differ from the
+            # enumerated one in the last bits)
+            gap = np.abs(A[:-2, None, :] - Y[None, :, :]).max(axis=2)
+            assert A.shape[0] == Y.shape[0] + 2
+            assert np.all((gap <= 1e-12).sum(axis=0) == 1)
+
+    def test_dim_four_hulls_past_the_doubled_rows_guard(self):
+        # Doubled, the rows of these hulls cost C(49, 4) * 8 and
+        # C(47, 4) * 8 eliminations, past the default guard of 10^6.
+        sq = square()
+        for seed, rows in ((2, 49), (4, 47)):
+            b = sampling.random_polytopic_system(
+                np.random.default_rng(seed), dim=4)
+            st = bipartite.product_state(sq.barycenter, b.barycenter)
+            assert bipartite.unsteerable_sufficient(st, 0.5)
+            with pytest.raises(GuardExceeded, match=(
+                    f"^eliminations={math.comb(rows, 4) * 8} ")):
+                doubled_rows_unsteerable(st, 0.5)
 
     def test_bound_validation(self):
         st = diagonal_state()

@@ -18,10 +18,12 @@ before rows were grouped into +- pairs (every d-subset of rows eliminated
 on its own): the grouped kernel must give its values, and the scalar
 reference's, on what the library asks of it (a `norms` benchmark cycle,
 sigma intervals with exact pivot ties, effect intervals, the rows of
-`unsteerable_sufficient`) and on inputs with zero vertex coordinates or
-rows that have no partner.  The list-based pricing rule is also compared on
-its own, and an artificial block filled with NaN shows that a float phase
-two reads none of the columns its pivots skip.
+`unsteerable_sufficient`, one per half-space) and on inputs with zero
+vertex coordinates, rows that have no partner or repeated rows (among
+them a sigma interval stacked twice, every half-space repeated).  The
+list-based pricing rule is also compared on its own, and an artificial
+block filled with NaN shows that a float phase two reads none of the
+columns its pivots skip.
 """
 
 import collections
@@ -335,8 +337,8 @@ def _zero_face(rng, d):
 
 
 def _edge_cases():
-    """Zero vertex coordinates, rows without a partner, duplicated rows,
-    partners whose b differ, and intervals and triangles."""
+    """Zero vertex coordinates, rows without a partner, duplicated rows
+    and pairs, partners whose b differ, and intervals and triangles."""
     rng = np.random.default_rng(17)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
     yield _unit_rows(signs, np.ones(8))        # vertices +-e_i: zeros
@@ -354,6 +356,10 @@ def _edge_cases():
                           rng.uniform(0.2, 1.5, size=d + 6))
         yield A, b                              # some rows unpaired
         yield A[::-1].copy(), b[::-1].copy()    # partners before rows
+    # the square's sigma interval at its center twice over, and +-sigma
+    Y = np.array([[0.0, 1, 1], [0, 1, -1], [0, -1, 1], [0, -1, -1]])
+    yield (np.vstack([Y, -Y, Y, -Y, [[1.0, 0, 0], [-1, 0, 0]]]),
+           np.concatenate([np.full(16, 2.0), np.ones(2)]))
 
 
 def _family(name):

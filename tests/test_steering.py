@@ -571,6 +571,40 @@ def test_trivial_assemblage_robustness_one():
         steering.trivial_assemblage(sigma, (2, 2))) == 1.0
 
 
+def drifting_setting():
+    """A one-setting square assemblage whose outcomes miss sigma by 8e-9:
+    within RECONSTRUCTION, which `Assemblage` allows, and beyond
+    COINCIDENCE, the band of `systems.in_cone`."""
+    s = square()
+    return steering.Assemblage(
+        barycenter=s.vector([1.0, 0.0, 0.0]),
+        entries=((s.vector([0.5, 0.5, 0.0]),
+                  s.vector([0.5 + 8e-9, -0.5, 0.0])),))
+
+
+def test_one_setting_robustness_is_one_without_an_lp(lp_solves):
+    # The steering norm of the drifted tensor read 0.9999999920000001.
+    asm = drifting_setting()
+    assert steering.lhs_check(asm).classical
+    assert steering.robustness(asm) == 1.0
+    three = steering.Assemblage(
+        barycenter=asm.barycenter,
+        entries=((asm.entries[0][0], asm.entries[0][1] * 0.5,
+                  asm.entries[0][1] * 0.5),))
+    assert steering.robustness(three) == 1.0
+    assert lp_solves == []
+
+
+@pytest.mark.xfail(strict=True, raises=InvalidInput,
+                   reason="to_dichotomic_tensor's y drifts from sigma by up "
+                   "to RECONSTRUCTION; the rebuilt entry (0|0) is outside V+")
+def test_dichotomic_round_trip_of_a_drifting_setting():
+    asm = drifting_setting()
+    back = steering.from_dichotomic_tensor(steering.to_dichotomic_tensor(asm))
+    for rho, again in zip(asm.entries[0], back.entries[0]):
+        assert np.max(np.abs(rho.coords - again.coords)) <= RECONSTRUCTION
+
+
 def test_diagonal_robustness_half():
     assert abs(steering.robustness(center_assemblage(*DIAG)) - 0.5) <= 1e-7
 

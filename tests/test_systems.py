@@ -286,7 +286,7 @@ def test_base_norm_duality_with_extreme_effects():
     # points of the symmetric functional interval
     rng = np.random.default_rng(31)
     for s in (square(), systems.simplex(2), systems.cross_polytope(3)):
-        eff = np.array([f.coords for f in systems.extreme_effects(s)])
+        eff = systems.extreme_effects(s)
         signed = 2.0 * eff - s.unit[None, :]
         for _ in range(25):
             v = rng.normal(size=s.dim)
@@ -466,18 +466,14 @@ def _brute_force_effects(system):
     return lex_sorted(np.array(found))
 
 
-def _effect_rows(system):
-    return np.array([f.coords for f in systems.extreme_effects(system)])
-
-
 def test_extreme_effects_simplex_frozen():
-    got = _effect_rows(systems.simplex(2))
+    got = systems.extreme_effects(systems.simplex(2))
     want = lex_sorted(np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]]))
     assert np.allclose(got, want, atol=1e-9)
 
 
 def test_extreme_effects_square_frozen():
-    got = _effect_rows(square())
+    got = systems.extreme_effects(square())
     want = lex_sorted(np.array([
         [0.0, 0, 0], [1, 0, 0],
         [0.5, 0.5, 0], [0.5, -0.5, 0], [0.5, 0, 0.5], [0.5, 0, -0.5]]))
@@ -487,7 +483,7 @@ def test_extreme_effects_square_frozen():
 
 def test_extreme_effects_against_brute_force():
     for s in (systems.simplex(3), square(), systems.cross_polytope(2)):
-        got = _effect_rows(s)
+        got = systems.extreme_effects(s)
         want = _brute_force_effects(s)
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-7)
@@ -500,7 +496,8 @@ def test_extreme_effects_are_enumerated_once_per_system(monkeypatch):
                         lambda *a: calls.append(1) or enumerate_(*a))
     sq, cube = square(), systems.hypercube(3)
     first = systems.extreme_effects(sq)
-    assert isinstance(first, tuple) and len(first) == 6
+    assert isinstance(first, np.ndarray) and first.shape == (6, 3)
+    assert not first.flags.writeable
     assert systems.extreme_effects(sq) is first
     systems.extreme_effects(cube)
     systems.extreme_effects(cube)
