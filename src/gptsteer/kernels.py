@@ -1,10 +1,13 @@
 """Hot numeric loops: simplex pivoting and brute-force polyhedral searches.
 
-The simplex keeps each decision in one place: `entering` is Bland's pricing
-rule (also asked by lp after a refactorization), one ratio pass computes
-each blocking row's step once, and `_pivot` is the single elimination, an
-in-place rank-1 update of the tableau (dense on floats; on Fractions only
-the rows with a nonzero multiplier), shared with `drive_out_artificials`.  Pricing and the ratio test stay early-exit loops,
+The simplex works on columns z >= 0 with no upper bound; the one bounded
+variable is a basic artificial in phase two, fixed at 0.  It keeps each
+decision in one place: `entering` is Bland's pricing rule (also asked by lp
+after a refactorization), one ratio pass computes each blocking row's step
+once, and `_pivot` is the single elimination, an in-place rank-1 update of
+the tableau (dense on floats; on Fractions only the rows with a nonzero
+multiplier), shared with `drive_out_artificials`.  Pricing and the ratio
+test stay early-exit loops,
 over Python lists read off the tableau with `tolist()`: the LPs are mostly
 small, numpy dispatch would cost more than it saves, and a list index is far
 cheaper than fetching one numpy scalar.  The list values are the same
@@ -71,8 +74,7 @@ MAP_CAP = 1024
 
 # Tableau variable statuses.
 AT_LOWER = 0
-AT_UPPER = 1
-BASIC = 2
+BASIC = 1
 
 # simplex_phase return codes (1 = infeasible is decided by the driver).
 PHASE_OPTIMAL = 0
@@ -80,25 +82,17 @@ PHASE_UNBOUNDED = 2
 PHASE_ITER_LIMIT = 3
 
 
-def entering(T, vstat, upper, cost_row, n_elig, tol):
-    """Bland's pricing rule: the lowest-index improving variable.
-
-    Returns (j, direction): direction +1 raises a variable at its lower
-    bound whose reduced cost is below -tol (unless its upper bound is 0, a
-    fixed variable), -1 lowers one at its upper bound whose reduced cost is
-    above tol; (-1, 0) when the cost row is optimal.  The cost row is read
-    as a list; `vstat` and `upper` may be lists or arrays.
+def entering(T, vstat, cost_row, n_elig, tol):
+    """Bland's pricing rule: the lowest-index nonbasic column among the
+    first n_elig whose reduced cost is below -tol, or -1 when the cost row
+    is optimal.  The cost row is read as a list; `vstat` may be a list or
+    an array.
     """
     neg_tol = -tol
     for j, d in enumerate(T[cost_row, :n_elig].tolist()):
-        s = vstat[j]
-        if s == AT_LOWER:
-            if d < neg_tol and upper[j] > 0:
-                return j, 1
-        elif s == AT_UPPER:
-            if d > tol:
-                return j, -1
-    return -1, 0
+        if d < neg_tol and vstat[j] == AT_LOWER:
+            return j
+    return -1
 
 
 def _pivot(T, r, j, N):
@@ -121,44 +115,47 @@ def _pivot(T, r, j, N):
     T[rows, :N] -= np.multiply.outer(f[rows], prow)
 
 
-def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
-                  max_iter, width):
-    """Run one phase of the bounded-variable simplex to optimality.
+def simplex_phase(T, basis, vstat, m, N, cost_row, n_elig, tol, max_iter,
+                  width):
+    """Run one simplex phase to optimality.
 
     T is the (m + 2) x (N + 1) tableau: rows 0..m-1 hold B^-1 A in columns
     0..N-1 and the current basic values in column N; rows m and m+1 are the
     phase-2 and phase-1 reduced-cost rows (both kept current by every pivot).
-    All variables have lower bound 0 and upper bound `upper[j]` (np.inf for
-    none).  Entering variable: `entering` (Bland).  Leaving variable: among
-    rows whose entry clears a pivot threshold well above the zero tolerance,
-    the largest pivot whose ratio is within a relative band of the minimum
-    ratio (ties by lowest variable index).  Stepping onto a noise-level
-    pivot poisons the working basis beyond what a refactorization can
-    repair, so such rows never block; a direction that is a ray only
-    because of sub-threshold entries is reported unbounded and the driver
-    retries it on a rebuilt tableau.  A variable whose upper bound is 0 is
-    fixed and never enters.
+    Columns n_elig..N-1 are the artificials, which never enter.  Every
+    variable has lower bound 0 and none an upper bound, but for a basic
+    artificial in phase two (cost_row m): it is fixed at 0, so it blocks a
+    step on a negative entry as well as on a positive one.  Entering
+    variable: `entering` (Bland).  Leaving variable: among rows whose entry
+    clears a pivot threshold well above the zero tolerance, the largest
+    pivot whose ratio is within a relative band of the minimum ratio (ties
+    by lowest variable index).  Stepping onto a noise-level pivot poisons
+    the working basis beyond what a refactorization can repair, so such
+    rows never block; a direction that is a ray only because of
+    sub-threshold entries is reported unbounded and the driver retries it
+    on a rebuilt tableau.
 
     Pivots update columns [0, width), width N or n_elig.  Nothing here
     reads a column at or past n_elig other than the basic values, so a
     caller that rebuilds the tableau afterwards may pass width=n_elig and
     leave the columns [n_elig, N) stale.  Pricing and the ratio test run
     on list copies of the cost row, the entering column, the basic values,
-    vstat, upper and basis, which hold the arrays' own floats or
-    Fractions.  The basic values are updated in place on the T[:m, N]
-    view, the entering column is negated only when its variable moves
-    down, and vstat and basis change only as lists inside the phase and
-    are written back to the arrays once, on every return.
+    vstat and basis, which hold the arrays' own floats or Fractions.  The
+    basic values are updated in place on the T[:m, N] view, and vstat and
+    basis change only as lists inside the phase and are written back to
+    the arrays once, on every return.
     """
     a_block = tol * 100
     neg_block = -a_block
+    # basic columns from here on are fixed at 0: the artificials in phase
+    # two, none in phase one
+    fixed = n_elig if cost_row == m else N
     vs = vstat.tolist()
-    up = upper.tolist()
     bl = basis.tolist()
     xb = T[:m, N]
     code = PHASE_ITER_LIMIT
     for _ in range(max_iter):
-        enter, dirn = entering(T, vs, up, cost_row, n_elig, tol)
+        enter = entering(T, vs, cost_row, n_elig, tol)
         if enter == -1:
             code = PHASE_OPTIMAL
             break
@@ -166,8 +163,6 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
         # Ratio test: for each blocking row, the step t >= 0 at which its
         # basic variable reaches a bound (roundoff below 0 clamped to 0).
         dcol = T[:m, enter]
-        if dirn < 0:
-            dcol = dirn * dcol
         col = dcol.tolist()
         rhs = xb.tolist()
         blocking = []
@@ -175,11 +170,8 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
         for i, a in enumerate(col):
             if a > a_block:
                 ratio = rhs[i] / a
-            elif a < neg_block:
-                ub = up[bl[i]]
-                if ub == np.inf:
-                    continue
-                ratio = (ub - rhs[i]) / (0 - a)
+            elif a < neg_block and bl[i] >= fixed:
+                ratio = (0 - rhs[i]) / (0 - a)
             else:
                 continue
             if ratio < 0:
@@ -199,26 +191,14 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
                     or (aa == best_a and bl[i] < bl[leave_row])):
                 leave_row, t_best, best_a = i, ratio, aa
 
-        t_flip = up[enter]
-        if leave_row == -1 and t_flip == np.inf:
+        if leave_row == -1:
             code = PHASE_UNBOUNDED
             break
 
-        if t_flip < t_best:
-            # Bound flip: the entering variable crosses to its other bound,
-            # the basis is unchanged.
-            xb -= dcol * t_flip
-            vs[enter] = 1 - vs[enter]
-            continue
-
-        if vs[enter] == AT_LOWER:
-            x_enter = dirn * t_best
-        else:
-            x_enter = up[enter] + dirn * t_best
-        vs[bl[leave_row]] = AT_LOWER if col[leave_row] > 0 else AT_UPPER
+        vs[bl[leave_row]] = AT_LOWER
         xb -= dcol * t_best
         _pivot(T, leave_row, enter, width)
-        T[leave_row, N] = x_enter
+        T[leave_row, N] = t_best
         bl[leave_row] = enter
         vs[enter] = BASIC
     vstat[:] = vs
@@ -226,14 +206,14 @@ def simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
     return code
 
 
-def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
+def drive_out_artificials(T, basis, vstat, m, N, n_nonart, tol):
     """Pivot zero-valued basic artificials onto structural columns.
 
     Called between the phases (at most m degenerate pivots).  Rows where
     every structural entry vanishes are redundant; their artificial stays
-    basic at 0 and is fixed by the caller via upper = 0.  Each row is read
-    as a list, with vstat as it stands when the row is reached.  Returns
-    the number of pivots made.
+    basic at 0, where phase two holds it (`simplex_phase`).  Each row is
+    read as a list, with vstat as it stands when the row is reached.
+    Returns the number of pivots made.
     """
     moved = 0
     for r, art in enumerate(basis.tolist()):
@@ -257,7 +237,7 @@ def drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
         _pivot(T, r, piv, N)
         vstat[art] = AT_LOWER
         basis[r] = piv
-        T[r, N] = 0 if vs[piv] == AT_LOWER else upper[piv]
+        T[r, N] = 0
         vstat[piv] = BASIC
         moved += 1
     return moved

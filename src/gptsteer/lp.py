@@ -1,8 +1,11 @@
 """Deterministic linear programming with checked certificates.
 
-Bounded-variable two-phase simplex on a dense tableau with Bland's entering
-rule and lowest-index tie-breaking, so a given problem always walks the same
-pivot path and the returned arrays are bit-identical across runs.  Nothing is
+Two-phase simplex on a dense tableau with Bland's entering rule and
+lowest-index tie-breaking, so a given problem always walks the same pivot
+path and the returned arrays are bit-identical across runs.  Every variable
+is nonnegative (lower bound 0, of either sign) or free (lower bound -inf);
+any other bound is an inequality row of the caller's.  A free variable is
+z+ - z- on two tableau columns, so every column is z >= 0.  Nothing is
 returned unchecked: an optimal answer must pass primal feasibility, dual sign
 conditions and strong duality, an infeasible verdict must carry a Farkas
 certificate whose separation margin is verified against the original data.
@@ -28,15 +31,16 @@ variable, z+ then z-), then one slack per inequality row, then one
 artificial per row, as in the `basis` of an optimal LpOutcome.  The
 solver builds the same tableau, rebuilds it once on the start's columns
 (every other column at 0, the artificials fixed at 0) and skips phase
-one when the basic values lie within their bounds to LP_FEASIBILITY;
-phase two, the extraction and every check then run as on the cold path.
-A numerically singular or infeasible start leaves the tableau untouched
-and runs the cold path, so its outcome is the cold one byte for byte; a
-start of the wrong length, with a repeated, negative, too large or
-non-integer column, or in exact mode is InvalidInput.  A start that
-ends at another optimal vertex gives another x and other certificates,
-each checked.  The robustness bisection starts each cone-membership LP
-from the basis that decided the same entry one step earlier.
+one when the basic values are nonnegative, and the artificials' 0, to
+LP_FEASIBILITY; phase two, the extraction and every check then run as on
+the cold path.  A numerically singular or infeasible start leaves the
+tableau untouched and runs the cold path, so its outcome is the cold one
+byte for byte; a start of the wrong length, with a repeated, negative,
+too large or non-integer column, or in exact mode is InvalidInput.  A
+start that ends at another optimal vertex gives another x and other
+certificates, each checked.  The robustness bisection starts each
+cone-membership LP from the basis that decided the same entry one step
+earlier.
 
 Most LPs the library asks are tiny (three rows and four columns for a cone
 membership), so a call's fixed cost is numpy dispatch rather than pivots,
@@ -54,18 +58,15 @@ that tests/test_lp_reference.py keeps as the reference.
 One rule decides what a solve leaves out: a step is skipped only when its
 operands make it an exact no-op, and that is decided on each call from the
 problem's arrays, so a replayed or a mutated LpProblem takes the path its
-data asks for.  Under the default bounds (every lower bound 0, every upper
-bound +inf, as every cone-membership LP has) the bound transforms, the
-shifts of b and the column negations are skipped, and no column has a
-finite upper bound, so none sits at one and the AT_UPPER gathers of the
-extraction and the rebuilds are skipped; with no inequality row, the
-copies that append its rows, its slack diagonal, the product A_ub^T y_ub
-and its multipliers' sign checks are; with no negative right-hand side,
-the negations of the flipped rows of b, T and y are.  Dropping rc - A_ub^T
-y_ub with no inequality row keeps every byte, since that product is +0.0
-and t - (+0.0) is t for every float t, -0.0 included.  The default bounds
-keep x = l + z, the addition of the zero lower bounds: 0.0 + (-0.0) is
-+0.0, so that addition is no exact no-op.
+data asks for.  With no free variable (as every cone-membership LP has)
+the column gathers and negations of the z+ - z- split are skipped; with no
+inequality row, the copies that append its rows, its slack diagonal, the
+product A_ub^T y_ub and its multipliers' sign checks are; with no negative
+right-hand side, the negations of the flipped rows of b, T and y are.
+Dropping rc - A_ub^T y_ub with no inequality row keeps every byte, since
+that product is +0.0 and t - (+0.0) is t for every float t, -0.0
+included.  Every solve keeps x = l + z, the addition of the zero lower
+bounds: 0.0 + (-0.0) is +0.0, so that addition is no exact no-op.
 """
 
 import functools
@@ -78,7 +79,6 @@ import numpy as np
 from . import guards
 from .errors import InvalidInput, MalformedProblem, NumericalFailure
 from .kernels import (
-    AT_UPPER,
     BASIC,
     PHASE_ITER_LIMIT,
     PHASE_OPTIMAL,
@@ -131,25 +131,23 @@ def _reject(problem):
             raise MalformedProblem(f"{name} constraint data must be finite")
     l = (np.zeros(n) if problem.lower is None
          else _floats("lower", problem.lower).reshape(-1))
-    u = (np.full(n, np.inf) if problem.upper is None
-         else _floats("upper", problem.upper).reshape(-1))
-    if l.shape[0] != n or u.shape[0] != n:
+    if l.shape[0] != n:
         raise MalformedProblem("bound vectors must match the objective length")
-    if np.any(np.isnan(l)) or np.any(np.isnan(u)):
-        raise MalformedProblem("bounds must not contain NaN")
-    if np.any(l == np.inf) or np.any(u == -np.inf):
-        raise MalformedProblem("bounds describe an empty interval")
-    j = int(np.argmax(l > u))
-    raise MalformedProblem(f"lower bound exceeds upper bound at index {j}")
+    j = int(np.argmax(~_allowed(l)))
+    raise MalformedProblem(f"lower bound at index {j} must be 0 or -inf")
 
 
-_MAX = np.finfo(np.float64).max
+def _allowed(lower):
+    """Mask of the lower bounds a variable may have: 0 (either sign), a
+    nonnegative variable, or -inf, a free one (NaN is neither)."""
+    return (lower == 0) | (lower == -np.inf)
 
 
 @dataclass(eq=False)
 class LpProblem:
     """min objective . x  s.t.  eq_rows x = eq_rhs, ub_rows x <= ub_rhs,
-    lower <= x <= upper componentwise (infinite bounds allowed)."""
+    x_j >= 0 where lower[j] is 0 (the default) and x_j free where it is
+    -inf.  Any other bound on x_j is an inequality row."""
 
     objective: np.ndarray
     eq_rows: Optional[np.ndarray] = None
@@ -157,14 +155,12 @@ class LpProblem:
     ub_rows: Optional[np.ndarray] = None
     ub_rhs: Optional[np.ndarray] = None
     lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
         # The valid path tests everything at once: the shapes fit, all the
-        # coefficients are finite, and (unless both bounds are defaults)
-        # max(l, -MAX) <= min(u, MAX), which fails on NaN (as l <= u
-        # does), on l > u and on an empty interval [inf, inf] or
-        # [-inf, -inf].  `_reject` finds which check failed.
+        # coefficients are finite, and (unless the lower bounds are the
+        # default) each lower bound is 0 or -inf.  `_reject` finds which
+        # check failed.
         try:
             c = _floats("objective", self.objective).reshape(-1)
             n = c.size
@@ -172,23 +168,18 @@ class LpProblem:
             ub = _rows("ub", self.ub_rows, self.ub_rhs, n)
             l = (np.zeros(n) if self.lower is None
                  else _floats("lower", self.lower).reshape(-1))
-            u = (np.full(n, np.inf) if self.upper is None
-                 else _floats("upper", self.upper).reshape(-1))
             valid = (n and eq[0].shape == (eq[1].size, n)
-                     and ub[0].shape == (ub[1].size, n)
-                     and l.size == n and u.size == n
+                     and ub[0].shape == (ub[1].size, n) and l.size == n
                      and np.isfinite(np.concatenate((c, *eq, *ub),
                                                     axis=None)).all()
-                     and (self.lower is None and self.upper is None
-                          or (np.maximum(l, -_MAX)
-                              <= np.minimum(u, _MAX)).all()))
+                     and (self.lower is None or _allowed(l).all()))
         except MalformedProblem:
             valid = False
         if not valid:
             _reject(self)
         self.objective = c
         (self.eq_rows, self.eq_rhs), (self.ub_rows, self.ub_rhs) = eq, ub
-        self.lower, self.upper = l, u
+        self.lower = l
 
     @property
     def n_vars(self):
@@ -271,8 +262,8 @@ def solve(problem, mode="float", start=None):
     """Solve an LpProblem and return a verified LpOutcome; a `start` basis
     may skip phase one (the module docstring's start contract).  A set-up,
     extraction or check step is skipped only where this problem's arrays
-    make it an exact no-op (the module docstring's rule): the bound
-    transforms under the default bounds, the inequality-row work with no
+    make it an exact no-op (the module docstring's rule): the z+ - z-
+    split with no free variable, the inequality-row work with no
     inequality row, the flips with no negative right-hand side."""
     if not isinstance(problem, LpProblem):
         raise InvalidInput("problem must be an LpProblem")
@@ -284,30 +275,20 @@ def solve(problem, mode="float", start=None):
     mu = problem.ub_rows.shape[0]
     m0 = me + mu
     n0 = problem.n_vars
-    # Column transforms onto z >= 0: x = l + z where the lower bound is
-    # finite, else x = u - z where the upper bound is, else a free x is
-    # z+ - z- on two columns.  The slack columns follow.  Under the default
-    # bounds (every lower bound 0, every upper bound +inf) every column is
-    # x = 0 + z, with no shift, no negation and no finite upper bound.
-    default = not problem.lower.any() and problem.upper.min() == np.inf
-    if default:
-        paired = False
-        neg = None
-    else:
-        no_lower = problem.lower == -np.inf
-        free = no_lower & (problem.upper == np.inf)
-        flip = no_lower ^ free
-        paired = free.any()
-        neg = flip                      # the columns of u - z
+    # Columns z >= 0: x = l + z where the lower bound l is 0, and a free x
+    # is z+ - z- on two columns.  The slack columns follow.
+    free = problem.lower == -np.inf
+    paired = free.any()
     if paired:
         span = free + 1
         first = span.cumsum() - span    # each variable's first column
         var = np.arange(n0).repeat(span)
-        neg = flip.repeat(span)         # the columns of u - z and z-
+        neg = np.zeros(var.size, dtype=bool)    # the columns of z-
         neg[first[free] + 1] = True
         nv = var.size
     else:
         first = var = slice(n0)         # one column per variable
+        neg = None
         nv = n0
     ncols = nv + mu
     N = ncols + m0
@@ -318,7 +299,7 @@ def solve(problem, mode="float", start=None):
     # phases (each ends in a rebuild), or Fractions at zero tolerance with
     # every column pivoted.
     data = (problem.objective, problem.eq_rows, problem.eq_rhs,
-            problem.ub_rows, problem.ub_rhs, problem.lower, problem.upper)
+            problem.ub_rows, problem.ub_rhs, problem.lower)
     if mode == "exact":
         from fractions import Fraction
 
@@ -333,18 +314,13 @@ def solve(problem, mode="float", start=None):
         tol, feas, gap = PIVOT, LP_FEASIBILITY, LP_GAP
         zero, one = 0.0, 1.0
         T = np.zeros((m0 + 2, N + 1))
-    c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    c0, A_eq, b_eq, A_ub, b_ub, l0 = data
 
     if mu:
         A_all = np.concatenate((A_eq, A_ub))
         b_all = np.concatenate((b_eq, b_ub))
     else:   # b_all is the solve's own: a flip negates it in place
         A_all, b_all = A_eq, b_eq.copy()
-    if not default:
-        offset = np.where(no_lower, u0, l0)     # the bound z is measured from
-        # One shift at a time: the rounding of b depends on the order.
-        for j in ((problem.lower != 0) ^ free).nonzero()[0].tolist():
-            b_all = b_all - A_all[:, j] * offset[j]
     # Flip rows to b >= 0 so the artificial basis starts feasible; with no
     # negative right-hand side no row flips, and `flipped` is None.
     flipped = b_all < 0
@@ -367,20 +343,17 @@ def solve(problem, mode="float", start=None):
     T[m0, :nv] = c0[var]
     _negate(T[m0, :nv], neg)
     # [M | I | b]: the constraint columns, the artificial (identity) columns
-    # and a spare column for the right-hand side, shared by every float
-    # refactorization of this solve; M and the phase-two costs (0 on the
-    # artificials) are contiguous copies.
+    # and the right-hand side, shared by every float refactorization of
+    # this solve; M and the phase-two costs (0 on the artificials) are
+    # contiguous copies.
     aug = T[:m0].copy()
     M = T[:m0, :ncols].copy()
     cvec = T[m0, :N].copy()
-    upper = np.full(N, np.inf, dtype=T.dtype)
-    if not default:
-        upper[:nv] = (u0 - l0)[var]     # u - (-inf) is inf
 
     vstat = np.zeros(N, dtype=np.int64)
     max_iter = 1000 + 30 * (m0 + N)
-    if start is not None and _warm_start(T, start, upper, M, aug, cvec, m0,
-                                         ncols, N, feas):
+    if start is not None and _warm_start(T, start, M, aug, cvec, m0, ncols,
+                                         N, feas):
         # The start's basic values are feasible: phase one is skipped.
         basis = start
         vstat[basis] = BASIC
@@ -394,9 +367,8 @@ def solve(problem, mode="float", start=None):
                     out=T[m0 + 1, :ncols])
         basis = np.arange(ncols, N, dtype=np.int64)
         vstat[ncols:] = BASIC
-        code = _run_phase(T, basis, vstat, upper, m0, N, m0 + 1, ncols,
-                          width, tol, max_iter, exact, M, aug, b_all, cvec,
-                          not default)
+        code = _run_phase(T, basis, vstat, m0, N, m0 + 1, ncols, width, tol,
+                          max_iter, exact, M, aug, cvec)
         if code == PHASE_ITER_LIMIT:
             raise NumericalFailure(
                 "simplex iteration limit exceeded in phase one")
@@ -408,40 +380,30 @@ def solve(problem, mode="float", start=None):
             return _infeasible_outcome(T, flipped, m0, ncols, data, zero,
                                        one, feas, scalar)
 
-        moved = drive_out_artificials(T, basis, vstat, upper, m0, N, ncols,
-                                      tol)
-    upper[ncols:] = zero
+        moved = drive_out_artificials(T, basis, vstat, m0, N, ncols, tol)
 
-    if not moved and entering(T, vstat, upper, m0, ncols, tol)[0] == -1:
+    if not moved and entering(T, vstat, m0, ncols, tol) == -1:
         # Nothing has pivoted since phase one (or the start's rebuild) and
         # phase two has no column to enter, so phase two would return at
         # once; in float mode its closing rebuild would recompute the
         # rebuilt tableau.
         code = PHASE_OPTIMAL
     else:
-        code = _run_phase(T, basis, vstat, upper, m0, N, m0, ncols, width,
-                          tol, max_iter, exact, M, aug, b_all, cvec,
-                          not default)
+        code = _run_phase(T, basis, vstat, m0, N, m0, ncols, width, tol,
+                          max_iter, exact, M, aug, cvec)
     if code == PHASE_ITER_LIMIT:
         raise NumericalFailure("simplex iteration limit exceeded in phase two")
     if code == PHASE_UNBOUNDED:
         return LpOutcome("unbounded", None, None, None, None, None)
 
-    # x from the column values z: at a finite upper bound, basic, or 0.
-    # Under default bounds no column has a finite upper bound, so none is
-    # AT_UPPER (a column leaves or flips onto its upper bound only when that
-    # bound is finite), and x = 0 + z.
-    if default:
-        z = np.full(N, zero, dtype=T.dtype)
-        z[basis] = T[:m0, N]
-        x = l0 + z[:n0]     # 0.0 + (-0.0) is +0.0: not a no-op, so kept
-    else:
-        z = np.where(vstat == AT_UPPER, upper, zero)
-        z[basis] = T[:m0, N]
-        x = offset + _negate(z[first], flip)
-        if paired:
-            pair = first[free]
-            x[free] = z[pair] - z[pair + 1]
+    # x from the column values z, basic or 0: x = l + z (0.0 + (-0.0) is
+    # +0.0, so the addition is kept), and z+ - z- for a free x.
+    z = np.full(N, zero, dtype=T.dtype)
+    z[basis] = T[:m0, N]
+    x = l0 + z[first]
+    if paired:
+        pair = first[free]
+        x[free] = z[pair] - z[pair + 1]
     return _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero,
                             feas, gap, scalar)
 
@@ -472,11 +434,11 @@ def _basic_solution(aug, B):
     return sol if np.isfinite(sol).all() else None
 
 
-def _warm_start(T, start, upper, M, aug, cvec, m0, ncols, N, feas):
+def _warm_start(T, start, M, aug, cvec, m0, ncols, N, feas):
     """Rebuild T on the basis `start` (every other column at 0) and return
-    True when its basic values lie within their bounds to `feas`, an
-    artificial's bounds being [0, 0]; return False, T untouched, when the
-    start is numerically singular or its basic values are not.  A start
+    True when its basic values are nonnegative, and its artificials' 0, to
+    `feas`; return False, T untouched, when the start is numerically
+    singular or its basic values are not.  A start
     counts as singular when the condition estimate max|B| max|B^-1| (over
     the entries) passes 1 / PIVOT, where roundoff alone may have kept an
     exactly singular B invertible."""
@@ -488,15 +450,13 @@ def _warm_start(T, start, upper, M, aug, cvec, m0, ncols, N, feas):
             * np.abs(sol[:, ncols:N]).max() > 1:
         return False
     xB = sol[:, N]
-    cap = np.where(start < ncols, upper[start], 0.0)
-    if not ((xB >= -feas) & (xB <= cap + feas)).all():
+    if not ((xB >= -feas) & ((start < ncols) | (xB <= feas))).all():
         return False
     _install(T, sol, start, M, cvec, m0, ncols, N, False)
     return True
 
 
-def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N,
-                 phase_one, capped):
+def _refactorize(T, basis, M, aug, cvec, m0, ncols, N, phase_one):
     """Rebuild the float tableau from the original data and current basis.
 
     Dense row updates accumulate roundoff over many pivots (badly so on
@@ -505,21 +465,13 @@ def _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec, m0, ncols, N,
     against the original columns: basic values, the phase-two reduced-cost
     row, the phase-one row while phase one runs (`phase_one`), and the
     B^-1 image in the artificial slots.  `aug` is the solve's [M | I | b]
-    buffer: B is its basis columns, and with `capped` its last column is
-    overwritten with b less the columns held at a finite nonzero upper
-    bound.  Without `capped` no column has a finite upper bound, so that
-    column keeps b as the solve built it.  Products with the constraint
-    columns use the contiguous M, as they always have.  `cvec` holds the
-    phase-two costs of all N columns (0 on the artificials).
+    buffer, B its basis columns: every nonbasic column sits at 0, so the
+    basic values solve B xB = b.  Products with the constraint columns use
+    the contiguous M, as they always have.  `cvec` holds the phase-two
+    costs of all N columns (0 on the artificials).
     """
     if m0 == 0:
         return
-    if capped:
-        rhs = aug[:, N]
-        rhs[:] = b_flip
-        for j in (vstat[:ncols] == AT_UPPER).nonzero()[0].tolist():
-            if 0 < upper[j] < np.inf:
-                rhs -= M[:, j] * upper[j]
     sol = _basic_solution(aug, aug.take(basis, axis=1))
     if sol is None:
         raise NumericalFailure("working basis is numerically singular")
@@ -550,39 +502,38 @@ def _install(T, sol, basis, M, cvec, m0, ncols, N, phase_one):
     T[m0 + 1, N] = -(cb1 @ xB)
 
 
-def _run_phase(T, basis, vstat, upper, m0, N, cost_row, ncols, width,
-               tol, max_iter, exact, M, aug, b_flip, cvec, capped):
+def _run_phase(T, basis, vstat, m0, N, cost_row, ncols, width, tol,
+               max_iter, exact, M, aug, cvec):
     """One simplex phase, refactorizing at optimum until it stays optimal.
 
     A phase that terminates on drifted rows may not be optimal for the true
     data; after the rebuild the pricing test is repeated and the phase rerun
     on the clean tableau.  Exact mode has no drift and runs the phase once.
-    `width` goes to simplex_phase, `capped` to `_refactorize`.
+    `width` goes to simplex_phase.
     """
     retried_unbounded = False
     for _ in range(6):
-        code = simplex_phase(T, basis, vstat, upper, m0, N, cost_row, ncols,
-                             tol, max_iter, width=width)
+        code = simplex_phase(T, basis, vstat, m0, N, cost_row, ncols, tol,
+                             max_iter, width=width)
         if exact:
             return code
         if code == PHASE_UNBOUNDED and not retried_unbounded:
             # An unbounded ray seen on drifted rows may close after rebuild.
             retried_unbounded = True
-            _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
-                         m0, ncols, N, cost_row > m0, capped)
+            _refactorize(T, basis, M, aug, cvec, m0, ncols, N,
+                         cost_row > m0)
             continue
         if code != PHASE_OPTIMAL:
             return code
-        _refactorize(T, basis, vstat, upper, M, aug, b_flip, cvec,
-                     m0, ncols, N, cost_row > m0, capped)
-        if entering(T, vstat, upper, cost_row, ncols, tol)[0] == -1:
+        _refactorize(T, basis, M, aug, cvec, m0, ncols, N, cost_row > m0)
+        if entering(T, vstat, cost_row, ncols, tol) == -1:
             return code
     raise NumericalFailure("simplex failed to stabilize after refactorizations")
 
 
 def _infeasible_outcome(T, flipped, m0, ncols, data, zero, one, feas,
                         scalar):
-    _, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    _, A_eq, b_eq, A_ub, b_ub, l0 = data
     # Phase-one reduced cost of artificial i is 1 - y_i in the flipped rows.
     y = _negate(one - T[m0 + 1, ncols:ncols + m0], flipped)
     peak = np.abs(y).max(initial=0)
@@ -596,17 +547,16 @@ def _infeasible_outcome(T, flipped, m0, ncols, data, zero, one, feas,
             raise NumericalFailure("Farkas multipliers on inequality rows must be nonpositive")
         y_ub[positive] = 0
 
-    # A positive r_j is capped by x_j's upper bound, a negative one by its
-    # lower bound; an active r_j on an infinite bound leaks.
+    # A negative r_j is capped by x_j's lower bound; an active r_j that is
+    # positive (no variable has an upper bound) or on a free x_j leaks.
     r = A_eq.T @ y_eq + A_ub.T @ y_ub
     active = np.abs(r) > feas
-    up = active & (r > 0)
-    bound = np.where(up, u0, l0)
-    leak = active & (np.abs(bound) == np.inf)
+    up = r > 0
+    leak = active & (up | (l0 == -np.inf))
     if leak.any():
         side = "upper" if up[leak.argmax()] else "lower"
         raise NumericalFailure(f"Farkas certificate leaks through an infinite {side} bound")
-    cap = _fold(zero, r[active] * bound[active])
+    cap = _fold(zero, r[active] * l0[active])
     viol = _fold(-cap, np.concatenate([y_eq * b_eq, y_ub * b_ub]))
     if viol <= 0:
         raise NumericalFailure("Farkas certificate does not separate")
@@ -615,7 +565,7 @@ def _infeasible_outcome(T, flipped, m0, ncols, data, zero, one, feas,
 
 def _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero, feas,
                      gap, scalar):
-    c0, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    c0, A_eq, b_eq, A_ub, b_ub, _ = data
     y = _negate(zero - T[m0, ncols:N], flipped)
     y_eq, y_ub = y[:b_eq.size], y[b_eq.size:]
     rc = c0 - A_eq.T @ y_eq
@@ -629,11 +579,12 @@ def _optimal_outcome(T, x, basis, flipped, m0, ncols, N, data, zero, feas,
 
 def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
     """Check an optimal answer against the original data: the rows and
-    bounds within `feas` relative to their size, the multiplier signs, and
-    strong duality within `gap`.  Returns x snapped onto its box and clears
-    roundoff-positive inequality multipliers in place.  Exact mode runs the
-    same checks on Fractions at zero tolerance."""
-    _, A_eq, b_eq, A_ub, b_ub, l0, u0 = data
+    lower bounds within `feas` relative to their size, the multiplier
+    signs, and strong duality within `gap`.  Returns x snapped onto its
+    lower bounds and clears roundoff-positive inequality multipliers in
+    place.  Exact mode runs the same checks on Fractions at zero
+    tolerance."""
+    _, A_eq, b_eq, A_ub, b_ub, l0 = data
     # A row may miss by `feas` times its size, which is at least 1; the
     # size is computed only for a row that misses by more than `feas`, and
     # at zero tolerance not at all.
@@ -649,18 +600,15 @@ def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
             slack = feas and feas * (1 + np.abs(b_ub) + np.abs(A_ub) @ np.abs(x))
             if (miss > slack).any():
                 raise NumericalFailure("optimal point violates an inequality row")
-    # Snap roundoff onto the box so downstream weights are clean.  Only a
-    # coordinate the snap moves can be off its bound by more than `feas`.
-    box = x.clip(l0, u0)
+    # Snap roundoff onto the lower bounds so downstream weights are clean.
+    # Only a coordinate the snap moves can be off its bound by more than
+    # `feas`.
+    box = x.clip(l0, np.inf)
     moved = (box != x).nonzero()[0]
     if moved.size:
-        xm, bound = x[moved], box[moved]
-        slack = feas * (1 + np.abs(bound))
-        below = xm < bound
-        off = np.where(below, xm < bound - slack, xm > bound + slack)
-        if off.any():
-            side = "a lower" if below[off.argmax()] else "an upper"
-            raise NumericalFailure(f"optimal point violates {side} bound")
+        bound = box[moved]
+        if (x[moved] < bound - feas * (1 + np.abs(bound))).any():
+            raise NumericalFailure("optimal point violates a lower bound")
     x = box
 
     # A positive multiplier past `feas` fails; roundoff below it is cleared.
@@ -671,21 +619,20 @@ def _verify(x, value, y_eq, y_ub, rc, data, feas, gap):
                 raise NumericalFailure("inequality multipliers must be nonpositive at optimum")
             y_ub[positive] = 0
 
-    # A positive reduced cost prices x_j at its lower bound, a negative one
-    # at its upper bound; an active reduced cost on an infinite bound is
-    # unpriced.
+    # A positive reduced cost prices x_j at its lower bound; an active
+    # reduced cost that is negative (no variable has an upper bound) or on
+    # a free x_j is unpriced.
     size = np.abs(rc)
     active = size > feas * (1 + size.max())
     dual_obj = y_eq @ b_eq + y_ub @ b_ub
     if active.any():
-        up = active & (rc > 0)
-        bound = np.where(up, l0, u0)
-        unpriced = active & (np.abs(bound) == np.inf)
+        up = rc > 0
+        unpriced = active & ~(up & (l0 != -np.inf))
         if unpriced.any():
             if up[unpriced.argmax()]:
                 raise NumericalFailure("reduced cost positive on a variable without lower bound")
             raise NumericalFailure("reduced cost negative on a variable without upper bound")
-        dual_obj = _fold(dual_obj, rc[active] * bound[active])
+        dual_obj = _fold(dual_obj, rc[active] * l0[active])
     if abs(value - dual_obj) > gap * (1 + abs(value)):
         raise NumericalFailure("strong duality gap exceeds tolerance")
     return x

@@ -296,17 +296,19 @@ def _unsteerable_pipeline(rng, quick, tol):
 
 
 def _random_small_lp(rng):
+    """x >= 0 under half-integer rows, about half the x_j also <= 2.5 (a
+    row each, after the drawn inequality rows)."""
     nvar = int(rng.integers(2, 7))
     half = lambda size: rng.integers(-6, 7, size=size) / 2.0
     me = int(rng.integers(0, 3))
     mu = int(rng.integers(1, 4))
-    lower = np.zeros(nvar)
-    upper = np.where(rng.random(nvar) < 0.5, np.inf, 2.5)
+    capped = np.eye(nvar)[rng.random(nvar) >= 0.5]
+    objective, eq_rows, eq_rhs = half(nvar), half((me, nvar)), half(me)
+    ub_rows, ub_rhs = half((mu, nvar)), half(mu)
     return lp.LpProblem(
-        objective=half(nvar),
-        eq_rows=half((me, nvar)), eq_rhs=half(me),
-        ub_rows=half((mu, nvar)), ub_rhs=half(mu),
-        lower=lower, upper=upper)
+        objective, eq_rows=eq_rows, eq_rhs=eq_rhs,
+        ub_rows=np.concatenate([ub_rows, capped]),
+        ub_rhs=np.concatenate([ub_rhs, np.full(len(capped), 2.5)]))
 
 
 def _exact_kernel(rng, quick, tol):

@@ -10,7 +10,8 @@ one per setting.
 `Assemblage` decides its entries in V+ with `systems.in_cone`, no LP, and
 `LhsModel` its hidden states' shares the same way.
 Robustness measures how much trivial noise the assemblage tolerates before
-turning classical: for two-outcome assemblages it is the reciprocal of the
+turning classical: 1 for a one-setting assemblage on any system, and for
+two-outcome assemblages the reciprocal of the
 steering norm (on l1 and linf balls, of a polytopic twin built once; on
 the l2 disk, bracketed by two polygons built once), and
 other shapes bisect over mixtures whose entries are built from coordinates,
@@ -418,13 +419,13 @@ def optimal_witness(asm):
 def robustness(asm):
     """Largest s for which s rho_{a|x} + (1-s) sigma/k_x stays classical.
 
-    On a polytopic system a one-setting assemblage is classical (its
-    entries are their own hidden states, as in lhs_check), so its
-    robustness is 1 with no LP.  Two-outcome assemblages use the closed
-    form 1/steering_norm (capped at 1); centrally symmetric systems reduce
-    to polytopic twins, with an inner/outer polygon bracket of
-    _DISK_VERTICES vertices for the l2 ball, each twin and polygon built
-    once per process.
+    A one-setting assemblage is classical on every system (its entries are
+    their own hidden states, as in lhs_check), so its robustness is 1 with
+    no LP, whatever the system's kind or barycenter.  Two-outcome
+    assemblages use the closed form 1/steering_norm (capped at 1);
+    centrally symmetric systems reduce to polytopic twins, with an
+    inner/outer polygon bracket of _DISK_VERTICES vertices for the l2
+    ball, each twin and polygon built once per process.
     Other shapes bisect with lhs_check down to BISECTION_WIDTH, so the
     returned s tests classical and s + 2 BISECTION_WIDTH tests steerable.
     Each step builds the mixture of `mixed_with_trivial` and checks every
@@ -436,7 +437,7 @@ def robustness(asm):
     """
     system = guards.expect(asm, Assemblage).system
     systems.assert_interior(system, asm.barycenter)
-    if asm.g == 1 and system.kind == systems.POLYTOPIC:
+    if asm.g == 1:
         return 1.0   # classical in closed form, as lhs_check answers it
     if all(k == 2 for k in asm.shape):
         t = to_dichotomic_tensor(asm)

@@ -1,13 +1,16 @@
 """LP problems shared by the simplex reference tests and the HiGHS oracle.
 
-`random_lps` mixes every bound kind the solver transforms (nonnegative,
+`lp.solve` takes a variable nonnegative or free; `boxed` writes any other
+bound as an inequality row and keeps the problem as drawn, box and all,
+for the oracles that take a box (HiGHS, brute force), which read it back
+with `original`.  `random_lps` mixes every bound kind (nonnegative,
 boxed, upper-only, free, shifted), `signed_zero_lps` are such problems with
 -0.0 in place of some of their zeros and rows that are -0.0 throughout,
 `tall_lps` have one structural column under 8 to 20 rows of mixed
 magnitudes (a column sum taken in pairs rounds differently there),
 `tied_lps` repeats and rescales rows so
-the ratio test meets exact and near ties, `flip_lps` are boxes whose optimum
-is reached mostly by bound flips, `default_bound_lps` keep every variable
+the ratio test meets exact and near ties, `flip_lps` are boxes whose
+optimum puts most coordinates on a bound, `default_bound_lps` keep every variable
 in [0, inf) with and without negative right-hand sides, `infeasible_lps` and `unbounded_lps` end
 in those verdicts, and `library_lps` records every problem the library
 solves for steering-norm (on polytopes and on the inscribed disk polygon),
@@ -28,6 +31,7 @@ as the references for `universal_degree`'s value and
 
 import functools
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -38,8 +42,53 @@ from gptsteer.lp import LpProblem
 
 INF = np.inf
 
+# each `boxed` problem's fields as drawn, box and all
+_ORIGINALS = weakref.WeakKeyDictionary()
 
-def _random_problem(rng, n, me, mu, integer):
+
+def boxed(objective, eq_rows=None, eq_rhs=None, ub_rows=None, ub_rhs=None,
+          lower=None, upper=None):
+    """The LP min objective . x  s.t.  the rows and lower <= x <= upper
+    (default 0 and +inf), as an LpProblem over x >= 0 and free variables:
+    a lower bound of 0 (either sign) or -inf stays, any other one, l_j,
+    becomes the row -x_j <= -l_j and a finite upper bound u_j the row
+    x_j <= u_j; those rows follow the inequality rows, the lower-bound
+    rows first, each kind in variable order.  `original` gives back the
+    fields as given."""
+    c = np.asarray(objective, dtype=float)
+    n = c.size
+    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+    upper = np.full(n, INF) if upper is None else np.asarray(upper,
+                                                             dtype=float)
+    A = np.zeros((0, n)) if ub_rows is None else np.asarray(ub_rows,
+                                                            dtype=float)
+    b = np.zeros(0) if ub_rhs is None else np.asarray(ub_rhs, dtype=float)
+    kept = (lower == 0) | (lower == -INF)
+    capped = upper < INF
+    eye = np.eye(n)
+    problem = LpProblem(
+        c, eq_rows, eq_rhs,
+        np.concatenate([A, -eye[~kept], eye[capped]]),
+        np.concatenate([b, -lower[~kept], upper[capped]]),
+        np.where(kept, lower, -INF))
+    _ORIGINALS[problem] = dict(
+        objective=c, eq_rows=problem.eq_rows, eq_rhs=problem.eq_rhs,
+        ub_rows=A.reshape(-1, n), ub_rhs=b, lower=lower, upper=upper)
+    return problem
+
+
+def original(problem):
+    """The fields a `boxed` problem was drawn with; for any other problem
+    its own fields and upper bounds of +inf."""
+    fields = _ORIGINALS.get(problem)
+    if fields is None:
+        fields = {k: getattr(problem, k) for k in (
+            "objective", "eq_rows", "eq_rhs", "ub_rows", "ub_rhs", "lower")}
+        fields["upper"] = np.full(problem.n_vars, INF)
+    return fields
+
+
+def _random_fields(rng, n, me, mu, integer):
     if integer:
         def draw(size):
             return rng.integers(-2, 3, size).astype(float)
@@ -54,9 +103,7 @@ def _random_problem(rng, n, me, mu, integer):
                  else rng.standard_normal(n), lower, upper)
     A_eq, A_ub = draw((me, n)), draw((mu, n))
     slack = rng.integers(0, 2, mu) if integer else rng.uniform(0, 1, mu)
-    return LpProblem(objective=draw(n), eq_rows=A_eq, eq_rhs=A_eq @ x0,
-                     ub_rows=A_ub, ub_rhs=A_ub @ x0 + slack,
-                     lower=lower, upper=upper)
+    return [draw(n), A_eq, A_eq @ x0, A_ub, A_ub @ x0 + slack, lower, upper]
 
 
 def random_lps(seed=0, count=120):
@@ -64,8 +111,9 @@ def random_lps(seed=0, count=120):
     out = []
     for k in range(count):
         n = int(rng.integers(2, 9))
-        out.append(_random_problem(rng, n, int(rng.integers(0, 4)),
-                                   int(rng.integers(1, 7)), integer=k % 2 == 0))
+        out.append(boxed(*_random_fields(rng, n, int(rng.integers(0, 4)),
+                                         int(rng.integers(1, 7)),
+                                         integer=k % 2 == 0)))
     return out
 
 
@@ -79,10 +127,8 @@ def signed_zero_lps(seed=6, count=60):
     out = []
     for k in range(count):
         n = int(rng.integers(2, 7))
-        p = _random_problem(rng, n, int(rng.integers(0, 3)),
-                            int(rng.integers(1, 5)), integer=True)
-        fields = [p.objective, p.eq_rows, p.eq_rhs, p.ub_rows, p.ub_rhs,
-                  p.lower, p.upper]
+        fields = _random_fields(rng, n, int(rng.integers(0, 3)),
+                                int(rng.integers(1, 5)), integer=True)
         for a in fields:
             a[(a == 0) & (rng.random(a.shape) < 0.5)] = -0.0
         if k % 3 == 0:
@@ -91,7 +137,7 @@ def signed_zero_lps(seed=6, count=60):
             side = 1 if k % 4 == 0 else 3
             fields[side] = np.concatenate([fields[side], np.full((1, n), -0.0)])
             fields[side + 1] = np.append(fields[side + 1], -0.0)
-        out.append(LpProblem(*fields))
+        out.append(boxed(*fields))
     return out
 
 
@@ -107,8 +153,8 @@ def tall_lps(seed=8, count=20):
         bounds = ([-INF], [INF]) if k % 2 else ([-1.0], [1.0])
         rows = dict(eq_rows=a, eq_rhs=b) if k % 3 else dict(ub_rows=a,
                                                             ub_rhs=b)
-        out.append(LpProblem([float(rng.choice([-1.0, 0.0, 1.0]))],
-                             lower=bounds[0], upper=bounds[1], **rows))
+        out.append(boxed([float(rng.choice([-1.0, 0.0, 1.0]))],
+                         lower=bounds[0], upper=bounds[1], **rows))
     return out
 
 
@@ -123,8 +169,8 @@ def tied_lps(seed=1, count=40):
         rows = np.concatenate([a, 2 * a, a, 3 * a, a])
         rhs = np.concatenate([b, 2 * b, b, 3 * b, b * (1 + 1e-12)])
         upper = np.where(rng.random(n) < 0.3, 1.0, INF)
-        out.append(LpProblem(objective=-rng.integers(0, 3, n).astype(float),
-                             ub_rows=rows, ub_rhs=rhs, upper=upper))
+        out.append(boxed(-rng.integers(0, 3, n).astype(float),
+                         ub_rows=rows, ub_rhs=rhs, upper=upper))
     return out
 
 
@@ -135,10 +181,10 @@ def flip_lps(seed=2, count=20):
     for _ in range(count):
         n = int(rng.integers(3, 10))
         w = rng.uniform(0.5, 1.5, n)
-        out.append(LpProblem(objective=-rng.uniform(0.1, 1, n),
-                             ub_rows=w[None, :], ub_rhs=[w.sum() - 0.7],
-                             lower=-rng.uniform(0, 1, n),
-                             upper=rng.uniform(0.5, 2, n)))
+        out.append(boxed(-rng.uniform(0.1, 1, n),
+                         ub_rows=w[None, :], ub_rhs=[w.sum() - 0.7],
+                         lower=-rng.uniform(0, 1, n),
+                         upper=rng.uniform(0.5, 2, n)))
     return out
 
 
@@ -146,8 +192,8 @@ def default_bound_lps(seed=3, count=60):
     """Problems under the default bounds x >= 0, as every cone-membership
     LP is: equality rows only, inequality rows only, or both (by k % 3);
     rows of nonnegative entries, so that no right-hand side is negative,
-    or signed rows (by k % 2); the bounds left out, or given as 0 and +inf
-    with some lower bounds -0.0 (by k % 4); a nonnegative objective, or a
+    or signed rows (by k % 2); the lower bounds left out, or given as 0
+    with some of them -0.0 (by k % 4); a nonnegative objective, or a
     signed one that may leave the LP unbounded.  Every seventh problem
     with nonnegative rows asks its first row for -1, so it is infeasible."""
     rng = np.random.default_rng(seed)
@@ -166,8 +212,7 @@ def default_bound_lps(seed=3, count=60):
             (b_eq if me else b_ub)[0] = -1.0
         bounds = {}
         if k % 4 == 0:
-            bounds = dict(lower=np.where(rng.random(n) < 0.5, -0.0, 0.0),
-                          upper=np.full(n, INF))
+            bounds = dict(lower=np.where(rng.random(n) < 0.5, -0.0, 0.0))
         elif k % 4 == 1:
             bounds = dict(lower=np.zeros(n))
         objective = (rng.standard_normal(n) if k % 5 == 4
@@ -181,13 +226,13 @@ def infeasible_lps():
     return [
         LpProblem(objective=[1.0, 1.0], eq_rows=[[1.0, 1.0], [1.0, 1.0]],
                   eq_rhs=[1.0, 2.0]),
-        LpProblem(objective=[0.0, 0.0, 0.0], ub_rows=[[-1.0, -1.0, -1.0]],
-                  ub_rhs=[-3.5], upper=[1.0, 1.0, 1.0]),
+        boxed([0.0, 0.0, 0.0], ub_rows=[[-1.0, -1.0, -1.0]], ub_rhs=[-3.5],
+              upper=[1.0, 1.0, 1.0]),
         LpProblem(objective=[1.0, -1.0], eq_rows=[[1.0, -1.0]], eq_rhs=[3.0],
                   ub_rows=[[1.0, 0.0], [0.0, -1.0]], ub_rhs=[1.0, 0.0]),
-        LpProblem(objective=[0.0, 1.0], eq_rows=[[1.0, 2.0]], eq_rhs=[-1.0],
-                  lower=[0.0, -INF], upper=[INF, -1.0],
-                  ub_rows=[[0.0, -1.0]], ub_rhs=[0.5]),
+        boxed([0.0, 1.0], eq_rows=[[1.0, 2.0]], eq_rhs=[-1.0],
+              lower=[0.0, -INF], upper=[INF, -1.0],
+              ub_rows=[[0.0, -1.0]], ub_rhs=[0.5]),
     ]
 
 
@@ -196,8 +241,8 @@ def unbounded_lps():
         LpProblem(objective=[-1.0, 0.0], ub_rows=[[1.0, -1.0]], ub_rhs=[1.0]),
         LpProblem(objective=[1.0, 1.0], eq_rows=[[1.0, -1.0]], eq_rhs=[0.0],
                   lower=[-INF, -INF]),
-        LpProblem(objective=[0.0, -1.0, 0.0], ub_rows=[[1.0, -1.0, 1.0]],
-                  ub_rhs=[2.0], lower=[0.0, 0.0, -INF], upper=[1.0, INF, 3.0]),
+        boxed([0.0, -1.0, 0.0], ub_rows=[[1.0, -1.0, 1.0]], ub_rhs=[2.0],
+              lower=[0.0, 0.0, -INF], upper=[1.0, INF, 3.0]),
     ]
 
 

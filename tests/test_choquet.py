@@ -627,8 +627,7 @@ def test_library_lps_record_every_facet_subproblem():
 
 def _problem_bytes(p):
     return b"|".join(np.asarray(f).tobytes() for f in (
-        p.objective, p.eq_rows, p.eq_rhs, p.ub_rows, p.ub_rhs, p.lower,
-        p.upper))
+        p.objective, p.eq_rows, p.eq_rhs, p.ub_rows, p.ub_rhs, p.lower))
 
 
 # ---------------------------------------------------------------------------

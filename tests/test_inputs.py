@@ -29,7 +29,7 @@ CENTER = SQ.vector([1.0, 0.0, 0.0])
 SQUARE_VERTICES = [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]
 HALF_SPACES = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 LP_FIELDS = dict(objective=[1, 1], eq_rows=[[1, 1]], eq_rhs=[1],
-                 ub_rows=[[1, 0]], ub_rhs=[1], lower=[0, 0], upper=[1, 1])
+                 ub_rows=[[1, 0]], ub_rhs=[1], lower=[0, 0])
 
 
 def _axis_assemblage():

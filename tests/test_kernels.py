@@ -38,7 +38,7 @@ import pytest
 
 from gptsteer import bipartite, geometry, kernels, lp, systems, tensors
 from gptsteer.errors import GuardExceeded, NumericalFailure
-from gptsteer.kernels import (AT_LOWER, AT_UPPER, BASIC, PHASE_ITER_LIMIT,
+from gptsteer.kernels import (AT_LOWER, BASIC, PHASE_ITER_LIMIT,
                               PHASE_OPTIMAL, PHASE_UNBOUNDED)
 from gptsteer.tolerances import ARTIFICIAL_PIVOT, COINCIDENCE
 
@@ -562,131 +562,92 @@ def test_row_cap_raises_guard_exceeded(monkeypatch):
 # The simplex kernel shares one pivot, one pricing rule and one ratio pass;
 # the functions below are the scalar loops it replaced, kept to show that
 # every pivot path, and so every outcome byte, is unchanged.  EVENTS counts
-# the reference's bound flips and the ratio-band decisions (a larger pivot
-# or a lower basis index taking over) so the cases are seen to reach them.
+# the reference's ratio-band decisions (a larger pivot or a lower basis
+# index taking over) and the steps a basic artificial fixed at 0 blocks on
+# a negative entry, so the cases are seen to reach them.
 
 EVENTS = collections.Counter()
 
 
-def ref_simplex_phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+def ref_simplex_phase(T, basis, vstat, m, N, cost_row, n_elig, tol,
                       max_iter, width=None):
-    """Scalar bounded-variable simplex phase: Bland pricing, a first ratio
-    scan for the minimum, a second for the largest pivot in its band, and
-    per-row elimination.  `width` is ignored: full-width pivots give the
-    same outcome bytes, as the kernel's narrow ones must."""
+    """Scalar simplex phase: Bland pricing, a first ratio scan for the
+    minimum, a second for the largest pivot in its band, and per-row
+    elimination.  In phase two (cost_row m) a basic artificial (a column
+    at or past n_elig) is fixed at 0.  `width` is ignored: full-width
+    pivots give the same outcome bytes, as the kernel's narrow ones must."""
     a_block = tol * 100
+
+    def ratio_of(i, a):
+        """Row i's step, or None when it does not block."""
+        if a > a_block:
+            ratio = T[i, N] / a
+        elif a < -a_block and cost_row == m and basis[i] >= n_elig:
+            ratio = (0 - T[i, N]) / (0 - a)
+        else:
+            return None
+        return ratio * 0 if ratio < 0 else ratio  # keeps the scalar type
+
     it = 0
     while it < max_iter:
         it += 1
         enter = -1
-        dirn = 0
         for j in range(n_elig):
-            if vstat[j] == AT_LOWER:
-                if T[cost_row, j] < -tol and upper[j] > 0:
-                    enter = j
-                    dirn = 1
-                    break
-            elif vstat[j] == AT_UPPER:
-                if T[cost_row, j] > tol:
-                    enter = j
-                    dirn = -1
-                    break
+            if vstat[j] == AT_LOWER and T[cost_row, j] < -tol:
+                enter = j
+                break
         if enter == -1:
             return PHASE_OPTIMAL
 
         # Ratio test, first pass: smallest step t >= 0 keeping every basic
-        # variable inside its bounds, against the entering variable's own
-        # bound flip.
+        # variable inside its bounds.
         t_best = np.inf
         leave_row = -1
         for i in range(m):
-            a = dirn * T[i, enter]
-            if a > a_block:
-                ratio = T[i, N] / a
-            elif a < -a_block:
-                ub = upper[basis[i]]
-                if ub == np.inf:
-                    continue
-                ratio = (ub - T[i, N]) / (0 - a)
-            else:
-                continue
-            if ratio < 0:
-                ratio = ratio * 0  # clamp roundoff, keeping the scalar type
-            if ratio < t_best:
+            ratio = ratio_of(i, T[i, enter])
+            if ratio is not None and ratio < t_best:
                 t_best = ratio
                 leave_row = i
-
-        t_flip = upper[enter]
-        if leave_row == -1 and t_flip == np.inf:
+        if leave_row == -1:
             return PHASE_UNBOUNDED
 
-        if leave_row >= 0 and t_best < np.inf:
-            # Second pass: the largest pivot whose ratio is within a
-            # relative band of the minimum (the band is zero in exact mode).
-            cutoff = t_best + tol * (1 + t_best)
-            best_a = dirn * T[leave_row, enter]
-            for i in range(m):
-                a = dirn * T[i, enter]
-                if a > a_block:
-                    ratio = T[i, N] / a
-                elif a < -a_block:
-                    ub = upper[basis[i]]
-                    if ub == np.inf:
-                        continue
-                    ratio = (ub - T[i, N]) / (0 - a)
-                else:
-                    continue
-                if ratio < 0:
-                    ratio = ratio * 0
-                if ratio <= cutoff:
-                    aa = a if a > 0 else 0 - a
-                    bb = best_a if best_a > 0 else 0 - best_a
-                    if aa > bb or (aa == bb and basis[i] < basis[leave_row]):
-                        EVENTS["band" if aa > bb else "basis tie"] += 1
-                        leave_row = i
-                        best_a = a
-            a = dirn * T[leave_row, enter]
-            if a > 0:
-                t_best = T[leave_row, N] / a
-            else:
-                t_best = (upper[basis[leave_row]] - T[leave_row, N]) / (0 - a)
-            if t_best < 0:
-                t_best = t_best * 0
+        # Second pass: the largest pivot whose ratio is within a relative
+        # band of the minimum (the band is zero in exact mode).
+        cutoff = t_best + tol * (1 + t_best)
+        best_a = T[leave_row, enter]
+        for i in range(m):
+            a = T[i, enter]
+            ratio = ratio_of(i, a)
+            if ratio is not None and ratio <= cutoff:
+                aa = a if a > 0 else 0 - a
+                bb = best_a if best_a > 0 else 0 - best_a
+                if aa > bb or (aa == bb and basis[i] < basis[leave_row]):
+                    EVENTS["band" if aa > bb else "basis tie"] += 1
+                    leave_row = i
+                    best_a = a
+        t = ratio_of(leave_row, T[leave_row, enter])
+        if T[leave_row, enter] < 0:
+            EVENTS["fixed artificial"] += 1
 
-        if t_flip < t_best:
-            # Bound flip: the entering variable crosses to its other bound,
-            # the basis is unchanged.
-            for i in range(m):
-                T[i, N] = T[i, N] - dirn * T[i, enter] * t_flip
-            vstat[enter] = 1 - vstat[enter]
-            EVENTS["flip"] += 1
-            continue
-
-        t = t_best
         p = T[leave_row, enter]
-        a_r = dirn * p
         leaving = basis[leave_row]
-        if vstat[enter] == AT_LOWER:
-            x_enter = dirn * t
-        else:
-            x_enter = upper[enter] + dirn * t
-        vstat[leaving] = AT_LOWER if a_r > 0 else AT_UPPER
+        vstat[leaving] = AT_LOWER
         T[leave_row, :N] = T[leave_row, :N] / p
         for i in range(m + 2):
             if i == leave_row:
                 continue
             f = T[i, enter]
             if i < m:
-                T[i, N] = T[i, N] - dirn * f * t
+                T[i, N] = T[i, N] - f * t
             if f != 0:
                 T[i, :N] = T[i, :N] - f * T[leave_row, :N]
-        T[leave_row, N] = x_enter
+        T[leave_row, N] = t
         basis[leave_row] = enter
         vstat[enter] = BASIC
     return PHASE_ITER_LIMIT
 
 
-def ref_drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
+def ref_drive_out_artificials(T, basis, vstat, m, N, n_nonart, tol):
     """Scalar artificial drive-out with per-row elimination; returns the
     number of pivots."""
     moved = 0
@@ -717,31 +678,24 @@ def ref_drive_out_artificials(T, basis, vstat, upper, m, N, n_nonart, tol):
                 T[i, :N] = T[i, :N] - f * T[r, :N]
         vstat[basis[r]] = AT_LOWER
         basis[r] = piv
-        T[r, N] = 0 if vstat[piv] == AT_LOWER else upper[piv]
+        T[r, N] = 0
         vstat[piv] = BASIC
         moved += 1
     return moved
 
 
-def ref_entering(T, vstat, upper, cost_row, n_elig, tol):
+def ref_entering(T, vstat, cost_row, n_elig, tol):
     """Bland pricing as a scalar loop over numpy array entries."""
     for j in range(n_elig):
-        if vstat[j] == AT_LOWER:
-            if T[cost_row, j] < -tol and upper[j] > 0:
-                return j, 1
-        elif vstat[j] == AT_UPPER:
-            if T[cost_row, j] > tol:
-                return j, -1
-    return -1, 0
+        if vstat[j] == AT_LOWER and T[cost_row, j] < -tol:
+            return j
+    return -1
 
 
-def ref_has_entering(T, vstat, upper, cost_row, n_elig, tol):
+def ref_has_entering(T, vstat, cost_row, n_elig, tol):
     """Pricing test after a refactorization: is any variable improving?"""
     row = T[cost_row, :n_elig]
-    vs = vstat[:n_elig]
-    if np.any((vs == AT_LOWER) & (row < -tol) & (upper[:n_elig] > 0)):
-        return True
-    return bool(np.any((vs == AT_UPPER) & (row > tol)))
+    return bool(np.any((vstat[:n_elig] == AT_LOWER) & (row < -tol)))
 
 
 def ref_symmetry_search(V, Binv, fix, match_tol, cap):
@@ -863,9 +817,9 @@ def _bytes(v):
     return type(v).__name__, repr(v)
 
 
-def _outcome(problem, mode="float"):
+def _outcome(problem, mode="float", start=None):
     try:
-        o = lp.solve(problem, mode)
+        o = lp.solve(problem, mode, start=start)
     except NumericalFailure as exc:
         return "NumericalFailure", str(exc)
     return (o.status,) + tuple(_bytes(getattr(o, k)) for k in FIELDS)
@@ -874,13 +828,13 @@ def _outcome(problem, mode="float"):
 @pytest.fixture
 def scalar_outcome(monkeypatch):
     """`_outcome` with the scalar reference kernels and pricing test."""
-    def outcome(problem, mode="float"):
+    def outcome(problem, mode="float", start=None):
         with monkeypatch.context() as m:
             m.setattr(lp, "simplex_phase", ref_simplex_phase)
             m.setattr(lp, "drive_out_artificials", ref_drive_out_artificials)
             m.setattr(lp, "entering",
-                      lambda *a: (0 if ref_has_entering(*a) else -1, 0))
-            return _outcome(problem, mode)
+                      lambda *a: 0 if ref_has_entering(*a) else -1)
+            return _outcome(problem, mode, start)
     return outcome
 
 
@@ -930,11 +884,36 @@ def test_random_lps_match_scalar_reference(scalar_outcome):
     assert got["optimal"] >= 40 and got["unbounded"] >= 10
 
 
-def test_ties_and_bound_flips_match_scalar_reference(scalar_outcome):
+def test_ties_and_boxes_match_scalar_reference(scalar_outcome):
     EVENTS.clear()
     cases = _float(lp_cases.tied_lps() + lp_cases.flip_lps())
     assert _same_outcomes(cases, scalar_outcome)["optimal"] >= 50
-    assert EVENTS["band"] and EVENTS["basis tie"] and EVENTS["flip"] >= 50
+    assert EVENTS["band"] and EVENTS["basis tie"]
+
+
+def test_a_basic_artificial_blocks_at_zero_as_in_the_reference(
+        scalar_outcome):
+    # A start may hold an artificial, which phase two keeps at 0, so it
+    # blocks a step on a negative entry as well.  Each start is an optimal
+    # basis with one structural or slack column swapped for the artificial
+    # of its row.
+    EVENTS.clear()
+    starts = 0
+    for problem in lp_cases.random_lps() + lp_cases.signed_zero_lps():
+        basis = lp.solve(problem).basis
+        if basis is None:
+            continue
+        ncols = (problem.n_vars + int((problem.lower == -np.inf).sum())
+                 + problem.ub_rows.shape[0])
+        for r in (basis < ncols).nonzero()[0].tolist():
+            start = basis.copy()
+            start[r] = ncols + r
+            if ncols + r in basis:
+                continue
+            assert _outcome(problem, start=start) \
+                == scalar_outcome(problem, start=start)
+            starts += 1
+    assert starts >= 100 and EVENTS["fixed artificial"] >= 10
 
 
 def test_infeasible_and_unbounded_match_scalar_reference(scalar_outcome):
@@ -964,11 +943,11 @@ def _phase_calls(problems, monkeypatch):
     calls = []
     phase = lp.simplex_phase
 
-    def capture(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
-                max_iter, width=None):
-        calls.append((T.copy(), basis.copy(), vstat.copy(), upper.copy(),
-                      m, N, cost_row, n_elig, tol, width))
-        return phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+    def capture(T, basis, vstat, m, N, cost_row, n_elig, tol, max_iter,
+                width=None):
+        calls.append((T.copy(), basis.copy(), vstat.copy(), m, N, cost_row,
+                      n_elig, tol, width))
+        return phase(T, basis, vstat, m, N, cost_row, n_elig, tol,
                      max_iter, width=width)
 
     with monkeypatch.context() as m:
@@ -990,14 +969,14 @@ def test_every_phase_exit_matches_scalar_reference(family, monkeypatch):
                 "flip": lp_cases.flip_lps(),
                 "unbounded": lp_cases.unbounded_lps()}[family]
     exits = collections.Counter()
-    for T0, basis0, vstat0, upper, m, N, cost_row, n_elig, tol, width \
+    for T0, basis0, vstat0, m, N, cost_row, n_elig, tol, width \
             in _phase_calls(problems, monkeypatch):
         for max_iter in itertools.count():
             ends = []
             for phase in (kernels.simplex_phase, ref_simplex_phase):
                 T, basis, vstat = T0.copy(), basis0.copy(), vstat0.copy()
-                code = phase(T, basis, vstat, upper.copy(), m, N, cost_row,
-                             n_elig, tol, max_iter, width=width)
+                code = phase(T, basis, vstat, m, N, cost_row, n_elig, tol,
+                             max_iter, width=width)
                 ends.append((code, (T[:, :width] + 0.0).tobytes(),
                              T[:, N].tobytes(), vstat.tobytes(),
                              basis.tobytes()))
@@ -1011,34 +990,28 @@ def test_every_phase_exit_matches_scalar_reference(family, monkeypatch):
 
 
 def _pricing_cases(rng, tol, count):
-    """(T, vstat, upper, cost_row, n_elig) with reduced costs at and just
-    beyond +-tol, signed zeros, fixed variables (upper 0) and every
-    status."""
+    """(T, vstat, cost_row, n_elig) with reduced costs at and just beyond
+    +-tol, signed zeros and both statuses."""
     near = np.nextafter(tol, np.inf)
     values = np.array([-1.0, -2 * tol, -near, -tol, -0.0, 0.0, tol, near,
                        2 * tol, 1.0])
-    bounds = np.array([0.0, 1.0, np.inf])
     for _ in range(count):
         n = int(rng.integers(1, 9))
         T = np.zeros((3, n + 2))
         T[1, :n] = rng.choice(values, n)
-        vstat = rng.choice([AT_LOWER, AT_UPPER, BASIC], n + 2)
-        upper = rng.choice(bounds, n + 2)
-        yield T, vstat, upper, 1, int(rng.integers(0, n + 1))
+        vstat = rng.choice([AT_LOWER, BASIC], n + 2)
+        yield T, vstat, 1, int(rng.integers(0, n + 1))
 
 
 def _fraction_pricing_cases(rng, count):
     values = [Fraction(-1, 3), Fraction(0), Fraction(1, 7), Fraction(-2)]
-    bounds = [Fraction(0), Fraction(5, 2), np.inf]
     for _ in range(count):
         n = int(rng.integers(1, 7))
         T = np.empty((2, n + 1), dtype=object)
         T[...] = Fraction(0)
         T[0, :n] = [values[k] for k in rng.integers(0, len(values), n)]
-        vstat = rng.choice([AT_LOWER, AT_UPPER, BASIC], n + 1)
-        upper = np.empty(n + 1, dtype=object)
-        upper[:] = [bounds[k] for k in rng.integers(0, len(bounds), n + 1)]
-        yield T, vstat, upper, 0, n
+        vstat = rng.choice([AT_LOWER, BASIC], n + 1)
+        yield T, vstat, 0, n
 
 
 def test_list_pricing_matches_scalar_reference():
@@ -1046,26 +1019,22 @@ def test_list_pricing_matches_scalar_reference():
     seen = collections.Counter()
     cases = [(case, 1e-9) for case in _pricing_cases(rng, 1e-9, 400)]
     cases += [(case, 0) for case in _fraction_pricing_cases(rng, 200)]
-    for (T, vstat, upper, row, n_elig), tol in cases:
-        want = ref_entering(T, vstat, upper, row, n_elig, tol)
+    for (T, vstat, row, n_elig), tol in cases:
+        want = ref_entering(T, vstat, row, n_elig, tol)
         # arrays, as lp passes them after a refactorization, and the list
         # copies simplex_phase keeps
-        assert kernels.entering(T, vstat, upper, row, n_elig, tol) == want
-        assert kernels.entering(T, vstat.tolist(), upper.tolist(), row,
-                                n_elig, tol) == want
-        assert (want[0] != -1) == ref_has_entering(T, vstat, upper, row,
-                                                   n_elig, tol)
-        seen[want[1]] += 1
-        if want[0] != -1:
-            j = want[0]
-            seen["fixed skipped"] += any(
-                vstat[k] == AT_LOWER and upper[k] == 0 and T[row, k] < -tol
-                for k in range(j))
+        assert kernels.entering(T, vstat, row, n_elig, tol) == want
+        assert kernels.entering(T, vstat.tolist(), row, n_elig, tol) == want
+        assert (want != -1) == ref_has_entering(T, vstat, row, n_elig, tol)
+        seen["optimal" if want == -1 else "entered"] += 1
+        if want != -1:
+            seen["basic skipped"] += any(
+                vstat[k] == BASIC and T[row, k] < -tol for k in range(want))
             seen["at tol skipped"] += any(
                 abs(T[row, k]) == tol and vstat[k] != BASIC
-                for k in range(j))
-    assert seen[1] and seen[-1] and seen[0]
-    assert seen["fixed skipped"] and seen["at tol skipped"]
+                for k in range(want))
+    assert seen["optimal"] and seen["entered"]
+    assert seen["basic skipped"] and seen["at tol skipped"]
 
 
 @pytest.fixture
@@ -1076,16 +1045,16 @@ def dead_block(monkeypatch):
     phase = lp.simplex_phase
     widths = collections.Counter()
 
-    def poisoned(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
-                 max_iter, width=None):
+    def poisoned(T, basis, vstat, m, N, cost_row, n_elig, tol, max_iter,
+                 width=None):
         exact = T.dtype == object
         if not exact:
             T[:m, n_elig:N] = np.nan
         widths["exact" if exact else "float",
                "two" if cost_row == m else "one",
                "narrow" if width == n_elig else "full"] += 1
-        return phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
-                     max_iter, width=width)
+        return phase(T, basis, vstat, m, N, cost_row, n_elig, tol, max_iter,
+                     width=width)
 
     monkeypatch.setattr(lp, "simplex_phase", poisoned)
     return widths
@@ -1120,15 +1089,15 @@ def test_phase_two_pivots_leave_the_artificial_block(monkeypatch):
     phase = lp.simplex_phase
     kept = collections.Counter()
 
-    def sentinel(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
-                 max_iter, width=None):
+    def sentinel(T, basis, vstat, m, N, cost_row, n_elig, tol, max_iter,
+                 width=None):
         if cost_row != m:
-            return phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
+            return phase(T, basis, vstat, m, N, cost_row, n_elig, tol,
                          max_iter, width=width)
         T[:m, n_elig:N] = 0.5
         before = basis.copy()
-        code = phase(T, basis, vstat, upper, m, N, cost_row, n_elig, tol,
-                     max_iter, width=width)
+        code = phase(T, basis, vstat, m, N, cost_row, n_elig, tol, max_iter,
+                     width=width)
         if np.any(basis != before):
             kept[bool(np.all(T[:m, n_elig:N] == 0.5))] += 1
         return code

@@ -108,39 +108,42 @@ def test_unbounded_detected():
 
 
 def test_strong_duality_reported_values():
+    # x <= (1, 1, 0.5) as three inequality rows
     p = LpProblem(
         np.array([2.0, 1.0, -1.0]),
         eq_rows=[[1.0, 1.0, 1.0]], eq_rhs=[1.0],
-        ub_rows=[[1.0, -1.0, 0.0]], ub_rhs=[0.25],
-        upper=np.array([1.0, 1.0, 0.5]),
+        ub_rows=np.vstack([[1.0, -1.0, 0.0], np.eye(3)]),
+        ub_rhs=[0.25, 1.0, 1.0, 0.5],
     )
     out = solve(p)
     assert out.status == "optimal"
     dual = float(out.dual_eq @ p.eq_rhs) + float(out.dual_ub @ p.ub_rhs)
     for j in range(p.n_vars):
         r = out.reduced_costs[j]
+        # only a lower bound can price a reduced cost, and only one > 0
+        assert r >= -1e-9
         if r > 1e-9:
             dual += r * p.lower[j]
-        elif r < -1e-9:
-            dual += r * p.upper[j]
     assert abs(out.value - dual) <= 1e-7 * (1 + abs(out.value))
     assert np.all(out.dual_ub <= 1e-12)
 
 
 def _brute_force_value(p):
-    """Minimum over vertices enumerated from all n-subsets of tight rows.
+    """Minimum over vertices enumerated from all n-subsets of tight rows
+    of the problem as drawn (`lp_cases.original`), box and all.
 
     Independent of the solver: dense solve per subset, full feasibility scan.
     Returns None when no feasible vertex exists (bounded problems only).
     """
+    f = lp_cases.original(p)
     n = p.n_vars
-    rows = [(p.eq_rows[i], p.eq_rhs[i], True) for i in range(p.eq_rows.shape[0])]
-    rows += [(p.ub_rows[i], p.ub_rhs[i], False) for i in range(p.ub_rows.shape[0])]
+    rows = [(a, b, True) for a, b in zip(f["eq_rows"], f["eq_rhs"])]
+    rows += [(a, b, False) for a, b in zip(f["ub_rows"], f["ub_rhs"])]
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        rows.append((-e, -p.lower[j], False))
-        rows.append((e, p.upper[j], False))
+        rows.append((-e, -f["lower"][j], False))
+        rows.append((e, f["upper"][j], False))
     best = None
     for comb in itertools.combinations(range(len(rows)), n):
         A = np.array([rows[i][0] for i in comb])
@@ -159,7 +162,7 @@ def _brute_force_value(p):
                 ok = False
                 break
         if ok:
-            val = float(p.objective @ x)
+            val = float(f["objective"] @ x)
             best = val if best is None else min(best, val)
     return best
 
@@ -173,7 +176,7 @@ def test_matches_brute_force_on_random_boxes():
         c = np.round(rng.normal(size=n), 3)
         l = np.round(rng.uniform(-2, 0, n), 3)
         u = l + np.round(rng.uniform(0.5, 3, n), 3)
-        p = LpProblem(
+        p = lp_cases.boxed(
             c,
             np.round(rng.normal(size=(me, n)), 3) if me else None,
             np.round(rng.normal(size=me), 3) if me else None,
@@ -198,7 +201,8 @@ def test_farkas_certificate_separates_by_hand():
     for trial in range(200):
         n = int(rng.integers(1, 4))
         mu = int(rng.integers(2, 5))
-        p = LpProblem(
+        # x <= 1.5 as one inequality row per variable
+        p = lp_cases.boxed(
             np.zeros(n),
             ub_rows=np.round(rng.normal(size=(mu, n)), 3),
             ub_rhs=np.round(rng.normal(loc=-0.5, size=mu), 3),
@@ -211,9 +215,12 @@ def test_farkas_certificate_separates_by_hand():
         y = out.dual_ub
         assert np.all(y <= 1e-12)
         r = p.ub_rows.T @ y
+        # the largest r . x over x >= 0: r_j x_j is unbounded for r_j > 0
+        # and greatest at the lower bound 0 for r_j <= 0
+        assert np.all(r <= 1e-9)
         cap = 0.0
         for j in range(n):
-            cap += r[j] * (p.upper[j] if r[j] > 0 else p.lower[j])
+            cap += r[j] * p.lower[j]
         assert float(y @ p.ub_rhs) - cap >= 1e-9
     assert seen >= 20
 
@@ -224,7 +231,7 @@ def test_exact_mode_agrees_with_float():
         n = int(rng.integers(1, 4))
         me = int(rng.integers(0, 2))
         mu = int(rng.integers(0, 3))
-        p = LpProblem(
+        p = lp_cases.boxed(
             np.round(rng.normal(size=n), 2),
             np.round(rng.normal(size=(me, n)), 2) if me else None,
             np.round(rng.normal(size=me), 2) if me else None,
@@ -307,7 +314,9 @@ def test_malformed_problems_are_rejected():
     with pytest.raises(MalformedProblem):
         LpProblem(np.array([1.0]), eq_rows=[[1.0]], eq_rhs=[0.0, 1.0])
     with pytest.raises(MalformedProblem):
-        LpProblem(np.array([1.0, 1.0]), lower=[0.0, 1.0], upper=[1.0, 0.5])
+        LpProblem(np.array([1.0, 1.0]), lower=[0.0, 1.0])
+    with pytest.raises(TypeError, match="upper"):
+        LpProblem(np.array([1.0]), upper=[1.0])
     with pytest.raises(MalformedProblem):
         LpProblem(np.array([1.0]), lower=[np.nan])
     with pytest.raises(MalformedProblem):
@@ -316,8 +325,21 @@ def test_malformed_problems_are_rejected():
 
 def test_lower_bound_violation_names_the_index():
     with pytest.raises(MalformedProblem) as err:
-        LpProblem(np.zeros(3), lower=[0.0, 0.0, 2.0], upper=[1.0, 1.0, 1.0])
+        LpProblem(np.zeros(3), lower=[0.0, -np.inf, 2.0])
     assert "index 2" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("j", [0, 2])
+def test_a_lower_bound_other_than_zero_or_minus_inf_names_its_index(bad, j):
+    # a variable is nonnegative (0, of either sign) or free (-inf); any
+    # other bound is the caller's inequality row
+    lower = [0.0, -np.inf, -0.0]
+    assert LpProblem(np.zeros(3), lower=lower).lower.tolist() == lower
+    lower[j] = bad
+    with pytest.raises(MalformedProblem,
+                       match=f"^lower bound at index {j} must be 0 or -inf$"):
+        LpProblem(np.zeros(3), lower=lower)
 
 
 def test_mode_and_problem_type_validation():
@@ -365,11 +387,13 @@ def _highs(problem):
     def rows(A, b):
         return (A, b) if A.shape[0] else (None, None)
 
-    A_ub, b_ub = rows(problem.ub_rows, problem.ub_rhs)
-    A_eq, b_eq = rows(problem.eq_rows, problem.eq_rhs)
+    # the problem as drawn, box and all
+    f = lp_cases.original(problem)
+    A_ub, b_ub = rows(f["ub_rows"], f["ub_rhs"])
+    A_eq, b_eq = rows(f["eq_rows"], f["eq_rhs"])
     bounds = [(None if lo == -np.inf else lo, None if hi == np.inf else hi)
-              for lo, hi in zip(problem.lower, problem.upper)]
-    return optimize.linprog(problem.objective, A_ub=A_ub, b_ub=b_ub,
+              for lo, hi in zip(f["lower"], f["upper"])]
+    return optimize.linprog(f["objective"], A_ub=A_ub, b_ub=b_ub,
                             A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                             method="highs")
 
@@ -444,16 +468,17 @@ BOX_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(BOX_FAMILIES))
 def test_optimal_x_lies_on_its_box_exactly(family):
     # The contract callers read x by, with no clip or sign check of their
-    # own: every coordinate within [lower, upper] exactly, and +0.0, never
-    # -0.0, where the lower bound is +0.0 (every cone-membership and cover
-    # LP's default bound).
+    # own: every coordinate at or above its lower bound exactly, and +0.0,
+    # never -0.0, where the lower bound is +0.0 (every cone-membership and
+    # cover LP's default bound).  An upper bound is an inequality row,
+    # held to LP_FEASIBILITY.
     optimal = 0
     for p in BOX_FAMILIES[family]():
         out = solve(p)
         if out.status != "optimal":
             continue
         optimal += 1
-        assert np.all(p.lower <= out.x) and np.all(out.x <= p.upper)
+        assert np.all(p.lower <= out.x)
         zero = (p.lower == 0.0) & ~np.signbit(p.lower)
         assert not np.signbit(out.x[zero]).any()
     assert optimal > 0
@@ -553,10 +578,8 @@ def test_a_start_from_a_nearby_optimum_keeps_status_and_value(family,
             ref = _highs(p)
             assert abs(warm.value - ref.fun) <= LP_GAP * (1 + abs(ref.fun))
             assert warm.basis is not None and not warm.basis.flags.writeable
-    # how many of those skip phase one: a start's nonbasic columns sit at
-    # 0, so the box optima of `flip` (columns at their upper bounds) run
-    # cold; the perturbed `tall`, `infeasible` and `unbounded` problems
-    # end without an optimum to start from
+    # how many of those skip phase one: the perturbed `tall`, `infeasible`
+    # and `unbounded` problems end without an optimum to start from
     assert warm_starts.count(True) >= WARM_SKIPS.get(family, 0)
 
 
@@ -574,7 +597,7 @@ def test_outcome_basis_is_read_only_and_set_at_an_optimum_only():
 def _columns(p):
     """The tableau's column count: one per variable (two when free), one
     slack per inequality row and one artificial per row."""
-    free = (p.lower == -np.inf) & (p.upper == np.inf)
+    free = p.lower == -np.inf
     return (p.n_vars + int(free.sum()) + 2 * p.ub_rows.shape[0]
             + p.eq_rows.shape[0])
 
@@ -654,10 +677,9 @@ def test_a_warm_feasible_cone_lp_makes_no_phase_one(monkeypatch):
     rows = []
     phase = lp.simplex_phase
 
-    def phases(T, basis, vstat, upper, m, N, cost_row, *args, **keywords):
+    def phases(T, basis, vstat, m, N, cost_row, *args, **keywords):
         rows.append(cost_row)
-        return phase(T, basis, vstat, upper, m, N, cost_row, *args,
-                     **keywords)
+        return phase(T, basis, vstat, m, N, cost_row, *args, **keywords)
 
     monkeypatch.setattr(lp, "simplex_phase", phases)
     b = [1.0, 0.25, -0.35]

@@ -4,12 +4,14 @@ import importlib.util
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gptsteer import lp, sampling, steering, systems, tensors
 
@@ -146,16 +148,13 @@ def test_time_loads_both_trees_and_times_every_problem(tmp_path):
     fields = [
         {"objective": np.zeros(2), "eq_rows": np.ones((1, 2)),
          "eq_rhs": np.ones(1), "ub_rows": np.zeros((0, 2)),
-         "ub_rhs": np.zeros(0), "lower": np.zeros(2),
-         "upper": np.full(2, np.inf)},
+         "ub_rhs": np.zeros(0), "lower": np.zeros(2)},
         {"objective": np.array([1.0]), "eq_rows": np.zeros((0, 1)),
          "eq_rhs": np.zeros(0), "ub_rows": np.array([[1.0]]),
-         "ub_rhs": np.array([-1.0]), "lower": np.zeros(1),
-         "upper": np.full(1, np.inf)},                       # infeasible
+         "ub_rhs": np.array([-1.0]), "lower": np.zeros(1)},  # infeasible
         {"objective": np.array([1.0]), "eq_rows": np.zeros((0, 1)),
          "eq_rhs": np.zeros(0), "ub_rows": np.zeros((0, 1)),
-         "ub_rhs": np.zeros(0), "lower": np.zeros(1),
-         "upper": np.full(1, np.inf)}]
+         "ub_rhs": np.zeros(0), "lower": np.zeros(1)}]
     rec = tmp_path / "three.lps"
     chains = ["lhs_check", "cone_member <- robustness", "", "lhs_check"]
     with open(rec, "wb") as fh:
@@ -265,3 +264,36 @@ def test_diff_compares_starts(tmp_path, capsys):
     assert run([False, False], [None, None]) == (0, [])
     assert run([None, basis], [None, basis.copy()]) == (0, [])
     assert run([None, basis], [basis, np.array([1])]) == (1, [0, 1])
+
+
+def test_a_recording_with_upper_bounds_loads_and_replays(tmp_path):
+    # Recorded while LpProblem had an `upper` field: an all-+inf one is
+    # dropped, so the problems replay, and sit against a recording made
+    # without the field, as they were; a finite one is refused, naming
+    # the problem.
+    tool = load_tool()
+    fields = {"objective": np.array([1.0, 2.0]),
+              "eq_rows": np.array([[1.0, 1.0]]), "eq_rhs": np.ones(1),
+              "ub_rows": np.array([[1.0, -1.0]]), "ub_rhs": np.zeros(1),
+              "lower": np.array([0.0, -np.inf])}
+    paths = {name: tmp_path / f"{name}.lps" for name in ("old", "new", "box")}
+    for name, extra in (("old", {"upper": np.full(2, np.inf)}), ("new", {}),
+                        ("box", {"upper": np.array([np.inf, 3.0])})):
+        with open(paths[name], "wb") as fh:
+            pickle.dump({"questions": 1, "problems": [
+                (dict(fields, **extra), "float", "lhs_check", 0, None)]}, fh)
+    (loaded, mode, chain, question, start), = tool.load(paths["old"])[
+        "problems"]
+    assert sorted(loaded) == sorted(tool.FIELDS) == sorted(fields)
+    assert tool.outcome(lp, loaded, mode, start) == tool.outcome_bytes(
+        lp.solve(lp.LpProblem(**fields)))
+    assert tool.diff(paths["old"], paths["new"])["differences"] == 0
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "compare", str(paths["old"]), str(ROOT),
+         str(ROOT)], check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout) == {
+        "problems": 1, "mismatches": 0, "first_mismatches": [],
+        "statuses": {"optimal": 1}}
+    with pytest.raises(SystemExit, match=re.escape(
+            f"problem 0 of {paths['box']} has a finite upper bound")):
+        tool.load(paths["box"])

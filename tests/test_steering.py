@@ -818,9 +818,20 @@ def test_disk_reduction_needs_central_barycenter():
     ball = systems.ball(2, "l2")
     t = tensors.DichotomicTensor(
         sigma=ball.vector([1.0, 0.3, 0]),
-        components=(ball.vector([0, 0.1, 0]),))
+        components=(ball.vector([0, 0.1, 0]), ball.vector([0, 0, 0.1])))
     with pytest.raises(InvalidInput, match="center"):
         steering.robustness(steering.from_dichotomic_tensor(t))
+
+
+def test_off_centre_one_setting_disk_robustness_is_one(lp_solves):
+    # classical on every system, so answered before the disk reduction
+    # and its center check, with no LP
+    ball = systems.ball(2, "l2")
+    t = tensors.DichotomicTensor(
+        sigma=ball.vector([1.0, 0.3, 0]),
+        components=(ball.vector([0, 0.1, 0]),))
+    assert steering.robustness(steering.from_dichotomic_tensor(t)) == 1.0
+    assert lp_solves == []
 
 
 def test_robustness_needs_interior_sigma():

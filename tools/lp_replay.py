@@ -52,8 +52,10 @@ tree whose `lp.solve` takes none.
 
 The file is a pickle of plain numpy arrays and strings; load only files you
 recorded.  `load` also reads recordings made before the starts were stored
-(four fields a problem) and before the callers were (a bare list of
-(fields, mode)).
+(four fields a problem), before the callers were (a bare list of
+(fields, mode)) and while problems had an `upper` field (dropped when it
+is +inf throughout; a finite one is refused), so a recording made on an
+older tree still replays against a newer one.
 """
 
 import argparse
@@ -76,8 +78,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench.run import import_library  # noqa: E402
 
-FIELDS = ("objective", "eq_rows", "eq_rhs", "ub_rows", "ub_rhs",
-          "lower", "upper")
+FIELDS = ("objective", "eq_rows", "eq_rhs", "ub_rows", "ub_rhs", "lower")
 OUTCOME = ("x", "value", "dual_eq", "dual_ub", "reduced_costs",
            "farkas_margin")
 
@@ -193,13 +194,20 @@ def record_tests(paths):
 def load(path):
     """The recording in `path`, in the current format: a recording without
     callers (a bare list of (fields, mode)) gets chain and question None,
-    and one without starts gets start None."""
+    one without starts gets start None, and one made while problems had
+    upper bounds loses its all-+inf `upper` fields; a finite upper bound
+    is refused, naming the problem."""
     with open(path, "rb") as fh:
         data = pickle.load(fh)
     if isinstance(data, list):
         data = {"questions": None, "problems": data}
     data["problems"] = [tuple(p) + (None,) * (5 - len(p))
                         for p in data["problems"]]
+    for i, (fields, *_) in enumerate(data["problems"]):
+        upper = fields.pop("upper", None)
+        if upper is not None and (upper != float("inf")).any():
+            raise SystemExit(f"lp_replay: problem {i} of {path} has a "
+                             "finite upper bound")
     return data
 
 
